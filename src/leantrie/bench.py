@@ -441,26 +441,41 @@ def run_suite(structure, dataset, config=None):
 
     Returns one :class:`BenchRow` per operation.
     """
-    config = config or BenchConfig()
-    adapter = _adapter(structure)
-    base = adapter.build(dataset)
-    _correctness_gate(adapter, base, dataset)
-    size_exponent = dataset.size.bit_length() - 1
-    rows = []
+    return _run_cell([structure], dataset, config or BenchConfig())
+
+
+def _run_cell(names, dataset, config, first=0):
+    """Gate every structure of one (size, seed) cell, then time each
+    operation across the structures back to back, starting at
+    ``names[first]``, so host drift lands on every side of a comparison.
+
+    Rows come out structure by structure, operations in ``OPERATIONS``
+    order.
+    """
+    calls = {}
+    for name in names:
+        adapter = _adapter(name)
+        base = adapter.build(dataset)
+        _correctness_gate(adapter, base, dataset)
+        calls[name] = _op_callables(adapter, base, dataset)
+    timed = {}
     for operation in OPERATIONS:
-        call, probes = _op_callables(adapter, base, dataset)[operation]
-        med, mad = _time_callable(call, probes, config)
-        rows.append(
-            BenchRow(
-                structure=structure,
-                operation=operation,
-                size_exponent=size_exponent,
-                seed=dataset.seed,
-                median_ns=round(med, 1),
-                mad_ns=round(mad, 1),
-            )
+        for name in names[first:] + names[:first]:
+            call, probes = calls[name][operation]
+            timed[name, operation] = _time_callable(call, probes, config)
+    size_exponent = dataset.size.bit_length() - 1
+    return [
+        BenchRow(
+            structure=name,
+            operation=operation,
+            size_exponent=size_exponent,
+            seed=dataset.seed,
+            median_ns=round(timed[name, operation][0], 1),
+            mad_ns=round(timed[name, operation][1], 1),
         )
-    return rows
+        for name in names
+        for operation in OPERATIONS
+    ]
 
 
 def default_structures(dataset):
@@ -473,15 +488,15 @@ def default_structures(dataset):
 
 
 def run_benchmarks(spec, config=None, structures=None):
-    """The full (size x seed x structure) grid of timed suites."""
+    """The full (size x seed x structure) grid of timed suites; the
+    structure timed first rotates from seed to seed."""
     config = config or BenchConfig()
     rows = []
     for x in spec.size_exponents:
         for seed in range(spec.seeds):
             dataset = generate_workload(spec, 1 << x, seed)
-            names = structures or default_structures(dataset)
-            for name in names:
-                rows.extend(run_suite(name, dataset, config))
+            names = list(structures or default_structures(dataset))
+            rows.extend(_run_cell(names, dataset, config, seed % len(names)))
     return rows
 
 

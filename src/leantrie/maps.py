@@ -14,18 +14,24 @@ itself when the operation was a no-op.
 
 Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
 ``element_hash``); results are folded onto 32 bits.  ``specialize``
-selects exact-arity node storage (the default) versus generic list-backed
-storage, which trades memory for one fewer indirection class.
+only changes how :func:`leantrie.footprint` prices small nodes (as
+fixed-arity objects with no indirection word, the default, or as nodes
+with an out-of-line slot block); nodes hold a plain tuple of slots either
+way.  Structures pickle and deep-copy when their hash functions are
+module-level functions: a pickle holds a structure's contents, hash
+functions and ``specialize`` flag, never its nodes, because node layout
+follows hashes that differ between processes (``PYTHONHASHSEED``); the
+receiving process rebuilds the trie with its own hashes.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 
 from .bits import INLINE
 from .nodes import (
+    EMPTY_ROOT,
     M32,
     InvariantError,
     count_entries,
-    empty_root,
     map_config,
     multimap_config,
     node_stats,
@@ -66,6 +72,11 @@ class PersistentSet(Set):
 
     def _from_iterable(self, iterable):
         return _build_set(self._cfg, iterable)
+
+    def __reduce__(self):
+        cfg = self._cfg
+        options = {"element_hash": cfg.hasher, "specialize": cfg.specialize}
+        return _rebuild, (pset, list(self), options)
 
     def add(self, element):
         """Set containing ``element``; self if already present."""
@@ -163,6 +174,11 @@ class PersistentMap(Mapping):
     @classmethod
     def _field_count(cls):
         return 2
+
+    def __reduce__(self):
+        cfg = self._cfg
+        options = {"key_hash": cfg.hasher, "specialize": cfg.specialize}
+        return _rebuild, (pmap, list(self.items()), options)
 
     def put(self, key, value):
         """Map with ``key`` bound to ``value``; self if already bound."""
@@ -303,6 +319,15 @@ class PersistentMultiMap:
     def _field_count(cls):
         return 3
 
+    def __reduce__(self):
+        cfg = self._cfg
+        options = {
+            "key_hash": cfg.hasher,
+            "value_hash": cfg.value_cfg.hasher,
+            "specialize": cfg.specialize,
+        }
+        return _rebuild, (multimap, list(self.items()), options)
+
     @property
     def tuple_count(self):
         return self._tuples
@@ -407,7 +432,7 @@ class PersistentMultiMap:
 
 
 def _build_set(cfg, iterable):
-    root = empty_root(cfg)
+    root = EMPTY_ROOT
     size = 0
     for element in iterable:
         root, delta, _ = root.insert(cfg, 0, cfg.hasher(element) & M32, element, None)
@@ -419,7 +444,8 @@ def pset(iterable=(), *, element_hash=None, specialize=True):
     """Persistent set of ``iterable``'s elements.
 
     ``element_hash`` replaces the default hash function; ``specialize``
-    selects exact-arity node storage (on by default).
+    selects the footprint model's fixed-arity pricing of small nodes (on by
+    default).
     """
     return _build_set(set_config(element_hash, specialize), iterable)
 
@@ -430,7 +456,7 @@ def pmap(source=(), *, key_hash=None, specialize=True):
     Later pairs replace earlier ones on key equality.
     """
     cfg = map_config(key_hash, specialize)
-    root = empty_root(cfg)
+    root = EMPTY_ROOT
     size = 0
     pairs = source.items() if isinstance(source, Mapping) else source
     for key, value in pairs:
@@ -444,7 +470,7 @@ def multimap(source=(), *, key_hash=None, value_hash=None, specialize=True):
     pairs.  Duplicate pairs collapse; duplicate keys accumulate values.
     """
     cfg = multimap_config(key_hash, value_hash, specialize)
-    root = empty_root(cfg)
+    root = EMPTY_ROOT
     tuples = 0
     keys = 0
     pairs = source.items() if isinstance(source, Mapping) else source
@@ -453,6 +479,11 @@ def multimap(source=(), *, key_hash=None, value_hash=None, specialize=True):
         tuples += td
         keys += kd
     return PersistentMultiMap(cfg, root, tuples, keys)
+
+
+def _rebuild(factory, contents, options):
+    """Unpickle a structure by building it again from its contents."""
+    return factory(contents, **options)
 
 
 def check_invariants(structure):

@@ -2,7 +2,8 @@
 
 Nodes are immutable.  A ``TrieNode`` consumes five hash bits per level
 (shifts 0..30 over 32-bit hashes) and keeps a single 64-bit pattern bitmap
-(see :mod:`leantrie.bits`) plus one flat slot run laid out as::
+(see :mod:`leantrie.bits`) plus one flat slot run, an immutable tuple,
+laid out as::
 
     [inline entries][collection entries][sub-node references]
 
@@ -26,7 +27,9 @@ Structural invariants (checked by :func:`validate_root`):
   at the shallowest depth their hash prefix forces.
 
 Mutating operations return ``(node, tuple_delta, key_delta)`` and return
-the receiver itself (identity, zero deltas) when nothing changed.
+the receiver itself (identity, zero deltas) when nothing changed.  A
+changed node is path-copied: its new slot tuple is spliced from the old one
+by slicing and concatenation.
 """
 
 from .bits import (
@@ -38,7 +41,6 @@ from .bits import (
     index_in_category,
     set_pattern,
 )
-from .storage import FIXED_CLASSES, GenericStorage, copy_range, new_storage
 
 M32 = 0xFFFFFFFF
 
@@ -80,44 +82,18 @@ def _eq(a, b):
     return a is b or a == b
 
 
-def _alloc(cfg, bitmap):
-    """Fresh storage sized for ``bitmap`` under ``cfg``'s layout."""
-    w = cfg.width
-    t = w * filter_pattern(bitmap, INLINE).bit_count()
-    u = (
-        2 * filter_pattern(bitmap, COLLECTION).bit_count()
-        + filter_pattern(bitmap, NODE).bit_count()
-    )
-    return new_storage(t, u, cfg.specialize)
-
-
-def _splice(old, rm_pos, rm_len, ins_pos, vals, st):
-    """Fill ``st`` with ``old`` minus ``rm_len`` slots at ``rm_pos`` and
-    ``vals`` inserted at ``ins_pos`` (position after the removal)."""
-    n = len(vals)
-    old_len = len(old)
+def _splice(old, rm_pos, rm_len, ins_pos, vals):
+    """``old`` minus ``rm_len`` slots at ``rm_pos``, with ``vals`` inserted
+    at ``ins_pos`` (a position in the result, i.e. after the removal)."""
     if ins_pos <= rm_pos:
-        copy_range(old, 0, st, 0, ins_pos)
-        for j, v in enumerate(vals):
-            st.set(ins_pos + j, v)
-        copy_range(old, ins_pos, st, ins_pos + n, rm_pos - ins_pos)
-        copy_range(old, rm_pos + rm_len, st, rm_pos + n, old_len - rm_pos - rm_len)
-    else:
-        copy_range(old, 0, st, 0, rm_pos)
-        mid = ins_pos - rm_pos
-        copy_range(old, rm_pos + rm_len, st, rm_pos, mid)
-        for j, v in enumerate(vals):
-            st.set(ins_pos + j, v)
-        tail = old_len - rm_pos - rm_len - mid
-        copy_range(old, rm_pos + rm_len + mid, st, ins_pos + n, tail)
-    return st
+        return old[:ins_pos] + vals + old[ins_pos:rm_pos] + old[rm_pos + rm_len :]
+    rm_end = rm_pos + rm_len
+    ins_at = rm_end + ins_pos - rm_pos
+    return old[:rm_pos] + old[rm_end:ins_at] + vals + old[ins_at:]
 
 
-def _replaced(cfg, bitmap, old, pos, value):
-    st = _alloc(cfg, bitmap)
-    copy_range(old, 0, st, 0, len(old))
-    st.set(pos, value)
-    return st
+def _replaced(old, pos, value):
+    return old[:pos] + (value,) + old[pos + 1 :]
 
 
 class TrieNode:
@@ -144,13 +120,12 @@ class TrieNode:
             bm, COLLECTION, branch
         )
 
-    def _node_pos(self, w, branch):
-        bm = self.bitmap
-        return (
-            w * filter_pattern(bm, INLINE).bit_count()
-            + 2 * filter_pattern(bm, COLLECTION).bit_count()
-            + index_in_category(bm, NODE, branch)
-        )
+    def _node_pos(self, branch):
+        # sub-nodes close the slot run in branch order, so ``branch`` sits
+        # as many slots from the end as there are sub-nodes on branches
+        # >= ``branch``
+        at_or_above = filter_pattern(self.bitmap, NODE) >> (branch << 1)
+        return len(self.slots) - at_or_above.bit_count()
 
     # -- lookup --------------------------------------------------------------
 
@@ -167,20 +142,19 @@ class TrieNode:
             return None
         slots = self.slots
         if pattern == NODE:
-            w = cfg.width
-            child = slots.get(self._node_pos(w, branch))
+            child = slots[self._node_pos(branch)]
             return child.lookup(cfg, shift + 5, key_hash, key)
         if pattern == INLINE:
             w = cfg.width
             pos = w * index_in_category(bm, INLINE, branch)
-            k0 = slots.get(pos)
+            k0 = slots[pos]
             if k0 is key or k0 == key:
-                return (INLINE, slots.get(pos + 1) if w == 2 else k0)
+                return (INLINE, slots[pos + 1] if w == 2 else k0)
             return None
         pos = self._coll_pos(branch)
-        k0 = slots.get(pos)
+        k0 = slots[pos]
         if k0 is key or k0 == key:
-            return (COLLECTION, slots.get(pos + 1))
+            return (COLLECTION, slots[pos + 1])
         return None
 
     # -- insert --------------------------------------------------------------
@@ -196,79 +170,69 @@ class TrieNode:
         if pattern == EMPTY:
             pos = w * index_in_category(bm, INLINE, branch)
             new_bm = bm | (INLINE << offset)
-            st = _alloc(cfg, new_bm)
             vals = (key, value) if w == 2 else (key,)
-            _splice(slots, 0, 0, pos, vals, st)
-            return TrieNode(new_bm, st), 1, 1
+            return TrieNode(new_bm, slots[:pos] + vals + slots[pos:]), 1, 1
 
         if pattern == INLINE:
             pos = w * index_in_category(bm, INLINE, branch)
-            k0 = slots.get(pos)
+            k0 = slots[pos]
             if k0 is key or k0 == key:
                 if w == 1:
                     return self, 0, 0
-                v0 = slots.get(pos + 1)
+                v0 = slots[pos + 1]
                 if v0 is value or v0 == value:
                     return self, 0, 0
                 vcfg = cfg.value_cfg
                 if vcfg is None:
                     # map semantics: replace in place
-                    st = _replaced(cfg, bm, slots, pos + 1, value)
-                    return TrieNode(bm, st), 0, 0
+                    return TrieNode(bm, _replaced(slots, pos + 1, value)), 0, 0
                 # multimap: promote the inline pair to a nested two-set
                 set_root = _set_of_two(vcfg, v0, value)
                 new_bm = set_pattern(bm, branch, COLLECTION)
                 n_i = filter_pattern(bm, INLINE).bit_count()
                 ins = w * (n_i - 1) + 2 * index_in_category(bm, COLLECTION, branch)
-                st = _alloc(cfg, new_bm)
-                _splice(slots, pos, w, ins, (key, set_root), st)
-                return TrieNode(new_bm, st), 1, 0
+                slots = _splice(slots, pos, w, ins, (key, set_root))
+                return TrieNode(new_bm, slots), 1, 0
             # different key on the same branch: push both one level down
             h0 = cfg.hasher(k0) & M32
-            s0 = (k0, slots.get(pos + 1)) if w == 2 else (k0,)
+            s0 = (k0, slots[pos + 1]) if w == 2 else (k0,)
             s1 = (key, value) if w == 2 else (key,)
-            child = _merge(cfg, shift + 5, h0, INLINE, s0, key_hash, INLINE, s1)
+            child = _merge(shift + 5, h0, INLINE, s0, key_hash, INLINE, s1)
             new_bm = set_pattern(bm, branch, NODE)
             n_i = filter_pattern(bm, INLINE).bit_count()
             n_c = filter_pattern(bm, COLLECTION).bit_count()
             ins = w * (n_i - 1) + 2 * n_c + index_in_category(bm, NODE, branch)
-            st = _alloc(cfg, new_bm)
-            _splice(slots, pos, w, ins, (child,), st)
-            return TrieNode(new_bm, st), 1, 1
+            return TrieNode(new_bm, _splice(slots, pos, w, ins, (child,))), 1, 1
 
         if pattern == COLLECTION:
             pos = self._coll_pos(branch)
-            k0 = slots.get(pos)
+            k0 = slots[pos]
             vcfg = cfg.value_cfg
             if k0 is key or k0 == key:
-                set_root = slots.get(pos + 1)
+                set_root = slots[pos + 1]
                 vh = vcfg.hasher(value) & M32
                 new_root, _, _ = set_root.insert(vcfg, 0, vh, value, None)
                 if new_root is set_root:
                     return self, 0, 0
-                st = _replaced(cfg, bm, slots, pos + 1, new_root)
-                return TrieNode(bm, st), 1, 0
+                return TrieNode(bm, _replaced(slots, pos + 1, new_root)), 1, 0
             h0 = cfg.hasher(k0) & M32
-            s0 = (k0, slots.get(pos + 1))
+            s0 = (k0, slots[pos + 1])
             child = _merge(
-                cfg, shift + 5, h0, COLLECTION, s0, key_hash, INLINE, (key, value)
+                shift + 5, h0, COLLECTION, s0, key_hash, INLINE, (key, value)
             )
             new_bm = set_pattern(bm, branch, NODE)
             n_i = filter_pattern(bm, INLINE).bit_count()
             n_c = filter_pattern(bm, COLLECTION).bit_count()
             ins = w * n_i + 2 * (n_c - 1) + index_in_category(bm, NODE, branch)
-            st = _alloc(cfg, new_bm)
-            _splice(slots, pos, 2, ins, (child,), st)
-            return TrieNode(new_bm, st), 1, 1
+            return TrieNode(new_bm, _splice(slots, pos, 2, ins, (child,))), 1, 1
 
         # NODE
-        pos = self._node_pos(w, branch)
-        child = slots.get(pos)
+        pos = self._node_pos(branch)
+        child = slots[pos]
         new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value)
         if new_child is child:
             return self, 0, 0
-        st = _replaced(cfg, bm, slots, pos, new_child)
-        return TrieNode(bm, st), td, kd
+        return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
 
     # -- delete --------------------------------------------------------------
 
@@ -285,31 +249,27 @@ class TrieNode:
 
         if pattern == INLINE:
             pos = w * index_in_category(bm, INLINE, branch)
-            k0 = slots.get(pos)
+            k0 = slots[pos]
             if not (k0 is key or k0 == key):
                 return self, 0, 0
             if w == 2 and not drop_key:
-                v0 = slots.get(pos + 1)
+                v0 = slots[pos + 1]
                 if not (v0 is value or v0 == value):
                     return self, 0, 0
             new_bm = bm & ~(0b11 << offset)
-            st = _alloc(cfg, new_bm)
-            _splice(slots, pos, w, 0, (), st)
-            return TrieNode(new_bm, st), -1, -1
+            return TrieNode(new_bm, slots[:pos] + slots[pos + w :]), -1, -1
 
         if pattern == COLLECTION:
             pos = self._coll_pos(branch)
-            k0 = slots.get(pos)
+            k0 = slots[pos]
             if not (k0 is key or k0 == key):
                 return self, 0, 0
-            set_root = slots.get(pos + 1)
+            set_root = slots[pos + 1]
             vcfg = cfg.value_cfg
             if drop_key:
                 count = count_entries(vcfg, set_root)
                 new_bm = bm & ~(0b11 << offset)
-                st = _alloc(cfg, new_bm)
-                _splice(slots, pos, 2, 0, (), st)
-                return TrieNode(new_bm, st), -count, -1
+                return TrieNode(new_bm, slots[:pos] + slots[pos + 2 :]), -count, -1
             vh = vcfg.hasher(value) & M32
             new_root, _, _ = set_root.delete(vcfg, 0, vh, value, None, True)
             if new_root is set_root:
@@ -319,15 +279,13 @@ class TrieNode:
                 # one value left: demote the entry back to an inline pair
                 new_bm = set_pattern(bm, branch, INLINE)
                 ins = w * index_in_category(bm, INLINE, branch)
-                st = _alloc(cfg, new_bm)
-                _splice(slots, pos, 2, ins, (key, elem), st)
-                return TrieNode(new_bm, st), -1, 0
-            st = _replaced(cfg, bm, slots, pos + 1, new_root)
-            return TrieNode(bm, st), -1, 0
+                slots = _splice(slots, pos, 2, ins, (key, elem))
+                return TrieNode(new_bm, slots), -1, 0
+            return TrieNode(bm, _replaced(slots, pos + 1, new_root)), -1, 0
 
         # NODE
-        pos = self._node_pos(w, branch)
-        child = slots.get(pos)
+        pos = self._node_pos(branch)
+        child = slots[pos]
         new_child, td, kd = child.delete(cfg, shift + 5, key_hash, key, value, drop_key)
         if new_child is child:
             return self, 0, 0
@@ -342,16 +300,13 @@ class TrieNode:
             else:
                 n_i = filter_pattern(bm, INLINE).bit_count()
                 ins = w * n_i + 2 * index_in_category(bm, COLLECTION, branch)
-            st = _alloc(cfg, new_bm)
-            _splice(slots, pos, 1, ins, vals, st)
-            return TrieNode(new_bm, st), td, kd
+            return TrieNode(new_bm, _splice(slots, pos, 1, ins, vals)), td, kd
 
         lifted = _collision_under_chain(new_child)
         if lifted is not None:
             # chain node left above a collision bucket: float the bucket up
             new_child = lifted
-        st = _replaced(cfg, bm, slots, pos, new_child)
-        return TrieNode(bm, st), td, kd
+        return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
 
     # -- iteration / equality -----------------------------------------------
 
@@ -362,20 +317,20 @@ class TrieNode:
         pos = 0
         if w == 1:
             for _ in range(n_i):
-                yield slots.get(pos)
+                yield slots[pos]
                 pos += 1
         else:
             for _ in range(n_i):
-                yield (slots.get(pos), slots.get(pos + 1))
+                yield (slots[pos], slots[pos + 1])
                 pos += 2
         vcfg = cfg.value_cfg
         for _ in range(n_c):
-            k = slots.get(pos)
-            for v in slots.get(pos + 1).iter_entries(vcfg):
+            k = slots[pos]
+            for v in slots[pos + 1].iter_entries(vcfg):
                 yield (k, v)
             pos += 2
         for _ in range(n_n):
-            yield from slots.get(pos).iter_entries(cfg)
+            yield from slots[pos].iter_entries(cfg)
             pos += 1
 
     def iter_keys(self, cfg):
@@ -384,13 +339,13 @@ class TrieNode:
         n_i, n_c, n_n = self.region_counts()
         pos = 0
         for _ in range(n_i):
-            yield slots.get(pos)
+            yield slots[pos]
             pos += w
         for _ in range(n_c):
-            yield slots.get(pos)
+            yield slots[pos]
             pos += 2
         for _ in range(n_n):
-            yield from slots.get(pos).iter_keys(cfg)
+            yield from slots[pos].iter_keys(cfg)
             pos += 1
 
     def equals(self, cfg, other):
@@ -404,18 +359,18 @@ class TrieNode:
         n_i, n_c, n_n = self.region_counts()
         pos = 0
         for _ in range(w * n_i):
-            if not _eq(a.get(pos), b.get(pos)):
+            if not _eq(a[pos], b[pos]):
                 return False
             pos += 1
         vcfg = cfg.value_cfg
         for _ in range(n_c):
-            if not _eq(a.get(pos), b.get(pos)):
+            if not _eq(a[pos], b[pos]):
                 return False
-            if not a.get(pos + 1).equals(vcfg, b.get(pos + 1)):
+            if not a[pos + 1].equals(vcfg, b[pos + 1]):
                 return False
             pos += 2
         for _ in range(n_n):
-            if not a.get(pos).equals(cfg, b.get(pos)):
+            if not a[pos].equals(cfg, b[pos]):
                 return False
             pos += 1
         return True
@@ -443,7 +398,7 @@ class CollisionNode:
     def _find_inline(self, w, key):
         slots = self.slots
         for r in range(self.inline_n):
-            k0 = slots.get(w * r)
+            k0 = slots[w * r]
             if k0 is key or k0 == key:
                 return w * r
         return -1
@@ -452,7 +407,7 @@ class CollisionNode:
         slots = self.slots
         base = w * self.inline_n
         for r in range(self._coll_n(w)):
-            k0 = slots.get(base + 2 * r)
+            k0 = slots[base + 2 * r]
             if k0 is key or k0 == key:
                 return base + 2 * r
         return -1
@@ -463,23 +418,18 @@ class CollisionNode:
         w = cfg.width
         pos = self._find_inline(w, key)
         if pos >= 0:
-            return (INLINE, self.slots.get(pos + 1) if w == 2 else key)
+            return (INLINE, self.slots[pos + 1] if w == 2 else key)
         if w == 2:
             pos = self._find_coll(w, key)
             if pos >= 0:
-                return (COLLECTION, self.slots.get(pos + 1))
+                return (COLLECTION, self.slots[pos + 1])
         return None
-
-    def _storage(self, cfg, w, inline_n, coll_n):
-        return new_storage(w * inline_n, 2 * coll_n, cfg.specialize)
 
     def insert(self, cfg, shift, key_hash, key, value):
         if key_hash != self.hash:
             # hashes differ after all: give the bucket a parent level first
             bm = NODE << (((self.hash >> shift) & 31) << 1)
-            st = new_storage(0, 1, cfg.specialize)
-            st.set(0, self)
-            return TrieNode(bm, st).insert(cfg, shift, key_hash, key, value)
+            return TrieNode(bm, (self,)).insert(cfg, shift, key_hash, key, value)
         w = cfg.width
         slots = self.slots
         n_i = self.inline_n
@@ -488,37 +438,31 @@ class CollisionNode:
         if pos >= 0:
             if w == 1:
                 return self, 0, 0
-            v0 = slots.get(pos + 1)
+            v0 = slots[pos + 1]
             if v0 is value or v0 == value:
                 return self, 0, 0
             vcfg = cfg.value_cfg
             if vcfg is None:
-                st = self._storage(cfg, w, n_i, n_c)
-                copy_range(slots, 0, st, 0, len(slots))
-                st.set(pos + 1, value)
-                return CollisionNode(self.hash, n_i, st), 0, 0
+                slots = _replaced(slots, pos + 1, value)
+                return CollisionNode(self.hash, n_i, slots), 0, 0
             set_root = _set_of_two(vcfg, v0, value)
-            st = self._storage(cfg, w, n_i - 1, n_c + 1)
-            _splice(slots, pos, w, len(slots) - w, (key, set_root), st)
-            return CollisionNode(self.hash, n_i - 1, st), 1, 0
+            slots = _splice(slots, pos, w, len(slots) - w, (key, set_root))
+            return CollisionNode(self.hash, n_i - 1, slots), 1, 0
         if w == 2:
             pos = self._find_coll(w, key)
             if pos >= 0:
                 vcfg = cfg.value_cfg
-                set_root = slots.get(pos + 1)
+                set_root = slots[pos + 1]
                 vh = vcfg.hasher(value) & M32
                 new_root, _, _ = set_root.insert(vcfg, 0, vh, value, None)
                 if new_root is set_root:
                     return self, 0, 0
-                st = self._storage(cfg, w, n_i, n_c)
-                copy_range(slots, 0, st, 0, len(slots))
-                st.set(pos + 1, new_root)
-                return CollisionNode(self.hash, n_i, st), 1, 0
+                slots = _replaced(slots, pos + 1, new_root)
+                return CollisionNode(self.hash, n_i, slots), 1, 0
         # new key: append to the inline region
-        st = self._storage(cfg, w, n_i + 1, n_c)
         vals = (key, value) if w == 2 else (key,)
-        _splice(slots, 0, 0, w * n_i, vals, st)
-        return CollisionNode(self.hash, n_i + 1, st), 1, 1
+        slots = slots[: w * n_i] + vals + slots[w * n_i :]
+        return CollisionNode(self.hash, n_i + 1, slots), 1, 1
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         if key_hash != self.hash:
@@ -530,35 +474,30 @@ class CollisionNode:
         pos = self._find_inline(w, key)
         if pos >= 0:
             if w == 2 and not drop_key:
-                v0 = slots.get(pos + 1)
+                v0 = slots[pos + 1]
                 if not (v0 is value or v0 == value):
                     return self, 0, 0
-            st = self._storage(cfg, w, n_i - 1, n_c)
-            _splice(slots, pos, w, 0, (), st)
-            return CollisionNode(self.hash, n_i - 1, st), -1, -1
+            slots = slots[:pos] + slots[pos + w :]
+            return CollisionNode(self.hash, n_i - 1, slots), -1, -1
         if w == 2:
             pos = self._find_coll(w, key)
             if pos >= 0:
                 vcfg = cfg.value_cfg
-                set_root = slots.get(pos + 1)
+                set_root = slots[pos + 1]
                 if drop_key:
                     count = count_entries(vcfg, set_root)
-                    st = self._storage(cfg, w, n_i, n_c - 1)
-                    _splice(slots, pos, 2, 0, (), st)
-                    return CollisionNode(self.hash, n_i, st), -count, -1
+                    slots = slots[:pos] + slots[pos + 2 :]
+                    return CollisionNode(self.hash, n_i, slots), -count, -1
                 vh = vcfg.hasher(value) & M32
                 new_root, _, _ = set_root.delete(vcfg, 0, vh, value, None, True)
                 if new_root is set_root:
                     return self, 0, 0
                 elem = _unit_element(new_root)
                 if elem is not _NOT_FOUND:
-                    st = self._storage(cfg, w, n_i + 1, n_c - 1)
-                    _splice(slots, pos, 2, w * n_i, (key, elem), st)
-                    return CollisionNode(self.hash, n_i + 1, st), -1, 0
-                st = self._storage(cfg, w, n_i, n_c)
-                copy_range(slots, 0, st, 0, len(slots))
-                st.set(pos + 1, new_root)
-                return CollisionNode(self.hash, n_i, st), -1, 0
+                    slots = _splice(slots, pos, 2, w * n_i, (key, elem))
+                    return CollisionNode(self.hash, n_i + 1, slots), -1, 0
+                slots = _replaced(slots, pos + 1, new_root)
+                return CollisionNode(self.hash, n_i, slots), -1, 0
         return self, 0, 0
 
     def iter_entries(self, cfg):
@@ -567,16 +506,16 @@ class CollisionNode:
         pos = 0
         if w == 1:
             for _ in range(self.inline_n):
-                yield slots.get(pos)
+                yield slots[pos]
                 pos += 1
         else:
             for _ in range(self.inline_n):
-                yield (slots.get(pos), slots.get(pos + 1))
+                yield (slots[pos], slots[pos + 1])
                 pos += 2
         vcfg = cfg.value_cfg
         for _ in range(self._coll_n(w)):
-            k = slots.get(pos)
-            for v in slots.get(pos + 1).iter_entries(vcfg):
+            k = slots[pos]
+            for v in slots[pos + 1].iter_entries(vcfg):
                 yield (k, v)
             pos += 2
 
@@ -585,10 +524,10 @@ class CollisionNode:
         slots = self.slots
         pos = 0
         for _ in range(self.inline_n):
-            yield slots.get(pos)
+            yield slots[pos]
             pos += w
         for _ in range(self._coll_n(w)):
-            yield slots.get(pos)
+            yield slots[pos]
             pos += 2
 
     def equals(self, cfg, other):
@@ -602,26 +541,15 @@ class CollisionNode:
         ):
             return False
         w = cfg.width
-        mine = [
-            tuple(self.slots.get(w * r + j) for j in range(w))
-            for r in range(self.inline_n)
-        ]
-        theirs = [
-            tuple(other.slots.get(w * r + j) for j in range(w))
-            for r in range(self.inline_n)
-        ]
+        base = w * self.inline_n
+        mine = [self.slots[i : i + w] for i in range(0, base, w)]
+        theirs = [other.slots[i : i + w] for i in range(0, base, w)]
         if not _match_unordered(mine, theirs, lambda a, b: all(map(_eq, a, b))):
             return False
         vcfg = cfg.value_cfg
-        base = w * self.inline_n
-        mine = [
-            (self.slots.get(base + 2 * r), self.slots.get(base + 2 * r + 1))
-            for r in range(self._coll_n(w))
-        ]
-        theirs = [
-            (other.slots.get(base + 2 * r), other.slots.get(base + 2 * r + 1))
-            for r in range(self._coll_n(w))
-        ]
+        end = len(self.slots)
+        mine = [self.slots[i : i + 2] for i in range(base, end, 2)]
+        theirs = [other.slots[i : i + 2] for i in range(base, end, 2)]
         return _match_unordered(
             mine, theirs, lambda a, b: _eq(a[0], b[0]) and a[1].equals(vcfg, b[1])
         )
@@ -644,21 +572,16 @@ def _match_unordered(left, right, same):
 # -- construction helpers ------------------------------------------------------
 
 
-_EMPTY_SPECIALIZED = TrieNode(0, FIXED_CLASSES[0]())
-_EMPTY_GENERIC = TrieNode(0, GenericStorage(0))
-
-
-def empty_root(cfg):
-    return _EMPTY_SPECIALIZED if cfg.specialize else _EMPTY_GENERIC
+EMPTY_ROOT = TrieNode(0, ())
 
 
 def _set_of_two(vcfg, v0, v1):
-    root, _, _ = empty_root(vcfg).insert(vcfg, 0, vcfg.hasher(v0) & M32, v0, None)
+    root, _, _ = EMPTY_ROOT.insert(vcfg, 0, vcfg.hasher(v0) & M32, v0, None)
     root, _, _ = root.insert(vcfg, 0, vcfg.hasher(v1) & M32, v1, None)
     return root
 
 
-def _merge(cfg, shift, h0, p0, s0, h1, p1, s1):
+def _merge(shift, h0, p0, s0, h1, p1, s1):
     """Node holding two entries that fell on one branch a level above.
 
     ``s0``/``s1`` are the entries' slot tuples, ``p0``/``p1`` their
@@ -666,39 +589,24 @@ def _merge(cfg, shift, h0, p0, s0, h1, p1, s1):
     fully equal hashes become a collision bucket.
     """
     if h0 == h1:
-        return _collision(cfg, h0, ((p0, s0), (p1, s1)))
+        return _collision(h0, ((p0, s0), (p1, s1)))
     b0 = (h0 >> shift) & 31
     b1 = (h1 >> shift) & 31
     if b0 == b1:
-        child = _merge(cfg, shift + 5, h0, p0, s0, h1, p1, s1)
-        st = new_storage(0, 1, cfg.specialize)
-        st.set(0, child)
-        return TrieNode(NODE << (b0 << 1), st)
+        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1)
+        return TrieNode(NODE << (b0 << 1), (child,))
     bm = (p0 << (b0 << 1)) | (p1 << (b1 << 1))
-    entries = sorted(((b0, p0, s0), (b1, p1, s1)))
-    inline = [e for e in entries if e[1] == INLINE]
-    coll = [e for e in entries if e[1] == COLLECTION]
-    w = cfg.width
-    st = new_storage(w * len(inline), 2 * len(coll), cfg.specialize)
-    pos = 0
-    for _, _, vals in inline + coll:
-        for v in vals:
-            st.set(pos, v)
-            pos += 1
-    return TrieNode(bm, st)
+    # inline region before collection region (INLINE < COLLECTION), each
+    # ordered by branch
+    slots = s0 + s1 if (p0, b0) < (p1, b1) else s1 + s0
+    return TrieNode(bm, slots)
 
 
-def _collision(cfg, key_hash, pairs):
-    w = cfg.width
+def _collision(key_hash, pairs):
     inline = [s for p, s in pairs if p == INLINE]
     coll = [s for p, s in pairs if p == COLLECTION]
-    st = new_storage(w * len(inline), 2 * len(coll), cfg.specialize)
-    pos = 0
-    for vals in inline + coll:
-        for v in vals:
-            st.set(pos, v)
-            pos += 1
-    return CollisionNode(key_hash, len(inline), st)
+    slots = tuple(v for vals in inline + coll for v in vals)
+    return CollisionNode(key_hash, len(inline), slots)
 
 
 def _single_entry(node, w):
@@ -708,14 +616,12 @@ def _single_entry(node, w):
         n_i, n_c, n_n = node.region_counts()
         if n_n != 0 or n_i + n_c != 1:
             return None
-        if n_i == 1:
-            return (INLINE, tuple(node.slots.get(i) for i in range(w)))
-        return (COLLECTION, (node.slots.get(0), node.slots.get(1)))
+        return (INLINE if n_i == 1 else COLLECTION, node.slots)
     # collision bucket shrunk to one entry
     if node.inline_n == 1 and len(node.slots) == w:
-        return (INLINE, tuple(node.slots.get(i) for i in range(w)))
+        return (INLINE, node.slots)
     if node.inline_n == 0 and len(node.slots) == 2:
-        return (COLLECTION, (node.slots.get(0), node.slots.get(1)))
+        return (COLLECTION, node.slots)
     return None
 
 
@@ -726,7 +632,7 @@ def _collision_under_chain(node):
         return None
     n_i, n_c, n_n = node.region_counts()
     if n_i == 0 and n_c == 0 and n_n == 1:
-        child = node.slots.get(0)
+        child = node.slots[0]
         if type(child) is CollisionNode:
             return child
     return None
@@ -737,7 +643,7 @@ def _unit_element(set_root):
     if type(set_root) is TrieNode:
         n_i, n_c, n_n = set_root.region_counts()
         if n_i == 1 and n_c == 0 and n_n == 0:
-            return set_root.slots.get(0)
+            return set_root.slots[0]
     return _NOT_FOUND
 
 
@@ -783,13 +689,12 @@ def _validate(cfg, node, shift, prefix, is_root):
         _fail(f"slot run has {len(node.slots)} cells, bitmap implies {expected}")
     if expected > 64:
         _fail(f"trie node with {expected} slots (maximum is 64)")
-    _check_storage_class(cfg, node.slots)
     if not is_root:
         if n_i + n_c + n_n == 0:
             _fail("empty non-root node")
         if n_n == 0 and n_i + n_c == 1:
             _fail("non-root node holds a single payload entry and no sub-nodes")
-        if n_i + n_c == 0 and n_n == 1 and type(node.slots.get(0)) is CollisionNode:
+        if n_i + n_c == 0 and n_n == 1 and type(node.slots[0]) is CollisionNode:
             _fail("chain node left above a collision bucket")
 
     mask = (1 << shift) - 1
@@ -809,15 +714,15 @@ def _validate(cfg, node, shift, prefix, is_root):
 
     for branch, pattern in seen_branches:
         if pattern == INLINE:
-            key = node.slots.get(pos)
+            key = node.slots[pos]
             _check_hash(cfg, key, shift, prefix, branch, mask)
             tuples += 1
             keys += 1
             pos += w
         elif pattern == COLLECTION:
-            key = node.slots.get(pos)
+            key = node.slots[pos]
             _check_hash(cfg, key, shift, prefix, branch, mask)
-            set_root = node.slots.get(pos + 1)
+            set_root = node.slots[pos + 1]
             vcfg = cfg.value_cfg
             sub_tuples, _ = _validate(vcfg, set_root, 0, 0, True)
             if sub_tuples < 2:
@@ -826,7 +731,7 @@ def _validate(cfg, node, shift, prefix, is_root):
             keys += 1
             pos += 2
         else:
-            child = node.slots.get(pos)
+            child = node.slots[pos]
             child_prefix = prefix | (branch << shift)
             sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
             tuples += sub_tuples
@@ -843,14 +748,13 @@ def _validate_collision(cfg, node, shift, prefix):
         _fail("collision slot run does not match its entry counts")
     if n_i + n_c < 2:
         _fail("collision bucket with fewer than two entries")
-    _check_storage_class(cfg, node.slots)
     mask = (1 << shift) - 1 if shift <= 32 else M32
     if node.hash & mask != prefix & mask:
         _fail("collision bucket hash disagrees with its path prefix")
     tuples = 0
     seen_keys = []
     for r in range(n_i):
-        key = node.slots.get(w * r)
+        key = node.slots[w * r]
         if cfg.hasher(key) & M32 != node.hash:
             _fail(f"collision entry {key!r} does not hash to the bucket hash")
         for other in seen_keys:
@@ -861,29 +765,18 @@ def _validate_collision(cfg, node, shift, prefix):
     base = w * n_i
     vcfg = cfg.value_cfg
     for r in range(n_c):
-        key = node.slots.get(base + 2 * r)
+        key = node.slots[base + 2 * r]
         if cfg.hasher(key) & M32 != node.hash:
             _fail(f"collision entry {key!r} does not hash to the bucket hash")
         for other in seen_keys:
             if _eq(other, key):
                 _fail(f"duplicate key {key!r} in collision bucket")
         seen_keys.append(key)
-        sub_tuples, _ = _validate(vcfg, node.slots.get(base + 2 * r + 1), 0, 0, True)
+        sub_tuples, _ = _validate(vcfg, node.slots[base + 2 * r + 1], 0, 0, True)
         if sub_tuples < 2:
             _fail(f"collection entry for {key!r} holds {sub_tuples} values")
         tuples += sub_tuples
     return tuples, n_i + n_c
-
-
-def _check_storage_class(cfg, slots):
-    total = len(slots)
-    if cfg.specialize:
-        if total <= 8 and slots.is_generic:
-            _fail(f"{total}-slot node uses generic storage under specialization")
-        if total > 8 and not slots.is_generic:
-            _fail(f"{total}-slot node uses fixed storage")
-    elif not slots.is_generic:
-        _fail("fixed storage in an all-generic trie")
 
 
 def _check_hash(cfg, key, shift, prefix, branch, mask):
@@ -913,38 +806,16 @@ def _collect_stats(cfg, node, depth, stats):
     w = cfg.width
     if type(node) is CollisionNode:
         stats["collision_nodes"] += 1
-        stats["inline_entries"] += node.inline_n
-        n_c = node._coll_n(w)
-        stats["collection_entries"] += n_c
-        base = w * node.inline_n
-        for r in range(n_c):
-            nested = {
-                "trie_nodes": 0,
-                "collision_nodes": 0,
-                "inline_entries": 0,
-                "collection_entries": 0,
-                "nested_set_nodes": 0,
-                "max_depth": 0,
-            }
-            _collect_stats(cfg.value_cfg, node.slots.get(base + 2 * r + 1), 1, nested)
-            stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
-        return
-    stats["trie_nodes"] += 1
-    n_i, n_c, n_n = node.region_counts()
+        n_i, n_c, n_n = node.inline_n, node._coll_n(w), 0
+    else:
+        stats["trie_nodes"] += 1
+        n_i, n_c, n_n = node.region_counts()
     stats["inline_entries"] += n_i
     stats["collection_entries"] += n_c
     pos = w * n_i
     for r in range(n_c):
-        nested = {
-            "trie_nodes": 0,
-            "collision_nodes": 0,
-            "inline_entries": 0,
-            "collection_entries": 0,
-            "nested_set_nodes": 0,
-            "max_depth": 0,
-        }
-        _collect_stats(cfg.value_cfg, node.slots.get(pos + 2 * r + 1), 1, nested)
+        nested = node_stats(cfg.value_cfg, node.slots[pos + 2 * r + 1])
         stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
     pos += 2 * n_c
     for r in range(n_n):
-        _collect_stats(cfg, node.slots.get(pos + r), depth + 1, stats)
+        _collect_stats(cfg, node.slots[pos + r], depth + 1, stats)

@@ -1,127 +1,23 @@
-"""Slot storage strategies and the abstract footprint model.
+"""The abstract footprint model.
 
 A trie node keeps its payload and sub-node references in one flat run of
-slots.  Two storage strategies implement that run:
+slots, held as an immutable tuple.  The model prices a structure in
+abstract machine words: a header per heap object, one word per bitmap,
+one per slot cell, and one indirection word for a node whose slots would
+live in a separate out-of-line block.  ``specialize`` decides that last
+word: a specialized trie models nodes of up to ``MAX_FIXED_SLOTS`` slots
+as fixed-arity objects with the slots inline (no indirection), while
+larger nodes, and every node of an unspecialized trie, pay for the block.
+The flag changes only this pricing; node shapes are the same either way.
 
-* ``GenericStorage`` — a list held behind one extra indirection, any size.
-* ``Fixed0`` .. ``Fixed8`` — one class per arity with the slots declared as
-  instance fields, no out-of-line block.  Chosen through a two-dimensional
-  (inline-slots, other-slots) table so the selection mechanism mirrors how
-  a code generator would specialize on both arities independently.
-
-Storage instances are mutable only while the owning node is under
-construction; after the node is published they must be treated as frozen.
-
-The footprint model prices a structure in abstract machine words: a header
-per heap object, one word per bitmap, one per slot cell, and one per
-out-of-line storage block.  Payload objects (keys, values) cost nothing —
-they are identical across compared structures — except nested leantrie
-structures stored as values, which are priced like any other node graph.
+Payload objects (keys, values) cost nothing -- they are identical across
+compared structures -- except nested leantrie structures stored as
+values, which are priced like any other node graph.
 """
 
 from dataclasses import dataclass
 
 MAX_FIXED_SLOTS = 8
-
-
-@dataclass(frozen=True)
-class StorageClass:
-    """Selected storage strategy: FixedArity(``arity``) or Generic (None)."""
-
-    arity: int | None = None
-
-    @property
-    def is_generic(self):
-        return self.arity is None
-
-    def __repr__(self):
-        if self.arity is None:
-            return "Generic"
-        return f"FixedArity({self.arity})"
-
-
-GENERIC = StorageClass(None)
-
-
-class GenericStorage:
-    __slots__ = ("cells",)
-    is_generic = True
-
-    def __init__(self, size):
-        self.cells = [None] * size
-
-    def get(self, i):
-        return self.cells[i]
-
-    def set(self, i, value):
-        self.cells[i] = value
-
-    def __len__(self):
-        return len(self.cells)
-
-
-def _make_fixed(arity):
-    fields = tuple(f"c{i}" for i in range(arity))
-
-    def get(self, i, _fields=fields):
-        return getattr(self, _fields[i])
-
-    def set(self, i, value, _fields=fields):
-        setattr(self, _fields[i], value)
-
-    def length(self):
-        return arity
-
-    namespace = {
-        "__slots__": fields,
-        "_FIELDS": fields,
-        "is_generic": False,
-        "get": get,
-        "set": set,
-        "__len__": length,
-    }
-    return type(f"Fixed{arity}", (), namespace)
-
-
-FIXED_CLASSES = tuple(_make_fixed(n) for n in range(MAX_FIXED_SLOTS + 1))
-
-# (inline-slots, other-slots) -> storage class; both axes kept explicit even
-# though only the total decides, so callers always select through the table.
-_SELECTION = tuple(
-    tuple(
-        StorageClass(t + u) if t + u <= MAX_FIXED_SLOTS else GENERIC
-        for u in range(MAX_FIXED_SLOTS + 1)
-    )
-    for t in range(MAX_FIXED_SLOTS + 1)
-)
-
-
-def select_storage(inline_slots, other_slots):
-    """Storage strategy for a node with the given slot-region sizes."""
-    if inline_slots <= MAX_FIXED_SLOTS and other_slots <= MAX_FIXED_SLOTS:
-        return _SELECTION[inline_slots][other_slots]
-    return GENERIC
-
-
-def new_storage(inline_slots, other_slots, specialize):
-    """Allocate an unpublished storage instance for the given region sizes."""
-    total = inline_slots + other_slots
-    if specialize:
-        selected = select_storage(inline_slots, other_slots)
-        if not selected.is_generic:
-            return FIXED_CLASSES[selected.arity]()
-    return GenericStorage(total)
-
-
-def copy_range(src, src_off, dst, dst_off, n):
-    """Copy ``n`` slots from ``src`` into the under-construction ``dst``."""
-    if n == 0:
-        return
-    if src.is_generic and dst.is_generic:
-        dst.cells[dst_off : dst_off + n] = src.cells[src_off : src_off + n]
-        return
-    for i in range(n):
-        dst.set(dst_off + i, src.get(src_off + i))
 
 
 # --- footprint model ---------------------------------------------------------
@@ -192,51 +88,57 @@ def footprint(structures, model=DEFAULT_MODEL):
     report = FootprintReport()
     seen = set()
     for s in structures:
-        _walk_node(s._root, s._cfg.width, model, report, seen)
+        _walk_node(s._root, s._cfg, model, report, seen)
     report.words_total = (
         report.headers + report.bitmaps + report.slots + report.indirections
     )
     return report
 
 
-def _walk_node(node, width, model, report, seen):
+def _walk_node(node, cfg, model, report, seen):
     """Price a node graph; returns the words newly added for this subtree."""
     from .nodes import CollisionNode, TrieNode
 
-    if id(node) in seen:
+    # A node reached under both pricing rules models two distinct objects
+    # (the empty root is shared by specialized and unspecialized tries).
+    specialize = cfg.specialize
+    key = id(node) if specialize else -id(node)
+    if key in seen:
         return 0
-    seen.add(id(node))
+    seen.add(key)
 
-    storage = node.slots
-    words = model.header_words + model.bitmap_words + len(storage) * model.slot_words
+    slots = node.slots
+    n_slots = len(slots)
+    words = model.header_words + model.bitmap_words + n_slots * model.slot_words
     report.nodes += 1
     report.headers += model.header_words
     report.bitmaps += model.bitmap_words
-    report.slots += len(storage) * model.slot_words
-    if storage.is_generic:
+    report.slots += n_slots * model.slot_words
+    if not specialize or n_slots > MAX_FIXED_SLOTS:
         report.indirections += model.indirection_words
         words += model.indirection_words
 
+    width = cfg.width
     if type(node) is TrieNode:
         n_inline, n_coll, n_sub = node.region_counts()
     else:
         assert type(node) is CollisionNode
         n_inline = node.inline_n
-        n_coll = (len(storage) - width * n_inline) // 2
+        n_coll = (n_slots - width * n_inline) // 2
         n_sub = 0
 
     pos = 0
     for _ in range(n_inline):
         value_slot = pos + 1 if width == 2 else pos
-        words += _walk_value(storage.get(value_slot), model, report, seen)
+        words += _walk_value(slots[value_slot], model, report, seen)
         pos += width
     for _ in range(n_coll):
-        added = _walk_node(storage.get(pos + 1), 1, model, report, seen)
+        added = _walk_node(slots[pos + 1], cfg.value_cfg, model, report, seen)
         report.nested_words += added
         words += added
         pos += 2
     for _ in range(n_sub):
-        words += _walk_node(storage.get(pos), width, model, report, seen)
+        words += _walk_node(slots[pos], cfg, model, report, seen)
         pos += 1
     return words
 
@@ -255,6 +157,6 @@ def _walk_value(value, model, report, seen):
     report.nodes += 1
     report.headers += model.header_words
     report.slots += fields * model.slot_words
-    words += _walk_node(value._root, value._cfg.width, model, report, seen)
+    words += _walk_node(value._root, value._cfg, model, report, seen)
     report.nested_words += words
     return words

@@ -284,7 +284,7 @@ def _slots_all_fit_fixed_arity(root):
             return False
         if isinstance(node, TrieNode):
             for i in range(len(node.slots)):
-                slot = node.slots.get(i)
+                slot = node.slots[i]
                 if hasattr(slot, "slots"):
                     stack.append(slot)
     return True

@@ -1,12 +1,18 @@
 """Public API semantics of the set, map, multimap, and value views."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections.abc import Mapping, Set
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leantrie
 from leantrie import (
     PersistentMap,
     PersistentMultiMap,
@@ -413,3 +419,96 @@ def test_large_build_and_teardown_round_trip():
     check_invariants(mm)
     assert mm.tuple_count == 0 and mm.key_count == 0
     assert list(mm.items()) == []
+
+
+# -- pickle / copy -----------------------------------------------------------------
+
+
+def _colliding_hash(key):
+    """Every key in one collision bucket; module-level so it pickles."""
+    return 7
+
+
+def _round_trips(structure):
+    yield pickle.loads(pickle.dumps(structure))
+    yield copy.deepcopy(structure)
+
+
+def test_structures_survive_pickle_and_deepcopy():
+    rng = random.Random(17)
+    pairs = [(rng.randrange(200), rng.randrange(3)) for _ in range(400)]
+    structures = [
+        multimap(pairs),  # inline and nested entries
+        # one bucket: "a" inline, "b" and "c" nested
+        multimap(
+            [("a", 0), ("b", 0), ("b", 1), ("c", 0), ("c", 1), ("c", 2)],
+            key_hash=_colliding_hash,
+        ),
+        pset(range(300)),
+        pmap({i: str(i) for i in range(300)}),
+        multimap(),
+    ]
+    for original in structures:
+        for clone in _round_trips(original):
+            assert type(clone) is type(original)
+            assert clone == original
+            check_invariants(clone)
+            # the clone keeps its hashers: updates land where the original's do
+            if isinstance(original, PersistentMultiMap):
+                assert clone.put("a", 9) == original.put("a", 9)
+                assert clone.remove_key("b") == original.remove_key("b")
+
+
+# Structures keyed by str and bytes, whose hash() differs between processes.
+_BUILD = """
+from leantrie import multimap, pmap, pset
+keys = ["key%d" % i for i in range(300)]
+structures = [
+    multimap([(k, v) for i, k in enumerate(keys) for v in ("x", "y", "z")[: i % 3 + 1]]),
+    multimap([(k.encode(), k) for k in keys]),
+    pset(keys),
+    pmap({k: i for i, k in enumerate(keys)}),
+]
+"""
+
+_WRITE = _BUILD + """
+import pickle, sys
+hash(structures[2])  # fill the set's hash cache before pickling
+with open(sys.argv[1], "wb") as f:
+    pickle.dump((hash("key0"), structures), f)
+"""
+
+_READ = _BUILD + """
+import pickle, sys
+from leantrie import check_invariants
+with open(sys.argv[1], "rb") as f:
+    writer_hash, loaded = pickle.load(f)
+assert writer_hash != hash("key0"), "both processes hash str alike"
+for got, want in zip(loaded, structures, strict=True):
+    assert got == want
+    check_invariants(got)
+for mm, want in zip(loaded[:2], structures[:2]):
+    for k, v in want.items():
+        assert mm.contains_entry(k, v)
+        assert mm.put(k, v) is mm
+s, m = loaded[2], loaded[3]
+assert hash(s) == hash(structures[2])
+assert all(k in s and s.add(k) is s and m[k] == i for i, k in enumerate(keys))
+"""
+
+
+def _run_with_hash_seed(script, seed, path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leantrie.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_pickles_load_in_a_process_with_other_string_hashes(tmp_path):
+    path = tmp_path / "structures.pickle"
+    _run_with_hash_seed(_WRITE, 1, path)
+    _run_with_hash_seed(_READ, 2, path)

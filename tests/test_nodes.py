@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leantrie import check_invariants, multimap, pmap, pset, structure_stats
+from leantrie import check_invariants, footprint, multimap, pmap, pset, structure_stats
 from leantrie.bits import COLLECTION, INLINE, NODE
+from leantrie.maps import PersistentMap
 from leantrie.nodes import (
     CollisionNode,
     InvariantError,
@@ -25,7 +26,6 @@ from leantrie.nodes import (
     set_config,
     validate_root,
 )
-from leantrie.storage import GenericStorage, new_storage
 
 
 class ModelMultiMap:
@@ -407,53 +407,43 @@ def test_map_put_replaces_without_promotion():
 # -- validator rejects malformed structures --------------------------------------
 
 
-def make_leaf(cfg, branch, key, value):
-    st_ = new_storage(2, 0, cfg.specialize)
-    st_.set(0, key)
-    st_.set(1, value)
-    return TrieNode(INLINE << (branch << 1), st_)
+def make_leaf(branch, key, value):
+    return TrieNode(INLINE << (branch << 1), (key, value))
 
 
 def test_validator_rejects_single_payload_child():
     cfg = map_config(key_hash=lambda k: k)
-    child = make_leaf(cfg, 1, 32, "v")  # hash 32: fragment 0 then 1
-    root_st = new_storage(0, 1, True)
-    root_st.set(0, child)
-    root = TrieNode(NODE << 0, root_st)
+    child = make_leaf(1, 32, "v")  # hash 32: fragment 0 then 1
+    root = TrieNode(NODE << 0, (child,))
     with pytest.raises(InvariantError, match="single payload"):
         validate_root(cfg, root)
 
 
 def test_validator_rejects_chain_over_a_bucket():
     cfg = map_config(key_hash=lambda k: 0)
-    bucket_st = new_storage(4, 0, True)
-    for i, (k, v) in enumerate([("a", 1), ("b", 2)]):
-        bucket_st.set(2 * i, k)
-        bucket_st.set(2 * i + 1, v)
-    bucket = CollisionNode(0, 2, bucket_st)
-    chain_st = new_storage(0, 1, True)
-    chain_st.set(0, bucket)
-    chain = TrieNode(NODE << 0, chain_st)
-    root_st = new_storage(0, 1, True)
-    root_st.set(0, chain)
-    root = TrieNode(NODE << 0, root_st)
+    bucket = CollisionNode(0, 2, ("a", 1, "b", 2))
+    chain = TrieNode(NODE << 0, (bucket,))
+    root = TrieNode(NODE << 0, (chain,))
     with pytest.raises(InvariantError, match="chain node"):
         validate_root(cfg, root)
 
 
-def test_validator_rejects_wrong_storage_class():
-    cfg = map_config(key_hash=lambda k: k)
-    st_ = GenericStorage(2)
-    st_.set(0, 3)
-    st_.set(1, "v")
-    root = TrieNode(INLINE << (3 << 1), st_)
-    with pytest.raises(InvariantError, match="generic storage"):
-        validate_root(cfg, root)
+def test_specialization_is_a_pricing_rule_not_a_storage_class():
+    # one node, valid under either flag; only the modeled price differs
+    leaf = make_leaf(3, 3, "v")
+    words = {}
+    for specialize in (True, False):
+        cfg = map_config(key_hash=lambda k: k, specialize=specialize)
+        assert validate_root(cfg, leaf) == (1, 1)
+        report = footprint(PersistentMap(cfg, leaf, 1))
+        assert report.indirections == (0 if specialize else 1)
+        words[specialize] = report.words_total
+    assert words[False] == words[True] + 1
 
 
 def test_validator_rejects_misplaced_key():
     cfg = map_config(key_hash=lambda k: k)
-    root = make_leaf(cfg, 4, 9, "v")  # key 9 belongs on branch 9, not 4
+    root = make_leaf(4, 9, "v")  # key 9 belongs on branch 9, not 4
     with pytest.raises(InvariantError, match="wrong branch"):
         validate_root(cfg, root)
 
@@ -461,29 +451,23 @@ def test_validator_rejects_misplaced_key():
 def test_validator_rejects_undersized_nested_set():
     cfg = multimap_config(key_hash=lambda k: k, value_hash=lambda v: v)
     vcfg = cfg.value_cfg
-    one_st = new_storage(1, 0, True)
-    one_st.set(0, 7)
-    one_elem_root = TrieNode(INLINE << (7 << 1), one_st)
-    st_ = new_storage(0, 2, True)
-    st_.set(0, 2)
-    st_.set(1, one_elem_root)
-    root = TrieNode(COLLECTION << (2 << 1), st_)
+    one_elem_root = TrieNode(INLINE << (7 << 1), (7,))
+    root = TrieNode(COLLECTION << (2 << 1), (2, one_elem_root))
     with pytest.raises(InvariantError, match="holds 1 value"):
         validate_root(cfg, root)
 
 
 def test_validator_rejects_slot_count_mismatch():
     cfg = map_config()
-    st_ = new_storage(2, 0, True)
-    root = TrieNode(0, st_)  # bitmap says empty, storage says 2 slots
+    root = TrieNode(0, (None, None))  # bitmap says empty, slots say 2
     with pytest.raises(InvariantError, match="slot run"):
         validate_root(cfg, root)
 
 
 def test_validator_accepts_the_empty_root_and_single_entry_root():
     cfg = map_config(key_hash=lambda k: k)
-    assert validate_root(cfg, TrieNode(0, new_storage(0, 0, True))) == (0, 0)
-    assert validate_root(cfg, make_leaf(cfg, 5, 5, "v")) == (1, 1)
+    assert validate_root(cfg, TrieNode(0, ())) == (0, 0)
+    assert validate_root(cfg, make_leaf(5, 5, "v")) == (1, 1)
 
 
 def test_default_hash_folds_to_32_bits():

@@ -1,117 +1,139 @@
-"""Slot-storage and footprint-model tests.
+"""Slot-splicing and footprint-model tests.
 
-copy_range is checked against an element-wise oracle; footprint numbers for
-small structures are frozen from hand counts under the default model
-(header 2 words, bitmap 1, slot 1, out-of-line indirection 1).
+``nodes._splice`` / ``nodes._replaced`` are checked against an
+element-wise list oracle; footprint numbers for small structures are frozen
+from hand counts under the default model (header 2 words, bitmap 1, slot 1,
+out-of-line indirection 1).
 """
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from leantrie import DEFAULT_MODEL, FootprintModel, footprint, multimap, pmap, pset
-from leantrie.storage import (
-    MAX_FIXED_SLOTS,
-    GenericStorage,
-    StorageClass,
-    copy_range,
-    new_storage,
-    select_storage,
-)
+from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
+from leantrie.storage import MAX_FIXED_SLOTS
 
 
-def storage_list(storage):
-    return [storage.get(i) for i in range(len(storage))]
+def oracle_splice(old, rm_pos, rm_len, ins_pos, vals):
+    out = list(old)
+    del out[rm_pos : rm_pos + rm_len]
+    out[ins_pos:ins_pos] = vals
+    return tuple(out)
 
 
-def fill(storage, values):
-    for i, v in enumerate(values):
-        storage.set(i, v)
-    return storage
+# --- slot splicing vs oracle --------------------------------------------------
 
 
-def oracle_copy(src_values, src_off, dst_values, dst_off, n):
-    out = list(dst_values)
-    for i in range(n):
-        out[dst_off + i] = src_values[src_off + i]
-    return out
+def test_splice_matches_elementwise_oracle():
+    branches = set()
+    for size in range(10):
+        old = tuple(range(size))
+        for rm_len in range(min(size, 3) + 1):
+            for rm_pos in range(size - rm_len + 1):
+                for ins_pos in range(size - rm_len + 1):
+                    for vals in ((), (100,), (100, 101)):
+                        got = _splice(old, rm_pos, rm_len, ins_pos, vals)
+                        assert type(got) is tuple
+                        assert got == oracle_splice(old, rm_pos, rm_len, ins_pos, vals)
+                        branches.add(ins_pos <= rm_pos)
+    assert branches == {True, False}  # both the ins <= rm and ins > rm branch
 
 
-# --- storage class selection ------------------------------------------------
+def test_splice_with_nothing_to_move_is_a_copy():
+    old = (1, 2, 3)
+    assert _splice(old, 1, 0, 1, ()) == old
+    assert _splice((), 0, 0, 0, ()) == ()
 
 
-def test_select_storage_fixed_for_small_totals():
-    assert select_storage(0, 0) == StorageClass(0)
-    assert select_storage(2, 0) == StorageClass(2)
-    assert select_storage(3, 4) == StorageClass(7)
-    assert select_storage(4, 4) == StorageClass(8)
+def test_replaced_swaps_exactly_one_slot():
+    old = tuple(range(7))
+    for pos in range(7):
+        got = _replaced(old, pos, "x")
+        assert got == old[:pos] + ("x",) + old[pos + 1 :]
+    assert old == tuple(range(7))  # receiver untouched
 
 
-def test_select_storage_generic_above_threshold():
-    assert select_storage(5, 4).is_generic
-    assert select_storage(9, 0).is_generic
-    assert select_storage(20, 10).is_generic
-    assert select_storage(0, 64).is_generic
+# --- indirection pricing rule ---------------------------------------------------
+#
+# Nodes are plain tuples whatever ``specialize`` says; the flag only decides
+# whether the footprint model charges the out-of-line indirection word.  A
+# flat identity-hashed set of n elements is one root node of exactly n slots.
 
 
-def test_select_storage_depends_only_on_total():
-    for t in range(9):
-        for u in range(9 - t):
-            assert select_storage(t, u) == StorageClass(t + u)
+def _flat_set(n, specialize):
+    s = pset(range(n), element_hash=lambda e: e, specialize=specialize)
+    assert len(s._root.slots) == n
+    return s
+
+
+def _nodes(structure):
+    """Every node reachable from ``structure``'s root, nested set roots too."""
+    stack = [structure._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(s for s in node.slots if isinstance(s, (TrieNode, CollisionNode)))
+
+
+def test_small_specialized_nodes_pay_no_indirection():
+    for n in range(MAX_FIXED_SLOTS + 1):
+        report = footprint(_flat_set(n, specialize=True))
+        assert (report.nodes, report.indirections) == (1, 0), n
+
+
+def test_wide_nodes_pay_one_indirection():
+    for n in range(MAX_FIXED_SLOTS + 1, 33):
+        for specialize in (True, False):
+            report = footprint(_flat_set(n, specialize))
+            assert (report.nodes, report.indirections) == (1, 1), n
 
 
 def test_fixed_capacity_is_exact():
-    for total in range(MAX_FIXED_SLOTS + 1):
-        storage = new_storage(total, 0, specialize=True)
-        assert len(storage) == total
-        assert not storage.is_generic
+    for n in range(MAX_FIXED_SLOTS + 1):
+        report = footprint(_flat_set(n, specialize=True))
+        assert report.slots == n
+        assert report.words_total == 3 + n
 
 
 def test_specialize_false_always_generic():
-    for total in (0, 1, 8, 20):
-        storage = new_storage(total, 0, specialize=False)
-        assert storage.is_generic
-        assert len(storage) == total
+    for n in (0, 1, 8, 20):
+        report = footprint(_flat_set(n, specialize=False))
+        assert report.indirections == report.nodes == 1
+        assert report.words_total == 3 + n + 1
 
 
 def test_get_set_roundtrip_all_classes():
-    rng = random.Random(1)
-    for total in list(range(9)) + [9, 17, 40]:
+    for n in list(range(9)) + [9, 17, 32]:
         for specialize in (True, False):
-            values = [rng.randrange(1000) for _ in range(total)]
-            storage = fill(new_storage(total, 0, specialize=specialize), values)
-            assert storage_list(storage) == values
+            root = _flat_set(n, specialize)._root
+            assert type(root.slots) is tuple
+            assert root.slots == tuple(range(n))
 
 
-# --- copy_range vs oracle ---------------------------------------------------
+def test_indirection_depends_only_on_the_slot_total():
+    # inline, collection and sub-node regions, nested set roots and
+    # collision buckets all fall under the same per-node rule
+    rng = random.Random(8)
+    entries = [(rng.randrange(300), rng.randrange(4)) for _ in range(600)]
+    for specialize in (True, False):
+        mm = multimap(entries, key_hash=lambda k: k % 97, specialize=specialize)
+        nodes = list(_nodes(mm))
+        assert any(type(n) is CollisionNode for n in nodes)
+        assert any(len(n.slots) > MAX_FIXED_SLOTS for n in nodes)
+        assert any(len(n.slots) <= MAX_FIXED_SLOTS for n in nodes)
+        report = footprint(mm)
+        assert report.nodes == len(nodes)
+        assert report.indirections == sum(
+            1 for n in nodes if len(n.slots) > MAX_FIXED_SLOTS or not specialize
+        )
 
 
-@given(st.data())
-def test_copy_range_matches_elementwise_oracle(data):
-    src_len = data.draw(st.integers(0, 12), label="src_len")
-    dst_len = data.draw(st.integers(0, 12), label="dst_len")
-    src_vals = [data.draw(st.integers(0, 99)) for _ in range(src_len)]
-    dst_vals = [data.draw(st.integers(100, 199)) for _ in range(dst_len)]
-    n = data.draw(st.integers(0, min(src_len, dst_len)), label="n")
-    src_off = data.draw(st.integers(0, src_len - n), label="src_off")
-    dst_off = data.draw(st.integers(0, dst_len - n), label="dst_off")
-    for src_spec in (True, False):
-        for dst_spec in (True, False):
-            src = fill(new_storage(src_len, 0, specialize=src_spec), src_vals)
-            dst = fill(new_storage(dst_len, 0, specialize=dst_spec), dst_vals)
-            copy_range(src, src_off, dst, dst_off, n)
-            assert storage_list(dst) == oracle_copy(
-                src_vals, src_off, dst_vals, dst_off, n
-            )
-            assert storage_list(src) == src_vals  # source untouched
-
-
-def test_copy_range_zero_length_is_noop():
-    src = fill(new_storage(3, 0, specialize=True), [1, 2, 3])
-    dst = fill(new_storage(2, 0, specialize=True), [9, 9])
-    copy_range(src, 1, dst, 1, 0)
-    assert storage_list(dst) == [9, 9]
+def test_empty_roots_of_both_pricings_are_measured_separately():
+    report = footprint([multimap(), multimap(specialize=False)])
+    assert report.nodes == 2
+    assert report.words_total == 3 + 4
+    assert report.indirections == 1
 
 
 # --- footprint model --------------------------------------------------------
