@@ -22,11 +22,6 @@ EVEN_BITS = 0x5555555555555555
 WORD64 = 0xFFFFFFFFFFFFFFFF
 
 
-def branch_mask(key_hash, shift):
-    """5-bit branch fragment of ``key_hash`` at depth ``shift // 5``."""
-    return (key_hash >> shift) & 0b11111
-
-
 def get_pattern(bitmap, branch):
     return (bitmap >> (branch << 1)) & 0b11
 
@@ -76,33 +71,3 @@ def recover_single(bitmap):
     if bitmap != pattern << offset:
         raise ValueError("bitmap has more than one non-empty group")
     return offset >> 1, pattern
-
-
-def derive_logical_views(raw1, raw2):
-    """Split two overlaid 1-bit-per-branch words into three disjoint views.
-
-    Returns ``(data_map, node_map, both_map)``: branches set only in
-    ``raw2``, only in ``raw1``, and in both, respectively.  This is the
-    retrofit used when a structure keeps two raw words instead of one
-    2-bit-pattern word; the logical views are recovered on the fly.
-    """
-    both_map = raw1 & raw2
-    data_map = raw2 ^ both_map
-    node_map = raw1 ^ both_map
-    return data_map, node_map, both_map
-
-
-def pack_patterns(codes, width):
-    """Pack per-branch codes into one word, ``width`` bits per group.
-
-    Generalization oracle for arbitrary group widths; the 2-bit fast paths
-    above must agree with it for ``width == 2``.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    out = 0
-    for i, code in enumerate(codes):
-        if code >> width:
-            raise ValueError(f"code {code!r} does not fit in {width} bits")
-        out |= code << (width * i)
-    return out

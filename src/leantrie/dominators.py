@@ -19,14 +19,13 @@ control-flow-graph generator (out-degree at most 2, every vertex
 reachable) stands in for real compiler corpora.
 """
 
-import csv
-import json
 import random
 import statistics
 import warnings
 from dataclasses import dataclass
 from time import perf_counter_ns
 
+from .bench import _write_csv, _write_json
 from .maps import multimap
 from .storage import DEFAULT_MODEL
 
@@ -335,28 +334,11 @@ def random_cfg(size, seed, name=None):
 
 
 def write_dominator_csv(results, stream):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(DOMINATOR_COLUMNS)
-    for r in results:
-        writer.writerow([getattr(r, c) for c in DOMINATOR_COLUMNS])
+    _write_csv(results, DOMINATOR_COLUMNS, stream)
 
 
 def write_dominator_json(results, stream, generated_at, config=None, model=DEFAULT_MODEL):
-    document = {
-        "metadata": {
-            "generated_at": generated_at,
-            "config": config or {},
-            "model": {
-                "header_words": model.header_words,
-                "bitmap_words": model.bitmap_words,
-                "slot_words": model.slot_words,
-                "indirection_words": model.indirection_words,
-            },
-        },
-        "rows": [{c: getattr(r, c) for c in DOMINATOR_COLUMNS} for r in results],
-    }
-    json.dump(document, stream, indent=2)
-    stream.write("\n")
+    _write_json(results, DOMINATOR_COLUMNS, stream, generated_at, config, model)
 
 
 def summarize_ratio_1to1(results):

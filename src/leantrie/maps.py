@@ -25,6 +25,7 @@ receiving process rebuilds the trie with its own hashes.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
+from itertools import repeat
 
 from .bits import INLINE
 from .nodes import (
@@ -336,13 +337,16 @@ class PersistentMultiMap:
     def key_count(self):
         return self._keys
 
+    def _updated(self, root, td, kd):
+        if root is self._root:
+            return self
+        return PersistentMultiMap(self._cfg, root, self._tuples + td, self._keys + kd)
+
     def put(self, key, value):
         """Multimap with ``(key, value)`` present; self if it already was."""
         cfg = self._cfg
         root, td, kd = self._root.insert(cfg, 0, cfg.hasher(key) & M32, key, value)
-        if root is self._root:
-            return self
-        return PersistentMultiMap(cfg, root, self._tuples + td, self._keys + kd)
+        return self._updated(root, td, kd)
 
     def remove(self, key, value):
         """Multimap without ``(key, value)``; self if it was absent."""
@@ -350,17 +354,13 @@ class PersistentMultiMap:
         root, td, kd = self._root.delete(
             cfg, 0, cfg.hasher(key) & M32, key, value, False
         )
-        if root is self._root:
-            return self
-        return PersistentMultiMap(cfg, root, self._tuples + td, self._keys + kd)
+        return self._updated(root, td, kd)
 
     def remove_key(self, key):
         """Multimap without any tuple for ``key``; self if none existed."""
         cfg = self._cfg
         root, td, kd = self._root.delete(cfg, 0, cfg.hasher(key) & M32, key, None, True)
-        if root is self._root:
-            return self
-        return PersistentMultiMap(cfg, root, self._tuples + td, self._keys + kd)
+        return self._updated(root, td, kd)
 
     def get(self, key):
         """Set-protocol view of the values bound to ``key``."""
@@ -431,12 +431,21 @@ class PersistentMultiMap:
         return "multimap([%s])" % pairs
 
 
-def _build_set(cfg, iterable):
+def _built(cfg, pairs):
+    """``(root, tuple_count, key_count)`` of a trie grown from the empty root
+    by inserting each ``(key, value)`` of ``pairs`` in order."""
     root = EMPTY_ROOT
-    size = 0
-    for element in iterable:
-        root, delta, _ = root.insert(cfg, 0, cfg.hasher(element) & M32, element, None)
-        size += delta
+    tuples = keys = 0
+    hasher = cfg.hasher
+    for key, value in pairs:
+        root, td, kd = root.insert(cfg, 0, hasher(key) & M32, key, value)
+        tuples += td
+        keys += kd
+    return root, tuples, keys
+
+
+def _build_set(cfg, iterable):
+    root, size, _ = _built(cfg, zip(iterable, repeat(None)))
     return PersistentSet(cfg, root, size)
 
 
@@ -456,12 +465,8 @@ def pmap(source=(), *, key_hash=None, specialize=True):
     Later pairs replace earlier ones on key equality.
     """
     cfg = map_config(key_hash, specialize)
-    root = EMPTY_ROOT
-    size = 0
     pairs = source.items() if isinstance(source, Mapping) else source
-    for key, value in pairs:
-        root, _, kd = root.insert(cfg, 0, cfg.hasher(key) & M32, key, value)
-        size += kd
+    root, _, size = _built(cfg, pairs)
     return PersistentMap(cfg, root, size)
 
 
@@ -470,15 +475,8 @@ def multimap(source=(), *, key_hash=None, value_hash=None, specialize=True):
     pairs.  Duplicate pairs collapse; duplicate keys accumulate values.
     """
     cfg = multimap_config(key_hash, value_hash, specialize)
-    root = EMPTY_ROOT
-    tuples = 0
-    keys = 0
     pairs = source.items() if isinstance(source, Mapping) else source
-    for key, value in pairs:
-        root, td, kd = root.insert(cfg, 0, cfg.hasher(key) & M32, key, value)
-        tuples += td
-        keys += kd
-    return PersistentMultiMap(cfg, root, tuples, keys)
+    return PersistentMultiMap(cfg, *_built(cfg, pairs))
 
 
 def _rebuild(factory, contents, options):

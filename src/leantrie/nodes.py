@@ -9,13 +9,24 @@ laid out as::
 
 Inline entries are ``width`` slots each (1 for sets, 2 for maps and
 multimaps); collection entries are always ``(key, set-root)`` pairs whose
-second slot is the root node of a nested element trie; sub-node references
-are one slot.  Entries within a region are ordered by branch index.
+second slot is the root node of a nested element trie, and occur only at
+width 2, so every payload entry is ``width`` slots wide; sub-node
+references are one slot.  Entries within a region are ordered by branch
+index.  :func:`_pos` is the one layout rule: lookup, insert and delete all
+find a branch's slot through it.  A ``CollisionNode`` keeps the two
+payload regions without a bitmap.
 
 Sets, maps, and multimaps share this machinery through a ``TrieConfig``:
 the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
 nested-set config for multimaps (``None`` selects replace-on-put map
 semantics; width-1 configs never see values at all).
+
+Every change to a payload entry is decided by one of two transitions that
+both node kinds share.  :func:`_add_value` covers map replace,
+inline-to-collection promotion and nested-set insert; :func:`_drop_value`
+covers inline removal, whole-key removal, nested-set delete and
+collection-to-inline demotion.  Each returns the entry's new pattern and
+slot values, and the node only places them (``_placed``).
 
 Structural invariants (checked by :func:`validate_root`):
 
@@ -38,13 +49,10 @@ from .bits import (
     INLINE,
     NODE,
     filter_pattern,
-    index_in_category,
     set_pattern,
 )
 
 M32 = 0xFFFFFFFF
-
-_NOT_FOUND = object()
 
 
 def fold_hash(obj):
@@ -96,14 +104,69 @@ def _replaced(old, pos, value):
     return old[:pos] + (value,) + old[pos + 1 :]
 
 
-class TrieNode:
+def _pos(bm, w, pattern, branch, n):
+    """Slot index of ``branch``'s entry of ``pattern`` in the ``n``-slot run
+    of a node with bitmap ``bm``.
+
+    Inline entries come first, then collection entries, each region in
+    branch order and each entry ``w`` slots wide.  Sub-nodes close the run
+    in branch order, so a sub-node sits as many slots from the end as there
+    are sub-nodes on branches >= ``branch``.
+    """
+    offset = branch << 1
+    if pattern == NODE:
+        return n - (filter_pattern(bm, NODE) >> offset).bit_count()
+    below = (1 << offset) - 1
+    if pattern == INLINE:
+        return w * (filter_pattern(bm, INLINE) & below).bit_count()
+    n_inline = filter_pattern(bm, INLINE).bit_count()
+    return w * (n_inline + (filter_pattern(bm, COLLECTION) & below).bit_count())
+
+
+class _Node:
+    """Iteration shared by both node kinds, driven by ``region_counts``."""
+
+    __slots__ = ()
+
+    def iter_entries(self, cfg):
+        w = cfg.width
+        slots = self.slots
+        n_i, n_c, _ = self.region_counts(w)
+        end_i = w * n_i
+        end = end_i + w * n_c
+        if w == 1:
+            yield from slots[:end_i]
+        else:
+            for pos in range(0, end_i, 2):
+                yield (slots[pos], slots[pos + 1])
+        vcfg = cfg.value_cfg
+        for pos in range(end_i, end, 2):
+            k = slots[pos]
+            for v in slots[pos + 1].iter_entries(vcfg):
+                yield (k, v)
+        for child in slots[end:]:
+            yield from child.iter_entries(cfg)
+
+    def iter_keys(self, cfg):
+        w = cfg.width
+        slots = self.slots
+        n_i, n_c, _ = self.region_counts(w)
+        end = w * (n_i + n_c)
+        yield from slots[:end:w]
+        for child in slots[end:]:
+            yield from child.iter_keys(cfg)
+
+
+class TrieNode(_Node):
     __slots__ = ("bitmap", "slots")
+
+    STATS_KEY = "trie_nodes"
 
     def __init__(self, bitmap, slots):
         self.bitmap = bitmap
         self.slots = slots
 
-    def region_counts(self):
+    def region_counts(self, w):
         bm = self.bitmap
         return (
             filter_pattern(bm, INLINE).bit_count(),
@@ -111,23 +174,17 @@ class TrieNode:
             filter_pattern(bm, NODE).bit_count(),
         )
 
-    # -- positions ---------------------------------------------------------
-
-    def _coll_pos(self, branch):
+    def _placed(self, w, branch, pos, size, pattern, vals):
+        """This node with the ``size`` slots at ``pos`` taken out and
+        ``vals`` placed as ``branch``'s entry, now of ``pattern``."""
         bm = self.bitmap
-        w = 2  # collections only exist at width 2
-        return w * filter_pattern(bm, INLINE).bit_count() + 2 * index_in_category(
-            bm, COLLECTION, branch
-        )
-
-    def _node_pos(self, branch):
-        # sub-nodes close the slot run in branch order, so ``branch`` sits
-        # as many slots from the end as there are sub-nodes on branches
-        # >= ``branch``
-        at_or_above = filter_pattern(self.bitmap, NODE) >> (branch << 1)
-        return len(self.slots) - at_or_above.bit_count()
-
-    # -- lookup --------------------------------------------------------------
+        slots = self.slots
+        ins = pos  # an entry that keeps its pattern keeps its place
+        if (bm >> (branch << 1)) & 0b11 != pattern:
+            bm = set_pattern(bm, branch, pattern)
+            if pattern != EMPTY:
+                ins = _pos(bm, w, pattern, branch, len(slots) - size + len(vals))
+        return TrieNode(bm, _splice(slots, pos, size, ins, vals))
 
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
@@ -140,213 +197,84 @@ class TrieNode:
         pattern = (bm >> (branch << 1)) & 0b11
         if pattern == EMPTY:
             return None
+        w = cfg.width
         slots = self.slots
+        pos = _pos(bm, w, pattern, branch, len(slots))
         if pattern == NODE:
-            child = slots[self._node_pos(branch)]
-            return child.lookup(cfg, shift + 5, key_hash, key)
-        if pattern == INLINE:
-            w = cfg.width
-            pos = w * index_in_category(bm, INLINE, branch)
-            k0 = slots[pos]
-            if k0 is key or k0 == key:
-                return (INLINE, slots[pos + 1] if w == 2 else k0)
-            return None
-        pos = self._coll_pos(branch)
+            return slots[pos].lookup(cfg, shift + 5, key_hash, key)
         k0 = slots[pos]
         if k0 is key or k0 == key:
-            return (COLLECTION, slots[pos + 1])
+            return (pattern, slots[pos + w - 1])
         return None
-
-    # -- insert --------------------------------------------------------------
 
     def insert(self, cfg, shift, key_hash, key, value):
         bm = self.bitmap
         w = cfg.width
         branch = (key_hash >> shift) & 31
-        offset = branch << 1
-        pattern = (bm >> offset) & 0b11
+        pattern = (bm >> (branch << 1)) & 0b11
         slots = self.slots
-
         if pattern == EMPTY:
-            pos = w * index_in_category(bm, INLINE, branch)
-            new_bm = bm | (INLINE << offset)
+            # an empty group takes the pattern by OR; nothing is removed,
+            # so the entry is placed by plain insertion
+            bm |= INLINE << (branch << 1)
+            pos = _pos(bm, w, INLINE, branch, len(slots) + w)
             vals = (key, value) if w == 2 else (key,)
-            return TrieNode(new_bm, slots[:pos] + vals + slots[pos:]), 1, 1
-
-        if pattern == INLINE:
-            pos = w * index_in_category(bm, INLINE, branch)
-            k0 = slots[pos]
-            if k0 is key or k0 == key:
-                if w == 1:
-                    return self, 0, 0
-                v0 = slots[pos + 1]
-                if v0 is value or v0 == value:
-                    return self, 0, 0
-                vcfg = cfg.value_cfg
-                if vcfg is None:
-                    # map semantics: replace in place
-                    return TrieNode(bm, _replaced(slots, pos + 1, value)), 0, 0
-                # multimap: promote the inline pair to a nested two-set
-                set_root = _set_of_two(vcfg, v0, value)
-                new_bm = set_pattern(bm, branch, COLLECTION)
-                n_i = filter_pattern(bm, INLINE).bit_count()
-                ins = w * (n_i - 1) + 2 * index_in_category(bm, COLLECTION, branch)
-                slots = _splice(slots, pos, w, ins, (key, set_root))
-                return TrieNode(new_bm, slots), 1, 0
-            # different key on the same branch: push both one level down
-            h0 = cfg.hasher(k0) & M32
-            s0 = (k0, slots[pos + 1]) if w == 2 else (k0,)
-            s1 = (key, value) if w == 2 else (key,)
-            child = _merge(shift + 5, h0, INLINE, s0, key_hash, INLINE, s1)
-            new_bm = set_pattern(bm, branch, NODE)
-            n_i = filter_pattern(bm, INLINE).bit_count()
-            n_c = filter_pattern(bm, COLLECTION).bit_count()
-            ins = w * (n_i - 1) + 2 * n_c + index_in_category(bm, NODE, branch)
-            return TrieNode(new_bm, _splice(slots, pos, w, ins, (child,))), 1, 1
-
-        if pattern == COLLECTION:
-            pos = self._coll_pos(branch)
-            k0 = slots[pos]
-            vcfg = cfg.value_cfg
-            if k0 is key or k0 == key:
-                set_root = slots[pos + 1]
-                vh = vcfg.hasher(value) & M32
-                new_root, _, _ = set_root.insert(vcfg, 0, vh, value, None)
-                if new_root is set_root:
-                    return self, 0, 0
-                return TrieNode(bm, _replaced(slots, pos + 1, new_root)), 1, 0
-            h0 = cfg.hasher(k0) & M32
-            s0 = (k0, slots[pos + 1])
-            child = _merge(
-                shift + 5, h0, COLLECTION, s0, key_hash, INLINE, (key, value)
-            )
-            new_bm = set_pattern(bm, branch, NODE)
-            n_i = filter_pattern(bm, INLINE).bit_count()
-            n_c = filter_pattern(bm, COLLECTION).bit_count()
-            ins = w * n_i + 2 * (n_c - 1) + index_in_category(bm, NODE, branch)
-            return TrieNode(new_bm, _splice(slots, pos, 2, ins, (child,))), 1, 1
-
-        # NODE
-        pos = self._node_pos(branch)
-        child = slots[pos]
-        new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value)
-        if new_child is child:
-            return self, 0, 0
-        return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
-
-    # -- delete --------------------------------------------------------------
+            return TrieNode(bm, slots[:pos] + vals + slots[pos:]), 1, 1
+        pos = _pos(bm, w, pattern, branch, len(slots))
+        if pattern == NODE:
+            child = slots[pos]
+            new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value)
+            if new_child is child:
+                return self, 0, 0
+            return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
+        k0 = slots[pos]
+        if k0 is key or k0 == key:
+            added = _add_value(cfg, pattern, k0, slots[pos + w - 1], value)
+            if added is None:
+                return self, 0, 0
+            p, vals, td = added
+            return self._placed(w, branch, pos, w, p, vals), td, 0
+        # different key on the same branch: push both one level down
+        h0 = cfg.hasher(k0) & M32
+        s0 = slots[pos : pos + w]
+        s1 = (key, value) if w == 2 else (key,)
+        child = _merge(shift + 5, h0, pattern, s0, key_hash, INLINE, s1)
+        return self._placed(w, branch, pos, w, NODE, (child,)), 1, 1
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         bm = self.bitmap
-        w = cfg.width
         branch = (key_hash >> shift) & 31
-        offset = branch << 1
-        pattern = (bm >> offset) & 0b11
-        slots = self.slots
-
+        pattern = (bm >> (branch << 1)) & 0b11
         if pattern == EMPTY:
             return self, 0, 0
-
-        if pattern == INLINE:
-            pos = w * index_in_category(bm, INLINE, branch)
+        w = cfg.width
+        slots = self.slots
+        pos = _pos(bm, w, pattern, branch, len(slots))
+        if pattern != NODE:
             k0 = slots[pos]
             if not (k0 is key or k0 == key):
                 return self, 0, 0
-            if w == 2 and not drop_key:
-                v0 = slots[pos + 1]
-                if not (v0 is value or v0 == value):
-                    return self, 0, 0
-            new_bm = bm & ~(0b11 << offset)
-            return TrieNode(new_bm, slots[:pos] + slots[pos + w :]), -1, -1
-
-        if pattern == COLLECTION:
-            pos = self._coll_pos(branch)
-            k0 = slots[pos]
-            if not (k0 is key or k0 == key):
+            dropped = _drop_value(cfg, pattern, k0, slots[pos + w - 1], value, drop_key)
+            if dropped is None:
                 return self, 0, 0
-            set_root = slots[pos + 1]
-            vcfg = cfg.value_cfg
-            if drop_key:
-                count = count_entries(vcfg, set_root)
-                new_bm = bm & ~(0b11 << offset)
-                return TrieNode(new_bm, slots[:pos] + slots[pos + 2 :]), -count, -1
-            vh = vcfg.hasher(value) & M32
-            new_root, _, _ = set_root.delete(vcfg, 0, vh, value, None, True)
-            if new_root is set_root:
-                return self, 0, 0
-            elem = _unit_element(new_root)
-            if elem is not _NOT_FOUND:
-                # one value left: demote the entry back to an inline pair
-                new_bm = set_pattern(bm, branch, INLINE)
-                ins = w * index_in_category(bm, INLINE, branch)
-                slots = _splice(slots, pos, 2, ins, (key, elem))
-                return TrieNode(new_bm, slots), -1, 0
-            return TrieNode(bm, _replaced(slots, pos + 1, new_root)), -1, 0
+            p, vals, td = dropped
+            kd = -1 if p == EMPTY else 0
+            return self._placed(w, branch, pos, w, p, vals), td, kd
 
-        # NODE
-        pos = self._node_pos(branch)
         child = slots[pos]
         new_child, td, kd = child.delete(cfg, shift + 5, key_hash, key, value, drop_key)
         if new_child is child:
             return self, 0, 0
-
         single = _single_entry(new_child, w)
         if single is not None:
             # child is down to one payload entry: pull it into this node
             p, vals = single
-            new_bm = set_pattern(bm, branch, p)
-            if p == INLINE:
-                ins = w * index_in_category(bm, INLINE, branch)
-            else:
-                n_i = filter_pattern(bm, INLINE).bit_count()
-                ins = w * n_i + 2 * index_in_category(bm, COLLECTION, branch)
-            return TrieNode(new_bm, _splice(slots, pos, 1, ins, vals)), td, kd
-
-        lifted = _collision_under_chain(new_child)
+            return self._placed(w, branch, pos, 1, p, vals), td, kd
+        lifted = _collision_under_chain(new_child, w)
         if lifted is not None:
             # chain node left above a collision bucket: float the bucket up
             new_child = lifted
         return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
-
-    # -- iteration / equality -----------------------------------------------
-
-    def iter_entries(self, cfg):
-        w = cfg.width
-        slots = self.slots
-        n_i, n_c, n_n = self.region_counts()
-        pos = 0
-        if w == 1:
-            for _ in range(n_i):
-                yield slots[pos]
-                pos += 1
-        else:
-            for _ in range(n_i):
-                yield (slots[pos], slots[pos + 1])
-                pos += 2
-        vcfg = cfg.value_cfg
-        for _ in range(n_c):
-            k = slots[pos]
-            for v in slots[pos + 1].iter_entries(vcfg):
-                yield (k, v)
-            pos += 2
-        for _ in range(n_n):
-            yield from slots[pos].iter_entries(cfg)
-            pos += 1
-
-    def iter_keys(self, cfg):
-        w = cfg.width
-        slots = self.slots
-        n_i, n_c, n_n = self.region_counts()
-        pos = 0
-        for _ in range(n_i):
-            yield slots[pos]
-            pos += w
-        for _ in range(n_c):
-            yield slots[pos]
-            pos += 2
-        for _ in range(n_n):
-            yield from slots[pos].iter_keys(cfg)
-            pos += 1
 
     def equals(self, cfg, other):
         if self is other:
@@ -356,7 +284,7 @@ class TrieNode:
         w = cfg.width
         a = self.slots
         b = other.slots
-        n_i, n_c, n_n = self.region_counts()
+        n_i, n_c, n_n = self.region_counts(w)
         pos = 0
         for _ in range(w * n_i):
             if not _eq(a[pos], b[pos]):
@@ -376,7 +304,7 @@ class TrieNode:
         return True
 
 
-class CollisionNode:
+class CollisionNode(_Node):
     """Bucket for entries whose 32-bit hashes are fully equal.
 
     Keeps the same two payload regions as ``TrieNode`` (inline entries,
@@ -387,43 +315,50 @@ class CollisionNode:
 
     __slots__ = ("hash", "inline_n", "slots")
 
+    STATS_KEY = "collision_nodes"
+
     def __init__(self, key_hash, inline_n, slots):
         self.hash = key_hash
         self.inline_n = inline_n
         self.slots = slots
 
-    def _coll_n(self, w):
-        return (len(self.slots) - w * self.inline_n) // 2
+    def region_counts(self, w):
+        n_i = self.inline_n
+        return n_i, (len(self.slots) - w * n_i) // 2, 0
 
-    def _find_inline(self, w, key):
+    def _find(self, w, key):
+        """``(pattern, pos)`` of ``key``'s entry, or None."""
         slots = self.slots
-        for r in range(self.inline_n):
-            k0 = slots[w * r]
+        for pos in range(0, len(slots), w):
+            k0 = slots[pos]
             if k0 is key or k0 == key:
-                return w * r
-        return -1
+                return (INLINE if pos < w * self.inline_n else COLLECTION), pos
+        return None
 
-    def _find_coll(self, w, key):
+    def _placed(self, w, old, pos, size, pattern, vals):
+        """This bucket with the ``size`` slots of its ``old``-pattern entry
+        at ``pos`` taken out and ``vals`` placed as an entry of ``pattern``.
+        Regions keep insertion order, so an entry that changes its pattern
+        closes its new region."""
+        inline_n = self.inline_n + (pattern == INLINE) - (old == INLINE)
         slots = self.slots
-        base = w * self.inline_n
-        for r in range(self._coll_n(w)):
-            k0 = slots[base + 2 * r]
-            if k0 is key or k0 == key:
-                return base + 2 * r
-        return -1
+        ins = pos  # an entry that keeps its pattern keeps its place
+        if pattern != old and pattern != EMPTY:
+            # in the result, the inline region ends at w * inline_n and the
+            # collection region with the run
+            end = w * inline_n if pattern == INLINE else len(slots) - size + w
+            ins = end - w
+        return CollisionNode(self.hash, inline_n, _splice(slots, pos, size, ins, vals))
 
     def lookup(self, cfg, shift, key_hash, key):
         if key_hash != self.hash:
             return None
         w = cfg.width
-        pos = self._find_inline(w, key)
-        if pos >= 0:
-            return (INLINE, self.slots[pos + 1] if w == 2 else key)
-        if w == 2:
-            pos = self._find_coll(w, key)
-            if pos >= 0:
-                return (COLLECTION, self.slots[pos + 1])
-        return None
+        found = self._find(w, key)
+        if found is None:
+            return None
+        pattern, pos = found
+        return (pattern, self.slots[pos + w - 1])
 
     def insert(self, cfg, shift, key_hash, key, value):
         if key_hash != self.hash:
@@ -432,103 +367,33 @@ class CollisionNode:
             return TrieNode(bm, (self,)).insert(cfg, shift, key_hash, key, value)
         w = cfg.width
         slots = self.slots
-        n_i = self.inline_n
-        n_c = self._coll_n(w)
-        pos = self._find_inline(w, key)
-        if pos >= 0:
-            if w == 1:
-                return self, 0, 0
-            v0 = slots[pos + 1]
-            if v0 is value or v0 == value:
-                return self, 0, 0
-            vcfg = cfg.value_cfg
-            if vcfg is None:
-                slots = _replaced(slots, pos + 1, value)
-                return CollisionNode(self.hash, n_i, slots), 0, 0
-            set_root = _set_of_two(vcfg, v0, value)
-            slots = _splice(slots, pos, w, len(slots) - w, (key, set_root))
-            return CollisionNode(self.hash, n_i - 1, slots), 1, 0
-        if w == 2:
-            pos = self._find_coll(w, key)
-            if pos >= 0:
-                vcfg = cfg.value_cfg
-                set_root = slots[pos + 1]
-                vh = vcfg.hasher(value) & M32
-                new_root, _, _ = set_root.insert(vcfg, 0, vh, value, None)
-                if new_root is set_root:
-                    return self, 0, 0
-                slots = _replaced(slots, pos + 1, new_root)
-                return CollisionNode(self.hash, n_i, slots), 1, 0
-        # new key: append to the inline region
-        vals = (key, value) if w == 2 else (key,)
-        slots = slots[: w * n_i] + vals + slots[w * n_i :]
-        return CollisionNode(self.hash, n_i + 1, slots), 1, 1
+        found = self._find(w, key)
+        if found is None:
+            vals = (key, value) if w == 2 else (key,)
+            return self._placed(w, EMPTY, len(slots), 0, INLINE, vals), 1, 1
+        pattern, pos = found
+        added = _add_value(cfg, pattern, slots[pos], slots[pos + w - 1], value)
+        if added is None:
+            return self, 0, 0
+        p, vals, td = added
+        return self._placed(w, pattern, pos, w, p, vals), td, 0
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         if key_hash != self.hash:
             return self, 0, 0
         w = cfg.width
+        found = self._find(w, key)
+        if found is None:
+            return self, 0, 0
+        pattern, pos = found
         slots = self.slots
-        n_i = self.inline_n
-        n_c = self._coll_n(w)
-        pos = self._find_inline(w, key)
-        if pos >= 0:
-            if w == 2 and not drop_key:
-                v0 = slots[pos + 1]
-                if not (v0 is value or v0 == value):
-                    return self, 0, 0
-            slots = slots[:pos] + slots[pos + w :]
-            return CollisionNode(self.hash, n_i - 1, slots), -1, -1
-        if w == 2:
-            pos = self._find_coll(w, key)
-            if pos >= 0:
-                vcfg = cfg.value_cfg
-                set_root = slots[pos + 1]
-                if drop_key:
-                    count = count_entries(vcfg, set_root)
-                    slots = slots[:pos] + slots[pos + 2 :]
-                    return CollisionNode(self.hash, n_i, slots), -count, -1
-                vh = vcfg.hasher(value) & M32
-                new_root, _, _ = set_root.delete(vcfg, 0, vh, value, None, True)
-                if new_root is set_root:
-                    return self, 0, 0
-                elem = _unit_element(new_root)
-                if elem is not _NOT_FOUND:
-                    slots = _splice(slots, pos, 2, w * n_i, (key, elem))
-                    return CollisionNode(self.hash, n_i + 1, slots), -1, 0
-                slots = _replaced(slots, pos + 1, new_root)
-                return CollisionNode(self.hash, n_i, slots), -1, 0
-        return self, 0, 0
-
-    def iter_entries(self, cfg):
-        w = cfg.width
-        slots = self.slots
-        pos = 0
-        if w == 1:
-            for _ in range(self.inline_n):
-                yield slots[pos]
-                pos += 1
-        else:
-            for _ in range(self.inline_n):
-                yield (slots[pos], slots[pos + 1])
-                pos += 2
-        vcfg = cfg.value_cfg
-        for _ in range(self._coll_n(w)):
-            k = slots[pos]
-            for v in slots[pos + 1].iter_entries(vcfg):
-                yield (k, v)
-            pos += 2
-
-    def iter_keys(self, cfg):
-        w = cfg.width
-        slots = self.slots
-        pos = 0
-        for _ in range(self.inline_n):
-            yield slots[pos]
-            pos += w
-        for _ in range(self._coll_n(w)):
-            yield slots[pos]
-            pos += 2
+        payload = slots[pos + w - 1]
+        dropped = _drop_value(cfg, pattern, slots[pos], payload, value, drop_key)
+        if dropped is None:
+            return self, 0, 0
+        p, vals, td = dropped
+        kd = -1 if p == EMPTY else 0
+        return self._placed(w, pattern, pos, w, p, vals), td, kd
 
     def equals(self, cfg, other):
         if self is other:
@@ -569,6 +434,55 @@ def _match_unordered(left, right, same):
     return True
 
 
+# -- payload transitions -------------------------------------------------------
+
+
+def _add_value(cfg, pattern, k0, payload, value):
+    """Entry ``k0`` of ``pattern`` (``payload`` is its value or nested set
+    root) with ``value`` added: ``(pattern, slot_values, tuple_delta)``,
+    or None when nothing changes.
+
+    A width-1 entry is its element; an inline value is kept when equal,
+    replaced in a map and promoted to a nested two-set in a multimap; a
+    collection entry inserts into its nested set.
+    """
+    vcfg = cfg.value_cfg
+    if pattern == INLINE:
+        if cfg.width == 1 or payload is value or payload == value:
+            return None
+        if vcfg is None:
+            return INLINE, (k0, value), 0
+        return COLLECTION, (k0, _set_of_two(vcfg, payload, value)), 1
+    vh = vcfg.hasher(value) & M32
+    new_root, _, _ = payload.insert(vcfg, 0, vh, value, None)
+    if new_root is payload:
+        return None
+    return COLLECTION, (k0, new_root), 1
+
+
+def _drop_value(cfg, pattern, k0, payload, value, drop_key):
+    """Entry ``k0`` of ``pattern`` with ``value`` removed, or with every
+    value when ``drop_key``: ``(pattern, slot_values, tuple_delta)``, or
+    None when nothing changes.  A nested set left with one value demotes
+    back to an inline pair.
+    """
+    if pattern == INLINE:
+        if drop_key or payload is value or payload == value:
+            return EMPTY, (), -1
+        return None
+    vcfg = cfg.value_cfg
+    if drop_key:
+        return EMPTY, (), -count_entries(vcfg, payload)
+    vh = vcfg.hasher(value) & M32
+    new_root, _, _ = payload.delete(vcfg, 0, vh, value, None, True)
+    if new_root is payload:
+        return None
+    single = _single_entry(new_root, 1)
+    if single is not None:
+        return INLINE, (k0, single[1][0]), -1
+    return COLLECTION, (k0, new_root), -1
+
+
 # -- construction helpers ------------------------------------------------------
 
 
@@ -576,9 +490,14 @@ EMPTY_ROOT = TrieNode(0, ())
 
 
 def _set_of_two(vcfg, v0, v1):
-    root, _, _ = EMPTY_ROOT.insert(vcfg, 0, vcfg.hasher(v0) & M32, v0, None)
-    root, _, _ = root.insert(vcfg, 0, vcfg.hasher(v1) & M32, v1, None)
-    return root
+    """Root of the nested set ``{v0, v1}``."""
+    h0 = vcfg.hasher(v0) & M32
+    h1 = vcfg.hasher(v1) & M32
+    node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,))
+    if h0 == h1:
+        # a root is never a bucket: hang it on its first-level branch
+        return TrieNode(NODE << ((h0 & 31) << 1), (node,))
+    return node
 
 
 def _merge(shift, h0, p0, s0, h1, p1, s1):
@@ -612,39 +531,21 @@ def _collision(key_hash, pairs):
 def _single_entry(node, w):
     """``(pattern, slot_values)`` if ``node`` holds exactly one payload
     entry and nothing else, like after a delete; None otherwise."""
-    if type(node) is TrieNode:
-        n_i, n_c, n_n = node.region_counts()
-        if n_n != 0 or n_i + n_c != 1:
-            return None
-        return (INLINE if n_i == 1 else COLLECTION, node.slots)
-    # collision bucket shrunk to one entry
-    if node.inline_n == 1 and len(node.slots) == w:
-        return (INLINE, node.slots)
-    if node.inline_n == 0 and len(node.slots) == 2:
-        return (COLLECTION, node.slots)
-    return None
+    if len(node.slots) != w:  # cheap rejection: one entry fills w slots
+        return None
+    n_i, n_c, n_n = node.region_counts(w)
+    if n_n or n_i + n_c != 1:
+        return None
+    return (INLINE if n_i else COLLECTION), node.slots
 
 
-def _collision_under_chain(node):
+def _collision_under_chain(node, w):
     """The collision bucket of a ``[0 payload, 1 sub-node]`` chain node,
     if that sub-node is a collision bucket; None otherwise."""
-    if type(node) is not TrieNode:
+    slots = node.slots
+    if len(slots) != 1 or type(slots[0]) is not CollisionNode:
         return None
-    n_i, n_c, n_n = node.region_counts()
-    if n_i == 0 and n_c == 0 and n_n == 1:
-        child = node.slots[0]
-        if type(child) is CollisionNode:
-            return child
-    return None
-
-
-def _unit_element(set_root):
-    """The only element of a one-element set root, or ``_NOT_FOUND``."""
-    if type(set_root) is TrieNode:
-        n_i, n_c, n_n = set_root.region_counts()
-        if n_i == 1 and n_c == 0 and n_n == 0:
-            return set_root.slots[0]
-    return _NOT_FOUND
+    return slots[0] if node.region_counts(w) == (0, 0, 1) else None
 
 
 def count_entries(cfg, node):
@@ -681,7 +582,7 @@ def _validate(cfg, node, shift, prefix, is_root):
     bm = node.bitmap
     if bm >> 64:
         _fail("bitmap wider than 64 bits")
-    n_i, n_c, n_n = node.region_counts()
+    n_i, n_c, n_n = node.region_counts(w)
     if n_c and w == 1:
         _fail("collection entries in a width-1 trie")
     expected = w * n_i + 2 * n_c + n_n
@@ -742,8 +643,7 @@ def _validate(cfg, node, shift, prefix, is_root):
 
 def _validate_collision(cfg, node, shift, prefix):
     w = cfg.width
-    n_i = node.inline_n
-    n_c = node._coll_n(w)
+    n_i, n_c, _ = node.region_counts(w)
     if w * n_i + 2 * n_c != len(node.slots):
         _fail("collision slot run does not match its entry counts")
     if n_i + n_c < 2:
@@ -803,13 +703,9 @@ def node_stats(cfg, root):
 
 def _collect_stats(cfg, node, depth, stats):
     stats["max_depth"] = max(stats["max_depth"], depth)
+    stats[node.STATS_KEY] += 1
     w = cfg.width
-    if type(node) is CollisionNode:
-        stats["collision_nodes"] += 1
-        n_i, n_c, n_n = node.inline_n, node._coll_n(w), 0
-    else:
-        stats["trie_nodes"] += 1
-        n_i, n_c, n_n = node.region_counts()
+    n_i, n_c, n_n = node.region_counts(w)
     stats["inline_entries"] += n_i
     stats["collection_entries"] += n_c
     pos = w * n_i

@@ -97,8 +97,6 @@ def footprint(structures, model=DEFAULT_MODEL):
 
 def _walk_node(node, cfg, model, report, seen):
     """Price a node graph; returns the words newly added for this subtree."""
-    from .nodes import CollisionNode, TrieNode
-
     # A node reached under both pricing rules models two distinct objects
     # (the empty root is shared by specialized and unspecialized tries).
     specialize = cfg.specialize
@@ -119,14 +117,7 @@ def _walk_node(node, cfg, model, report, seen):
         words += model.indirection_words
 
     width = cfg.width
-    if type(node) is TrieNode:
-        n_inline, n_coll, n_sub = node.region_counts()
-    else:
-        assert type(node) is CollisionNode
-        n_inline = node.inline_n
-        n_coll = (n_slots - width * n_inline) // 2
-        n_sub = 0
-
+    n_inline, n_coll, n_sub = node.region_counts(width)
     pos = 0
     for _ in range(n_inline):
         value_slot = pos + 1 if width == 2 else pos

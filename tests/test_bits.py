@@ -16,15 +16,12 @@ from leantrie.bits import (
     INLINE,
     COLLECTION,
     EVEN_BITS,
-    branch_mask,
     get_pattern,
     set_pattern,
     filter_pattern,
     index_in_category,
     histogram,
     recover_single,
-    derive_logical_views,
-    pack_patterns,
 )
 
 PATTERNS = (EMPTY, NODE, INLINE, COLLECTION)
@@ -79,18 +76,6 @@ def oracle_recover(bm):
 # --- frozen examples -------------------------------------------------------
 
 
-def test_branch_mask_examples():
-    assert branch_mask(0b101010, 0) == 10
-    assert branch_mask(0b101010, 5) == 1
-
-
-def test_branch_mask_last_level_stays_in_bounds():
-    rng = random.Random(0)
-    for _ in range(1000):
-        h = rng.getrandbits(32)
-        assert branch_mask(h, 30) <= 3
-
-
 def test_get_pattern_examples():
     assert get_pattern(0b10_11_01, 0) == NODE
     assert get_pattern(0b10_11_01, 2) == INLINE
@@ -141,19 +126,6 @@ def test_recover_single_exhaustive_96():
         for p in (NODE, INLINE, COLLECTION):
             bm = p << (2 * b)
             assert recover_single(bm) == (b, p) == oracle_recover(bm)
-
-
-def test_derive_logical_views_example():
-    data_map, node_map, both_map = derive_logical_views(0b0110, 0b0011)
-    assert data_map == 0b0001
-    assert node_map == 0b0100
-    assert both_map == 0b0010
-
-
-def test_pack_patterns_examples():
-    codes = [1, 3, 2] + [0] * 29
-    assert pack_patterns(codes, 2) == 0b10_11_01
-    assert pack_patterns([5] + [0] * 31, 3) == 0b101
 
 
 # --- randomized oracle agreement ------------------------------------------
@@ -208,32 +180,6 @@ def test_index_is_monotone_in_branch(bm, p):
         cur = index_in_category(bm, p, b) if b < 32 else histogram(bm)[p]
         assert cur >= last
         last = cur
-
-
-@given(st.integers(min_value=0, max_value=(1 << 32) - 1),
-       st.integers(min_value=0, max_value=(1 << 32) - 1))
-def test_derived_views_partition_raw_union(raw1, raw2):
-    data_map, node_map, both_map = derive_logical_views(raw1, raw2)
-    assert data_map & node_map == 0
-    assert data_map & both_map == 0
-    assert node_map & both_map == 0
-    assert data_map | node_map | both_map == raw1 | raw2
-
-
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=32, max_size=32))
-def test_pack_patterns_matches_set_pattern_chain(codes):
-    bm = 0
-    for b, c in enumerate(codes):
-        bm = set_pattern(bm, b, c)
-    assert pack_patterns(codes, 2) == bm
-
-
-@given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=32),
-       st.sampled_from([3, 4]))
-def test_pack_patterns_wider_groups_decode_back(codes, width):
-    packed = pack_patterns(codes, width)
-    for i, c in enumerate(codes):
-        assert (packed >> (width * i)) & ((1 << width) - 1) == c
 
 
 def test_recover_single_rejects_ambiguous_words():

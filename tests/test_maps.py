@@ -512,3 +512,46 @@ def test_pickles_load_in_a_process_with_other_string_hashes(tmp_path):
     path = tmp_path / "structures.pickle"
     _run_with_hash_seed(_WRITE, 1, path)
     _run_with_hash_seed(_READ, 2, path)
+
+
+# -- hostile keys ---------------------------------------------------------------------
+
+
+class _EqualityFailed(Exception):
+    pass
+
+
+class _RaisingKey:
+    """Hashes like ``twin`` so it reaches ``twin``'s entry, then raises on
+    the key comparison there."""
+
+    def __init__(self, twin):
+        self.twin = twin
+
+    def __hash__(self):
+        return hash(self.twin)
+
+    def __eq__(self, other):
+        raise _EqualityFailed(other)
+
+
+@pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
+@pytest.mark.parametrize("twin", ["a", "b"], ids=["inline", "collection"])
+def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
+    # "a" and "c" are inline entries, "b" a collection entry
+    mm = multimap([("a", 0), ("b", 0), ("b", 1), ("c", 2)], key_hash=key_hash)
+    before = {k: set(mm.get(k)) for k in mm.keys()}
+    key = _RaisingKey(twin)
+    calls = [
+        lambda: mm.put(key, 5),
+        lambda: mm.remove(key, 0),
+        lambda: mm.remove_key(key),
+        lambda: mm.contains_entry(key, 0),
+        lambda: mm.get(key),
+    ]
+    for call in calls:
+        with pytest.raises(_EqualityFailed):
+            call()
+        assert {k: set(mm.get(k)) for k in mm.keys()} == before
+        assert (mm.tuple_count, mm.key_count) == (4, 3)
+        check_invariants(mm)

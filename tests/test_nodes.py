@@ -197,6 +197,28 @@ def test_demotion_reverses_promotion_structurally():
     assert structurally_equal(demoted, base)
 
 
+# value hashes of the two promoted values: distinct first fragments, one
+# shared 5-bit fragment, and fully equal (a bucket below the set root)
+PROMOTED_VALUE_HASHES = {
+    "distinct": (1, 2),
+    "shared-fragment": (0b00001_00011, 0b00010_00011),
+    "equal": (7, 7),
+}
+
+
+@pytest.mark.parametrize("key_hash", [None, lambda k: 0], ids=["trie", "bucket"])
+@pytest.mark.parametrize("kind", PROMOTED_VALUE_HASHES)
+def test_promotion_builds_the_same_nested_set_as_inserts(kind, key_hash):
+    table = dict(zip(("v0", "v1"), PROMOTED_VALUE_HASHES[kind]))
+    mm = multimap([("k", "v0"), ("j", "v0"), ("k", "v1")],
+                  key_hash=key_hash, value_hash=table.__getitem__)
+    check_invariants(mm)
+    promoted = mm.get("k")
+    assert type(promoted._root) is TrieNode
+    expected = pset(["v0", "v1"], element_hash=table.__getitem__)
+    assert promoted._root.equals(expected._cfg, expected._root)
+
+
 def test_removing_whole_key_collapses_to_sibling_free_form():
     direct = multimap([(1, 1)])
     grown = multimap([(1, 1), (2, 1), (2, 2), (2, 3)])
