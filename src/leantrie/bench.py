@@ -25,7 +25,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter_ns
 
 from .maps import multimap, pmap, pset
@@ -513,15 +513,13 @@ class FootprintRow:
     ratio_vs_baseline: float
 
 
-def run_footprint(size_exponents, mix=0.5, seed=0, model=DEFAULT_MODEL, burst_size=8):
+def run_footprint(size_exponents, mix=0.5, seed=0):
     """Deterministic modeled-word comparison rows, multimap vs baseline.
 
     ``ratio_vs_baseline`` divides the baseline's total words by the
     structure's own (so the baseline rows carry 1.0).
     """
-    spec = WorkloadSpec(
-        size_exponents=tuple(size_exponents), mix=mix, burst_size=burst_size
-    )
+    spec = WorkloadSpec(size_exponents=tuple(size_exponents), mix=mix)
     mm_adapter = _adapter("multimap")
     base_adapter = _adapter("map_of_sets")
     rows = []
@@ -531,8 +529,8 @@ def run_footprint(size_exponents, mix=0.5, seed=0, model=DEFAULT_MODEL, burst_si
         baseline = base_adapter.build(dataset)
         _correctness_gate(mm_adapter, mm, dataset)
         _correctness_gate(base_adapter, baseline, dataset)
-        mm_report = footprint(mm, model)
-        base_report = footprint(baseline, model)
+        mm_report = footprint(mm)
+        base_report = footprint(baseline)
         rows.append(
             FootprintRow(
                 structure="multimap",
@@ -574,17 +572,12 @@ def write_footprint_csv(rows, stream):
     _write_csv(rows, FOOTPRINT_COLUMNS, stream)
 
 
-def _write_json(rows, columns, stream, generated_at, config=None, model=DEFAULT_MODEL):
+def _write_json(rows, columns, stream, generated_at, config=None):
     document = {
         "metadata": {
             "generated_at": generated_at,
             "config": config or {},
-            "model": {
-                "header_words": model.header_words,
-                "bitmap_words": model.bitmap_words,
-                "slot_words": model.slot_words,
-                "indirection_words": model.indirection_words,
-            },
+            "model": asdict(DEFAULT_MODEL),
         },
         "rows": [{c: getattr(row, c) for c in columns} for row in rows],
     }
@@ -592,9 +585,9 @@ def _write_json(rows, columns, stream, generated_at, config=None, model=DEFAULT_
     stream.write("\n")
 
 
-def write_bench_json(rows, stream, generated_at, config=None, model=DEFAULT_MODEL):
-    _write_json(rows, BENCH_COLUMNS, stream, generated_at, config, model)
+def write_bench_json(rows, stream, generated_at, config=None):
+    _write_json(rows, BENCH_COLUMNS, stream, generated_at, config)
 
 
-def write_footprint_json(rows, stream, generated_at, config=None, model=DEFAULT_MODEL):
-    _write_json(rows, FOOTPRINT_COLUMNS, stream, generated_at, config, model)
+def write_footprint_json(rows, stream, generated_at, config=None):
+    _write_json(rows, FOOTPRINT_COLUMNS, stream, generated_at, config)

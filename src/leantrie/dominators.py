@@ -2,8 +2,8 @@
 
 The predecessor relation and the dominator sets are both held in
 :class:`~leantrie.PersistentMultiMap` instances; the fixpoint
-iteration exercises multimap construction, per-key set views, and
-set-intersection over those views.
+iteration exercises multimap construction, ``get`` of each key's value
+set, and set intersection over those sets.
 
 Graphs are ingested from an edge-list format::
 
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 
 from .bench import _write_csv, _write_json
-from .maps import multimap
-from .storage import DEFAULT_MODEL
+from .maps import multimap, structure_stats
 
 DOMINATOR_COLUMNS = (
     "graph_name",
@@ -170,7 +169,7 @@ def relation_stats(mm):
     keys = mm.key_count
     if keys == 0:
         return RelationStats(0, 0, 100.0)
-    ones = sum(1 for k in mm.keys() if len(mm.get(k)) == 1)
+    ones = structure_stats(mm)["inline_entries"]  # one value <=> stored inline
     return RelationStats(keys, mm.tuple_count, 100.0 * ones / keys)
 
 
@@ -219,11 +218,11 @@ def compute_dominators(graph):
     them; reverse-postorder guarantees a computed predecessor on the
     first pass.  Unreachable vertices are excluded with a warning.
     """
-    mm, _ = _dominator_fixpoint(graph)
-    return mm
+    return _dominator_fixpoint(graph)[0]
 
 
 def _dominator_fixpoint(graph):
+    """``(dominator multimap, iterations, predecessor multimap)``."""
     if graph.entry >= graph.vertex_count:
         raise GraphError(f"{graph.name}: entry vertex is not in the graph")
     reachable, succs = _reachable(graph)
@@ -258,22 +257,22 @@ def _dominator_fixpoint(graph):
             acc = operands[0]
             for other in operands[1:]:
                 acc = acc & other
-            new = acc if n in acc else acc | (n,)
-            if dom.contains_key(n) and new == dom.get(n):
+            new = acc.add(n)
+            if new == dom.get(n):
                 continue
             changed = True
             dom = dom.remove_key(n)
             for d in new:
                 dom = dom.put(n, d)
-    return dom, iterations
+    return dom, iterations, preds
 
 
 def analyze_graph(graph):
     """Run the full analysis and wrap the report row fields."""
     start = perf_counter_ns()
-    dom, iterations = _dominator_fixpoint(graph)
+    dom, iterations, preds = _dominator_fixpoint(graph)
     runtime = perf_counter_ns() - start
-    stats = relation_stats(compute_preds(graph))
+    stats = relation_stats(preds)
     return DomResult(
         graph=graph,
         dominators=dom,
@@ -337,8 +336,8 @@ def write_dominator_csv(results, stream):
     _write_csv(results, DOMINATOR_COLUMNS, stream)
 
 
-def write_dominator_json(results, stream, generated_at, config=None, model=DEFAULT_MODEL):
-    _write_json(results, DOMINATOR_COLUMNS, stream, generated_at, config, model)
+def write_dominator_json(results, stream, generated_at, config=None):
+    _write_json(results, DOMINATOR_COLUMNS, stream, generated_at, config)
 
 
 def summarize_ratio_1to1(results):

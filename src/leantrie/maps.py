@@ -129,10 +129,6 @@ class PersistentSet(Set):
             return len(self) == len(other) and all(e in other for e in self)
         return NotImplemented
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         if self._hash_cache is None:
             self._hash_cache = self._hash()
@@ -238,10 +234,6 @@ class PersistentMap(Mapping):
             return True
         return NotImplemented
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     __hash__ = None
 
     def __repr__(self):
@@ -249,63 +241,14 @@ class PersistentMap(Mapping):
         return "pmap({%s})" % pairs
 
 
-class _EmptyValueView(Set):
-    """Value view of an absent multimap key: the empty set."""
-
-    __slots__ = ("_vcfg",)
-
-    def __init__(self, vcfg):
-        self._vcfg = vcfg
-
-    def _from_iterable(self, iterable):
-        return _build_set(self._vcfg, iterable)
-
-    def __contains__(self, value):
-        return False
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "valueview({})"
-
-
-class _SingletonValueView(Set):
-    """Value view of a multimap key bound to exactly one inline value."""
-
-    __slots__ = ("_vcfg", "_value")
-
-    def __init__(self, vcfg, value):
-        self._vcfg = vcfg
-        self._value = value
-
-    def _from_iterable(self, iterable):
-        return _build_set(self._vcfg, iterable)
-
-    def __contains__(self, value):
-        return value is self._value or value == self._value
-
-    def __iter__(self):
-        yield self._value
-
-    def __len__(self):
-        return 1
-
-    def __repr__(self):
-        return "valueview({%r})" % (self._value,)
-
-
 class PersistentMultiMap:
     """Immutable multimap: each key maps to a set of distinct values.
 
     ``len()`` counts (key, value) tuples; ``key_count`` counts distinct
-    keys.  ``get`` returns a set-protocol view of a key's values without
-    copying: the empty view, a one-value view over the inline slot, or a
-    :class:`PersistentSet` sharing the nested set's nodes.  Construct
-    with :func:`multimap`.
+    keys.  ``get`` returns a key's values as a :class:`PersistentSet`,
+    whatever their storage: the empty set for an absent key, a one-element
+    set built from an inline value, or a set sharing the nested set's
+    nodes.  Construct with :func:`multimap`.
     """
 
     __slots__ = ("_cfg", "_root", "_tuples", "_keys")
@@ -363,14 +306,19 @@ class PersistentMultiMap:
         return self._updated(root, td, kd)
 
     def get(self, key):
-        """Set-protocol view of the values bound to ``key``."""
+        """The values bound to ``key``, as a :class:`PersistentSet`.
+
+        An absent key gives the empty set.  An inline value is built into
+        a one-element set, which calls the value hasher once; a collection
+        entry gives a set over the shared nested root, with no copy.
+        """
         cfg = self._cfg
         found = self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key)
         if found is None:
-            return _EmptyValueView(cfg.value_cfg)
+            return _build_set(cfg.value_cfg, ())
         pattern, payload = found
         if pattern == INLINE:
-            return _SingletonValueView(cfg.value_cfg, payload)
+            return _build_set(cfg.value_cfg, (payload,))
         return PersistentSet(cfg.value_cfg, payload, None)
 
     def contains_key(self, key):
@@ -419,10 +367,6 @@ class PersistentMultiMap:
         ):
             return self._root.equals(self._cfg, other._root)
         return all(other.contains_entry(k, v) for k, v in self.items())
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     __hash__ = None
 

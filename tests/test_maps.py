@@ -1,4 +1,4 @@
-"""Public API semantics of the set, map, multimap, and value views."""
+"""Public API semantics of the set, map, multimap, and multimap values."""
 
 import copy
 import os
@@ -24,6 +24,13 @@ from leantrie import (
     structure_stats,
 )
 from leantrie.nodes import InvariantError
+
+
+def _colliding_hash(key):
+    """Every key in one collision bucket; module-level so it pickles.  The
+    key's own ``__hash__`` still runs first, as in any real hasher."""
+    hash(key)
+    return 7
 
 
 # -- PersistentSet ----------------------------------------------------------------
@@ -264,20 +271,20 @@ def test_multimap_repr():
     assert repr(mm) == "multimap([('a', 1)])"
 
 
-# -- value views ---------------------------------------------------------------------
+# -- value sets from get --------------------------------------------------------------
 
 
-def test_absent_key_view_is_an_empty_set():
+def test_absent_key_is_an_empty_set():
     view = multimap().get("nope")
     assert isinstance(view, Set)
     assert len(view) == 0
     assert list(view) == []
     assert 1 not in view
     assert view == set()
-    assert repr(view) == "valueview({})"
+    assert repr(view) == "pset({})"
 
 
-def test_single_value_view_wraps_the_inline_slot():
+def test_single_value_is_built_from_the_inline_slot():
     mm = multimap([("k", 41)])
     view = mm.get("k")
     assert isinstance(view, Set)
@@ -285,7 +292,30 @@ def test_single_value_view_wraps_the_inline_slot():
     assert 41 in view and 40 not in view
     assert list(view) == [41]
     assert view == {41}
-    assert repr(view) == "valueview({41})"
+    assert repr(view) == "pset({41})"
+
+
+@pytest.mark.parametrize("value_hash", [None, _colliding_hash], ids=["values", "colliding"])
+@pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
+def test_get_is_a_persistent_set_for_every_kind_of_entry(key_hash, value_hash):
+    # "a" and "c" are inline entries, "b" a collection entry, "z" absent
+    mm = multimap(
+        [("a", 0), ("b", 0), ("b", 1), ("c", 2)], key_hash=key_hash, value_hash=value_hash
+    )
+    before = list(mm.items())
+    for key, values in [("z", []), ("a", [0]), ("b", [0, 1])]:
+        got = mm.get(key)
+        assert type(got) is PersistentSet
+        want = pset(values, element_hash=value_hash)
+        assert got._root.equals(got._cfg, want._root)
+        check_invariants(got)
+        grown, shrunk = got.add(7), got.discard(0)
+        assert set(grown) == {*values, 7} and set(shrunk) == set(values) - {0}
+        check_invariants(grown)
+        check_invariants(shrunk)
+        assert list(mm.items()) == before
+        assert (mm.tuple_count, mm.key_count) == (4, 3)
+        check_invariants(mm)
 
 
 def test_multi_value_view_is_a_persistent_set_sharing_nodes():
@@ -424,11 +454,6 @@ def test_large_build_and_teardown_round_trip():
 # -- pickle / copy -----------------------------------------------------------------
 
 
-def _colliding_hash(key):
-    """Every key in one collision bucket; module-level so it pickles."""
-    return 7
-
-
 def _round_trips(structure):
     yield pickle.loads(pickle.dumps(structure))
     yield copy.deepcopy(structure)
@@ -521,6 +546,10 @@ class _EqualityFailed(Exception):
     pass
 
 
+class _HashFailed(Exception):
+    pass
+
+
 class _RaisingKey:
     """Hashes like ``twin`` so it reaches ``twin``'s entry, then raises on
     the key comparison there."""
@@ -535,23 +564,46 @@ class _RaisingKey:
         raise _EqualityFailed(other)
 
 
+class _Unhashable:
+    """A key or value whose ``__hash__`` raises: any hasher fails on it."""
+
+    def __hash__(self):
+        raise _HashFailed
+
+
 @pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
 @pytest.mark.parametrize("twin", ["a", "b"], ids=["inline", "collection"])
 def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
-    # "a" and "c" are inline entries, "b" a collection entry
-    mm = multimap([("a", 0), ("b", 0), ("b", 1), ("c", 2)], key_hash=key_hash)
-    before = {k: set(mm.get(k)) for k in mm.keys()}
+    # "a" and "c" are inline entries, "b" a collection entry; "d" holds an
+    # unhashable value inline, which nothing hashes until get("d")
+    bad = _Unhashable()
+    mm = multimap(
+        [("a", 0), ("b", 0), ("b", 1), ("c", 2), ("d", bad)], key_hash=key_hash
+    )
+    before = list(mm.items())
     key = _RaisingKey(twin)
     calls = [
-        lambda: mm.put(key, 5),
-        lambda: mm.remove(key, 0),
-        lambda: mm.remove_key(key),
-        lambda: mm.contains_entry(key, 0),
-        lambda: mm.get(key),
+        # a key that raises on the comparison at twin's entry
+        (_EqualityFailed, lambda: mm.put(key, 5)),
+        (_EqualityFailed, lambda: mm.remove(key, 0)),
+        (_EqualityFailed, lambda: mm.remove_key(key)),
+        (_EqualityFailed, lambda: mm.contains_entry(key, 0)),
+        (_EqualityFailed, lambda: mm.get(key)),
+        # a key the key hasher fails on
+        (_HashFailed, lambda: mm.put(bad, 5)),
+        (_HashFailed, lambda: mm.remove(bad, 0)),
+        (_HashFailed, lambda: mm.remove_key(bad)),
+        (_HashFailed, lambda: mm.contains_entry(bad, 0)),
+        (_HashFailed, lambda: mm.get(bad)),
+        # a value the value hasher fails on: promotion of "a" or insert into
+        # the nested set of "b", delete from it, and get of an inline value
+        (_HashFailed, lambda: mm.put(twin, bad)),
+        (_HashFailed, lambda: mm.remove("b", bad)),
+        (_HashFailed, lambda: mm.get("d")),
     ]
-    for call in calls:
-        with pytest.raises(_EqualityFailed):
+    for error, call in calls:
+        with pytest.raises(error):
             call()
-        assert {k: set(mm.get(k)) for k in mm.keys()} == before
-        assert (mm.tuple_count, mm.key_count) == (4, 3)
+        assert list(mm.items()) == before
+        assert (mm.tuple_count, mm.key_count) == (5, 4)
         check_invariants(mm)
