@@ -248,12 +248,9 @@ def _dominator_fixpoint(graph):
                 continue
             # stage the big intersection as a set of predecessor Dom sets,
             # folded pairwise; not-yet-computed Doms stand for "all" and
-            # drop out of the intersection
-            operands = [
-                dom.get(p)
-                for p in preds.get(n)
-                if p in reachable and dom.contains_key(p)
-            ]
+            # drop out of the intersection, as do unreachable predecessors:
+            # an absent key's set is empty, and a computed Dom never is
+            operands = [s for p in preds.get(n) if (s := dom.get(p))]
             acc = operands[0]
             for other in operands[1:]:
                 acc = acc & other

@@ -1,8 +1,12 @@
 """Public persistent collections over the shared trie node machinery.
 
 All three structures are immutable: update methods return a new instance
-that shares unchanged nodes with the receiver, and return the receiver
-itself when the operation was a no-op.
+that path-copies the changed nodes and shares the rest with the receiver,
+and return the receiver itself when the operation was a no-op.  The
+constructors (:func:`pset`, :func:`pmap`, :func:`multimap`, and the sets
+that the set operators and ``get`` return) do not fold updates: they build
+the trie bottom-up through :func:`leantrie.nodes.build_root`, each node
+once, into the shape the updates would give.
 
 * :class:`PersistentSet` -- hash set, ``collections.abc.Set``.
 * :class:`PersistentMap` -- hash map, ``collections.abc.Mapping``;
@@ -25,13 +29,12 @@ receiving process rebuilds the trie with its own hashes.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
-from itertools import repeat
 
 from .bits import INLINE
 from .nodes import (
-    EMPTY_ROOT,
     M32,
     InvariantError,
+    build_root,
     count_entries,
     map_config,
     multimap_config,
@@ -119,6 +122,9 @@ class PersistentSet(Set):
         if self._size is None:
             self._size = count_entries(self._cfg, self._root)
         return self._size
+
+    def __bool__(self):
+        return bool(self._root.slots)  # only an empty root holds no slots
 
     def __eq__(self, other):
         if self is other:
@@ -375,21 +381,8 @@ class PersistentMultiMap:
         return "multimap([%s])" % pairs
 
 
-def _built(cfg, pairs):
-    """``(root, tuple_count, key_count)`` of a trie grown from the empty root
-    by inserting each ``(key, value)`` of ``pairs`` in order."""
-    root = EMPTY_ROOT
-    tuples = keys = 0
-    hasher = cfg.hasher
-    for key, value in pairs:
-        root, td, kd = root.insert(cfg, 0, hasher(key) & M32, key, value)
-        tuples += td
-        keys += kd
-    return root, tuples, keys
-
-
 def _build_set(cfg, iterable):
-    root, size, _ = _built(cfg, zip(iterable, repeat(None)))
+    root, size, _ = build_root(cfg, iterable)
     return PersistentSet(cfg, root, size)
 
 
@@ -410,7 +403,7 @@ def pmap(source=(), *, key_hash=None, specialize=True):
     """
     cfg = map_config(key_hash, specialize)
     pairs = source.items() if isinstance(source, Mapping) else source
-    root, _, size = _built(cfg, pairs)
+    root, _, size = build_root(cfg, pairs)
     return PersistentMap(cfg, root, size)
 
 
@@ -420,7 +413,7 @@ def multimap(source=(), *, key_hash=None, value_hash=None, specialize=True):
     """
     cfg = multimap_config(key_hash, value_hash, specialize)
     pairs = source.items() if isinstance(source, Mapping) else source
-    return PersistentMultiMap(cfg, *_built(cfg, pairs))
+    return PersistentMultiMap(cfg, *build_root(cfg, pairs))
 
 
 def _rebuild(factory, contents, options):

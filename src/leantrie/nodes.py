@@ -40,7 +40,9 @@ Structural invariants (checked by :func:`validate_root`):
 Mutating operations return ``(node, tuple_delta, key_delta)`` and return
 the receiver itself (identity, zero deltas) when nothing changed.  A
 changed node is path-copied: its new slot tuple is spliced from the old one
-by slicing and concatenation.
+by slicing and concatenation.  Construction does not go through them:
+:func:`build_root` builds a whole trie bottom-up, each node once, into the
+shape that the inserts would give.
 """
 
 from .bits import (
@@ -309,8 +311,9 @@ class CollisionNode(_Node):
 
     Keeps the same two payload regions as ``TrieNode`` (inline entries,
     then collection entries) but no bitmap and no sub-nodes; ``inline_n``
-    counts the inline entries.  Region-internal order is insertion order,
-    so structural equality compares regions as unordered collections.
+    counts the inline entries.  Region-internal order follows the history
+    (the order of inserts, or of first appearance in a bulk build), so
+    structural equality compares regions as unordered collections.
     """
 
     __slots__ = ("hash", "inline_n", "slots")
@@ -526,6 +529,127 @@ def _collision(key_hash, pairs):
     coll = [s for p, s in pairs if p == COLLECTION]
     slots = tuple(v for vals in inline + coll for v in vals)
     return CollisionNode(key_hash, len(inline), slots)
+
+
+def build_root(cfg, entries):
+    """``(root, tuple_count, key_count)`` of the trie holding ``entries``,
+    elements at width 1 and ``(key, value)`` pairs at width 2.
+
+    The result is node for node the trie that inserting ``entries`` one by
+    one into the empty root gives, with the same objects kept: a key's
+    first object, a set's first element, a map's last value (an equal later
+    value keeps the earlier object) and a multimap key's values in input
+    order.  Canonical form makes a trie's shape a function of its content,
+    so the nodes are built bottom-up, each exactly once: one pass groups the
+    entries by 32-bit hash, merging equal keys, and :func:`_trie_node`
+    partitions the groups by hash fragment.  A collision bucket orders each
+    region by the first appearance of its keys.
+    """
+    hasher = cfg.hasher
+    first = {}  # hash -> the entry of the first key with that hash
+    more = {}  # hash -> entries of later, different keys with that hash
+    if cfg.width == 1:
+        for e in entries:
+            h = hasher(e) & M32
+            e0 = first.setdefault(h, e)
+            if e0 is not e and not e0 == e:
+                bucket = more.setdefault(h, [])
+                if not any(k is e or k == e for k in bucket):
+                    bucket.append(e)
+    else:
+        vcfg = cfg.value_cfg
+        for key, value in entries:
+            h = hasher(key) & M32
+            entry = [key, value]
+            e0 = first.setdefault(h, entry)
+            if e0 is entry:
+                continue
+            k0 = e0[0]
+            if not (k0 is key or k0 == key):
+                bucket = more.setdefault(h, [])
+                e0 = next((e for e in bucket if e[0] is key or e[0] == key), entry)
+                if e0 is entry:
+                    bucket.append(entry)
+                    continue
+            # a known key: the sequential fold's _add_value, on a list
+            v0 = e0[1]
+            if len(e0) == 2 and (v0 is value or v0 == value):
+                continue
+            if vcfg is None:
+                e0[1] = value
+            else:
+                e0.append(value)
+
+    if not first:
+        return EMPTY_ROOT, 0, 0
+    items = []  # (hash, pattern, slot values), one per hash
+    tuples = 0
+    for h, e0 in first.items():
+        bucket = more.get(h)
+        if bucket is None:
+            p, s, n = _grouped_entry(cfg, e0)
+            items.append((h, p, s))
+            tuples += n
+            continue
+        pairs = []
+        for e in [e0, *bucket]:
+            p, s, n = _grouped_entry(cfg, e)
+            pairs.append((p, s))
+            tuples += n
+        items.append((h, NODE, (_collision(h, pairs),)))
+    keys = len(first) + sum(map(len, more.values()))
+    if len(items) == 1:
+        # a single hash: its entry, or its bucket, hangs off the root
+        h, p, s = items[0]
+        return TrieNode(p << ((h & 31) << 1), s), tuples, keys
+    return _trie_node(0, items), tuples, keys
+
+
+def _grouped_entry(cfg, e):
+    """``(pattern, slot values, value count)`` of one key grouped by
+    :func:`build_root`: an element, or a ``[key, value, ...]`` list with a
+    multimap key's values in input order."""
+    if cfg.width == 1:
+        return INLINE, (e,), 1
+    if len(e) == 2:
+        return INLINE, (e[0], e[1]), 1
+    if len(e) == 3:  # the two values are known to differ
+        return COLLECTION, (e[0], _set_of_two(cfg.value_cfg, e[1], e[2])), 2
+    root, n, _ = build_root(cfg.value_cfg, e[1:])
+    return COLLECTION, (e[0], root), n
+
+
+_REGION = {INLINE: 0, COLLECTION: 1, NODE: 2}
+
+
+def _trie_node(shift, items):
+    """``TrieNode`` at ``shift`` over ``items``, ``(hash, pattern, slot
+    values)`` triples of two or more distinct hashes; a branch that several
+    of them share gets a sub-node one level down."""
+    if len(items) == 2:
+        (h0, p0, s0), (h1, p1, s1) = items
+        if p0 != NODE and p1 != NODE:
+            return _merge(shift, h0, p0, s0, h1, p1, s1)
+    by_branch = {}
+    for item in items:
+        b = (item[0] >> shift) & 31
+        group = by_branch.get(b)
+        if group is None:
+            by_branch[b] = [item]
+        else:
+            group.append(item)
+    bm = 0
+    regions = ([], [], [])
+    for b in sorted(by_branch):
+        group = by_branch[b]
+        if len(group) == 1:
+            _, p, s = group[0]
+        else:
+            p, s = NODE, (_trie_node(shift + 5, group),)
+        bm |= p << (b << 1)
+        regions[_REGION[p]].extend(s)
+    inline, coll, nodes = regions
+    return TrieNode(bm, tuple(inline + coll + nodes))
 
 
 def _single_entry(node, w):

@@ -4,14 +4,13 @@ independent oracle.  Prints one line per check; returns overall success.
 """
 
 import random
+from time import perf_counter
 
 from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
 from .storage import footprint
-
-
 
 
 def _check_bitmap_algebra(rng):
@@ -87,6 +86,24 @@ def _check_canonical_shapes(rng):
         grown = grown.remove(k, v)
     check_invariants(grown)
     return grown._root.equals(grown._cfg, direct._root)
+
+
+def _check_bulk_build(rng):
+    pairs = [(rng.randrange(400), rng.randrange(3)) for _ in range(600)]
+    pairs += [(True, "t"), (1, 1), (1.0, 1)]  # equal keys of three types
+    for hasher in (None, lambda o: hash(o) % 7):
+        built = multimap(pairs, key_hash=hasher, value_hash=hasher)
+        folded = multimap(key_hash=hasher, value_hash=hasher)
+        for k, v in pairs:
+            folded = folded.put(k, v)
+        check_invariants(built)
+        if not built._root.equals(built._cfg, folded._root):
+            return False
+        if (built.tuple_count, built.key_count) != (folded.tuple_count, folded.key_count):
+            return False
+        if footprint(built).words_total != footprint(folded).words_total:
+            return False
+    return True
 
 
 def _check_footprint_constants(_rng):
@@ -199,6 +216,7 @@ CHECKS = (
     ("bitmap algebra vs per-branch oracle", _check_bitmap_algebra),
     ("multimap matches dict-of-sets model", _check_model_equivalence),
     ("canonical shapes are history-free", _check_canonical_shapes),
+    ("bulk build matches the put fold", _check_bulk_build),
     ("footprint constants and lean ratio", _check_footprint_constants),
     ("pure 1:1 multimap prices like a map", _check_one_to_one_degenerate),
     ("specialization is shape-invisible", _check_specialization_opacity),
@@ -208,19 +226,23 @@ CHECKS = (
 
 
 def run_selftest(stream=None):
-    """Run every quick check; print one status line each; return success."""
+    """Run every quick check; print one status line each, with the check's
+    runtime; return success."""
     import sys
 
     stream = stream or sys.stdout
     rng = random.Random(0xC0FFEE)
     ok = True
     for name, check in CHECKS:
+        start = perf_counter()
         try:
             passed = check(rng)
+            detail = ""
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            print(f"FAIL - {name} ({type(exc).__name__}: {exc})", file=stream)
-            ok = False
-            continue
-        print(("ok - " if passed else "FAIL - ") + name, file=stream)
+            passed = False
+            detail = f"{type(exc).__name__}: {exc}, "
+        ms = (perf_counter() - start) * 1e3
+        status = "ok - " if passed else "FAIL - "
+        print(f"{status}{name} ({detail}{ms:.0f} ms)", file=stream)
         ok = ok and passed
     return ok

@@ -174,8 +174,10 @@ def test_selftest_reports_every_check(capsys):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert len(lines) >= 8
+    assert len(lines) >= 9
     assert all(line.startswith("ok - ") for line in lines)
+    assert all(line.endswith(" ms)") for line in lines)  # each check's runtime
+    assert any("bulk build matches the put fold" in line for line in lines)
 
 
 # -- exit codes ---------------------------------------------------------------------------

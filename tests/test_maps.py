@@ -107,6 +107,18 @@ def test_set_lazy_size_from_view_roots():
     assert view._size == 5
 
 
+@pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
+def test_set_truthiness_counts_nothing(key_hash):
+    mm = multimap([("a", 1), ("k", 1), ("k", 2), ("k", 3)], key_hash=key_hash)
+    assert not mm.get("absent")
+    assert mm.get("a")
+    view = mm.get("k")
+    assert view
+    assert view._size is None  # bool() did not walk the nested set
+    assert not view.discard(1).discard(2).discard(3)
+    assert not pset() and pset([0])
+
+
 def test_set_repr():
     assert repr(pset()) == "pset({})"
     assert repr(pset([7])) == "pset({7})"
@@ -427,6 +439,72 @@ def test_pset_matches_builtin_set(elements):
     assert len(s) == len(set(elements))
 
 
+def _constant_hash(obj):
+    return 0
+
+
+# equal-but-distinct objects (1, True, 1.0 and 0, False, 0.0) next to
+# plain ones, so the kept object shows in its type
+_mixed_objects = st.one_of(
+    st.integers(-40, 40), st.sampled_from([True, False, 1.0, 0.0, -1.0])
+)
+
+
+def _kept_objects(pairs):
+    """Each distinct pair mapped to the types of the objects it holds."""
+    return {pair: tuple(map(type, pair)) for pair in pairs}
+
+
+@pytest.mark.parametrize(
+    "hasher",
+    [None, _colliding_hash, _constant_hash, lambda x: hash(x) % 13],
+    ids=["default", "colliding", "constant", "mod13"],
+)
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(_mixed_objects, _mixed_objects), max_size=80))
+def test_bulk_build_matches_the_insert_fold(hasher, pairs):
+    built = [
+        multimap(pairs, key_hash=hasher, value_hash=hasher),
+        pmap(pairs, key_hash=hasher),
+        pset([k for k, _ in pairs], element_hash=hasher),
+    ]
+    folded = [
+        multimap(key_hash=hasher, value_hash=hasher),
+        pmap(key_hash=hasher),
+        pset(element_hash=hasher),
+    ]
+    for key, value in pairs:
+        folded[0] = folded[0].put(key, value)
+        folded[1] = folded[1].put(key, value)
+        folded[2] = folded[2].add(key)
+    for b, f in zip(built, folded):
+        check_invariants(b)
+        assert b._root.equals(b._cfg, f._root)
+        assert leantrie.footprint(b).words_total == leantrie.footprint(f).words_total
+    assert (built[0].tuple_count, built[0].key_count) == (
+        folded[0].tuple_count,
+        folded[0].key_count,
+    )
+    assert len(built[1]) == len(folded[1]) and len(built[2]) == len(folded[2])
+    # the first key object, the first of equal values and the last map value
+    assert _kept_objects(built[0].items()) == _kept_objects(folded[0].items())
+    assert _kept_objects(built[1].items()) == _kept_objects(folded[1].items())
+    assert _kept_objects((e,) for e in built[2]) == _kept_objects((e,) for e in folded[2])
+    # a key whose values are all equal stays inline
+    inline = structure_stats(built[0])["inline_entries"]
+    assert inline == structure_stats(folded[0])["inline_entries"]
+
+
+def test_bulk_build_keeps_the_objects_the_fold_keeps():
+    mm = multimap([(1, 1), (True, True), (1, 1.0), (2, 0), (2, False), (2, 5)])
+    assert [(type(k), type(v)) for k, v in mm.items() if k == 1] == [(int, int)]
+    assert structure_stats(mm)["inline_entries"] == 1  # 1 -> {1, True, 1.0} collapsed
+    assert {type(v) for v in mm.get(2)} == {int}
+    m = pmap([(1, "a"), (True, "b"), (1.0, "c")])
+    assert [(type(k), v) for k, v in m.items()] == [(int, "c")]
+    assert [type(e) for e in pset([1.0, True, 1])] == [float]
+
+
 def test_structures_tolerate_mixed_key_types():
     mm = multimap([(1, "a"), ("1", "b"), ((1, 2), "c"), (None, "d"), (True, "e")])
     check_invariants(mm)
@@ -552,7 +630,8 @@ class _HashFailed(Exception):
 
 class _RaisingKey:
     """Hashes like ``twin`` so it reaches ``twin``'s entry, then raises on
-    the key comparison there."""
+    the key comparison there; as a value, the same at an equal-hashed
+    value."""
 
     def __init__(self, twin):
         self.twin = twin
@@ -582,6 +661,7 @@ def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
     )
     before = list(mm.items())
     key = _RaisingKey(twin)
+    value = _RaisingKey(0)  # meets the value 0 of "a" and of "b"'s nested set
     calls = [
         # a key that raises on the comparison at twin's entry
         (_EqualityFailed, lambda: mm.put(key, 5)),
@@ -600,6 +680,18 @@ def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
         (_HashFailed, lambda: mm.put(twin, bad)),
         (_HashFailed, lambda: mm.remove("b", bad)),
         (_HashFailed, lambda: mm.get("d")),
+        # a value that raises on the comparison with 0: promotion of "a" or
+        # nested insert into "b", removal or nested delete, the entry test
+        (_EqualityFailed, lambda: mm.put(twin, value)),
+        (_EqualityFailed, lambda: mm.remove(twin, value)),
+        (_EqualityFailed, lambda: mm.contains_entry(twin, value)),
+        # constructors fed twin and the raising key, one hash between them
+        (_EqualityFailed, lambda: multimap([(twin, 0), (key, 1)], key_hash=key_hash)),
+        (_EqualityFailed, lambda: multimap([(key, 1), (twin, 0)], key_hash=key_hash)),
+        (_EqualityFailed, lambda: pmap([(twin, 0), (key, 1)], key_hash=key_hash)),
+        (_EqualityFailed, lambda: pset([twin, key], element_hash=key_hash)),
+        # and a multimap fed a raising value for twin's key
+        (_EqualityFailed, lambda: multimap([(twin, 0), (twin, value)])),
     ]
     for error, call in calls:
         with pytest.raises(error):

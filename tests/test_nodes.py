@@ -210,8 +210,9 @@ PROMOTED_VALUE_HASHES = {
 @pytest.mark.parametrize("kind", PROMOTED_VALUE_HASHES)
 def test_promotion_builds_the_same_nested_set_as_inserts(kind, key_hash):
     table = dict(zip(("v0", "v1"), PROMOTED_VALUE_HASHES[kind]))
-    mm = multimap([("k", "v0"), ("j", "v0"), ("k", "v1")],
-                  key_hash=key_hash, value_hash=table.__getitem__)
+    base = multimap([("k", "v0"), ("j", "v0")],
+                    key_hash=key_hash, value_hash=table.__getitem__)
+    mm = base.put("k", "v1")  # the inline-to-collection promotion
     check_invariants(mm)
     promoted = mm.get("k")
     assert type(promoted._root) is TrieNode
