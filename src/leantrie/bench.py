@@ -23,9 +23,13 @@ deterministic.
 
 import csv
 import json
+import os
+import platform
 import random
 import statistics
+import subprocess
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from time import perf_counter_ns
 
 from .maps import multimap, pmap, pset
@@ -572,12 +576,32 @@ def write_footprint_csv(rows, stream):
     _write_csv(rows, FOOTPRINT_COLUMNS, stream)
 
 
+def _git_revision(directory):
+    """HEAD's commit of the checkout holding ``directory``; None outside a
+    checkout or without git."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=directory,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def _write_json(rows, columns, stream, generated_at, config=None):
     document = {
         "metadata": {
             "generated_at": generated_at,
             "config": config or {},
             "model": asdict(DEFAULT_MODEL),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "git_rev": _git_revision(Path(__file__).parent),
         },
         "rows": [{c: getattr(row, c) for c in columns} for row in rows],
     }

@@ -3,7 +3,10 @@
 The predecessor relation and the dominator sets are both held in
 :class:`~leantrie.PersistentMultiMap` instances; the fixpoint
 iteration exercises multimap construction, ``get`` of each key's value
-set, and set intersection over those sets.
+set, set intersection over those sets, and ``put_all``, which stores a
+vertex's new dominator set as is.  A vertex with one computed
+predecessor grows its set from that predecessor's by ``add``, so the two
+sets share every node off the copied path.
 
 Graphs are ingested from an edge-list format::
 
@@ -254,13 +257,12 @@ def _dominator_fixpoint(graph):
             acc = operands[0]
             for other in operands[1:]:
                 acc = acc & other
-            new = acc.add(n)
-            if new == dom.get(n):
-                continue
-            changed = True
-            dom = dom.remove_key(n)
-            for d in new:
-                dom = dom.put(n, d)
+            # stores the new set's root as is; the receiver comes back
+            # when Dom(n) is unchanged
+            rewritten = dom.put_all(n, acc.add(n))
+            if rewritten is not dom:
+                changed = True
+                dom = rewritten
     return dom, iterations, preds
 
 

@@ -3,10 +3,11 @@
 All three structures are immutable: update methods return a new instance
 that path-copies the changed nodes and shares the rest with the receiver,
 and return the receiver itself when the operation was a no-op.  The
-constructors (:func:`pset`, :func:`pmap`, :func:`multimap`, and the sets
-that the set operators and ``get`` return) do not fold updates: they build
-the trie bottom-up through :func:`leantrie.nodes.build_root`, each node
-once, into the shape the updates would give.
+constructors (:func:`pset`, :func:`pmap`, :func:`multimap`, the sets
+that the set operators return, and ``put_all`` given a plain iterable) do
+not fold updates: they build the trie bottom-up through
+:func:`leantrie.nodes.build_root`, each node once, into the shape the
+updates would give.
 
 * :class:`PersistentSet` -- hash set, ``collections.abc.Set``.
 * :class:`PersistentMap` -- hash map, ``collections.abc.Mapping``;
@@ -15,6 +16,10 @@ once, into the shape the updates would give.
   structure.  A key with a single value is stored inline, two slots and
   no nested allocation; the second distinct value promotes the entry to
   a nested persistent set, and deletion back to one value demotes it.
+  ``get`` hands out a key's values as a :class:`PersistentSet`, and
+  ``put_all`` takes such a set back as a key's whole value set, storing
+  its root without a copy, so value sets move between keys and versions
+  by sharing nodes.
 
 Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
 ``element_hash``); results are folded onto 32 bits.  ``specialize``
@@ -30,15 +35,18 @@ receiving process rebuilds the trie with its own hashes.
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 
-from .bits import INLINE
+from .bits import COLLECTION, INLINE
 from .nodes import (
+    EMPTY_ROOT,
     M32,
     InvariantError,
+    TrieNode,
     build_root,
     count_entries,
     map_config,
     multimap_config,
     node_stats,
+    put_values,
     set_config,
     validate_root,
 )
@@ -253,8 +261,9 @@ class PersistentMultiMap:
     ``len()`` counts (key, value) tuples; ``key_count`` counts distinct
     keys.  ``get`` returns a key's values as a :class:`PersistentSet`,
     whatever their storage: the empty set for an absent key, a one-element
-    set built from an inline value, or a set sharing the nested set's
-    nodes.  Construct with :func:`multimap`.
+    set over an inline value, or a set sharing the nested set's nodes.
+    ``put_all`` rewrites a key's whole value set in one update.  Construct
+    with :func:`multimap`.
     """
 
     __slots__ = ("_cfg", "_root", "_tuples", "_keys")
@@ -311,21 +320,51 @@ class PersistentMultiMap:
         root, td, kd = self._root.delete(cfg, 0, cfg.hasher(key) & M32, key, None, True)
         return self._updated(root, td, kd)
 
+    def put_all(self, key, values):
+        """Multimap in which ``key``'s values are exactly ``values``; self
+        if they already were.
+
+        No values removes the key, one is stored inline and more become a
+        nested set, in one path copy.  A :class:`PersistentSet` with this
+        multimap's value hasher is shared, not copied: its root is stored
+        as is.  Any other iterable is built into a set once.
+        """
+        cfg = self._cfg
+        vcfg = cfg.value_cfg
+        if isinstance(values, PersistentSet) and values._cfg.hasher is vcfg.hasher:
+            root, n = values._root, len(values)
+        else:
+            root, n, _ = build_root(vcfg, values)
+        if n == 0:
+            return self.remove_key(key)
+        if n == 1:  # a one-element root holds its element inline
+            entry = INLINE, (key, root.slots[0]), 1
+        else:
+            entry = COLLECTION, (key, root), n
+        root, td, kd = self._root.insert(
+            cfg, 0, cfg.hasher(key) & M32, key, entry, put_values
+        )
+        return self._updated(root, td, kd)
+
     def get(self, key):
         """The values bound to ``key``, as a :class:`PersistentSet`.
 
-        An absent key gives the empty set.  An inline value is built into
-        a one-element set, which calls the value hasher once; a collection
-        entry gives a set over the shared nested root, with no copy.
+        An absent key gives the empty set.  An inline value gets a
+        one-entry root of its own, which calls the value hasher once; a
+        collection entry gives a set over the shared nested root, with no
+        copy.
         """
         cfg = self._cfg
+        vcfg = cfg.value_cfg
         found = self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key)
         if found is None:
-            return _build_set(cfg.value_cfg, ())
+            return PersistentSet(vcfg, EMPTY_ROOT, 0)
         pattern, payload = found
         if pattern == INLINE:
-            return _build_set(cfg.value_cfg, (payload,))
-        return PersistentSet(cfg.value_cfg, payload, None)
+            h = vcfg.hasher(payload) & M32
+            root = TrieNode(INLINE << ((h & 31) << 1), (payload,))
+            return PersistentSet(vcfg, root, 1)
+        return PersistentSet(vcfg, payload, None)
 
     def contains_key(self, key):
         cfg = self._cfg

@@ -21,12 +21,15 @@ the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
 nested-set config for multimaps (``None`` selects replace-on-put map
 semantics; width-1 configs never see values at all).
 
-Every change to a payload entry is decided by one of two transitions that
-both node kinds share.  :func:`_add_value` covers map replace,
-inline-to-collection promotion and nested-set insert; :func:`_drop_value`
-covers inline removal, whole-key removal, nested-set delete and
-collection-to-inline demotion.  Each returns the entry's new pattern and
-slot values, and the node only places them (``_placed``).
+Every change to a payload entry is decided by one of three transitions
+that both node kinds share.  :func:`_add_value` covers a new key, map
+replace, inline-to-collection promotion and nested-set insert;
+:func:`put_values` replaces a multimap key's whole value set with a
+given inline value or nested root; :func:`_drop_value` covers inline
+removal, whole-key removal, nested-set delete and collection-to-inline
+demotion.  Each returns the entry's new pattern and slot values, and the
+node only places them (``_placed``).  ``insert`` is the one descent for
+the first two: it takes the transition as its ``add`` argument.
 
 Structural invariants (checked by :func:`validate_root`):
 
@@ -125,6 +128,78 @@ def _pos(bm, w, pattern, branch, n):
     return w * (n_inline + (filter_pattern(bm, COLLECTION) & below).bit_count())
 
 
+# -- payload transitions -------------------------------------------------------
+
+
+def _add_value(cfg, pattern, k0, payload, value):
+    """Entry ``k0`` of ``pattern`` (``payload`` is its value or nested set
+    root) with ``value`` added: ``(pattern, slot_values, tuple_delta)``,
+    or None when nothing changes.
+
+    An EMPTY entry is a key not yet present: it becomes inline.  A width-1
+    entry is its element; an inline value is kept when equal, replaced in
+    a map and promoted to a nested two-set in a multimap; a collection
+    entry inserts into its nested set.
+    """
+    if pattern == EMPTY:
+        return INLINE, ((k0, value) if cfg.width == 2 else (k0,)), 1
+    vcfg = cfg.value_cfg
+    if pattern == INLINE:
+        if cfg.width == 1 or payload is value or payload == value:
+            return None
+        if vcfg is None:
+            return INLINE, (k0, value), 0
+        return COLLECTION, (k0, _set_of_two(vcfg, payload, value)), 1
+    vh = vcfg.hasher(value) & M32
+    new_root, _, _ = payload.insert(vcfg, 0, vh, value, None)
+    if new_root is payload:
+        return None
+    return COLLECTION, (k0, new_root), 1
+
+
+def put_values(cfg, pattern, k0, payload, entry):
+    """Entry ``k0`` of ``pattern`` replaced by ``entry``, the key's whole
+    new ``(pattern, slot_values, value_count)`` in a multimap: an inline
+    value or a nested set root, stored as given.  Returns
+    ``(pattern, slot_values, tuple_delta)``, or None when the key already
+    holds equal values; node ``equals`` stops early on shared subtrees.
+    """
+    p, vals, n = entry
+    if pattern == EMPTY:
+        return entry
+    vcfg = cfg.value_cfg
+    new = vals[1]
+    if p == pattern and (
+        payload.equals(vcfg, new) if p == COLLECTION else _eq(payload, new)
+    ):
+        return None
+    old = 1 if pattern == INLINE else count_entries(vcfg, payload)
+    return p, vals, n - old
+
+
+def _drop_value(cfg, pattern, k0, payload, value, drop_key):
+    """Entry ``k0`` of ``pattern`` with ``value`` removed, or with every
+    value when ``drop_key``: ``(pattern, slot_values, tuple_delta)``, or
+    None when nothing changes.  A nested set left with one value demotes
+    back to an inline pair.
+    """
+    if pattern == INLINE:
+        if drop_key or payload is value or payload == value:
+            return EMPTY, (), -1
+        return None
+    vcfg = cfg.value_cfg
+    if drop_key:
+        return EMPTY, (), -count_entries(vcfg, payload)
+    vh = vcfg.hasher(value) & M32
+    new_root, _, _ = payload.delete(vcfg, 0, vh, value, None, True)
+    if new_root is payload:
+        return None
+    single = _single_entry(new_root, 1)
+    if single is not None:
+        return INLINE, (k0, single[1][0]), -1
+    return COLLECTION, (k0, new_root), -1
+
+
 class _Node:
     """Iteration shared by both node kinds, driven by ``region_counts``."""
 
@@ -209,7 +284,9 @@ class TrieNode(_Node):
             return (pattern, slots[pos + w - 1])
         return None
 
-    def insert(self, cfg, shift, key_hash, key, value):
+    def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
+        """This node with ``add``'s transition applied to ``key``'s entry:
+        ``_add_value`` adds ``value``, ``put_values`` replaces the entry."""
         bm = self.bitmap
         w = cfg.width
         branch = (key_hash >> shift) & 31
@@ -218,20 +295,20 @@ class TrieNode(_Node):
         if pattern == EMPTY:
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
-            bm |= INLINE << (branch << 1)
-            pos = _pos(bm, w, INLINE, branch, len(slots) + w)
-            vals = (key, value) if w == 2 else (key,)
-            return TrieNode(bm, slots[:pos] + vals + slots[pos:]), 1, 1
+            p, vals, td = add(cfg, EMPTY, key, None, value)
+            bm |= p << (branch << 1)
+            pos = _pos(bm, w, p, branch, len(slots) + len(vals))
+            return TrieNode(bm, slots[:pos] + vals + slots[pos:]), td, 1
         pos = _pos(bm, w, pattern, branch, len(slots))
         if pattern == NODE:
             child = slots[pos]
-            new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value)
+            new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value, add)
             if new_child is child:
                 return self, 0, 0
             return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
         k0 = slots[pos]
         if k0 is key or k0 == key:
-            added = _add_value(cfg, pattern, k0, slots[pos + w - 1], value)
+            added = add(cfg, pattern, k0, slots[pos + w - 1], value)
             if added is None:
                 return self, 0, 0
             p, vals, td = added
@@ -239,9 +316,9 @@ class TrieNode(_Node):
         # different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
         s0 = slots[pos : pos + w]
-        s1 = (key, value) if w == 2 else (key,)
-        child = _merge(shift + 5, h0, pattern, s0, key_hash, INLINE, s1)
-        return self._placed(w, branch, pos, w, NODE, (child,)), 1, 1
+        p1, s1, td = add(cfg, EMPTY, key, None, value)
+        child = _merge(shift + 5, h0, pattern, s0, key_hash, p1, s1)
+        return self._placed(w, branch, pos, w, NODE, (child,)), td, 1
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         bm = self.bitmap
@@ -363,19 +440,19 @@ class CollisionNode(_Node):
         pattern, pos = found
         return (pattern, self.slots[pos + w - 1])
 
-    def insert(self, cfg, shift, key_hash, key, value):
+    def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
         if key_hash != self.hash:
             # hashes differ after all: give the bucket a parent level first
             bm = NODE << (((self.hash >> shift) & 31) << 1)
-            return TrieNode(bm, (self,)).insert(cfg, shift, key_hash, key, value)
+            return TrieNode(bm, (self,)).insert(cfg, shift, key_hash, key, value, add)
         w = cfg.width
         slots = self.slots
         found = self._find(w, key)
         if found is None:
-            vals = (key, value) if w == 2 else (key,)
-            return self._placed(w, EMPTY, len(slots), 0, INLINE, vals), 1, 1
+            p, vals, td = add(cfg, EMPTY, key, None, value)
+            return self._placed(w, EMPTY, len(slots), 0, p, vals), td, 1
         pattern, pos = found
-        added = _add_value(cfg, pattern, slots[pos], slots[pos + w - 1], value)
+        added = add(cfg, pattern, slots[pos], slots[pos + w - 1], value)
         if added is None:
             return self, 0, 0
         p, vals, td = added
@@ -435,55 +512,6 @@ def _match_unordered(left, right, same):
         else:
             return False
     return True
-
-
-# -- payload transitions -------------------------------------------------------
-
-
-def _add_value(cfg, pattern, k0, payload, value):
-    """Entry ``k0`` of ``pattern`` (``payload`` is its value or nested set
-    root) with ``value`` added: ``(pattern, slot_values, tuple_delta)``,
-    or None when nothing changes.
-
-    A width-1 entry is its element; an inline value is kept when equal,
-    replaced in a map and promoted to a nested two-set in a multimap; a
-    collection entry inserts into its nested set.
-    """
-    vcfg = cfg.value_cfg
-    if pattern == INLINE:
-        if cfg.width == 1 or payload is value or payload == value:
-            return None
-        if vcfg is None:
-            return INLINE, (k0, value), 0
-        return COLLECTION, (k0, _set_of_two(vcfg, payload, value)), 1
-    vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.insert(vcfg, 0, vh, value, None)
-    if new_root is payload:
-        return None
-    return COLLECTION, (k0, new_root), 1
-
-
-def _drop_value(cfg, pattern, k0, payload, value, drop_key):
-    """Entry ``k0`` of ``pattern`` with ``value`` removed, or with every
-    value when ``drop_key``: ``(pattern, slot_values, tuple_delta)``, or
-    None when nothing changes.  A nested set left with one value demotes
-    back to an inline pair.
-    """
-    if pattern == INLINE:
-        if drop_key or payload is value or payload == value:
-            return EMPTY, (), -1
-        return None
-    vcfg = cfg.value_cfg
-    if drop_key:
-        return EMPTY, (), -count_entries(vcfg, payload)
-    vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.delete(vcfg, 0, vh, value, None, True)
-    if new_root is payload:
-        return None
-    single = _single_entry(new_root, 1)
-    if single is not None:
-        return INLINE, (k0, single[1][0]), -1
-    return COLLECTION, (k0, new_root), -1
 
 
 # -- construction helpers ------------------------------------------------------
@@ -674,8 +702,17 @@ def _collision_under_chain(node, w):
 
 def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
-    width-1 tries)."""
-    return sum(1 for _ in node.iter_entries(cfg))
+    width-1 tries), summed from region counts without visiting them."""
+    w = cfg.width
+    n_i, n_c, _ = node.region_counts(w)
+    slots = node.slots
+    end = w * n_i + 2 * n_c
+    total = n_i
+    for pos in range(w * n_i + 1, end, 2):
+        total += count_entries(cfg.value_cfg, slots[pos])
+    for child in slots[end:]:
+        total += count_entries(cfg, child)
+    return total
 
 
 # -- validation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Quick self-checks: bitmap algebra, model equivalence, canonical shapes,
-footprint constants, and the dominator fixpoint, each against a small
+bulk build and ``put_all`` against their update folds, footprint
+constants, and the dominator fixpoint, each against a small
 independent oracle.  Prints one line per check; returns overall success.
 """
 
@@ -103,6 +104,29 @@ def _check_bulk_build(rng):
             return False
         if footprint(built).words_total != footprint(folded).words_total:
             return False
+    return True
+
+
+def _check_put_all(rng):
+    for hasher in (None, lambda o: hash(o) % 7):
+        pairs = [(rng.randrange(60), rng.randrange(6)) for _ in range(150)]
+        mm = multimap(pairs, key_hash=hasher, value_hash=hasher)
+        for _ in range(300):
+            key = rng.randrange(80)
+            if rng.random() < 0.5:
+                values = [rng.randrange(6) for _ in range(rng.randrange(4))]
+            else:
+                values = mm.get(rng.randrange(60))  # a shared value set
+            got = mm.put_all(key, values)
+            folded = mm.remove_key(key)
+            for v in values:
+                folded = folded.put(key, v)
+            if not got._root.equals(got._cfg, folded._root):
+                return False
+            if (got.tuple_count, got.key_count) != (folded.tuple_count, folded.key_count):
+                return False
+            mm = got
+        check_invariants(mm)
     return True
 
 
@@ -217,6 +241,7 @@ CHECKS = (
     ("multimap matches dict-of-sets model", _check_model_equivalence),
     ("canonical shapes are history-free", _check_canonical_shapes),
     ("bulk build matches the put fold", _check_bulk_build),
+    ("put_all matches the remove_key + put fold", _check_put_all),
     ("footprint constants and lean ratio", _check_footprint_constants),
     ("pure 1:1 multimap prices like a map", _check_one_to_one_degenerate),
     ("specialization is shape-invisible", _check_specialization_opacity),

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import platform
+import re
 
 import pytest
 
@@ -17,6 +20,7 @@ from leantrie.bench import (
     WorkloadSpec,
     _adapter,
     _correctness_gate,
+    _git_revision,
     default_structures,
     generate_workload,
     run_benchmarks,
@@ -273,6 +277,17 @@ def test_json_report_carries_metadata_and_rows():
     assert document["rows"] == [
         {c: getattr(rows[0], c) for c in BENCH_COLUMNS}
     ]
+    # run metadata: where the report was produced
+    metadata = document["metadata"]
+    assert metadata["python"] == platform.python_version()
+    assert metadata["platform"] == platform.platform()
+    assert metadata["cpu_count"] == os.cpu_count()
+    rev = metadata["git_rev"]
+    assert rev is None or re.fullmatch("[0-9a-f]{40}", rev)
+
+
+def test_git_revision_is_null_outside_a_checkout(tmp_path):
+    assert _git_revision(tmp_path) is None
 
 
 def test_dataset_shape_is_frozen():

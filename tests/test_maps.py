@@ -11,6 +11,7 @@ from collections.abc import Mapping, Set
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import leantrie
 from leantrie import (
@@ -505,6 +506,167 @@ def test_bulk_build_keeps_the_objects_the_fold_keeps():
     assert [type(e) for e in pset([1.0, True, 1])] == [float]
 
 
+# -- put_all ---------------------------------------------------------------------------
+
+
+def _put_all_fold(mm, key, values):
+    """What ``put_all`` must equal: drop the key, then put each value."""
+    mm = mm.remove_key(key)
+    for v in values:
+        mm = mm.put(key, v)
+    return mm
+
+
+# every argument kind put_all takes, as a factory over (values, value hasher)
+_PUT_ALL_INPUTS = {
+    "empty": lambda vs, h: [],
+    "one": lambda vs, h: vs[:1],
+    "same_hasher_set": lambda vs, h: pset(vs, element_hash=h),
+    "get_result": lambda vs, h: multimap([(0, v) for v in vs], value_hash=h).get(0),
+    "other_hasher_set": lambda vs, h: pset(vs, element_hash=_constant_hash),
+    "list_with_duplicates": lambda vs, h: vs + vs[::-1],
+    "generator": lambda vs, h: (v for v in vs),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PUT_ALL_INPUTS))
+@pytest.mark.parametrize("hasher", [None, _colliding_hash], ids=["trie", "bucket"])
+@settings(max_examples=25, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_mixed_objects, _mixed_objects), max_size=40),
+    key=_mixed_objects,
+    values=st.lists(_mixed_objects, max_size=6),
+)
+def test_put_all_matches_the_remove_key_and_put_fold(hasher, kind, pairs, key, values):
+    mm = multimap(pairs, key_hash=hasher, value_hash=hasher)
+    make = _PUT_ALL_INPUTS[kind]
+    arg = make(values, hasher)
+    got = mm.put_all(key, arg)
+    want = _put_all_fold(mm, key, make(values, hasher))
+    check_invariants(got)
+    assert got._root.equals(got._cfg, want._root)
+    assert (got.tuple_count, got.key_count) == (want.tuple_count, want.key_count)
+    if got is not mm:  # a rewrite stores the caller's key and values
+        assert _kept_objects(got.items()) == _kept_objects(want.items())
+        if kind in ("same_hasher_set", "get_result") and len(arg) > 1:
+            assert got.get(key)._root is arg._root  # shared, not copied
+    # an equal rewrite, and removing an absent key, give the receiver back
+    assert got.put_all(key, list(got.get(key))) is got
+    assert got.put_all(key, got.get(key)) is got
+    assert mm.put_all(object(), ()) is mm
+
+
+# -- persistence under history ----------------------------------------------------------
+
+
+_KEYS = st.integers(0, 5)
+_VALUES = st.integers(0, 4)
+
+
+class _HistoryMachine(RuleBasedStateMachine):
+    """Every multimap version ever produced stays what it was.
+
+    Each step derives a new version from some earlier one and records it
+    with its dict-of-sets snapshot and the ``get`` results taken from it;
+    after each step a sample of old versions is checked again in full.
+    """
+
+    hasher = None
+
+    def __init__(self):
+        super().__init__()
+        self.versions = [(multimap(key_hash=self.hasher, value_hash=self.hasher), {})]
+        self.gets = []  # (value set from get, its snapshot at the time)
+
+    def _derive(self, pick, update):
+        mm, snapshot = self.versions[pick % len(self.versions)]
+        model = {k: set(vs) for k, vs in snapshot.items()}
+        new = update(mm, model)
+        self.versions.append((new, {k: frozenset(vs) for k, vs in model.items() if vs}))
+
+    @rule(pick=st.integers(0, 99), key=_KEYS, value=_VALUES)
+    def put(self, pick, key, value):
+        def update(mm, model):
+            model.setdefault(key, set()).add(value)
+            return mm.put(key, value)
+
+        self._derive(pick, update)
+
+    @rule(pick=st.integers(0, 99), key=_KEYS, value=_VALUES)
+    def remove(self, pick, key, value):
+        def update(mm, model):
+            model.get(key, set()).discard(value)
+            return mm.remove(key, value)
+
+        self._derive(pick, update)
+
+    @rule(pick=st.integers(0, 99), key=_KEYS)
+    def remove_key(self, pick, key):
+        def update(mm, model):
+            model.pop(key, None)
+            return mm.remove_key(key)
+
+        self._derive(pick, update)
+
+    @rule(pick=st.integers(0, 99), key=_KEYS, values=st.lists(_VALUES, max_size=5))
+    def put_all_list(self, pick, key, values):
+        def update(mm, model):
+            model[key] = set(values)
+            return mm.put_all(key, values)
+
+        self._derive(pick, update)
+
+    @rule(pick=st.integers(0, 99), source=st.integers(0, 99), src_key=_KEYS, key=_KEYS)
+    def put_all_shared(self, pick, source, src_key, key):
+        # another key's value set, from any version, shared by the result
+        src, src_snapshot = self.versions[source % len(self.versions)]
+        shared = src.get(src_key)
+        self.gets.append((shared, src_snapshot.get(src_key, frozenset())))
+
+        def update(mm, model):
+            model[key] = set(shared)
+            return mm.put_all(key, shared)
+
+        self._derive(pick, update)
+
+    @invariant()
+    def old_versions_are_intact(self):
+        for i in _sample(len(self.versions)):
+            self._check(*self.versions[i])
+        for i in _sample(len(self.gets)):
+            got, snapshot = self.gets[i]
+            assert set(got) == snapshot
+            check_invariants(got)
+
+    def _check(self, mm, snapshot):
+        assert {k: frozenset(mm.get(k)) for k in mm.keys()} == snapshot
+        assert mm.key_count == len(snapshot)
+        assert mm.tuple_count == sum(map(len, snapshot.values()))
+        check_invariants(mm)
+        fresh = multimap(
+            [(k, v) for k, vs in snapshot.items() for v in vs],
+            key_hash=self.hasher,
+            value_hash=self.hasher,
+        )
+        assert mm._root.equals(mm._cfg, fresh._root)
+
+
+def _sample(n):
+    """A few indices spread over ``n`` versions, the newest two always."""
+    return sorted({i for i in (0, n // 3, 2 * n // 3, n - 2, n - 1) if 0 <= i < n})
+
+
+class _CollidingHistoryMachine(_HistoryMachine):
+    hasher = staticmethod(_colliding_hash)
+
+
+_HISTORY = settings(max_examples=30, stateful_step_count=30, deadline=None)
+TestPersistenceUnderHistory = _HistoryMachine.TestCase
+TestPersistenceUnderHistory.settings = _HISTORY
+TestPersistenceUnderHistoryColliding = _CollidingHistoryMachine.TestCase
+TestPersistenceUnderHistoryColliding.settings = _HISTORY
+
+
 def test_structures_tolerate_mixed_key_types():
     mm = multimap([(1, "a"), ("1", "b"), ((1, 2), "c"), (None, "d"), (True, "e")])
     check_invariants(mm)
@@ -675,11 +837,14 @@ def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
         (_HashFailed, lambda: mm.remove_key(bad)),
         (_HashFailed, lambda: mm.contains_entry(bad, 0)),
         (_HashFailed, lambda: mm.get(bad)),
+        (_EqualityFailed, lambda: mm.put_all(key, [5])),
+        (_HashFailed, lambda: mm.put_all(bad, [5])),
         # a value the value hasher fails on: promotion of "a" or insert into
         # the nested set of "b", delete from it, and get of an inline value
         (_HashFailed, lambda: mm.put(twin, bad)),
         (_HashFailed, lambda: mm.remove("b", bad)),
         (_HashFailed, lambda: mm.get("d")),
+        (_HashFailed, lambda: mm.put_all(twin, [0, bad])),
         # a value that raises on the comparison with 0: promotion of "a" or
         # nested insert into "b", removal or nested delete, the entry test
         (_EqualityFailed, lambda: mm.put(twin, value)),
