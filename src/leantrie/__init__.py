@@ -17,7 +17,13 @@ from .maps import (
     pset,
     structure_stats,
 )
-from .storage import DEFAULT_MODEL, FootprintModel, FootprintReport, footprint
+from .storage import (
+    DEFAULT_MODEL,
+    FootprintModel,
+    FootprintReport,
+    footprint,
+    object_bytes,
+)
 
 __all__ = [
     "PersistentMap",
@@ -30,6 +36,7 @@ __all__ = [
     "FootprintReport",
     "DEFAULT_MODEL",
     "footprint",
+    "object_bytes",
     "check_invariants",
     "structure_stats",
 ]

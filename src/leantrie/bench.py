@@ -17,8 +17,9 @@ Three structures are comparable on one dataset:
 Every timed cell is preceded by a correctness gate that cross-checks
 the structure against a dict-of-sets reference model; timings report
 the median and the median absolute deviation in nanoseconds per single
-operation.  Footprint rows use the abstract word model and are fully
-deterministic.
+operation.  Footprint rows give the abstract word model, which is fully
+deterministic, next to real CPython bytes (:func:`object_bytes`), which
+are deterministic for one Python build.
 """
 
 import csv
@@ -33,7 +34,7 @@ from pathlib import Path
 from time import perf_counter_ns
 
 from .maps import multimap, pmap, pset
-from .storage import DEFAULT_MODEL, footprint
+from .storage import DEFAULT_MODEL, footprint, object_bytes
 
 OPERATIONS = (
     "lookup",
@@ -53,9 +54,11 @@ FOOTPRINT_COLUMNS = (
     "structure",
     "size_exponent",
     "words_total",
+    "bytes_total",
     "nodes",
     "slots",
     "ratio_vs_baseline",
+    "bytes_ratio_vs_baseline",
 )
 
 
@@ -205,12 +208,16 @@ class _MultiMapAdapter:
 
 class _MapOfSetsAdapter:
     name = "map_of_sets"
+    # the empty value set: every value set grows from it and so shares its
+    # config, as a multimap's nested sets share theirs
+    empty = pset()
 
     def build(self, dataset):
         grouped = {}
         for k, v in dataset.entries:
             grouped.setdefault(k, []).append(v)
-        return pmap((k, pset(vs)) for k, vs in grouped.items())
+        make = self.empty._from_iterable
+        return pmap((k, make(vs)) for k, vs in grouped.items())
 
     def lookup(self, s, k, v):
         nested = s.get(k)
@@ -219,7 +226,7 @@ class _MapOfSetsAdapter:
     def insert(self, s, k, v):
         nested = s.get(k)
         if nested is None:
-            return s.put(k, pset((v,)))
+            return s.put(k, self.empty.add(v))
         return s.put(k, nested.add(v))
 
     def delete(self, s, k, v):
@@ -512,16 +519,19 @@ class FootprintRow:
     structure: str
     size_exponent: int
     words_total: int
+    bytes_total: int
     nodes: int
     slots: int
     ratio_vs_baseline: float
+    bytes_ratio_vs_baseline: float
 
 
 def run_footprint(size_exponents, mix=0.5, seed=0):
-    """Deterministic modeled-word comparison rows, multimap vs baseline.
+    """Modeled-word and real-byte comparison rows, multimap vs baseline.
 
     ``ratio_vs_baseline`` divides the baseline's total words by the
-    structure's own (so the baseline rows carry 1.0).
+    structure's own (so the baseline rows carry 1.0), and
+    ``bytes_ratio_vs_baseline`` does the same for ``bytes_total``.
     """
     spec = WorkloadSpec(size_exponents=tuple(size_exponents), mix=mix)
     mm_adapter = _adapter("multimap")
@@ -535,14 +545,18 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
         _correctness_gate(base_adapter, baseline, dataset)
         mm_report = footprint(mm)
         base_report = footprint(baseline)
+        mm_bytes = object_bytes(mm)
+        base_bytes = object_bytes(baseline)
         rows.append(
             FootprintRow(
                 structure="multimap",
                 size_exponent=x,
                 words_total=mm_report.words_total,
+                bytes_total=mm_bytes,
                 nodes=mm_report.nodes,
                 slots=mm_report.slots,
                 ratio_vs_baseline=round(base_report.words_total / mm_report.words_total, 4),
+                bytes_ratio_vs_baseline=round(base_bytes / mm_bytes, 4),
             )
         )
         rows.append(
@@ -550,9 +564,11 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
                 structure="map_of_sets",
                 size_exponent=x,
                 words_total=base_report.words_total,
+                bytes_total=base_bytes,
                 nodes=base_report.nodes,
                 slots=base_report.slots,
                 ratio_vs_baseline=1.0,
+                bytes_ratio_vs_baseline=1.0,
             )
         )
     return rows

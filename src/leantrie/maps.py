@@ -25,17 +25,18 @@ Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
 ``element_hash``); results are folded onto 32 bits.  ``specialize``
 only changes how :func:`leantrie.footprint` prices small nodes (as
 fixed-arity objects with no indirection word, the default, or as nodes
-with an out-of-line slot block); nodes hold a plain tuple of slots either
-way.  Structures pickle and deep-copy when their hash functions are
-module-level functions: a pickle holds a structure's contents, hash
-functions and ``specialize`` flag, never its nodes, because node layout
-follows hashes that differ between processes (``PYTHONHASHSEED``); the
-receiving process rebuilds the trie with its own hashes.
+with an out-of-line slot block); a trie node is one tuple, its bitmap
+and slots, either way.  Structures pickle and deep-copy when their hash
+functions are module-level functions: a pickle holds a structure's
+contents, hash functions and ``specialize`` flag, never its nodes,
+because node layout follows hashes that differ between processes
+(``PYTHONHASHSEED``); the receiving process rebuilds the trie with its
+own hashes.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 
-from .bits import COLLECTION, INLINE
+from .bits import INLINE
 from .nodes import (
     EMPTY_ROOT,
     M32,
@@ -132,7 +133,7 @@ class PersistentSet(Set):
         return self._size
 
     def __bool__(self):
-        return bool(self._root.slots)  # only an empty root holds no slots
+        return len(self._root) > 1  # only an empty root holds no slots
 
     def __eq__(self, other):
         if self is other:
@@ -332,17 +333,13 @@ class PersistentMultiMap:
         cfg = self._cfg
         vcfg = cfg.value_cfg
         if isinstance(values, PersistentSet) and values._cfg.hasher is vcfg.hasher:
-            root, n = values._root, len(values)
+            root, n = values._root, values._size
         else:
             root, n, _ = build_root(vcfg, values)
-        if n == 0:
+        if len(root) == 1:  # the empty root
             return self.remove_key(key)
-        if n == 1:  # a one-element root holds its element inline
-            entry = INLINE, (key, root.slots[0]), 1
-        else:
-            entry = COLLECTION, (key, root), n
         root, td, kd = self._root.insert(
-            cfg, 0, cfg.hasher(key) & M32, key, entry, put_values
+            cfg, 0, cfg.hasher(key) & M32, key, (key, root, n), put_values
         )
         return self._updated(root, td, kd)
 
@@ -362,7 +359,7 @@ class PersistentMultiMap:
         pattern, payload = found
         if pattern == INLINE:
             h = vcfg.hasher(payload) & M32
-            root = TrieNode(INLINE << ((h & 31) << 1), (payload,))
+            root = TrieNode((INLINE << ((h & 31) << 1), payload))
             return PersistentSet(vcfg, root, 1)
         return PersistentSet(vcfg, payload, None)
 

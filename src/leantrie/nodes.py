@@ -1,20 +1,31 @@
 """Trie node machinery shared by the map, set, and multimap.
 
 Nodes are immutable.  A ``TrieNode`` consumes five hash bits per level
-(shifts 0..30 over 32-bit hashes) and keeps a single 64-bit pattern bitmap
-(see :mod:`leantrie.bits`) plus one flat slot run, an immutable tuple,
-laid out as::
+(shifts 0..30 over 32-bit hashes) and is itself one tuple: element 0 is
+its 64-bit pattern bitmap (see :mod:`leantrie.bits`) and elements 1.. are
+its flat slot run, laid out as::
 
-    [inline entries][collection entries][sub-node references]
+    (bitmap, [inline entries][collection entries][sub-node references])
 
 Inline entries are ``width`` slots each (1 for sets, 2 for maps and
 multimaps); collection entries are always ``(key, set-root)`` pairs whose
 second slot is the root node of a nested element trie, and occur only at
 width 2, so every payload entry is ``width`` slots wide; sub-node
 references are one slot.  Entries within a region are ordered by branch
-index.  :func:`_pos` is the one layout rule: lookup, insert and delete all
-find a branch's slot through it.  A ``CollisionNode`` keeps the two
-payload regions without a bitmap.
+index.  :func:`_pos` is the one layout rule: insert and delete find a
+branch's index through it, and ``lookup``, a loop over trie levels, ranks
+inline entries and sub-nodes by the same plane arithmetic written inline.
+A ``CollisionNode`` keeps the two payload regions in a slot tuple of its
+own, without a bitmap.
+
+A ``TrieNode`` is a ``tuple`` subclass with no instance dictionary, so a
+node costs one CPython object rather than an object plus a slot tuple.
+Its ``==`` and ``hash`` are identity, as for any other object: a content
+comparison would recurse into stored keys.  It reports its true size:
+CPython allocates every instance of a heap tuple subtype with one item
+more than it holds (the generic allocator's sentinel), which
+``tuple.__sizeof__`` leaves out, so ``TrieNode.__sizeof__`` adds that
+item and ``sys.getsizeof`` agrees with what ``tracemalloc`` sees.
 
 Sets, maps, and multimaps share this machinery through a ``TrieConfig``:
 the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
@@ -25,11 +36,12 @@ Every change to a payload entry is decided by one of three transitions
 that both node kinds share.  :func:`_add_value` covers a new key, map
 replace, inline-to-collection promotion and nested-set insert;
 :func:`put_values` replaces a multimap key's whole value set with a
-given inline value or nested root; :func:`_drop_value` covers inline
-removal, whole-key removal, nested-set delete and collection-to-inline
-demotion.  Each returns the entry's new pattern and slot values, and the
-node only places them (``_placed``).  ``insert`` is the one descent for
-the first two: it takes the transition as its ``add`` argument.
+given nested root, stored inline when it holds one value;
+:func:`_drop_value` covers inline removal, whole-key removal, nested-set
+delete and collection-to-inline demotion.  Each returns the entry's new
+pattern and slot values, and the node only places them (``_placed``).
+``insert`` is the one descent for the first two: it takes the transition
+as its ``add`` argument.
 
 Structural invariants (checked by :func:`validate_root`):
 
@@ -42,7 +54,7 @@ Structural invariants (checked by :func:`validate_root`):
 
 Mutating operations return ``(node, tuple_delta, key_delta)`` and return
 the receiver itself (identity, zero deltas) when nothing changed.  A
-changed node is path-copied: its new slot tuple is spliced from the old one
+changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
 :func:`build_root` builds a whole trie bottom-up, each node once, into the
 shape that the inserts would give.
@@ -51,9 +63,9 @@ shape that the inserts would give.
 from .bits import (
     COLLECTION,
     EMPTY,
+    EVEN_BITS,
     INLINE,
     NODE,
-    filter_pattern,
     set_pattern,
 )
 
@@ -95,14 +107,16 @@ def _eq(a, b):
     return a is b or a == b
 
 
-def _splice(old, rm_pos, rm_len, ins_pos, vals):
-    """``old`` minus ``rm_len`` slots at ``rm_pos``, with ``vals`` inserted
-    at ``ins_pos`` (a position in the result, i.e. after the removal)."""
-    if ins_pos <= rm_pos:
-        return old[:ins_pos] + vals + old[ins_pos:rm_pos] + old[rm_pos + rm_len :]
+def _splice(old, rm_pos, rm_len, ins_pos, vals, head=()):
+    """``old`` minus ``rm_len`` items at ``rm_pos``, with ``vals`` inserted
+    at ``ins_pos`` (a position in the result, i.e. after the removal) and
+    its first ``len(head)`` items replaced by ``head``."""
+    lead = len(head)
     rm_end = rm_pos + rm_len
+    if ins_pos <= rm_pos:
+        return head + old[lead:ins_pos] + vals + old[ins_pos:rm_pos] + old[rm_end:]
     ins_at = rm_end + ins_pos - rm_pos
-    return old[:rm_pos] + old[rm_end:ins_at] + vals + old[ins_at:]
+    return head + old[lead:rm_pos] + old[rm_end:ins_at] + vals + old[ins_at:]
 
 
 def _replaced(old, pos, value):
@@ -110,22 +124,28 @@ def _replaced(old, pos, value):
 
 
 def _pos(bm, w, pattern, branch, n):
-    """Slot index of ``branch``'s entry of ``pattern`` in the ``n``-slot run
-    of a node with bitmap ``bm``.
+    """Index of ``branch``'s entry of ``pattern`` in a trie node of length
+    ``n`` with bitmap ``bm``.
 
-    Inline entries come first, then collection entries, each region in
-    branch order and each entry ``w`` slots wide.  Sub-nodes close the run
-    in branch order, so a sub-node sits as many slots from the end as there
-    are sub-nodes on branches >= ``branch``.
+    The bitmap splits into two bit planes, ``bm & EVEN_BITS`` (lo) and
+    ``bm >> 1 & EVEN_BITS`` (hi), with bit ``2b`` set iff branch ``b``'s
+    pattern has its low or high bit set: inline branches are hi but not lo,
+    collections both, sub-nodes lo but not hi; each rank is the popcount
+    of one plane expression.  Inline entries come first, right after the
+    bitmap, then collection entries, each region in branch order and each
+    entry ``w`` slots wide.  Sub-nodes close the node in branch order, so a
+    sub-node sits as many items from the end as there are sub-nodes on
+    branches >= ``branch``.
     """
     offset = branch << 1
     if pattern == NODE:
-        return n - (filter_pattern(bm, NODE) >> offset).bit_count()
+        return n - ((bm & ~(bm >> 1) & EVEN_BITS) >> offset).bit_count()
+    hi = (bm >> 1) & EVEN_BITS
     below = (1 << offset) - 1
     if pattern == INLINE:
-        return w * (filter_pattern(bm, INLINE) & below).bit_count()
-    n_inline = filter_pattern(bm, INLINE).bit_count()
-    return w * (n_inline + (filter_pattern(bm, COLLECTION) & below).bit_count())
+        return 1 + w * (hi & ~bm & below).bit_count()
+    both = hi & bm
+    return 1 + w * ((hi ^ both).bit_count() + (both & below).bit_count())
 
 
 # -- payload transitions -------------------------------------------------------
@@ -157,24 +177,35 @@ def _add_value(cfg, pattern, k0, payload, value):
     return COLLECTION, (k0, new_root), 1
 
 
-def put_values(cfg, pattern, k0, payload, entry):
-    """Entry ``k0`` of ``pattern`` replaced by ``entry``, the key's whole
-    new ``(pattern, slot_values, value_count)`` in a multimap: an inline
-    value or a nested set root, stored as given.  Returns
+def put_values(cfg, pattern, k0, payload, values):
+    """Entry ``k0`` of ``pattern`` replaced by ``values``, a multimap key's
+    whole new entry as ``(key, root, size)``: the caller's key object, a
+    non-empty nested set root, stored inline when it holds one value and
+    as is otherwise, and its size, or None when unknown.  Returns
     ``(pattern, slot_values, tuple_delta)``, or None when the key already
-    holds equal values; node ``equals`` stops early on shared subtrees.
+    holds equal values; node ``equals`` stops early on shared subtrees, and
+    entries are counted only once the values are known to differ.
     """
-    p, vals, n = entry
-    if pattern == EMPTY:
-        return entry
+    key, root, n = values
+    single = _single_entry(root, 1)
+    if single is None:
+        p, new = COLLECTION, root
+    else:
+        p, new, n = INLINE, single[1][0], 1
     vcfg = cfg.value_cfg
-    new = vals[1]
     if p == pattern and (
         payload.equals(vcfg, new) if p == COLLECTION else _eq(payload, new)
     ):
         return None
-    old = 1 if pattern == INLINE else count_entries(vcfg, payload)
-    return p, vals, n - old
+    if n is None:
+        n = count_entries(vcfg, root)
+    if pattern == EMPTY:
+        old = 0
+    elif pattern == INLINE:
+        old = 1
+    else:
+        old = count_entries(vcfg, payload)
+    return p, (key, new), n - old
 
 
 def _drop_value(cfg, pattern, k0, payload, value, drop_key):
@@ -201,146 +232,174 @@ def _drop_value(cfg, pattern, k0, payload, value, drop_key):
 
 
 class _Node:
-    """Iteration shared by both node kinds, driven by ``region_counts``."""
+    """Iteration shared by both node kinds, driven by ``region_counts``
+    over the slot run that ``_run`` locates."""
 
     __slots__ = ()
 
     def iter_entries(self, cfg):
         w = cfg.width
-        slots = self.slots
+        run, start = self._run()
         n_i, n_c, _ = self.region_counts(w)
-        end_i = w * n_i
-        end = end_i + w * n_c
+        end_i = start + w * n_i
+        end = end_i + 2 * n_c
         if w == 1:
-            yield from slots[:end_i]
+            yield from run[start:end_i]
         else:
-            for pos in range(0, end_i, 2):
-                yield (slots[pos], slots[pos + 1])
+            for pos in range(start, end_i, 2):
+                yield (run[pos], run[pos + 1])
         vcfg = cfg.value_cfg
         for pos in range(end_i, end, 2):
-            k = slots[pos]
-            for v in slots[pos + 1].iter_entries(vcfg):
+            k = run[pos]
+            for v in run[pos + 1].iter_entries(vcfg):
                 yield (k, v)
-        for child in slots[end:]:
+        for child in run[end:]:
             yield from child.iter_entries(cfg)
 
     def iter_keys(self, cfg):
         w = cfg.width
-        slots = self.slots
+        run, start = self._run()
         n_i, n_c, _ = self.region_counts(w)
-        end = w * (n_i + n_c)
-        yield from slots[:end:w]
-        for child in slots[end:]:
+        end = start + w * n_i + 2 * n_c
+        yield from run[start:end:w]
+        for child in run[end:]:
             yield from child.iter_keys(cfg)
 
 
-class TrieNode(_Node):
-    __slots__ = ("bitmap", "slots")
+class TrieNode(_Node, tuple):
+    """``(bitmap, *slots)``: one tuple per node (see the module docstring)."""
+
+    __slots__ = ()
 
     STATS_KEY = "trie_nodes"
 
-    def __init__(self, bitmap, slots):
-        self.bitmap = bitmap
-        self.slots = slots
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __sizeof__(self):
+        # a heap tuple subtype is allocated with one item more than it
+        # holds, the sentinel that tuple.__sizeof__ leaves out
+        return tuple.__sizeof__(self) + tuple.__itemsize__
+
+    @property
+    def bitmap(self):
+        return self[0]
+
+    @property
+    def slots(self):
+        return self[1:]
+
+    def _run(self):
+        return self, 1
 
     def region_counts(self, w):
-        bm = self.bitmap
-        return (
-            filter_pattern(bm, INLINE).bit_count(),
-            filter_pattern(bm, COLLECTION).bit_count(),
-            filter_pattern(bm, NODE).bit_count(),
-        )
+        bm = self[0]
+        lo = bm & EVEN_BITS
+        hi = (bm >> 1) & EVEN_BITS
+        both = lo & hi
+        return (hi ^ both).bit_count(), both.bit_count(), (lo ^ both).bit_count()
 
     def _placed(self, w, branch, pos, size, pattern, vals):
-        """This node with the ``size`` slots at ``pos`` taken out and
+        """This node with the ``size`` items at ``pos`` taken out and
         ``vals`` placed as ``branch``'s entry, now of ``pattern``."""
-        bm = self.bitmap
-        slots = self.slots
+        bm = self[0]
         ins = pos  # an entry that keeps its pattern keeps its place
         if (bm >> (branch << 1)) & 0b11 != pattern:
             bm = set_pattern(bm, branch, pattern)
             if pattern != EMPTY:
-                ins = _pos(bm, w, pattern, branch, len(slots) - size + len(vals))
-        return TrieNode(bm, _splice(slots, pos, size, ins, vals))
+                ins = _pos(bm, w, pattern, branch, len(self) - size + len(vals))
+        return TrieNode(_splice(self, pos, size, ins, vals, (bm,)))
 
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
 
         ``payload`` is the inline value (the element itself at width 1) or
-        the nested set root for COLLECTION entries.
+        the nested set root for COLLECTION entries.  Descends level by level
+        in one loop and hands a collision bucket its own ``lookup``.
         """
-        bm = self.bitmap
-        branch = (key_hash >> shift) & 31
-        pattern = (bm >> (branch << 1)) & 0b11
+        node = self
+        while True:
+            bm = node[0]
+            offset = ((key_hash >> shift) & 31) << 1
+            pattern = (bm >> offset) & 0b11
+            if pattern != NODE:
+                break
+            # _pos for NODE: the sub-nodes on branches >= this one close the node
+            above = (bm & ~(bm >> 1) & EVEN_BITS) >> offset
+            node = node[len(node) - above.bit_count()]
+            shift += 5
+            if type(node) is not TrieNode:
+                return node.lookup(cfg, shift, key_hash, key)
         if pattern == EMPTY:
             return None
         w = cfg.width
-        slots = self.slots
-        pos = _pos(bm, w, pattern, branch, len(slots))
-        if pattern == NODE:
-            return slots[pos].lookup(cfg, shift + 5, key_hash, key)
-        k0 = slots[pos]
+        if pattern == INLINE:
+            # _pos for INLINE: the inline branches below this one come first
+            below = (1 << offset) - 1
+            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & below).bit_count()
+        else:
+            pos = _pos(bm, w, COLLECTION, offset >> 1, len(node))
+        k0 = node[pos]
         if k0 is key or k0 == key:
-            return (pattern, slots[pos + w - 1])
+            return (pattern, node[pos + w - 1])
         return None
 
     def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
         """This node with ``add``'s transition applied to ``key``'s entry:
         ``_add_value`` adds ``value``, ``put_values`` replaces the entry."""
-        bm = self.bitmap
+        bm = self[0]
         w = cfg.width
         branch = (key_hash >> shift) & 31
         pattern = (bm >> (branch << 1)) & 0b11
-        slots = self.slots
         if pattern == EMPTY:
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
             p, vals, td = add(cfg, EMPTY, key, None, value)
             bm |= p << (branch << 1)
-            pos = _pos(bm, w, p, branch, len(slots) + len(vals))
-            return TrieNode(bm, slots[:pos] + vals + slots[pos:]), td, 1
-        pos = _pos(bm, w, pattern, branch, len(slots))
+            pos = _pos(bm, w, p, branch, len(self) + len(vals))
+            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), td, 1
+        pos = _pos(bm, w, pattern, branch, len(self))
         if pattern == NODE:
-            child = slots[pos]
+            child = self[pos]
             new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value, add)
             if new_child is child:
                 return self, 0, 0
-            return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
-        k0 = slots[pos]
+            return TrieNode(_replaced(self, pos, new_child)), td, kd
+        k0 = self[pos]
         if k0 is key or k0 == key:
-            added = add(cfg, pattern, k0, slots[pos + w - 1], value)
+            added = add(cfg, pattern, k0, self[pos + w - 1], value)
             if added is None:
                 return self, 0, 0
             p, vals, td = added
             return self._placed(w, branch, pos, w, p, vals), td, 0
         # different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
-        s0 = slots[pos : pos + w]
+        s0 = self[pos : pos + w]
         p1, s1, td = add(cfg, EMPTY, key, None, value)
         child = _merge(shift + 5, h0, pattern, s0, key_hash, p1, s1)
         return self._placed(w, branch, pos, w, NODE, (child,)), td, 1
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
-        bm = self.bitmap
+        bm = self[0]
         branch = (key_hash >> shift) & 31
         pattern = (bm >> (branch << 1)) & 0b11
         if pattern == EMPTY:
             return self, 0, 0
         w = cfg.width
-        slots = self.slots
-        pos = _pos(bm, w, pattern, branch, len(slots))
+        pos = _pos(bm, w, pattern, branch, len(self))
         if pattern != NODE:
-            k0 = slots[pos]
+            k0 = self[pos]
             if not (k0 is key or k0 == key):
                 return self, 0, 0
-            dropped = _drop_value(cfg, pattern, k0, slots[pos + w - 1], value, drop_key)
+            dropped = _drop_value(cfg, pattern, k0, self[pos + w - 1], value, drop_key)
             if dropped is None:
                 return self, 0, 0
             p, vals, td = dropped
             kd = -1 if p == EMPTY else 0
             return self._placed(w, branch, pos, w, p, vals), td, kd
 
-        child = slots[pos]
+        child = self[pos]
         new_child, td, kd = child.delete(cfg, shift + 5, key_hash, key, value, drop_key)
         if new_child is child:
             return self, 0, 0
@@ -353,33 +412,29 @@ class TrieNode(_Node):
         if lifted is not None:
             # chain node left above a collision bucket: float the bucket up
             new_child = lifted
-        return TrieNode(bm, _replaced(slots, pos, new_child)), td, kd
+        return TrieNode(_replaced(self, pos, new_child)), td, kd
 
     def equals(self, cfg, other):
         if self is other:
             return True
-        if type(other) is not TrieNode or other.bitmap != self.bitmap:
+        if type(other) is not TrieNode or other[0] != self[0]:
             return False
         w = cfg.width
-        a = self.slots
-        b = other.slots
-        n_i, n_c, n_n = self.region_counts(w)
-        pos = 0
-        for _ in range(w * n_i):
-            if not _eq(a[pos], b[pos]):
+        n_i, n_c, _ = self.region_counts(w)
+        end_i = 1 + w * n_i
+        end = end_i + 2 * n_c
+        for pos in range(1, end_i):
+            if not _eq(self[pos], other[pos]):
                 return False
-            pos += 1
         vcfg = cfg.value_cfg
-        for _ in range(n_c):
-            if not _eq(a[pos], b[pos]):
+        for pos in range(end_i, end, 2):
+            if not _eq(self[pos], other[pos]):
                 return False
-            if not a[pos + 1].equals(vcfg, b[pos + 1]):
+            if not self[pos + 1].equals(vcfg, other[pos + 1]):
                 return False
-            pos += 2
-        for _ in range(n_n):
-            if not a[pos].equals(cfg, b[pos]):
+        for pos in range(end, len(self)):
+            if not self[pos].equals(cfg, other[pos]):
                 return False
-            pos += 1
         return True
 
 
@@ -401,6 +456,9 @@ class CollisionNode(_Node):
         self.hash = key_hash
         self.inline_n = inline_n
         self.slots = slots
+
+    def _run(self):
+        return self.slots, 0
 
     def region_counts(self, w):
         n_i = self.inline_n
@@ -444,7 +502,7 @@ class CollisionNode(_Node):
         if key_hash != self.hash:
             # hashes differ after all: give the bucket a parent level first
             bm = NODE << (((self.hash >> shift) & 31) << 1)
-            return TrieNode(bm, (self,)).insert(cfg, shift, key_hash, key, value, add)
+            return TrieNode((bm, self)).insert(cfg, shift, key_hash, key, value, add)
         w = cfg.width
         slots = self.slots
         found = self._find(w, key)
@@ -517,7 +575,7 @@ def _match_unordered(left, right, same):
 # -- construction helpers ------------------------------------------------------
 
 
-EMPTY_ROOT = TrieNode(0, ())
+EMPTY_ROOT = TrieNode((0,))
 
 
 def _set_of_two(vcfg, v0, v1):
@@ -527,7 +585,7 @@ def _set_of_two(vcfg, v0, v1):
     node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,))
     if h0 == h1:
         # a root is never a bucket: hang it on its first-level branch
-        return TrieNode(NODE << ((h0 & 31) << 1), (node,))
+        return TrieNode((NODE << ((h0 & 31) << 1), node))
     return node
 
 
@@ -544,12 +602,13 @@ def _merge(shift, h0, p0, s0, h1, p1, s1):
     b1 = (h1 >> shift) & 31
     if b0 == b1:
         child = _merge(shift + 5, h0, p0, s0, h1, p1, s1)
-        return TrieNode(NODE << (b0 << 1), (child,))
+        return TrieNode((NODE << (b0 << 1), child))
     bm = (p0 << (b0 << 1)) | (p1 << (b1 << 1))
     # inline region before collection region (INLINE < COLLECTION), each
     # ordered by branch
-    slots = s0 + s1 if (p0, b0) < (p1, b1) else s1 + s0
-    return TrieNode(bm, slots)
+    if (p0, b0) < (p1, b1):
+        return TrieNode((bm,) + s0 + s1)
+    return TrieNode((bm,) + s1 + s0)
 
 
 def _collision(key_hash, pairs):
@@ -629,7 +688,7 @@ def build_root(cfg, entries):
     if len(items) == 1:
         # a single hash: its entry, or its bucket, hangs off the root
         h, p, s = items[0]
-        return TrieNode(p << ((h & 31) << 1), s), tuples, keys
+        return TrieNode((p << ((h & 31) << 1),) + s), tuples, keys
     return _trie_node(0, items), tuples, keys
 
 
@@ -677,27 +736,36 @@ def _trie_node(shift, items):
         bm |= p << (b << 1)
         regions[_REGION[p]].extend(s)
     inline, coll, nodes = regions
-    return TrieNode(bm, tuple(inline + coll + nodes))
+    return TrieNode((bm, *inline, *coll, *nodes))
 
 
 def _single_entry(node, w):
     """``(pattern, slot_values)`` if ``node`` holds exactly one payload
     entry and nothing else, like after a delete; None otherwise."""
-    if len(node.slots) != w:  # cheap rejection: one entry fills w slots
-        return None
+    # cheap rejection: one entry fills w slots
+    if type(node) is TrieNode:
+        if len(node) != w + 1:
+            return None
+        slots = node[1:]
+    else:
+        slots = node.slots
+        if len(slots) != w:
+            return None
     n_i, n_c, n_n = node.region_counts(w)
     if n_n or n_i + n_c != 1:
         return None
-    return (INLINE if n_i else COLLECTION), node.slots
+    return (INLINE if n_i else COLLECTION), slots
 
 
 def _collision_under_chain(node, w):
     """The collision bucket of a ``[0 payload, 1 sub-node]`` chain node,
     if that sub-node is a collision bucket; None otherwise."""
-    slots = node.slots
-    if len(slots) != 1 or type(slots[0]) is not CollisionNode:
+    if type(node) is not TrieNode or len(node) != 2:
         return None
-    return slots[0] if node.region_counts(w) == (0, 0, 1) else None
+    child = node[1]
+    if type(child) is not CollisionNode or node.region_counts(w) != (0, 0, 1):
+        return None
+    return child
 
 
 def count_entries(cfg, node):
@@ -705,12 +773,13 @@ def count_entries(cfg, node):
     width-1 tries), summed from region counts without visiting them."""
     w = cfg.width
     n_i, n_c, _ = node.region_counts(w)
-    slots = node.slots
-    end = w * n_i + 2 * n_c
+    run, start = node._run()
+    end_i = start + w * n_i
+    end = end_i + 2 * n_c
     total = n_i
-    for pos in range(w * n_i + 1, end, 2):
-        total += count_entries(cfg.value_cfg, slots[pos])
-    for child in slots[end:]:
+    for pos in range(end_i + 1, end, 2):
+        total += count_entries(cfg.value_cfg, run[pos])
+    for child in run[end:]:
         total += count_entries(cfg, child)
     return total
 
@@ -741,14 +810,15 @@ def _validate(cfg, node, shift, prefix, is_root):
     if shift > 30:
         _fail(f"TrieNode below the last hash level (shift {shift})")
     bm = node.bitmap
+    slots = node.slots
     if bm >> 64:
         _fail("bitmap wider than 64 bits")
     n_i, n_c, n_n = node.region_counts(w)
     if n_c and w == 1:
         _fail("collection entries in a width-1 trie")
     expected = w * n_i + 2 * n_c + n_n
-    if len(node.slots) != expected:
-        _fail(f"slot run has {len(node.slots)} cells, bitmap implies {expected}")
+    if len(slots) != expected:
+        _fail(f"slot run has {len(slots)} cells, bitmap implies {expected}")
     if expected > 64:
         _fail(f"trie node with {expected} slots (maximum is 64)")
     if not is_root:
@@ -756,7 +826,7 @@ def _validate(cfg, node, shift, prefix, is_root):
             _fail("empty non-root node")
         if n_n == 0 and n_i + n_c == 1:
             _fail("non-root node holds a single payload entry and no sub-nodes")
-        if n_i + n_c == 0 and n_n == 1 and type(node.slots[0]) is CollisionNode:
+        if n_i + n_c == 0 and n_n == 1 and type(slots[0]) is CollisionNode:
             _fail("chain node left above a collision bucket")
 
     mask = (1 << shift) - 1
@@ -776,15 +846,15 @@ def _validate(cfg, node, shift, prefix, is_root):
 
     for branch, pattern in seen_branches:
         if pattern == INLINE:
-            key = node.slots[pos]
+            key = slots[pos]
             _check_hash(cfg, key, shift, prefix, branch, mask)
             tuples += 1
             keys += 1
             pos += w
         elif pattern == COLLECTION:
-            key = node.slots[pos]
+            key = slots[pos]
             _check_hash(cfg, key, shift, prefix, branch, mask)
-            set_root = node.slots[pos + 1]
+            set_root = slots[pos + 1]
             vcfg = cfg.value_cfg
             sub_tuples, _ = _validate(vcfg, set_root, 0, 0, True)
             if sub_tuples < 2:
@@ -793,7 +863,7 @@ def _validate(cfg, node, shift, prefix, is_root):
             keys += 1
             pos += 2
         else:
-            child = node.slots[pos]
+            child = slots[pos]
             child_prefix = prefix | (branch << shift)
             sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
             tuples += sub_tuples
@@ -867,12 +937,13 @@ def _collect_stats(cfg, node, depth, stats):
     stats[node.STATS_KEY] += 1
     w = cfg.width
     n_i, n_c, n_n = node.region_counts(w)
+    slots = node.slots
     stats["inline_entries"] += n_i
     stats["collection_entries"] += n_c
     pos = w * n_i
     for r in range(n_c):
-        nested = node_stats(cfg.value_cfg, node.slots[pos + 2 * r + 1])
+        nested = node_stats(cfg.value_cfg, slots[pos + 2 * r + 1])
         stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
     pos += 2 * n_c
     for r in range(n_n):
-        _collect_stats(cfg, node.slots[pos + r], depth + 1, stats)
+        _collect_stats(cfg, slots[pos + r], depth + 1, stats)

@@ -1,20 +1,27 @@
 """The abstract footprint model.
 
 A trie node keeps its payload and sub-node references in one flat run of
-slots, held as an immutable tuple.  The model prices a structure in
-abstract machine words: a header per heap object, one word per bitmap,
-one per slot cell, and one indirection word for a node whose slots would
-live in a separate out-of-line block.  ``specialize`` decides that last
-word: a specialized trie models nodes of up to ``MAX_FIXED_SLOTS`` slots
-as fixed-arity objects with the slots inline (no indirection), while
-larger nodes, and every node of an unspecialized trie, pay for the block.
-The flag changes only this pricing; node shapes are the same either way.
+slots, held in the node's own tuple after its bitmap.  The model prices a
+structure in abstract machine words: a header per heap object, one word
+per bitmap, one per slot cell, and one indirection word for a node whose
+slots would live in a separate out-of-line block.  ``specialize``
+decides that last word: a specialized trie models nodes of up to
+``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the slots inline
+(no indirection), while larger nodes, and every node of an unspecialized
+trie, pay for the block.  The flag changes only this pricing; node shapes
+are the same either way.
 
 Payload objects (keys, values) cost nothing -- they are identical across
 compared structures -- except nested leantrie structures stored as
 values, which are priced like any other node graph.
+
+:func:`object_bytes` measures the same graphs in real CPython bytes, by
+the same rule for payloads.
 """
 
+import gc
+import sys
+import types
 from dataclasses import dataclass
 
 MAX_FIXED_SLOTS = 8
@@ -74,17 +81,7 @@ def footprint(structures, model=DEFAULT_MODEL):
     header plus one word per field plus their node graph), because there
     they are part of the measured structure's storage overhead.
     """
-    from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-
-    wrappers = (PersistentMap, PersistentMultiMap, PersistentSet)
-    if isinstance(structures, wrappers):
-        structures = [structures]
-    else:
-        structures = list(structures)
-        for s in structures:
-            if not isinstance(s, wrappers):
-                raise TypeError(f"cannot measure {type(s).__name__}")
-
+    structures = _measured(structures)
     report = FootprintReport()
     seen = set()
     for s in structures:
@@ -136,9 +133,7 @@ def _walk_node(node, cfg, model, report, seen):
 
 def _walk_value(value, model, report, seen):
     """Price a payload slot: zero unless it is a persistent structure."""
-    from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-
-    if not isinstance(value, (PersistentMap, PersistentMultiMap, PersistentSet)):
+    if not isinstance(value, _wrappers()):
         return 0
     if id(value) in seen:
         return 0
@@ -151,3 +146,81 @@ def _walk_value(value, model, report, seen):
     words += _walk_node(value._root, value._cfg, model, report, seen)
     report.nested_words += words
     return words
+
+
+def _wrappers():
+    """``(PersistentMap, PersistentMultiMap, PersistentSet)``."""
+    from .maps import PersistentMap, PersistentMultiMap, PersistentSet
+
+    return PersistentMap, PersistentMultiMap, PersistentSet
+
+
+def _measured(structures):
+    """``structures`` as a list of persistent structures; one is allowed."""
+    wrappers = _wrappers()
+    if isinstance(structures, wrappers):
+        return [structures]
+    structures = list(structures)
+    for s in structures:
+        if not isinstance(s, wrappers):
+            raise TypeError(f"cannot measure {type(s).__name__}")
+    return structures
+
+
+# -- real bytes -----------------------------------------------------------------
+
+# objects that every structure shares: classes, modules and functions
+_SHARED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def object_bytes(structures):
+    """CPython bytes held by one structure or several (shared objects
+    counted once): ``sys.getsizeof`` of every object reachable from them,
+    wrappers, nodes, configs and ints included.
+
+    Stored keys and values are left out, except persistent structures
+    stored as values (or as set elements), which are measured like the
+    structure itself, as :func:`footprint` prices them.  Objects every
+    structure shares are left out too: classes, functions, ``None``,
+    bools and the interpreter's cached small ints.  The total is what
+    ``tracemalloc`` sees a fresh build of the same content allocate, up to
+    the interpreter's own few-KiB caches.
+    """
+    wrappers = _wrappers()
+    persistent_set = wrappers[2]
+    structures = _measured(structures)
+    skip = set()
+    expanded = set()
+    pending = list(structures)
+    while pending:
+        s = pending.pop()
+        if id(s) in expanded:
+            continue
+        expanded.add(id(s))
+        if isinstance(s, persistent_set):  # a set's elements are its values
+            values = list(s)
+        else:
+            values = []
+            for k, v in s.items():
+                skip.add(id(k))
+                values.append(v)
+        for v in values:
+            if isinstance(v, wrappers):
+                pending.append(v)
+            else:
+                skip.add(id(v))
+    seen = set()
+    total = 0
+    stack = list(structures)
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or id(o) in skip:
+            continue
+        seen.add(id(o))
+        if o is None or type(o) is bool or isinstance(o, _SHARED):
+            continue
+        if type(o) is int and -5 <= o <= 256:
+            continue
+        total += sys.getsizeof(o)
+        stack.extend(gc.get_referents(o))
+    return total

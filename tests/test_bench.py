@@ -224,6 +224,9 @@ def test_footprint_rows_pair_multimap_with_its_baseline():
         assert mm.ratio_vs_baseline == round(base.words_total / mm.words_total, 4)
         assert mm.words_total < base.words_total
         assert mm.nodes < base.nodes
+        assert base.bytes_ratio_vs_baseline == 1.0
+        assert mm.bytes_ratio_vs_baseline == round(base.bytes_total / mm.bytes_total, 4)
+        assert mm.bytes_total < base.bytes_total
     assert rows == run_footprint([4, 6])  # fully deterministic
 
 

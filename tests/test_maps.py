@@ -556,6 +556,32 @@ def test_put_all_matches_the_remove_key_and_put_fold(hasher, kind, pairs, key, v
     assert mm.put_all(object(), ()) is mm
 
 
+def test_an_equal_put_all_counts_no_entries(monkeypatch):
+    # the size of a get-derived set is unknown; an equal rewrite returns the
+    # receiver without ever needing it
+    import leantrie.maps
+    import leantrie.nodes
+
+    calls = []
+    count_entries = leantrie.nodes.count_entries
+
+    def counted(cfg, node):
+        calls.append(node)
+        return count_entries(cfg, node)
+
+    monkeypatch.setattr(leantrie.nodes, "count_entries", counted)
+    monkeypatch.setattr(leantrie.maps, "count_entries", counted)
+    mm = multimap([(0, v) for v in range(200)] + [(1, 5), (2, 6), (2, 7)])
+    for key in (0, 1, 2):
+        values = mm.get(key)
+        assert mm.put_all(key, values) is mm
+        assert mm.put_all(key, values.add(next(iter(values)))) is mm
+    assert calls == []
+    # a real rewrite counts the entries it needs for the tuple delta
+    rewritten = mm.put_all(1, mm.get(0))
+    assert calls and rewritten.tuple_count == mm.tuple_count + 199
+
+
 # -- persistence under history ----------------------------------------------------------
 
 

@@ -8,18 +8,28 @@ cached counts).
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leantrie import check_invariants, footprint, multimap, pmap, pset, structure_stats
-from leantrie.bits import COLLECTION, INLINE, NODE
+from leantrie.bits import (
+    COLLECTION,
+    EMPTY,
+    INLINE,
+    NODE,
+    filter_pattern,
+    index_in_category,
+)
 from leantrie.maps import PersistentMap
 from leantrie.nodes import (
     CollisionNode,
     InvariantError,
     TrieNode,
+    _pos,
     fold_hash,
     map_config,
     multimap_config,
@@ -431,13 +441,13 @@ def test_map_put_replaces_without_promotion():
 
 
 def make_leaf(branch, key, value):
-    return TrieNode(INLINE << (branch << 1), (key, value))
+    return TrieNode((INLINE << (branch << 1), key, value))
 
 
 def test_validator_rejects_single_payload_child():
     cfg = map_config(key_hash=lambda k: k)
     child = make_leaf(1, 32, "v")  # hash 32: fragment 0 then 1
-    root = TrieNode(NODE << 0, (child,))
+    root = TrieNode((NODE << 0, child))
     with pytest.raises(InvariantError, match="single payload"):
         validate_root(cfg, root)
 
@@ -445,8 +455,8 @@ def test_validator_rejects_single_payload_child():
 def test_validator_rejects_chain_over_a_bucket():
     cfg = map_config(key_hash=lambda k: 0)
     bucket = CollisionNode(0, 2, ("a", 1, "b", 2))
-    chain = TrieNode(NODE << 0, (bucket,))
-    root = TrieNode(NODE << 0, (chain,))
+    chain = TrieNode((NODE << 0, bucket))
+    root = TrieNode((NODE << 0, chain))
     with pytest.raises(InvariantError, match="chain node"):
         validate_root(cfg, root)
 
@@ -474,22 +484,22 @@ def test_validator_rejects_misplaced_key():
 def test_validator_rejects_undersized_nested_set():
     cfg = multimap_config(key_hash=lambda k: k, value_hash=lambda v: v)
     vcfg = cfg.value_cfg
-    one_elem_root = TrieNode(INLINE << (7 << 1), (7,))
-    root = TrieNode(COLLECTION << (2 << 1), (2, one_elem_root))
+    one_elem_root = TrieNode((INLINE << (7 << 1), 7))
+    root = TrieNode((COLLECTION << (2 << 1), 2, one_elem_root))
     with pytest.raises(InvariantError, match="holds 1 value"):
         validate_root(cfg, root)
 
 
 def test_validator_rejects_slot_count_mismatch():
     cfg = map_config()
-    root = TrieNode(0, (None, None))  # bitmap says empty, slots say 2
+    root = TrieNode((0, None, None))  # bitmap says empty, slots say 2
     with pytest.raises(InvariantError, match="slot run"):
         validate_root(cfg, root)
 
 
 def test_validator_accepts_the_empty_root_and_single_entry_root():
     cfg = map_config(key_hash=lambda k: k)
-    assert validate_root(cfg, TrieNode(0, ())) == (0, 0)
+    assert validate_root(cfg, TrieNode((0,))) == (0, 0)
     assert validate_root(cfg, make_leaf(5, 5, "v")) == (1, 1)
 
 
@@ -506,3 +516,102 @@ def test_config_widths():
     mc = multimap_config()
     assert mc.width == 2
     assert mc.value_cfg.width == 1
+
+
+# -- node layout: one tuple, its true size, and the rank rule ---------------------
+
+
+def test_node_size_is_what_the_allocator_gives_it():
+    # CPython allocates a heap tuple subtype with one item more than it holds;
+    # TrieNode.__sizeof__ counts it, so byte walks agree with tracemalloc
+    batch = [None] * 64
+    for n in range(1, 66):
+        items = (0,) * n
+        for i in range(len(batch)):
+            batch[i] = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(len(batch)):
+                batch[i] = TrieNode(items)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert traced == len(batch) * sys.getsizeof(batch[0]), n
+
+
+def test_nodes_compare_and_hash_by_identity():
+    a = TrieNode((INLINE << 2, "k", "v"))
+    b = TrieNode((INLINE << 2, "k", "v"))
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+    assert (a.bitmap, a.slots) == (INLINE << 2, ("k", "v"))
+    assert type(a.slots) is tuple
+
+
+def _expected_pos(bm, w, pattern, branch):
+    """Index of ``branch``'s entry of ``pattern`` from the reference rank."""
+    n_i = filter_pattern(bm, INLINE).bit_count()
+    n_c = filter_pattern(bm, COLLECTION).bit_count()
+    rank = index_in_category(bm, pattern, branch)
+    if pattern == INLINE:
+        return 1 + w * rank
+    if pattern == COLLECTION:
+        return 1 + w * (n_i + rank)
+    return 1 + w * n_i + 2 * n_c + rank
+
+
+def _reference_counts(bm):
+    return tuple(filter_pattern(bm, p).bit_count() for p in (INLINE, COLLECTION, NODE))
+
+
+def _random_bitmaps(rng, count):
+    yield from (0, (1 << 64) - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA)
+    for _ in range(count):
+        yield rng.getrandbits(64)
+
+
+def test_pos_and_region_counts_agree_with_the_reference_rank():
+    rng = random.Random(64)
+    for bm in _random_bitmaps(rng, 300):
+        counts = _reference_counts(bm)
+        assert TrieNode((bm,)).region_counts(2) == counts
+        for w in (1, 2):
+            n = 1 + w * counts[0] + 2 * counts[1] + counts[2]
+            for branch in range(32):
+                for pattern in (INLINE, COLLECTION, NODE):
+                    if w == 1 and pattern == COLLECTION:
+                        continue
+                    want = _expected_pos(bm, w, pattern, branch)
+                    assert _pos(bm, w, pattern, branch, n) == want, (hex(bm), w, branch)
+
+
+def test_lookup_ranks_agree_with_the_reference_rank():
+    # a node over a random bitmap with every entry at its reference index:
+    # lookup's inlined ranks must find each branch's key and payload, and a
+    # sub-node's own one-entry node one level down
+    cfg = map_config()
+    rng = random.Random(65)
+    for bm in _random_bitmaps(rng, 200):
+        counts = _reference_counts(bm)
+        items = [None] * (1 + 2 * counts[0] + 2 * counts[1] + counts[2])
+        items[0] = bm
+        for branch in range(32):
+            pattern = (bm >> (branch << 1)) & 0b11
+            if pattern == EMPTY:
+                continue
+            pos = _expected_pos(bm, 2, pattern, branch)
+            if pattern == NODE:
+                items[pos] = TrieNode((INLINE, ("k", branch), ("v", branch)))
+            else:
+                items[pos : pos + 2] = ("k", branch), ("v", branch)
+        node = TrieNode(items)
+        for branch in range(32):
+            pattern = (bm >> (branch << 1)) & 0b11
+            found = node.lookup(cfg, 0, branch, ("k", branch))
+            if pattern == EMPTY:
+                assert found is None
+            else:
+                got_pattern = INLINE if pattern == NODE else pattern
+                assert found == (got_pattern, ("v", branch)), (hex(bm), branch)
+            assert node.lookup(cfg, 0, branch, ("k", -1)) is None

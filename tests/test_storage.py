@@ -1,16 +1,28 @@
-"""Slot-splicing and footprint-model tests.
+"""Slot-splicing, footprint-model and real-byte tests.
 
 ``nodes._splice`` / ``nodes._replaced`` are checked against an
 element-wise list oracle; footprint numbers for small structures are frozen
 from hand counts under the default model (header 2 words, bitmap 1, slot 1,
-out-of-line indirection 1).
+out-of-line indirection 1); ``object_bytes`` is checked against what
+``tracemalloc`` sees a build allocate.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from leantrie import DEFAULT_MODEL, FootprintModel, footprint, multimap, pmap, pset
+from leantrie import (
+    DEFAULT_MODEL,
+    FootprintModel,
+    footprint,
+    multimap,
+    object_bytes,
+    pmap,
+    pset,
+)
+from leantrie.bench import WorkloadSpec, _adapter, generate_workload
 from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
 from leantrie.storage import MAX_FIXED_SLOTS
 
@@ -38,6 +50,15 @@ def test_splice_matches_elementwise_oracle():
                         assert got == oracle_splice(old, rm_pos, rm_len, ins_pos, vals)
                         branches.add(ins_pos <= rm_pos)
     assert branches == {True, False}  # both the ins <= rm and ins > rm branch
+
+
+def test_splice_replaces_the_head():
+    old = tuple(range(8))
+    for rm_pos in range(1, 7):
+        for ins_pos in range(1, 7):
+            got = _splice(old, rm_pos, 2, ins_pos, ("x",), ("h",))
+            want = oracle_splice(("h",) + old[1:], rm_pos, 2, ins_pos, ("x",))
+            assert got == want
 
 
 def test_splice_with_nothing_to_move_is_a_copy():
@@ -253,3 +274,45 @@ def test_small_specialized_build_drops_every_indirection():
 def test_footprint_rejects_non_structures():
     with pytest.raises(TypeError):
         footprint({"a": 1})
+
+
+# --- real bytes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mix", [0.5, 0.9])
+def test_object_bytes_match_what_tracemalloc_sees_a_build_allocate(mix):
+    pairs = generate_workload(WorkloadSpec(mix=mix), 4096, 1).entries
+    multimap(pairs)  # warms the interpreter's free lists, which tracemalloc sees
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = multimap(pairs)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    walked = object_bytes(built)
+    assert abs(walked - traced) <= 0.01 * traced + 4096
+
+
+def test_object_bytes_measure_structures_stored_as_values():
+    # a map of sets costs its map, with the same keys, plus its sets
+    dataset = generate_workload(WorkloadSpec(mix=0.5), 256, 3)
+    nested = _adapter("map_of_sets").build(dataset)
+    flat = pmap((k, 0) for k in nested)
+    assert object_bytes(nested) == object_bytes(flat) + object_bytes(nested.values())
+
+
+def test_object_bytes_leave_out_stored_keys_and_values():
+    big = [(10**20 + i, 10**30 + i) for i in range(50)]
+    small = [(i, i) for i in range(50)]
+    # equal shapes when the hashes agree: only the payload objects differ
+    same_hash = {"key_hash": lambda k: k % 1000, "value_hash": lambda v: v % 1000}
+    assert object_bytes(multimap(big, **same_hash)) == object_bytes(
+        multimap(small, **same_hash)
+    )
+    shared = multimap(big)
+    assert object_bytes([shared, shared]) == object_bytes(shared)
+    with pytest.raises(TypeError):
+        object_bytes([{}])
