@@ -1,12 +1,14 @@
 """Control-flow dominator analysis driven by the persistent multimap.
 
 The predecessor relation and the dominator sets are both held in
-:class:`~leantrie.PersistentMultiMap` instances; the fixpoint
-iteration exercises multimap construction, ``get`` of each key's value
-set, set intersection over those sets, and ``put_all``, which stores a
-vertex's new dominator set as is.  A vertex with one computed
-predecessor grows its set from that predecessor's by ``add``, so the two
-sets share every node off the copied path.
+:class:`~leantrie.PersistentMultiMap` instances.  The predecessor
+relation never changes, so it is read once per analysis, by one
+``items()`` walk grouped into a list per vertex; the fixpoint passes
+exercise ``get`` of each predecessor's dominator set, set intersection
+over those sets, and ``put_all``, which stores a vertex's new dominator
+set as is.  A vertex with one computed predecessor grows its set from
+that predecessor's by ``add``, so the two sets share every node off the
+copied path.
 
 Graphs are ingested from an edge-list format::
 
@@ -239,6 +241,11 @@ def _dominator_fixpoint(graph):
     preds = compute_preds(graph)
     order = _reverse_postorder(graph, succs, reachable)
     entry = graph.entry
+    # the predecessor relation never changes, so one items() walk reads
+    # it for every pass; a key's values come in the order get(n) gives
+    pred_lists = {}
+    for d, s in preds.items():
+        pred_lists.setdefault(d, []).append(s)
 
     dom = multimap([(entry, entry)])
     iterations = 0
@@ -252,8 +259,9 @@ def _dominator_fixpoint(graph):
             # stage the big intersection as a set of predecessor Dom sets,
             # folded pairwise; not-yet-computed Doms stand for "all" and
             # drop out of the intersection, as do unreachable predecessors:
-            # an absent key's set is empty, and a computed Dom never is
-            operands = [s for p in preds.get(n) if (s := dom.get(p))]
+            # an absent key's set is empty, and a computed Dom never is.
+            # A reachable vertex other than the entry has a predecessor
+            operands = [s for p in pred_lists[n] if (s := dom.get(p))]
             acc = operands[0]
             for other in operands[1:]:
                 acc = acc & other

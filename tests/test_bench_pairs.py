@@ -1,0 +1,70 @@
+"""The pair runner's summary step and its run order (``tools/bench_pairs.py``)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(pair, side, **metrics):
+    return {"workload": "dominators", "seed": 1, "pair": pair, "side": side,
+            "failed": 0, "attempted": 10, "metrics": metrics}
+
+
+def test_summary_rows_take_medians_quartiles_and_wins_per_pair():
+    runs = [
+        _run(0, "parent", speed=10.0, cost=5.0),
+        _run(0, "change", speed=12.0, cost=5.0),  # cost ties: neither wins
+        _run(1, "change", speed=9.0, cost=4.0),
+        _run(1, "parent", speed=11.0, cost=6.0),
+        _run(2, "parent", speed=12.0, cost=7.0),
+        _run(2, "change", speed=15.0, cost=8.0),
+        _run(3, "parent", speed=99.0, cost=99.0),  # unfinished pair
+    ]
+    rows = bench_pairs.summarize(runs, {"speed": "higher", "cost": "lower"})
+    assert [r["metric"] for r in rows] == ["speed", "cost"]
+    speed, cost = rows
+    assert speed["pairs"] == cost["pairs"] == 3
+    assert (speed["parent_median"], speed["change_median"]) == (11.0, 12.0)
+    assert (speed["parent_q1"], speed["parent_q3"]) == (10.5, 11.5)
+    assert (speed["change_q1"], speed["change_q3"]) == (10.5, 13.5)
+    assert speed["change_wins"] == 2
+    assert speed["change_vs_parent"] == pytest.approx(0.0909)
+    assert cost["better"] == "lower"
+    assert cost["change_wins"] == 1  # pair 1 only; pair 0 is a tie
+    assert cost["change_vs_parent"] == pytest.approx(-1 / 6, abs=1e-4)
+
+
+def test_summary_keeps_workloads_and_seeds_apart():
+    runs = [_run(0, "parent", speed=1.0), _run(0, "change", speed=2.0)]
+    other = [dict(r, seed=7919, metrics={"speed": 4.0}) for r in runs]
+    rows = bench_pairs.summarize(runs + other, {"speed": "higher"})
+    assert [(r["seed"], r["change_wins"]) for r in rows] == [(1, 1), (7919, 0)]
+
+
+def test_the_side_that_runs_first_alternates_by_pair_parity(monkeypatch):
+    order = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        order.append(checkout)
+        return {"failed": 0, "attempted": 1, "metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    checkouts = {"parent": "P", "change": "C"}
+    for pair in range(3):
+        rows = bench_pairs.run_pair(checkouts, "mixed", 1, pair, 12)
+        assert [r["side"] for r in rows] == ["parent", "change"]
+        assert rows[pair % 2]["ran_first"]
+    assert order == ["P", "C", "C", "P", "P", "C"]
+
+
+def test_run_seconds_and_directions_come_from_the_benchmark_spec():
+    seconds, better = bench_pairs.load_benchmark()
+    assert seconds > 0
+    assert better["dom_vertices_per_s"] == "higher"
+    assert better["bytes_per_tuple"] == "lower"

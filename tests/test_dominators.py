@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leantrie import PersistentMultiMap
 from leantrie.dominators import (
     DOMINATOR_COLUMNS,
     CfgGraph,
     GraphError,
+    _dominator_fixpoint,
     analyze_graph,
     compute_dominators,
     compute_preds,
@@ -125,9 +127,30 @@ def test_loop_back_edge_does_not_disturb_dominators():
 
 
 def test_iteration_count_includes_the_confirming_pass():
-    result = analyze_graph(DIAMOND)
-    assert result.dom_iterations == 2  # one changing pass, one stable pass
-    assert result.runtime_ns > 0
+    cases = [(DIAMOND, 2)]  # one changing pass, one stable pass
+    # pinned from the fixpoint that re-read preds.get(n) on every visit:
+    # reading the predecessor relation once keeps the pass structure
+    cases += [(random_cfg(512, s), p) for s, p in enumerate([3, 2, 3, 2, 3, 3, 2, 3])]
+    for graph, passes in cases:
+        result = analyze_graph(graph)
+        assert result.dom_iterations == passes, graph.name
+        assert result.runtime_ns > 0
+
+
+def test_fixpoint_reads_the_predecessor_relation_once(monkeypatch):
+    calls = {"get": [], "items": []}
+    for name in calls:
+        original = getattr(PersistentMultiMap, name)
+
+        def recording(self, *args, _name=name, _original=original):
+            calls[_name].append(self)
+            return _original(self, *args)
+
+        monkeypatch.setattr(PersistentMultiMap, name, recording)
+    _, _, preds = _dominator_fixpoint(random_cfg(128, 3))
+    assert calls["get"]  # the dominator sets are still read with get
+    assert not any(m is preds for m in calls["get"])
+    assert sum(m is preds for m in calls["items"]) == 1
 
 
 def test_unreachable_vertices_are_excluded_with_a_warning():

@@ -1,0 +1,171 @@
+"""Run perfbench on two checkouts in alternating pairs and summarize them.
+
+Usage, from anywhere::
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \\
+        --workload dominators --seed 1 --seed 7919 --pairs 10 \\
+        --output BENCH_name.json [--append] [--meta key=value ...]
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, where ``T`` is ``run_seconds`` from this
+repository's ``BENCHMARK.json``.  Even pairs run the parent first, odd pairs
+the change.  The report has three parts: ``metadata``, ``runs`` (one row per
+run with its ``failed``/``attempted`` counts and metric values) and
+``summary`` (per workload, seed and end-to-end metric: each side's median
+and quartiles, ``change_wins`` over pairs, where a tie counts for neither
+side, and ``change_vs_parent``, the change's median over the parent's minus
+one).  The report is rewritten after every pair, so an interrupted series
+keeps the pairs it finished; ``--append`` extends an existing report.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def load_benchmark(root=ROOT):
+    """``(run_seconds, {metric: better})`` from ``BENCHMARK.json``."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One untraced perfbench run in ``checkout``; its last stdout line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def run_pair(checkouts, workload, seed, pair, seconds):
+    """Both sides of one pair, in the order the pair's parity gives."""
+    order = SIDES if pair % 2 == 0 else SIDES[::-1]
+    rows = []
+    for i, side in enumerate(order):
+        rows.append({
+            "workload": workload, "seed": seed, "pair": pair, "side": side,
+            "ran_first": i == 0,
+            **run_once(checkouts[side], workload, seed, seconds),
+        })
+    return sorted(rows, key=lambda r: SIDES.index(r["side"]))
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(runs, better):
+    """One summary row per (workload, seed, metric), in first-seen order
+    of (workload, seed) and ``better``'s metric order.  Pairs missing a
+    side are left out."""
+    pairs = {}
+    for run in runs:
+        key = (run["workload"], run["seed"])
+        pairs.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = run
+    rows = []
+    for (workload, seed), by_pair in pairs.items():
+        complete = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+        for metric, direction in better.items():
+            values = {
+                side: [p[side]["metrics"][metric] for p in complete
+                       if metric in p[side]["metrics"]]
+                for side in SIDES
+            }
+            if not values["parent"] or len(values["parent"]) != len(values["change"]):
+                continue
+            sign = 1 if direction == "higher" else -1
+            wins = sum(
+                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+            )
+            row = {"workload": workload, "seed": seed, "metric": metric,
+                   "better": direction}
+            for side in SIDES:
+                q1, q3 = _quartiles(values[side])
+                row[f"{side}_median"] = statistics.median(values[side])
+                row[f"{side}_q1"] = q1
+                row[f"{side}_q3"] = q3
+            row["change_wins"] = wins
+            row["pairs"] = len(complete)
+            row["change_vs_parent"] = round(
+                row["change_median"] / row["parent_median"] - 1, 4
+            )
+            rows.append(row)
+    return rows
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", action="append", required=True,
+                   choices=("build", "mixed", "dominators"))
+    p.add_argument("--seed", type=int, action="append", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--append", action="store_true",
+                   help="keep the runs of an existing report at --output")
+    p.add_argument("--meta", action="append", default=[], metavar="KEY=VALUE",
+                   help="extra metadata field (repeatable)")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    for item in args.meta:
+        if "=" not in item:
+            p.error(f"--meta expects KEY=VALUE, got {item!r}")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    seconds, better = load_benchmark()
+    report = {"metadata": {}, "runs": []}
+    if args.append:
+        report = json.loads(args.output.read_text())
+    meta = report["metadata"]
+    meta.update({
+        "what": "alternating parent/change pairs of `python3 perfbench/run.py "
+                "--workload W --seed S --seconds T --trace 0`",
+        "note": "even pairs run the parent first, odd pairs the change first; "
+                "times are at the benchmark's nominal host speed",
+        "run_seconds": seconds,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    })
+    meta.update(item.split("=", 1) for item in args.meta)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for workload in args.workload:
+        for seed in args.seed:
+            done = {r["pair"] for r in report["runs"]
+                    if r["workload"] == workload and r["seed"] == seed}
+            first = max(done, default=-1) + 1
+            for pair in range(first, first + args.pairs):
+                report["runs"].extend(run_pair(checkouts, workload, seed, pair, seconds))
+                report["summary"] = summarize(report["runs"], better)
+                args.output.write_text(json.dumps(
+                    {k: report[k] for k in ("metadata", "summary", "runs")}, indent=1
+                ) + "\n")
+                print(f"{workload} seed {seed} pair {pair} done", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
