@@ -57,7 +57,10 @@ the receiver itself (identity, zero deltas) when nothing changed.  A
 changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
 :func:`build_root` builds a whole trie bottom-up, each node once, into the
-shape that the inserts would give.
+shape that the inserts would give.  A CPython int costs 28-36 bytes, so a
+build hands equal bitmaps one shared int through a table that lives only
+as long as the build; a point update makes a fresh int when a node's
+pattern changes and keeps the old one when it stays.
 """
 
 from .bits import (
@@ -578,32 +581,41 @@ def _match_unordered(left, right, same):
 EMPTY_ROOT = TrieNode((0,))
 
 
-def _set_of_two(vcfg, v0, v1):
-    """Root of the nested set ``{v0, v1}``."""
+def _set_of_two(vcfg, v0, v1, bitmaps=None):
+    """Root of the nested set ``{v0, v1}``; ``bitmaps`` is the table of
+    the build it belongs to (see :func:`build_root`), if any."""
     h0 = vcfg.hasher(v0) & M32
     h1 = vcfg.hasher(v1) & M32
-    node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,))
+    node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,), bitmaps)
     if h0 == h1:
         # a root is never a bucket: hang it on its first-level branch
-        return TrieNode((NODE << ((h0 & 31) << 1), node))
+        return TrieNode((_bitmap(NODE << ((h0 & 31) << 1), bitmaps), node))
     return node
 
 
-def _merge(shift, h0, p0, s0, h1, p1, s1):
+def _bitmap(bm, bitmaps):
+    """``bm``, or the equal int that the build's ``bitmaps`` table holds."""
+    if bitmaps is None:
+        return bm
+    return bitmaps.setdefault(bm, bm)
+
+
+def _merge(shift, h0, p0, s0, h1, p1, s1, bitmaps=None):
     """Node holding two entries that fell on one branch a level above.
 
     ``s0``/``s1`` are the entries' slot tuples, ``p0``/``p1`` their
     payload patterns.  Recurses while the hash fragments keep agreeing;
-    fully equal hashes become a collision bucket.
+    fully equal hashes become a collision bucket.  A build passes its
+    ``bitmaps`` table; a point update passes none.
     """
     if h0 == h1:
         return _collision(h0, ((p0, s0), (p1, s1)))
     b0 = (h0 >> shift) & 31
     b1 = (h1 >> shift) & 31
     if b0 == b1:
-        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1)
-        return TrieNode((NODE << (b0 << 1), child))
-    bm = (p0 << (b0 << 1)) | (p1 << (b1 << 1))
+        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1, bitmaps)
+        return TrieNode((_bitmap(NODE << (b0 << 1), bitmaps), child))
+    bm = _bitmap((p0 << (b0 << 1)) | (p1 << (b1 << 1)), bitmaps)
     # inline region before collection region (INLINE < COLLECTION), each
     # ordered by branch
     if (p0, b0) < (p1, b1):
@@ -618,7 +630,7 @@ def _collision(key_hash, pairs):
     return CollisionNode(key_hash, len(inline), slots)
 
 
-def build_root(cfg, entries):
+def build_root(cfg, entries, bitmaps=None):
     """``(root, tuple_count, key_count)`` of the trie holding ``entries``,
     elements at width 1 and ``(key, value)`` pairs at width 2.
 
@@ -631,7 +643,16 @@ def build_root(cfg, entries):
     entries by 32-bit hash, merging equal keys, and :func:`_trie_node`
     partitions the groups by hash fragment.  A collision bucket orders each
     region by the first appearance of its keys.
+
+    Every node of the build takes its bitmap through ``bitmaps``, a table
+    from each bitmap value to its first int object, so equal bitmaps share
+    one int.  A top-level call makes the table and drops it on return; a
+    collection entry's nested build shares its parent's.  The table never
+    outlives the build, so a fresh build allocates each distinct bitmap
+    once and two builds share none of theirs.
     """
+    if bitmaps is None:
+        bitmaps = {}
     hasher = cfg.hasher
     first = {}  # hash -> the entry of the first key with that hash
     more = {}  # hash -> entries of later, different keys with that hash
@@ -674,13 +695,13 @@ def build_root(cfg, entries):
     for h, e0 in first.items():
         bucket = more.get(h)
         if bucket is None:
-            p, s, n = _grouped_entry(cfg, e0)
+            p, s, n = _grouped_entry(cfg, e0, bitmaps)
             items.append((h, p, s))
             tuples += n
             continue
         pairs = []
         for e in [e0, *bucket]:
-            p, s, n = _grouped_entry(cfg, e)
+            p, s, n = _grouped_entry(cfg, e, bitmaps)
             pairs.append((p, s))
             tuples += n
         items.append((h, NODE, (_collision(h, pairs),)))
@@ -688,35 +709,38 @@ def build_root(cfg, entries):
     if len(items) == 1:
         # a single hash: its entry, or its bucket, hangs off the root
         h, p, s = items[0]
-        return TrieNode((p << ((h & 31) << 1),) + s), tuples, keys
-    return _trie_node(0, items), tuples, keys
+        bm = p << ((h & 31) << 1)
+        return TrieNode((bitmaps.setdefault(bm, bm),) + s), tuples, keys
+    return _trie_node(0, items, bitmaps), tuples, keys
 
 
-def _grouped_entry(cfg, e):
+def _grouped_entry(cfg, e, bitmaps):
     """``(pattern, slot values, value count)`` of one key grouped by
     :func:`build_root`: an element, or a ``[key, value, ...]`` list with a
-    multimap key's values in input order."""
+    multimap key's values in input order.  A nested set's nodes take their
+    bitmaps from the build's ``bitmaps`` table."""
     if cfg.width == 1:
         return INLINE, (e,), 1
     if len(e) == 2:
         return INLINE, (e[0], e[1]), 1
     if len(e) == 3:  # the two values are known to differ
-        return COLLECTION, (e[0], _set_of_two(cfg.value_cfg, e[1], e[2])), 2
-    root, n, _ = build_root(cfg.value_cfg, e[1:])
+        return COLLECTION, (e[0], _set_of_two(cfg.value_cfg, e[1], e[2], bitmaps)), 2
+    root, n, _ = build_root(cfg.value_cfg, e[1:], bitmaps)
     return COLLECTION, (e[0], root), n
 
 
 _REGION = {INLINE: 0, COLLECTION: 1, NODE: 2}
 
 
-def _trie_node(shift, items):
+def _trie_node(shift, items, bitmaps):
     """``TrieNode`` at ``shift`` over ``items``, ``(hash, pattern, slot
     values)`` triples of two or more distinct hashes; a branch that several
-    of them share gets a sub-node one level down."""
+    of them share gets a sub-node one level down.  Bitmaps come from the
+    build's ``bitmaps`` table."""
     if len(items) == 2:
         (h0, p0, s0), (h1, p1, s1) = items
         if p0 != NODE and p1 != NODE:
-            return _merge(shift, h0, p0, s0, h1, p1, s1)
+            return _merge(shift, h0, p0, s0, h1, p1, s1, bitmaps)
     by_branch = {}
     for item in items:
         b = (item[0] >> shift) & 31
@@ -732,11 +756,11 @@ def _trie_node(shift, items):
         if len(group) == 1:
             _, p, s = group[0]
         else:
-            p, s = NODE, (_trie_node(shift + 5, group),)
+            p, s = NODE, (_trie_node(shift + 5, group, bitmaps),)
         bm |= p << (b << 1)
         regions[_REGION[p]].extend(s)
     inline, coll, nodes = regions
-    return TrieNode((bm, *inline, *coll, *nodes))
+    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *coll, *nodes))
 
 
 def _single_entry(node, w):

@@ -1,7 +1,8 @@
 """Quick self-checks: bitmap algebra, model equivalence, canonical shapes,
-bulk build and ``put_all`` against their update folds, footprint
-constants, and the dominator fixpoint, each against a small
-independent oracle.  Prints one line per check; returns overall success.
+bulk build and ``put_all`` against their update folds, bitmap sharing
+within a bulk build, footprint constants, and the dominator fixpoint,
+each against a small independent oracle.  Prints one line per check;
+returns overall success.
 """
 
 import random
@@ -11,6 +12,7 @@ from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
+from .nodes import CollisionNode, TrieNode
 from .storage import footprint
 
 
@@ -130,6 +132,33 @@ def _check_put_all(rng):
     return True
 
 
+def _bitmap_ints(root):
+    """Every trie-node bitmap above the small-int cache under ``root``,
+    nested sets and nodes under collision buckets included."""
+    found = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is TrieNode:
+            if node[0] > 256:
+                found.append(node[0])
+            slots = node[1:]
+        else:
+            slots = node.slots
+        stack.extend(s for s in slots if type(s) in (TrieNode, CollisionNode))
+    return found
+
+
+def _check_shared_bitmaps(rng):
+    pairs = [(rng.randrange(600), rng.randrange(40)) for _ in range(2_000)]
+    for hasher in (None, lambda o: hash(o) % 7):
+        built = multimap(pairs, key_hash=hasher, value_hash=hasher)
+        bitmaps = _bitmap_ints(built._root)
+        if not bitmaps or len({id(bm) for bm in bitmaps}) != len(set(bitmaps)):
+            return False
+    return True
+
+
 def _check_footprint_constants(_rng):
     if footprint(multimap()).words_total != 3:
         return False
@@ -242,6 +271,7 @@ CHECKS = (
     ("canonical shapes are history-free", _check_canonical_shapes),
     ("bulk build matches the put fold", _check_bulk_build),
     ("put_all matches the remove_key + put fold", _check_put_all),
+    ("a bulk build holds one int per distinct bitmap", _check_shared_bitmaps),
     ("footprint constants and lean ratio", _check_footprint_constants),
     ("pure 1:1 multimap prices like a map", _check_one_to_one_degenerate),
     ("specialization is shape-invisible", _check_specialization_opacity),

@@ -182,13 +182,17 @@ def object_bytes(structures):
     stored as values (or as set elements), which are measured like the
     structure itself, as :func:`footprint` prices them.  Objects every
     structure shares are left out too: classes, functions, ``None``,
-    bools and the interpreter's cached small ints.  The total is what
-    ``tracemalloc`` sees a fresh build of the same content allocate, up to
-    the interpreter's own few-KiB caches and one known under-count: a
-    bitmap int made by ``<<`` or ``|`` can keep one unused 30-bit digit
-    allocated, which ``int.__sizeof__`` leaves out, so the walk reads 4 B
-    low for each such int (11.9 KB on a 4,096-key 90:10 ``map_of_sets``
-    of ``PersistentSet`` values, beyond the few-KiB agreement).
+    bools and the interpreter's cached small ints.  Every other object is
+    counted once, however many nodes refer to it: a bulk build gives equal
+    bitmaps one shared int, and the walk counts that int once.  The total
+    is what ``tracemalloc`` sees a fresh build of the same content
+    allocate, up to the interpreter's own few-KiB caches and one known
+    under-count: a bitmap int made by ``<<`` or ``|`` can keep one unused
+    30-bit digit allocated, which ``int.__sizeof__`` leaves out, so the
+    walk reads 4 B low for each such int.  On a 4,096-key 90:10
+    ``map_of_sets`` of ``PersistentSet`` values that is 12.7 KB, beyond
+    the few-KiB agreement; 11.9 KB of it are the roots of the one-value
+    sets, each a build of its own, so no two of them share an int.
     """
     wrappers = _wrappers()
     persistent_set = wrappers[2]

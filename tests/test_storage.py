@@ -4,7 +4,8 @@
 element-wise list oracle; footprint numbers for small structures are frozen
 from hand counts under the default model (header 2 words, bitmap 1, slot 1,
 out-of-line indirection 1); ``object_bytes`` is checked against what
-``tracemalloc`` sees a build allocate.
+``tracemalloc`` sees a build allocate, and every bulk build against
+holding one int object per distinct bitmap, shared with no other build.
 """
 
 import gc
@@ -24,6 +25,7 @@ from leantrie import (
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload
 from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
+from leantrie.selftest import _bitmap_ints
 from leantrie.storage import MAX_FIXED_SLOTS
 
 
@@ -279,21 +281,67 @@ def test_footprint_rejects_non_structures():
 # --- real bytes ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mix", [0.5, 0.9])
-def test_object_bytes_match_what_tracemalloc_sees_a_build_allocate(mix):
-    pairs = generate_workload(WorkloadSpec(mix=mix), 4096, 1).entries
-    multimap(pairs)  # warms the interpreter's free lists, which tracemalloc sees
+def _walked_and_traced(build, source):
+    """``object_bytes`` of ``build(source)`` and the bytes ``tracemalloc``
+    sees that build allocate."""
+    build(source)  # warms the interpreter's free lists, which tracemalloc sees
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        built = multimap(pairs)
+        built = build(source)
         gc.collect()
         traced = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    walked = object_bytes(built)
+    return object_bytes(built), traced
+
+
+@pytest.mark.parametrize("mix", [0.5, 0.9])
+def test_object_bytes_match_what_tracemalloc_sees_a_build_allocate(mix):
+    pairs = generate_workload(WorkloadSpec(mix=mix), 4096, 1).entries
+    walked, traced = _walked_and_traced(multimap, pairs)
     assert abs(walked - traced) <= 0.01 * traced + 4096
+
+
+@pytest.mark.parametrize("mix", [0.5, 0.9])
+@pytest.mark.parametrize("build", [pset, pmap])
+def test_object_bytes_match_tracemalloc_for_sets_and_maps(build, mix):
+    pairs = generate_workload(WorkloadSpec(mix=mix), 4096, 1).entries
+    walked, traced = _walked_and_traced(build, pairs)
+    assert abs(walked - traced) <= 0.01 * traced + 4096
+
+
+def _low_bits(obj):
+    # ~4 keys per hash among 4,096: buckets, with nested sets under them
+    return hash(obj) & 0x3FF
+
+
+def _entries(mix):
+    return generate_workload(WorkloadSpec(mix=mix), 4096, 1).entries
+
+
+BULK_BUILDS = {
+    "multimap-0.5": lambda: multimap(_entries(0.5)),
+    "multimap-0.9": lambda: multimap(_entries(0.9)),
+    "pset": lambda: pset(k for k, _ in _entries(0.5)),
+    "pmap": lambda: pmap(_entries(0.9)),
+    "colliding": lambda: multimap(_entries(0.5), key_hash=_low_bits, value_hash=_low_bits),
+    # the nested set that put_all builds from a list
+    "put_all": lambda: multimap().put_all("k", list(range(0, 50_000, 7))).get("k"),
+    "and": lambda: pset(range(0, 60_000, 3)) & pset(range(0, 60_000, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_BUILDS))
+def test_bulk_build_holds_one_int_per_distinct_bitmap(name):
+    built = BULK_BUILDS[name]()
+    bitmaps = _bitmap_ints(built._root)
+    assert len({id(bm) for bm in bitmaps}) == len(set(bitmaps))
+    # the table lives for one build only: object_bytes then agrees with
+    # tracemalloc, which sees every build allocate its own ints
+    again = BULK_BUILDS[name]()
+    assert not {id(bm) for bm in bitmaps} & {id(bm) for bm in _bitmap_ints(again._root)}
 
 
 def test_object_bytes_measure_structures_stored_as_values():
