@@ -6,9 +6,11 @@ relation never changes, so it is read once per analysis, by one
 ``items()`` walk grouped into a list per vertex; the fixpoint passes
 exercise ``get`` of each predecessor's dominator set, set intersection
 over those sets, and ``put_all``, which stores a vertex's new dominator
-set as is.  A vertex with one computed predecessor grows its set from
-that predecessor's by ``add``, so the two sets share every node off the
-copied path.
+set as is.  A pass re-evaluates only the vertices with a predecessor
+whose set changed since they were last computed; the first pass
+computes every vertex.  A vertex with one computed predecessor grows its
+set from that predecessor's by ``add``, so the two sets share every node
+off the copied path.
 
 Graphs are ingested from an edge-list format::
 
@@ -218,7 +220,9 @@ def compute_dominators(graph):
     """Dominator sets of every reachable vertex, as a multimap.
 
     Iterates Dom(n) = (intersection of Dom(p) over predecessors p) plus
-    {n}, from Dom(entry) = {entry}, until stable.  Vertices not yet
+    {n}, from Dom(entry) = {entry}, until a pass changes nothing.  After
+    the first pass, a pass re-evaluates only vertices with a predecessor
+    whose set changed since their last evaluation.  Vertices not yet
     visited stand for the all-reachable set, so the intersection skips
     them; reverse-postorder guarantees a computed predecessor on the
     first pass.  Unreachable vertices are excluded with a warning.
@@ -248,14 +252,19 @@ def _dominator_fixpoint(graph):
         pred_lists.setdefault(d, []).append(s)
 
     dom = multimap([(entry, entry)])
+    # Dom(n) can only change after a predecessor's set has, so a pass
+    # skips a vertex that no changed set has marked stale since it last
+    # ran: recomputing it would rebuild the set it holds
+    stale = set(order)
     iterations = 0
     changed = True
     while changed:
         changed = False
         iterations += 1
         for n in order:
-            if n == entry:
+            if n == entry or n not in stale:
                 continue
+            stale.discard(n)
             # stage the big intersection as a set of predecessor Dom sets,
             # folded pairwise; not-yet-computed Doms stand for "all" and
             # drop out of the intersection, as do unreachable predecessors:
@@ -271,6 +280,7 @@ def _dominator_fixpoint(graph):
             if rewritten is not dom:
                 changed = True
                 dom = rewritten
+                stale.update(succs.get(n, ()))
     return dom, iterations, preds
 
 

@@ -47,6 +47,44 @@ def test_summary_keeps_workloads_and_seeds_apart():
     assert [(r["seed"], r["change_wins"]) for r in rows] == [(1, 1), (7919, 0)]
 
 
+def test_summary_rows_total_each_sides_failures_over_complete_pairs():
+    runs = [
+        dict(_run(0, "parent", speed=1.0), failed=0, attempted=10),
+        dict(_run(0, "change", speed=2.0), failed=3, attempted=12),
+        dict(_run(1, "change", speed=2.0), failed=1, attempted=11),
+        dict(_run(1, "parent", speed=1.0), failed=2, attempted=9),
+        dict(_run(2, "parent", speed=1.0), failed=50, attempted=50),  # unfinished
+    ]
+    other = [dict(r, seed=7919, failed=0) for r in runs[:2]]
+    rows = bench_pairs.summarize(runs + other, {"speed": "higher"})
+    totals = [
+        {k: r[k] for k in ("parent_failed", "parent_attempted",
+                           "change_failed", "change_attempted")}
+        for r in rows
+    ]
+    assert totals == [
+        {"parent_failed": 2, "parent_attempted": 19,
+         "change_failed": 4, "change_attempted": 23},
+        {"parent_failed": 0, "parent_attempted": 10,
+         "change_failed": 0, "change_attempted": 12},
+    ]
+
+
+def test_a_run_with_failures_warns_on_stderr(monkeypatch, capsys):
+    failures = {"P": 0, "C": 4}
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        return {"failed": failures[checkout], "attempted": 20, "metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    bench_pairs.run_pair({"parent": "P", "change": "C"}, "mixed", 7, 0, 12)
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: mixed seed 7 pair 0 change: 4 of 20 operations failed"]
+    failures["C"] = 0
+    bench_pairs.run_pair({"parent": "P", "change": "C"}, "mixed", 7, 1, 12)
+    assert capsys.readouterr().err == ""
+
+
 def test_the_side_that_runs_first_alternates_by_pair_parity(monkeypatch):
     order = []
 

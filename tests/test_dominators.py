@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leantrie import PersistentMultiMap
+from leantrie import PersistentMultiMap, multimap
 from leantrie.dominators import (
     DOMINATOR_COLUMNS,
     CfgGraph,
     GraphError,
     _dominator_fixpoint,
+    _reachable,
+    _reverse_postorder,
     analyze_graph,
     compute_dominators,
     compute_preds,
@@ -72,6 +74,35 @@ def bitmask_dominators(graph):
         v: frozenset(i for i in range(n) if dom[v] >> i & 1)
         for v in reachable_from_entry(graph)
     }
+
+
+def full_pass_fixpoint(graph):
+    """Reference ``(dominator multimap, iterations)`` from the fixpoint that
+    recomputes every reachable vertex on every pass."""
+    reachable, succs = _reachable(graph)
+    order = _reverse_postorder(graph, succs, reachable)
+    entry = graph.entry
+    pred_lists = {}
+    for d, s in compute_preds(graph).items():
+        pred_lists.setdefault(d, []).append(s)
+    dom = multimap([(entry, entry)])
+    iterations = 0
+    changed = True
+    while changed:
+        changed = False
+        iterations += 1
+        for n in order:
+            if n == entry:
+                continue
+            operands = [s for p in pred_lists[n] if (s := dom.get(p))]
+            acc = operands[0]
+            for other in operands[1:]:
+                acc = acc & other
+            rewritten = dom.put_all(n, acc.add(n))
+            if rewritten is not dom:
+                changed = True
+                dom = rewritten
+    return dom, iterations
 
 
 def dominator_sets(graph):
@@ -151,6 +182,78 @@ def test_fixpoint_reads_the_predecessor_relation_once(monkeypatch):
     assert calls["get"]  # the dominator sets are still read with get
     assert not any(m is preds for m in calls["get"])
     assert sum(m is preds for m in calls["items"]) == 1
+
+
+def _recorded_put_all(monkeypatch):
+    keys = []
+    original = PersistentMultiMap.put_all
+
+    def recording(self, key, values):
+        keys.append(key)
+        return original(self, key, values)
+
+    monkeypatch.setattr(PersistentMultiMap, "put_all", recording)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [parse_edge_list("entry a\na b\nb c\nc d\n", name="chain"), DIAMOND],
+    ids=["chain", "diamond"],
+)
+def test_acyclic_graphs_compute_each_vertex_once_over_all_passes(graph, monkeypatch):
+    keys = _recorded_put_all(monkeypatch)
+    _, iterations, _ = _dominator_fixpoint(graph)
+    assert iterations == 2  # the confirming pass still runs
+    assert sorted(keys) == [1, 2, 3]  # every vertex but the entry, once
+
+
+def test_second_pass_recomputes_only_the_back_edge_target(monkeypatch):
+    looped = parse_edge_list("entry a\na b\nb c\nc b\nc d\n", name="loop")
+    keys = _recorded_put_all(monkeypatch)
+    _, iterations, _ = _dominator_fixpoint(looped)
+    assert iterations == 2
+    # pass 1 computes b, c, d; c's new set marks b stale again, and b's
+    # unchanged recomputation leaves nothing stale
+    assert keys == [1, 2, 3, 1]
+
+
+def _assert_matches_the_full_pass_fixpoint(graph):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dom, iterations, _ = _dominator_fixpoint(graph)
+        want, want_iterations = full_pass_fixpoint(graph)
+    assert iterations == want_iterations, graph.name
+    assert dom._root.equals(dom._cfg, want._root), graph.name
+
+
+def test_stale_only_passes_match_the_full_pass_fixpoint_on_random_cfgs():
+    for seed in range(24):
+        _assert_matches_the_full_pass_fixpoint(random_cfg(512, seed))
+
+
+@st.composite
+def digraphs(draw):
+    """Entry 0 and up to 24 vertices; self-loops, back edges into the
+    entry and vertices unreachable from it are all allowed."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    # at least n edges: sparser graphs almost never need a third pass
+    edges = draw(
+        st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n, unique=True)
+    )
+    return CfgGraph(
+        name="hypothesis",
+        entry=0,
+        vertex_names=tuple(f"v{i}" for i in range(n)),
+        edges=tuple(edges),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_stale_only_passes_match_the_full_pass_fixpoint_on_digraphs(graph):
+    _assert_matches_the_full_pass_fixpoint(graph)
 
 
 def test_unreachable_vertices_are_excluded_with_a_warning():

@@ -13,9 +13,11 @@ the change.  The report has three parts: ``metadata``, ``runs`` (one row per
 run with its ``failed``/``attempted`` counts and metric values) and
 ``summary`` (per workload, seed and end-to-end metric: each side's median
 and quartiles, ``change_wins`` over pairs, where a tie counts for neither
-side, and ``change_vs_parent``, the change's median over the parent's minus
-one).  The report is rewritten after every pair, so an interrupted series
-keeps the pairs it finished; ``--append`` extends an existing report.
+side, ``change_vs_parent``, the change's median over the parent's minus
+one, and each side's ``failed``/``attempted`` totals over the same pairs).
+A run with failed operations also gets a warning on stderr.  The report is
+rewritten after every pair, so an interrupted series keeps the pairs it
+finished; ``--append`` extends an existing report.
 """
 
 import argparse
@@ -57,11 +59,16 @@ def run_pair(checkouts, workload, seed, pair, seconds):
     order = SIDES if pair % 2 == 0 else SIDES[::-1]
     rows = []
     for i, side in enumerate(order):
-        rows.append({
+        row = {
             "workload": workload, "seed": seed, "pair": pair, "side": side,
             "ran_first": i == 0,
             **run_once(checkouts[side], workload, seed, seconds),
-        })
+        }
+        if row["failed"] > 0:
+            print(f"warning: {workload} seed {seed} pair {pair} {side}: "
+                  f"{row['failed']} of {row['attempted']} operations failed",
+                  file=sys.stderr)
+        rows.append(row)
     return sorted(rows, key=lambda r: SIDES.index(r["side"]))
 
 
@@ -74,8 +81,9 @@ def _quartiles(values):
 
 def summarize(runs, better):
     """One summary row per (workload, seed, metric), in first-seen order
-    of (workload, seed) and ``better``'s metric order.  Pairs missing a
-    side are left out."""
+    of (workload, seed) and ``better``'s metric order.  Each row carries
+    both sides' ``failed``/``attempted`` totals for its (workload, seed).
+    Pairs missing a side are left out."""
     pairs = {}
     for run in runs:
         key = (run["workload"], run["seed"])
@@ -83,6 +91,10 @@ def summarize(runs, better):
     rows = []
     for (workload, seed), by_pair in pairs.items():
         complete = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+        totals = {
+            f"{side}_{count}": sum(p[side][count] for p in complete)
+            for side in SIDES for count in ("failed", "attempted")
+        }
         for metric, direction in better.items():
             values = {
                 side: [p[side]["metrics"][metric] for p in complete
@@ -107,6 +119,7 @@ def summarize(runs, better):
             row["change_vs_parent"] = round(
                 row["change_median"] / row["parent_median"] - 1, 4
             )
+            row.update(totals)
             rows.append(row)
     return rows
 
