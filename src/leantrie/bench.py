@@ -426,25 +426,35 @@ def _op_callables(adapter, base, dataset):
     }
 
 
-def _time_callable(call, probes_per_call, config):
-    """Median and MAD nanoseconds per probe over the measured iterations."""
-    start = perf_counter_ns()
-    call()
-    once = max(perf_counter_ns() - start, 1)
-    repeats = max(1, min(100_000, config.target_iteration_ns // once))
-    for _ in range(config.warmup_iterations):
-        for _ in range(repeats):
-            call()
-    samples = []
-    for _ in range(config.measured_iterations):
+def _time_interleaved(calls, config):
+    """Median and MAD nanoseconds per probe of each ``(call, probes)``.
+
+    Each call is calibrated and warmed up on its own; then the measured
+    iterations alternate, sample ``i`` of every call taken before sample
+    ``i + 1`` of any, so host drift lands on every call alike.
+    """
+    repeats = []
+    for call, _ in calls:
         start = perf_counter_ns()
-        for _ in range(repeats):
-            call()
-        elapsed = perf_counter_ns() - start
-        samples.append(elapsed / repeats / probes_per_call)
-    med = statistics.median(samples)
-    mad = statistics.median(abs(s - med) for s in samples)
-    return med, mad
+        call()
+        once = max(perf_counter_ns() - start, 1)
+        n = max(1, min(100_000, config.target_iteration_ns // once))
+        for _ in range(config.warmup_iterations):
+            for _ in range(n):
+                call()
+        repeats.append(n)
+    samples = [[] for _ in calls]
+    for _ in range(config.measured_iterations):
+        for (call, probes), n, taken in zip(calls, repeats, samples):
+            start = perf_counter_ns()
+            for _ in range(n):
+                call()
+            taken.append((perf_counter_ns() - start) / n / probes)
+    timed = []
+    for taken in samples:
+        med = statistics.median(taken)
+        timed.append((med, statistics.median(abs(s - med) for s in taken)))
+    return timed
 
 
 def run_suite(structure, dataset, config=None):
@@ -457,8 +467,9 @@ def run_suite(structure, dataset, config=None):
 
 def _run_cell(names, dataset, config, first=0):
     """Gate every structure of one (size, seed) cell, then time each
-    operation across the structures back to back, starting at
-    ``names[first]``, so host drift lands on every side of a comparison.
+    operation across the structures with their samples interleaved,
+    starting at ``names[first]``, so host drift lands on every side of a
+    comparison.
 
     Rows come out structure by structure, operations in ``OPERATIONS``
     order.
@@ -470,10 +481,11 @@ def _run_cell(names, dataset, config, first=0):
         _correctness_gate(adapter, base, dataset)
         calls[name] = _op_callables(adapter, base, dataset)
     timed = {}
+    order = names[first:] + names[:first]
     for operation in OPERATIONS:
-        for name in names[first:] + names[:first]:
-            call, probes = calls[name][operation]
-            timed[name, operation] = _time_callable(call, probes, config)
+        results = _time_interleaved([calls[n][operation] for n in order], config)
+        for name, result in zip(order, results):
+            timed[name, operation] = result
     size_exponent = dataset.size.bit_length() - 1
     return [
         BenchRow(

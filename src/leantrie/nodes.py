@@ -8,15 +8,21 @@ its flat slot run, laid out as::
     (bitmap, [inline entries][collection entries][sub-node references])
 
 Inline entries are ``width`` slots each (1 for sets, 2 for maps and
-multimaps); collection entries are always ``(key, set-root)`` pairs whose
-second slot is the root node of a nested element trie, and occur only at
-width 2, so every payload entry is ``width`` slots wide; sub-node
-references are one slot.  Entries within a region are ordered by branch
-index.  :func:`_pos` is the one layout rule: insert and delete find a
-branch's index through it, and ``lookup``, a loop over trie levels, ranks
-inline entries and sub-nodes by the same plane arithmetic written inline.
-A ``CollisionNode`` keeps the two payload regions in a slot tuple of its
-own, without a bitmap.
+multimaps); collection entries, which occur only at width 2, are
+``COLL_W`` slots each, ``(key, set-root)`` with the root node of a
+nested element trie; sub-node references are one slot.  Entries within a
+region are ordered by branch index.  A ``CollisionNode`` keeps the two
+payload regions in a slot tuple of its own, without a bitmap or
+sub-nodes.  Both node kinds answer ``regions(width)``, the one
+region-bounds rule: the slot run, where its inline region starts, and
+where its collection region and its sub-nodes start.  Iteration,
+counting, structural equality, validation, node statistics and the
+footprint walk read a node through it.  The hot paths keep their own
+arithmetic on the same layout, with the collection width named as
+``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
+planes for ``insert`` and ``delete``, ``lookup`` writes that rank inline
+in its loop over trie levels, and ``_placed``, ``_single_entry`` and
+``_collision_under_chain`` work from slot counts.
 
 A ``TrieNode`` is a ``tuple`` subclass with no instance dictionary, so a
 node costs one CPython object rather than an object plus a slot tuple.
@@ -63,6 +69,8 @@ as long as the build; a point update makes a fresh int when a node's
 pattern changes and keeps the old one when it stays.
 """
 
+from itertools import chain
+
 from .bits import (
     COLLECTION,
     EMPTY,
@@ -73,6 +81,7 @@ from .bits import (
 )
 
 M32 = 0xFFFFFFFF
+COLL_W = 2  # slots per collection entry: the key and its nested set root
 
 
 def fold_hash(obj):
@@ -135,10 +144,10 @@ def _pos(bm, w, pattern, branch, n):
     pattern has its low or high bit set: inline branches are hi but not lo,
     collections both, sub-nodes lo but not hi; each rank is the popcount
     of one plane expression.  Inline entries come first, right after the
-    bitmap, then collection entries, each region in branch order and each
-    entry ``w`` slots wide.  Sub-nodes close the node in branch order, so a
-    sub-node sits as many items from the end as there are sub-nodes on
-    branches >= ``branch``.
+    bitmap, ``w`` slots each, then collection entries, ``COLL_W`` slots
+    each, each region in branch order.  Sub-nodes close the node in branch
+    order, so a sub-node sits as many items from the end as there are
+    sub-nodes on branches >= ``branch``.
     """
     offset = branch << 1
     if pattern == NODE:
@@ -148,7 +157,7 @@ def _pos(bm, w, pattern, branch, n):
     if pattern == INLINE:
         return 1 + w * (hi & ~bm & below).bit_count()
     both = hi & bm
-    return 1 + w * ((hi ^ both).bit_count() + (both & below).bit_count())
+    return 1 + w * (hi ^ both).bit_count() + COLL_W * (both & below).bit_count()
 
 
 # -- payload transitions -------------------------------------------------------
@@ -235,24 +244,21 @@ def _drop_value(cfg, pattern, k0, payload, value, drop_key):
 
 
 class _Node:
-    """Iteration shared by both node kinds, driven by ``region_counts``
-    over the slot run that ``_run`` locates."""
+    """Iteration shared by both node kinds, over the bounds that
+    ``regions`` gives."""
 
     __slots__ = ()
 
     def iter_entries(self, cfg):
         w = cfg.width
-        run, start = self._run()
-        n_i, n_c, _ = self.region_counts(w)
-        end_i = start + w * n_i
-        end = end_i + 2 * n_c
+        run, start, end_i, end = self.regions(w)
         if w == 1:
             yield from run[start:end_i]
         else:
-            for pos in range(start, end_i, 2):
+            for pos in range(start, end_i, w):
                 yield (run[pos], run[pos + 1])
         vcfg = cfg.value_cfg
-        for pos in range(end_i, end, 2):
+        for pos in range(end_i, end, COLL_W):
             k = run[pos]
             for v in run[pos + 1].iter_entries(vcfg):
                 yield (k, v)
@@ -261,10 +267,9 @@ class _Node:
 
     def iter_keys(self, cfg):
         w = cfg.width
-        run, start = self._run()
-        n_i, n_c, _ = self.region_counts(w)
-        end = start + w * n_i + 2 * n_c
-        yield from run[start:end:w]
+        run, start, end_i, end = self.regions(w)
+        yield from run[start:end_i:w]
+        yield from run[end_i:end:COLL_W]
         for child in run[end:]:
             yield from child.iter_keys(cfg)
 
@@ -293,8 +298,15 @@ class TrieNode(_Node, tuple):
     def slots(self):
         return self[1:]
 
-    def _run(self):
-        return self, 1
+    def regions(self, w):
+        """``(run, start, end_i, end)``: the node itself, whose inline
+        region spans ``[start, end_i)``, its collection region
+        ``[end_i, end)`` and its sub-nodes ``[end, len(run))``."""
+        bm = self[0]
+        hi = (bm >> 1) & EVEN_BITS
+        both = bm & hi
+        end_i = 1 + w * (hi ^ both).bit_count()
+        return self, 1, end_i, end_i + COLL_W * both.bit_count()
 
     def region_counts(self, w):
         bm = self[0]
@@ -422,15 +434,12 @@ class TrieNode(_Node, tuple):
             return True
         if type(other) is not TrieNode or other[0] != self[0]:
             return False
-        w = cfg.width
-        n_i, n_c, _ = self.region_counts(w)
-        end_i = 1 + w * n_i
-        end = end_i + 2 * n_c
-        for pos in range(1, end_i):
+        _, start, end_i, end = self.regions(cfg.width)
+        for pos in range(start, end_i):
             if not _eq(self[pos], other[pos]):
                 return False
         vcfg = cfg.value_cfg
-        for pos in range(end_i, end, 2):
+        for pos in range(end_i, end, COLL_W):
             if not _eq(self[pos], other[pos]):
                 return False
             if not self[pos + 1].equals(vcfg, other[pos + 1]):
@@ -460,20 +469,23 @@ class CollisionNode(_Node):
         self.inline_n = inline_n
         self.slots = slots
 
-    def _run(self):
-        return self.slots, 0
+    def regions(self, w):
+        """``(slots, 0, end_i, len(slots))``: the collection region follows
+        the inline region to the end of the slots (see ``TrieNode``)."""
+        slots = self.slots
+        return slots, 0, w * self.inline_n, len(slots)
 
     def region_counts(self, w):
-        n_i = self.inline_n
-        return n_i, (len(self.slots) - w * n_i) // 2, 0
+        _, _, end_i, end = self.regions(w)
+        return self.inline_n, (end - end_i) // COLL_W, 0
 
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, or None."""
-        slots = self.slots
-        for pos in range(0, len(slots), w):
+        slots, _, end_i, end = self.regions(w)
+        for pos in chain(range(0, end_i, w), range(end_i, end, COLL_W)):
             k0 = slots[pos]
             if k0 is key or k0 == key:
-                return (INLINE if pos < w * self.inline_n else COLLECTION), pos
+                return (INLINE if pos < end_i else COLLECTION), pos
         return None
 
     def _placed(self, w, old, pos, size, pattern, vals):
@@ -487,8 +499,8 @@ class CollisionNode(_Node):
         if pattern != old and pattern != EMPTY:
             # in the result, the inline region ends at w * inline_n and the
             # collection region with the run
-            end = w * inline_n if pattern == INLINE else len(slots) - size + w
-            ins = end - w
+            end = w * inline_n if pattern == INLINE else len(slots) - size + len(vals)
+            ins = end - len(vals)
         return CollisionNode(self.hash, inline_n, _splice(slots, pos, size, ins, vals))
 
     def lookup(self, cfg, shift, key_hash, key):
@@ -547,15 +559,14 @@ class CollisionNode(_Node):
         ):
             return False
         w = cfg.width
-        base = w * self.inline_n
-        mine = [self.slots[i : i + w] for i in range(0, base, w)]
+        slots, _, base, end = self.regions(w)  # other's bounds are the same
+        mine = [slots[i : i + w] for i in range(0, base, w)]
         theirs = [other.slots[i : i + w] for i in range(0, base, w)]
         if not _match_unordered(mine, theirs, lambda a, b: all(map(_eq, a, b))):
             return False
         vcfg = cfg.value_cfg
-        end = len(self.slots)
-        mine = [self.slots[i : i + 2] for i in range(base, end, 2)]
-        theirs = [other.slots[i : i + 2] for i in range(base, end, 2)]
+        mine = [slots[i : i + COLL_W] for i in range(base, end, COLL_W)]
+        theirs = [other.slots[i : i + COLL_W] for i in range(base, end, COLL_W)]
         return _match_unordered(
             mine, theirs, lambda a, b: _eq(a[0], b[0]) and a[1].equals(vcfg, b[1])
         )
@@ -796,12 +807,9 @@ def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
     width-1 tries), summed from region counts without visiting them."""
     w = cfg.width
-    n_i, n_c, _ = node.region_counts(w)
-    run, start = node._run()
-    end_i = start + w * n_i
-    end = end_i + 2 * n_c
-    total = n_i
-    for pos in range(end_i + 1, end, 2):
+    run, start, end_i, end = node.regions(w)
+    total = (end_i - start) // w
+    for pos in range(end_i + 1, end, COLL_W):
         total += count_entries(cfg.value_cfg, run[pos])
     for child in run[end:]:
         total += count_entries(cfg, child)
@@ -828,118 +836,91 @@ def validate_root(cfg, root):
 
 
 def _validate(cfg, node, shift, prefix, is_root):
+    """``(tuple_count, key_count)`` below ``node``, a trie node at ``shift``
+    or a collision bucket, whose keys' hashes share the path ``prefix``,
+    after checking each of its regions."""
     w = cfg.width
-    if type(node) is CollisionNode:
-        return _validate_collision(cfg, node, shift, prefix)
-    if shift > 30:
-        _fail(f"TrieNode below the last hash level (shift {shift})")
-    bm = node.bitmap
-    slots = node.slots
-    if bm >> 64:
-        _fail("bitmap wider than 64 bits")
-    n_i, n_c, n_n = node.region_counts(w)
-    if n_c and w == 1:
-        _fail("collection entries in a width-1 trie")
-    expected = w * n_i + 2 * n_c + n_n
-    if len(slots) != expected:
-        _fail(f"slot run has {len(slots)} cells, bitmap implies {expected}")
-    if expected > 64:
-        _fail(f"trie node with {expected} slots (maximum is 64)")
-    if not is_root:
-        if n_i + n_c + n_n == 0:
-            _fail("empty non-root node")
-        if n_n == 0 and n_i + n_c == 1:
-            _fail("non-root node holds a single payload entry and no sub-nodes")
-        if n_i + n_c == 0 and n_n == 1 and type(slots[0]) is CollisionNode:
-            _fail("chain node left above a collision bucket")
+    run, start, end_i, end = node.regions(w)
+    n_i = (end_i - start) // w
+    n_c = (end - end_i) // COLL_W
+    mask = ((1 << shift) - 1) & M32
+    bucket = type(node) is CollisionNode
+    if bucket:
+        if end_i > end or (end - end_i) % COLL_W:
+            _fail("collision slot run does not match its entry counts")
+        if n_i + n_c < 2:
+            _fail("collision bucket with fewer than two entries")
+        if node.hash & mask != prefix & mask:
+            _fail("collision bucket hash disagrees with its path prefix")
+        branches = [None] * (n_i + n_c)
+        subs = []
+    else:
+        if shift > 30:
+            _fail(f"TrieNode below the last hash level (shift {shift})")
+        bm = node[0]
+        if bm >> 64:
+            _fail("bitmap wider than 64 bits")
+        if n_c and w == 1:
+            _fail("collection entries in a width-1 trie")
+        hi = (bm >> 1) & EVEN_BITS
+        subs = _branches(bm & EVEN_BITS & ~hi)
+        n_n = len(subs)
+        expected = end - start + n_n
+        if len(run) - start != expected:
+            _fail(f"slot run has {len(run) - start} cells, bitmap implies {expected}")
+        if expected > 64:
+            _fail(f"trie node with {expected} slots (maximum is 64)")
+        if not is_root:
+            if n_i + n_c + n_n == 0:
+                _fail("empty non-root node")
+            if n_n == 0 and n_i + n_c == 1:
+                _fail("non-root node holds a single payload entry and no sub-nodes")
+            if n_i + n_c == 0 and n_n == 1 and type(run[start]) is CollisionNode:
+                _fail("chain node left above a collision bucket")
+        branches = _branches(hi & ~bm) + _branches(hi & bm)
 
-    mask = (1 << shift) - 1
-    tuples = 0
-    keys = 0
-    pos = 0
-    seen_branches = []
-    for branch in range(32):
-        if (bm >> (branch << 1)) & 0b11 == INLINE:
-            seen_branches.append((branch, INLINE))
-    for branch in range(32):
-        if (bm >> (branch << 1)) & 0b11 == COLLECTION:
-            seen_branches.append((branch, COLLECTION))
-    for branch in range(32):
-        if (bm >> (branch << 1)) & 0b11 == NODE:
-            seen_branches.append((branch, NODE))
-
-    for branch, pattern in seen_branches:
-        if pattern == INLINE:
-            key = slots[pos]
-            _check_hash(cfg, key, shift, prefix, branch, mask)
-            tuples += 1
-            keys += 1
-            pos += w
-        elif pattern == COLLECTION:
-            key = slots[pos]
-            _check_hash(cfg, key, shift, prefix, branch, mask)
-            set_root = slots[pos + 1]
-            vcfg = cfg.value_cfg
-            sub_tuples, _ = _validate(vcfg, set_root, 0, 0, True)
-            if sub_tuples < 2:
-                _fail(f"collection entry for {key!r} holds {sub_tuples} values")
-            tuples += sub_tuples
-            keys += 1
-            pos += 2
-        else:
-            child = slots[pos]
-            child_prefix = prefix | (branch << shift)
-            sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
-            tuples += sub_tuples
-            keys += sub_keys
-            pos += 1
-    return tuples, keys
-
-
-def _validate_collision(cfg, node, shift, prefix):
-    w = cfg.width
-    n_i, n_c, _ = node.region_counts(w)
-    if w * n_i + 2 * n_c != len(node.slots):
-        _fail("collision slot run does not match its entry counts")
-    if n_i + n_c < 2:
-        _fail("collision bucket with fewer than two entries")
-    mask = (1 << shift) - 1 if shift <= 32 else M32
-    if node.hash & mask != prefix & mask:
-        _fail("collision bucket hash disagrees with its path prefix")
     tuples = 0
     seen_keys = []
-    for r in range(n_i):
-        key = node.slots[w * r]
-        if cfg.hasher(key) & M32 != node.hash:
-            _fail(f"collision entry {key!r} does not hash to the bucket hash")
-        for other in seen_keys:
-            if _eq(other, key):
-                _fail(f"duplicate key {key!r} in collision bucket")
-        seen_keys.append(key)
-        tuples += 1
-    base = w * n_i
     vcfg = cfg.value_cfg
-    for r in range(n_c):
-        key = node.slots[base + 2 * r]
-        if cfg.hasher(key) & M32 != node.hash:
-            _fail(f"collision entry {key!r} does not hash to the bucket hash")
-        for other in seen_keys:
-            if _eq(other, key):
+    entries = chain(range(start, end_i, w), range(end_i, end, COLL_W))
+    for pos, branch in zip(entries, branches):
+        key = run[pos]
+        h = cfg.hasher(key) & M32
+        if bucket:
+            if h != node.hash:
+                _fail(f"collision entry {key!r} does not hash to the bucket hash")
+            if any(_eq(other, key) for other in seen_keys):
                 _fail(f"duplicate key {key!r} in collision bucket")
-        seen_keys.append(key)
-        sub_tuples, _ = _validate(vcfg, node.slots[base + 2 * r + 1], 0, 0, True)
+            seen_keys.append(key)
+        elif h & mask != prefix:
+            _fail(f"key {key!r} stored under the wrong hash prefix")
+        elif (h >> shift) & 31 != branch:
+            _fail(f"key {key!r} stored on the wrong branch")
+        if pos < end_i:
+            tuples += 1
+            continue
+        sub_tuples, _ = _validate(vcfg, run[pos + 1], 0, 0, True)
         if sub_tuples < 2:
             _fail(f"collection entry for {key!r} holds {sub_tuples} values")
         tuples += sub_tuples
-    return tuples, n_i + n_c
+    keys = n_i + n_c
+    for branch, child in zip(subs, run[end:]):
+        child_prefix = prefix | (branch << shift)
+        sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
+        tuples += sub_tuples
+        keys += sub_keys
+    return tuples, keys
 
 
-def _check_hash(cfg, key, shift, prefix, branch, mask):
-    h = cfg.hasher(key) & M32
-    if h & mask != prefix:
-        _fail(f"key {key!r} stored under the wrong hash prefix")
-    if shift <= 30 and (h >> shift) & 31 != branch:
-        _fail(f"key {key!r} stored on the wrong branch")
+def _branches(plane):
+    """The branches whose bits are set in ``plane`` (bit ``2b`` for branch
+    ``b``), in branch order."""
+    found = []
+    while plane:
+        low = plane & -plane
+        found.append((low.bit_length() - 1) >> 1)
+        plane ^= low
+    return found
 
 
 def node_stats(cfg, root):
@@ -960,14 +941,11 @@ def _collect_stats(cfg, node, depth, stats):
     stats["max_depth"] = max(stats["max_depth"], depth)
     stats[node.STATS_KEY] += 1
     w = cfg.width
-    n_i, n_c, n_n = node.region_counts(w)
-    slots = node.slots
-    stats["inline_entries"] += n_i
-    stats["collection_entries"] += n_c
-    pos = w * n_i
-    for r in range(n_c):
-        nested = node_stats(cfg.value_cfg, slots[pos + 2 * r + 1])
+    run, start, end_i, end = node.regions(w)
+    stats["inline_entries"] += (end_i - start) // w
+    stats["collection_entries"] += (end - end_i) // COLL_W
+    for pos in range(end_i + 1, end, COLL_W):
+        nested = node_stats(cfg.value_cfg, run[pos])
         stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
-    pos += 2 * n_c
-    for r in range(n_n):
-        _collect_stats(cfg, slots[pos + r], depth + 1, stats)
+    for child in run[end:]:
+        _collect_stats(cfg, child, depth + 1, stats)

@@ -12,7 +12,7 @@ from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
-from .nodes import CollisionNode, TrieNode
+from .nodes import COLL_W, TrieNode
 from .storage import footprint
 
 
@@ -132,20 +132,18 @@ def _check_put_all(rng):
     return True
 
 
-def _bitmap_ints(root):
-    """Every trie-node bitmap above the small-int cache under ``root``,
+def _bitmap_ints(structure):
+    """Every trie-node bitmap above the small-int cache in ``structure``,
     nested sets and nodes under collision buckets included."""
     found = []
-    stack = [root]
+    stack = [(structure._cfg, structure._root)]
     while stack:
-        node = stack.pop()
-        if type(node) is TrieNode:
-            if node[0] > 256:
-                found.append(node[0])
-            slots = node[1:]
-        else:
-            slots = node.slots
-        stack.extend(s for s in slots if type(s) in (TrieNode, CollisionNode))
+        cfg, node = stack.pop()
+        run, _, end_i, end = node.regions(cfg.width)
+        if type(node) is TrieNode and node[0] > 256:
+            found.append(node[0])
+        stack.extend((cfg.value_cfg, nested) for nested in run[end_i + 1 : end : COLL_W])
+        stack.extend((cfg, child) for child in run[end:])
     return found
 
 
@@ -153,7 +151,7 @@ def _check_shared_bitmaps(rng):
     pairs = [(rng.randrange(600), rng.randrange(40)) for _ in range(2_000)]
     for hasher in (None, lambda o: hash(o) % 7):
         built = multimap(pairs, key_hash=hasher, value_hash=hasher)
-        bitmaps = _bitmap_ints(built._root)
+        bitmaps = _bitmap_ints(built)
         if not bitmaps or len({id(bm) for bm in bitmaps}) != len(set(bitmaps)):
             return False
     return True

@@ -24,6 +24,8 @@ import sys
 import types
 from dataclasses import dataclass
 
+from .nodes import COLL_W
+
 MAX_FIXED_SLOTS = 8
 
 
@@ -102,8 +104,9 @@ def _walk_node(node, cfg, model, report, seen):
         return 0
     seen.add(key)
 
-    slots = node.slots
-    n_slots = len(slots)
+    width = cfg.width
+    run, start, end_i, end = node.regions(width)
+    n_slots = len(run) - start
     words = model.header_words + model.bitmap_words + n_slots * model.slot_words
     report.nodes += 1
     report.headers += model.header_words
@@ -113,21 +116,15 @@ def _walk_node(node, cfg, model, report, seen):
         report.indirections += model.indirection_words
         words += model.indirection_words
 
-    width = cfg.width
-    n_inline, n_coll, n_sub = node.region_counts(width)
-    pos = 0
-    for _ in range(n_inline):
-        value_slot = pos + 1 if width == 2 else pos
-        words += _walk_value(slots[value_slot], model, report, seen)
-        pos += width
-    for _ in range(n_coll):
-        added = _walk_node(slots[pos + 1], cfg.value_cfg, model, report, seen)
+    # an inline entry's value is its last slot: the element itself at width 1
+    for pos in range(start + width - 1, end_i, width):
+        words += _walk_value(run[pos], model, report, seen)
+    for pos in range(end_i + 1, end, COLL_W):
+        added = _walk_node(run[pos], cfg.value_cfg, model, report, seen)
         report.nested_words += added
         words += added
-        pos += 2
-    for _ in range(n_sub):
-        words += _walk_node(slots[pos], cfg, model, report, seen)
-        pos += 1
+    for child in run[end:]:
+        words += _walk_node(child, cfg, model, report, seen)
     return words
 
 

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from leantrie import bench
 from leantrie.bench import (
     BENCH_COLUMNS,
     FOOTPRINT_COLUMNS,
@@ -206,6 +207,35 @@ def test_explicit_structure_selection_is_honored():
     rows = run_benchmarks(spec, FAST, structures=["multimap"])
     assert {r.structure for r in rows} == {"multimap"}
     assert len(rows) == 8
+
+
+def test_a_cells_samples_alternate_across_its_structures(monkeypatch):
+    # each structure is calibrated (one call) and warmed up (two iterations
+    # of one call) on its own; then sample i of every structure is taken
+    # before sample i + 1 of any, starting at names[first]
+    log = []
+
+    def recording(adapter, base, dataset):
+        def call(operation):
+            return lambda: log.append((adapter.name, operation))
+
+        return {operation: (call(operation), 1) for operation in OPERATIONS}
+
+    monkeypatch.setattr(bench, "_op_callables", recording)
+    d = generate_workload(small_spec(), 16, seed=0)
+    config = BenchConfig(warmup_iterations=2, measured_iterations=3, target_iteration_ns=0)
+    names = ["multimap", "map_of_sets"]
+    for first in (0, 1):
+        log.clear()
+        rows = bench._run_cell(names, d, config, first)
+        assert [(r.structure, r.operation) for r in rows] == [
+            (name, operation) for name in names for operation in OPERATIONS
+        ]
+        a, b = names[first:] + names[:first]
+        per_operation = [a] * 3 + [b] * 3 + [a, b] * 3
+        assert log == [
+            (name, operation) for operation in OPERATIONS for name in per_operation
+        ]
 
 
 # -- footprint comparison -------------------------------------------------------------

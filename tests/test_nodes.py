@@ -7,6 +7,7 @@ full invariant set (canonical form, region layout, collision placement,
 cached counts).
 """
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from leantrie.bits import (
 )
 from leantrie.maps import PersistentMap
 from leantrie.nodes import (
+    COLL_W,
     CollisionNode,
     InvariantError,
     TrieNode,
@@ -306,6 +308,10 @@ def test_bucket_promotes_and_demotes_entries():
     check_invariants(grown)
     assert set(grown.get("A")) == {1, 9}
     assert structure_stats(grown)["collection_entries"] == 1
+    # the bucket's regions: B's inline pair, then A's collection entry
+    bucket = grown._root[1]
+    assert bucket.regions(2) == (bucket.slots, 0, 2, 2 + COLL_W)
+    assert bucket.slots[:3] == ("B", 2, "A")
     back = grown.remove("A", 9)
     check_invariants(back)
     assert structure_stats(back)["collection_entries"] == 0
@@ -497,6 +503,79 @@ def test_validator_rejects_slot_count_mismatch():
         validate_root(cfg, root)
 
 
+def _chain(levels, bottom):
+    """``bottom`` hung ``levels`` levels down branch 0."""
+    for _ in range(levels):
+        bottom = TrieNode((NODE, bottom))
+    return bottom
+
+
+def _under_root(bucket):
+    return TrieNode((NODE, bucket))
+
+
+# one malformed structure per reachable validator message: (config, root,
+# message); "maximum is 64" cannot fire, since 32 branches of two slots
+# fill at most 64 slots
+MALFORMED = {
+    "below-last-level": (
+        map_config(key_hash=lambda k: 0),
+        _chain(7, TrieNode((0,))),
+        r"below the last hash level \(shift 35\)",
+    ),
+    "wide-bitmap": (map_config(), TrieNode((1 << 64,)), "wider than 64 bits"),
+    "collection-at-width-1": (
+        set_config(element_hash=lambda e: 0),
+        TrieNode((COLLECTION, 0, TrieNode((0,)))),
+        "collection entries in a width-1 trie",
+    ),
+    "empty-non-root": (map_config(), _under_root(TrieNode((0,))), "empty non-root"),
+    "wrong-prefix": (
+        # both keys' hashes end in fragment 2, but they hang off branch 1
+        map_config(key_hash=lambda k: k),
+        TrieNode((NODE << 2, TrieNode((INLINE << 2 | INLINE << 4, 34, "a", 66, "b")))),
+        "34 stored under the wrong hash prefix",
+    ),
+    "bucket-run-mismatch": (
+        map_config(key_hash=lambda k: 0),
+        _under_root(CollisionNode(0, 2, ("a", 1, "b", 2, "c"))),
+        "collision slot run does not match",
+    ),
+    "bucket-of-one": (
+        map_config(key_hash=lambda k: 0),
+        _under_root(CollisionNode(0, 1, ("a", 1))),
+        "fewer than two entries",
+    ),
+    "bucket-off-prefix": (
+        map_config(key_hash=lambda k: 1),
+        _under_root(CollisionNode(1, 2, ("a", 1, "b", 2))),
+        "bucket hash disagrees with its path prefix",
+    ),
+    "bucket-stray-hash": (
+        map_config(key_hash=lambda k: 0 if k == "a" else 32),
+        _under_root(CollisionNode(0, 2, ("a", 1, "b", 2))),
+        "'b' does not hash to the bucket hash",
+    ),
+    "bucket-duplicate-key": (
+        map_config(key_hash=lambda k: 0),
+        _under_root(CollisionNode(0, 2, ("a", 1, "a", 2))),
+        "duplicate key 'a' in collision bucket",
+    ),
+    "root-not-a-trie-node": (
+        map_config(key_hash=lambda k: 0),
+        CollisionNode(0, 2, ("a", 1, "b", 2)),
+        "root must be a TrieNode, got CollisionNode",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_validator_names_each_malformation(case):
+    cfg, root, message = MALFORMED[case]
+    with pytest.raises(InvariantError, match=message):
+        validate_root(cfg, root)
+
+
 def test_validator_accepts_the_empty_root_and_single_entry_root():
     cfg = map_config(key_hash=lambda k: k)
     assert validate_root(cfg, TrieNode((0,))) == (0, 0)
@@ -529,6 +608,9 @@ def test_node_size_is_what_the_allocator_gives_it():
         items = (0,) * n
         for i in range(len(batch)):
             batch[i] = None
+        # the 64 GC-tracked allocations can start a cyclic collection, which
+        # allocates bytes of its own inside the window
+        gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -537,6 +619,7 @@ def test_node_size_is_what_the_allocator_gives_it():
             traced = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+            gc.enable()
         assert traced == len(batch) * sys.getsizeof(batch[0]), n
 
 
@@ -577,6 +660,10 @@ def test_pos_and_region_counts_agree_with_the_reference_rank():
         counts = _reference_counts(bm)
         assert TrieNode((bm,)).region_counts(2) == counts
         for w in (1, 2):
+            node = TrieNode((bm,))
+            run, start, end_i, end = node.regions(w)
+            assert (run, start) == (node, 1)
+            assert (end_i - start, end - end_i) == (w * counts[0], COLL_W * counts[1])
             n = 1 + w * counts[0] + 2 * counts[1] + counts[2]
             for branch in range(32):
                 for pattern in (INLINE, COLLECTION, NODE):

@@ -336,12 +336,12 @@ BULK_BUILDS = {
 @pytest.mark.parametrize("name", sorted(BULK_BUILDS))
 def test_bulk_build_holds_one_int_per_distinct_bitmap(name):
     built = BULK_BUILDS[name]()
-    bitmaps = _bitmap_ints(built._root)
+    bitmaps = _bitmap_ints(built)
     assert len({id(bm) for bm in bitmaps}) == len(set(bitmaps))
     # the table lives for one build only: object_bytes then agrees with
     # tracemalloc, which sees every build allocate its own ints
     again = BULK_BUILDS[name]()
-    assert not {id(bm) for bm in bitmaps} & {id(bm) for bm in _bitmap_ints(again._root)}
+    assert not {id(bm) for bm in bitmaps} & {id(bm) for bm in _bitmap_ints(again)}
 
 
 def test_object_bytes_measure_structures_stored_as_values():
