@@ -21,6 +21,7 @@ from .storage import (
     DEFAULT_MODEL,
     FootprintModel,
     FootprintReport,
+    byte_components,
     footprint,
     object_bytes,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "DEFAULT_MODEL",
     "footprint",
     "object_bytes",
+    "byte_components",
     "check_invariants",
     "structure_stats",
 ]

@@ -34,7 +34,7 @@ from pathlib import Path
 from time import perf_counter_ns
 
 from .maps import multimap, pmap, pset
-from .storage import DEFAULT_MODEL, footprint, object_bytes
+from .storage import DEFAULT_MODEL, byte_components, footprint
 
 OPERATIONS = (
     "lookup",
@@ -54,7 +54,12 @@ FOOTPRINT_COLUMNS = (
     "structure",
     "size_exponent",
     "words_total",
+    "words_nested",
     "bytes_total",
+    "bytes_trie",
+    "bytes_nested",
+    "bytes_bitmaps",
+    "bytes_wrappers",
     "nodes",
     "slots",
     "ratio_vs_baseline",
@@ -531,7 +536,12 @@ class FootprintRow:
     structure: str
     size_exponent: int
     words_total: int
+    words_nested: int
     bytes_total: int
+    bytes_trie: int
+    bytes_nested: int
+    bytes_bitmaps: int
+    bytes_wrappers: int
     nodes: int
     slots: int
     ratio_vs_baseline: float
@@ -544,6 +554,9 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
     ``ratio_vs_baseline`` divides the baseline's total words by the
     structure's own (so the baseline rows carry 1.0), and
     ``bytes_ratio_vs_baseline`` does the same for ``bytes_total``.
+    ``words_nested`` is the part of ``words_total`` below payload slots,
+    and the ``bytes_*`` components (see :func:`byte_components`) sum to
+    ``bytes_total``.
     """
     spec = WorkloadSpec(size_exponents=tuple(size_exponents), mix=mix)
     mm_adapter = _adapter("multimap")
@@ -555,34 +568,28 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
         baseline = base_adapter.build(dataset)
         _correctness_gate(mm_adapter, mm, dataset)
         _correctness_gate(base_adapter, baseline, dataset)
-        mm_report = footprint(mm)
-        base_report = footprint(baseline)
-        mm_bytes = object_bytes(mm)
-        base_bytes = object_bytes(baseline)
-        rows.append(
-            FootprintRow(
-                structure="multimap",
-                size_exponent=x,
-                words_total=mm_report.words_total,
-                bytes_total=mm_bytes,
-                nodes=mm_report.nodes,
-                slots=mm_report.slots,
-                ratio_vs_baseline=round(base_report.words_total / mm_report.words_total, 4),
-                bytes_ratio_vs_baseline=round(base_bytes / mm_bytes, 4),
+        measured = {"multimap": mm, "map_of_sets": baseline}
+        reports = {name: footprint(s) for name, s in measured.items()}
+        parts = {name: byte_components(s) for name, s in measured.items()}
+        totals = {name: sum(p.values()) for name, p in parts.items()}
+        for name in measured:
+            report = reports[name]
+            rows.append(
+                FootprintRow(
+                    structure=name,
+                    size_exponent=x,
+                    words_total=report.words_total,
+                    words_nested=report.nested_words,
+                    bytes_total=totals[name],
+                    **{f"bytes_{c}": n for c, n in parts[name].items()},
+                    nodes=report.nodes,
+                    slots=report.slots,
+                    ratio_vs_baseline=round(
+                        reports["map_of_sets"].words_total / report.words_total, 4
+                    ),
+                    bytes_ratio_vs_baseline=round(totals["map_of_sets"] / totals[name], 4),
+                )
             )
-        )
-        rows.append(
-            FootprintRow(
-                structure="map_of_sets",
-                size_exponent=x,
-                words_total=base_report.words_total,
-                bytes_total=base_bytes,
-                nodes=base_report.nodes,
-                slots=base_report.slots,
-                ratio_vs_baseline=1.0,
-                bytes_ratio_vs_baseline=1.0,
-            )
-        )
     return rows
 
 

@@ -13,13 +13,15 @@ updates would give.
 * :class:`PersistentMap` -- hash map, ``collections.abc.Mapping``;
   ``put`` replaces on key equality.
 * :class:`PersistentMultiMap` -- the flagship key->set-of-values
-  structure.  A key with a single value is stored inline, two slots and
-  no nested allocation; the second distinct value promotes the entry to
-  a nested persistent set, and deletion back to one value demotes it.
-  ``get`` hands out a key's values as a :class:`PersistentSet`, and
-  ``put_all`` takes such a set back as a key's whole value set, storing
-  its root without a copy, so value sets move between keys and versions
-  by sharing nodes.
+  structure.  A key's values live in its own entry while they fit: one
+  value inline, two slots, and two values as a pair, three slots, with
+  no nested allocation.  The third distinct value promotes the entry to
+  a nested persistent set, and deletion back to two values demotes it to
+  a pair, and to one value to an inline entry.  ``get`` hands out a key's
+  values as a :class:`PersistentSet`, and ``put_all`` takes such a set
+  back as a key's whole value set, storing the root of a set of three or
+  more without a copy, so value sets move between keys and versions by
+  sharing nodes.
 
 Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
 ``element_hash``); results are folded onto 32 bits.  ``specialize``
@@ -36,7 +38,7 @@ own hashes.
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 
-from .bits import INLINE
+from .bits import INLINE, PAIR
 from .nodes import (
     EMPTY_ROOT,
     M32,
@@ -49,6 +51,7 @@ from .nodes import (
     node_stats,
     put_values,
     set_config,
+    set_of_two,
     validate_root,
 )
 
@@ -262,7 +265,8 @@ class PersistentMultiMap:
     ``len()`` counts (key, value) tuples; ``key_count`` counts distinct
     keys.  ``get`` returns a key's values as a :class:`PersistentSet`,
     whatever their storage: the empty set for an absent key, a one-element
-    set over an inline value, or a set sharing the nested set's nodes.
+    set over an inline value, a two-element set over a pair, or a set
+    sharing the nested set's nodes.
     ``put_all`` rewrites a key's whole value set in one update.  Construct
     with :func:`multimap`.
     """
@@ -325,10 +329,11 @@ class PersistentMultiMap:
         """Multimap in which ``key``'s values are exactly ``values``; self
         if they already were.
 
-        No values removes the key, one is stored inline and more become a
-        nested set, in one path copy.  A :class:`PersistentSet` with this
-        multimap's value hasher is shared, not copied: its root is stored
-        as is.  Any other iterable is built into a set once.
+        No values removes the key, one is stored inline, two as a pair and
+        more become a nested set, in one path copy.  A
+        :class:`PersistentSet` of three or more values with this multimap's
+        value hasher is shared, not copied: its root is stored as is.  Any
+        other iterable is built into a set once.
         """
         cfg = self._cfg
         vcfg = cfg.value_cfg
@@ -347,9 +352,9 @@ class PersistentMultiMap:
         """The values bound to ``key``, as a :class:`PersistentSet`.
 
         An absent key gives the empty set.  An inline value gets a
-        one-entry root of its own, which calls the value hasher once; a
-        collection entry gives a set over the shared nested root, with no
-        copy.
+        one-entry root of its own, which calls the value hasher once, and a
+        pair a two-entry root, which calls it twice; a collection entry
+        gives a set over the shared nested root, with no copy.
         """
         cfg = self._cfg
         vcfg = cfg.value_cfg
@@ -361,6 +366,8 @@ class PersistentMultiMap:
             h = vcfg.hasher(payload) & M32
             root = TrieNode((INLINE << ((h & 31) << 1), payload))
             return PersistentSet(vcfg, root, 1)
+        if pattern == PAIR:
+            return PersistentSet(vcfg, set_of_two(vcfg, *payload), 2)
         return PersistentSet(vcfg, payload, None)
 
     def contains_key(self, key):
@@ -377,6 +384,9 @@ class PersistentMultiMap:
         pattern, payload = found
         if pattern == INLINE:
             return payload is value or payload == value
+        if pattern == PAIR:
+            v0, v1 = payload
+            return v0 is value or v0 == value or v1 is value or v1 == value
         vcfg = cfg.value_cfg
         return payload.lookup(vcfg, 0, vcfg.hasher(value) & M32, value) is not None
 

@@ -2,25 +2,30 @@
 
 Nodes are immutable.  A ``TrieNode`` consumes five hash bits per level
 (shifts 0..30 over 32-bit hashes) and is itself one tuple: element 0 is
-its 64-bit pattern bitmap (see :mod:`leantrie.bits`) and elements 1.. are
-its flat slot run, laid out as::
+its pattern bitmap (see :mod:`leantrie.bits`) and elements 1.. are its
+flat slot run, laid out as::
 
-    (bitmap, [inline entries][collection entries][sub-node references])
+    (bitmap, [inline entries][pair entries][collection entries][sub-nodes])
 
 Inline entries are ``width`` slots each (1 for sets, 2 for maps and
-multimaps); collection entries, which occur only at width 2, are
-``COLL_W`` slots each, ``(key, set-root)`` with the root node of a
-nested element trie; sub-node references are one slot.  Entries within a
-region are ordered by branch index.  A ``CollisionNode`` keeps the two
+multimaps).  The other two payload kinds occur only in multimaps: a key
+with exactly two values is a pair entry, ``PAIR_W`` slots ``(key, v0,
+v1)``, and a key with three or more is a collection entry, ``COLL_W``
+slots ``(key, set-root)`` with the root node of a nested element trie.
+Sub-node references are one slot.  Entries within a region are ordered
+by branch index.  A pair is a COLLECTION branch whose bit is set in the
+bitmap's pair plane, so a node without pairs keeps a 64-bit bitmap, and
+which slots hold values and which a nested root is read from the bitmap
+alone, never from the stored objects.  A ``CollisionNode`` keeps the three
 payload regions in a slot tuple of its own, without a bitmap or
 sub-nodes.  Both node kinds answer ``regions(width)``, the one
 region-bounds rule: the slot run, where its inline region starts, and
-where its collection region and its sub-nodes start.  Iteration,
-counting, structural equality, validation, node statistics and the
-footprint walk read a node through it.  The hot paths keep their own
-arithmetic on the same layout, with the collection width named as
-``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
-planes for ``insert`` and ``delete``, ``lookup`` writes that rank inline
+where its pair region, its collection region and its sub-nodes start.
+Iteration, counting, structural equality, validation, node statistics and
+the footprint walks read a node through it.  The hot paths keep their own
+arithmetic on the same layout, with the entry widths named as ``PAIR_W``
+and ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
+planes for ``insert`` and ``delete``, ``lookup`` writes the inline rank
 in its loop over trie levels, and ``_placed``, ``_single_entry`` and
 ``_collision_under_chain`` work from slot counts.
 
@@ -40,21 +45,30 @@ semantics; width-1 configs never see values at all).
 
 Every change to a payload entry is decided by one of three transitions
 that both node kinds share.  :func:`_add_value` covers a new key, map
-replace, inline-to-collection promotion and nested-set insert;
-:func:`put_values` replaces a multimap key's whole value set with a
-given nested root, stored inline when it holds one value;
-:func:`_drop_value` covers inline removal, whole-key removal, nested-set
-delete and collection-to-inline demotion.  Each returns the entry's new
+replace, the promotions inline-to-pair and pair-to-collection, and
+nested-set insert; :func:`put_values` replaces a multimap key's whole
+value set with a given nested root, stored inline when it holds one
+value and as a pair when it holds two; :func:`_drop_value` covers inline
+removal, whole-key removal, the demotions pair-to-inline and
+collection-to-pair, and nested-set delete.  Each returns the entry's new
 pattern and slot values, and the node only places them (``_placed``).
 ``insert`` is the one descent for the first two: it takes the transition
-as its ``add`` argument.
+as its ``add`` argument.  A pair's two values are compared by equality
+only, as an inline value is; the value hasher runs when a pair is formed
+from an inline value, to order it, and when it grows a nested set.
 
 Structural invariants (checked by :func:`validate_root`):
 
 * canonical form — equal content implies structurally equal trees no
   matter the operation history; deletes re-inline a child left with a
   single payload entry and collapse chains left above a collision node;
-* no collection entry holds fewer than two values;
+* a key's values are stored as one inline value, a pair of two unequal
+  values or a nested set of three or more, by their number alone;
+* a pair holds its values in the order the nested set of the two would
+  iterate them: by 32-bit value hash, fragment by fragment from the
+  lowest five bits (the first fragment in which the hashes differ
+  decides).  Values of equal hash are unordered, as a bucket's entries
+  are, and structural equality compares them so;
 * collision nodes hold >= 2 entries of one identical 32-bit hash and sit
   at the shallowest depth their hash prefix forces.
 
@@ -63,7 +77,7 @@ the receiver itself (identity, zero deltas) when nothing changed.  A
 changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
 :func:`build_root` builds a whole trie bottom-up, each node once, into the
-shape that the inserts would give.  A CPython int costs 28-36 bytes, so a
+shape that the inserts would give.  A CPython int costs 28-40 bytes, so a
 build hands equal bitmaps one shared int through a table that lives only
 as long as the build; a point update makes a fresh int when a node's
 pattern changes and keeps the old one when it stays.
@@ -77,10 +91,14 @@ from .bits import (
     EVEN_BITS,
     INLINE,
     NODE,
+    PAIR,
+    PAIR_PLANE,
+    pattern_bits,
     set_pattern,
 )
 
 M32 = 0xFFFFFFFF
+PAIR_W = 3  # slots per pair entry: the key and its two values
 COLL_W = 2  # slots per collection entry: the key and its nested set root
 
 
@@ -139,39 +157,99 @@ def _pos(bm, w, pattern, branch, n):
     """Index of ``branch``'s entry of ``pattern`` in a trie node of length
     ``n`` with bitmap ``bm``.
 
-    The bitmap splits into two bit planes, ``bm & EVEN_BITS`` (lo) and
-    ``bm >> 1 & EVEN_BITS`` (hi), with bit ``2b`` set iff branch ``b``'s
-    pattern has its low or high bit set: inline branches are hi but not lo,
-    collections both, sub-nodes lo but not hi; each rank is the popcount
-    of one plane expression.  Inline entries come first, right after the
-    bitmap, ``w`` slots each, then collection entries, ``COLL_W`` slots
-    each, each region in branch order.  Sub-nodes close the node in branch
-    order, so a sub-node sits as many items from the end as there are
-    sub-nodes on branches >= ``branch``.
+    The bitmap's 64 pattern bits split into two bit planes, ``bm &
+    EVEN_BITS`` (lo) and ``bm >> 1 & EVEN_BITS`` (hi), with bit ``2b`` set
+    iff branch ``b``'s pattern has its low or high bit set: inline branches
+    are hi but not lo, collections and pairs both, sub-nodes lo but not hi;
+    the pair plane ``bm >> PAIR_PLANE`` has bit ``b`` set iff branch ``b``
+    is a pair.  Each rank is the popcount of one plane expression.  Inline
+    entries come first, right after the bitmap, ``w`` slots each, then pair
+    entries, ``PAIR_W`` slots each, then collection entries, ``COLL_W``
+    slots each, each region in branch order.  Sub-nodes close the node in
+    branch order, so a sub-node sits as many items from the end as there
+    are sub-nodes on branches >= ``branch``.
     """
     offset = branch << 1
     if pattern == NODE:
         return n - ((bm & ~(bm >> 1) & EVEN_BITS) >> offset).bit_count()
     hi = (bm >> 1) & EVEN_BITS
-    below = (1 << offset) - 1
     if pattern == INLINE:
-        return 1 + w * (hi & ~bm & below).bit_count()
+        return 1 + w * (hi & ~bm & ((1 << offset) - 1)).bit_count()
     both = hi & bm
-    return 1 + w * (hi ^ both).bit_count() + COLL_W * (both & below).bit_count()
+    pos = 1 + w * (hi ^ both).bit_count()
+    pairs = bm >> PAIR_PLANE
+    if pairs:
+        pairs_below = (pairs & ((1 << branch) - 1)).bit_count()
+        if pattern == PAIR:
+            return pos + PAIR_W * pairs_below
+        pos += PAIR_W * pairs.bit_count() - COLL_W * pairs_below
+    elif pattern == PAIR:
+        return pos
+    return pos + COLL_W * (both & ((1 << offset) - 1)).bit_count()
+
+
+def _payload(run, pattern, pos, w):
+    """The payload of the entry of ``pattern`` at ``pos`` in ``run``: the
+    inline value (the element itself at width 1), a pair's two values as a
+    tuple, or the nested set root."""
+    if pattern == PAIR:
+        return run[pos + 1 : pos + PAIR_W]
+    return run[pos + w - 1]
+
+
+class ValuePair(tuple):
+    """A pair entry's two values, as ``lookup`` hands them out.  Answers
+    ``lookup`` as the root of the nested set of the two would, by
+    equality alone."""
+
+    __slots__ = ()
+
+    def lookup(self, cfg, shift, value_hash, value):
+        for v in self:
+            if v is value or v == value:
+                return (INLINE, v)
+        return None
+
+
+def _same_values(a, b):
+    """Whether the value pairs ``a`` and ``b`` hold equal values, in either
+    order (values of equal hash are unordered in a pair)."""
+    a0, a1 = a
+    b0, b1 = b
+    return (_eq(a0, b0) and _eq(a1, b1)) or (_eq(a0, b1) and _eq(a1, b0))
+
+
+def _trie_order(h0, h1):
+    """Whether a value of hash ``h0`` comes no later than one of ``h1`` in
+    a nested set's iteration order: the first 5-bit fragment, from the low
+    end, in which the hashes differ decides."""
+    diff = h0 ^ h1
+    if not diff:
+        return True
+    shift = ((diff & -diff).bit_length() - 1) // 5 * 5
+    return (h0 >> shift) & 31 < (h1 >> shift) & 31
+
+
+def _ordered_pair(vcfg, v0, v1):
+    """``(v0, v1)`` in a pair's canonical order; ``v0`` first on equal hashes."""
+    if _trie_order(vcfg.hasher(v0) & M32, vcfg.hasher(v1) & M32):
+        return v0, v1
+    return v1, v0
 
 
 # -- payload transitions -------------------------------------------------------
 
 
 def _add_value(cfg, pattern, k0, payload, value):
-    """Entry ``k0`` of ``pattern`` (``payload`` is its value or nested set
-    root) with ``value`` added: ``(pattern, slot_values, tuple_delta)``,
-    or None when nothing changes.
+    """Entry ``k0`` of ``pattern`` (``payload`` as :func:`_payload` reads
+    it) with ``value`` added: ``(pattern, slot_values, tuple_delta)``, or
+    None when nothing changes.
 
     An EMPTY entry is a key not yet present: it becomes inline.  A width-1
     entry is its element; an inline value is kept when equal, replaced in
-    a map and promoted to a nested two-set in a multimap; a collection
-    entry inserts into its nested set.
+    a map and promoted to a pair in a multimap; a pair is kept when it
+    holds an equal value and promoted to a nested three-set otherwise; a
+    collection entry inserts into its nested set.
     """
     if pattern == EMPTY:
         return INLINE, ((k0, value) if cfg.width == 2 else (k0,)), 1
@@ -181,7 +259,12 @@ def _add_value(cfg, pattern, k0, payload, value):
             return None
         if vcfg is None:
             return INLINE, (k0, value), 0
-        return COLLECTION, (k0, _set_of_two(vcfg, payload, value)), 1
+        return PAIR, (k0, *_ordered_pair(vcfg, payload, value)), 1
+    if pattern == PAIR:
+        v0, v1 = payload
+        if v0 is value or v0 == value or v1 is value or v1 == value:
+            return None
+        return COLLECTION, (k0, _set_of_three(vcfg, v0, v1, value)), 1
     vh = vcfg.hasher(value) & M32
     new_root, _, _ = payload.insert(vcfg, 0, vh, value, None)
     if new_root is payload:
@@ -192,43 +275,62 @@ def _add_value(cfg, pattern, k0, payload, value):
 def put_values(cfg, pattern, k0, payload, values):
     """Entry ``k0`` of ``pattern`` replaced by ``values``, a multimap key's
     whole new entry as ``(key, root, size)``: the caller's key object, a
-    non-empty nested set root, stored inline when it holds one value and
-    as is otherwise, and its size, or None when unknown.  Returns
-    ``(pattern, slot_values, tuple_delta)``, or None when the key already
-    holds equal values; node ``equals`` stops early on shared subtrees, and
-    entries are counted only once the values are known to differ.
+    non-empty nested set root, stored inline when it holds one value, as a
+    pair when it holds two and as is otherwise, and its size, or None when
+    unknown.  Returns ``(pattern, slot_values, tuple_delta)``, or None when
+    the key already holds equal values; node ``equals`` stops early on
+    shared subtrees, and entries are counted only once the values are known
+    to differ.
     """
     key, root, n = values
-    single = _single_entry(root, 1)
-    if single is None:
+    few = _few_values(root) if n is None or n <= 2 else None
+    if few is None:
         p, new = COLLECTION, root
+    elif len(few) == 1:
+        p, new, n = INLINE, few[0], 1
     else:
-        p, new, n = INLINE, single[1][0], 1
+        p, new, n = PAIR, few, 2
     vcfg = cfg.value_cfg
-    if p == pattern and (
-        payload.equals(vcfg, new) if p == COLLECTION else _eq(payload, new)
-    ):
-        return None
+    if p == pattern:
+        if p == COLLECTION:
+            same = payload.equals(vcfg, new)
+        elif p == PAIR:
+            same = _same_values(payload, new)
+        else:
+            same = _eq(payload, new)
+        if same:
+            return None
     if n is None:
         n = count_entries(vcfg, root)
     if pattern == EMPTY:
         old = 0
     elif pattern == INLINE:
         old = 1
+    elif pattern == PAIR:
+        old = 2
     else:
         old = count_entries(vcfg, payload)
-    return p, (key, new), n - old
+    return p, ((key, *new) if p == PAIR else (key, new)), n - old
 
 
 def _drop_value(cfg, pattern, k0, payload, value, drop_key):
     """Entry ``k0`` of ``pattern`` with ``value`` removed, or with every
     value when ``drop_key``: ``(pattern, slot_values, tuple_delta)``, or
-    None when nothing changes.  A nested set left with one value demotes
-    back to an inline pair.
+    None when nothing changes.  A pair left with one value demotes to an
+    inline entry, and a nested set left with two to a pair.
     """
     if pattern == INLINE:
         if drop_key or payload is value or payload == value:
             return EMPTY, (), -1
+        return None
+    if pattern == PAIR:
+        if drop_key:
+            return EMPTY, (), -2
+        v0, v1 = payload
+        if v0 is value or v0 == value:
+            return INLINE, (k0, v1), -1
+        if v1 is value or v1 == value:
+            return INLINE, (k0, v0), -1
         return None
     vcfg = cfg.value_cfg
     if drop_key:
@@ -237,9 +339,9 @@ def _drop_value(cfg, pattern, k0, payload, value, drop_key):
     new_root, _, _ = payload.delete(vcfg, 0, vh, value, None, True)
     if new_root is payload:
         return None
-    single = _single_entry(new_root, 1)
-    if single is not None:
-        return INLINE, (k0, single[1][0]), -1
+    few = _few_values(new_root)
+    if few is not None:  # three values before the delete, two now
+        return PAIR, (k0, *few), -1
     return COLLECTION, (k0, new_root), -1
 
 
@@ -251,25 +353,30 @@ class _Node:
 
     def iter_entries(self, cfg):
         w = cfg.width
-        run, start, end_i, end = self.regions(w)
-        if w == 1:
+        run, start, end_i, end_p, end = self.regions(w)
+        if w == 1:  # a set: elements only
             yield from run[start:end_i]
         else:
             for pos in range(start, end_i, w):
                 yield (run[pos], run[pos + 1])
-        vcfg = cfg.value_cfg
-        for pos in range(end_i, end, COLL_W):
-            k = run[pos]
-            for v in run[pos + 1].iter_entries(vcfg):
-                yield (k, v)
+            for pos in range(end_i, end_p, PAIR_W):
+                k = run[pos]
+                yield (k, run[pos + 1])
+                yield (k, run[pos + 2])
+            vcfg = cfg.value_cfg
+            for pos in range(end_p, end, COLL_W):
+                k = run[pos]
+                for v in run[pos + 1].iter_entries(vcfg):
+                    yield (k, v)
         for child in run[end:]:
             yield from child.iter_entries(cfg)
 
     def iter_keys(self, cfg):
         w = cfg.width
-        run, start, end_i, end = self.regions(w)
+        run, start, end_i, end_p, end = self.regions(w)
         yield from run[start:end_i:w]
-        yield from run[end_i:end:COLL_W]
+        yield from run[end_i:end_p:PAIR_W]
+        yield from run[end_p:end:COLL_W]
         for child in run[end:]:
             yield from child.iter_keys(cfg)
 
@@ -299,28 +406,28 @@ class TrieNode(_Node, tuple):
         return self[1:]
 
     def regions(self, w):
-        """``(run, start, end_i, end)``: the node itself, whose inline
-        region spans ``[start, end_i)``, its collection region
-        ``[end_i, end)`` and its sub-nodes ``[end, len(run))``."""
+        """``(run, start, end_i, end_p, end)``: the node itself, whose
+        inline region spans ``[start, end_i)``, its pair region ``[end_i,
+        end_p)``, its collection region ``[end_p, end)`` and its sub-nodes
+        ``[end, len(run))``."""
         bm = self[0]
         hi = (bm >> 1) & EVEN_BITS
         both = bm & hi
         end_i = 1 + w * (hi ^ both).bit_count()
-        return self, 1, end_i, end_i + COLL_W * both.bit_count()
+        pairs = bm >> PAIR_PLANE
+        if not pairs:
+            return self, 1, end_i, end_i, end_i + COLL_W * both.bit_count()
+        n_p = pairs.bit_count()
+        end_p = end_i + PAIR_W * n_p
+        return self, 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
 
-    def region_counts(self, w):
-        bm = self[0]
-        lo = bm & EVEN_BITS
-        hi = (bm >> 1) & EVEN_BITS
-        both = lo & hi
-        return (hi ^ both).bit_count(), both.bit_count(), (lo ^ both).bit_count()
-
-    def _placed(self, w, branch, pos, size, pattern, vals):
-        """This node with the ``size`` items at ``pos`` taken out and
-        ``vals`` placed as ``branch``'s entry, now of ``pattern``."""
+    def _placed(self, w, branch, old, pos, size, pattern, vals):
+        """This node with ``branch``'s entry of pattern ``old``, the
+        ``size`` items at ``pos``, taken out and ``vals`` placed as its
+        entry, now of ``pattern``."""
         bm = self[0]
         ins = pos  # an entry that keeps its pattern keeps its place
-        if (bm >> (branch << 1)) & 0b11 != pattern:
+        if old != pattern:
             bm = set_pattern(bm, branch, pattern)
             if pattern != EMPTY:
                 ins = _pos(bm, w, pattern, branch, len(self) - size + len(vals))
@@ -329,9 +436,10 @@ class TrieNode(_Node, tuple):
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
 
-        ``payload`` is the inline value (the element itself at width 1) or
-        the nested set root for COLLECTION entries.  Descends level by level
-        in one loop and hands a collision bucket its own ``lookup``.
+        ``payload`` is the inline value (the element itself at width 1),
+        a pair's two values as a :class:`ValuePair`, or the nested set root
+        for COLLECTION entries.  Descends level by level in one loop and
+        hands a collision bucket its own ``lookup``.
         """
         node = self
         while True:
@@ -354,9 +462,13 @@ class TrieNode(_Node, tuple):
             below = (1 << offset) - 1
             pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & below).bit_count()
         else:
-            pos = _pos(bm, w, COLLECTION, offset >> 1, len(node))
+            if (bm >> (PAIR_PLANE + (offset >> 1))) & 1:
+                pattern = PAIR
+            pos = _pos(bm, w, pattern, offset >> 1, len(node))
         k0 = node[pos]
         if k0 is key or k0 == key:
+            if pattern == PAIR:
+                return (PAIR, ValuePair(node[pos + 1 : pos + PAIR_W]))
             return (pattern, node[pos + w - 1])
         return None
 
@@ -371,29 +483,34 @@ class TrieNode(_Node, tuple):
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
             p, vals, td = add(cfg, EMPTY, key, None, value)
-            bm |= p << (branch << 1)
+            bm |= p << (branch << 1) if p != PAIR else pattern_bits(PAIR, branch)
             pos = _pos(bm, w, p, branch, len(self) + len(vals))
             return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), td, 1
-        pos = _pos(bm, w, pattern, branch, len(self))
         if pattern == NODE:
+            pos = _pos(bm, w, NODE, branch, len(self))
             child = self[pos]
             new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value, add)
             if new_child is child:
                 return self, 0, 0
             return TrieNode(_replaced(self, pos, new_child)), td, kd
+        if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
+            pattern = PAIR
+        pos = _pos(bm, w, pattern, branch, len(self))
+        size = PAIR_W if pattern == PAIR else w  # COLL_W == w where collections occur
         k0 = self[pos]
         if k0 is key or k0 == key:
-            added = add(cfg, pattern, k0, self[pos + w - 1], value)
+            payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
+            added = add(cfg, pattern, k0, payload, value)
             if added is None:
                 return self, 0, 0
             p, vals, td = added
-            return self._placed(w, branch, pos, w, p, vals), td, 0
+            return self._placed(w, branch, pattern, pos, size, p, vals), td, 0
         # different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
-        s0 = self[pos : pos + w]
+        s0 = self[pos : pos + size]
         p1, s1, td = add(cfg, EMPTY, key, None, value)
         child = _merge(shift + 5, h0, pattern, s0, key_hash, p1, s1)
-        return self._placed(w, branch, pos, w, NODE, (child,)), td, 1
+        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), td, 1
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         bm = self[0]
@@ -401,18 +518,24 @@ class TrieNode(_Node, tuple):
         pattern = (bm >> (branch << 1)) & 0b11
         if pattern == EMPTY:
             return self, 0, 0
+        if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
+            pattern = PAIR
         w = cfg.width
         pos = _pos(bm, w, pattern, branch, len(self))
         if pattern != NODE:
             k0 = self[pos]
             if not (k0 is key or k0 == key):
                 return self, 0, 0
-            dropped = _drop_value(cfg, pattern, k0, self[pos + w - 1], value, drop_key)
+            if pattern == PAIR:
+                payload, size = self[pos + 1 : pos + PAIR_W], PAIR_W
+            else:
+                payload, size = self[pos + w - 1], w
+            dropped = _drop_value(cfg, pattern, k0, payload, value, drop_key)
             if dropped is None:
                 return self, 0, 0
             p, vals, td = dropped
             kd = -1 if p == EMPTY else 0
-            return self._placed(w, branch, pos, w, p, vals), td, kd
+            return self._placed(w, branch, pattern, pos, size, p, vals), td, kd
 
         child = self[pos]
         new_child, td, kd = child.delete(cfg, shift + 5, key_hash, key, value, drop_key)
@@ -422,8 +545,8 @@ class TrieNode(_Node, tuple):
         if single is not None:
             # child is down to one payload entry: pull it into this node
             p, vals = single
-            return self._placed(w, branch, pos, 1, p, vals), td, kd
-        lifted = _collision_under_chain(new_child, w)
+            return self._placed(w, branch, NODE, pos, 1, p, vals), td, kd
+        lifted = _collision_under_chain(new_child)
         if lifted is not None:
             # chain node left above a collision bucket: float the bucket up
             new_child = lifted
@@ -434,12 +557,17 @@ class TrieNode(_Node, tuple):
             return True
         if type(other) is not TrieNode or other[0] != self[0]:
             return False
-        _, start, end_i, end = self.regions(cfg.width)
+        _, start, end_i, end_p, end = self.regions(cfg.width)
         for pos in range(start, end_i):
             if not _eq(self[pos], other[pos]):
                 return False
+        for pos in range(end_i, end_p, PAIR_W):
+            if not _eq(self[pos], other[pos]):
+                return False
+            if not _same_values(self[pos + 1 : pos + 3], other[pos + 1 : pos + 3]):
+                return False
         vcfg = cfg.value_cfg
-        for pos in range(end_i, end, COLL_W):
+        for pos in range(end_p, end, COLL_W):
             if not _eq(self[pos], other[pos]):
                 return False
             if not self[pos + 1].equals(vcfg, other[pos + 1]):
@@ -453,39 +581,42 @@ class TrieNode(_Node, tuple):
 class CollisionNode(_Node):
     """Bucket for entries whose 32-bit hashes are fully equal.
 
-    Keeps the same two payload regions as ``TrieNode`` (inline entries,
-    then collection entries) but no bitmap and no sub-nodes; ``inline_n``
-    counts the inline entries.  Region-internal order follows the history
-    (the order of inserts, or of first appearance in a bulk build), so
-    structural equality compares regions as unordered collections.
+    Keeps the same three payload regions as ``TrieNode`` (inline entries,
+    then pair entries, then collection entries) but no bitmap and no
+    sub-nodes; ``inline_n`` counts the inline entries and ``pair_n`` the
+    pairs.  Region-internal order follows the history (the order of
+    inserts, or of first appearance in a bulk build), so structural
+    equality compares regions as unordered collections.
     """
 
-    __slots__ = ("hash", "inline_n", "slots")
+    __slots__ = ("hash", "inline_n", "pair_n", "slots")
 
     STATS_KEY = "collision_nodes"
 
-    def __init__(self, key_hash, inline_n, slots):
+    def __init__(self, key_hash, inline_n, slots, pair_n=0):
         self.hash = key_hash
         self.inline_n = inline_n
+        self.pair_n = pair_n
         self.slots = slots
 
     def regions(self, w):
-        """``(slots, 0, end_i, len(slots))``: the collection region follows
-        the inline region to the end of the slots (see ``TrieNode``)."""
+        """``(slots, 0, end_i, end_p, len(slots))``: the pair region follows
+        the inline region, and the collection region runs to the end of the
+        slots (see ``TrieNode``)."""
         slots = self.slots
-        return slots, 0, w * self.inline_n, len(slots)
-
-    def region_counts(self, w):
-        _, _, end_i, end = self.regions(w)
-        return self.inline_n, (end - end_i) // COLL_W, 0
+        end_i = w * self.inline_n
+        return slots, 0, end_i, end_i + PAIR_W * self.pair_n, len(slots)
 
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, or None."""
-        slots, _, end_i, end = self.regions(w)
-        for pos in chain(range(0, end_i, w), range(end_i, end, COLL_W)):
+        slots, _, end_i, end_p, end = self.regions(w)
+        entries = chain(range(0, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
+        for pos in entries:
             k0 = slots[pos]
             if k0 is key or k0 == key:
-                return (INLINE if pos < end_i else COLLECTION), pos
+                if pos < end_i:
+                    return INLINE, pos
+                return (PAIR if pos < end_p else COLLECTION), pos
         return None
 
     def _placed(self, w, old, pos, size, pattern, vals):
@@ -494,14 +625,22 @@ class CollisionNode(_Node):
         Regions keep insertion order, so an entry that changes its pattern
         closes its new region."""
         inline_n = self.inline_n + (pattern == INLINE) - (old == INLINE)
+        pair_n = self.pair_n + (pattern == PAIR) - (old == PAIR)
         slots = self.slots
         ins = pos  # an entry that keeps its pattern keeps its place
         if pattern != old and pattern != EMPTY:
-            # in the result, the inline region ends at w * inline_n and the
-            # collection region with the run
-            end = w * inline_n if pattern == INLINE else len(slots) - size + len(vals)
+            # in the result, the inline region ends at w * inline_n, the
+            # pair region PAIR_W * pair_n slots later and the collection
+            # region with the run
+            if pattern == INLINE:
+                end = w * inline_n
+            elif pattern == PAIR:
+                end = w * inline_n + PAIR_W * pair_n
+            else:
+                end = len(slots) - size + len(vals)
             ins = end - len(vals)
-        return CollisionNode(self.hash, inline_n, _splice(slots, pos, size, ins, vals))
+        spliced = _splice(slots, pos, size, ins, vals)
+        return CollisionNode(self.hash, inline_n, spliced, pair_n)
 
     def lookup(self, cfg, shift, key_hash, key):
         if key_hash != self.hash:
@@ -511,6 +650,8 @@ class CollisionNode(_Node):
         if found is None:
             return None
         pattern, pos = found
+        if pattern == PAIR:
+            return (PAIR, ValuePair(self.slots[pos + 1 : pos + PAIR_W]))
         return (pattern, self.slots[pos + w - 1])
 
     def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
@@ -525,11 +666,12 @@ class CollisionNode(_Node):
             p, vals, td = add(cfg, EMPTY, key, None, value)
             return self._placed(w, EMPTY, len(slots), 0, p, vals), td, 1
         pattern, pos = found
-        added = add(cfg, pattern, slots[pos], slots[pos + w - 1], value)
+        added = add(cfg, pattern, slots[pos], _payload(slots, pattern, pos, w), value)
         if added is None:
             return self, 0, 0
         p, vals, td = added
-        return self._placed(w, pattern, pos, w, p, vals), td, 0
+        size = PAIR_W if pattern == PAIR else w
+        return self._placed(w, pattern, pos, size, p, vals), td, 0
 
     def delete(self, cfg, shift, key_hash, key, value, drop_key):
         if key_hash != self.hash:
@@ -540,13 +682,14 @@ class CollisionNode(_Node):
             return self, 0, 0
         pattern, pos = found
         slots = self.slots
-        payload = slots[pos + w - 1]
+        payload = _payload(slots, pattern, pos, w)
         dropped = _drop_value(cfg, pattern, slots[pos], payload, value, drop_key)
         if dropped is None:
             return self, 0, 0
         p, vals, td = dropped
         kd = -1 if p == EMPTY else 0
-        return self._placed(w, pattern, pos, w, p, vals), td, kd
+        size = PAIR_W if pattern == PAIR else w
+        return self._placed(w, pattern, pos, size, p, vals), td, kd
 
     def equals(self, cfg, other):
         if self is other:
@@ -555,21 +698,24 @@ class CollisionNode(_Node):
             type(other) is not CollisionNode
             or other.hash != self.hash
             or other.inline_n != self.inline_n
+            or other.pair_n != self.pair_n
             or len(other.slots) != len(self.slots)
         ):
             return False
         w = cfg.width
-        slots, _, base, end = self.regions(w)  # other's bounds are the same
-        mine = [slots[i : i + w] for i in range(0, base, w)]
-        theirs = [other.slots[i : i + w] for i in range(0, base, w)]
-        if not _match_unordered(mine, theirs, lambda a, b: all(map(_eq, a, b))):
-            return False
+        slots, _, end_i, end_p, end = self.regions(w)  # other's bounds are the same
         vcfg = cfg.value_cfg
-        mine = [slots[i : i + COLL_W] for i in range(base, end, COLL_W)]
-        theirs = [other.slots[i : i + COLL_W] for i in range(base, end, COLL_W)]
-        return _match_unordered(
-            mine, theirs, lambda a, b: _eq(a[0], b[0]) and a[1].equals(vcfg, b[1])
+        regions = (
+            (0, end_i, w, lambda a, b: all(map(_eq, a, b))),
+            (end_i, end_p, PAIR_W, lambda a, b: _eq(a[0], b[0]) and _same_values(a[1:], b[1:])),
+            (end_p, end, COLL_W, lambda a, b: _eq(a[0], b[0]) and a[1].equals(vcfg, b[1])),
         )
+        for lo, hi, step, same in regions:
+            mine = [slots[i : i + step] for i in range(lo, hi, step)]
+            theirs = [other.slots[i : i + step] for i in range(lo, hi, step)]
+            if not _match_unordered(mine, theirs, same):
+                return False
+        return True
 
 
 def _match_unordered(left, right, same):
@@ -592,16 +738,49 @@ def _match_unordered(left, right, same):
 EMPTY_ROOT = TrieNode((0,))
 
 
-def _set_of_two(vcfg, v0, v1, bitmaps=None):
-    """Root of the nested set ``{v0, v1}``; ``bitmaps`` is the table of
-    the build it belongs to (see :func:`build_root`), if any."""
-    h0 = vcfg.hasher(v0) & M32
-    h1 = vcfg.hasher(v1) & M32
-    node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,), bitmaps)
+def set_of_two(vcfg, v0, v1):
+    """Root of the nested set ``{v0, v1}``: what ``get`` hands out for a
+    pair."""
+    return _root_of_two(vcfg.hasher(v0) & M32, v0, vcfg.hasher(v1) & M32, v1)
+
+
+def _root_of_two(h0, v0, h1, v1):
+    """Root of the nested set of two distinct values of hashes ``h0`` and
+    ``h1``."""
+    b0 = h0 & 31
+    b1 = h1 & 31
+    if b0 != b1:  # the common case: both values inline in the root
+        bm = INLINE << (b0 << 1) | INLINE << (b1 << 1)
+        return TrieNode((bm, v0, v1) if b0 < b1 else (bm, v1, v0))
+    node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,))
     if h0 == h1:
         # a root is never a bucket: hang it on its first-level branch
-        return TrieNode((_bitmap(NODE << ((h0 & 31) << 1), bitmaps), node))
+        return TrieNode((NODE << (b0 << 1), node))
     return node
+
+
+def _set_of_three(vcfg, v0, v1, v2):
+    """Root of the nested set of three distinct values: where a pair
+    promotes to."""
+    hasher = vcfg.hasher
+    h0 = hasher(v0) & M32
+    h1 = hasher(v1) & M32
+    h2 = hasher(v2) & M32
+    b0 = h0 & 31
+    b1 = h1 & 31
+    b2 = h2 & 31
+    if b0 != b1 and b0 != b2 and b1 != b2:  # the common case: one node
+        bm = INLINE << (b0 << 1) | INLINE << (b1 << 1) | INLINE << (b2 << 1)
+        # the values in branch order, by a three-element sorting network
+        if b0 > b1:
+            b0, v0, b1, v1 = b1, v1, b0, v0
+        if b1 > b2:
+            b1, v1, b2, v2 = b2, v2, b1, v1
+        if b0 > b1:
+            v0, v1 = v1, v0
+        return TrieNode((bm, v0, v1, v2))
+    root, _, _ = _root_of_two(h0, v0, h1, v1).insert(vcfg, 0, h2, v2, None)
+    return root
 
 
 def _bitmap(bm, bitmaps):
@@ -626,19 +805,32 @@ def _merge(shift, h0, p0, s0, h1, p1, s1, bitmaps=None):
     if b0 == b1:
         child = _merge(shift + 5, h0, p0, s0, h1, p1, s1, bitmaps)
         return TrieNode((_bitmap(NODE << (b0 << 1), bitmaps), child))
-    bm = _bitmap((p0 << (b0 << 1)) | (p1 << (b1 << 1)), bitmaps)
-    # inline region before collection region (INLINE < COLLECTION), each
+    bm = (p0 & 0b11) << (b0 << 1) | (p1 & 0b11) << (b1 << 1)
+    if p0 == PAIR or p1 == PAIR:
+        bm |= pattern_bits(p0, b0) | pattern_bits(p1, b1)
+    bm = _bitmap(bm, bitmaps)
+    # the inline region first, then the pair and collection regions, each
     # ordered by branch
-    if (p0, b0) < (p1, b1):
+    r0 = _REGION[p0]
+    r1 = _REGION[p1]
+    if r0 < r1 or (r0 == r1 and b0 < b1):
         return TrieNode((bm,) + s0 + s1)
     return TrieNode((bm,) + s1 + s0)
 
 
-def _collision(key_hash, pairs):
-    inline = [s for p, s in pairs if p == INLINE]
-    coll = [s for p, s in pairs if p == COLLECTION]
-    slots = tuple(v for vals in inline + coll for v in vals)
-    return CollisionNode(key_hash, len(inline), slots)
+# each payload pattern's region, in slot-run order; sub-nodes close the run
+_REGION = {INLINE: 0, PAIR: 1, COLLECTION: 2, NODE: 3}
+
+
+def _collision(key_hash, entries):
+    """Bucket of ``entries``, ``(pattern, slot values)`` pairs of one hash,
+    each region in the order given."""
+    regions = ([], [], [])
+    for p, s in entries:
+        regions[_REGION[p]].append(s)
+    inline, pairs, coll = regions
+    slots = tuple(chain.from_iterable(inline + pairs + coll))
+    return CollisionNode(key_hash, len(inline), slots, len(pairs))
 
 
 def build_root(cfg, entries, bitmaps=None):
@@ -690,9 +882,14 @@ def build_root(cfg, entries, bitmaps=None):
                 if e0 is entry:
                     bucket.append(entry)
                     continue
-            # a known key: the sequential fold's _add_value, on a list
+            # a known key: the sequential fold's _add_value, on a list; an
+            # inline value or a pair is compared here, a nested set's
+            # values by its own build
+            n = len(e0)
             v0 = e0[1]
-            if len(e0) == 2 and (v0 is value or v0 == value):
+            if n <= 3 and (v0 is value or v0 == value):
+                continue
+            if n == 3 and (e0[2] is value or e0[2] == value):
                 continue
             if vcfg is None:
                 e0[1] = value
@@ -720,7 +917,7 @@ def build_root(cfg, entries, bitmaps=None):
     if len(items) == 1:
         # a single hash: its entry, or its bucket, hangs off the root
         h, p, s = items[0]
-        bm = p << ((h & 31) << 1)
+        bm = pattern_bits(p, h & 31)
         return TrieNode((bitmaps.setdefault(bm, bm),) + s), tuples, keys
     return _trie_node(0, items, bitmaps), tuples, keys
 
@@ -735,12 +932,9 @@ def _grouped_entry(cfg, e, bitmaps):
     if len(e) == 2:
         return INLINE, (e[0], e[1]), 1
     if len(e) == 3:  # the two values are known to differ
-        return COLLECTION, (e[0], _set_of_two(cfg.value_cfg, e[1], e[2], bitmaps)), 2
+        return PAIR, (e[0], *_ordered_pair(cfg.value_cfg, e[1], e[2])), 2
     root, n, _ = build_root(cfg.value_cfg, e[1:], bitmaps)
     return COLLECTION, (e[0], root), n
-
-
-_REGION = {INLINE: 0, COLLECTION: 1, NODE: 2}
 
 
 def _trie_node(shift, items, bitmaps):
@@ -761,55 +955,81 @@ def _trie_node(shift, items, bitmaps):
         else:
             group.append(item)
     bm = 0
-    regions = ([], [], [])
+    regions = ([], [], [], [])
     for b in sorted(by_branch):
         group = by_branch[b]
         if len(group) == 1:
             _, p, s = group[0]
         else:
             p, s = NODE, (_trie_node(shift + 5, group, bitmaps),)
-        bm |= p << (b << 1)
+        bm |= p << (b << 1) if p != PAIR else pattern_bits(PAIR, b)
         regions[_REGION[p]].extend(s)
-    inline, coll, nodes = regions
-    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *coll, *nodes))
+    inline, pairs, coll, nodes = regions
+    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *coll, *nodes))
 
 
 def _single_entry(node, w):
     """``(pattern, slot_values)`` if ``node`` holds exactly one payload
     entry and nothing else, like after a delete; None otherwise."""
-    # cheap rejection: one entry fills w slots
+    # cheap rejection: one entry fills at most PAIR_W slots
     if type(node) is TrieNode:
-        if len(node) != w + 1:
+        n = len(node) - 1
+        if n > PAIR_W or n < w:
             return None
-        slots = node[1:]
-    else:
-        slots = node.slots
-        if len(slots) != w:
+        bm = node[0]
+        if bm & ~(bm >> 1) & EVEN_BITS:  # a sub-node
             return None
-    n_i, n_c, n_n = node.region_counts(w)
-    if n_n or n_i + n_c != 1:
-        return None
-    return (INLINE if n_i else COLLECTION), slots
+        if bm >> PAIR_PLANE:
+            return PAIR, node[1:]
+        if n != w:  # three elements of a set
+            return None
+        return (COLLECTION if bm & (bm >> 1) & EVEN_BITS else INLINE), node[1:]
+    slots = node.slots
+    if len(slots) == w:
+        return (INLINE if node.inline_n else COLLECTION), slots
+    if len(slots) == PAIR_W and node.pair_n:
+        return PAIR, slots
+    return None
 
 
-def _collision_under_chain(node, w):
+def _collision_under_chain(node):
     """The collision bucket of a ``[0 payload, 1 sub-node]`` chain node,
     if that sub-node is a collision bucket; None otherwise."""
     if type(node) is not TrieNode or len(node) != 2:
         return None
+    bm = node[0]
     child = node[1]
-    if type(child) is not CollisionNode or node.region_counts(w) != (0, 0, 1):
+    if type(child) is not CollisionNode or not bm & ~(bm >> 1) & EVEN_BITS:
         return None
     return child
+
+
+def _few_values(root):
+    """The values of the nested set ``root`` when it holds one or two, in
+    its iteration order; None when it holds more.  Follows the chain of
+    single sub-nodes that two values of a shared hash prefix hang from."""
+    node = root
+    while type(node) is TrieNode:
+        n = len(node)
+        if n > PAIR_W:
+            return None
+        bm = node[0]
+        if not bm & ~(bm >> 1) & EVEN_BITS:  # elements only
+            return node[1:]
+        if n != 2:  # an element next to a sub-node, or two sub-nodes
+            return None
+        node = node[1]
+    slots = node.slots
+    return slots if len(slots) <= 2 else None
 
 
 def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
     width-1 tries), summed from region counts without visiting them."""
     w = cfg.width
-    run, start, end_i, end = node.regions(w)
-    total = (end_i - start) // w
-    for pos in range(end_i + 1, end, COLL_W):
+    run, start, end_i, end_p, end = node.regions(w)
+    total = (end_i - start) // w + 2 * (end_p - end_i) // PAIR_W
+    for pos in range(end_p + 1, end, COLL_W):
         total += count_entries(cfg.value_cfg, run[pos])
     for child in run[end:]:
         total += count_entries(cfg, child)
@@ -840,49 +1060,56 @@ def _validate(cfg, node, shift, prefix, is_root):
     or a collision bucket, whose keys' hashes share the path ``prefix``,
     after checking each of its regions."""
     w = cfg.width
-    run, start, end_i, end = node.regions(w)
+    run, start, end_i, end_p, end = node.regions(w)
     n_i = (end_i - start) // w
-    n_c = (end - end_i) // COLL_W
+    n_p = (end_p - end_i) // PAIR_W
+    n_c = (end - end_p) // COLL_W
     mask = ((1 << shift) - 1) & M32
     bucket = type(node) is CollisionNode
     if bucket:
-        if end_i > end or (end - end_i) % COLL_W:
+        if not end_i <= end_p <= end or (end - end_p) % COLL_W:
             _fail("collision slot run does not match its entry counts")
-        if n_i + n_c < 2:
+        if n_i + n_p + n_c < 2:
             _fail("collision bucket with fewer than two entries")
         if node.hash & mask != prefix & mask:
             _fail("collision bucket hash disagrees with its path prefix")
-        branches = [None] * (n_i + n_c)
+        branches = [None] * (n_i + n_p + n_c)
         subs = []
     else:
         if shift > 30:
             _fail(f"TrieNode below the last hash level (shift {shift})")
         bm = node[0]
-        if bm >> 64:
-            _fail("bitmap wider than 64 bits")
-        if n_c and w == 1:
-            _fail("collection entries in a width-1 trie")
+        pairs = bm >> PAIR_PLANE
+        if pairs >> 32:
+            _fail("bitmap wider than its 64 pattern bits and 32 pair bits")
         hi = (bm >> 1) & EVEN_BITS
+        both = hi & bm
+        pair_branches = [b for b in range(32) if pairs >> b & 1]
+        if any(not both >> (b << 1) & 1 for b in pair_branches):
+            _fail("pair bit on a branch whose pattern is not COLLECTION")
+        if both and w == 1:
+            _fail("collection entries in a width-1 trie")
         subs = _branches(bm & EVEN_BITS & ~hi)
         n_n = len(subs)
         expected = end - start + n_n
         if len(run) - start != expected:
             _fail(f"slot run has {len(run) - start} cells, bitmap implies {expected}")
-        if expected > 64:
-            _fail(f"trie node with {expected} slots (maximum is 64)")
+        if expected > 32 * PAIR_W:
+            _fail(f"trie node with {expected} slots (maximum is {32 * PAIR_W})")
         if not is_root:
-            if n_i + n_c + n_n == 0:
+            if n_i + n_p + n_c + n_n == 0:
                 _fail("empty non-root node")
-            if n_n == 0 and n_i + n_c == 1:
+            if n_n == 0 and n_i + n_p + n_c == 1:
                 _fail("non-root node holds a single payload entry and no sub-nodes")
-            if n_i + n_c == 0 and n_n == 1 and type(run[start]) is CollisionNode:
+            if n_i + n_p + n_c == 0 and n_n == 1 and type(run[start]) is CollisionNode:
                 _fail("chain node left above a collision bucket")
-        branches = _branches(hi & ~bm) + _branches(hi & bm)
+        colls = [b for b in _branches(both) if not pairs >> b & 1]
+        branches = _branches(hi & ~bm) + pair_branches + colls
 
     tuples = 0
     seen_keys = []
     vcfg = cfg.value_cfg
-    entries = chain(range(start, end_i, w), range(end_i, end, COLL_W))
+    entries = chain(range(start, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
     for pos, branch in zip(entries, branches):
         key = run[pos]
         h = cfg.hasher(key) & M32
@@ -898,18 +1125,28 @@ def _validate(cfg, node, shift, prefix, is_root):
             _fail(f"key {key!r} stored on the wrong branch")
         if pos < end_i:
             tuples += 1
-            continue
-        sub_tuples, _ = _validate(vcfg, run[pos + 1], 0, 0, True)
-        if sub_tuples < 2:
-            _fail(f"collection entry for {key!r} holds {sub_tuples} values")
-        tuples += sub_tuples
-    keys = n_i + n_c
+        elif pos < end_p:
+            _validate_pair(vcfg, key, run[pos + 1], run[pos + 2])
+            tuples += 2
+        else:
+            sub_tuples, _ = _validate(vcfg, run[pos + 1], 0, 0, True)
+            if sub_tuples < 3:
+                _fail(f"collection entry for {key!r} holds {sub_tuples} values")
+            tuples += sub_tuples
+    keys = n_i + n_p + n_c
     for branch, child in zip(subs, run[end:]):
         child_prefix = prefix | (branch << shift)
         sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
         tuples += sub_tuples
         keys += sub_keys
     return tuples, keys
+
+
+def _validate_pair(vcfg, key, v0, v1):
+    if _eq(v0, v1):
+        _fail(f"pair entry for {key!r} holds two equal values")
+    if not _trie_order(vcfg.hasher(v0) & M32, vcfg.hasher(v1) & M32):
+        _fail(f"pair entry for {key!r} holds its values out of hash order")
 
 
 def _branches(plane):
@@ -929,6 +1166,7 @@ def node_stats(cfg, root):
         "trie_nodes": 0,
         "collision_nodes": 0,
         "inline_entries": 0,
+        "pair_entries": 0,
         "collection_entries": 0,
         "nested_set_nodes": 0,
         "max_depth": 0,
@@ -941,10 +1179,11 @@ def _collect_stats(cfg, node, depth, stats):
     stats["max_depth"] = max(stats["max_depth"], depth)
     stats[node.STATS_KEY] += 1
     w = cfg.width
-    run, start, end_i, end = node.regions(w)
+    run, start, end_i, end_p, end = node.regions(w)
     stats["inline_entries"] += (end_i - start) // w
-    stats["collection_entries"] += (end - end_i) // COLL_W
-    for pos in range(end_i + 1, end, COLL_W):
+    stats["pair_entries"] += (end_p - end_i) // PAIR_W
+    stats["collection_entries"] += (end - end_p) // COLL_W
+    for pos in range(end_p + 1, end, COLL_W):
         nested = node_stats(cfg.value_cfg, run[pos])
         stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
     for child in run[end:]:

@@ -139,10 +139,10 @@ def _bitmap_ints(structure):
     stack = [(structure._cfg, structure._root)]
     while stack:
         cfg, node = stack.pop()
-        run, _, end_i, end = node.regions(cfg.width)
+        run, _, _, end_p, end = node.regions(cfg.width)
         if type(node) is TrieNode and node[0] > 256:
             found.append(node[0])
-        stack.extend((cfg.value_cfg, nested) for nested in run[end_i + 1 : end : COLL_W])
+        stack.extend((cfg.value_cfg, nested) for nested in run[end_p + 1 : end : COLL_W])
         stack.extend((cfg, child) for child in run[end:])
     return found
 

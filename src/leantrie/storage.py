@@ -24,7 +24,7 @@ import sys
 import types
 from dataclasses import dataclass
 
-from .nodes import COLL_W
+from .nodes import COLL_W, PAIR_W, TrieNode
 
 MAX_FIXED_SLOTS = 8
 
@@ -50,8 +50,8 @@ class FootprintReport:
     ``words_total == headers + bitmaps + slots + indirections`` always
     holds.  ``nested_words`` is the share of ``words_total`` contributed by
     structures hanging below payload slots (nested set tries and persistent
-    structures stored as values); it is informational and not part of the
-    serialized schema.
+    structures stored as values), serialized as ``words_nested``.  A
+    bitmap is priced as one word whether or not it uses the pair plane.
     """
 
     words_total: int = 0
@@ -70,6 +70,7 @@ class FootprintReport:
             "headers": self.headers,
             "bitmaps": self.bitmaps,
             "indirections": self.indirections,
+            "words_nested": self.nested_words,
         }
 
 
@@ -105,7 +106,7 @@ def _walk_node(node, cfg, model, report, seen):
     seen.add(key)
 
     width = cfg.width
-    run, start, end_i, end = node.regions(width)
+    run, start, end_i, end_p, end = node.regions(width)
     n_slots = len(run) - start
     words = model.header_words + model.bitmap_words + n_slots * model.slot_words
     report.nodes += 1
@@ -119,7 +120,10 @@ def _walk_node(node, cfg, model, report, seen):
     # an inline entry's value is its last slot: the element itself at width 1
     for pos in range(start + width - 1, end_i, width):
         words += _walk_value(run[pos], model, report, seen)
-    for pos in range(end_i + 1, end, COLL_W):
+    for pos in range(end_i, end_p, PAIR_W):
+        words += _walk_value(run[pos + 1], model, report, seen)
+        words += _walk_value(run[pos + 2], model, report, seen)
+    for pos in range(end_p + 1, end, COLL_W):
         added = _walk_node(run[pos], cfg.value_cfg, model, report, seen)
         report.nested_words += added
         words += added
@@ -169,11 +173,15 @@ def _measured(structures):
 # objects that every structure shares: classes, modules and functions
 _SHARED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 
+# what object_bytes splits its total into
+BYTE_COMPONENTS = ("trie", "nested", "bitmaps", "wrappers")
+
 
 def object_bytes(structures):
     """CPython bytes held by one structure or several (shared objects
     counted once): ``sys.getsizeof`` of every object reachable from them,
-    wrappers, nodes, configs and ints included.
+    wrappers, nodes, configs and ints included; the sum of
+    :func:`byte_components`.
 
     Stored keys and values are left out, except persistent structures
     stored as values (or as set elements), which are measured like the
@@ -191,41 +199,67 @@ def object_bytes(structures):
     the few-KiB agreement; 11.9 KB of it are the roots of the one-value
     sets, each a build of its own, so no two of them share an int.
     """
+    return sum(byte_components(structures).values())
+
+
+def byte_components(structures):
+    """:func:`object_bytes` of ``structures`` split by what holds the
+    bytes, in one walk: ``{component: bytes}`` over
+    :data:`BYTE_COMPONENTS`.
+
+    * ``trie`` -- the nodes of the measured structures' own tries, a
+      collision bucket's slot tuple and hash int included;
+    * ``nested`` -- the same for the nodes below payload slots: nested
+      set tries and the tries of persistent structures stored as values;
+    * ``bitmaps`` -- the trie nodes' bitmap ints, of either kind of node;
+    * ``wrappers`` -- the structure objects themselves, stored ones
+      included, with their configs and size fields.
+
+    The walk reads a node's slots through its ``regions`` and follows its
+    bitmap, sub-nodes and nested roots, and of its stored keys and values
+    only the persistent structures; every other object it follows through
+    ``gc.get_referents``.
+    """
     wrappers = _wrappers()
-    persistent_set = wrappers[2]
-    structures = _measured(structures)
-    skip = set()
-    expanded = set()
-    pending = list(structures)
-    while pending:
-        s = pending.pop()
-        if id(s) in expanded:
-            continue
-        expanded.add(id(s))
-        if isinstance(s, persistent_set):  # a set's elements are its values
-            values = list(s)
-        else:
-            values = []
-            for k, v in s.items():
-                skip.add(id(k))
-                values.append(v)
-        for v in values:
-            if isinstance(v, wrappers):
-                pending.append(v)
-            else:
-                skip.add(id(v))
+    sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
-    total = 0
-    stack = list(structures)
+    # (object, component, the config of the trie it is a node of or None)
+    stack = [(s, "trie", None) for s in _measured(structures)]
     while stack:
-        o = stack.pop()
-        if id(o) in seen or id(o) in skip:
+        o, component, cfg = stack.pop()
+        if id(o) in seen:
             continue
         seen.add(id(o))
         if o is None or type(o) is bool or isinstance(o, _SHARED):
             continue
         if type(o) is int and -5 <= o <= 256:
             continue
-        total += sys.getsizeof(o)
-        stack.extend(gc.get_referents(o))
-    return total
+        if cfg is None and isinstance(o, wrappers):
+            # a stored structure's trie is nested, a measured one's is not
+            sizes["wrappers"] += sys.getsizeof(o)
+            root = o._root
+            stack.extend((r, "wrappers", None) for r in gc.get_referents(o) if r is not root)
+            stack.append((root, component, o._cfg))
+            continue
+        sizes[component] += sys.getsizeof(o)
+        if cfg is None:
+            stack.extend((r, component, None) for r in gc.get_referents(o))
+            continue
+        w = cfg.width
+        run, start, end_i, end_p, end = o.regions(w)
+        if type(o) is TrieNode:
+            stack.append((o[0], "bitmaps", None))
+        else:
+            # a bucket's slot tuple is part of it, read through regions
+            stack.append((o.hash, component, None))
+            if id(run) not in seen:
+                seen.add(id(run))
+                sizes[component] += sys.getsizeof(run)
+        values = [run[pos] for pos in range(start + w - 1, end_i, w)]
+        for pos in range(end_i, end_p, PAIR_W):
+            values += run[pos + 1 : pos + 3]
+        stack.extend((v, "nested", None) for v in values if isinstance(v, wrappers))
+        vcfg = cfg.value_cfg
+        stack.extend((run[pos], "nested", vcfg) for pos in range(end_p + 1, end, COLL_W))
+        stack.extend((child, component, cfg) for child in run[end:])
+    return sizes

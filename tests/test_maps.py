@@ -311,12 +311,15 @@ def test_single_value_is_built_from_the_inline_slot():
 @pytest.mark.parametrize("value_hash", [None, _colliding_hash], ids=["values", "colliding"])
 @pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
 def test_get_is_a_persistent_set_for_every_kind_of_entry(key_hash, value_hash):
-    # "a" and "c" are inline entries, "b" a collection entry, "z" absent
+    # "a" and "c" are inline entries, "b" a pair, "e" a collection entry,
+    # "z" absent
     mm = multimap(
-        [("a", 0), ("b", 0), ("b", 1), ("c", 2)], key_hash=key_hash, value_hash=value_hash
+        [("a", 0), ("b", 0), ("b", 1), ("c", 2), ("e", 0), ("e", 1), ("e", 3)],
+        key_hash=key_hash,
+        value_hash=value_hash,
     )
     before = list(mm.items())
-    for key, values in [("z", []), ("a", [0]), ("b", [0, 1])]:
+    for key, values in [("z", []), ("a", [0]), ("b", [0, 1]), ("e", [0, 1, 3])]:
         got = mm.get(key)
         assert type(got) is PersistentSet
         want = pset(values, element_hash=value_hash)
@@ -327,7 +330,7 @@ def test_get_is_a_persistent_set_for_every_kind_of_entry(key_hash, value_hash):
         check_invariants(grown)
         check_invariants(shrunk)
         assert list(mm.items()) == before
-        assert (mm.tuple_count, mm.key_count) == (4, 3)
+        assert (mm.tuple_count, mm.key_count) == (7, 4)
         check_invariants(mm)
 
 
@@ -379,7 +382,7 @@ def test_custom_key_and_value_hashers_are_used():
         return hash(v)
 
     mm = multimap(key_hash=kh, value_hash=vh)
-    mm = mm.put("k", 1).put("k", 2)  # second value promotes: hashes values
+    mm = mm.put("k", 1).put("k", 2)  # a pair's values are ordered by hash
     assert key_calls and value_calls
     assert set(mm.get("k")) == {1, 2}
 
@@ -548,8 +551,10 @@ def test_put_all_matches_the_remove_key_and_put_fold(hasher, kind, pairs, key, v
     assert (got.tuple_count, got.key_count) == (want.tuple_count, want.key_count)
     if got is not mm:  # a rewrite stores the caller's key and values
         assert _kept_objects(got.items()) == _kept_objects(want.items())
-        if kind in ("same_hasher_set", "get_result") and len(arg) > 1:
+        if kind in ("same_hasher_set", "get_result") and len(arg) > 2:
             assert got.get(key)._root is arg._root  # shared, not copied
+        if len(got.get(key)) == 2:  # a pair, which get copies out
+            assert structure_stats(got)["pair_entries"] >= 1
     # an equal rewrite, and removing an absent key, give the receiver back
     assert got.put_all(key, list(got.get(key))) is got
     assert got.put_all(key, got.get(key)) is got
@@ -839,17 +844,19 @@ class _Unhashable:
 
 
 @pytest.mark.parametrize("key_hash", [None, _colliding_hash], ids=["trie", "bucket"])
-@pytest.mark.parametrize("twin", ["a", "b"], ids=["inline", "collection"])
+@pytest.mark.parametrize("twin", ["a", "p", "b"], ids=["inline", "pair", "collection"])
 def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
-    # "a" and "c" are inline entries, "b" a collection entry; "d" holds an
-    # unhashable value inline, which nothing hashes until get("d")
+    # "a" and "c" are inline entries, "p" a pair, "b" a collection entry;
+    # "d" holds an unhashable value inline, which nothing hashes until
+    # get("d")
     bad = _Unhashable()
     mm = multimap(
-        [("a", 0), ("b", 0), ("b", 1), ("c", 2), ("d", bad)], key_hash=key_hash
+        [("a", 0), ("p", 0), ("p", 1), ("b", 0), ("b", 1), ("b", 3), ("c", 2), ("d", bad)],
+        key_hash=key_hash,
     )
     before = list(mm.items())
     key = _RaisingKey(twin)
-    value = _RaisingKey(0)  # meets the value 0 of "a" and of "b"'s nested set
+    value = _RaisingKey(0)  # meets the value 0 of "a", of "p" and of "b"'s nested set
     calls = [
         # a key that raises on the comparison at twin's entry
         (_EqualityFailed, lambda: mm.put(key, 5)),
@@ -865,14 +872,17 @@ def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
         (_HashFailed, lambda: mm.get(bad)),
         (_EqualityFailed, lambda: mm.put_all(key, [5])),
         (_HashFailed, lambda: mm.put_all(bad, [5])),
-        # a value the value hasher fails on: promotion of "a" or insert into
-        # the nested set of "b", delete from it, and get of an inline value
+        # a value the value hasher fails on: the promotions of "a" to a pair
+        # and of "p" to a nested set, an insert into the nested set of "b",
+        # a delete from it, and get of an inline value
         (_HashFailed, lambda: mm.put(twin, bad)),
         (_HashFailed, lambda: mm.remove("b", bad)),
         (_HashFailed, lambda: mm.get("d")),
         (_HashFailed, lambda: mm.put_all(twin, [0, bad])),
-        # a value that raises on the comparison with 0: promotion of "a" or
-        # nested insert into "b", removal or nested delete, the entry test
+        # a value that raises on the comparison with 0: the promotions of
+        # "a" and "p" or a nested insert into "b", the removal from "a",
+        # the demotion of "p" to an inline entry or a nested delete, and
+        # the entry test
         (_EqualityFailed, lambda: mm.put(twin, value)),
         (_EqualityFailed, lambda: mm.remove(twin, value)),
         (_EqualityFailed, lambda: mm.contains_entry(twin, value)),
@@ -888,5 +898,10 @@ def test_a_raising_key_comparison_leaves_the_receiver_intact(twin, key_hash):
         with pytest.raises(error):
             call()
         assert list(mm.items()) == before
-        assert (mm.tuple_count, mm.key_count) == (5, 4)
+        assert (mm.tuple_count, mm.key_count) == (8, 5)
         check_invariants(mm)
+    if twin != "b":
+        # an inline value and a pair compare by equality alone: nothing
+        # hashes a value that is not there
+        assert mm.remove(twin, bad) is mm
+        assert not mm.contains_entry(twin, bad)

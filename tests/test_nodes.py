@@ -11,6 +11,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +23,19 @@ from leantrie.bits import (
     EMPTY,
     INLINE,
     NODE,
-    filter_pattern,
-    index_in_category,
+    PAIR,
+    get_pattern,
+    pattern_bits,
 )
 from leantrie.maps import PersistentMap
 from leantrie.nodes import (
     COLL_W,
+    M32,
+    PAIR_W,
     CollisionNode,
     InvariantError,
     TrieNode,
+    ValuePair,
     _pos,
     fold_hash,
     map_config,
@@ -201,34 +206,52 @@ def test_deleting_extras_restores_the_direct_build(key_hash):
 
 def test_demotion_reverses_promotion_structurally():
     base = multimap([(k, 0) for k in range(12)])
-    promoted = base.put(5, 1)  # key 5 now holds a nested two-set
-    assert structure_stats(promoted)["collection_entries"] == 1
-    demoted = promoted.remove(5, 1)
+    paired = base.put(5, 1)  # key 5 now holds a pair, and no nested set
+    check_invariants(paired)
+    stats = structure_stats(paired)
+    assert (stats["pair_entries"], stats["collection_entries"]) == (1, 0)
+    assert stats["nested_set_nodes"] == 0
+    promoted = paired.put(5, 2)  # the third value promotes it to a nested set
+    check_invariants(promoted)
+    stats = structure_stats(promoted)
+    assert (stats["pair_entries"], stats["collection_entries"]) == (0, 1)
+    back = promoted.remove(5, 2)
+    check_invariants(back)
+    assert structurally_equal(back, paired)
+    demoted = back.remove(5, 1)
     check_invariants(demoted)
-    assert structure_stats(demoted)["collection_entries"] == 0
+    stats = structure_stats(demoted)
+    assert (stats["pair_entries"], stats["collection_entries"]) == (0, 0)
     assert structurally_equal(demoted, base)
 
 
-# value hashes of the two promoted values: distinct first fragments, one
+# value hashes of the three promoted values: distinct first fragments, one
 # shared 5-bit fragment, and fully equal (a bucket below the set root)
 PROMOTED_VALUE_HASHES = {
-    "distinct": (1, 2),
-    "shared-fragment": (0b00001_00011, 0b00010_00011),
-    "equal": (7, 7),
+    "distinct": (1, 2, 3),
+    "shared-fragment": (0b00001_00011, 0b00010_00011, 0b00011_00011),
+    "equal": (7, 7, 7),
 }
 
 
 @pytest.mark.parametrize("key_hash", [None, lambda k: 0], ids=["trie", "bucket"])
 @pytest.mark.parametrize("kind", PROMOTED_VALUE_HASHES)
 def test_promotion_builds_the_same_nested_set_as_inserts(kind, key_hash):
-    table = dict(zip(("v0", "v1"), PROMOTED_VALUE_HASHES[kind]))
-    base = multimap([("k", "v0"), ("j", "v0")],
-                    key_hash=key_hash, value_hash=table.__getitem__)
-    mm = base.put("k", "v1")  # the inline-to-collection promotion
+    table = dict(zip(("v0", "v1", "v2"), PROMOTED_VALUE_HASHES[kind]))
+    options = {"key_hash": key_hash, "value_hash": table.__getitem__}
+    base = multimap([("k", "v0"), ("j", "v0")], **options)
+    paired = base.put("k", "v1")  # the inline-to-pair promotion
+    check_invariants(paired)
+    assert structurally_equal(paired, multimap([("j", "v0"), ("k", "v1"), ("k", "v0")], **options))
+    # get hands out the set the inserts would build
+    two = paired.get("k")
+    expected = pset(["v0", "v1"], element_hash=table.__getitem__)
+    assert two._root.equals(expected._cfg, expected._root)
+    mm = paired.put("k", "v2")  # the pair-to-collection promotion
     check_invariants(mm)
     promoted = mm.get("k")
     assert type(promoted._root) is TrieNode
-    expected = pset(["v0", "v1"], element_hash=table.__getitem__)
+    expected = pset(["v0", "v1", "v2"], element_hash=table.__getitem__)
     assert promoted._root.equals(expected._cfg, expected._root)
 
 
@@ -304,17 +327,28 @@ def test_new_hash_lifts_an_existing_bucket_one_level():
 
 def test_bucket_promotes_and_demotes_entries():
     mm = multimap([("A", 1), ("B", 2)], key_hash=lambda k: 3)
-    grown = mm.put("A", 9)
+    paired = mm.put("A", 9)
+    check_invariants(paired)
+    assert set(paired.get("A")) == {1, 9}
+    assert structure_stats(paired)["pair_entries"] == 1
+    # the bucket's regions: B's inline entry, then A's pair
+    bucket = paired._root[1]
+    assert bucket.regions(2) == (bucket.slots, 0, 2, 2 + PAIR_W, 2 + PAIR_W)
+    assert bucket.slots == ("B", 2, "A", 1, 9)
+    grown = paired.put("A", 5)
     check_invariants(grown)
-    assert set(grown.get("A")) == {1, 9}
+    assert set(grown.get("A")) == {1, 5, 9}
     assert structure_stats(grown)["collection_entries"] == 1
-    # the bucket's regions: B's inline pair, then A's collection entry
+    # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
-    assert bucket.regions(2) == (bucket.slots, 0, 2, 2 + COLL_W)
+    assert bucket.regions(2) == (bucket.slots, 0, 2, 2, 2 + COLL_W)
     assert bucket.slots[:3] == ("B", 2, "A")
-    back = grown.remove("A", 9)
+    back = grown.remove("A", 5)
     check_invariants(back)
-    assert structure_stats(back)["collection_entries"] == 0
+    assert structurally_equal(back, paired)
+    back = back.remove("A", 9)
+    check_invariants(back)
+    assert structure_stats(back)["pair_entries"] == 0
     assert structurally_equal(back, mm)
 
 
@@ -514,16 +548,43 @@ def _under_root(bucket):
     return TrieNode((NODE, bucket))
 
 
+_IDENTITY = multimap_config(key_hash=lambda k: k, value_hash=lambda v: v)
+
 # one malformed structure per reachable validator message: (config, root,
-# message); "maximum is 64" cannot fire, since 32 branches of two slots
-# fill at most 64 slots
+# message); "maximum is 96" cannot fire, since 32 branches of at most
+# three slots fill at most 96 slots
 MALFORMED = {
     "below-last-level": (
         map_config(key_hash=lambda k: 0),
         _chain(7, TrieNode((0,))),
         r"below the last hash level \(shift 35\)",
     ),
-    "wide-bitmap": (map_config(), TrieNode((1 << 64,)), "wider than 64 bits"),
+    "wide-bitmap": (
+        map_config(),
+        TrieNode((1 << 96,)),
+        "wider than its 64 pattern bits and 32 pair bits",
+    ),
+    "pair-bit-off-collection": (
+        _IDENTITY,
+        TrieNode((pattern_bits(INLINE, 2) | 1 << 66, 2, "v")),
+        "pair bit on a branch whose pattern is not COLLECTION",
+    ),
+    "nested-set-of-two": (
+        _IDENTITY,
+        TrieNode((COLLECTION << 4, 2, TrieNode((INLINE << 2 | INLINE << 4, 1, 2)))),
+        "collection entry for 2 holds 2 values",
+    ),
+    "pair-of-equal-values": (
+        _IDENTITY,
+        TrieNode((pattern_bits(PAIR, 2), 2, 5, 5)),
+        "pair entry for 2 holds two equal values",
+    ),
+    "pair-out-of-order": (
+        # value hashes 2 and 1: the nested set of the two iterates 1 first
+        _IDENTITY,
+        TrieNode((pattern_bits(PAIR, 2), 2, 2, 1)),
+        "pair entry for 2 holds its values out of hash order",
+    ),
     "collection-at-width-1": (
         set_config(element_hash=lambda e: 0),
         TrieNode((COLLECTION, 0, TrieNode((0,)))),
@@ -633,41 +694,51 @@ def test_nodes_compare_and_hash_by_identity():
 
 
 def _expected_pos(bm, w, pattern, branch):
-    """Index of ``branch``'s entry of ``pattern`` from the reference rank."""
-    n_i = filter_pattern(bm, INLINE).bit_count()
-    n_c = filter_pattern(bm, COLLECTION).bit_count()
-    rank = index_in_category(bm, pattern, branch)
+    """Index of ``branch``'s entry of ``pattern`` from a per-branch count."""
+    groups = [get_pattern(bm, b) for b in range(32)]
+    n_i, n_p, n_c = (groups.count(p) for p in (INLINE, PAIR, COLLECTION))
+    rank = groups[:branch].count(pattern)
     if pattern == INLINE:
         return 1 + w * rank
+    if pattern == PAIR:
+        return 1 + w * n_i + PAIR_W * rank
     if pattern == COLLECTION:
-        return 1 + w * (n_i + rank)
-    return 1 + w * n_i + 2 * n_c + rank
+        return 1 + w * n_i + PAIR_W * n_p + COLL_W * rank
+    return 1 + w * n_i + PAIR_W * n_p + COLL_W * n_c + rank
 
 
 def _reference_counts(bm):
-    return tuple(filter_pattern(bm, p).bit_count() for p in (INLINE, COLLECTION, NODE))
+    groups = [get_pattern(bm, b) for b in range(32)]
+    return tuple(groups.count(p) for p in (INLINE, PAIR, COLLECTION, NODE))
 
 
 def _random_bitmaps(rng, count):
-    yield from (0, (1 << 64) - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA)
-    for _ in range(count):
-        yield rng.getrandbits(64)
+    """Pattern bitmaps, and for each one the same bitmap with a random
+    subset of its COLLECTION branches marked as pairs."""
+    fixed = (0, (1 << 64) - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA)
+    for bm in chain(fixed, (rng.getrandbits(64) for _ in range(count))):
+        yield bm
+        colls = [b for b in range(32) if get_pattern(bm, b) == COLLECTION]
+        yield bm | sum(1 << (64 + b) for b in colls if rng.random() < 0.5)
 
 
 def test_pos_and_region_counts_agree_with_the_reference_rank():
     rng = random.Random(64)
     for bm in _random_bitmaps(rng, 300):
-        counts = _reference_counts(bm)
-        assert TrieNode((bm,)).region_counts(2) == counts
+        n_i, n_p, n_c, n_n = _reference_counts(bm)
         for w in (1, 2):
             node = TrieNode((bm,))
-            run, start, end_i, end = node.regions(w)
+            run, start, end_i, end_p, end = node.regions(w)
             assert (run, start) == (node, 1)
-            assert (end_i - start, end - end_i) == (w * counts[0], COLL_W * counts[1])
-            n = 1 + w * counts[0] + 2 * counts[1] + counts[2]
+            assert (end_i - start, end_p - end_i, end - end_p) == (
+                w * n_i,
+                PAIR_W * n_p,
+                COLL_W * n_c,
+            )
+            n = end + n_n
             for branch in range(32):
-                for pattern in (INLINE, COLLECTION, NODE):
-                    if w == 1 and pattern == COLLECTION:
+                for pattern in (INLINE, PAIR, COLLECTION, NODE):
+                    if w == 1 and pattern in (PAIR, COLLECTION):
                         continue
                     want = _expected_pos(bm, w, pattern, branch)
                     assert _pos(bm, w, pattern, branch, n) == want, (hex(bm), w, branch)
@@ -680,25 +751,102 @@ def test_lookup_ranks_agree_with_the_reference_rank():
     cfg = map_config()
     rng = random.Random(65)
     for bm in _random_bitmaps(rng, 200):
-        counts = _reference_counts(bm)
-        items = [None] * (1 + 2 * counts[0] + 2 * counts[1] + counts[2])
+        items = [None] * (_expected_pos(bm, 2, NODE, 32))
         items[0] = bm
         for branch in range(32):
-            pattern = (bm >> (branch << 1)) & 0b11
+            pattern = get_pattern(bm, branch)
             if pattern == EMPTY:
                 continue
             pos = _expected_pos(bm, 2, pattern, branch)
             if pattern == NODE:
                 items[pos] = TrieNode((INLINE, ("k", branch), ("v", branch)))
+            elif pattern == PAIR:
+                items[pos : pos + 3] = ("k", branch), ("v", branch), ("w", branch)
             else:
                 items[pos : pos + 2] = ("k", branch), ("v", branch)
         node = TrieNode(items)
         for branch in range(32):
-            pattern = (bm >> (branch << 1)) & 0b11
+            pattern = get_pattern(bm, branch)
             found = node.lookup(cfg, 0, branch, ("k", branch))
             if pattern == EMPTY:
                 assert found is None
+            elif pattern == PAIR:
+                assert found == (PAIR, (("v", branch), ("w", branch))), (hex(bm), branch)
+                assert type(found[1]) is ValuePair
             else:
                 got_pattern = INLINE if pattern == NODE else pattern
                 assert found == (got_pattern, ("v", branch)), (hex(bm), branch)
             assert node.lookup(cfg, 0, branch, ("k", -1)) is None
+
+
+# -- pair entries ---------------------------------------------------------------
+
+
+def _entry_kinds(mm):
+    stats = structure_stats(mm)
+    return stats["inline_entries"], stats["pair_entries"], stats["collection_entries"]
+
+
+@pytest.mark.parametrize("value_hash", [None, lambda v: 0], ids=["values", "colliding"])
+@pytest.mark.parametrize("key_hash", [None, lambda k: 0], ids=["trie", "bucket"])
+def test_values_move_between_inline_pair_and_nested_set(key_hash, value_hash):
+    # a key's one value is inline, two are a pair, three a nested set, in
+    # either direction; "j" and "m" share the key's node (or its bucket)
+    options = {"key_hash": key_hash, "value_hash": value_hash}
+    others = [("j", 0), ("m", 1)]
+    mm = multimap(others, **options)
+    held = []
+    steps = [("put", "a"), ("put", "b"), ("put", "c"), ("remove", "b"),
+             ("put", "d"), ("remove", "a"), ("remove", "d"), ("remove", "c")]
+    kinds = {0: (2, 0, 0), 1: (3, 0, 0), 2: (2, 1, 0), 3: (2, 0, 1)}
+    for op, value in steps:
+        if op == "put":
+            mm = mm.put("k", value)
+            held.append(value)
+        else:
+            mm = mm.remove("k", value)
+            held.remove(value)
+        check_invariants(mm)
+        assert _entry_kinds(mm) == kinds[len(held)], (op, value)
+        fresh = multimap(others + [("k", v) for v in held], **options)
+        assert structurally_equal(mm, fresh), (op, value)
+        if held:
+            assert mm.put_all("k", held[::-1]) is mm
+            assert set(mm.get("k")) == set(held)
+            assert all(mm.contains_entry("k", v) for v in held)
+            assert not mm.contains_entry("k", "z")
+
+
+def test_pair_values_of_node_like_types_come_back_as_values():
+    node = TrieNode((INLINE << 2, "x", "y"))
+    bucket = CollisionNode(0, 2, ("a", 1, "b", 2))
+    pair = ValuePair((1, 2))
+    stored = [node, (1, 2), pset([1, 2, 3]), bucket, pair, pset([4, 5])]
+    for v0, v1 in zip(stored, stored[1:]):
+        mm = multimap([("k", v0), ("k", v1), ("j", 0)])
+        check_invariants(mm)
+        assert _entry_kinds(mm) == (1, 1, 0)
+        got = [v for k, v in mm.items() if k == "k"]
+        assert sorted(map(id, got)) == sorted(map(id, (v0, v1)))
+        assert sorted(map(id, mm.get("k"))) == sorted(map(id, (v0, v1)))
+        assert mm.contains_entry("k", v0) and mm.contains_entry("k", v1)
+        three = mm.put("k", "z")
+        check_invariants(three)
+        assert structurally_equal(three.remove("k", "z"), mm)
+        assert structurally_equal(mm.remove("k", v0).put("k", v0), mm)
+
+
+@pytest.mark.parametrize("key_hash", [None, lambda k: 0], ids=["trie", "bucket"])
+def test_a_pair_answers_the_nested_set_lookup_protocol(key_hash):
+    # what a node-level reader does with a payload that is not an int:
+    # ask it for the value as it would ask a nested set root
+    mm = multimap([("k", 1), ("k", 2), ("i", 3), ("n", 4), ("n", 5), ("n", 6)], key_hash=key_hash)
+    cfg = mm._cfg
+    vcfg = cfg.value_cfg
+    for key in ("k", "n"):
+        found = mm._root.lookup(cfg, 0, cfg.hasher(key) & M32, key)
+        payload = found[1]
+        assert type(payload) is not int
+        for v in range(8):
+            hit = payload.lookup(vcfg, 0, vcfg.hasher(v) & M32, v) is not None
+            assert hit == mm.contains_entry(key, v), (key, v)

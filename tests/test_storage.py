@@ -4,8 +4,9 @@
 element-wise list oracle; footprint numbers for small structures are frozen
 from hand counts under the default model (header 2 words, bitmap 1, slot 1,
 out-of-line indirection 1); ``object_bytes`` is checked against what
-``tracemalloc`` sees a build allocate, and every bulk build against
-holding one int object per distinct bitmap, shared with no other build.
+``tracemalloc`` sees a build allocate, its components against its total,
+and every bulk build against holding one int object per distinct bitmap,
+shared with no other build.
 """
 
 import gc
@@ -17,16 +18,17 @@ import pytest
 from leantrie import (
     DEFAULT_MODEL,
     FootprintModel,
+    byte_components,
     footprint,
     multimap,
     object_bytes,
     pmap,
     pset,
 )
-from leantrie.bench import WorkloadSpec, _adapter, generate_workload
+from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
 from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
 from leantrie.selftest import _bitmap_ints
-from leantrie.storage import MAX_FIXED_SLOTS
+from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS
 
 
 def oracle_splice(old, rm_pos, rm_len, ins_pos, vals):
@@ -209,9 +211,12 @@ def test_footprint_one_entry_map_of_sets_counts_the_set_object():
 
 def test_footprint_multimap_promotion_adds_only_the_nested_set_root():
     base = footprint(multimap([(1, 2)])).words_total
-    promoted = footprint(multimap([(1, 2), (1, 3)])).words_total
-    # collection entry still two slots; nested 2-element set root adds 2+1+2
-    assert promoted == base + 5
+    paired = footprint(multimap([(1, 2), (1, 3)])).words_total
+    # a pair is one slot wider than an inline entry and allocates nothing
+    assert paired == base + 1
+    promoted = footprint(multimap([(1, 2), (1, 3), (1, 4)])).words_total
+    # collection entry still two slots; nested 3-element set root adds 2+1+3
+    assert promoted == base + 6
 
 
 def test_footprint_is_monotone_under_puts():
@@ -364,3 +369,48 @@ def test_object_bytes_leave_out_stored_keys_and_values():
     assert object_bytes([shared, shared]) == object_bytes(shared)
     with pytest.raises(TypeError):
         object_bytes([{}])
+
+
+COMPONENT_CASES = {
+    "multimap-0.5": lambda: multimap(_entries(0.5)),
+    "multimap-3-values": lambda: multimap((k % 500, v) for k, v in _entries(0.9)),
+    "colliding": lambda: multimap(_entries(0.5), key_hash=_low_bits, value_hash=_low_bits),
+    "map_of_sets": lambda: _adapter("map_of_sets").build(
+        generate_workload(WorkloadSpec(mix=0.5), 256, 3)
+    ),
+    "pset": lambda: pset(k for k, _ in _entries(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+def test_byte_components_sum_to_object_bytes(name):
+    built = COMPONENT_CASES[name]()
+    parts = byte_components(built)
+    assert tuple(parts) == BYTE_COMPONENTS
+    assert all(n >= 0 for n in parts.values())
+    assert sum(parts.values()) == object_bytes(built)
+    assert parts["trie"] > 0 and parts["bitmaps"] > 0 and parts["wrappers"] > 0
+
+
+def test_byte_components_split_nested_tries_from_the_trie():
+    # a 50:50 multimap stores every value in its key's entry
+    assert byte_components(multimap(_entries(0.5)))["nested"] == 0
+    assert byte_components(multimap((k % 500, v) for k, v in _entries(0.9)))["nested"] > 0
+    # a map of sets: the sets' tries are nested, and measured on their own
+    # they are the trie
+    nested = COMPONENT_CASES["map_of_sets"]()
+    sets = list(nested.values())
+    assert byte_components(nested)["nested"] == byte_components(sets)["trie"]
+
+
+def test_footprint_rows_split_bytes_total_into_components():
+    for row in run_footprint([6, 8]):
+        parts = [getattr(row, f"bytes_{c}") for c in BYTE_COMPONENTS]
+        assert sum(parts) == row.bytes_total
+        assert 0 <= row.words_nested < row.words_total
+        # keys of one or two values: no nested set in the multimap, one per
+        # key in the baseline
+        if row.structure == "multimap":
+            assert row.words_nested == row.bytes_nested == 0
+        else:
+            assert row.words_nested > 0 and row.bytes_nested > 0

@@ -9,9 +9,11 @@ Runs ``leantrie footprint --format json`` and ``leantrie dominators
 in each checkout, from its ``src`` directory, and compares the two
 reports of each command: every row except its measured ``runtime_ns``,
 in order, and the metadata except ``git_rev``.  Values compare as their
-JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command and
-exits 0 when both agree; otherwise prints the first difference and exits
-1.  A refactor that claims no behaviour change is checked this way.
+JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command,
+the first difference where the reports differ, and exits 0 when every
+command agrees and 1 otherwise.  A refactor that claims no behaviour
+change is checked this way; a change that moves one report is checked
+for the others.
 """
 
 import argparse
@@ -70,15 +72,17 @@ def main(argv=None):
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
     args = parser.parse_args(argv)
+    status = 0
     for name, command in COMMANDS.items():
         parent = run_report(args.parent, command)
         change = run_report(args.change, command)
         difference = first_difference(parent, change)
-        if difference is not None:
+        if difference is None:
+            print(f"{name}: {len(parent['rows'])} rows, same")
+        else:
             print(f"{name}: {difference}")
-            return 1
-        print(f"{name}: {len(parent['rows'])} rows, same")
-    return 0
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
