@@ -21,8 +21,10 @@ payload regions in a slot tuple of its own, without a bitmap or
 sub-nodes.  Both node kinds answer ``regions(width)``, the one
 region-bounds rule: the slot run, where its inline region starts, and
 where its pair region, its collection region and its sub-nodes start.
-Iteration, counting, structural equality, validation, node statistics and
-the footprint walks read a node through it.  The hot paths keep their own
+Iteration, counting, structural equality, validation and node statistics
+read a node through it; ``payload_refs(width)`` gives on the same bounds
+a node's stored values and nested roots, so the footprint walks outside
+this module never decode the entry layout.  The hot paths keep their own
 arithmetic on the same layout, with the entry widths named as ``PAIR_W``
 and ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
 planes for ``insert`` and ``delete``, ``lookup`` writes the inline rank
@@ -370,6 +372,15 @@ class _Node:
                     yield (k, v)
         for child in run[end:]:
             yield from child.iter_entries(cfg)
+
+    def payload_refs(self, w):
+        """``(values, nested)``: the values this node stores in its own
+        slots, a set's elements at width 1, and the roots of its
+        collection entries' nested sets."""
+        run, start, end_i, end_p, end = self.regions(w)
+        values = run[start + w - 1 : end_i : w] + run[end_i + 1 : end_p : PAIR_W]
+        values += run[end_i + 2 : end_p : PAIR_W]
+        return values, run[end_p + 1 : end : COLL_W]
 
     def iter_keys(self, cfg):
         w = cfg.width
@@ -747,15 +758,10 @@ def set_of_two(vcfg, v0, v1):
 def _root_of_two(h0, v0, h1, v1):
     """Root of the nested set of two distinct values of hashes ``h0`` and
     ``h1``."""
-    b0 = h0 & 31
-    b1 = h1 & 31
-    if b0 != b1:  # the common case: both values inline in the root
-        bm = INLINE << (b0 << 1) | INLINE << (b1 << 1)
-        return TrieNode((bm, v0, v1) if b0 < b1 else (bm, v1, v0))
     node = _merge(0, h0, INLINE, (v0,), h1, INLINE, (v1,))
     if h0 == h1:
         # a root is never a bucket: hang it on its first-level branch
-        return TrieNode((NODE << (b0 << 1), node))
+        return TrieNode((NODE << ((h0 & 31) << 1), node))
     return node
 
 
@@ -763,23 +769,8 @@ def _set_of_three(vcfg, v0, v1, v2):
     """Root of the nested set of three distinct values: where a pair
     promotes to."""
     hasher = vcfg.hasher
-    h0 = hasher(v0) & M32
-    h1 = hasher(v1) & M32
-    h2 = hasher(v2) & M32
-    b0 = h0 & 31
-    b1 = h1 & 31
-    b2 = h2 & 31
-    if b0 != b1 and b0 != b2 and b1 != b2:  # the common case: one node
-        bm = INLINE << (b0 << 1) | INLINE << (b1 << 1) | INLINE << (b2 << 1)
-        # the values in branch order, by a three-element sorting network
-        if b0 > b1:
-            b0, v0, b1, v1 = b1, v1, b0, v0
-        if b1 > b2:
-            b1, v1, b2, v2 = b2, v2, b1, v1
-        if b0 > b1:
-            v0, v1 = v1, v0
-        return TrieNode((bm, v0, v1, v2))
-    root, _, _ = _root_of_two(h0, v0, h1, v1).insert(vcfg, 0, h2, v2, None)
+    root = _root_of_two(hasher(v0) & M32, v0, hasher(v1) & M32, v1)
+    root, _, _ = root.insert(vcfg, 0, hasher(v2) & M32, v2, None)
     return root
 
 

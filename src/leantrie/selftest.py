@@ -12,7 +12,7 @@ from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
-from .nodes import COLL_W, TrieNode
+from .nodes import TrieNode
 from .storage import footprint
 
 
@@ -139,10 +139,10 @@ def _bitmap_ints(structure):
     stack = [(structure._cfg, structure._root)]
     while stack:
         cfg, node = stack.pop()
-        run, _, _, end_p, end = node.regions(cfg.width)
+        run, _, _, _, end = node.regions(cfg.width)
         if type(node) is TrieNode and node[0] > 256:
             found.append(node[0])
-        stack.extend((cfg.value_cfg, nested) for nested in run[end_p + 1 : end : COLL_W])
+        stack.extend((cfg.value_cfg, root) for root in node.payload_refs(cfg.width)[1])
         stack.extend((cfg, child) for child in run[end:])
     return found
 

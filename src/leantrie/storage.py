@@ -24,7 +24,7 @@ import sys
 import types
 from dataclasses import dataclass
 
-from .nodes import COLL_W, PAIR_W, TrieNode
+from .nodes import TrieNode
 
 MAX_FIXED_SLOTS = 8
 
@@ -95,8 +95,13 @@ def footprint(structures, model=DEFAULT_MODEL):
     return report
 
 
-def _walk_node(node, cfg, model, report, seen):
-    """Price a node graph; returns the words newly added for this subtree."""
+def _walk_node(node, cfg, model, report, seen, own=True):
+    """Price a node graph; returns the words newly added for this subtree.
+
+    ``own`` marks a node of a measured structure's own trie: the words
+    below its payload slots go to ``nested_words``, once for the whole
+    subtree below the slot.
+    """
     # A node reached under both pricing rules models two distinct objects
     # (the empty root is shared by specialized and unspecialized tries).
     specialize = cfg.specialize
@@ -106,7 +111,7 @@ def _walk_node(node, cfg, model, report, seen):
     seen.add(key)
 
     width = cfg.width
-    run, start, end_i, end_p, end = node.regions(width)
+    run, start, _, _, end = node.regions(width)
     n_slots = len(run) - start
     words = model.header_words + model.bitmap_words + n_slots * model.slot_words
     report.nodes += 1
@@ -117,18 +122,15 @@ def _walk_node(node, cfg, model, report, seen):
         report.indirections += model.indirection_words
         words += model.indirection_words
 
-    # an inline entry's value is its last slot: the element itself at width 1
-    for pos in range(start + width - 1, end_i, width):
-        words += _walk_value(run[pos], model, report, seen)
-    for pos in range(end_i, end_p, PAIR_W):
-        words += _walk_value(run[pos + 1], model, report, seen)
-        words += _walk_value(run[pos + 2], model, report, seen)
-    for pos in range(end_p + 1, end, COLL_W):
-        added = _walk_node(run[pos], cfg.value_cfg, model, report, seen)
-        report.nested_words += added
-        words += added
+    values, nested = node.payload_refs(width)
+    below = sum(_walk_value(value, model, report, seen) for value in values)
+    for root in nested:
+        below += _walk_node(root, cfg.value_cfg, model, report, seen, own=False)
+    if own:
+        report.nested_words += below
+    words += below
     for child in run[end:]:
-        words += _walk_node(child, cfg, model, report, seen)
+        words += _walk_node(child, cfg, model, report, seen, own)
     return words
 
 
@@ -144,9 +146,7 @@ def _walk_value(value, model, report, seen):
     report.nodes += 1
     report.headers += model.header_words
     report.slots += fields * model.slot_words
-    words += _walk_node(value._root, value._cfg, model, report, seen)
-    report.nested_words += words
-    return words
+    return words + _walk_node(value._root, value._cfg, model, report, seen, own=False)
 
 
 def _wrappers():
@@ -215,10 +215,10 @@ def byte_components(structures):
     * ``wrappers`` -- the structure objects themselves, stored ones
       included, with their configs and size fields.
 
-    The walk reads a node's slots through its ``regions`` and follows its
-    bitmap, sub-nodes and nested roots, and of its stored keys and values
-    only the persistent structures; every other object it follows through
-    ``gc.get_referents``.
+    The walk reads a node's stored values and nested roots through its
+    ``payload_refs`` and follows its bitmap, sub-nodes and nested roots,
+    and of its stored keys and values only the persistent structures;
+    every other object it follows through ``gc.get_referents``.
     """
     wrappers = _wrappers()
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
@@ -246,7 +246,7 @@ def byte_components(structures):
             stack.extend((r, component, None) for r in gc.get_referents(o))
             continue
         w = cfg.width
-        run, start, end_i, end_p, end = o.regions(w)
+        run, _, _, _, end = o.regions(w)
         if type(o) is TrieNode:
             stack.append((o[0], "bitmaps", None))
         else:
@@ -255,11 +255,9 @@ def byte_components(structures):
             if id(run) not in seen:
                 seen.add(id(run))
                 sizes[component] += sys.getsizeof(run)
-        values = [run[pos] for pos in range(start + w - 1, end_i, w)]
-        for pos in range(end_i, end_p, PAIR_W):
-            values += run[pos + 1 : pos + 3]
+        values, nested = o.payload_refs(w)
         stack.extend((v, "nested", None) for v in values if isinstance(v, wrappers))
         vcfg = cfg.value_cfg
-        stack.extend((run[pos], "nested", vcfg) for pos in range(end_p + 1, end, COLL_W))
+        stack.extend((root, "nested", vcfg) for root in nested)
         stack.extend((child, component, cfg) for child in run[end:])
     return sizes

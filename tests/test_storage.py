@@ -4,20 +4,23 @@
 element-wise list oracle; footprint numbers for small structures are frozen
 from hand counts under the default model (header 2 words, bitmap 1, slot 1,
 out-of-line indirection 1); ``object_bytes`` is checked against what
-``tracemalloc`` sees a build allocate, its components against its total,
-and every bulk build against holding one int object per distinct bitmap,
-shared with no other build.
+``tracemalloc`` sees a build allocate, its components against a walk of
+``gc`` referents that knows no node layout, and every bulk build against
+holding one int object per distinct bitmap, shared with no other build.
 """
 
 import gc
 import random
+import sys
 import tracemalloc
+import types
 
 import pytest
 
 from leantrie import (
     DEFAULT_MODEL,
     FootprintModel,
+    PersistentMultiMap,
     byte_components,
     footprint,
     multimap,
@@ -357,6 +360,20 @@ def test_object_bytes_measure_structures_stored_as_values():
     assert object_bytes(nested) == object_bytes(flat) + object_bytes(nested.values())
 
 
+def test_structures_stored_inline_in_pairs_and_in_nested_sets_are_measured():
+    # keys of one, two and three values: inline, pair and nested set
+    keys = ["a", "b", "b", "c", "c", "c"]
+    sets = [pset(range(100 * i, 100 * i + 40)) for i in range(len(keys))]
+    collide = {"value_hash": lambda v: 0}  # the same shapes for sets and ints
+    stored = multimap(zip(keys, sets), **collide)
+    plain = multimap(zip(keys, range(len(keys))), **collide)
+    assert object_bytes(stored) == object_bytes(plain) + object_bytes(sets)
+    wrapper_words = DEFAULT_MODEL.header_words + sets[0]._field_count()
+    added = footprint(sets).words_total + len(sets) * wrapper_words
+    assert footprint(stored).words_total == footprint(plain).words_total + added
+    assert footprint(stored).nested_words == footprint(plain).nested_words + added
+
+
 def test_object_bytes_leave_out_stored_keys_and_values():
     big = [(10**20 + i, 10**30 + i) for i in range(50)]
     small = [(i, i) for i in range(50)]
@@ -371,25 +388,67 @@ def test_object_bytes_leave_out_stored_keys_and_values():
         object_bytes([{}])
 
 
+def _reached(roots, skip):
+    """``{id: object}`` of every object ``gc.get_referents`` reaches from
+    ``roots``, leaving out the ids in ``skip`` and the objects that
+    ``object_bytes`` leaves out as shared: a walk that knows no node
+    layout."""
+    found = {}
+    stack = list(roots)
+    while stack:
+        o = stack.pop()
+        if id(o) in found or id(o) in skip or o is None or type(o) is bool:
+            continue
+        if isinstance(o, (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)):
+            continue
+        if type(o) is int and -5 <= o <= 256:
+            continue
+        found[id(o)] = o
+        stack.extend(gc.get_referents(o))
+    return found
+
+
+def _bytes(objects):
+    return sum(sys.getsizeof(o) for o in objects.values())
+
+
 COMPONENT_CASES = {
-    "multimap-0.5": lambda: multimap(_entries(0.5)),
-    "multimap-3-values": lambda: multimap((k % 500, v) for k, v in _entries(0.9)),
-    "colliding": lambda: multimap(_entries(0.5), key_hash=_low_bits, value_hash=_low_bits),
-    "map_of_sets": lambda: _adapter("map_of_sets").build(
-        generate_workload(WorkloadSpec(mix=0.5), 256, 3)
+    "one-or-two-values": lambda: multimap(_entries(0.5)),
+    "three-values": lambda: multimap((k % 500, v) for k, v in _entries(0.9)),
+    "colliding": lambda: multimap(
+        ((k % 500, v) for k, v in _entries(0.9)), key_hash=_low_bits, value_hash=_low_bits
     ),
     "pset": lambda: pset(k for k, _ in _entries(0.5)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
-def test_byte_components_sum_to_object_bytes(name):
+def test_byte_components_match_a_layout_free_walk(name):
     built = COMPONENT_CASES[name]()
-    parts = byte_components(built)
-    assert tuple(parts) == BYTE_COMPONENTS
-    assert all(n >= 0 for n in parts.values())
-    assert sum(parts.values()) == object_bytes(built)
-    assert parts["trie"] > 0 and parts["bitmaps"] > 0 and parts["wrappers"] > 0
+    # stored keys and values, read through the public API
+    if isinstance(built, PersistentMultiMap):
+        stored = {id(o) for entry in built.items() for o in entry}
+        sets = (built.get(k) for k in built.keys())
+        nested_roots = [s._root for s in sets if len(s) >= 3]
+    else:
+        stored = {id(o) for o in built}
+        nested_roots = []
+    nodes = _reached([built._root], stored)
+    bitmaps = {
+        id(o[0]): o[0] for o in nodes.values() if type(o) is TrieNode and o[0] > 256
+    }
+    nested = _reached(nested_roots, stored.union(bitmaps))
+    trie = _reached([built._root], stored.union(bitmaps, map(id, nested_roots)))
+    wrappers = _reached([built], stored | {id(built._root)})
+    assert nodes.keys() == trie.keys() | nested.keys() | bitmaps.keys()
+    assert not wrappers.keys() & nodes.keys()
+    assert byte_components(built) == {
+        "trie": _bytes(trie),
+        "nested": _bytes(nested),
+        "bitmaps": _bytes(bitmaps),
+        "wrappers": _bytes(wrappers),
+    }
+    assert bool(nested_roots) == (name in ("three-values", "colliding"))
 
 
 def test_byte_components_split_nested_tries_from_the_trie():
@@ -398,15 +457,14 @@ def test_byte_components_split_nested_tries_from_the_trie():
     assert byte_components(multimap((k % 500, v) for k, v in _entries(0.9)))["nested"] > 0
     # a map of sets: the sets' tries are nested, and measured on their own
     # they are the trie
-    nested = COMPONENT_CASES["map_of_sets"]()
+    nested = _adapter("map_of_sets").build(generate_workload(WorkloadSpec(mix=0.5), 256, 3))
     sets = list(nested.values())
     assert byte_components(nested)["nested"] == byte_components(sets)["trie"]
 
 
-def test_footprint_rows_split_bytes_total_into_components():
+def test_footprint_rows_report_nested_words_and_bytes():
     for row in run_footprint([6, 8]):
-        parts = [getattr(row, f"bytes_{c}") for c in BYTE_COMPONENTS]
-        assert sum(parts) == row.bytes_total
+        assert all(getattr(row, f"bytes_{c}") >= 0 for c in BYTE_COMPONENTS)
         assert 0 <= row.words_nested < row.words_total
         # keys of one or two values: no nested set in the multimap, one per
         # key in the baseline
