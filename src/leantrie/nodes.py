@@ -767,10 +767,31 @@ def _root_of_two(h0, v0, h1, v1):
 
 def _set_of_three(vcfg, v0, v1, v2):
     """Root of the nested set of three distinct values: where a pair
-    promotes to."""
+    promotes to.
+
+    Three values on distinct first-level branches, nine promotions in ten
+    under uniform hashes, make the one-node root directly; a promotion
+    sits on every ``put`` tail, and the general path below, a two-set's
+    root and one ``insert``, is the slower one there.
+    """
     hasher = vcfg.hasher
-    root = _root_of_two(hasher(v0) & M32, v0, hasher(v1) & M32, v1)
-    root, _, _ = root.insert(vcfg, 0, hasher(v2) & M32, v2, None)
+    h0 = hasher(v0) & M32
+    h1 = hasher(v1) & M32
+    h2 = hasher(v2) & M32
+    b0 = h0 & 31
+    b1 = h1 & 31
+    b2 = h2 & 31
+    if b0 != b1 and b0 != b2 and b1 != b2:  # the common case: one node
+        bm = INLINE << (b0 << 1) | INLINE << (b1 << 1) | INLINE << (b2 << 1)
+        # the values in branch order, by a three-element sorting network
+        if b0 > b1:
+            b0, v0, b1, v1 = b1, v1, b0, v0
+        if b1 > b2:
+            b1, v1, b2, v2 = b2, v2, b1, v1
+        if b0 > b1:
+            v0, v1 = v1, v0
+        return TrieNode((bm, v0, v1, v2))
+    root, _, _ = _root_of_two(h0, v0, h1, v1).insert(vcfg, 0, h2, v2, None)
     return root
 
 
