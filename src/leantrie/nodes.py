@@ -770,9 +770,9 @@ def _set_of_three(vcfg, v0, v1, v2):
     promotes to.
 
     Three values on distinct first-level branches, nine promotions in ten
-    under uniform hashes, make the one-node root directly; a promotion
-    sits on every ``put`` tail, and the general path below, a two-set's
-    root and one ``insert``, is the slower one there.
+    under uniform hashes, make the one-node root directly: promotions are
+    a large share of the slowest ``put`` calls, and the general path
+    below, a two-set's root and one ``insert``, takes longer.
     """
     hasher = vcfg.hasher
     h0 = hasher(v0) & M32
