@@ -1,8 +1,8 @@
 """Persistent map, set, and memory-lean multimap on bitmapped tries.
 
-The flagship structure is :class:`PersistentMultiMap`, which stores keys
-with a single value inline (no nested set is allocated until a key gains a
-second value) and promotes to a nested persistent set only when needed.
+The flagship structure is :class:`PersistentMultiMap`, which stores a
+key's values in the key's own entry while they fit: one value inline, two
+as a pair, and a nested persistent set only from three values on.
 All structures are immutable; update operations return new instances that
 share structure with the original.
 """

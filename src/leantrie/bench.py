@@ -596,19 +596,12 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
 # -- report writers ---------------------------------------------------------------------
 
 
-def _write_csv(rows, columns, stream):
+def write_csv(rows, columns, stream):
+    """``rows`` as CSV: a header of ``columns``, then one line per row."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([getattr(row, c) for c in columns])
-
-
-def write_bench_csv(rows, stream):
-    _write_csv(rows, BENCH_COLUMNS, stream)
-
-
-def write_footprint_csv(rows, stream):
-    _write_csv(rows, FOOTPRINT_COLUMNS, stream)
 
 
 def _git_revision(directory):
@@ -627,7 +620,9 @@ def _git_revision(directory):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def _write_json(rows, columns, stream, generated_at, config=None):
+def write_json(rows, columns, stream, generated_at, config=None):
+    """``rows`` as a JSON document: run metadata, then ``columns`` of each
+    row."""
     document = {
         "metadata": {
             "generated_at": generated_at,
@@ -643,10 +638,3 @@ def _write_json(rows, columns, stream, generated_at, config=None):
     json.dump(document, stream, indent=2)
     stream.write("\n")
 
-
-def write_bench_json(rows, stream, generated_at, config=None):
-    _write_json(rows, BENCH_COLUMNS, stream, generated_at, config)
-
-
-def write_footprint_json(rows, stream, generated_at, config=None):
-    _write_json(rows, FOOTPRINT_COLUMNS, stream, generated_at, config)

@@ -8,28 +8,28 @@ gate or self-check fails, 2 on configuration or input errors.
 
 import argparse
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .bench import (
+    BENCH_COLUMNS,
+    FOOTPRINT_COLUMNS,
     BenchConfig,
     ConfigurationError,
     GateError,
     WorkloadSpec,
     run_benchmarks,
     run_footprint,
-    write_bench_csv,
-    write_bench_json,
-    write_footprint_csv,
-    write_footprint_json,
+    write_csv,
+    write_json,
 )
 from .dominators import (
+    DOMINATOR_COLUMNS,
     GraphError,
     analyze_graph,
     parse_edge_list,
     random_cfg,
-    write_dominator_csv,
-    write_dominator_json,
 )
 from .selftest import run_selftest
 
@@ -147,20 +147,17 @@ def build_parser():
     return parser
 
 
-def _write_report(args, rows, csv_writer, json_writer, config_info):
+def _write_report(args, rows, columns, config_info):
     timestamp = args.timestamp or datetime.now(timezone.utc).isoformat()
     if args.output == "-":
-        _emit(sys.stdout, args.format, rows, csv_writer, json_writer, timestamp, config_info)
+        target = nullcontext(sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _emit(stream, args.format, rows, csv_writer, json_writer, timestamp, config_info)
-
-
-def _emit(stream, fmt, rows, csv_writer, json_writer, timestamp, config_info):
-    if fmt == "csv":
-        csv_writer(rows, stream)
-    else:
-        json_writer(rows, stream, timestamp, config_info)
+        target = open(args.output, "w", encoding="utf-8", newline="")
+    with target as stream:
+        if args.format == "csv":
+            write_csv(rows, columns, stream)
+        else:
+            write_json(rows, columns, stream, timestamp, config_info)
 
 
 def _cmd_bench(args):
@@ -179,14 +176,14 @@ def _cmd_bench(args):
         "measured": args.measured,
         "structures": structures or "auto",
     }
-    _write_report(args, rows, write_bench_csv, write_bench_json, info)
+    _write_report(args, rows, BENCH_COLUMNS, info)
     return 0
 
 
 def _cmd_footprint(args):
     rows = run_footprint(args.sizes, mix=args.mix, seed=args.seed)
     info = {"sizes": list(args.sizes), "mix": args.mix, "seed": args.seed}
-    _write_report(args, rows, write_footprint_csv, write_footprint_json, info)
+    _write_report(args, rows, FOOTPRINT_COLUMNS, info)
     return 0
 
 
@@ -224,7 +221,7 @@ def _cmd_dominators(args):
         "seed": args.seed,
         "graphs_per_size": args.graphs_per_size,
     }
-    _write_report(args, results, write_dominator_csv, write_dominator_json, info)
+    _write_report(args, results, DOMINATOR_COLUMNS, info)
     return 0
 
 

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 from time import perf_counter_ns
 
-from .bench import _write_csv, _write_json
 from .maps import multimap, structure_stats
 
 DOMINATOR_COLUMNS = (
@@ -344,17 +343,6 @@ def random_cfg(size, seed, name=None):
         vertex_names=tuple(f"n{i}" for i in range(size)),
         edges=tuple(edges),
     )
-
-
-# -- report writers ------------------------------------------------------------------
-
-
-def write_dominator_csv(results, stream):
-    _write_csv(results, DOMINATOR_COLUMNS, stream)
-
-
-def write_dominator_json(results, stream, generated_at, config=None):
-    _write_json(results, DOMINATOR_COLUMNS, stream, generated_at, config)
 
 
 def summarize_ratio_1to1(results):

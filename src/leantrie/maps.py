@@ -24,16 +24,14 @@ updates would give.
   sharing nodes.
 
 Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
-``element_hash``); results are folded onto 32 bits.  ``specialize``
-only changes how :func:`leantrie.footprint` prices small nodes (as
-fixed-arity objects with no indirection word, the default, or as nodes
-with an out-of-line slot block); a trie node is one tuple, its bitmap
-and slots, either way.  Structures pickle and deep-copy when their hash
-functions are module-level functions: a pickle holds a structure's
-contents, hash functions and ``specialize`` flag, never its nodes,
-because node layout follows hashes that differ between processes
-(``PYTHONHASHSEED``); the receiving process rebuilds the trie with its
-own hashes.
+``element_hash``); results are folded onto 32 bits, and they are a
+structure's only options: the footprint model
+(:class:`leantrie.FootprintModel`), not the structure, decides how
+small nodes are priced.  Structures pickle and deep-copy when their
+hash functions are module-level functions: a pickle holds a structure's
+contents and hash functions, never its nodes, because node layout
+follows hashes that differ between processes (``PYTHONHASHSEED``); the
+receiving process rebuilds the trie with its own hashes.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
@@ -82,17 +80,11 @@ class PersistentSet(Set):
         self._size = size
         self._hash_cache = None
 
-    @classmethod
-    def _field_count(cls):
-        return 2
-
     def _from_iterable(self, iterable):
         return _build_set(self._cfg, iterable)
 
     def __reduce__(self):
-        cfg = self._cfg
-        options = {"element_hash": cfg.hasher, "specialize": cfg.specialize}
-        return _rebuild, (pset, list(self), options)
+        return _rebuild, (pset, list(self), {"element_hash": self._cfg.hasher})
 
     def add(self, element):
         """Set containing ``element``; self if already present."""
@@ -186,14 +178,8 @@ class PersistentMap(Mapping):
         self._root = root
         self._size = size
 
-    @classmethod
-    def _field_count(cls):
-        return 2
-
     def __reduce__(self):
-        cfg = self._cfg
-        options = {"key_hash": cfg.hasher, "specialize": cfg.specialize}
-        return _rebuild, (pmap, list(self.items()), options)
+        return _rebuild, (pmap, list(self.items()), {"key_hash": self._cfg.hasher})
 
     def put(self, key, value):
         """Map with ``key`` bound to ``value``; self if already bound."""
@@ -279,17 +265,9 @@ class PersistentMultiMap:
         self._tuples = tuples
         self._keys = keys
 
-    @classmethod
-    def _field_count(cls):
-        return 3
-
     def __reduce__(self):
         cfg = self._cfg
-        options = {
-            "key_hash": cfg.hasher,
-            "value_hash": cfg.value_cfg.hasher,
-            "specialize": cfg.specialize,
-        }
+        options = {"key_hash": cfg.hasher, "value_hash": cfg.value_cfg.hasher}
         return _rebuild, (multimap, list(self.items()), options)
 
     @property
@@ -432,32 +410,30 @@ def _build_set(cfg, iterable):
     return PersistentSet(cfg, root, size)
 
 
-def pset(iterable=(), *, element_hash=None, specialize=True):
+def pset(iterable=(), *, element_hash=None):
     """Persistent set of ``iterable``'s elements.
 
-    ``element_hash`` replaces the default hash function; ``specialize``
-    selects the footprint model's fixed-arity pricing of small nodes (on by
-    default).
+    ``element_hash`` replaces the default hash function.
     """
-    return _build_set(set_config(element_hash, specialize), iterable)
+    return _build_set(set_config(element_hash), iterable)
 
 
-def pmap(source=(), *, key_hash=None, specialize=True):
+def pmap(source=(), *, key_hash=None):
     """Persistent map from a mapping or an iterable of (key, value) pairs.
 
     Later pairs replace earlier ones on key equality.
     """
-    cfg = map_config(key_hash, specialize)
+    cfg = map_config(key_hash)
     pairs = source.items() if isinstance(source, Mapping) else source
     root, _, size = build_root(cfg, pairs)
     return PersistentMap(cfg, root, size)
 
 
-def multimap(source=(), *, key_hash=None, value_hash=None, specialize=True):
+def multimap(source=(), *, key_hash=None, value_hash=None):
     """Persistent multimap from a mapping or an iterable of (key, value)
     pairs.  Duplicate pairs collapse; duplicate keys accumulate values.
     """
-    cfg = multimap_config(key_hash, value_hash, specialize)
+    cfg = multimap_config(key_hash, value_hash)
     pairs = source.items() if isinstance(source, Mapping) else source
     return PersistentMultiMap(cfg, *build_root(cfg, pairs))
 

@@ -113,26 +113,24 @@ def fold_hash(obj):
 class TrieConfig:
     """Per-structure parameters shared by every node of one trie."""
 
-    __slots__ = ("width", "hasher", "specialize", "value_cfg")
+    __slots__ = ("width", "hasher", "value_cfg")
 
-    def __init__(self, width, hasher, specialize, value_cfg=None):
+    def __init__(self, width, hasher, value_cfg=None):
         self.width = width
         self.hasher = hasher
-        self.specialize = specialize
         self.value_cfg = value_cfg
 
 
-def set_config(element_hash=None, specialize=True):
-    return TrieConfig(1, element_hash or fold_hash, specialize)
+def set_config(element_hash=None):
+    return TrieConfig(1, element_hash or fold_hash)
 
 
-def map_config(key_hash=None, specialize=True):
-    return TrieConfig(2, key_hash or fold_hash, specialize)
+def map_config(key_hash=None):
+    return TrieConfig(2, key_hash or fold_hash)
 
 
-def multimap_config(key_hash=None, value_hash=None, specialize=True):
-    nested = set_config(value_hash, specialize)
-    return TrieConfig(2, key_hash or fold_hash, specialize, nested)
+def multimap_config(key_hash=None, value_hash=None):
+    return TrieConfig(2, key_hash or fold_hash, set_config(value_hash))
 
 
 def _eq(a, b):

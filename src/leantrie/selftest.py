@@ -13,7 +13,7 @@ from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
 from .nodes import TrieNode
-from .storage import footprint
+from .storage import FootprintModel, footprint
 
 
 def _check_bitmap_algebra(rng):
@@ -174,16 +174,14 @@ def _check_one_to_one_degenerate(rng):
 
 
 def _check_specialization_opacity(rng):
+    generic = FootprintModel(specialize=False)
     pairs = [(rng.randrange(1 << 30), rng.randrange(16)) for _ in range(400)]
-    spec_mm = multimap(pairs)
-    gen_mm = multimap(pairs, specialize=False)
-    if not spec_mm._root.equals(spec_mm._cfg, gen_mm._root):
+    mm = multimap(pairs)
+    spec, gen = footprint(mm), footprint(mm, generic)
+    if (spec.nodes, spec.slots) != (gen.nodes, gen.slots):
         return False
-    small = [(k, 0) for k in range(4)]
-    return (
-        footprint(multimap(small)).words_total
-        < footprint(multimap(small, specialize=False)).words_total
-    )
+    small = multimap((k, 0) for k in range(4))
+    return footprint(small).words_total < footprint(small, generic).words_total
 
 
 def _oracle_dominators(graph):

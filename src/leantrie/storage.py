@@ -4,12 +4,13 @@ A trie node keeps its payload and sub-node references in one flat run of
 slots, held in the node's own tuple after its bitmap.  The model prices a
 structure in abstract machine words: a header per heap object, one word
 per bitmap, one per slot cell, and one indirection word for a node whose
-slots would live in a separate out-of-line block.  ``specialize``
-decides that last word: a specialized trie models nodes of up to
-``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the slots inline
-(no indirection), while larger nodes, and every node of an unspecialized
-trie, pay for the block.  The flag changes only this pricing; node shapes
-are the same either way.
+slots would live in a separate out-of-line block.  The model's
+``specialize`` field decides that last word: under the default, it models
+nodes of up to ``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the
+slots inline (no indirection), while larger nodes pay for the block;
+``FootprintModel(specialize=False)`` prices every node with the block.
+It is a pricing rule only: one structure can be priced either way, and
+its nodes are the same tuples under both.
 
 Payload objects (keys, values) cost nothing -- they are identical across
 compared structures -- except nested leantrie structures stored as
@@ -24,9 +25,15 @@ import sys
 import types
 from dataclasses import dataclass
 
+from .maps import PersistentMap, PersistentMultiMap, PersistentSet
 from .nodes import TrieNode
 
 MAX_FIXED_SLOTS = 8
+
+# the modeled fields of each structure object: its root and its size, or
+# its root and its tuple and key counts
+WRAPPER_FIELDS = {PersistentSet: 2, PersistentMap: 2, PersistentMultiMap: 3}
+_WRAPPERS = tuple(WRAPPER_FIELDS)
 
 
 # --- footprint model ---------------------------------------------------------
@@ -34,10 +41,15 @@ MAX_FIXED_SLOTS = 8
 
 @dataclass(frozen=True)
 class FootprintModel:
+    """Word prices of a node graph's components.  With ``specialize`` a
+    node of at most ``MAX_FIXED_SLOTS`` slots pays no indirection word;
+    without it every node pays one."""
+
     header_words: int = 2
     bitmap_words: int = 1
     slot_words: int = 1
     indirection_words: int = 1
+    specialize: bool = True
 
 
 DEFAULT_MODEL = FootprintModel()
@@ -83,6 +95,8 @@ def footprint(structures, model=DEFAULT_MODEL):
     persistent structures stored *as values* are priced in full (object
     header plus one word per field plus their node graph), because there
     they are part of the measured structure's storage overhead.
+    ``model`` sets the prices, so ``footprint(s, FootprintModel(
+    specialize=False))`` prices the same nodes as generic ones.
     """
     structures = _measured(structures)
     report = FootprintReport()
@@ -102,13 +116,9 @@ def _walk_node(node, cfg, model, report, seen, own=True):
     below its payload slots go to ``nested_words``, once for the whole
     subtree below the slot.
     """
-    # A node reached under both pricing rules models two distinct objects
-    # (the empty root is shared by specialized and unspecialized tries).
-    specialize = cfg.specialize
-    key = id(node) if specialize else -id(node)
-    if key in seen:
+    if id(node) in seen:
         return 0
-    seen.add(key)
+    seen.add(id(node))
 
     width = cfg.width
     run, start, _, _, end = node.regions(width)
@@ -118,7 +128,7 @@ def _walk_node(node, cfg, model, report, seen, own=True):
     report.headers += model.header_words
     report.bitmaps += model.bitmap_words
     report.slots += n_slots * model.slot_words
-    if not specialize or n_slots > MAX_FIXED_SLOTS:
+    if not model.specialize or n_slots > MAX_FIXED_SLOTS:
         report.indirections += model.indirection_words
         words += model.indirection_words
 
@@ -136,12 +146,12 @@ def _walk_node(node, cfg, model, report, seen, own=True):
 
 def _walk_value(value, model, report, seen):
     """Price a payload slot: zero unless it is a persistent structure."""
-    if not isinstance(value, _wrappers()):
+    if not isinstance(value, _WRAPPERS):
         return 0
     if id(value) in seen:
         return 0
     seen.add(id(value))
-    fields = value._field_count()
+    fields = WRAPPER_FIELDS[type(value)]
     words = model.header_words + fields * model.slot_words
     report.nodes += 1
     report.headers += model.header_words
@@ -149,21 +159,13 @@ def _walk_value(value, model, report, seen):
     return words + _walk_node(value._root, value._cfg, model, report, seen, own=False)
 
 
-def _wrappers():
-    """``(PersistentMap, PersistentMultiMap, PersistentSet)``."""
-    from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-
-    return PersistentMap, PersistentMultiMap, PersistentSet
-
-
 def _measured(structures):
     """``structures`` as a list of persistent structures; one is allowed."""
-    wrappers = _wrappers()
-    if isinstance(structures, wrappers):
+    if isinstance(structures, _WRAPPERS):
         return [structures]
     structures = list(structures)
     for s in structures:
-        if not isinstance(s, wrappers):
+        if not isinstance(s, _WRAPPERS):
             raise TypeError(f"cannot measure {type(s).__name__}")
     return structures
 
@@ -220,7 +222,6 @@ def byte_components(structures):
     and of its stored keys and values only the persistent structures;
     every other object it follows through ``gc.get_referents``.
     """
-    wrappers = _wrappers()
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
     # (object, component, the config of the trie it is a node of or None)
@@ -234,7 +235,7 @@ def byte_components(structures):
             continue
         if type(o) is int and -5 <= o <= 256:
             continue
-        if cfg is None and isinstance(o, wrappers):
+        if cfg is None and isinstance(o, _WRAPPERS):
             # a stored structure's trie is nested, a measured one's is not
             sizes["wrappers"] += sys.getsizeof(o)
             root = o._root
@@ -256,7 +257,7 @@ def byte_components(structures):
                 seen.add(id(run))
                 sizes[component] += sys.getsizeof(run)
         values, nested = o.payload_refs(w)
-        stack.extend((v, "nested", None) for v in values if isinstance(v, wrappers))
+        stack.extend((v, "nested", None) for v in values if isinstance(v, _WRAPPERS))
         vcfg = cfg.value_cfg
         stack.extend((root, "nested", vcfg) for root in nested)
         stack.extend((child, component, cfg) for child in run[end:])

@@ -27,9 +27,8 @@ from leantrie.bench import (
     run_benchmarks,
     run_footprint,
     run_suite,
-    write_bench_csv,
-    write_bench_json,
-    write_footprint_csv,
+    write_csv,
+    write_json,
 )
 
 FAST = BenchConfig(warmup_iterations=0, measured_iterations=1, target_iteration_ns=0)
@@ -276,7 +275,7 @@ def test_bench_csv_layout_is_stable():
         BenchRow("map", "insert_fail", 8, 2, 99.0, 0.0),
     ]
     out = io.StringIO()
-    write_bench_csv(rows, out)
+    write_csv(rows, BENCH_COLUMNS, out)
     assert out.getvalue() == (
         "structure,operation,size_exponent,seed,median_ns,mad_ns\n"
         "multimap,lookup,6,0,123.4,5.6\n"
@@ -286,7 +285,7 @@ def test_bench_csv_layout_is_stable():
 
 def test_footprint_csv_has_the_documented_columns():
     out = io.StringIO()
-    write_footprint_csv(run_footprint([4]), out)
+    write_csv(run_footprint([4]), FOOTPRINT_COLUMNS, out)
     header, first, *_ = out.getvalue().splitlines()
     assert header == ",".join(FOOTPRINT_COLUMNS)
     assert first.startswith("multimap,4,")
@@ -295,7 +294,7 @@ def test_footprint_csv_has_the_documented_columns():
 def test_json_report_carries_metadata_and_rows():
     rows = [BenchRow("multimap", "lookup", 6, 0, 123.4, 5.6)]
     out = io.StringIO()
-    write_bench_json(rows, out, "2026-01-01T00:00:00+00:00", config={"seeds": 1})
+    write_json(rows, BENCH_COLUMNS, out, "2026-01-01T00:00:00+00:00", config={"seeds": 1})
     text = out.getvalue()
     assert text.endswith("\n")
     document = json.loads(text)
@@ -306,6 +305,7 @@ def test_json_report_carries_metadata_and_rows():
         "bitmap_words": 1,
         "slot_words": 1,
         "indirection_words": 1,
+        "specialize": True,
     }
     assert document["rows"] == [
         {c: getattr(rows[0], c) for c in BENCH_COLUMNS}

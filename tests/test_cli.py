@@ -7,7 +7,7 @@ import json
 import pytest
 
 from leantrie import bench
-from leantrie.bench import run_footprint, write_footprint_json
+from leantrie.bench import FOOTPRINT_COLUMNS, run_footprint, write_csv, write_json
 from leantrie.cli import _parse_mix, _parse_sizes, build_parser, main
 
 TS = "2026-01-02T03:04:05+00:00"
@@ -63,7 +63,7 @@ def test_footprint_csv_to_stdout_matches_the_library_writer(capsys):
     rc, out, err = run_cli(capsys, "footprint", "--sizes", "4,5")
     assert rc == 0 and err == ""
     expected = io.StringIO()
-    bench.write_footprint_csv(run_footprint((4, 5)), expected)
+    write_csv(run_footprint((4, 5)), FOOTPRINT_COLUMNS, expected)
     assert out == expected.getvalue()
 
 
@@ -73,8 +73,9 @@ def test_footprint_json_is_reproducible_with_a_pinned_timestamp(capsys):
     )
     assert rc == 0
     expected = io.StringIO()
-    write_footprint_json(
+    write_json(
         run_footprint((4,)),
+        FOOTPRINT_COLUMNS,
         expected,
         TS,
         config={"sizes": [4], "mix": 0.5, "seed": 0},

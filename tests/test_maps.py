@@ -755,6 +755,22 @@ def test_structures_survive_pickle_and_deepcopy():
                 assert clone.remove_key("b") == original.remove_key("b")
 
 
+def test_a_pickle_carries_only_the_hash_functions():
+    # the hash functions are a structure's only options; node pricing
+    # belongs to the footprint model and is neither an option nor pickled
+    built = [
+        (pset, [1, 2], {"element_hash": _colliding_hash}),
+        (pmap, [(1, 2)], {"key_hash": _colliding_hash}),
+        (multimap, [(1, 2)], {"key_hash": _colliding_hash, "value_hash": hash}),
+    ]
+    for factory, contents, options in built:
+        _, (rebuilt_by, _, pickled_options) = factory(contents, **options).__reduce__()
+        assert rebuilt_by is factory
+        assert pickled_options == options
+        with pytest.raises(TypeError):
+            factory(contents, specialize=False)
+
+
 # Structures keyed by str and bytes, whose hash() differs between processes.
 _BUILD = """
 from leantrie import multimap, pmap, pset

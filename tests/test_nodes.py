@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leantrie import check_invariants, footprint, multimap, pmap, pset, structure_stats
+from leantrie import (
+    FootprintModel,
+    check_invariants,
+    footprint,
+    multimap,
+    pmap,
+    pset,
+    structure_stats,
+)
 from leantrie.bits import (
     COLLECTION,
     EMPTY,
@@ -502,13 +510,14 @@ def test_validator_rejects_chain_over_a_bucket():
 
 
 def test_specialization_is_a_pricing_rule_not_a_storage_class():
-    # one node, valid under either flag; only the modeled price differs
+    # one node, valid under either model; only the modeled price differs
     leaf = make_leaf(3, 3, "v")
+    cfg = map_config(key_hash=lambda k: k)
+    assert validate_root(cfg, leaf) == (1, 1)
+    structure = PersistentMap(cfg, leaf, 1)
     words = {}
     for specialize in (True, False):
-        cfg = map_config(key_hash=lambda k: k, specialize=specialize)
-        assert validate_root(cfg, leaf) == (1, 1)
-        report = footprint(PersistentMap(cfg, leaf, 1))
+        report = footprint(structure, FootprintModel(specialize=specialize))
         assert report.indirections == (0 if specialize else 1)
         words[specialize] = report.words_total
     assert words[False] == words[True] + 1

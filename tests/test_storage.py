@@ -14,6 +14,7 @@ import random
 import sys
 import tracemalloc
 import types
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from leantrie import (
     DEFAULT_MODEL,
     FootprintModel,
     PersistentMultiMap,
+    PersistentSet,
     byte_components,
     footprint,
     multimap,
@@ -31,7 +33,7 @@ from leantrie import (
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
 from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
 from leantrie.selftest import _bitmap_ints
-from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS
+from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS, WRAPPER_FIELDS
 
 
 def oracle_splice(old, rm_pos, rm_len, ins_pos, vals):
@@ -84,13 +86,17 @@ def test_replaced_swaps_exactly_one_slot():
 
 # --- indirection pricing rule ---------------------------------------------------
 #
-# Nodes are plain tuples whatever ``specialize`` says; the flag only decides
-# whether the footprint model charges the out-of-line indirection word.  A
-# flat identity-hashed set of n elements is one root node of exactly n slots.
+# Nodes are plain tuples; the model's ``specialize`` field only decides
+# whether a node is charged the out-of-line indirection word, so each test
+# prices one structure under both models.  A flat identity-hashed set of n
+# elements is one root node of exactly n slots.
+
+GENERIC = FootprintModel(specialize=False)
+MODELS = (DEFAULT_MODEL, GENERIC)
 
 
-def _flat_set(n, specialize):
-    s = pset(range(n), element_hash=lambda e: e, specialize=specialize)
+def _flat_set(n):
+    s = pset(range(n), element_hash=lambda e: e)
     assert len(s._root.slots) == n
     return s
 
@@ -106,37 +112,37 @@ def _nodes(structure):
 
 def test_small_specialized_nodes_pay_no_indirection():
     for n in range(MAX_FIXED_SLOTS + 1):
-        report = footprint(_flat_set(n, specialize=True))
+        report = footprint(_flat_set(n))
         assert (report.nodes, report.indirections) == (1, 0), n
 
 
 def test_wide_nodes_pay_one_indirection():
     for n in range(MAX_FIXED_SLOTS + 1, 33):
-        for specialize in (True, False):
-            report = footprint(_flat_set(n, specialize))
+        s = _flat_set(n)
+        for model in MODELS:
+            report = footprint(s, model)
             assert (report.nodes, report.indirections) == (1, 1), n
 
 
 def test_fixed_capacity_is_exact():
     for n in range(MAX_FIXED_SLOTS + 1):
-        report = footprint(_flat_set(n, specialize=True))
+        report = footprint(_flat_set(n))
         assert report.slots == n
         assert report.words_total == 3 + n
 
 
 def test_specialize_false_always_generic():
     for n in (0, 1, 8, 20):
-        report = footprint(_flat_set(n, specialize=False))
+        report = footprint(_flat_set(n), GENERIC)
         assert report.indirections == report.nodes == 1
         assert report.words_total == 3 + n + 1
 
 
 def test_get_set_roundtrip_all_classes():
     for n in list(range(9)) + [9, 17, 32]:
-        for specialize in (True, False):
-            root = _flat_set(n, specialize)._root
-            assert type(root.slots) is tuple
-            assert root.slots == tuple(range(n))
+        root = _flat_set(n)._root
+        assert type(root.slots) is tuple
+        assert root.slots == tuple(range(n))
 
 
 def test_indirection_depends_only_on_the_slot_total():
@@ -144,24 +150,17 @@ def test_indirection_depends_only_on_the_slot_total():
     # collision buckets all fall under the same per-node rule
     rng = random.Random(8)
     entries = [(rng.randrange(300), rng.randrange(4)) for _ in range(600)]
-    for specialize in (True, False):
-        mm = multimap(entries, key_hash=lambda k: k % 97, specialize=specialize)
-        nodes = list(_nodes(mm))
-        assert any(type(n) is CollisionNode for n in nodes)
-        assert any(len(n.slots) > MAX_FIXED_SLOTS for n in nodes)
-        assert any(len(n.slots) <= MAX_FIXED_SLOTS for n in nodes)
-        report = footprint(mm)
+    mm = multimap(entries, key_hash=lambda k: k % 97)
+    nodes = list(_nodes(mm))
+    assert any(type(n) is CollisionNode for n in nodes)
+    assert any(len(n.slots) > MAX_FIXED_SLOTS for n in nodes)
+    assert any(len(n.slots) <= MAX_FIXED_SLOTS for n in nodes)
+    for model in MODELS:
+        report = footprint(mm, model)
         assert report.nodes == len(nodes)
         assert report.indirections == sum(
-            1 for n in nodes if len(n.slots) > MAX_FIXED_SLOTS or not specialize
+            1 for n in nodes if len(n.slots) > MAX_FIXED_SLOTS or not model.specialize
         )
-
-
-def test_empty_roots_of_both_pricings_are_measured_separately():
-    report = footprint([multimap(), multimap(specialize=False)])
-    assert report.nodes == 2
-    assert report.words_total == 3 + 4
-    assert report.indirections == 1
 
 
 # --- footprint model --------------------------------------------------------
@@ -169,7 +168,11 @@ def test_empty_roots_of_both_pricings_are_measured_separately():
 
 def test_default_model_constants():
     assert DEFAULT_MODEL == FootprintModel(
-        header_words=2, bitmap_words=1, slot_words=1, indirection_words=1
+        header_words=2,
+        bitmap_words=1,
+        slot_words=1,
+        indirection_words=1,
+        specialize=True,
     )
 
 
@@ -189,8 +192,9 @@ def test_footprint_one_entry_multimap_is_five_words():
 
 
 def test_footprint_all_generic_adds_one_indirection_per_node():
-    spec = footprint(multimap([(1, 2)]))
-    gen = footprint(multimap([(1, 2)], specialize=False))
+    mm = multimap([(1, 2)])
+    spec = footprint(mm)
+    gen = footprint(mm, GENERIC)
     assert gen.words_total == spec.words_total + 1
     assert gen.indirections == 1
 
@@ -246,9 +250,10 @@ def test_footprint_custom_model_scales_components():
     model = FootprintModel(
         header_words=3, bitmap_words=2, slot_words=4, indirection_words=7
     )
-    report = footprint(multimap([(1, 2)]), model)
+    mm = multimap([(1, 2)])
+    report = footprint(mm, model)
     assert report.words_total == 3 + 2 + 2 * 4
-    generic = footprint(multimap([(1, 2)], specialize=False), model)
+    generic = footprint(mm, replace(model, specialize=False))
     assert generic.words_total == report.words_total + 7
 
 
@@ -260,8 +265,9 @@ def test_specialized_saving_is_exactly_one_indirection_per_node():
         entries.append((rng.getrandbits(32), rng.getrandbits(8)))
         if k % 2 == 0:
             entries.append((entries[-1][0], rng.getrandbits(8)))
-    spec_report = footprint(multimap(entries))
-    gen_report = footprint(multimap(entries, specialize=False))
+    mm = multimap(entries)
+    spec_report = footprint(mm)
+    gen_report = footprint(mm, GENERIC)
     assert gen_report.nodes == spec_report.nodes
     saving = gen_report.words_total - spec_report.words_total
     # nodes wider than the fixed-arity ceiling stay generic either way, so
@@ -273,9 +279,9 @@ def test_specialized_saving_is_exactly_one_indirection_per_node():
 
 
 def test_small_specialized_build_drops_every_indirection():
-    entries = [(n, n + 1) for n in range(4)]
-    spec_report = footprint(multimap(entries))
-    gen_report = footprint(multimap(entries, specialize=False))
+    mm = multimap((n, n + 1) for n in range(4))
+    spec_report = footprint(mm)
+    gen_report = footprint(mm, GENERIC)
     assert spec_report.indirections == 0
     saving = gen_report.words_total - spec_report.words_total
     assert saving == gen_report.indirections == gen_report.nodes
@@ -368,7 +374,7 @@ def test_structures_stored_inline_in_pairs_and_in_nested_sets_are_measured():
     stored = multimap(zip(keys, sets), **collide)
     plain = multimap(zip(keys, range(len(keys))), **collide)
     assert object_bytes(stored) == object_bytes(plain) + object_bytes(sets)
-    wrapper_words = DEFAULT_MODEL.header_words + sets[0]._field_count()
+    wrapper_words = DEFAULT_MODEL.header_words + WRAPPER_FIELDS[PersistentSet]
     added = footprint(sets).words_total + len(sets) * wrapper_words
     assert footprint(stored).words_total == footprint(plain).words_total + added
     assert footprint(stored).nested_words == footprint(plain).nested_words + added
