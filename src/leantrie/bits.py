@@ -69,25 +69,3 @@ def index_in_category(bitmap, pattern, branch):
     below = (1 << (branch << 1)) - 1
     return (filter_pattern(bitmap, pattern) & below).bit_count()
 
-
-def histogram(bitmap):
-    """Counts of the four patterns, via the 32-step shift-and-mask loop."""
-    counts = [0, 0, 0, 0]
-    for _ in range(32):
-        counts[bitmap & 0b11] += 1
-        bitmap >>= 2
-    return counts
-
-
-def recover_single(bitmap):
-    """(branch, pattern) of the only non-empty group in ``bitmap``.
-
-    Rounds the number of trailing zeros down to the 2-bit group boundary.
-    """
-    if bitmap == 0:
-        raise ValueError("bitmap has no non-empty group")
-    offset = ((bitmap & -bitmap).bit_length() - 1) // 2 * 2
-    pattern = (bitmap >> offset) & 0b11
-    if bitmap != pattern << offset:
-        raise ValueError("bitmap has more than one non-empty group")
-    return offset >> 1, pattern

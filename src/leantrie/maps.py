@@ -42,6 +42,9 @@ from .nodes import (
     M32,
     InvariantError,
     TrieNode,
+    _add_value,
+    _drop_key,
+    _drop_value,
     build_root,
     count_entries,
     map_config,
@@ -89,8 +92,8 @@ class PersistentSet(Set):
     def add(self, element):
         """Set containing ``element``; self if already present."""
         cfg = self._cfg
-        root, delta, _ = self._root.insert(
-            cfg, 0, cfg.hasher(element) & M32, element, None
+        root, delta, _ = self._root.update(
+            cfg, 0, cfg.hasher(element) & M32, element, None, _add_value
         )
         if root is self._root:
             return self
@@ -100,8 +103,8 @@ class PersistentSet(Set):
     def discard(self, element):
         """Set without ``element``; self if it was absent."""
         cfg = self._cfg
-        root, delta, _ = self._root.delete(
-            cfg, 0, cfg.hasher(element) & M32, element, None, True
+        root, delta, _ = self._root.update(
+            cfg, 0, cfg.hasher(element) & M32, element, None, _drop_key
         )
         if root is self._root:
             return self
@@ -184,7 +187,9 @@ class PersistentMap(Mapping):
     def put(self, key, value):
         """Map with ``key`` bound to ``value``; self if already bound."""
         cfg = self._cfg
-        root, _, kd = self._root.insert(cfg, 0, cfg.hasher(key) & M32, key, value)
+        root, _, kd = self._root.update(
+            cfg, 0, cfg.hasher(key) & M32, key, value, _add_value
+        )
         if root is self._root:
             return self
         return PersistentMap(cfg, root, self._size + kd)
@@ -192,7 +197,7 @@ class PersistentMap(Mapping):
     def remove(self, key):
         """Map without ``key``; self if it was absent."""
         cfg = self._cfg
-        root, _, kd = self._root.delete(cfg, 0, cfg.hasher(key) & M32, key, None, True)
+        root, _, kd = self._root.update(cfg, 0, cfg.hasher(key) & M32, key, None, _drop_key)
         if root is self._root:
             return self
         return PersistentMap(cfg, root, self._size + kd)
@@ -286,21 +291,25 @@ class PersistentMultiMap:
     def put(self, key, value):
         """Multimap with ``(key, value)`` present; self if it already was."""
         cfg = self._cfg
-        root, td, kd = self._root.insert(cfg, 0, cfg.hasher(key) & M32, key, value)
+        root, td, kd = self._root.update(
+            cfg, 0, cfg.hasher(key) & M32, key, value, _add_value
+        )
         return self._updated(root, td, kd)
 
     def remove(self, key, value):
         """Multimap without ``(key, value)``; self if it was absent."""
         cfg = self._cfg
-        root, td, kd = self._root.delete(
-            cfg, 0, cfg.hasher(key) & M32, key, value, False
+        root, td, kd = self._root.update(
+            cfg, 0, cfg.hasher(key) & M32, key, value, _drop_value
         )
         return self._updated(root, td, kd)
 
     def remove_key(self, key):
         """Multimap without any tuple for ``key``; self if none existed."""
         cfg = self._cfg
-        root, td, kd = self._root.delete(cfg, 0, cfg.hasher(key) & M32, key, None, True)
+        root, td, kd = self._root.update(
+            cfg, 0, cfg.hasher(key) & M32, key, None, _drop_key
+        )
         return self._updated(root, td, kd)
 
     def put_all(self, key, values):
@@ -321,7 +330,7 @@ class PersistentMultiMap:
             root, n, _ = build_root(vcfg, values)
         if len(root) == 1:  # the empty root
             return self.remove_key(key)
-        root, td, kd = self._root.insert(
+        root, td, kd = self._root.update(
             cfg, 0, cfg.hasher(key) & M32, key, (key, root, n), put_values
         )
         return self._updated(root, td, kd)

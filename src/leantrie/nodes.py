@@ -27,9 +27,8 @@ a node's stored values and nested roots, so the footprint walks outside
 this module never decode the entry layout.  The hot paths keep their own
 arithmetic on the same layout, with the entry widths named as ``PAIR_W``
 and ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
-planes for ``insert`` and ``delete``, ``lookup`` writes the inline rank
-in its loop over trie levels, and ``_placed``, ``_single_entry`` and
-``_collision_under_chain`` work from slot counts.
+planes for ``update``, ``lookup`` writes the inline rank in its loop
+over trie levels, and ``_placed`` and ``_lifted`` work from slot counts.
 
 A ``TrieNode`` is a ``tuple`` subclass with no instance dictionary, so a
 node costs one CPython object rather than an object plus a slot tuple.
@@ -45,19 +44,26 @@ the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
 nested-set config for multimaps (``None`` selects replace-on-put map
 semantics; width-1 configs never see values at all).
 
-Every change to a payload entry is decided by one of three transitions
-that both node kinds share.  :func:`_add_value` covers a new key, map
-replace, the promotions inline-to-pair and pair-to-collection, and
-nested-set insert; :func:`put_values` replaces a multimap key's whole
-value set with a given nested root, stored inline when it holds one
-value and as a pair when it holds two; :func:`_drop_value` covers inline
-removal, whole-key removal, the demotions pair-to-inline and
-collection-to-pair, and nested-set delete.  Each returns the entry's new
-pattern and slot values, and the node only places them (``_placed``).
-``insert`` is the one descent for the first two: it takes the transition
-as its ``add`` argument.  A pair's two values are compared by equality
-only, as an inline value is; the value hasher runs when a pair is formed
-from an inline value, to order it, and when it grows a nested set.
+Every update is one descent, ``update(cfg, shift, key_hash, key, value,
+change)``, one per node kind, and ``change`` decides what happens to the
+key's entry: it is one of four transitions that both node kinds share,
+``change(cfg, pattern, k0, payload, value) -> (pattern, slot_values,
+tuple_delta)`` or None when nothing changes.  :func:`_add_value` covers
+a new key, map replace, the promotions inline-to-pair and
+pair-to-collection, and nested-set insert; :func:`put_values` replaces a
+multimap key's whole value set with a given nested root, stored inline
+when it holds one value and as a pair when it holds two;
+:func:`_drop_value` covers inline removal, the demotions pair-to-inline
+and collection-to-pair, and nested-set delete; :func:`_drop_key` removes
+a key with all its values, or a set's element.  A transition sees an
+absent key as an EMPTY entry; the two drops have nothing to add there,
+so an absent key gives back the receiver.  The node only places the new
+entry (``_placed``).  Only a key leaving a child (``key_delta < 0``) can
+leave it with one payload entry or as a chain above a collision bucket,
+so only then does the parent restore canonical form (``_lifted``).  A
+pair's two values are compared by equality only, as an inline value is;
+the value hasher runs when a pair is formed from an inline value, to
+order it, and when it grows a nested set.
 
 Structural invariants (checked by :func:`validate_root`):
 
@@ -74,7 +80,7 @@ Structural invariants (checked by :func:`validate_root`):
 * collision nodes hold >= 2 entries of one identical 32-bit hash and sit
   at the shallowest depth their hash prefix forces.
 
-Mutating operations return ``(node, tuple_delta, key_delta)`` and return
+Updates return ``(node, tuple_delta, key_delta)`` and return
 the receiver itself (identity, zero deltas) when nothing changed.  A
 changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
@@ -266,7 +272,7 @@ def _add_value(cfg, pattern, k0, payload, value):
             return None
         return COLLECTION, (k0, _set_of_three(vcfg, v0, v1, value)), 1
     vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.insert(vcfg, 0, vh, value, None)
+    new_root, _, _ = payload.update(vcfg, 0, vh, value, None, _add_value)
     if new_root is payload:
         return None
     return COLLECTION, (k0, new_root), 1
@@ -313,30 +319,28 @@ def put_values(cfg, pattern, k0, payload, values):
     return p, ((key, *new) if p == PAIR else (key, new)), n - old
 
 
-def _drop_value(cfg, pattern, k0, payload, value, drop_key):
-    """Entry ``k0`` of ``pattern`` with ``value`` removed, or with every
-    value when ``drop_key``: ``(pattern, slot_values, tuple_delta)``, or
-    None when nothing changes.  A pair left with one value demotes to an
-    inline entry, and a nested set left with two to a pair.
+def _drop_value(cfg, pattern, k0, payload, value):
+    """Entry ``k0`` of ``pattern`` with ``value`` removed: ``(pattern,
+    slot_values, tuple_delta)``, or None when nothing changes.  A pair left
+    with one value demotes to an inline entry, and a nested set left with
+    two to a pair.
     """
     if pattern == INLINE:
-        if drop_key or payload is value or payload == value:
+        if payload is value or payload == value:
             return EMPTY, (), -1
         return None
     if pattern == PAIR:
-        if drop_key:
-            return EMPTY, (), -2
         v0, v1 = payload
         if v0 is value or v0 == value:
             return INLINE, (k0, v1), -1
         if v1 is value or v1 == value:
             return INLINE, (k0, v0), -1
         return None
+    if pattern == EMPTY:
+        return None
     vcfg = cfg.value_cfg
-    if drop_key:
-        return EMPTY, (), -count_entries(vcfg, payload)
     vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.delete(vcfg, 0, vh, value, None, True)
+    new_root, _, _ = payload.update(vcfg, 0, vh, value, None, _drop_key)
     if new_root is payload:
         return None
     few = _few_values(new_root)
@@ -345,11 +349,33 @@ def _drop_value(cfg, pattern, k0, payload, value, drop_key):
     return COLLECTION, (k0, new_root), -1
 
 
+def _drop_key(cfg, pattern, k0, payload, value):
+    """Entry ``k0`` of ``pattern`` removed with all its values, a set's
+    element at width 1: ``(EMPTY, (), tuple_delta)``, or None when there
+    is no entry."""
+    if pattern == INLINE:
+        return EMPTY, (), -1
+    if pattern == PAIR:
+        return EMPTY, (), -2
+    if pattern == EMPTY:
+        return None
+    return EMPTY, (), -count_entries(cfg.value_cfg, payload)
+
+
 class _Node:
     """Iteration shared by both node kinds, over the bounds that
-    ``regions`` gives."""
+    ``regions`` gives, and the two update entry points that perfbench's
+    trace replay calls."""
 
     __slots__ = ()
+
+    def insert(self, cfg, shift, key_hash, key, value):
+        return self.update(cfg, shift, key_hash, key, value, _add_value)
+
+    def delete(self, cfg, shift, key_hash, key, value, drop_key):
+        return self.update(
+            cfg, shift, key_hash, key, value, _drop_key if drop_key else _drop_value
+        )
 
     def iter_entries(self, cfg):
         w = cfg.width
@@ -481,85 +507,53 @@ class TrieNode(_Node, tuple):
             return (pattern, node[pos + w - 1])
         return None
 
-    def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
-        """This node with ``add``'s transition applied to ``key``'s entry:
-        ``_add_value`` adds ``value``, ``put_values`` replaces the entry."""
+    def update(self, cfg, shift, key_hash, key, value, change):
+        """``(node, tuple_delta, key_delta)``: this node with ``change``'s
+        transition applied to ``key``'s entry (see the module docstring)."""
         bm = self[0]
         w = cfg.width
         branch = (key_hash >> shift) & 31
         pattern = (bm >> (branch << 1)) & 0b11
-        if pattern == EMPTY:
-            # an empty group takes the pattern by OR; nothing is removed,
-            # so the entry is placed by plain insertion
-            p, vals, td = add(cfg, EMPTY, key, None, value)
-            bm |= p << (branch << 1) if p != PAIR else pattern_bits(PAIR, branch)
-            pos = _pos(bm, w, p, branch, len(self) + len(vals))
-            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), td, 1
         if pattern == NODE:
             pos = _pos(bm, w, NODE, branch, len(self))
             child = self[pos]
-            new_child, td, kd = child.insert(cfg, shift + 5, key_hash, key, value, add)
+            new_child, td, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
             if new_child is child:
                 return self, 0, 0
+            if kd < 0:
+                lifted = _lifted(new_child, w)
+                if lifted is not None:
+                    p, vals = lifted
+                    return self._placed(w, branch, NODE, pos, 1, p, vals), td, kd
             return TrieNode(_replaced(self, pos, new_child)), td, kd
-        if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
-            pattern = PAIR
-        pos = _pos(bm, w, pattern, branch, len(self))
-        size = PAIR_W if pattern == PAIR else w  # COLL_W == w where collections occur
-        k0 = self[pos]
-        if k0 is key or k0 == key:
-            payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
-            added = add(cfg, pattern, k0, payload, value)
-            if added is None:
-                return self, 0, 0
-            p, vals, td = added
-            return self._placed(w, branch, pattern, pos, size, p, vals), td, 0
-        # different key on the same branch: push both one level down
-        h0 = cfg.hasher(k0) & M32
-        s0 = self[pos : pos + size]
-        p1, s1, td = add(cfg, EMPTY, key, None, value)
-        child = _merge(shift + 5, h0, pattern, s0, key_hash, p1, s1)
-        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), td, 1
-
-    def delete(self, cfg, shift, key_hash, key, value, drop_key):
-        bm = self[0]
-        branch = (key_hash >> shift) & 31
-        pattern = (bm >> (branch << 1)) & 0b11
-        if pattern == EMPTY:
-            return self, 0, 0
-        if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
-            pattern = PAIR
-        w = cfg.width
-        pos = _pos(bm, w, pattern, branch, len(self))
-        if pattern != NODE:
+        if pattern != EMPTY:
+            if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
+                pattern = PAIR
+            pos = _pos(bm, w, pattern, branch, len(self))
+            size = PAIR_W if pattern == PAIR else w  # COLL_W == w where collections occur
             k0 = self[pos]
-            if not (k0 is key or k0 == key):
-                return self, 0, 0
-            if pattern == PAIR:
-                payload, size = self[pos + 1 : pos + PAIR_W], PAIR_W
-            else:
-                payload, size = self[pos + w - 1], w
-            dropped = _drop_value(cfg, pattern, k0, payload, value, drop_key)
-            if dropped is None:
-                return self, 0, 0
-            p, vals, td = dropped
-            kd = -1 if p == EMPTY else 0
-            return self._placed(w, branch, pattern, pos, size, p, vals), td, kd
-
-        child = self[pos]
-        new_child, td, kd = child.delete(cfg, shift + 5, key_hash, key, value, drop_key)
-        if new_child is child:
+            if k0 is key or k0 == key:
+                payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
+                changed = change(cfg, pattern, k0, payload, value)
+                if changed is None:
+                    return self, 0, 0
+                p, vals, td = changed
+                kd = -1 if p == EMPTY else 0
+                return self._placed(w, branch, pattern, pos, size, p, vals), td, kd
+        added = change(cfg, EMPTY, key, None, value)
+        if added is None:
             return self, 0, 0
-        single = _single_entry(new_child, w)
-        if single is not None:
-            # child is down to one payload entry: pull it into this node
-            p, vals = single
-            return self._placed(w, branch, NODE, pos, 1, p, vals), td, kd
-        lifted = _collision_under_chain(new_child)
-        if lifted is not None:
-            # chain node left above a collision bucket: float the bucket up
-            new_child = lifted
-        return TrieNode(_replaced(self, pos, new_child)), td, kd
+        p, vals, td = added
+        if pattern == EMPTY:
+            # an empty group takes the pattern by OR; nothing is removed,
+            # so the entry is placed by plain insertion
+            bm |= p << (branch << 1) if p != PAIR else pattern_bits(PAIR, branch)
+            pos = _pos(bm, w, p, branch, len(self) + len(vals))
+            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), td, 1
+        # a different key on the same branch: push both one level down
+        h0 = cfg.hasher(k0) & M32
+        child = _merge(shift + 5, h0, pattern, self[pos : pos + size], key_hash, p, vals)
+        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), td, 1
 
     def equals(self, cfg, other):
         if self is other:
@@ -663,41 +657,27 @@ class CollisionNode(_Node):
             return (PAIR, ValuePair(self.slots[pos + 1 : pos + PAIR_W]))
         return (pattern, self.slots[pos + w - 1])
 
-    def insert(self, cfg, shift, key_hash, key, value, add=_add_value):
-        if key_hash != self.hash:
-            # hashes differ after all: give the bucket a parent level first
-            bm = NODE << (((self.hash >> shift) & 31) << 1)
-            return TrieNode((bm, self)).insert(cfg, shift, key_hash, key, value, add)
+    def update(self, cfg, shift, key_hash, key, value, change):
         w = cfg.width
-        slots = self.slots
-        found = self._find(w, key)
+        found = self._find(w, key) if key_hash == self.hash else None
         if found is None:
-            p, vals, td = add(cfg, EMPTY, key, None, value)
-            return self._placed(w, EMPTY, len(slots), 0, p, vals), td, 1
+            added = change(cfg, EMPTY, key, None, value)
+            if added is None:
+                return self, 0, 0
+            p, vals, td = added
+            if key_hash != self.hash:
+                # hashes differ after all: the bucket and the new entry
+                # part where their hash fragments do
+                return _merge(shift, self.hash, NODE, (self,), key_hash, p, vals), td, 1
+            return self._placed(w, EMPTY, len(self.slots), 0, p, vals), td, 1
         pattern, pos = found
-        added = add(cfg, pattern, slots[pos], _payload(slots, pattern, pos, w), value)
-        if added is None:
+        slots = self.slots
+        changed = change(cfg, pattern, slots[pos], _payload(slots, pattern, pos, w), value)
+        if changed is None:
             return self, 0, 0
-        p, vals, td = added
+        p, vals, td = changed
         size = PAIR_W if pattern == PAIR else w
-        return self._placed(w, pattern, pos, size, p, vals), td, 0
-
-    def delete(self, cfg, shift, key_hash, key, value, drop_key):
-        if key_hash != self.hash:
-            return self, 0, 0
-        w = cfg.width
-        found = self._find(w, key)
-        if found is None:
-            return self, 0, 0
-        pattern, pos = found
-        slots = self.slots
-        payload = _payload(slots, pattern, pos, w)
-        dropped = _drop_value(cfg, pattern, slots[pos], payload, value, drop_key)
-        if dropped is None:
-            return self, 0, 0
-        p, vals, td = dropped
         kd = -1 if p == EMPTY else 0
-        size = PAIR_W if pattern == PAIR else w
         return self._placed(w, pattern, pos, size, p, vals), td, kd
 
     def equals(self, cfg, other):
@@ -770,7 +750,7 @@ def _set_of_three(vcfg, v0, v1, v2):
     Three values on distinct first-level branches, nine promotions in ten
     under uniform hashes, make the one-node root directly: promotions are
     a large share of the slowest ``put`` calls, and the general path
-    below, a two-set's root and one ``insert``, takes longer.
+    below, a two-set's root and one ``update``, takes longer.
     """
     hasher = vcfg.hasher
     h0 = hasher(v0) & M32
@@ -789,7 +769,7 @@ def _set_of_three(vcfg, v0, v1, v2):
         if b0 > b1:
             v0, v1 = v1, v0
         return TrieNode((bm, v0, v1, v2))
-    root, _, _ = _root_of_two(h0, v0, h1, v1).insert(vcfg, 0, h2, v2, None)
+    root, _, _ = _root_of_two(h0, v0, h1, v1).update(vcfg, 0, h2, v2, None, _add_value)
     return root
 
 
@@ -978,20 +958,23 @@ def _trie_node(shift, items, bitmaps):
     return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *coll, *nodes))
 
 
-def _single_entry(node, w):
-    """``(pattern, slot_values)`` if ``node`` holds exactly one payload
-    entry and nothing else, like after a delete; None otherwise."""
-    # cheap rejection: one entry fills at most PAIR_W slots
+def _lifted(node, w):
+    """``(pattern, slot_values)`` of the entry that takes ``node``'s place
+    in its parent once a key has left it, when canonical form moves one
+    up: ``node``'s only payload entry, or the collision bucket below it
+    when it is a chain node; None when ``node`` stays."""
     if type(node) is TrieNode:
         n = len(node) - 1
-        if n > PAIR_W or n < w:
+        if n > PAIR_W:  # cheap rejection: one entry fills at most PAIR_W slots
             return None
         bm = node[0]
         if bm & ~(bm >> 1) & EVEN_BITS:  # a sub-node
+            if n == 1 and type(node[1]) is CollisionNode:
+                return NODE, node[1:]
             return None
         if bm >> PAIR_PLANE:
             return PAIR, node[1:]
-        if n != w:  # three elements of a set
+        if n != w:  # several elements of a set
             return None
         return (COLLECTION if bm & (bm >> 1) & EVEN_BITS else INLINE), node[1:]
     slots = node.slots
@@ -1000,18 +983,6 @@ def _single_entry(node, w):
     if len(slots) == PAIR_W and node.pair_n:
         return PAIR, slots
     return None
-
-
-def _collision_under_chain(node):
-    """The collision bucket of a ``[0 payload, 1 sub-node]`` chain node,
-    if that sub-node is a collision bucket; None otherwise."""
-    if type(node) is not TrieNode or len(node) != 2:
-        return None
-    bm = node[0]
-    child = node[1]
-    if type(child) is not CollisionNode or not bm & ~(bm >> 1) & EVEN_BITS:
-        return None
-    return child
 
 
 def _few_values(root):

@@ -31,12 +31,6 @@ def _check_bitmap_algebra(rng):
             rank = sum(1 for g in groups[:branch] if g == pattern)
             if bits.index_in_category(bitmap, pattern, branch) != rank:
                 return False
-        if bits.histogram(bitmap) != [groups.count(p) for p in range(4)]:
-            return False
-    for branch in range(32):
-        for pattern in (1, 2, 3):
-            if bits.recover_single(pattern << (2 * branch)) != (branch, pattern):
-                return False
     return True
 
 

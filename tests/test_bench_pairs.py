@@ -1,6 +1,7 @@
 """The pair runner's summary step and its run order (``tools/bench_pairs.py``)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,19 @@ def test_run_seconds_and_directions_come_from_the_benchmark_spec():
     assert seconds > 0
     assert better["dom_vertices_per_s"] == "higher"
     assert better["bytes_per_tuple"] == "lower"
+
+
+def test_append_starts_a_report_where_there_is_none(monkeypatch, tmp_path):
+    def fake_run_once(checkout, workload, seed, seconds):
+        return {"failed": 0, "attempted": 1, "metrics": {"speed": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH_new.json"
+    argv = ["P", "C", "--workload", "mixed", "--seed", "1", "--pairs", "1",
+            "--output", str(out), "--append"]
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv) == 0  # the second call extends the first's report
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["pair"], r["side"]) for r in runs] == [
+        (0, "parent"), (0, "change"), (1, "parent"), (1, "change"),
+    ]

@@ -7,7 +7,6 @@ The oracles deliberately share no code with the implementation.
 
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from leantrie.bits import (
@@ -20,8 +19,6 @@ from leantrie.bits import (
     set_pattern,
     filter_pattern,
     index_in_category,
-    histogram,
-    recover_single,
 )
 
 PATTERNS = (EMPTY, NODE, INLINE, COLLECTION)
@@ -47,13 +44,6 @@ def oracle_filter(bm, pattern):
     return out
 
 
-def oracle_histogram(bm):
-    counts = [0, 0, 0, 0]
-    for g in oracle_groups(bm):
-        counts[g] += 1
-    return counts
-
-
 def oracle_index(bm, pattern, branch):
     return sum(1 for g in oracle_groups(bm)[:branch] if g == pattern)
 
@@ -65,12 +55,6 @@ def oracle_set(bm, branch, pattern):
     for b, g in enumerate(groups):
         out |= g << (2 * b)
     return out
-
-
-def oracle_recover(bm):
-    found = [(b, g) for b, g in enumerate(oracle_groups(bm)) if g != EMPTY]
-    assert len(found) == 1, "precondition: exactly one non-empty group"
-    return found[0]
 
 
 # --- frozen examples -------------------------------------------------------
@@ -104,30 +88,6 @@ def test_index_in_category_examples():
     assert index_in_category(0b10_10_10, INLINE, 0) == 0
 
 
-def test_histogram_examples():
-    assert histogram(0) == [32, 0, 0, 0]
-    assert histogram(0b10_11_01) == [29, 1, 1, 1]
-
-
-def test_payload_arity_from_histogram():
-    bm = 0b10_11_01
-    counts = histogram(bm)
-    assert 32 - counts[EMPTY] - counts[NODE] == 2
-
-
-def test_recover_single_examples():
-    assert recover_single(0b01) == (0, NODE)
-    assert recover_single(0b11 << 14) == (7, COLLECTION)
-    assert recover_single(0b10 << 62) == (31, INLINE)
-
-
-def test_recover_single_exhaustive_96():
-    for b in range(32):
-        for p in (NODE, INLINE, COLLECTION):
-            bm = p << (2 * b)
-            assert recover_single(bm) == (b, p) == oracle_recover(bm)
-
-
 # --- randomized oracle agreement ------------------------------------------
 
 
@@ -138,7 +98,6 @@ def test_oracle_agreement_randomized():
         groups = oracle_groups(bm)
         for p in PATTERNS:
             assert filter_pattern(bm, p) == oracle_filter(bm, p)
-        assert histogram(bm) == oracle_histogram(bm)
         b = rng.randrange(32)
         assert get_pattern(bm, b) == groups[b]
         for p in PATTERNS:
@@ -168,22 +127,10 @@ def test_filters_partition_the_even_bits(bm):
     assert union == EVEN_BITS
 
 
-@given(words)
-def test_histogram_counts_sum_to_32(bm):
-    assert sum(histogram(bm)) == 32
-
-
 @given(words, patterns)
 def test_index_is_monotone_in_branch(bm, p):
     last = 0
     for b in range(33):
-        cur = index_in_category(bm, p, b) if b < 32 else histogram(bm)[p]
+        cur = index_in_category(bm, p, b) if b < 32 else filter_pattern(bm, p).bit_count()
         assert cur >= last
         last = cur
-
-
-def test_recover_single_rejects_ambiguous_words():
-    with pytest.raises(ValueError):
-        recover_single(0)
-    with pytest.raises(ValueError):
-        recover_single(0b01_01)

@@ -38,16 +38,22 @@ from leantrie.bits import (
 from leantrie.maps import PersistentMap
 from leantrie.nodes import (
     COLL_W,
+    EMPTY_ROOT,
     M32,
     PAIR_W,
     CollisionNode,
     InvariantError,
     TrieNode,
     ValuePair,
+    _add_value,
+    _drop_key,
+    _drop_value,
     _pos,
+    build_root,
     fold_hash,
     map_config,
     multimap_config,
+    put_values,
     set_config,
     validate_root,
 )
@@ -859,3 +865,65 @@ def test_a_pair_answers_the_nested_set_lookup_protocol(key_hash):
         for v in range(8):
             hit = payload.lookup(vcfg, 0, vcfg.hasher(v) & M32, v) is not None
             assert hit == mm.contains_entry(key, v), (key, v)
+
+
+# -- one update descent ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("key_hash", [None, lambda k: k % 13], ids=["default", "mod13"])
+def test_the_entry_points_are_update_with_a_named_transition(key_hash):
+    cfg = multimap_config(key_hash=key_hash)
+    rng = random.Random(0xD35C)
+    root = EMPTY_ROOT
+    for _ in range(3_000):
+        op, k, v = rng.randrange(3), rng.randrange(60), rng.randrange(5)
+        h = cfg.hasher(k) & M32
+        if op == 0:
+            entry = root.insert(cfg, 0, h, k, v)
+            via_update = root.update(cfg, 0, h, k, v, _add_value)
+        else:
+            entry = root.delete(cfg, 0, h, k, v, op == 2)
+            via_update = root.update(cfg, 0, h, k, v, _drop_key if op == 2 else _drop_value)
+        assert entry[1:] == via_update[1:]
+        assert (entry[0] is root) == (via_update[0] is root)
+        assert entry[0].equals(cfg, via_update[0])
+        root = via_update[0]
+    validate_root(cfg, root)
+
+
+_ABSENT = {
+    # (stored keys, absent key); keys hash to themselves
+    "empty branch": ((1, 2 + 32), 3),
+    "another key on the branch": ((5,), 5 + 32),
+    "bucket of the same hash": (("A", "B"), "C"),
+    "bucket of another hash": (("A", "B"), "D"),
+}
+_BUCKET_HASHES = {"A": 7, "B": 7, "C": 7, "D": 7 + 32}
+
+
+@pytest.mark.parametrize("case", list(_ABSENT), ids=list(_ABSENT))
+def test_an_absent_key_gives_back_the_receiver_under_both_drops(case):
+    stored, absent = _ABSENT[case]
+    cfg = multimap_config(key_hash=lambda k: _BUCKET_HASHES.get(k, k))
+    root, _, _ = build_root(cfg, [(k, v) for k in stored for v in range(3)])
+    h = cfg.hasher(absent) & M32
+    for change in (_drop_value, _drop_key):
+        new, td, kd = root.update(cfg, 0, h, absent, 0, change)
+        assert new is root and (td, kd) == (0, 0), change.__name__
+
+
+@pytest.mark.parametrize("n_values", [1, 2, 3], ids=["inline", "pair", "collection"])
+def test_a_bucket_joined_by_a_new_hash_matches_the_bulk_build(n_values):
+    # C shares the bucket's first two hash fragments (7, then 3) and
+    # leaves it at the third: the bucket and C part two levels down
+    table = {"A": 7 | 3 << 5, "B": 7 | 3 << 5, "C": 7 | 3 << 5 | 1 << 10}
+    cfg = multimap_config(key_hash=table.__getitem__)
+    entries = [("A", 1), ("B", 1), ("B", 2)]
+    root, _, _ = build_root(cfg, entries)
+    values = list(range(n_values))
+    nested, n, _ = build_root(cfg.value_cfg, values)
+    joined, td, kd = root.update(cfg, 0, table["C"], "C", ("C", nested, n), put_values)
+    direct, _, _ = build_root(cfg, entries + [("C", v) for v in values])
+    assert (td, kd) == (n_values, 1)
+    assert validate_root(cfg, joined) == validate_root(cfg, direct)
+    assert joined.equals(cfg, direct)

@@ -61,3 +61,11 @@ def test_both_commands_pin_the_timestamp_and_ask_for_json():
     for command in same_behaviour.COMMANDS.values():
         assert command[command.index("--format") + 1] == "json"
         assert command[command.index("--timestamp") + 1] == same_behaviour.TIMESTAMP
+
+
+def test_a_relative_checkout_path_runs_its_own_source(monkeypatch):
+    root = _PATH.parent.parent
+    monkeypatch.chdir(root.parent)
+    command = ["footprint", "--sizes", "6", *same_behaviour.REPORT]
+    report = same_behaviour.run_report(root.name, command)
+    assert [row["size_exponent"] for row in report["rows"]] == [6, 6]

@@ -17,7 +17,8 @@ side, ``change_vs_parent``, the change's median over the parent's minus
 one, and each side's ``failed``/``attempted`` totals over the same pairs).
 A run with failed operations also gets a warning on stderr.  The report is
 rewritten after every pair, so an interrupted series keeps the pairs it
-finished; ``--append`` extends an existing report.
+finished; ``--append`` extends the report at ``--output``, or starts it
+when there is none yet.
 """
 
 import argparse
@@ -134,7 +135,7 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--output", type=Path, required=True)
     p.add_argument("--append", action="store_true",
-                   help="keep the runs of an existing report at --output")
+                   help="keep the runs of the report at --output, if there is one")
     p.add_argument("--meta", action="append", default=[], metavar="KEY=VALUE",
                    help="extra metadata field (repeatable)")
     args = p.parse_args(argv)
@@ -150,7 +151,7 @@ def main(argv=None):
     args = parse_args(argv)
     seconds, better = load_benchmark()
     report = {"metadata": {}, "runs": []}
-    if args.append:
+    if args.append and args.output.exists():
         report = json.loads(args.output.read_text())
     meta = report["metadata"]
     meta.update({

@@ -36,7 +36,8 @@ IGNORED_METADATA_KEYS = {"git_rev"}
 
 def run_report(checkout, command):
     """The JSON report of ``leantrie <command>`` run from ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src")))
+    checkout = Path(checkout).resolve()  # the run's cwd is the checkout itself
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "leantrie.cli", *command],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
