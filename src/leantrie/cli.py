@@ -2,11 +2,14 @@
 
 Sizes are given as exponent ranges (``--sizes 6..16`` means 2^6..2^16,
 comma lists also work), mixes as ``--mix 50:50``.  ``--output -``
-writes to stdout.  Exit status: 0 on success, 1 when a correctness
-gate or self-check fails, 2 on configuration or input errors.
+writes to stdout.  Exit status: 0 on success, also when the reader of
+stdout closes it early (``leantrie ... --output - | head -1``), 1 when a
+correctness gate or self-check fails, 2 on configuration, input or
+output errors.
 """
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -158,6 +161,7 @@ def _write_report(args, rows, columns, config_info):
             write_csv(rows, columns, stream)
         else:
             write_json(rows, columns, stream, timestamp, config_info)
+        stream.flush()  # a closed pipe shows here, not at interpreter exit
 
 
 def _cmd_bench(args):
@@ -245,6 +249,13 @@ def main(argv=None):
     except (ConfigurationError, GraphError) as exc:
         print(f"leantrie: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has all it wanted; what stdout still buffers goes to
+        # devnull, so the flush at interpreter exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:
         print(f"leantrie: {exc}", file=sys.stderr)
         return 2

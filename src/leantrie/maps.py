@@ -92,7 +92,7 @@ class PersistentSet(Set):
     def add(self, element):
         """Set containing ``element``; self if already present."""
         cfg = self._cfg
-        root, delta, _ = self._root.update(
+        root, delta = self._root.update(
             cfg, 0, cfg.hasher(element) & M32, element, None, _add_value
         )
         if root is self._root:
@@ -103,7 +103,7 @@ class PersistentSet(Set):
     def discard(self, element):
         """Set without ``element``; self if it was absent."""
         cfg = self._cfg
-        root, delta, _ = self._root.update(
+        root, delta = self._root.update(
             cfg, 0, cfg.hasher(element) & M32, element, None, _drop_key
         )
         if root is self._root:
@@ -187,7 +187,7 @@ class PersistentMap(Mapping):
     def put(self, key, value):
         """Map with ``key`` bound to ``value``; self if already bound."""
         cfg = self._cfg
-        root, _, kd = self._root.update(
+        root, kd = self._root.update(
             cfg, 0, cfg.hasher(key) & M32, key, value, _add_value
         )
         if root is self._root:
@@ -197,7 +197,7 @@ class PersistentMap(Mapping):
     def remove(self, key):
         """Map without ``key``; self if it was absent."""
         cfg = self._cfg
-        root, _, kd = self._root.update(cfg, 0, cfg.hasher(key) & M32, key, None, _drop_key)
+        root, kd = self._root.update(cfg, 0, cfg.hasher(key) & M32, key, None, _drop_key)
         if root is self._root:
             return self
         return PersistentMap(cfg, root, self._size + kd)
@@ -260,6 +260,12 @@ class PersistentMultiMap:
     sharing the nested set's nodes.
     ``put_all`` rewrites a key's whole value set in one update.  Construct
     with :func:`multimap`.
+
+    The key count is always kept.  The tuple count is kept through ``put``
+    and ``remove``, which change it by one, but ``put_all`` and
+    ``remove_key`` do not size the value sets they store or drop: after
+    them, the first ``len`` or ``tuple_count`` walks the trie once and
+    caches the count, as ``len`` of a :class:`PersistentSet` does.
     """
 
     __slots__ = ("_cfg", "_root", "_tuples", "_keys")
@@ -277,40 +283,35 @@ class PersistentMultiMap:
 
     @property
     def tuple_count(self):
+        if self._tuples is None:
+            self._tuples = count_entries(self._cfg, self._root)
         return self._tuples
 
     @property
     def key_count(self):
         return self._keys
 
-    def _updated(self, root, td, kd):
+    def _updated(self, key, value, change, td=None):
+        """This multimap with ``change`` applied to ``key``'s entry; ``td``
+        is the change in tuples, None when the update does not know it."""
+        cfg = self._cfg
+        root, kd = self._root.update(cfg, 0, cfg.hasher(key) & M32, key, value, change)
         if root is self._root:
             return self
-        return PersistentMultiMap(self._cfg, root, self._tuples + td, self._keys + kd)
+        tuples = None if td is None or self._tuples is None else self._tuples + td
+        return PersistentMultiMap(cfg, root, tuples, self._keys + kd)
 
     def put(self, key, value):
         """Multimap with ``(key, value)`` present; self if it already was."""
-        cfg = self._cfg
-        root, td, kd = self._root.update(
-            cfg, 0, cfg.hasher(key) & M32, key, value, _add_value
-        )
-        return self._updated(root, td, kd)
+        return self._updated(key, value, _add_value, 1)
 
     def remove(self, key, value):
         """Multimap without ``(key, value)``; self if it was absent."""
-        cfg = self._cfg
-        root, td, kd = self._root.update(
-            cfg, 0, cfg.hasher(key) & M32, key, value, _drop_value
-        )
-        return self._updated(root, td, kd)
+        return self._updated(key, value, _drop_value, -1)
 
     def remove_key(self, key):
         """Multimap without any tuple for ``key``; self if none existed."""
-        cfg = self._cfg
-        root, td, kd = self._root.update(
-            cfg, 0, cfg.hasher(key) & M32, key, None, _drop_key
-        )
-        return self._updated(root, td, kd)
+        return self._updated(key, None, _drop_key)
 
     def put_all(self, key, values):
         """Multimap in which ``key``'s values are exactly ``values``; self
@@ -322,18 +323,14 @@ class PersistentMultiMap:
         value hasher is shared, not copied: its root is stored as is.  Any
         other iterable is built into a set once.
         """
-        cfg = self._cfg
-        vcfg = cfg.value_cfg
+        vcfg = self._cfg.value_cfg
         if isinstance(values, PersistentSet) and values._cfg.hasher is vcfg.hasher:
-            root, n = values._root, values._size
+            root = values._root
         else:
-            root, n, _ = build_root(vcfg, values)
+            root = build_root(vcfg, values)[0]
         if len(root) == 1:  # the empty root
             return self.remove_key(key)
-        root, td, kd = self._root.update(
-            cfg, 0, cfg.hasher(key) & M32, key, (key, root, n), put_values
-        )
-        return self._updated(root, td, kd)
+        return self._updated(key, (key, root), put_values)
 
     def get(self, key):
         """The values bound to ``key``, as a :class:`PersistentSet`.
@@ -389,22 +386,24 @@ class PersistentMultiMap:
         return self.keys()
 
     def __len__(self):
-        return self._tuples
+        return self.tuple_count
 
     def __bool__(self):
-        return self._tuples > 0
+        return self._keys > 0
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, PersistentMultiMap):
             return NotImplemented
-        if self._tuples != other._tuples or self._keys != other._keys:
+        if self._keys != other._keys:
             return False
         if self._cfg.hasher is other._cfg.hasher and (
             self._cfg.value_cfg.hasher is other._cfg.value_cfg.hasher
         ):
             return self._root.equals(self._cfg, other._root)
+        if len(self) != len(other):
+            return False
         return all(other.contains_entry(k, v) for k, v in self.items())
 
     __hash__ = None
@@ -454,13 +453,15 @@ def _rebuild(factory, contents, options):
 
 def check_invariants(structure):
     """Validate ``structure``'s trie against every structural invariant
-    and recount its sizes; raises ``InvariantError`` on any mismatch.
-    Intended for tests and self-checks."""
+    and recount its sizes; raises ``InvariantError`` when a recount
+    differs from a cached count.  A multimap's tuple count and a set's
+    size are checked when cached.  Intended for tests and self-checks."""
     if not isinstance(structure, (PersistentMultiMap, PersistentSet, PersistentMap)):
         raise TypeError(f"not a persistent structure: {type(structure).__name__}")
     tuples, keys = validate_root(structure._cfg, structure._root)
     if isinstance(structure, PersistentMultiMap):
-        if tuples != structure._tuples or keys != structure._keys:
+        cached = structure._tuples
+        if keys != structure._keys or (cached is not None and tuples != cached):
             raise InvariantError(
                 f"cached counts ({structure._tuples}, {structure._keys}) "
                 f"!= recounted ({tuples}, {keys})"

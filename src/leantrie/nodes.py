@@ -47,23 +47,23 @@ semantics; width-1 configs never see values at all).
 Every update is one descent, ``update(cfg, shift, key_hash, key, value,
 change)``, one per node kind, and ``change`` decides what happens to the
 key's entry: it is one of four transitions that both node kinds share,
-``change(cfg, pattern, k0, payload, value) -> (pattern, slot_values,
-tuple_delta)`` or None when nothing changes.  :func:`_add_value` covers
-a new key, map replace, the promotions inline-to-pair and
-pair-to-collection, and nested-set insert; :func:`put_values` replaces a
-multimap key's whole value set with a given nested root, stored inline
-when it holds one value and as a pair when it holds two;
-:func:`_drop_value` covers inline removal, the demotions pair-to-inline
-and collection-to-pair, and nested-set delete; :func:`_drop_key` removes
-a key with all its values, or a set's element.  A transition sees an
-absent key as an EMPTY entry; the two drops have nothing to add there,
-so an absent key gives back the receiver.  The node only places the new
-entry (``_placed``).  Only a key leaving a child (``key_delta < 0``) can
-leave it with one payload entry or as a chain above a collision bucket,
-so only then does the parent restore canonical form (``_lifted``).  A
-pair's two values are compared by equality only, as an inline value is;
-the value hasher runs when a pair is formed from an inline value, to
-order it, and when it grows a nested set.
+``change(cfg, pattern, k0, payload, value) -> (pattern, slot_values)``
+or None when nothing changes.  :func:`_add_value` covers a new key, map
+replace, the promotions inline-to-pair and pair-to-collection, and
+nested-set insert; :func:`put_values` replaces a multimap key's whole
+value set with a given nested root, stored inline when it holds one
+value and as a pair when it holds two; :func:`_drop_value` covers inline
+removal, the demotions pair-to-inline and collection-to-pair, and
+nested-set delete; :func:`_drop_key` removes a key with all its values,
+or a set's element.  A transition sees an absent key as an EMPTY entry;
+the two drops have nothing to add there, so an absent key gives back the
+receiver.  The node only places the new entry (``_placed``).  Only a key
+leaving a child (``key_delta < 0``) can leave it with one payload entry
+or as a chain above a collision bucket, so only then does the parent
+restore canonical form (``_lifted``).  A pair's two values are compared
+by equality only, as an inline value is; the value hasher runs when a
+pair is formed from an inline value, to order it, and when it grows a
+nested set.
 
 Structural invariants (checked by :func:`validate_root`):
 
@@ -80,8 +80,10 @@ Structural invariants (checked by :func:`validate_root`):
 * collision nodes hold >= 2 entries of one identical 32-bit hash and sit
   at the shallowest depth their hash prefix forces.
 
-Updates return ``(node, tuple_delta, key_delta)`` and return
-the receiver itself (identity, zero deltas) when nothing changed.  A
+Updates return ``(node, key_delta)`` and return the receiver itself
+(identity, zero delta) when nothing changed.  They count keys, not
+values: a transition never sizes a nested set, so a multimap that
+replaces or drops a whole value set counts its tuples when asked.  A
 changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
 :func:`build_root` builds a whole trie bottom-up, each node once, into the
@@ -248,8 +250,8 @@ def _ordered_pair(vcfg, v0, v1):
 
 def _add_value(cfg, pattern, k0, payload, value):
     """Entry ``k0`` of ``pattern`` (``payload`` as :func:`_payload` reads
-    it) with ``value`` added: ``(pattern, slot_values, tuple_delta)``, or
-    None when nothing changes.
+    it) with ``value`` added: ``(pattern, slot_values)``, or None when
+    nothing changes.
 
     An EMPTY entry is a key not yet present: it becomes inline.  A width-1
     entry is its element; an inline value is kept when equal, replaced in
@@ -258,108 +260,90 @@ def _add_value(cfg, pattern, k0, payload, value):
     collection entry inserts into its nested set.
     """
     if pattern == EMPTY:
-        return INLINE, ((k0, value) if cfg.width == 2 else (k0,)), 1
+        return INLINE, ((k0, value) if cfg.width == 2 else (k0,))
     vcfg = cfg.value_cfg
     if pattern == INLINE:
         if cfg.width == 1 or payload is value or payload == value:
             return None
         if vcfg is None:
-            return INLINE, (k0, value), 0
-        return PAIR, (k0, *_ordered_pair(vcfg, payload, value)), 1
+            return INLINE, (k0, value)
+        return PAIR, (k0, *_ordered_pair(vcfg, payload, value))
     if pattern == PAIR:
         v0, v1 = payload
         if v0 is value or v0 == value or v1 is value or v1 == value:
             return None
-        return COLLECTION, (k0, _set_of_three(vcfg, v0, v1, value)), 1
+        return COLLECTION, (k0, _set_of_three(vcfg, v0, v1, value))
     vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.update(vcfg, 0, vh, value, None, _add_value)
+    new_root, _ = payload.update(vcfg, 0, vh, value, None, _add_value)
     if new_root is payload:
         return None
-    return COLLECTION, (k0, new_root), 1
+    return COLLECTION, (k0, new_root)
 
 
 def put_values(cfg, pattern, k0, payload, values):
     """Entry ``k0`` of ``pattern`` replaced by ``values``, a multimap key's
-    whole new entry as ``(key, root, size)``: the caller's key object, a
+    whole new entry as ``(key, root)``: the caller's key object and a
     non-empty nested set root, stored inline when it holds one value, as a
-    pair when it holds two and as is otherwise, and its size, or None when
-    unknown.  Returns ``(pattern, slot_values, tuple_delta)``, or None when
-    the key already holds equal values; node ``equals`` stops early on
-    shared subtrees, and entries are counted only once the values are known
-    to differ.
+    pair when it holds two and as is otherwise.  Returns ``(pattern,
+    slot_values)``, or None when the key already holds equal values; node
+    ``equals`` stops early on shared subtrees.
     """
-    key, root, n = values
-    few = _few_values(root) if n is None or n <= 2 else None
+    key, root = values
+    few = _few_values(root)
     if few is None:
         p, new = COLLECTION, root
     elif len(few) == 1:
-        p, new, n = INLINE, few[0], 1
+        p, new = INLINE, few[0]
     else:
-        p, new, n = PAIR, few, 2
-    vcfg = cfg.value_cfg
+        p, new = PAIR, few
     if p == pattern:
         if p == COLLECTION:
-            same = payload.equals(vcfg, new)
+            same = payload.equals(cfg.value_cfg, new)
         elif p == PAIR:
             same = _same_values(payload, new)
         else:
             same = _eq(payload, new)
         if same:
             return None
-    if n is None:
-        n = count_entries(vcfg, root)
-    if pattern == EMPTY:
-        old = 0
-    elif pattern == INLINE:
-        old = 1
-    elif pattern == PAIR:
-        old = 2
-    else:
-        old = count_entries(vcfg, payload)
-    return p, ((key, *new) if p == PAIR else (key, new)), n - old
+    return p, ((key, *new) if p == PAIR else (key, new))
 
 
 def _drop_value(cfg, pattern, k0, payload, value):
     """Entry ``k0`` of ``pattern`` with ``value`` removed: ``(pattern,
-    slot_values, tuple_delta)``, or None when nothing changes.  A pair left
+    slot_values)``, or None when nothing changes.  A pair left
     with one value demotes to an inline entry, and a nested set left with
     two to a pair.
     """
     if pattern == INLINE:
         if payload is value or payload == value:
-            return EMPTY, (), -1
+            return EMPTY, ()
         return None
     if pattern == PAIR:
         v0, v1 = payload
         if v0 is value or v0 == value:
-            return INLINE, (k0, v1), -1
+            return INLINE, (k0, v1)
         if v1 is value or v1 == value:
-            return INLINE, (k0, v0), -1
+            return INLINE, (k0, v0)
         return None
     if pattern == EMPTY:
         return None
     vcfg = cfg.value_cfg
     vh = vcfg.hasher(value) & M32
-    new_root, _, _ = payload.update(vcfg, 0, vh, value, None, _drop_key)
+    new_root, _ = payload.update(vcfg, 0, vh, value, None, _drop_key)
     if new_root is payload:
         return None
     few = _few_values(new_root)
     if few is not None:  # three values before the delete, two now
-        return PAIR, (k0, *few), -1
-    return COLLECTION, (k0, new_root), -1
+        return PAIR, (k0, *few)
+    return COLLECTION, (k0, new_root)
 
 
 def _drop_key(cfg, pattern, k0, payload, value):
     """Entry ``k0`` of ``pattern`` removed with all its values, a set's
-    element at width 1: ``(EMPTY, (), tuple_delta)``, or None when there
-    is no entry."""
-    if pattern == INLINE:
-        return EMPTY, (), -1
-    if pattern == PAIR:
-        return EMPTY, (), -2
+    element at width 1: ``(EMPTY, ())``, or None when there is no entry."""
     if pattern == EMPTY:
         return None
-    return EMPTY, (), -count_entries(cfg.value_cfg, payload)
+    return EMPTY, ()
 
 
 class _Node:
@@ -508,8 +492,8 @@ class TrieNode(_Node, tuple):
         return None
 
     def update(self, cfg, shift, key_hash, key, value, change):
-        """``(node, tuple_delta, key_delta)``: this node with ``change``'s
-        transition applied to ``key``'s entry (see the module docstring)."""
+        """``(node, key_delta)``: this node with ``change``'s transition
+        applied to ``key``'s entry (see the module docstring)."""
         bm = self[0]
         w = cfg.width
         branch = (key_hash >> shift) & 31
@@ -517,15 +501,15 @@ class TrieNode(_Node, tuple):
         if pattern == NODE:
             pos = _pos(bm, w, NODE, branch, len(self))
             child = self[pos]
-            new_child, td, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
+            new_child, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
             if new_child is child:
-                return self, 0, 0
+                return self, 0
             if kd < 0:
                 lifted = _lifted(new_child, w)
                 if lifted is not None:
                     p, vals = lifted
-                    return self._placed(w, branch, NODE, pos, 1, p, vals), td, kd
-            return TrieNode(_replaced(self, pos, new_child)), td, kd
+                    return self._placed(w, branch, NODE, pos, 1, p, vals), kd
+            return TrieNode(_replaced(self, pos, new_child)), kd
         if pattern != EMPTY:
             if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
                 pattern = PAIR
@@ -536,24 +520,24 @@ class TrieNode(_Node, tuple):
                 payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
                 changed = change(cfg, pattern, k0, payload, value)
                 if changed is None:
-                    return self, 0, 0
-                p, vals, td = changed
+                    return self, 0
+                p, vals = changed
                 kd = -1 if p == EMPTY else 0
-                return self._placed(w, branch, pattern, pos, size, p, vals), td, kd
+                return self._placed(w, branch, pattern, pos, size, p, vals), kd
         added = change(cfg, EMPTY, key, None, value)
         if added is None:
-            return self, 0, 0
-        p, vals, td = added
+            return self, 0
+        p, vals = added
         if pattern == EMPTY:
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
             bm |= p << (branch << 1) if p != PAIR else pattern_bits(PAIR, branch)
             pos = _pos(bm, w, p, branch, len(self) + len(vals))
-            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), td, 1
+            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), 1
         # a different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
         child = _merge(shift + 5, h0, pattern, self[pos : pos + size], key_hash, p, vals)
-        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), td, 1
+        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), 1
 
     def equals(self, cfg, other):
         if self is other:
@@ -663,22 +647,22 @@ class CollisionNode(_Node):
         if found is None:
             added = change(cfg, EMPTY, key, None, value)
             if added is None:
-                return self, 0, 0
-            p, vals, td = added
+                return self, 0
+            p, vals = added
             if key_hash != self.hash:
                 # hashes differ after all: the bucket and the new entry
                 # part where their hash fragments do
-                return _merge(shift, self.hash, NODE, (self,), key_hash, p, vals), td, 1
-            return self._placed(w, EMPTY, len(self.slots), 0, p, vals), td, 1
+                return _merge(shift, self.hash, NODE, (self,), key_hash, p, vals), 1
+            return self._placed(w, EMPTY, len(self.slots), 0, p, vals), 1
         pattern, pos = found
         slots = self.slots
         changed = change(cfg, pattern, slots[pos], _payload(slots, pattern, pos, w), value)
         if changed is None:
-            return self, 0, 0
-        p, vals, td = changed
+            return self, 0
+        p, vals = changed
         size = PAIR_W if pattern == PAIR else w
         kd = -1 if p == EMPTY else 0
-        return self._placed(w, pattern, pos, size, p, vals), td, kd
+        return self._placed(w, pattern, pos, size, p, vals), kd
 
     def equals(self, cfg, other):
         if self is other:
@@ -769,7 +753,7 @@ def _set_of_three(vcfg, v0, v1, v2):
         if b0 > b1:
             v0, v1 = v1, v0
         return TrieNode((bm, v0, v1, v2))
-    root, _, _ = _root_of_two(h0, v0, h1, v1).update(vcfg, 0, h2, v2, None, _add_value)
+    root, _ = _root_of_two(h0, v0, h1, v1).update(vcfg, 0, h2, v2, None, _add_value)
     return root
 
 

@@ -41,6 +41,33 @@ def test_summary_rows_take_medians_quartiles_and_wins_per_pair():
     assert cost["change_vs_parent"] == pytest.approx(-1 / 6, abs=1e-4)
 
 
+def test_summary_rows_flag_a_median_worse_than_its_bound():
+    runs = []
+    for pair, (p_speed, c_speed, p_cost, c_cost) in enumerate(
+        [(10.0, 7.0, 4.0, 5.1), (10.0, 7.4, 4.0, 4.9), (10.0, 8.0, 4.0, 4.0)]
+    ):
+        runs += [_run(pair, "parent", speed=p_speed, cost=p_cost, size=1.0),
+                 _run(pair, "change", speed=c_speed, cost=c_cost, size=9.0)]
+    better = {"speed": "higher", "cost": "lower", "size": "lower"}
+    rows = bench_pairs.summarize(runs, better, {"speed": 0.25, "cost": 0.25})
+    speed, cost, size = rows
+    # speed: median 7.4 against 10, 26% worse; cost: 4.9 against 4, 22.5% worse
+    assert (speed["bound"], speed["beyond_bound"]) == (0.25, True)
+    assert (cost["bound"], cost["beyond_bound"]) == (0.25, False)
+    assert "bound" not in size and "beyond_bound" not in size
+    # a gain is never beyond the bound, in either direction
+    flipped = {"speed": "lower", "cost": "higher"}
+    assert not any(r["beyond_bound"] for r in bench_pairs.summarize(
+        runs, flipped, {"speed": 0.01, "cost": 0.01}))
+
+
+def test_the_bounds_come_from_the_benchmark_spec():
+    bounds = bench_pairs.load_bounds()
+    _, better = bench_pairs.load_benchmark()
+    assert set(bounds) == set(better)
+    assert bounds["bytes_per_tuple"] == 0.05
+
+
 def test_summary_keeps_workloads_and_seeds_apart():
     runs = [_run(0, "parent", speed=1.0), _run(0, "change", speed=2.0)]
     other = [dict(r, seed=7919, metrics={"speed": 4.0}) for r in runs]

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import leantrie
 from leantrie import bench
 from leantrie.bench import FOOTPRINT_COLUMNS, run_footprint, write_csv, write_json
 from leantrie.cli import _parse_mix, _parse_sizes, build_parser, main
@@ -240,6 +244,30 @@ def test_unwritable_output_is_an_io_error(capsys, tmp_path):
     )
     assert rc == 2
     assert err.startswith("leantrie:")
+
+
+def test_a_reader_that_closes_stdout_early_is_not_an_error():
+    # the report (~0.5 MB) outgrows the pipe's buffer, so the writer is
+    # still writing when the reader closes its end after the first line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leantrie.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["dominators", "--random", "16", "--graphs-per-size", "1500",
+            "--format", "json", "--output", "-"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leantrie.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_gate_failures_exit_one_not_zero(capsys, monkeypatch):

@@ -416,6 +416,28 @@ def test_check_invariants_detects_corrupted_counts():
         check_invariants(broken)
 
 
+def test_the_tuple_count_is_counted_once_after_a_whole_set_rewrite():
+    mm = multimap([(0, v) for v in range(5)] + [(1, 1)])
+    assert mm._tuples == 6  # a build counts for free
+    rewritten = mm.put_all(2, range(4))
+    assert rewritten._tuples is None
+    check_invariants(rewritten)  # an uncached count is not checked
+    assert rewritten == multimap(list(rewritten.items()))
+    assert rewritten._tuples is None  # == compares key counts, then roots
+    # point updates leave an uncached count uncached until it is read
+    pointed = rewritten.put(3, 0).remove(0, 0)
+    assert pointed._tuples is None
+    assert len(pointed) == 10 and pointed._tuples == 10
+    # after the read, they carry it exactly
+    later = pointed.put(3, 1).remove(1, 1).put(3, 1)
+    assert later._tuples == 10
+    check_invariants(later)
+    assert later.remove_key(3)._tuples is None
+    emptied = multimap([(0, 1)]).put_all(0, [1, 2, 3]).remove_key(0)
+    assert not emptied and emptied._tuples is None  # bool reads the key count
+    assert emptied.tuple_count == 0
+
+
 # -- randomized cross-checks ------------------------------------------------------------
 
 
@@ -563,7 +585,8 @@ def test_put_all_matches_the_remove_key_and_put_fold(hasher, kind, pairs, key, v
 
 def test_an_equal_put_all_counts_no_entries(monkeypatch):
     # the size of a get-derived set is unknown; an equal rewrite returns the
-    # receiver without ever needing it
+    # receiver without ever needing it, and no rewrite counts the entries of
+    # the sets it stores or drops
     import leantrie.maps
     import leantrie.nodes
 
@@ -582,9 +605,17 @@ def test_an_equal_put_all_counts_no_entries(monkeypatch):
         assert mm.put_all(key, values) is mm
         assert mm.put_all(key, values.add(next(iter(values)))) is mm
     assert calls == []
-    # a real rewrite counts the entries it needs for the tuple delta
     rewritten = mm.put_all(1, mm.get(0))
-    assert calls and rewritten.tuple_count == mm.tuple_count + 199
+    dropped = mm.remove_key(0)
+    assert rewritten is not mm and dropped is not mm
+    assert calls == []
+    # the first read counts the whole trie once, from its root, and caches
+    assert rewritten.tuple_count == mm.tuple_count + 199
+    assert calls.count(rewritten._root) == 1
+    walked = len(calls)
+    assert rewritten.tuple_count == mm.tuple_count + 199
+    assert len(calls) == walked
+    assert dropped.tuple_count == mm.tuple_count - 200
 
 
 # -- persistence under history ----------------------------------------------------------

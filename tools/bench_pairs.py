@@ -14,7 +14,10 @@ run with its ``failed``/``attempted`` counts and metric values) and
 ``summary`` (per workload, seed and end-to-end metric: each side's median
 and quartiles, ``change_wins`` over pairs, where a tie counts for neither
 side, ``change_vs_parent``, the change's median over the parent's minus
-one, and each side's ``failed``/``attempted`` totals over the same pairs).
+one, ``bound``, the metric's regression bound from ``BENCHMARK.json``,
+``beyond_bound``, whether the change's median is worse than the parent's
+by more than that bound, and each side's ``failed``/``attempted`` totals
+over the same pairs).
 A run with failed operations also gets a warning on stderr.  The report is
 rewritten after every pair, so an interrupted series keeps the pairs it
 finished; ``--append`` extends the report at ``--output``, or starts it
@@ -34,10 +37,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+def _spec(root):
+    return json.loads((root / "BENCHMARK.json").read_text())
+
+
 def load_benchmark(root=ROOT):
     """``(run_seconds, {metric: better})`` from ``BENCHMARK.json``."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec = _spec(root)
     return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def load_bounds(root=ROOT):
+    """``{metric: bound}`` from ``BENCHMARK.json``: how much worse, as a
+    share of the parent's median, an end-to-end metric may get."""
+    return {m["name"]: m["bound"] for m in _spec(root)["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -80,11 +93,13 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """One summary row per (workload, seed, metric), in first-seen order
     of (workload, seed) and ``better``'s metric order.  Each row carries
-    both sides' ``failed``/``attempted`` totals for its (workload, seed).
-    Pairs missing a side are left out."""
+    both sides' ``failed``/``attempted`` totals for its (workload, seed)
+    and, for a metric that ``bounds`` names, its bound and whether the
+    change's median is beyond it.  Pairs missing a side are left out."""
+    bounds = bounds or {}
     pairs = {}
     for run in runs:
         key = (run["workload"], run["seed"])
@@ -117,9 +132,11 @@ def summarize(runs, better):
                 row[f"{side}_q3"] = q3
             row["change_wins"] = wins
             row["pairs"] = len(complete)
-            row["change_vs_parent"] = round(
-                row["change_median"] / row["parent_median"] - 1, 4
-            )
+            change = row["change_median"] / row["parent_median"] - 1
+            row["change_vs_parent"] = round(change, 4)
+            if metric in bounds:
+                row["bound"] = bounds[metric]
+                row["beyond_bound"] = sign * change < -bounds[metric]
             row.update(totals)
             rows.append(row)
     return rows
@@ -150,6 +167,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     seconds, better = load_benchmark()
+    bounds = load_bounds()
     report = {"metadata": {}, "runs": []}
     if args.append and args.output.exists():
         report = json.loads(args.output.read_text())
@@ -173,7 +191,7 @@ def main(argv=None):
             first = max(done, default=-1) + 1
             for pair in range(first, first + args.pairs):
                 report["runs"].extend(run_pair(checkouts, workload, seed, pair, seconds))
-                report["summary"] = summarize(report["runs"], better)
+                report["summary"] = summarize(report["runs"], better, bounds)
                 args.output.write_text(json.dumps(
                     {k: report[k] for k in ("metadata", "summary", "runs")}, indent=1
                 ) + "\n")
