@@ -29,7 +29,7 @@ import platform
 import random
 import statistics
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -48,23 +48,6 @@ OPERATIONS = (
 )
 
 STRUCTURES = ("multimap", "map_of_sets", "map")
-
-BENCH_COLUMNS = ("structure", "operation", "size_exponent", "seed", "median_ns", "mad_ns")
-FOOTPRINT_COLUMNS = (
-    "structure",
-    "size_exponent",
-    "words_total",
-    "words_nested",
-    "bytes_total",
-    "bytes_trie",
-    "bytes_nested",
-    "bytes_bitmaps",
-    "bytes_wrappers",
-    "nodes",
-    "slots",
-    "ratio_vs_baseline",
-    "bytes_ratio_vs_baseline",
-)
 
 
 class ConfigurationError(ValueError):
@@ -107,14 +90,6 @@ class Dataset:
     full_probes: tuple
     partial_probes: tuple
     none_probes: tuple
-
-    @property
-    def key_count(self):
-        return self.size
-
-    @property
-    def tuple_count(self):
-        return len(self.entries)
 
     @property
     def is_pure_one_to_one(self):
@@ -407,6 +382,9 @@ class BenchRow:
     mad_ns: float
 
 
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
+
+
 def _op_callables(adapter, base, dataset):
     """The eight timed operations with their per-call probe counts."""
     present = dataset.full_probes + dataset.partial_probes
@@ -460,14 +438,6 @@ def _time_interleaved(calls, config):
         med = statistics.median(taken)
         timed.append((med, statistics.median(abs(s - med) for s in taken)))
     return timed
-
-
-def run_suite(structure, dataset, config=None):
-    """Gate, then time all eight operations of ``structure`` on ``dataset``.
-
-    Returns one :class:`BenchRow` per operation.
-    """
-    return _run_cell([structure], dataset, config or BenchConfig())
 
 
 def _run_cell(names, dataset, config, first=0):
@@ -546,6 +516,9 @@ class FootprintRow:
     slots: int
     ratio_vs_baseline: float
     bytes_ratio_vs_baseline: float
+
+
+FOOTPRINT_COLUMNS = tuple(f.name for f in fields(FootprintRow))
 
 
 def run_footprint(size_exponents, mix=0.5, seed=0):

@@ -27,23 +27,11 @@ reachable) stands in for real compiler corpora.
 """
 
 import random
-import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter_ns
 
 from .maps import multimap, structure_stats
-
-DOMINATOR_COLUMNS = (
-    "graph_name",
-    "vertices",
-    "edges",
-    "dom_iterations",
-    "runtime_ns",
-    "preds_keys",
-    "preds_tuples",
-    "preds_pct_1to1",
-)
 
 
 class GraphError(ValueError):
@@ -69,45 +57,22 @@ class CfgGraph:
 
 
 @dataclass(frozen=True)
-class RelationStats:
-    key_count: int
-    tuple_count: int
-    ratio_1to1: float  # percentage of keys with exactly one value
-
-
-@dataclass(frozen=True)
 class DomResult:
-    """One analyzed graph: the dominator multimap plus report fields."""
+    """One analyzed graph: the report row's fields, then the dominator
+    multimap."""
 
-    graph: CfgGraph
-    dominators: object  # PersistentMultiMap vertex -> dominator set
+    graph_name: str
+    vertices: int
+    edges: int
     dom_iterations: int
     runtime_ns: int
-    preds_stats: RelationStats
+    preds_keys: int
+    preds_tuples: int
+    preds_pct_1to1: float  # percentage of predecessor keys with one value
+    dominators: object  # PersistentMultiMap vertex -> dominator set
 
-    @property
-    def graph_name(self):
-        return self.graph.name
 
-    @property
-    def vertices(self):
-        return self.graph.vertex_count
-
-    @property
-    def edges(self):
-        return self.graph.edge_count
-
-    @property
-    def preds_keys(self):
-        return self.preds_stats.key_count
-
-    @property
-    def preds_tuples(self):
-        return self.preds_stats.tuple_count
-
-    @property
-    def preds_pct_1to1(self):
-        return round(self.preds_stats.ratio_1to1, 2)
+DOMINATOR_COLUMNS = tuple(f.name for f in fields(DomResult) if f.name != "dominators")
 
 
 def parse_edge_list(text, name="<edges>"):
@@ -156,27 +121,9 @@ def parse_edge_list(text, name="<edges>"):
     )
 
 
-def to_edge_text(graph):
-    """Serialize ``graph`` back to the edge-list format."""
-    names = graph.vertex_names
-    lines = [f"entry {names[graph.entry]}"]
-    lines.extend(f"{names[s]} {names[d]}" for s, d in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
 def compute_preds(graph):
     """The predecessor relation as a multimap: one (dst, src) per edge."""
     return multimap((d, s) for s, d in graph.edges)
-
-
-def relation_stats(mm):
-    """Key/tuple counts and the percentage of keys with exactly one value
-    (100.0 for the empty relation, vacuously)."""
-    keys = mm.key_count
-    if keys == 0:
-        return RelationStats(0, 0, 100.0)
-    ones = structure_stats(mm)["inline_entries"]  # one value <=> stored inline
-    return RelationStats(keys, mm.tuple_count, 100.0 * ones / keys)
 
 
 def _reachable(graph):
@@ -284,17 +231,23 @@ def _dominator_fixpoint(graph):
 
 
 def analyze_graph(graph):
-    """Run the full analysis and wrap the report row fields."""
+    """Run the full analysis and fill one report row.  The 1:1 share is
+    100.0 for an empty predecessor relation, vacuously."""
     start = perf_counter_ns()
     dom, iterations, preds = _dominator_fixpoint(graph)
     runtime = perf_counter_ns() - start
-    stats = relation_stats(preds)
+    keys = preds.key_count
+    ones = structure_stats(preds)["inline_entries"]  # one value <=> stored inline
     return DomResult(
-        graph=graph,
-        dominators=dom,
+        graph_name=graph.name,
+        vertices=graph.vertex_count,
+        edges=graph.edge_count,
         dom_iterations=iterations,
         runtime_ns=runtime,
-        preds_stats=stats,
+        preds_keys=keys,
+        preds_tuples=preds.tuple_count,
+        preds_pct_1to1=round(100.0 * ones / keys, 2) if keys else 100.0,
+        dominators=dom,
     )
 
 
@@ -343,8 +296,3 @@ def random_cfg(size, seed, name=None):
         vertex_names=tuple(f"n{i}" for i in range(size)),
         edges=tuple(edges),
     )
-
-
-def summarize_ratio_1to1(results):
-    """Median preds 1:1 percentage across analyzed graphs."""
-    return statistics.median(r.preds_pct_1to1 for r in results)

@@ -417,10 +417,6 @@ class TrieNode(_Node, tuple):
         return tuple.__sizeof__(self) + tuple.__itemsize__
 
     @property
-    def bitmap(self):
-        return self[0]
-
-    @property
     def slots(self):
         return self[1:]
 

@@ -74,20 +74,10 @@ class FootprintReport:
     indirections: int = 0
     nested_words: int = 0
 
-    def as_dict(self):
-        return {
-            "words_total": self.words_total,
-            "nodes": self.nodes,
-            "slots": self.slots,
-            "headers": self.headers,
-            "bitmaps": self.bitmaps,
-            "indirections": self.indirections,
-            "words_nested": self.nested_words,
-        }
-
 
 def footprint(structures, model=DEFAULT_MODEL):
-    """Measure one structure or several jointly (shared nodes counted once).
+    """Measure one structure or several jointly (shared nodes counted once,
+    with the first structure listed that reaches them).
 
     Accepts a :class:`~leantrie.PersistentMultiMap`, ``PersistentMap`` or
     ``PersistentSet``, or an iterable of them.  The outermost wrapper
@@ -220,12 +210,16 @@ def byte_components(structures):
     The walk reads a node's stored values and nested roots through its
     ``payload_refs`` and follows its bitmap, sub-nodes and nested roots,
     and of its stored keys and values only the persistent structures;
-    every other object it follows through ``gc.get_referents``.
+    every other object it follows through ``gc.get_referents``.  An
+    object that several of ``structures`` reach is counted once, in the
+    component the first structure listed that reaches it gives it, as
+    :func:`footprint` counts a shared node.
     """
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
-    # (object, component, the config of the trie it is a node of or None)
-    stack = [(s, "trie", None) for s in _measured(structures)]
+    # (object, component, the config of the trie it is a node of or None);
+    # the first structure is walked first, as footprint walks them
+    stack = [(s, "trie", None) for s in reversed(_measured(structures))]
     while stack:
         o, component, cfg = stack.pop()
         if id(o) in seen:

@@ -26,7 +26,6 @@ from leantrie.bench import (
     generate_workload,
     run_benchmarks,
     run_footprint,
-    run_suite,
     write_csv,
     write_json,
 )
@@ -58,18 +57,18 @@ def test_mix_controls_the_single_to_double_split():
     d = generate_workload(spec, 256, seed=0)
     assert len(d.single_keys) == 128
     assert len(d.double_keys) == 128
-    assert d.tuple_count == 128 + 2 * 128
-    assert d.key_count == 256
+    assert len(d.entries) == 128 + 2 * 128
+    assert d.size == 256
     assert not d.is_pure_one_to_one
 
     pure = generate_workload(small_spec(mix=1.0), 256, seed=0)
     assert len(pure.double_keys) == 0
-    assert pure.tuple_count == 256
+    assert len(pure.entries) == 256
     assert pure.is_pure_one_to_one
 
     doubles = generate_workload(small_spec(mix=0.0), 256, seed=0)
     assert len(doubles.single_keys) == 0
-    assert doubles.tuple_count == 512
+    assert len(doubles.entries) == 512
 
 
 def test_probe_bursts_are_disjoint_and_correctly_classified():
@@ -89,7 +88,7 @@ def test_tiny_workloads_pad_bursts_by_duplication():
     d = generate_workload(small_spec(), 2, seed=0)
     # one 1:1 key and one 1:2 key
     assert len(d.single_keys) == 1 and len(d.double_keys) == 1
-    assert d.tuple_count == 3
+    assert len(d.entries) == 3
     assert len(d.full_probes) == 8
     assert len(set(k for k, _ in d.full_probes)) == 2
     stored = set(d.entries)
@@ -173,14 +172,13 @@ def test_unknown_structure_name_is_a_configuration_error():
 # -- timing suites -------------------------------------------------------------------
 
 
-def test_run_suite_emits_one_row_per_operation():
-    d = generate_workload(small_spec(), 16, seed=2)
-    rows = run_suite("multimap", d, FAST)
-    assert [r.operation for r in rows] == list(OPERATIONS)
+def test_one_structure_runs_emit_one_row_per_operation():
+    rows = run_benchmarks(small_spec(seeds=3), FAST, ["multimap"])
+    assert [r.operation for r in rows] == 3 * list(OPERATIONS)
+    assert [r.seed for r in rows] == [s for s in range(3) for _ in OPERATIONS]
     for r in rows:
         assert r.structure == "multimap"
         assert r.size_exponent == 4
-        assert r.seed == 2
         assert r.median_ns > 0
         assert r.mad_ns >= 0
 

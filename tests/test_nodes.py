@@ -704,7 +704,7 @@ def test_nodes_compare_and_hash_by_identity():
     b = TrieNode((INLINE << 2, "k", "v"))
     assert a == a and a != b
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
-    assert (a.bitmap, a.slots) == (INLINE << 2, ("k", "v"))
+    assert (a[0], a.slots) == (INLINE << 2, ("k", "v"))
     assert type(a.slots) is tuple
 
 

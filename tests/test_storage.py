@@ -468,6 +468,24 @@ def test_byte_components_split_nested_tries_from_the_trie():
     assert byte_components(nested)["nested"] == byte_components(sets)["trie"]
 
 
+def test_the_first_structure_listed_owns_a_shared_node_in_both_walks():
+    # the set that get returns has the multimap's nested set root as its
+    # own trie, so the joint walks must agree on whose node it is
+    mm = multimap([(k, v) for k in range(50) for v in range(k % 6)])
+    s = mm.get(5)
+    nested_words = footprint(mm).nested_words
+    mm_bytes, s_bytes = byte_components(mm), byte_components(s)
+    assert footprint([mm, s]).nested_words == nested_words == 168
+    assert footprint([s, mm]).nested_words == nested_words - footprint(s).words_total == 160
+    mm_first, s_first = byte_components([mm, s]), byte_components([s, mm])
+    assert (mm_first["trie"], mm_first["nested"]) == (mm_bytes["trie"], mm_bytes["nested"])
+    assert (s_first["trie"], s_first["nested"]) == (
+        mm_bytes["trie"] + s_bytes["trie"],
+        mm_bytes["nested"] - s_bytes["trie"],
+    )
+    assert sum(mm_first.values()) == sum(s_first.values()) == object_bytes([mm, s])
+
+
 def test_footprint_rows_report_nested_words_and_bytes():
     for row in run_footprint([6, 8]):
         assert all(getattr(row, f"bytes_{c}") >= 0 for c in BYTE_COMPONENTS)

@@ -37,20 +37,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def _spec(root):
-    return json.loads((root / "BENCHMARK.json").read_text())
-
-
 def load_benchmark(root=ROOT):
-    """``(run_seconds, {metric: better})`` from ``BENCHMARK.json``."""
-    spec = _spec(root)
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-
-def load_bounds(root=ROOT):
-    """``{metric: bound}`` from ``BENCHMARK.json``: how much worse, as a
-    share of the parent's median, an end-to-end metric may get."""
-    return {m["name"]: m["bound"] for m in _spec(root)["end_to_end"]}
+    """``(run_seconds, {metric: better}, {metric: bound})`` from
+    ``BENCHMARK.json``, where a bound is how much worse, as a share of the
+    parent's median, an end-to-end metric may get."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    return (
+        spec["run_seconds"],
+        {m["name"]: m["better"] for m in metrics},
+        {m["name"]: m["bound"] for m in metrics},
+    )
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -166,8 +163,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    seconds, better = load_benchmark()
-    bounds = load_bounds()
+    seconds, better, bounds = load_benchmark()
     report = {"metadata": {}, "runs": []}
     if args.append and args.output.exists():
         report = json.loads(args.output.read_text())
