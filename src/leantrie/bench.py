@@ -47,8 +47,6 @@ OPERATIONS = (
     "iterate_entries",
 )
 
-STRUCTURES = ("multimap", "map_of_sets", "map")
-
 
 class ConfigurationError(ValueError):
     """A workload or suite request that cannot be satisfied."""

@@ -126,40 +126,28 @@ def compute_preds(graph):
     return multimap((d, s) for s, d in graph.edges)
 
 
-def _reachable(graph):
+def _reverse_postorder(graph):
+    """``(order, succs)``: the vertices reachable from the entry in
+    reverse postorder of one depth-first walk, and the successor lists it
+    built."""
     succs = {}
     for s, d in graph.edges:
         succs.setdefault(s, []).append(d)
-    seen = {graph.entry}
-    stack = [graph.entry]
-    while stack:
-        v = stack.pop()
-        for w in succs.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen, succs
-
-
-def _reverse_postorder(graph, succs, reachable):
     order = []
-    visited = set()
+    visited = {graph.entry}
     stack = [(graph.entry, iter(succs.get(graph.entry, ())))]
-    visited.add(graph.entry)
     while stack:
         vertex, children = stack[-1]
-        advanced = False
         for child in children:
-            if child in reachable and child not in visited:
+            if child not in visited:
                 visited.add(child)
                 stack.append((child, iter(succs.get(child, ()))))
-                advanced = True
                 break
-        if not advanced:
+        else:
             order.append(vertex)
             stack.pop()
     order.reverse()
-    return order
+    return order, succs
 
 
 def compute_dominators(graph):
@@ -180,16 +168,15 @@ def _dominator_fixpoint(graph):
     """``(dominator multimap, iterations, predecessor multimap)``."""
     if graph.entry >= graph.vertex_count:
         raise GraphError(f"{graph.name}: entry vertex is not in the graph")
-    reachable, succs = _reachable(graph)
-    if len(reachable) < graph.vertex_count:
-        dropped = graph.vertex_count - len(reachable)
+    order, succs = _reverse_postorder(graph)
+    if len(order) < graph.vertex_count:
+        dropped = graph.vertex_count - len(order)
         warnings.warn(
             f"{graph.name}: excluded {dropped} unreachable "
             f"vert{'ex' if dropped == 1 else 'ices'}",
             stacklevel=3,
         )
     preds = compute_preds(graph)
-    order = _reverse_postorder(graph, succs, reachable)
     entry = graph.entry
     # the predecessor relation never changes, so one items() walk reads
     # it for every pass; a key's values come in the order get(n) gives

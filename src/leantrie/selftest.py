@@ -13,7 +13,7 @@ from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
 from .nodes import TrieNode
-from .storage import FootprintModel, footprint
+from .storage import FootprintModel, _reached, footprint
 
 
 def _check_bitmap_algebra(rng):
@@ -129,16 +129,7 @@ def _check_put_all(rng):
 def _bitmap_ints(structure):
     """Every trie-node bitmap above the small-int cache in ``structure``,
     nested sets and nodes under collision buckets included."""
-    found = []
-    stack = [(structure._cfg, structure._root)]
-    while stack:
-        cfg, node = stack.pop()
-        run, _, _, _, end = node.regions(cfg.width)
-        if type(node) is TrieNode and node[0] > 256:
-            found.append(node[0])
-        stack.extend((cfg.value_cfg, root) for root in node.payload_refs(cfg.width)[1])
-        stack.extend((cfg, child) for child in run[end:])
-    return found
+    return [o[0] for o, _, _ in _reached(structure) if type(o) is TrieNode and o[0] > 256]
 
 
 def _check_shared_bitmaps(rng):

@@ -17,7 +17,9 @@ compared structures -- except nested leantrie structures stored as
 values, which are priced like any other node graph.
 
 :func:`object_bytes` measures the same graphs in real CPython bytes, by
-the same rule for payloads.
+the same rule for payloads.  Both read one walk of the node graph, which
+decides what a node reaches, what is nested below a payload slot, and
+which of several measured structures owns a shared node.
 """
 
 import gc
@@ -88,65 +90,67 @@ def footprint(structures, model=DEFAULT_MODEL):
     ``model`` sets the prices, so ``footprint(s, FootprintModel(
     specialize=False))`` prices the same nodes as generic ones.
     """
-    structures = _measured(structures)
     report = FootprintReport()
-    seen = set()
-    for s in structures:
-        _walk_node(s._root, s._cfg, model, report, seen)
+    for o, cfg, nested in _reached(structures):
+        if cfg is None:
+            if not nested:
+                continue  # a measured structure's own object
+            slots = WRAPPER_FIELDS[type(o)] * model.slot_words
+            words = model.header_words + slots
+        else:
+            run, start, _, _, _ = o.regions(cfg.width)
+            n_slots = len(run) - start
+            slots = n_slots * model.slot_words
+            words = model.header_words + model.bitmap_words + slots
+            report.bitmaps += model.bitmap_words
+            if not model.specialize or n_slots > MAX_FIXED_SLOTS:
+                report.indirections += model.indirection_words
+                words += model.indirection_words
+        report.nodes += 1
+        report.headers += model.header_words
+        report.slots += slots
+        if nested:
+            report.nested_words += words
     report.words_total = (
         report.headers + report.bitmaps + report.slots + report.indirections
     )
     return report
 
 
-def _walk_node(node, cfg, model, report, seen, own=True):
-    """Price a node graph; returns the words newly added for this subtree.
+def _reached(structures):
+    """Yield ``(o, cfg, nested)`` once for each distinct structure object
+    and trie node that ``structures`` reach: the one walk of the node
+    graph that :func:`footprint`, :func:`byte_components` and the
+    self-test's bitmap check read.
 
-    ``own`` marks a node of a measured structure's own trie: the words
-    below its payload slots go to ``nested_words``, once for the whole
-    subtree below the slot.
+    ``cfg`` is the config of the trie that node ``o`` belongs to, and None
+    for a structure object.  ``nested`` is true for what hangs below a
+    payload slot: nested set tries, persistent structures stored as values
+    (or as set elements), and their tries.  The walk is depth first: a
+    node, then what its payload slots hold, then its sub-nodes.  It walks
+    the first structure listed first, so an object that several of them
+    reach belongs to the first one listed that reaches it.
     """
-    if id(node) in seen:
-        return 0
-    seen.add(id(node))
-
-    width = cfg.width
-    run, start, _, _, end = node.regions(width)
-    n_slots = len(run) - start
-    words = model.header_words + model.bitmap_words + n_slots * model.slot_words
-    report.nodes += 1
-    report.headers += model.header_words
-    report.bitmaps += model.bitmap_words
-    report.slots += n_slots * model.slot_words
-    if not model.specialize or n_slots > MAX_FIXED_SLOTS:
-        report.indirections += model.indirection_words
-        words += model.indirection_words
-
-    values, nested = node.payload_refs(width)
-    below = sum(_walk_value(value, model, report, seen) for value in values)
-    for root in nested:
-        below += _walk_node(root, cfg.value_cfg, model, report, seen, own=False)
-    if own:
-        report.nested_words += below
-    words += below
-    for child in run[end:]:
-        words += _walk_node(child, cfg, model, report, seen, own)
-    return words
-
-
-def _walk_value(value, model, report, seen):
-    """Price a payload slot: zero unless it is a persistent structure."""
-    if not isinstance(value, _WRAPPERS):
-        return 0
-    if id(value) in seen:
-        return 0
-    seen.add(id(value))
-    fields = WRAPPER_FIELDS[type(value)]
-    words = model.header_words + fields * model.slot_words
-    report.nodes += 1
-    report.headers += model.header_words
-    report.slots += fields * model.slot_words
-    return words + _walk_node(value._root, value._cfg, model, report, seen, own=False)
+    seen = set()
+    stack = [(s, None, False) for s in reversed(_measured(structures))]
+    while stack:
+        item = stack.pop()
+        o, cfg, nested = item
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        yield item
+        if cfg is None:
+            stack.append((o._root, o._cfg, nested))
+            continue
+        w = cfg.width
+        run, _, _, _, end = o.regions(w)
+        values, roots = o.payload_refs(w)
+        stack.extend((child, cfg, nested) for child in reversed(run[end:]))
+        vcfg = cfg.value_cfg
+        stack.extend((root, vcfg, True) for root in reversed(roots))
+        # by exact type, as WRAPPER_FIELDS prices them: an ABC isinstance is slow
+        stack.extend((v, None, True) for v in reversed(values) if type(v) in WRAPPER_FIELDS)
 
 
 def _measured(structures):
@@ -196,8 +200,7 @@ def object_bytes(structures):
 
 def byte_components(structures):
     """:func:`object_bytes` of ``structures`` split by what holds the
-    bytes, in one walk: ``{component: bytes}`` over
-    :data:`BYTE_COMPONENTS`.
+    bytes: ``{component: bytes}`` over :data:`BYTE_COMPONENTS`.
 
     * ``trie`` -- the nodes of the measured structures' own tries, a
       collision bucket's slot tuple and hash int included;
@@ -207,52 +210,39 @@ def byte_components(structures):
     * ``wrappers`` -- the structure objects themselves, stored ones
       included, with their configs and size fields.
 
-    The walk reads a node's stored values and nested roots through its
-    ``payload_refs`` and follows its bitmap, sub-nodes and nested roots,
-    and of its stored keys and values only the persistent structures;
-    every other object it follows through ``gc.get_referents``.  An
-    object that several of ``structures`` reach is counted once, in the
-    component the first structure listed that reaches it gives it, as
-    :func:`footprint` counts a shared node.
+    It sizes the structure objects and nodes of the walk that
+    :func:`footprint` prices, so the two agree on what is nested and on
+    which of ``structures`` owns a shared node: the first one listed that
+    reaches it.  Of the other objects it sizes those a node or structure
+    object holds apart from stored keys and values: a node's bitmap int,
+    a bucket's hash int and slot tuple, and what ``gc.get_referents``
+    reaches from a structure object other than its root.
     """
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
-    # (object, component, the config of the trie it is a node of or None);
-    # the first structure is walked first, as footprint walks them
-    stack = [(s, "trie", None) for s in reversed(_measured(structures))]
-    while stack:
-        o, component, cfg = stack.pop()
-        if id(o) in seen:
-            continue
-        seen.add(id(o))
-        if o is None or type(o) is bool or isinstance(o, _SHARED):
-            continue
-        if type(o) is int and -5 <= o <= 256:
-            continue
-        if cfg is None and isinstance(o, _WRAPPERS):
-            # a stored structure's trie is nested, a measured one's is not
-            sizes["wrappers"] += sys.getsizeof(o)
-            root = o._root
-            stack.extend((r, "wrappers", None) for r in gc.get_referents(o) if r is not root)
-            stack.append((root, component, o._cfg))
-            continue
-        sizes[component] += sys.getsizeof(o)
+
+    def add(component, *objects, follow=True):
+        stack = list(objects)
+        while stack:
+            o = stack.pop()
+            if id(o) in seen or o is None or type(o) is bool or isinstance(o, _SHARED):
+                continue
+            if type(o) is int and -5 <= o <= 256:
+                continue
+            seen.add(id(o))
+            sizes[component] += sys.getsizeof(o)
+            if follow:
+                stack.extend(gc.get_referents(o))
+
+    for o, cfg, nested in _reached(structures):
         if cfg is None:
-            stack.extend((r, component, None) for r in gc.get_referents(o))
+            sizes["wrappers"] += sys.getsizeof(o)
+            add("wrappers", *(r for r in gc.get_referents(o) if r is not o._root))
             continue
-        w = cfg.width
-        run, _, _, _, end = o.regions(w)
+        component = "nested" if nested else "trie"
+        sizes[component] += sys.getsizeof(o)
         if type(o) is TrieNode:
-            stack.append((o[0], "bitmaps", None))
-        else:
-            # a bucket's slot tuple is part of it, read through regions
-            stack.append((o.hash, component, None))
-            if id(run) not in seen:
-                seen.add(id(run))
-                sizes[component] += sys.getsizeof(run)
-        values, nested = o.payload_refs(w)
-        stack.extend((v, "nested", None) for v in values if isinstance(v, _WRAPPERS))
-        vcfg = cfg.value_cfg
-        stack.extend((root, "nested", vcfg) for root in nested)
-        stack.extend((child, component, cfg) for child in run[end:])
+            add("bitmaps", o[0])
+        else:  # a bucket's slot tuple holds the stored objects: not followed
+            add(component, o.hash, o.slots, follow=False)
     return sizes

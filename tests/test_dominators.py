@@ -19,7 +19,6 @@ from leantrie.dominators import (
     CfgGraph,
     GraphError,
     _dominator_fixpoint,
-    _reachable,
     _reverse_postorder,
     analyze_graph,
     compute_dominators,
@@ -76,8 +75,7 @@ def bitmask_dominators(graph):
 def full_pass_fixpoint(graph):
     """Reference ``(dominator multimap, iterations)`` from the fixpoint that
     recomputes every reachable vertex on every pass."""
-    reachable, succs = _reachable(graph)
-    order = _reverse_postorder(graph, succs, reachable)
+    order, _ = _reverse_postorder(graph)
     entry = graph.entry
     pred_lists = {}
     for d, s in compute_preds(graph).items():

@@ -1,11 +1,13 @@
-"""No library or tool module imports a name it never reads.
+"""No library or tool module imports a name it never reads, and every
+module-level name of the library is read somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  Package ``__init__`` modules import to re-export, so they
-are left out.
+are left out of the import check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,15 @@ MODULES = sorted(
     for p in [*(ROOT / "src" / "leantrie").glob("*.py"), *(ROOT / "tools").glob("*.py")]
     if p.name != "__init__.py"
 )
+LIBRARY = sorted((ROOT / "src" / "leantrie").glob("*.py"))
+# where a library name may be read: the library, its tools, the benchmark,
+# and the acceptance tests, which call what the paper's criteria name
+READERS = [
+    *LIBRARY,
+    *(ROOT / "tools").glob("*.py"),
+    *(ROOT / "perfbench").glob("*.py"),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 def unused_imports(source):
@@ -39,3 +50,63 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(tree):
+    """``{name: definition node}`` of a module's top-level functions,
+    classes and assigned names, dunder names left out."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+    return {n: d for n, d in defined.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(tree):
+    """How often ``tree`` reads each name: as a name, an attribute or an
+    imported name."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            read[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_names(modules, readers):
+    """``module:name`` for each top-level name of ``modules`` (``{path:
+    source}``) that no source in ``readers`` or ``modules`` reads outside
+    its own definition."""
+    read = Counter()
+    for source in {**readers, **modules}.values():
+        read += read_names(ast.parse(source))
+    unread = []
+    for path, source in modules.items():
+        for name, node in defined_names(ast.parse(source)).items():
+            if read[name] == read_names(node)[name]:
+                unread.append(f"{Path(path).stem}:{name}")
+    return unread
+
+
+def test_the_check_finds_an_unread_name():
+    modules = {
+        "a.py": "X = 1\nY = 2\ndef f():\n    return f()\ndef g():\n    return X\n",
+        "b.py": "from a import g\nclass C:\n    pass\n",
+    }
+    readers = {"c.py": "import a\na.Y\n"}
+    assert unread_names(modules, readers) == ["a:f", "b:C"]
+
+
+def test_every_library_name_is_read():
+    modules = {str(p): p.read_text() for p in LIBRARY}
+    readers = {str(p): p.read_text() for p in READERS}
+    assert unread_names(modules, readers) == []

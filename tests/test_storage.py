@@ -457,6 +457,33 @@ def test_byte_components_match_a_layout_free_walk(name):
     assert bool(nested_roots) == (name in ("three-values", "colliding"))
 
 
+def _layout_free_words(objects):
+    """Default-model words of the trie nodes among ``objects``: 3 per node
+    plus one per slot, and the indirection word past ``MAX_FIXED_SLOTS``."""
+    words = 0
+    for o in objects.values():
+        if isinstance(o, (TrieNode, CollisionNode)):
+            n_slots = len(o.slots) if type(o) is CollisionNode else len(o) - 1
+            words += 3 + n_slots + (n_slots > MAX_FIXED_SLOTS)
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+def test_footprint_words_match_a_layout_free_walk(name):
+    built = COMPONENT_CASES[name]()
+    if isinstance(built, PersistentMultiMap):
+        stored = {id(o) for entry in built.items() for o in entry}
+        sets = (built.get(k) for k in built.keys())
+        nested_roots = [s._root for s in sets if len(s) >= 3]
+    else:
+        stored = {id(o) for o in built}
+        nested_roots = []
+    report = footprint(built)
+    assert report.words_total == _layout_free_words(_reached([built._root], stored))
+    assert report.nested_words == _layout_free_words(_reached(nested_roots, stored))
+    assert bool(report.nested_words) == (name in ("three-values", "colliding"))
+
+
 def test_byte_components_split_nested_tries_from_the_trie():
     # a 50:50 multimap stores every value in its key's entry
     assert byte_components(multimap(_entries(0.5)))["nested"] == 0
@@ -484,6 +511,17 @@ def test_the_first_structure_listed_owns_a_shared_node_in_both_walks():
         mm_bytes["nested"] - s_bytes["trie"],
     )
     assert sum(mm_first.values()) == sum(s_first.values()) == object_bytes([mm, s])
+
+
+def test_deeply_nested_stored_structures_are_priced_without_recursion():
+    s = pset([0])
+    for _ in range(600):
+        s = pset([s])
+    report = footprint(s)
+    # 601 one-slot roots of 4 words, and 600 stored set objects of 2 header
+    # words and 2 fields; the outermost set object is not priced
+    assert (report.words_total, report.nested_words, report.nodes) == (4804, 4800, 1201)
+    assert object_bytes(s) > 0
 
 
 def test_footprint_rows_report_nested_words_and_bytes():
