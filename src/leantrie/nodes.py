@@ -87,10 +87,14 @@ replaces or drops a whole value set counts its tuples when asked.  A
 changed node is path-copied: its new tuple is spliced from the old one
 by slicing and concatenation.  Construction does not go through them:
 :func:`build_root` builds a whole trie bottom-up, each node once, into the
-shape that the inserts would give.  A CPython int costs 28-40 bytes, so a
-build hands equal bitmaps one shared int through a table that lives only
-as long as the build; a point update makes a fresh int when a node's
-pattern changes and keeps the old one when it stays.
+shape that the inserts would give.  One pass over the input forms each
+key's final entry in a table keyed by 32-bit hash (an inline slot tuple,
+a hash-ordered pair, or the list of values a nested build turns into a
+set), and the nodes are partitioned straight from that table, an entry's
+kind read from its shape.  A CPython int costs 28-40 bytes, so a build
+hands equal bitmaps one shared int through a table that lives only as
+long as the build; a point update makes a fresh int when a node's pattern
+changes and keeps the old one when it stays.
 """
 
 from itertools import chain
@@ -753,32 +757,23 @@ def _set_of_three(vcfg, v0, v1, v2):
     return root
 
 
-def _bitmap(bm, bitmaps):
-    """``bm``, or the equal int that the build's ``bitmaps`` table holds."""
-    if bitmaps is None:
-        return bm
-    return bitmaps.setdefault(bm, bm)
-
-
-def _merge(shift, h0, p0, s0, h1, p1, s1, bitmaps=None):
+def _merge(shift, h0, p0, s0, h1, p1, s1):
     """Node holding two entries that fell on one branch a level above.
 
     ``s0``/``s1`` are the entries' slot tuples, ``p0``/``p1`` their
     payload patterns.  Recurses while the hash fragments keep agreeing;
-    fully equal hashes become a collision bucket.  A build passes its
-    ``bitmaps`` table; a point update passes none.
+    fully equal hashes become a collision bucket.
     """
     if h0 == h1:
         return _collision(h0, ((p0, s0), (p1, s1)))
     b0 = (h0 >> shift) & 31
     b1 = (h1 >> shift) & 31
     if b0 == b1:
-        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1, bitmaps)
-        return TrieNode((_bitmap(NODE << (b0 << 1), bitmaps), child))
+        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1)
+        return TrieNode((NODE << (b0 << 1), child))
     bm = (p0 & 0b11) << (b0 << 1) | (p1 & 0b11) << (b1 << 1)
     if p0 == PAIR or p1 == PAIR:
         bm |= pattern_bits(p0, b0) | pattern_bits(p1, b1)
-    bm = _bitmap(bm, bitmaps)
     # the inline region first, then the pair and collection regions, each
     # ordered by branch
     r0 = _REGION[p0]
@@ -812,10 +807,20 @@ def build_root(cfg, entries, bitmaps=None):
     first object, a set's first element, a map's last value (an equal later
     value keeps the earlier object) and a multimap key's values in input
     order.  Canonical form makes a trie's shape a function of its content,
-    so the nodes are built bottom-up, each exactly once: one pass groups the
-    entries by 32-bit hash, merging equal keys, and :func:`_trie_node`
-    partitions the groups by hash fragment.  A collision bucket orders each
-    region by the first appearance of its keys.
+    so the nodes are built bottom-up, each exactly once, in two steps.
+
+    One pass over ``entries`` groups them by 32-bit hash, into a table
+    that holds each key's final entry as it forms: at width 1 the element
+    itself, at width 2 the slot tuple ``(key, value)`` of an inline entry
+    (a map replaces the value on a later, unequal one), then a multimap's
+    hash-ordered pair ``(key, v0, v1)`` once a second distinct value
+    arrives, then a list ``[key, v0, v1, v2, ...]`` from the third value
+    on, which a nested build dedups and sizes.  Later keys of a hash
+    already taken wait in a bucket list; a collision bucket orders each
+    region by the first appearance of its keys, and takes the hash's place
+    in the table.  The partition then reads ``(hash, entry)`` straight
+    from the table, splitting it by hash fragment: an entry's shape names
+    its kind, and a branch that holds one entry stores it with no sub-node.
 
     Every node of the build takes its bitmap through ``bitmaps``, a table
     from each bitmap value to its first int object, so equal bitmaps share
@@ -826,116 +831,133 @@ def build_root(cfg, entries, bitmaps=None):
     """
     if bitmaps is None:
         bitmaps = {}
+    w = cfg.width
+    vcfg = cfg.value_cfg
     hasher = cfg.hasher
-    first = {}  # hash -> the entry of the first key with that hash
+    table = {}  # hash -> the entry of the first key with that hash
     more = {}  # hash -> entries of later, different keys with that hash
-    if cfg.width == 1:
+    grown = 0  # tuples beyond one per key: 1 per pair, then a nested set's size - 2
+    if w == 1:
         for e in entries:
             h = hasher(e) & M32
-            e0 = first.setdefault(h, e)
+            e0 = table.setdefault(h, e)
             if e0 is not e and not e0 == e:
                 bucket = more.setdefault(h, [])
                 if not any(k is e or k == e for k in bucket):
                     bucket.append(e)
     else:
-        vcfg = cfg.value_cfg
+        vhasher = None if vcfg is None else vcfg.hasher
         for key, value in entries:
             h = hasher(key) & M32
-            entry = [key, value]
-            e0 = first.setdefault(h, entry)
-            if e0 is entry:
+            e = table.get(h)
+            if e is None:
+                table[h] = (key, value)
                 continue
-            k0 = e0[0]
+            k0 = e[0]
+            bucket = None
             if not (k0 is key or k0 == key):
                 bucket = more.setdefault(h, [])
-                e0 = next((e for e in bucket if e[0] is key or e[0] == key), entry)
-                if e0 is entry:
-                    bucket.append(entry)
+                for i, e in enumerate(bucket):
+                    k0 = e[0]
+                    if k0 is key or k0 == key:
+                        break
+                else:
+                    bucket.append((key, value))
                     continue
-            # a known key: the sequential fold's _add_value, on a list; an
-            # inline value or a pair is compared here, a nested set's
-            # values by its own build
-            n = len(e0)
-            v0 = e0[1]
-            if n <= 3 and (v0 is value or v0 == value):
-                continue
-            if n == 3 and (e0[2] is value or e0[2] == value):
-                continue
-            if vcfg is None:
-                e0[1] = value
+            # a known key: the sequential fold's _add_value on its entry;
+            # a nested set's values are compared by its own build
+            if len(e) == 2:
+                v0 = e[1]
+                if v0 is value or v0 == value:
+                    continue
+                if vhasher is None:
+                    e = (k0, value)
+                else:
+                    grown += 1
+                    if _trie_order(vhasher(v0) & M32, vhasher(value) & M32):
+                        e = (k0, v0, value)
+                    else:
+                        e = (k0, value, v0)
+            elif type(e) is tuple:
+                v0 = e[1]
+                v1 = e[2]
+                if v0 is value or v0 == value or v1 is value or v1 == value:
+                    continue
+                e = [k0, v0, v1, value]
             else:
-                e0.append(value)
-
-    if not first:
+                e.append(value)
+                continue
+            if bucket is None:
+                table[h] = e
+            else:
+                bucket[i] = e
+    if not table:
         return EMPTY_ROOT, 0, 0
-    items = []  # (hash, pattern, slot values), one per hash
-    tuples = 0
-    for h, e0 in first.items():
-        bucket = more.get(h)
-        if bucket is None:
-            p, s, n = _grouped_entry(cfg, e0, bitmaps)
-            items.append((h, p, s))
-            tuples += n
-            continue
+    keys = len(table) + sum(map(len, more.values()))
+
+    def collection(e):
+        """A list entry's ``(key, nested root)``."""
+        nonlocal grown
+        root, n, _ = build_root(vcfg, e[1:], bitmaps)
+        grown += n - 2
+        return e[0], root
+
+    for h, bucket in more.items():
+        kinds = []
+        for e in (table[h], *bucket):
+            if w == 1:
+                kinds.append((INLINE, (e,)))
+            elif type(e) is list:
+                kinds.append((COLLECTION, collection(e)))
+            else:
+                kinds.append((INLINE if len(e) == 2 else PAIR, e))
+        table[h] = _collision(h, kinds)
+
+    def trie_node(shift, items):
+        """``TrieNode`` at ``shift`` over ``items``, ``(hash, entry)``
+        pairs of distinct hashes; a branch that several of them share gets
+        a sub-node one level down."""
+        by_branch = {}
+        for item in items:
+            b = (item[0] >> shift) & 31
+            group = by_branch.get(b)
+            if group is None:
+                by_branch[b] = item
+            elif type(group) is list:
+                group.append(item)
+            else:
+                by_branch[b] = [group, item]
+        bm = 0
+        inline = []
         pairs = []
-        for e in [e0, *bucket]:
-            p, s, n = _grouped_entry(cfg, e, bitmaps)
-            pairs.append((p, s))
-            tuples += n
-        items.append((h, NODE, (_collision(h, pairs),)))
-    keys = len(first) + sum(map(len, more.values()))
-    if len(items) == 1:
-        # a single hash: its entry, or its bucket, hangs off the root
-        h, p, s = items[0]
-        bm = pattern_bits(p, h & 31)
-        return TrieNode((bitmaps.setdefault(bm, bm),) + s), tuples, keys
-    return _trie_node(0, items, bitmaps), tuples, keys
+        colls = []
+        subs = []
+        for b in sorted(by_branch):
+            group = by_branch[b]
+            if type(group) is list:
+                bm |= NODE << (b << 1)
+                subs.append(trie_node(shift + 5, group))
+                continue
+            h, e = group
+            kind = type(e)
+            if kind is CollisionNode and h in more:  # a bucket, not a set's element
+                bm |= NODE << (b << 1)
+                subs.append(e)
+            elif w == 1:
+                bm |= INLINE << (b << 1)
+                inline.append(e)
+            elif kind is list:
+                bm |= COLLECTION << (b << 1)
+                colls += collection(e)
+            elif len(e) == 2:
+                bm |= INLINE << (b << 1)
+                inline += e
+            else:
+                bm |= pattern_bits(PAIR, b)
+                pairs += e
+        return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *colls, *subs))
 
-
-def _grouped_entry(cfg, e, bitmaps):
-    """``(pattern, slot values, value count)`` of one key grouped by
-    :func:`build_root`: an element, or a ``[key, value, ...]`` list with a
-    multimap key's values in input order.  A nested set's nodes take their
-    bitmaps from the build's ``bitmaps`` table."""
-    if cfg.width == 1:
-        return INLINE, (e,), 1
-    if len(e) == 2:
-        return INLINE, (e[0], e[1]), 1
-    if len(e) == 3:  # the two values are known to differ
-        return PAIR, (e[0], *_ordered_pair(cfg.value_cfg, e[1], e[2])), 2
-    root, n, _ = build_root(cfg.value_cfg, e[1:], bitmaps)
-    return COLLECTION, (e[0], root), n
-
-
-def _trie_node(shift, items, bitmaps):
-    """``TrieNode`` at ``shift`` over ``items``, ``(hash, pattern, slot
-    values)`` triples of two or more distinct hashes; a branch that several
-    of them share gets a sub-node one level down.  Bitmaps come from the
-    build's ``bitmaps`` table."""
-    if len(items) == 2:
-        (h0, p0, s0), (h1, p1, s1) = items
-        if p0 != NODE and p1 != NODE:
-            return _merge(shift, h0, p0, s0, h1, p1, s1, bitmaps)
-    by_branch = {}
-    for item in items:
-        b = (item[0] >> shift) & 31
-        group = by_branch.get(b)
-        if group is None:
-            by_branch[b] = [item]
-        else:
-            group.append(item)
-    bm = 0
-    regions = ([], [], [], [])
-    for b in sorted(by_branch):
-        group = by_branch[b]
-        if len(group) == 1:
-            _, p, s = group[0]
-        else:
-            p, s = NODE, (_trie_node(shift + 5, group, bitmaps),)
-        bm |= p << (b << 1) if p != PAIR else pattern_bits(PAIR, b)
-        regions[_REGION[p]].extend(s)
-    inline, pairs, coll, nodes = regions
-    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *coll, *nodes))
+    return trie_node(0, table.items()), keys + grown, keys
 
 
 def _lifted(node, w):

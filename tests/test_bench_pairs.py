@@ -61,6 +61,44 @@ def test_summary_rows_flag_a_median_worse_than_its_bound():
         runs, flipped, {"speed": 0.01, "cost": 0.01}))
 
 
+def _series(parent, change):
+    """Runs of ``speed`` (higher is better) and its mirror ``cost`` (lower
+    is better), pair by pair from the two sides' value lists."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run(pair, "parent", speed=p, cost=1000 - p),
+                 _run(pair, "change", speed=c, cost=1000 - c)]
+    return runs
+
+
+# median 104.5 and quartiles 102.25 and 106.75: an interquartile range of 4.5
+_PARENT = [100.0 + i for i in range(10)]
+
+
+@pytest.mark.parametrize("change, shown", [
+    # 9 of 10 pairs won; medians 109.5 (gain 5) and 108.5 (gain 4)
+    ([p + 6 for p in _PARENT[:9]] + [108.0], True),
+    ([p + 5 for p in _PARENT[:9]] + [108.0], False),
+    # a gain of exactly the interquartile range is not more than it
+    ([p + 5.5 for p in _PARENT[:9]] + [108.0], False),
+    # a large gain, but 8 of 10 pairs won
+    ([p + 20 for p in _PARENT[:8]] + [107.0, 108.0], False),
+    # 10 of 10 pairs won by a gain inside the spread
+    ([p + 1 for p in _PARENT], False),
+    # a loss in every pair
+    ([p - 20 for p in _PARENT], False),
+], ids=["wins-9-gain-above", "wins-9-gain-below", "wins-9-gain-equal",
+        "wins-8-gain-above", "wins-10-gain-below", "losses"])
+def test_a_gain_is_shown_by_9_of_10_wins_and_a_median_beyond_the_spread(change, shown):
+    speed, cost = bench_pairs.summarize(
+        _series(_PARENT, change), {"speed": "higher", "cost": "lower"})
+    assert speed["parent_q3"] - speed["parent_q1"] == 4.5
+    assert cost["parent_q3"] - cost["parent_q1"] == 4.5
+    # the same verdict in either direction of better
+    assert speed["gain_shown"] is shown
+    assert cost["gain_shown"] is shown
+
+
 def test_the_bounds_come_from_the_benchmark_spec():
     _, better, bounds = bench_pairs.load_benchmark()
     assert set(bounds) == set(better)

@@ -927,3 +927,52 @@ def test_a_bucket_joined_by_a_new_hash_matches_the_bulk_build(n_values):
     assert kd == 1
     assert validate_root(cfg, joined) == validate_root(cfg, direct)
     assert joined.equals(cfg, direct)
+
+
+def _seven(obj):
+    return 7
+
+
+def _bucket_of(root):
+    """The collision bucket that a root of one constant hash hangs."""
+    assert type(root) is TrieNode and root[0] == NODE << (7 << 1)
+    (bucket,) = root[1:]
+    assert type(bucket) is CollisionNode and bucket.hash == 7
+    return bucket
+
+
+def test_bulk_build_orders_each_bucket_region_by_first_appearance():
+    # a set and a map: one inline region, later duplicates keep their place
+    s_root, n, _ = build_root(set_config(_seven), ["b", "a", "b", "c", "a"])
+    s = _bucket_of(s_root)
+    assert (s.inline_n, s.pair_n, s.slots, n) == (3, 0, ("b", "a", "c"), 3)
+    pairs = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 2)]
+    m_root, n, _ = build_root(map_config(_seven), pairs)
+    m = _bucket_of(m_root)
+    assert (m.inline_n, m.pair_n, m.slots, n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
+    # a multimap whose values hash alike too: equal-hash pairs keep their
+    # input order; d gets its second value before b does, and a and e stay
+    # inline although a repeats its value
+    entries = [
+        ("b", 2), ("a", 1), ("c", 3), ("d", 5), ("d", 6), ("c", 1), ("b", 1),
+        ("a", 1), ("c", 3), ("e", 9), ("b", 2), ("c", 4), ("c", 2), ("d", 5),
+    ]
+    cfg = multimap_config(_seven, _seven)
+    root, tuples, keys = build_root(cfg, entries)
+    bucket = _bucket_of(root)
+    nested = bucket.slots[-1]
+    assert (bucket.inline_n, bucket.pair_n) == (2, 2)
+    assert bucket.slots == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
+    values = _bucket_of(nested)
+    assert (values.inline_n, values.pair_n, values.slots) == (4, 0, (3, 1, 4, 2))
+    assert (tuples, keys) == (10, 5)
+    validate_root(cfg, root)
+
+
+def test_a_set_element_that_is_a_collision_node_is_stored_inline():
+    # the build tells a bucket from an element by its hash having one
+    elements = [CollisionNode(7, 2, ("x", "y")), CollisionNode(9, 2, ("z", "w")), 3]
+    cfg = set_config()
+    root, n, _ = build_root(cfg, elements)
+    assert n == 3 and validate_root(cfg, root) == (3, 3)
+    assert {id(e) for e in root.iter_entries(cfg)} == {id(e) for e in elements}

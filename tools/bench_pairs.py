@@ -16,8 +16,11 @@ and quartiles, ``change_wins`` over pairs, where a tie counts for neither
 side, ``change_vs_parent``, the change's median over the parent's minus
 one, ``bound``, the metric's regression bound from ``BENCHMARK.json``,
 ``beyond_bound``, whether the change's median is worse than the parent's
-by more than that bound, and each side's ``failed``/``attempted`` totals
-over the same pairs).
+by more than that bound, ``gain_shown``, whether the change wins at least
+9 of 10 pairs and its median beats the parent's by more than the parent's
+interquartile range ``q3 - q1``, both in the metric's ``better``
+direction, and each side's ``failed``/``attempted`` totals over the same
+pairs).
 A run with failed operations also gets a warning on stderr.  The report is
 rewritten after every pair, so an interrupted series keeps the pairs it
 finished; ``--append`` extends the report at ``--output``, or starts it
@@ -95,7 +98,10 @@ def summarize(runs, better, bounds=None):
     of (workload, seed) and ``better``'s metric order.  Each row carries
     both sides' ``failed``/``attempted`` totals for its (workload, seed)
     and, for a metric that ``bounds`` names, its bound and whether the
-    change's median is beyond it.  Pairs missing a side are left out."""
+    change's median is beyond it.  ``gain_shown`` is the rule a claimed
+    gain must meet: wins in at least 9 of 10 pairs and a median gain over
+    the parent's larger than the parent's ``q3 - q1``.  Pairs missing a
+    side are left out."""
     bounds = bounds or {}
     pairs = {}
     for run in runs:
@@ -129,6 +135,9 @@ def summarize(runs, better, bounds=None):
                 row[f"{side}_q3"] = q3
             row["change_wins"] = wins
             row["pairs"] = len(complete)
+            gain = sign * (row["change_median"] - row["parent_median"])
+            spread = row["parent_q3"] - row["parent_q1"]
+            row["gain_shown"] = 10 * wins >= 9 * len(values["parent"]) and gain > spread
             change = row["change_median"] / row["parent_median"] - 1
             row["change_vs_parent"] = round(change, 4)
             if metric in bounds:
