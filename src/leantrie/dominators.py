@@ -10,7 +10,12 @@ set as is.  A pass re-evaluates only the vertices with a predecessor
 whose set changed since they were last computed; the first pass
 computes every vertex.  A vertex with one computed predecessor grows its
 set from that predecessor's by ``add``, so the two sets share every node
-off the copied path.
+off the copied path.  The intersection of two dominator sets, which
+share one hash function, is structural: it walks both tries node by
+node, shares the left operand's subtrees that the right one holds whole
+and keeps its element objects, and is the left operand itself when that
+is a subset; only the other set operators, and ``&`` with a foreign
+operand, build their result through ``build_root``.
 
 Graphs are ingested from an edge-list format::
 

@@ -4,10 +4,13 @@ All three structures are immutable: update methods return a new instance
 that path-copies the changed nodes and shares the rest with the receiver,
 and return the receiver itself when the operation was a no-op.  The
 constructors (:func:`pset`, :func:`pmap`, :func:`multimap`, the sets
-that the set operators return, and ``put_all`` given a plain iterable) do
+that ``|``, ``-`` and ``^`` return, ``&`` with an operand of another
+hasher or a plain iterable, and ``put_all`` given a plain iterable) do
 not fold updates: they build the trie bottom-up through
 :func:`leantrie.nodes.build_root`, each node once, into the shape the
-updates would give.
+updates would give.  The ``&`` of two sets of one hasher is structural
+(:func:`leantrie.nodes.intersect`): it shares the left operand's
+subtrees and keeps its element objects.
 
 * :class:`PersistentSet` -- hash set, ``collections.abc.Set``.
 * :class:`PersistentMap` -- hash map, ``collections.abc.Mapping``;
@@ -47,6 +50,7 @@ from .nodes import (
     _drop_value,
     build_root,
     count_entries,
+    intersect,
     map_config,
     multimap_config,
     node_stats,
@@ -71,8 +75,14 @@ class PersistentSet(Set):
     """Immutable hash set with structural sharing.
 
     Supports the full ``collections.abc.Set`` operator protocol; binary
-    operators build new :class:`PersistentSet` instances with the same
-    hash function.  Construct with :func:`pset`.
+    operators return :class:`PersistentSet` instances with the same hash
+    function.  ``&`` with another set of the same hash function walks the
+    two tries node by node: the result shares every node of the left
+    operand whose elements the right one all holds, is the left operand
+    itself when that is a subset, and holds the left operand's element
+    objects.  The other operators, and ``&`` with any other operand,
+    build their result through ``build_root``.  Construct with
+    :func:`pset`.
     """
 
     __slots__ = ("_cfg", "_root", "_size", "_hash_cache")
@@ -121,6 +131,15 @@ class PersistentSet(Set):
     def __contains__(self, element):
         cfg = self._cfg
         return self._root.lookup(cfg, 0, cfg.hasher(element) & M32, element) is not None
+
+    def __and__(self, other):
+        cfg = self._cfg
+        if isinstance(other, PersistentSet) and other._cfg.hasher is cfg.hasher:
+            root, size = intersect(cfg, self._root, other._root)
+            if root is self._root:
+                return self
+            return PersistentSet(cfg, root, size)
+        return Set.__and__(self, other)
 
     def __iter__(self):
         return self._root.iter_entries(self._cfg)

@@ -95,6 +95,12 @@ kind read from its shape.  A CPython int costs 28-40 bytes, so a build
 hands equal bitmaps one shared int through a table that lives only as
 long as the build; a point update makes a fresh int when a node's pattern
 changes and keeps the old one when it stays.
+
+One set operation works on nodes directly: :func:`intersect` walks two
+sets' tries in step and keeps the left operand's nodes wherever the
+right one holds all their elements, restoring canonical form with
+``_lifted`` where it drops some, so its result, too, is the trie a build
+of its elements gives.
 """
 
 from itertools import chain
@@ -985,6 +991,127 @@ def _lifted(node, w):
     if len(slots) == PAIR_W and node.pair_n:
         return PAIR, slots
     return None
+
+
+def intersect(cfg, a, b):
+    """``(root, size)`` of the set of the elements of root ``a`` that root
+    ``b`` also holds, both width-1 tries of the same hasher.
+
+    The tries are walked in step over the branches that both bitmaps
+    occupy: two inline elements are compared, an element facing a sub-node
+    is looked up in it, two sub-nodes recurse, and a collision bucket is
+    filtered by ``lookup``.  Wherever ``b`` holds all of a node of ``a``'s
+    elements, the result keeps that node itself, so it is ``a`` when ``a``
+    is a subset of ``b``, and the elements it holds are ``a``'s objects.  A
+    changed child passes through ``_lifted``, so the result is node for
+    node the trie a build of its elements gives.  New nodes take their
+    bitmaps through a table that lives for the call, as in
+    :func:`build_root`.  ``size`` is None when the result keeps a subtree
+    that nothing counted.
+    """
+    node, size = _intersect(cfg, 0, a, b, {})
+    if node is None:
+        return EMPTY_ROOT, 0
+    return node, size
+
+
+def _intersect(cfg, shift, a, b, bitmaps):
+    """``(node, size)`` for the nodes ``a`` and ``b`` at ``shift``: ``a``
+    itself when ``b`` holds all of its elements, None when they share none,
+    and otherwise a new node that its parent may still need to lift."""
+    if a is b:
+        return a, None
+    if type(a) is not TrieNode or type(b) is not TrieNode:
+        return _bucket_intersect(cfg, shift, a, b)
+    bma = a[0]
+    bmb = b[0]
+    inline_a = (bma >> 1) & ~bma & EVEN_BITS
+    subs_a = bma & ~(bma >> 1) & EVEN_BITS
+    inline_b = (bmb >> 1) & ~bmb & EVEN_BITS
+    subs_b = bmb & ~(bmb >> 1) & EVEN_BITS
+    both = (inline_a | subs_a) & (inline_b | subs_b)
+    kept = both == inline_a | subs_a  # no branch of a is lost to an empty one of b
+    len_a = len(a)
+    len_b = len(b)
+    hasher = cfg.hasher
+    sub_shift = shift + 5
+    bm = 0
+    inline = []
+    subs = []
+    size = 0
+    counted = True
+    while both:
+        low = both & -both  # bit 2b of branch b
+        both ^= low
+        below = low - 1
+        if inline_a & low:
+            e = a[1 + (inline_a & below).bit_count()]
+            if inline_b & low:
+                f = b[1 + (inline_b & below).bit_count()]
+                hit = e is f or e == f
+            else:
+                sub = b[len_b - (subs_b & ~below).bit_count()]
+                hit = sub.lookup(cfg, sub_shift, hasher(e) & M32, e) is not None
+            if hit:
+                bm |= low << 1
+                inline.append(e)
+                size += 1
+            else:
+                kept = False
+            continue
+        child = a[len_a - (subs_a & ~below).bit_count()]
+        if inline_b & low:  # a sub-node holds more than b's one element
+            kept = False
+            f = b[1 + (inline_b & below).bit_count()]
+            found = child.lookup(cfg, sub_shift, hasher(f) & M32, f)
+            if found is not None:
+                bm |= low << 1
+                inline.append(found[1])
+                size += 1
+            continue
+        new, n = _intersect(cfg, sub_shift, child, b[len_b - (subs_b & ~below).bit_count()], bitmaps)
+        if new is not child:
+            kept = False
+            if new is None:
+                continue
+            lifted = _lifted(new, 1)
+            if lifted is not None:
+                p, vals = lifted
+                if p == INLINE:
+                    bm |= low << 1
+                    inline.append(vals[0])
+                    size += 1
+                    continue
+                new = vals[0]  # the bucket below a chain node
+        bm |= low
+        subs.append(new)
+        if n is None:
+            counted = False
+        else:
+            size += n
+    size = size if counted else None
+    if kept:
+        return a, size
+    if not bm:
+        return None, 0
+    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *subs)), size
+
+
+def _bucket_intersect(cfg, shift, a, b):
+    """``_intersect`` where ``a`` or ``b`` is a collision bucket: the
+    bucket's elements that a ``lookup`` finds in the other node, as a
+    bucket (of one element when one is left, for the parent to lift)."""
+    if type(a) is CollisionNode:
+        h = a.hash
+        found = [e for e in a.slots if b.lookup(cfg, shift, h, e) is not None]
+        if len(found) == len(a.slots):
+            return a, len(found)
+    else:
+        h = b.hash
+        found = [hit[1] for e in b.slots if (hit := a.lookup(cfg, shift, h, e)) is not None]
+    if not found:
+        return None, 0
+    return _collision(h, [(INLINE, (e,)) for e in found]), len(found)
 
 
 def _few_values(root):

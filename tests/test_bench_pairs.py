@@ -187,3 +187,38 @@ def test_append_starts_a_report_where_there_is_none(monkeypatch, tmp_path):
     assert [(r["pair"], r["side"]) for r in runs] == [
         (0, "parent"), (0, "change"), (1, "parent"), (1, "change"),
     ]
+
+
+def _checkout_without_sources(root):
+    """A checkout with perfbench's runner but no ``src/``."""
+    (root / "perfbench").mkdir(parents=True)
+    runner = _PATH.parent.parent / "perfbench" / "run.py"
+    (root / "perfbench" / "run.py").write_text(runner.read_text())
+    return root
+
+
+def test_a_failing_run_names_its_checkout_command_exit_code_and_stderr(tmp_path):
+    checkout = _checkout_without_sources(tmp_path / "bare")
+    with pytest.raises(bench_pairs.RunFailed) as failed:
+        bench_pairs.run_once(checkout, "mixed", 1, 1)
+    message = str(failed.value)
+    assert f"run failed in {checkout}" in message
+    assert "perfbench/run.py --workload mixed --seed 1 --seconds 1 --trace 0" in message
+    assert "exit code: 1" in message
+    assert f"perfbench: no leantrie sources under {checkout / 'src'}" in message
+
+
+def test_a_failing_run_stops_the_series_and_keeps_the_report(monkeypatch, tmp_path, capsys):
+    def fake_run_once(checkout, workload, seed, seconds):
+        if workload == "dominators":
+            raise bench_pairs.RunFailed(f"run failed in {checkout}")
+        return {"failed": 0, "attempted": 1, "metrics": {"speed": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH_cut.json"
+    argv = ["P", "C", "--workload", "mixed", "--workload", "dominators",
+            "--seed", "1", "--pairs", "2", "--output", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert "bench_pairs: run failed in" in capsys.readouterr().err
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["workload"], r["pair"]) for r in runs] == [("mixed", 0)] * 2 + [("mixed", 1)] * 2

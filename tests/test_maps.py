@@ -91,6 +91,126 @@ def test_set_operator_results_keep_the_custom_hasher():
     assert union == {1, 2, 3, 9}
 
 
+def _mod7_hash(obj):
+    return hash(obj) % 7
+
+
+def _low10_hash(obj):
+    return hash(obj) & 0x3FF
+
+
+def _bits_0x21_hash(obj):
+    # four hashes that part on two levels: buckets under a chain of nodes
+    return hash(obj) & 0x21
+
+
+_AND_HASHERS = [None, lambda x: 0, _mod7_hash, _low10_hash, _bits_0x21_hash]
+_AND_IDS = ["default", "constant", "mod7", "low10", "0x21"]
+# equal objects of several types (1, True, 1.0), so the kept one shows
+_and_elements = st.one_of(
+    st.integers(0, 3000), st.sampled_from([True, False, 1.0, 0.0])
+)
+_and_edits = st.lists(st.tuples(st.booleans(), _and_elements), max_size=25)
+
+
+def _edited(s, edits):
+    for add, e in edits:
+        s = s.add(e) if add else s.discard(e)
+    return s
+
+
+@pytest.mark.parametrize("hasher", _AND_HASHERS, ids=_AND_IDS)
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.lists(_and_elements, max_size=80),
+    edits_a=_and_edits,
+    edits_b=_and_edits,
+    fresh_b=st.booleans(),
+)
+def test_set_intersection_matches_a_fresh_build(hasher, base, edits_a, edits_b, fresh_b):
+    # both operands derive from one ancestor, so they share subtrees,
+    # unless b is rebuilt from its elements
+    ancestor = pset(base, element_hash=hasher)
+    a = _edited(ancestor, edits_a)
+    b = _edited(ancestor, edits_b)
+    if fresh_b:
+        b = pset(list(b), element_hash=hasher)
+    got = a & b
+    want = pset(set(a) & set(b), element_hash=hasher)
+    check_invariants(got)
+    assert got._root.equals(got._cfg, want._root)
+    assert len(got) == len(want)
+    assert got._cfg is a._cfg
+    kept_types = {e: type(e) for e in a}  # equal elements come from a
+    assert all(type(e) is kept_types[e] for e in got)
+    if set(a) <= set(b):
+        assert got is a
+
+
+def test_set_intersection_returns_the_left_operand_when_it_is_a_subset():
+    a = pset(range(0, 300, 3))
+    assert a & a is a
+    assert a & pset(range(-10, 400)) is a
+    assert a & a.add(1000) is a
+    smaller = a.discard(3)
+    assert smaller & a is smaller
+    assert a & smaller == smaller and a & smaller is not a
+
+
+def test_set_intersection_keeps_the_left_operands_untouched_subtrees():
+    # ints hash to themselves: every root branch holds a sub-node, and b
+    # lacks one element of branch 1 only; b shares no node with a
+    a = pset(range(2000))
+    b = pset(x for x in range(-50, 2500) if x != 1)
+    got = a & b
+    assert got == set(range(2000)) - {1}
+    kept = [mine is theirs for mine, theirs in zip(got._root[1:], a._root[1:])]
+    assert len(kept) == 32
+    assert kept == [True] + [False] + [True] * 30
+
+
+def test_set_intersection_with_empty_operands():
+    a = pset(range(40))
+    empty = pset()
+    assert a & empty == set() and empty & a == set()
+    assert empty & a is empty
+    assert (empty & empty) is empty
+    assert a & pset([99]) == set()
+    for result in (a & empty, empty & a, a & pset([99])):
+        check_invariants(result)
+        assert len(result) == 0 and not result
+
+
+def test_set_intersection_with_a_foreign_operand_builds_from_its_content():
+    a = pset(range(20))
+    other_hasher = pset(range(10, 30), element_hash=_mod7_hash)
+    for other in (other_hasher, set(range(10, 30)), frozenset(range(10, 30))):
+        for result in (a & other, other & a):
+            assert result == set(range(10, 20))
+            check_invariants(result)
+        assert isinstance(a & other, PersistentSet)
+        assert (a & other)._cfg.hasher is a._cfg.hasher
+    assert isinstance(set(range(10, 30)) & a, PersistentSet)
+    assert a & [3, 4, 99] == {3, 4}
+
+
+def test_only_foreign_operands_reach_the_rebuilding_mixin(monkeypatch):
+    built = []
+    original = PersistentSet._from_iterable
+
+    def recording(self, iterable):
+        built.append(self)
+        return original(self, iterable)
+
+    monkeypatch.setattr(PersistentSet, "_from_iterable", recording)
+    a = pset(range(0, 100, 2))
+    pset(range(0, 100, 3)) & a
+    a & pset(range(50), element_hash=_low10_hash)  # another hasher
+    assert len(built) == 1
+    a & {1, 2}
+    assert len(built) == 2
+
+
 def test_set_hash_is_order_independent_and_consistent_with_eq():
     a = pset([1, 2, 3])
     b = pset([3, 2, 1])

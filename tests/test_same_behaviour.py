@@ -69,3 +69,15 @@ def test_a_relative_checkout_path_runs_its_own_source(monkeypatch):
     command = ["footprint", "--sizes", "6", *same_behaviour.REPORT]
     report = same_behaviour.run_report(root.name, command)
     assert [row["size_exponent"] for row in report["rows"]] == [6, 6]
+
+
+def test_a_checkout_without_sources_stops_the_check_with_its_stderr(tmp_path, capsys):
+    root = _PATH.parent.parent
+    bare = tmp_path / "bare"  # fails first, so the repository's run never starts
+    bare.mkdir()
+    assert same_behaviour.main([str(bare), str(root)]) == 2
+    err = capsys.readouterr().err
+    assert f"same_behaviour: run failed in {bare}" in err
+    assert "-m leantrie.cli footprint --format json" in err
+    assert "exit code: 1" in err
+    assert "No module named 'leantrie'" in err

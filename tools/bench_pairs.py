@@ -24,13 +24,16 @@ pairs).
 A run with failed operations also gets a warning on stderr.  The report is
 rewritten after every pair, so an interrupted series keeps the pairs it
 finished; ``--append`` extends the report at ``--output``, or starts it
-when there is none yet.
+when there is none yet.  A run that exits non-zero stops the series: its
+checkout, command, exit code and the tail of its stderr are printed, and
+the exit status is 1.
 """
 
 import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -53,12 +56,33 @@ def load_benchmark(root=ROOT):
     )
 
 
+class RunFailed(Exception):
+    """A child run that exited non-zero."""
+
+
+def run_child(command, checkout, env=None, tail=20):
+    """``command`` run in ``checkout`` with its output captured; raises
+    :class:`RunFailed` naming the checkout, the command, the exit code and
+    the last ``tail`` lines of stderr when it exits non-zero."""
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        lines = proc.stderr.rstrip().splitlines()[-tail:] or ["(empty)"]
+        raise RunFailed("\n".join([
+            f"run failed in {checkout}",
+            f"  command: {shlex.join(map(str, command))}",
+            f"  exit code: {proc.returncode}",
+            "  stderr tail:",
+            *(f"    {line}" for line in lines),
+        ]))
+    return proc
+
+
 def run_once(checkout, workload, seed, seconds):
     """One untraced perfbench run in ``checkout``; its last stdout line."""
-    proc = subprocess.run(
+    proc = run_child(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        checkout,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
@@ -195,7 +219,12 @@ def main(argv=None):
                     if r["workload"] == workload and r["seed"] == seed}
             first = max(done, default=-1) + 1
             for pair in range(first, first + args.pairs):
-                report["runs"].extend(run_pair(checkouts, workload, seed, pair, seconds))
+                try:
+                    rows = run_pair(checkouts, workload, seed, pair, seconds)
+                except RunFailed as failed:
+                    print(f"bench_pairs: {failed}", file=sys.stderr)
+                    return 1
+                report["runs"].extend(rows)
                 report["summary"] = summarize(report["runs"], better, bounds)
                 args.output.write_text(json.dumps(
                     {k: report[k] for k in ("metadata", "summary", "runs")}, indent=1

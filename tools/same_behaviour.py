@@ -11,7 +11,9 @@ reports of each command: every row except its measured ``runtime_ns``,
 in order, and the metadata except ``git_rev``.  Values compare as their
 JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command,
 the first difference where the reports differ, and exits 0 when every
-command agrees and 1 otherwise.  A refactor that claims no behaviour
+command agrees and 1 otherwise.  A command that exits non-zero in either
+checkout stops the check with exit status 2, printing the checkout, the
+command, the exit code and the tail of its stderr.  A refactor that claims no behaviour
 change is checked this way; a change that moves one report is checked
 for the others.
 """
@@ -19,10 +21,12 @@ for the others.
 import argparse
 import json
 import os
-import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import RunFailed, run_child  # noqa: E402  (a sibling script)
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
 REPORT = ["--format", "json", "--timestamp", TIMESTAMP, "--output", "-"]
@@ -38,10 +42,7 @@ def run_report(checkout, command):
     """The JSON report of ``leantrie <command>`` run from ``checkout``."""
     checkout = Path(checkout).resolve()  # the run's cwd is the checkout itself
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "leantrie.cli", *command],
-        cwd=checkout, env=env, capture_output=True, text=True, check=True,
-    )
+    proc = run_child([sys.executable, "-m", "leantrie.cli", *command], checkout, env)
     return json.loads(proc.stdout)
 
 
@@ -75,8 +76,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     status = 0
     for name, command in COMMANDS.items():
-        parent = run_report(args.parent, command)
-        change = run_report(args.change, command)
+        try:
+            parent = run_report(args.parent, command)
+            change = run_report(args.change, command)
+        except RunFailed as failed:
+            print(f"same_behaviour: {failed}", file=sys.stderr)
+            return 2
         difference = first_difference(parent, change)
         if difference is None:
             print(f"{name}: {len(parent['rows'])} rows, same")
