@@ -60,13 +60,13 @@ class RunFailed(Exception):
     """A child run that exited non-zero."""
 
 
-def run_child(command, checkout, env=None, tail=20):
+def run_child(command, checkout, env=None):
     """``command`` run in ``checkout`` with its output captured; raises
     :class:`RunFailed` naming the checkout, the command, the exit code and
-    the last ``tail`` lines of stderr when it exits non-zero."""
+    the last 20 lines of stderr when it exits non-zero."""
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
-        lines = proc.stderr.rstrip().splitlines()[-tail:] or ["(empty)"]
+        lines = proc.stderr.rstrip().splitlines()[-20:] or ["(empty)"]
         raise RunFailed("\n".join([
             f"run failed in {checkout}",
             f"  command: {shlex.join(map(str, command))}",
