@@ -295,9 +295,7 @@ def _correctness_gate(adapter, base, dataset):
     model = _reference_model(dataset)
     tuples, keys = adapter.counts(base)
     _require(keys == len(model), f"{adapter.name}: key count {keys} != {len(model)}")
-    expected_tuples = (
-        len(model) if adapter.name == "map" else sum(len(s) for s in model.values())
-    )
+    expected_tuples = sum(len(s) for s in model.values())
     _require(
         tuples == expected_tuples,
         f"{adapter.name}: tuple count {tuples} != {expected_tuples}",

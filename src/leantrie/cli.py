@@ -68,6 +68,13 @@ def _parse_int_list(text):
     return tuple(int(part) for part in text.split(","))
 
 
+def _add_sizes_flag(parser):
+    parser.add_argument(
+        "--sizes", type=_parse_sizes, default=tuple(range(6, 17)),
+        metavar="A..B", help="size exponents (default 6..16)",
+    )
+
+
 def _add_report_flags(parser):
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="report format"
@@ -93,10 +100,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="time the operation suites")
-    bench.add_argument(
-        "--sizes", type=_parse_sizes, default=tuple(range(6, 17)),
-        metavar="A..B", help="size exponents (default 6..16)",
-    )
+    _add_sizes_flag(bench)
     bench.add_argument("--seeds", type=int, default=5, help="seeds per size (default 5)")
     bench.add_argument(
         "--mix", type=_parse_mix, default=1.0, metavar="ONE:TWO",
@@ -114,10 +118,7 @@ def build_parser():
     _add_report_flags(bench)
 
     fp = sub.add_parser("footprint", help="modeled-word footprint comparison")
-    fp.add_argument(
-        "--sizes", type=_parse_sizes, default=tuple(range(6, 17)),
-        metavar="A..B", help="size exponents (default 6..16)",
-    )
+    _add_sizes_flag(fp)
     fp.add_argument(
         "--mix", type=_parse_mix, default=0.5, metavar="ONE:TWO",
         help="share of 1:1 vs 1:2 keys (default 50:50)",

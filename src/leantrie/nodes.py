@@ -16,28 +16,30 @@ Sub-node references are one slot.  Entries within a region are ordered
 by branch index.  A pair is a COLLECTION branch whose bit is set in the
 bitmap's pair plane, so a node without pairs keeps a 64-bit bitmap, and
 which slots hold values and which a nested root is read from the bitmap
-alone, never from the stored objects.  A ``CollisionNode`` keeps the three
-payload regions in a slot tuple of its own, without a bitmap or
+alone, never from the stored objects.  A ``CollisionNode`` is one tuple
+too, ``(hash, inline_n, pair_n, *slots)``: the same three payload regions
+after its hash and its inline and pair entry counts, without a bitmap or
 sub-nodes.  Both node kinds answer ``regions(width)``, the one
-region-bounds rule: the slot run, where its inline region starts, and
-where its pair region, its collection region and its sub-nodes start.
-Iteration, counting, structural equality, validation and node statistics
-read a node through it; ``payload_refs(width)`` gives on the same bounds
-a node's stored values and nested roots, so the footprint walks outside
-this module never decode the entry layout.  The hot paths keep their own
+region-bounds rule: the node itself, where its inline region starts (1
+or 3), and where its pair region, its collection region and its
+sub-nodes start.  Iteration, counting, structural equality, validation
+and node statistics read a node through it; ``payload_refs(width)``
+gives on the same bounds a node's stored values and nested roots, so the
+footprint walks outside this module never decode the entry layout.  The hot paths keep their own
 arithmetic on the same layout, with the entry widths named as ``PAIR_W``
 and ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
 planes for ``update``, ``lookup`` writes the inline rank in its loop
 over trie levels, and ``_placed`` and ``_lifted`` work from slot counts.
 
-A ``TrieNode`` is a ``tuple`` subclass with no instance dictionary, so a
-node costs one CPython object rather than an object plus a slot tuple.
-Its ``==`` and ``hash`` are identity, as for any other object: a content
-comparison would recurse into stored keys.  It reports its true size:
-CPython allocates every instance of a heap tuple subtype with one item
-more than it holds (the generic allocator's sentinel), which
-``tuple.__sizeof__`` leaves out, so ``TrieNode.__sizeof__`` adds that
-item and ``sys.getsizeof`` agrees with what ``tracemalloc`` sees.
+Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
+dictionary, so a node costs one CPython object rather than an object plus
+a slot tuple.  Their ``==`` and ``hash`` are identity, as for any other
+object: a content comparison would recurse into stored keys.  A node
+reports its true size: CPython allocates every instance of a heap tuple
+subtype with one item more than it holds (the generic allocator's
+sentinel), which ``tuple.__sizeof__`` leaves out, so ``_Node.__sizeof__``
+adds that item and ``sys.getsizeof`` agrees with what ``tracemalloc``
+sees.
 
 Sets, maps, and multimaps share this machinery through a ``TrieConfig``:
 the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
@@ -237,6 +239,16 @@ def _same_values(a, b):
     return (_eq(a0, b0) and _eq(a1, b1)) or (_eq(a0, b1) and _eq(a1, b0))
 
 
+def _same_payload(vcfg, pattern, a, b):
+    """Whether the payloads ``a`` and ``b`` of two entries of ``pattern``
+    (as :func:`_payload` reads them) hold equal values."""
+    if pattern == COLLECTION:
+        return a.equals(vcfg, b)
+    if pattern == PAIR:
+        return _same_values(a, b)
+    return _eq(a, b)
+
+
 def _trie_order(h0, h1):
     """Whether a value of hash ``h0`` comes no later than one of ``h1`` in
     a nested set's iteration order: the first 5-bit fragment, from the low
@@ -306,15 +318,8 @@ def put_values(cfg, pattern, k0, payload, values):
         p, new = INLINE, few[0]
     else:
         p, new = PAIR, few
-    if p == pattern:
-        if p == COLLECTION:
-            same = payload.equals(cfg.value_cfg, new)
-        elif p == PAIR:
-            same = _same_values(payload, new)
-        else:
-            same = _eq(payload, new)
-        if same:
-            return None
+    if p == pattern and _same_payload(cfg.value_cfg, p, payload, new):
+        return None
     return p, ((key, *new) if p == PAIR else (key, new))
 
 
@@ -356,12 +361,29 @@ def _drop_key(cfg, pattern, k0, payload, value):
     return EMPTY, ()
 
 
-class _Node:
-    """Iteration shared by both node kinds, over the bounds that
-    ``regions`` gives, and the two update entry points that perfbench's
-    trace replay calls."""
+class _Node(tuple):
+    """What both node kinds share: one tuple per node, its ``HEAD`` items
+    (a trie node's bitmap, or a bucket's hash and entry counts) followed by
+    its slot run; identity ``==`` and ``hash``; the true size; iteration
+    over the bounds that ``regions`` gives; and the two update entry points
+    that perfbench's trace replay calls."""
 
     __slots__ = ()
+
+    HEAD = 1
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __sizeof__(self):
+        # a heap tuple subtype is allocated with one item more than it
+        # holds, the sentinel that tuple.__sizeof__ leaves out
+        return tuple.__sizeof__(self) + tuple.__itemsize__
+
+    @property
+    def slots(self):
+        return self[self.HEAD :]
 
     def insert(self, cfg, shift, key_hash, key, value):
         return self.update(cfg, shift, key_hash, key, value, _add_value)
@@ -410,25 +432,12 @@ class _Node:
             yield from child.iter_keys(cfg)
 
 
-class TrieNode(_Node, tuple):
+class TrieNode(_Node):
     """``(bitmap, *slots)``: one tuple per node (see the module docstring)."""
 
     __slots__ = ()
 
     STATS_KEY = "trie_nodes"
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    def __sizeof__(self):
-        # a heap tuple subtype is allocated with one item more than it
-        # holds, the sentinel that tuple.__sizeof__ leaves out
-        return tuple.__sizeof__(self) + tuple.__itemsize__
-
-    @property
-    def slots(self):
-        return self[1:]
 
     def regions(self, w):
         """``(run, start, end_i, end_p, end)``: the node itself, whose
@@ -572,44 +581,46 @@ class TrieNode(_Node, tuple):
 
 
 class CollisionNode(_Node):
-    """Bucket for entries whose 32-bit hashes are fully equal.
+    """``(hash, inline_n, pair_n, *slots)``: bucket for entries whose
+    32-bit hashes are fully equal, one tuple like a trie node.
 
     Keeps the same three payload regions as ``TrieNode`` (inline entries,
     then pair entries, then collection entries) but no bitmap and no
     sub-nodes; ``inline_n`` counts the inline entries and ``pair_n`` the
     pairs.  Region-internal order follows the history (the order of
     inserts, or of first appearance in a bulk build), so structural
-    equality compares regions as unordered collections.
+    equality finds each entry's key in the other bucket.
     """
 
-    __slots__ = ("hash", "inline_n", "pair_n", "slots")
+    __slots__ = ()
+
+    HEAD = 3
 
     STATS_KEY = "collision_nodes"
 
-    def __init__(self, key_hash, inline_n, slots, pair_n=0):
-        self.hash = key_hash
-        self.inline_n = inline_n
-        self.pair_n = pair_n
-        self.slots = slots
-
     def regions(self, w):
-        """``(slots, 0, end_i, end_p, len(slots))``: the pair region follows
+        """``(self, 3, end_i, end_p, len(self))``: the pair region follows
         the inline region, and the collection region runs to the end of the
-        slots (see ``TrieNode``)."""
-        slots = self.slots
-        end_i = w * self.inline_n
-        return slots, 0, end_i, end_i + PAIR_W * self.pair_n, len(slots)
+        node (see ``TrieNode``)."""
+        end_i = 3 + w * self[1]
+        return self, 3, end_i, end_i + PAIR_W * self[2], len(self)
+
+    def _entries(self, w):
+        """``(pattern, pos)`` of each entry, region by region."""
+        _, start, end_i, end_p, end = self.regions(w)
+        for pos in range(start, end_i, w):
+            yield INLINE, pos
+        for pos in range(end_i, end_p, PAIR_W):
+            yield PAIR, pos
+        for pos in range(end_p, end, COLL_W):
+            yield COLLECTION, pos
 
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, or None."""
-        slots, _, end_i, end_p, end = self.regions(w)
-        entries = chain(range(0, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
-        for pos in entries:
-            k0 = slots[pos]
+        for found in self._entries(w):
+            k0 = self[found[1]]
             if k0 is key or k0 == key:
-                if pos < end_i:
-                    return INLINE, pos
-                return (PAIR if pos < end_p else COLLECTION), pos
+                return found
         return None
 
     def _placed(self, w, old, pos, size, pattern, vals):
@@ -617,26 +628,24 @@ class CollisionNode(_Node):
         at ``pos`` taken out and ``vals`` placed as an entry of ``pattern``.
         Regions keep insertion order, so an entry that changes its pattern
         closes its new region."""
-        inline_n = self.inline_n + (pattern == INLINE) - (old == INLINE)
-        pair_n = self.pair_n + (pattern == PAIR) - (old == PAIR)
-        slots = self.slots
+        inline_n = self[1] + (pattern == INLINE) - (old == INLINE)
+        pair_n = self[2] + (pattern == PAIR) - (old == PAIR)
         ins = pos  # an entry that keeps its pattern keeps its place
         if pattern != old and pattern != EMPTY:
-            # in the result, the inline region ends at w * inline_n, the
-            # pair region PAIR_W * pair_n slots later and the collection
-            # region with the run
+            # in the result, the inline region ends at 3 + w * inline_n,
+            # the pair region PAIR_W * pair_n items later and the
+            # collection region with the node
             if pattern == INLINE:
-                end = w * inline_n
+                end = 3 + w * inline_n
             elif pattern == PAIR:
-                end = w * inline_n + PAIR_W * pair_n
+                end = 3 + w * inline_n + PAIR_W * pair_n
             else:
-                end = len(slots) - size + len(vals)
+                end = len(self) - size + len(vals)
             ins = end - len(vals)
-        spliced = _splice(slots, pos, size, ins, vals)
-        return CollisionNode(self.hash, inline_n, spliced, pair_n)
+        return CollisionNode(_splice(self, pos, size, ins, vals, (self[0], inline_n, pair_n)))
 
     def lookup(self, cfg, shift, key_hash, key):
-        if key_hash != self.hash:
+        if key_hash != self[0]:
             return None
         w = cfg.width
         found = self._find(w, key)
@@ -644,25 +653,24 @@ class CollisionNode(_Node):
             return None
         pattern, pos = found
         if pattern == PAIR:
-            return (PAIR, ValuePair(self.slots[pos + 1 : pos + PAIR_W]))
-        return (pattern, self.slots[pos + w - 1])
+            return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
+        return (pattern, self[pos + w - 1])
 
     def update(self, cfg, shift, key_hash, key, value, change):
         w = cfg.width
-        found = self._find(w, key) if key_hash == self.hash else None
+        found = self._find(w, key) if key_hash == self[0] else None
         if found is None:
             added = change(cfg, EMPTY, key, None, value)
             if added is None:
                 return self, 0
             p, vals = added
-            if key_hash != self.hash:
+            if key_hash != self[0]:
                 # hashes differ after all: the bucket and the new entry
                 # part where their hash fragments do
-                return _merge(shift, self.hash, NODE, (self,), key_hash, p, vals), 1
-            return self._placed(w, EMPTY, len(self.slots), 0, p, vals), 1
+                return _merge(shift, self[0], NODE, (self,), key_hash, p, vals), 1
+            return self._placed(w, EMPTY, len(self), 0, p, vals), 1
         pattern, pos = found
-        slots = self.slots
-        changed = change(cfg, pattern, slots[pos], _payload(slots, pattern, pos, w), value)
+        changed = change(cfg, pattern, self[pos], _payload(self, pattern, pos, w), value)
         if changed is None:
             return self, 0
         p, vals = changed
@@ -671,44 +679,23 @@ class CollisionNode(_Node):
         return self._placed(w, pattern, pos, size, p, vals), kd
 
     def equals(self, cfg, other):
+        """Whether ``other`` is a bucket of the same entries: each key of
+        this bucket found in ``other`` under the same pattern with an equal
+        payload (equal counts and distinct keys make that a bijection)."""
         if self is other:
             return True
-        if (
-            type(other) is not CollisionNode
-            or other.hash != self.hash
-            or other.inline_n != self.inline_n
-            or other.pair_n != self.pair_n
-            or len(other.slots) != len(self.slots)
-        ):
+        if type(other) is not CollisionNode or other[:3] != self[:3] or len(other) != len(self):
             return False
         w = cfg.width
-        slots, _, end_i, end_p, end = self.regions(w)  # other's bounds are the same
         vcfg = cfg.value_cfg
-        regions = (
-            (0, end_i, w, lambda a, b: all(map(_eq, a, b))),
-            (end_i, end_p, PAIR_W, lambda a, b: _eq(a[0], b[0]) and _same_values(a[1:], b[1:])),
-            (end_p, end, COLL_W, lambda a, b: _eq(a[0], b[0]) and a[1].equals(vcfg, b[1])),
-        )
-        for lo, hi, step, same in regions:
-            mine = [slots[i : i + step] for i in range(lo, hi, step)]
-            theirs = [other.slots[i : i + step] for i in range(lo, hi, step)]
-            if not _match_unordered(mine, theirs, same):
+        for pattern, pos in self._entries(w):
+            found = other._find(w, self[pos])
+            if found is None or found[0] != pattern:
+                return False
+            mine = _payload(self, pattern, pos, w)
+            if not _same_payload(vcfg, pattern, mine, _payload(other, pattern, found[1], w)):
                 return False
         return True
-
-
-def _match_unordered(left, right, same):
-    if len(left) != len(right):
-        return False
-    remaining = list(right)
-    for a in left:
-        for i, b in enumerate(remaining):
-            if same(a, b):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
 
 
 # -- construction helpers ------------------------------------------------------
@@ -735,7 +722,8 @@ def _root_of_two(h0, v0, h1, v1):
 
 def _set_of_three(vcfg, v0, v1, v2):
     """Root of the nested set of three distinct values: where a pair
-    promotes to.
+    promotes to.  ``v0, v1`` come in pair order (:func:`_trie_order`), so
+    when their first-level branches differ, ``v0``'s is the lower.
 
     Three values on distinct first-level branches, nine promotions in ten
     under uniform hashes, make the one-node root directly: promotions are
@@ -751,9 +739,7 @@ def _set_of_three(vcfg, v0, v1, v2):
     b2 = h2 & 31
     if b0 != b1 and b0 != b2 and b1 != b2:  # the common case: one node
         bm = INLINE << (b0 << 1) | INLINE << (b1 << 1) | INLINE << (b2 << 1)
-        # the values in branch order, by a three-element sorting network
-        if b0 > b1:
-            b0, v0, b1, v1 = b1, v1, b0, v0
+        # the values in branch order: v2 sorted into the ordered v0, v1
         if b1 > b2:
             b1, v1, b2, v2 = b2, v2, b1, v1
         if b0 > b1:
@@ -800,8 +786,8 @@ def _collision(key_hash, entries):
     for p, s in entries:
         regions[_REGION[p]].append(s)
     inline, pairs, coll = regions
-    slots = tuple(chain.from_iterable(inline + pairs + coll))
-    return CollisionNode(key_hash, len(inline), slots, len(pairs))
+    head = (key_hash, len(inline), len(pairs))
+    return CollisionNode(chain(head, *inline, *pairs, *coll))
 
 
 def build_root(cfg, entries, bitmaps=None):
@@ -985,11 +971,11 @@ def _lifted(node, w):
         if n != w:  # several elements of a set
             return None
         return (COLLECTION if bm & (bm >> 1) & EVEN_BITS else INLINE), node[1:]
-    slots = node.slots
-    if len(slots) == w:
-        return (INLINE if node.inline_n else COLLECTION), slots
-    if len(slots) == PAIR_W and node.pair_n:
-        return PAIR, slots
+    n = len(node) - 3
+    if n == w:
+        return (INLINE if node[1] else COLLECTION), node[3:]
+    if n == PAIR_W and node[2]:
+        return PAIR, node[3:]
     return None
 
 
@@ -1102,13 +1088,13 @@ def _bucket_intersect(cfg, shift, a, b):
     bucket's elements that a ``lookup`` finds in the other node, as a
     bucket (of one element when one is left, for the parent to lift)."""
     if type(a) is CollisionNode:
-        h = a.hash
-        found = [e for e in a.slots if b.lookup(cfg, shift, h, e) is not None]
-        if len(found) == len(a.slots):
+        h = a[0]
+        found = [e for e in a[3:] if b.lookup(cfg, shift, h, e) is not None]
+        if len(found) == len(a) - 3:
             return a, len(found)
     else:
-        h = b.hash
-        found = [hit[1] for e in b.slots if (hit := a.lookup(cfg, shift, h, e)) is not None]
+        h = b[0]
+        found = [hit[1] for e in b[3:] if (hit := a.lookup(cfg, shift, h, e)) is not None]
     if not found:
         return None, 0
     return _collision(h, [(INLINE, (e,)) for e in found]), len(found)
@@ -1129,7 +1115,7 @@ def _few_values(root):
         if n != 2:  # an element next to a sub-node, or two sub-nodes
             return None
         node = node[1]
-    slots = node.slots
+    slots = node[3:]  # a bucket's elements
     return slots if len(slots) <= 2 else None
 
 
@@ -1181,7 +1167,7 @@ def _validate(cfg, node, shift, prefix, is_root):
             _fail("collision slot run does not match its entry counts")
         if n_i + n_p + n_c < 2:
             _fail("collision bucket with fewer than two entries")
-        if node.hash & mask != prefix & mask:
+        if node[0] & mask != prefix & mask:
             _fail("collision bucket hash disagrees with its path prefix")
         branches = [None] * (n_i + n_p + n_c)
         subs = []
@@ -1224,7 +1210,7 @@ def _validate(cfg, node, shift, prefix, is_root):
         key = run[pos]
         h = cfg.hasher(key) & M32
         if bucket:
-            if h != node.hash:
+            if h != node[0]:
                 _fail(f"collision entry {key!r} does not hash to the bucket hash")
             if any(_eq(other, key) for other in seen_keys):
                 _fail(f"duplicate key {key!r} in collision bucket")

@@ -34,13 +34,14 @@ def _check_bitmap_algebra(rng):
     return True
 
 
-def _random_ops(rng, count, key_space, value_space):
-    mm = multimap()
+def _random_ops(rng, mm, count, key_space, value_space, put_share):
+    """``mm`` after ``count`` random puts (a ``put_share`` of them) and
+    removes, and the dict-of-sets model of the same operations."""
     model = {}
     for _ in range(count):
         key = rng.randrange(key_space)
         value = rng.randrange(value_space)
-        if rng.random() < 0.6:
+        if rng.random() < put_share:
             mm = mm.put(key, value)
             model.setdefault(key, set()).add(value)
         else:
@@ -62,7 +63,7 @@ def _same_contents(mm, model):
 
 
 def _check_model_equivalence(rng):
-    mm, model = _random_ops(rng, 4_000, key_space=500, value_space=8)
+    mm, model = _random_ops(rng, multimap(), 4_000, key_space=500, value_space=8, put_share=0.6)
     check_invariants(mm)
     return _same_contents(mm, model)
 
@@ -227,21 +228,8 @@ def _check_dominators(rng):
 
 
 def _check_collision_torture(rng):
-    mm = multimap(key_hash=lambda o: 0, value_hash=lambda o: 0)
-    model = {}
-    for _ in range(600):
-        key = rng.randrange(30)
-        value = rng.randrange(6)
-        if rng.random() < 0.55:
-            mm = mm.put(key, value)
-            model.setdefault(key, set()).add(value)
-        else:
-            mm = mm.remove(key, value)
-            bucket = model.get(key)
-            if bucket is not None:
-                bucket.discard(value)
-                if not bucket:
-                    del model[key]
+    colliding = multimap(key_hash=lambda o: 0, value_hash=lambda o: 0)
+    mm, model = _random_ops(rng, colliding, 600, key_space=30, value_space=6, put_share=0.55)
     check_invariants(mm)
     return _same_contents(mm, model)
 

@@ -203,7 +203,7 @@ def byte_components(structures):
     bytes: ``{component: bytes}`` over :data:`BYTE_COMPONENTS`.
 
     * ``trie`` -- the nodes of the measured structures' own tries, a
-      collision bucket's slot tuple and hash int included;
+      collision bucket's hash and count ints included;
     * ``nested`` -- the same for the nodes below payload slots: nested
       set tries and the tries of persistent structures stored as values;
     * ``bitmaps`` -- the trie nodes' bitmap ints, of either kind of node;
@@ -214,14 +214,15 @@ def byte_components(structures):
     :func:`footprint` prices, so the two agree on what is nested and on
     which of ``structures`` owns a shared node: the first one listed that
     reaches it.  Of the other objects it sizes those a node or structure
-    object holds apart from stored keys and values: a node's bitmap int,
-    a bucket's hash int and slot tuple, and what ``gc.get_referents``
-    reaches from a structure object other than its root.
+    object holds apart from stored keys and values: a node's ``HEAD``
+    ints, a trie node's bitmap or a bucket's hash and entry counts, and
+    what ``gc.get_referents`` reaches from a structure object other than
+    its root.
     """
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
 
-    def add(component, *objects, follow=True):
+    def add(component, *objects):
         stack = list(objects)
         while stack:
             o = stack.pop()
@@ -231,8 +232,7 @@ def byte_components(structures):
                 continue
             seen.add(id(o))
             sizes[component] += sys.getsizeof(o)
-            if follow:
-                stack.extend(gc.get_referents(o))
+            stack.extend(gc.get_referents(o))
 
     for o, cfg, nested in _reached(structures):
         if cfg is None:
@@ -241,8 +241,5 @@ def byte_components(structures):
             continue
         component = "nested" if nested else "trie"
         sizes[component] += sys.getsizeof(o)
-        if type(o) is TrieNode:
-            add("bitmaps", o[0])
-        else:  # a bucket's slot tuple holds the stored objects: not followed
-            add(component, o.hash, o.slots, follow=False)
+        add("bitmaps" if type(o) is TrieNode else component, *o[: o.HEAD])
     return sizes

@@ -181,6 +181,14 @@ def test_set_intersection_with_empty_operands():
         assert len(result) == 0 and not result
 
 
+def test_set_intersection_of_buckets_with_no_common_element_is_empty():
+    constant = {"element_hash": lambda x: 0}
+    got = pset([1, 2], **constant) & pset([3, 4], **constant)
+    check_invariants(got)
+    assert len(got) == 0 and not got
+    assert got._root.equals(got._cfg, pset()._root)
+
+
 def test_set_intersection_with_a_foreign_operand_builds_from_its_content():
     a = pset(range(20))
     other_hasher = pset(range(10, 30), element_hash=_mod7_hash)
@@ -531,9 +539,16 @@ def test_check_invariants_returns_structure_and_rejects_others():
 
 def test_check_invariants_detects_corrupted_counts():
     mm = multimap([("a", 1), ("b", 2)])
-    broken = PersistentMultiMap(mm._cfg, mm._root, 99, mm._keys)
-    with pytest.raises(InvariantError, match="cached counts"):
-        check_invariants(broken)
+    s = pset(["a", "b"])
+    m = pmap([("a", 1), ("b", 2)])
+    cases = [
+        (PersistentMultiMap(mm._cfg, mm._root, 99, mm._keys), "cached counts"),
+        (PersistentSet(s._cfg, s._root, 99), r"cached size 99 != recounted 2$"),
+        (PersistentMap(m._cfg, m._root, 99), r"cached size 99 != recounted \(2, 2\)"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            check_invariants(broken)
 
 
 def test_the_tuple_count_is_counted_once_after_a_whole_set_rewrite():

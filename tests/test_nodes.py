@@ -347,7 +347,7 @@ def test_bucket_promotes_and_demotes_entries():
     assert structure_stats(paired)["pair_entries"] == 1
     # the bucket's regions: B's inline entry, then A's pair
     bucket = paired._root[1]
-    assert bucket.regions(2) == (bucket.slots, 0, 2, 2 + PAIR_W, 2 + PAIR_W)
+    assert bucket.regions(2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
     assert bucket.slots == ("B", 2, "A", 1, 9)
     grown = paired.put("A", 5)
     check_invariants(grown)
@@ -355,7 +355,7 @@ def test_bucket_promotes_and_demotes_entries():
     assert structure_stats(grown)["collection_entries"] == 1
     # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
-    assert bucket.regions(2) == (bucket.slots, 0, 2, 2, 2 + COLL_W)
+    assert bucket.regions(2) == (bucket, 3, 5, 5, 5 + COLL_W)
     assert bucket.slots[:3] == ("B", 2, "A")
     back = grown.remove("A", 5)
     check_invariants(back)
@@ -508,7 +508,7 @@ def test_validator_rejects_single_payload_child():
 
 def test_validator_rejects_chain_over_a_bucket():
     cfg = map_config(key_hash=lambda k: 0)
-    bucket = CollisionNode(0, 2, ("a", 1, "b", 2))
+    bucket = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     chain = TrieNode((NODE << 0, bucket))
     root = TrieNode((NODE << 0, chain))
     with pytest.raises(InvariantError, match="chain node"):
@@ -614,32 +614,32 @@ MALFORMED = {
     ),
     "bucket-run-mismatch": (
         map_config(key_hash=lambda k: 0),
-        _under_root(CollisionNode(0, 2, ("a", 1, "b", 2, "c"))),
+        _under_root(CollisionNode((0, 2, 0, "a", 1, "b", 2, "c"))),
         "collision slot run does not match",
     ),
     "bucket-of-one": (
         map_config(key_hash=lambda k: 0),
-        _under_root(CollisionNode(0, 1, ("a", 1))),
+        _under_root(CollisionNode((0, 1, 0, "a", 1))),
         "fewer than two entries",
     ),
     "bucket-off-prefix": (
         map_config(key_hash=lambda k: 1),
-        _under_root(CollisionNode(1, 2, ("a", 1, "b", 2))),
+        _under_root(CollisionNode((1, 2, 0, "a", 1, "b", 2))),
         "bucket hash disagrees with its path prefix",
     ),
     "bucket-stray-hash": (
         map_config(key_hash=lambda k: 0 if k == "a" else 32),
-        _under_root(CollisionNode(0, 2, ("a", 1, "b", 2))),
+        _under_root(CollisionNode((0, 2, 0, "a", 1, "b", 2))),
         "'b' does not hash to the bucket hash",
     ),
     "bucket-duplicate-key": (
         map_config(key_hash=lambda k: 0),
-        _under_root(CollisionNode(0, 2, ("a", 1, "a", 2))),
+        _under_root(CollisionNode((0, 2, 0, "a", 1, "a", 2))),
         "duplicate key 'a' in collision bucket",
     ),
     "root-not-a-trie-node": (
         map_config(key_hash=lambda k: 0),
-        CollisionNode(0, 2, ("a", 1, "b", 2)),
+        CollisionNode((0, 2, 0, "a", 1, "b", 2)),
         "root must be a TrieNode, got CollisionNode",
     ),
 }
@@ -834,7 +834,7 @@ def test_values_move_between_inline_pair_and_nested_set(key_hash, value_hash):
 
 def test_pair_values_of_node_like_types_come_back_as_values():
     node = TrieNode((INLINE << 2, "x", "y"))
-    bucket = CollisionNode(0, 2, ("a", 1, "b", 2))
+    bucket = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     pair = ValuePair((1, 2))
     stored = [node, (1, 2), pset([1, 2, 3]), bucket, pair, pset([4, 5])]
     for v0, v1 in zip(stored, stored[1:]):
@@ -937,7 +937,7 @@ def _bucket_of(root):
     """The collision bucket that a root of one constant hash hangs."""
     assert type(root) is TrieNode and root[0] == NODE << (7 << 1)
     (bucket,) = root[1:]
-    assert type(bucket) is CollisionNode and bucket.hash == 7
+    assert type(bucket) is CollisionNode and bucket[0] == 7
     return bucket
 
 
@@ -945,11 +945,11 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     # a set and a map: one inline region, later duplicates keep their place
     s_root, n, _ = build_root(set_config(_seven), ["b", "a", "b", "c", "a"])
     s = _bucket_of(s_root)
-    assert (s.inline_n, s.pair_n, s.slots, n) == (3, 0, ("b", "a", "c"), 3)
+    assert (s[1], s[2], s.slots, n) == (3, 0, ("b", "a", "c"), 3)
     pairs = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 2)]
     m_root, n, _ = build_root(map_config(_seven), pairs)
     m = _bucket_of(m_root)
-    assert (m.inline_n, m.pair_n, m.slots, n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
+    assert (m[1], m[2], m.slots, n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
     # a multimap whose values hash alike too: equal-hash pairs keep their
     # input order; d gets its second value before b does, and a and e stay
     # inline although a repeats its value
@@ -961,17 +961,63 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     root, tuples, keys = build_root(cfg, entries)
     bucket = _bucket_of(root)
     nested = bucket.slots[-1]
-    assert (bucket.inline_n, bucket.pair_n) == (2, 2)
+    assert (bucket[1], bucket[2]) == (2, 2)
     assert bucket.slots == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
     values = _bucket_of(nested)
-    assert (values.inline_n, values.pair_n, values.slots) == (4, 0, (3, 1, 4, 2))
+    assert (values[1], values[2], values.slots) == (4, 0, (3, 1, 4, 2))
     assert (tuples, keys) == (10, 5)
     validate_root(cfg, root)
 
 
+def test_a_key_on_a_buckets_path_with_another_hash_is_absent():
+    # D's hash shares the bucket's first fragment, 7, and no more: the
+    # descent reaches the bucket and stops at its hash
+    mm = multimap([("A", 1), ("B", 2), ("B", 3)], key_hash=_BUCKET_HASHES.__getitem__)
+    cfg = mm._cfg
+    assert type(mm._root[1]) is CollisionNode
+    assert mm._root.lookup(cfg, 0, _BUCKET_HASHES["D"], "D") is None
+    assert not mm.contains_key("D")
+    assert not mm.contains_entry("D", 1)
+    assert len(mm.get("D")) == 0
+    assert mm.contains_key("A") and mm.contains_entry("B", 3)
+
+
+_PATTERNS = {"inline": [1], "pair": [1, 2], "collection": [1, 2, 3]}
+
+
+def _bucket_with(**values):
+    """The bucket of a multimap whose keys all hash to 7, a key per
+    keyword holding that keyword's values."""
+    entries = [(k, v) for k, vs in values.items() for v in vs]
+    mm = multimap(entries, key_hash=_seven)
+    return mm._cfg, _bucket_of(mm._root)
+
+
+@pytest.mark.parametrize("pattern", list(_PATTERNS), ids=list(_PATTERNS))
+def test_bucket_equality_compares_each_payload(pattern):
+    values = _PATTERNS[pattern]
+    cfg, a = _bucket_with(A=values, B=[7])
+    _, b = _bucket_with(A=values[:-1] + [9], B=[7])
+    assert a[:3] == b[:3] and len(a) == len(b)
+    assert not a.equals(cfg, b) and not b.equals(cfg, a)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("inline", "pair"), ("inline", "collection"), ("pair", "collection")],
+)
+def test_bucket_equality_compares_each_keys_pattern(first, second):
+    # the same region sizes, with A and B in each other's regions
+    one, two = _PATTERNS[first], _PATTERNS[second]
+    cfg, a = _bucket_with(A=one, B=two)
+    _, b = _bucket_with(A=two, B=one)
+    assert a[:3] == b[:3] and len(a) == len(b)
+    assert not a.equals(cfg, b) and not b.equals(cfg, a)
+
+
 def test_a_set_element_that_is_a_collision_node_is_stored_inline():
     # the build tells a bucket from an element by its hash having one
-    elements = [CollisionNode(7, 2, ("x", "y")), CollisionNode(9, 2, ("z", "w")), 3]
+    elements = [CollisionNode((7, 2, 0, "x", "y")), CollisionNode((9, 2, 0, "z", "w")), 3]
     cfg = set_config()
     root, n, _ = build_root(cfg, elements)
     assert n == 3 and validate_root(cfg, root) == (3, 3)

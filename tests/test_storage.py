@@ -326,6 +326,23 @@ def test_object_bytes_match_tracemalloc_for_sets_and_maps(build, mix):
     assert abs(walked - traced) <= 0.01 * traced + 4096
 
 
+def _mod64(obj):
+    return obj % 64
+
+
+def test_a_collision_bucket_is_one_object_in_object_bytes():
+    # 1,000 elements on 64 hashes: 32 sub-nodes of two buckets each
+    build = lambda elements: pset(elements, element_hash=_mod64)  # noqa: E731
+    elements = list(range(1000))  # made before the build, as stored objects are
+    built = build(elements)
+    nodes = list(_nodes(built))
+    assert sum(type(n) is CollisionNode for n in nodes) == 64
+    # the bucket hashes and counts are small ints: no object besides the nodes
+    assert byte_components(built)["trie"] == sum(map(sys.getsizeof, nodes))
+    walked, traced = _walked_and_traced(build, elements)
+    assert abs(walked - traced) <= 0.01 * traced + 4096
+
+
 def _low_bits(obj):
     # ~4 keys per hash among 4,096: buckets, with nested sets under them
     return hash(obj) & 0x3FF
