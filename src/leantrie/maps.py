@@ -51,6 +51,8 @@ from .nodes import (
     build_root,
     count_entries,
     intersect,
+    iter_entries,
+    iter_keys,
     map_config,
     multimap_config,
     node_stats,
@@ -142,7 +144,7 @@ class PersistentSet(Set):
         return Set.__and__(self, other)
 
     def __iter__(self):
-        return self._root.iter_entries(self._cfg)
+        return iter_keys(self._cfg, self._root)
 
     def __len__(self):
         if self._size is None:
@@ -175,7 +177,7 @@ class _MapItems(ItemsView):
 
     def __iter__(self):
         mapping = self._mapping
-        return mapping._root.iter_entries(mapping._cfg)
+        return iter_entries(mapping._cfg, mapping._root)
 
 
 class _MapValues(ValuesView):
@@ -183,7 +185,7 @@ class _MapValues(ValuesView):
 
     def __iter__(self):
         mapping = self._mapping
-        return (v for _, v in mapping._root.iter_entries(mapping._cfg))
+        return (v for _, v in iter_entries(mapping._cfg, mapping._root))
 
 
 class PersistentMap(Mapping):
@@ -233,7 +235,7 @@ class PersistentMap(Mapping):
         return self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key) is not None
 
     def __iter__(self):
-        return self._root.iter_keys(self._cfg)
+        return iter_keys(self._cfg, self._root)
 
     def __len__(self):
         return self._size
@@ -395,11 +397,11 @@ class PersistentMultiMap:
 
     def keys(self):
         """Iterator over distinct keys."""
-        return self._root.iter_keys(self._cfg)
+        return iter_keys(self._cfg, self._root)
 
     def items(self):
         """Iterator over (key, value) tuples, flattened."""
-        return self._root.iter_entries(self._cfg)
+        return iter_entries(self._cfg, self._root)
 
     def __iter__(self):
         return self.keys()

@@ -22,12 +22,13 @@ after its hash and its inline and pair entry counts, without a bitmap or
 sub-nodes.  Both node kinds answer ``regions(width)``, the one
 region-bounds rule: the node itself, where its inline region starts (1
 or 3), and where its pair region, its collection region and its
-sub-nodes start.  Iteration, counting, structural equality, validation
-and node statistics read a node through it; ``payload_refs(width)``
-gives on the same bounds a node's stored values and nested roots, so the
-footprint walks outside this module never decode the entry layout.  The hot paths keep their own
-arithmetic on the same layout, with the entry widths named as ``PAIR_W``
-and ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
+sub-nodes start.  Iteration and node statistics read each node on the
+bounds that :func:`walk` yields; counting, equality and validation read
+them too, and ``payload_refs(width)`` gives on them a node's stored
+values and nested roots, so the footprint walks outside this module
+never decode the entry layout.  The hot paths keep their own arithmetic
+on the same layout, with the entry widths named as ``PAIR_W`` and
+``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
 planes for ``update``, ``lookup`` writes the inline rank in its loop
 over trie levels, and ``_placed`` and ``_lifted`` work from slot counts.
 
@@ -105,7 +106,7 @@ right one holds all their elements, restoring canonical form with
 of its elements gives.
 """
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .bits import (
     COLLECTION,
@@ -364,9 +365,9 @@ def _drop_key(cfg, pattern, k0, payload, value):
 class _Node(tuple):
     """What both node kinds share: one tuple per node, its ``HEAD`` items
     (a trie node's bitmap, or a bucket's hash and entry counts) followed by
-    its slot run; identity ``==`` and ``hash``; the true size; iteration
-    over the bounds that ``regions`` gives; and the two update entry points
-    that perfbench's trace replay calls."""
+    its slot run; identity ``==`` and ``hash``; the true size; its stored
+    values and nested roots; and the two update entry points that
+    perfbench's trace replay calls.  :func:`walk` visits a trie's nodes."""
 
     __slots__ = ()
 
@@ -393,26 +394,6 @@ class _Node(tuple):
             cfg, shift, key_hash, key, value, _drop_key if drop_key else _drop_value
         )
 
-    def iter_entries(self, cfg):
-        w = cfg.width
-        run, start, end_i, end_p, end = self.regions(w)
-        if w == 1:  # a set: elements only
-            yield from run[start:end_i]
-        else:
-            for pos in range(start, end_i, w):
-                yield (run[pos], run[pos + 1])
-            for pos in range(end_i, end_p, PAIR_W):
-                k = run[pos]
-                yield (k, run[pos + 1])
-                yield (k, run[pos + 2])
-            vcfg = cfg.value_cfg
-            for pos in range(end_p, end, COLL_W):
-                k = run[pos]
-                for v in run[pos + 1].iter_entries(vcfg):
-                    yield (k, v)
-        for child in run[end:]:
-            yield from child.iter_entries(cfg)
-
     def payload_refs(self, w):
         """``(values, nested)``: the values this node stores in its own
         slots, a set's elements at width 1, and the roots of its
@@ -422,22 +403,11 @@ class _Node(tuple):
         values += run[end_i + 2 : end_p : PAIR_W]
         return values, run[end_p + 1 : end : COLL_W]
 
-    def iter_keys(self, cfg):
-        w = cfg.width
-        run, start, end_i, end_p, end = self.regions(w)
-        yield from run[start:end_i:w]
-        yield from run[end_i:end_p:PAIR_W]
-        yield from run[end_p:end:COLL_W]
-        for child in run[end:]:
-            yield from child.iter_keys(cfg)
-
 
 class TrieNode(_Node):
     """``(bitmap, *slots)``: one tuple per node (see the module docstring)."""
 
     __slots__ = ()
-
-    STATS_KEY = "trie_nodes"
 
     def regions(self, w):
         """``(run, start, end_i, end_p, end)``: the node itself, whose
@@ -595,8 +565,6 @@ class CollisionNode(_Node):
     __slots__ = ()
 
     HEAD = 3
-
-    STATS_KEY = "collision_nodes"
 
     def regions(self, w):
         """``(self, 3, end_i, end_p, len(self))``: the pair region follows
@@ -1119,6 +1087,45 @@ def _few_values(root):
     return slots if len(slots) <= 2 else None
 
 
+def walk(w, root):
+    """``(depth, *node.regions(w))`` for each node of the trie ``root`` of
+    entry width ``w``, the root at depth 1: pre-order over an explicit
+    stack, sub-nodes in branch order.  Nested sets are not entered."""
+    stack = [(1, root)]
+    while stack:
+        depth, node = stack.pop()
+        run, start, end_i, end_p, end = node.regions(w)
+        yield depth, run, start, end_i, end_p, end
+        if end < len(run):
+            stack += zip(repeat(depth + 1), run[: end - 1 : -1])
+
+
+def iter_keys(cfg, root):
+    """The keys of the trie ``root`` in trie order: a set's elements."""
+    w = cfg.width
+    for _, run, start, end_i, end_p, end in walk(w, root):
+        yield from run[start:end_i:w]
+        if end_i < end:  # pairs or collections
+            yield from run[end_i:end_p:PAIR_W]
+            yield from run[end_p:end:COLL_W]
+
+
+def iter_entries(cfg, root):
+    """The ``(key, value)`` tuples of the map or multimap trie ``root`` in
+    trie order, a key's values together and in its nested set's order."""
+    for _, run, start, end_i, end_p, end in walk(2, root):
+        for pos in range(start, end_i, 2):
+            yield run[pos], run[pos + 1]
+        if end_i < end:  # pairs or collections
+            for pos in range(end_i, end_p, PAIR_W):
+                yield run[pos], run[pos + 1]
+                yield run[pos], run[pos + 2]
+            for pos in range(end_p, end, COLL_W):
+                for _, nested, first, last, _, _ in walk(1, run[pos + 1]):
+                    for v in nested[first:last]:
+                        yield run[pos], v
+
+
 def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
     width-1 tries), summed from region counts without visiting them."""
@@ -1267,20 +1274,13 @@ def node_stats(cfg, root):
         "nested_set_nodes": 0,
         "max_depth": 0,
     }
-    _collect_stats(cfg, root, 1, stats)
-    return stats
-
-
-def _collect_stats(cfg, node, depth, stats):
-    stats["max_depth"] = max(stats["max_depth"], depth)
-    stats[node.STATS_KEY] += 1
     w = cfg.width
-    run, start, end_i, end_p, end = node.regions(w)
-    stats["inline_entries"] += (end_i - start) // w
-    stats["pair_entries"] += (end_p - end_i) // PAIR_W
-    stats["collection_entries"] += (end - end_p) // COLL_W
-    for pos in range(end_p + 1, end, COLL_W):
-        nested = node_stats(cfg.value_cfg, run[pos])
-        stats["nested_set_nodes"] += nested["trie_nodes"] + nested["collision_nodes"]
-    for child in run[end:]:
-        _collect_stats(cfg, child, depth + 1, stats)
+    for depth, run, start, end_i, end_p, end in walk(w, root):
+        stats["max_depth"] = max(stats["max_depth"], depth)
+        stats["trie_nodes" if type(run) is TrieNode else "collision_nodes"] += 1
+        stats["inline_entries"] += (end_i - start) // w
+        stats["pair_entries"] += (end_p - end_i) // PAIR_W
+        stats["collection_entries"] += (end - end_p) // COLL_W
+        for nested in run[end_p + 1 : end : COLL_W]:
+            stats["nested_set_nodes"] += sum(1 for _ in walk(1, nested))
+    return stats

@@ -28,7 +28,6 @@ import types
 from dataclasses import dataclass
 
 from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-from .nodes import TrieNode
 
 MAX_FIXED_SLOTS = 8
 
@@ -64,8 +63,8 @@ class FootprintReport:
     ``words_total == headers + bitmaps + slots + indirections`` always
     holds.  ``nested_words`` is the share of ``words_total`` contributed by
     structures hanging below payload slots (nested set tries and persistent
-    structures stored as values), serialized as ``words_nested``.  A
-    bitmap is priced as one word whether or not it uses the pair plane.
+    structures stored as values), serialized as ``words_nested``.  A node's
+    ``bitmaps`` word prices its bitmap, pair plane or not, or a bucket's hash.
     """
 
     words_total: int = 0
@@ -98,8 +97,7 @@ def footprint(structures, model=DEFAULT_MODEL):
             slots = WRAPPER_FIELDS[type(o)] * model.slot_words
             words = model.header_words + slots
         else:
-            run, start, _, _, _ = o.regions(cfg.width)
-            n_slots = len(run) - start
+            n_slots = len(o) - o.HEAD
             slots = n_slots * model.slot_words
             words = model.header_words + model.bitmap_words + slots
             report.bitmaps += model.bitmap_words
@@ -202,11 +200,11 @@ def byte_components(structures):
     """:func:`object_bytes` of ``structures`` split by what holds the
     bytes: ``{component: bytes}`` over :data:`BYTE_COMPONENTS`.
 
-    * ``trie`` -- the nodes of the measured structures' own tries, a
-      collision bucket's hash and count ints included;
+    * ``trie`` -- the nodes of the measured structures' own tries;
     * ``nested`` -- the same for the nodes below payload slots: nested
       set tries and the tries of persistent structures stored as values;
-    * ``bitmaps`` -- the trie nodes' bitmap ints, of either kind of node;
+    * ``bitmaps`` -- every node's ``HEAD`` ints, trie and nested alike: a
+      trie node's bitmap, and a collision bucket's hash and entry counts;
     * ``wrappers`` -- the structure objects themselves, stored ones
       included, with their configs and size fields.
 
@@ -215,9 +213,8 @@ def byte_components(structures):
     which of ``structures`` owns a shared node: the first one listed that
     reaches it.  Of the other objects it sizes those a node or structure
     object holds apart from stored keys and values: a node's ``HEAD``
-    ints, a trie node's bitmap or a bucket's hash and entry counts, and
-    what ``gc.get_referents`` reaches from a structure object other than
-    its root.
+    ints, and what ``gc.get_referents`` reaches from a structure object
+    other than its root.
     """
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
     seen = set()
@@ -241,5 +238,5 @@ def byte_components(structures):
             continue
         component = "nested" if nested else "trie"
         sizes[component] += sys.getsizeof(o)
-        add("bitmaps" if type(o) is TrieNode else component, *o[: o.HEAD])
+        add("bitmaps", *o[: o.HEAD])
     return sizes

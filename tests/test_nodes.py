@@ -11,7 +11,8 @@ import gc
 import random
 import sys
 import tracemalloc
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,7 @@ from leantrie.nodes import (
     _pos,
     build_root,
     fold_hash,
+    iter_keys,
     map_config,
     multimap_config,
     put_values,
@@ -432,6 +434,93 @@ def test_iteration_covers_exactly_the_contents():
     assert seen == model.as_dict()
     assert sorted(mm.keys()) == sorted(model.data)
     assert len(list(mm.items())) == mm.tuple_count
+
+
+def _reference_entries(cfg, node):
+    """A node's entries in trie order, by recursion: its inline, pair and
+    collection entries (a set's elements at width 1), then each sub-node's
+    in branch order."""
+    w = cfg.width
+    run, start, end_i, end_p, end = node.regions(w)
+    if w == 1:
+        yield from run[start:end_i]
+    else:
+        for pos in range(start, end_i, w):
+            yield (run[pos], run[pos + 1])
+        for pos in range(end_i, end_p, PAIR_W):
+            yield (run[pos], run[pos + 1])
+            yield (run[pos], run[pos + 2])
+        for pos in range(end_p, end, COLL_W):
+            for v in _reference_entries(cfg.value_cfg, run[pos + 1]):
+                yield (run[pos], v)
+    for child in run[end:]:
+        yield from _reference_entries(cfg, child)
+
+
+def _reference_keys(cfg, node):
+    w = cfg.width
+    run, start, end_i, end_p, end = node.regions(w)
+    yield from run[start:end_i:w]
+    yield from run[end_i:end_p:PAIR_W]
+    yield from run[end_p:end:COLL_W]
+    for child in run[end:]:
+        yield from _reference_keys(cfg, child)
+
+
+def _mod7(obj):
+    return hash(obj) % 7
+
+
+def _low10(obj):
+    return hash(obj) & 0x3FF
+
+
+@pytest.mark.parametrize("hasher", [None, _mod7, _low10], ids=["default", "mod7", "low10"])
+def test_iteration_follows_the_recursive_trie_order(hasher):
+    rng = random.Random(31)
+    # one to five values per key: inline, pair and nested-set entries; keys
+    # 1024 apart collide under _low10
+    pairs = [(k, rng.randrange(3000)) for k in range(0, 2800, 4) for _ in range(k % 5 + 1)]
+    mm = multimap(pairs, key_hash=hasher, value_hash=hasher)
+    m = pmap(pairs, key_hash=hasher)
+    s = pset((v for _, v in pairs), element_hash=hasher)
+    stats = structure_stats(mm)
+    assert stats["nested_set_nodes"] > stats["collection_entries"] > 0
+    assert (stats["collision_nodes"] > 0) == (hasher is not None)
+    for built in (mm, m):
+        assert list(built.items()) == list(_reference_entries(built._cfg, built._root))
+        assert list(built.keys()) == list(_reference_keys(built._cfg, built._root))
+    assert list(m.values()) == [v for _, v in _reference_entries(m._cfg, m._root)]
+    assert list(s) == list(_reference_entries(s._cfg, s._root))
+    assert list(s) == list(_reference_keys(s._cfg, s._root))
+    # the dominator fixpoint reads a key's values from one items() walk
+    grouped = [(k, [v for _, v in run]) for k, run in groupby(mm.items(), key=itemgetter(0))]
+    assert len(grouped) == mm.key_count
+    assert all(values == list(mm.get(k)) for k, values in grouped)
+
+
+def test_structure_stats_count_each_nested_root_once_per_key():
+    def colliding_below_zero(v):
+        return 0 if v < 0 else v  # negative values share one hash: a bucket
+
+    mm = multimap(
+        # 1: a nested set three levels deep; 2: a nested bucket under its
+        # root; 4: inline and 36: a pair, on a sub-node of the root
+        [(1, 1), (1, 33), (1, 1025), (2, -1), (2, -2), (2, -3), (4, 7), (36, 5), (36, 6)],
+        key_hash=lambda k: k,
+        value_hash=colliding_below_zero,
+    )
+    shared = mm.put_all(3, mm.get(1))
+    assert shared.get(3)._root is mm.get(1)._root
+    assert structure_stats(shared) == {
+        "trie_nodes": 2,
+        "collision_nodes": 0,
+        "inline_entries": 1,
+        "pair_entries": 1,
+        "collection_entries": 3,
+        "nested_set_nodes": 3 + 2 + 3,  # key 1's root counted for key 3 too
+        "max_depth": 2,  # the nested tries' three levels are not the trie's
+    }
 
 
 # -- sets and maps through the shared machinery ----------------------------------
@@ -1021,4 +1110,4 @@ def test_a_set_element_that_is_a_collision_node_is_stored_inline():
     cfg = set_config()
     root, n, _ = build_root(cfg, elements)
     assert n == 3 and validate_root(cfg, root) == (3, 3)
-    assert {id(e) for e in root.iter_entries(cfg)} == {id(e) for e in elements}
+    assert {id(e) for e in iter_keys(cfg, root)} == {id(e) for e in elements}

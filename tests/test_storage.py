@@ -457,9 +457,13 @@ def test_byte_components_match_a_layout_free_walk(name):
         stored = {id(o) for o in built}
         nested_roots = []
     nodes = _reached([built._root], stored)
-    bitmaps = {
-        id(o[0]): o[0] for o in nodes.values() if type(o) is TrieNode and o[0] > 256
-    }
+    # each node's head ints: a trie node's bitmap, a bucket's hash and counts
+    heads = (
+        o[:3] if type(o) is CollisionNode else o[:1]
+        for o in nodes.values()
+        if isinstance(o, (TrieNode, CollisionNode))
+    )
+    bitmaps = {id(i): i for head in heads for i in head if i > 256}
     nested = _reached(nested_roots, stored.union(bitmaps))
     trie = _reached([built._root], stored.union(bitmaps, map(id, nested_roots)))
     wrappers = _reached([built], stored | {id(built._root)})
