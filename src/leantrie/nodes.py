@@ -24,13 +24,26 @@ region-bounds rule: the node itself, where its inline region starts (1
 or 3), and where its pair region, its collection region and its
 sub-nodes start.  Iteration and node statistics read each node on the
 bounds that :func:`walk` yields; counting, equality and validation read
-them too, and ``payload_refs(width)`` gives on them a node's stored
-values and nested roots, so the footprint walks outside this module
-never decode the entry layout.  The hot paths keep their own arithmetic
-on the same layout, with the entry widths named as ``PAIR_W`` and
-``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
-planes for ``update``, ``lookup`` writes the inline rank in its loop
-over trie levels, and ``_placed`` and ``_lifted`` work from slot counts.
+them too, and ``refs(width)`` gives from one decoding a node's stored
+values, nested roots and sub-nodes, so the footprint walks outside this
+module never decode the entry layout.
+
+The hot paths keep their own arithmetic on the same layout, with the
+entry widths named as ``PAIR_W`` and ``COLL_W``.  :func:`_pos` ranks one
+branch's entry on the bitmap's bit planes; ``lookup`` and ``update``
+write its NODE and INLINE ranks in line, and ``_lifted`` works from slot
+counts.  ``update`` places the common leaf transitions with one
+slice-and-concatenate at the position its descent ranked: an entry that
+keeps its pattern (map replace, nested insert or delete, a value set
+replaced by one of the same kind) is swapped in place and the node keeps
+its bitmap int; an entry removed is cut out, and a new key on an empty
+branch put in, on the old bitmap XOR or OR that pattern's bits.  Only
+promotions, demotions and two keys pushed one level down (``_merge``)
+go through ``_placed``, which sets the new pattern and ranks again.  At
+a sub-node, the node is copied with the new child in one concatenation,
+and ``_lifted`` is asked only when a key left a child of at most ``3 +
+PAIR_W`` items: the largest node that can lift is a bucket holding one
+pair.
 
 Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
 dictionary, so a node costs one CPython object rather than an object plus
@@ -60,10 +73,10 @@ removal, the demotions pair-to-inline and collection-to-pair, and
 nested-set delete; :func:`_drop_key` removes a key with all its values,
 or a set's element.  A transition sees an absent key as an EMPTY entry;
 the two drops have nothing to add there, so an absent key gives back the
-receiver.  The node only places the new entry (``_placed``).  Only a key
-leaving a child (``key_delta < 0``) can leave it with one payload entry
-or as a chain above a collision bucket, so only then does the parent
-restore canonical form (``_lifted``).  A pair's two values are compared
+receiver.  The node only places the new entry.  Only a key leaving a
+child (``key_delta < 0``) can leave it with one payload entry or as a
+chain above a collision bucket, so only then does the parent restore
+canonical form (``_lifted``).  A pair's two values are compared
 by equality only, as an inline value is; the value hasher runs when a
 pair is formed from an inline value, to order it, and when it grows a
 nested set.
@@ -168,10 +181,6 @@ def _splice(old, rm_pos, rm_len, ins_pos, vals, head=()):
         return head + old[lead:ins_pos] + vals + old[ins_pos:rm_pos] + old[rm_end:]
     ins_at = rm_end + ins_pos - rm_pos
     return head + old[lead:rm_pos] + old[rm_end:ins_at] + vals + old[ins_at:]
-
-
-def _replaced(old, pos, value):
-    return old[:pos] + (value,) + old[pos + 1 :]
 
 
 def _pos(bm, w, pattern, branch, n):
@@ -394,14 +403,15 @@ class _Node(tuple):
             cfg, shift, key_hash, key, value, _drop_key if drop_key else _drop_value
         )
 
-    def payload_refs(self, w):
-        """``(values, nested)``: the values this node stores in its own
-        slots, a set's elements at width 1, and the roots of its
-        collection entries' nested sets."""
+    def refs(self, w):
+        """``(values, nested, children)`` from one decoding of the node:
+        the values it stores in its own slots, a set's elements at width
+        1, the roots of its collection entries' nested sets, and its
+        sub-nodes."""
         run, start, end_i, end_p, end = self.regions(w)
         values = run[start + w - 1 : end_i : w] + run[end_i + 1 : end_p : PAIR_W]
         values += run[end_i + 2 : end_p : PAIR_W]
-        return values, run[end_p + 1 : end : COLL_W]
+        return values, run[end_p + 1 : end : COLL_W], run[end:]
 
 
 class TrieNode(_Node):
@@ -428,13 +438,13 @@ class TrieNode(_Node):
     def _placed(self, w, branch, old, pos, size, pattern, vals):
         """This node with ``branch``'s entry of pattern ``old``, the
         ``size`` items at ``pos``, taken out and ``vals`` placed as its
-        entry, now of ``pattern``."""
+        entry, now of ``pattern`` (``update`` cuts out a removed entry
+        itself, so ``pattern`` is never EMPTY)."""
         bm = self[0]
         ins = pos  # an entry that keeps its pattern keeps its place
         if old != pattern:
             bm = set_pattern(bm, branch, pattern)
-            if pattern != EMPTY:
-                ins = _pos(bm, w, pattern, branch, len(self) - size + len(vals))
+            ins = _pos(bm, w, pattern, branch, len(self) - size + len(vals))
         return TrieNode(_splice(self, pos, size, ins, vals, (bm,)))
 
     def lookup(self, cfg, shift, key_hash, key):
@@ -480,26 +490,35 @@ class TrieNode(_Node):
         """``(node, key_delta)``: this node with ``change``'s transition
         applied to ``key``'s entry (see the module docstring)."""
         bm = self[0]
-        w = cfg.width
         branch = (key_hash >> shift) & 31
-        pattern = (bm >> (branch << 1)) & 0b11
+        offset = branch << 1
+        pattern = (bm >> offset) & 0b11
         if pattern == NODE:
-            pos = _pos(bm, w, NODE, branch, len(self))
+            # _pos for NODE: the sub-nodes on branches >= this one close the node
+            pos = len(self) - ((bm & ~(bm >> 1) & EVEN_BITS) >> offset).bit_count()
             child = self[pos]
             new_child, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
             if new_child is child:
                 return self, 0
-            if kd < 0:
-                lifted = _lifted(new_child, w)
+            # a child that can lift is at most a bucket's head and one pair
+            if kd < 0 and len(new_child) <= 3 + PAIR_W:
+                lifted = _lifted(new_child, cfg.width)
                 if lifted is not None:
                     p, vals = lifted
-                    return self._placed(w, branch, NODE, pos, 1, p, vals), kd
-            return TrieNode(_replaced(self, pos, new_child)), kd
-        if pattern != EMPTY:
-            if pattern == COLLECTION and (bm >> (PAIR_PLANE + branch)) & 1:
+                    return self._placed(cfg.width, branch, NODE, pos, 1, p, vals), kd
+            return TrieNode(self[:pos] + (new_child,) + self[pos + 1 :]), kd
+        w = cfg.width
+        if pattern == INLINE or pattern == EMPTY:
+            # _pos for INLINE, where this branch's inline entry is or goes:
+            # the inline branches below this one come first
+            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
+            size = w
+        else:
+            if (bm >> (PAIR_PLANE + branch)) & 1:
                 pattern = PAIR
             pos = _pos(bm, w, pattern, branch, len(self))
-            size = PAIR_W if pattern == PAIR else w  # COLL_W == w where collections occur
+            size = PAIR_W if pattern == PAIR else COLL_W
+        if pattern != EMPTY:
             k0 = self[pos]
             if k0 is key or k0 == key:
                 payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
@@ -507,8 +526,12 @@ class TrieNode(_Node):
                 if changed is None:
                     return self, 0
                 p, vals = changed
-                kd = -1 if p == EMPTY else 0
-                return self._placed(w, branch, pattern, pos, size, p, vals), kd
+                if p == pattern:  # same place, same bitmap int
+                    return TrieNode(self[:pos] + vals + self[pos + size :]), 0
+                if p == EMPTY:
+                    bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
+                    return TrieNode((bm,) + self[1:pos] + self[pos + size :]), -1
+                return self._placed(w, branch, pattern, pos, size, p, vals), 0
         added = change(cfg, EMPTY, key, None, value)
         if added is None:
             return self, 0
@@ -516,8 +539,9 @@ class TrieNode(_Node):
         if pattern == EMPTY:
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
-            bm |= p << (branch << 1) if p != PAIR else pattern_bits(PAIR, branch)
-            pos = _pos(bm, w, p, branch, len(self) + len(vals))
+            bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
+            if p != INLINE:
+                pos = _pos(bm, w, p, branch, len(self) + len(vals))
             return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), 1
         # a different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32

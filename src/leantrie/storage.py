@@ -26,6 +26,7 @@ import gc
 import sys
 import types
 from dataclasses import dataclass
+from itertools import repeat
 
 from .maps import PersistentMap, PersistentMultiMap, PersistentSet
 
@@ -141,14 +142,13 @@ def _reached(structures):
         if cfg is None:
             stack.append((o._root, o._cfg, nested))
             continue
-        w = cfg.width
-        run, _, _, _, end = o.regions(w)
-        values, roots = o.payload_refs(w)
-        stack.extend((child, cfg, nested) for child in reversed(run[end:]))
-        vcfg = cfg.value_cfg
-        stack.extend((root, vcfg, True) for root in reversed(roots))
-        # by exact type, as WRAPPER_FIELDS prices them: an ABC isinstance is slow
-        stack.extend((v, None, True) for v in reversed(values) if type(v) in WRAPPER_FIELDS)
+        values, roots, children = o.refs(cfg.width)
+        stack.extend(zip(reversed(children), repeat(cfg), repeat(nested)))
+        stack.extend(zip(reversed(roots), repeat(cfg.value_cfg), repeat(True)))
+        # by exact type, as WRAPPER_FIELDS prices them (an ABC isinstance is
+        # slow), and only where one C-level scan of the types finds one
+        if not WRAPPER_FIELDS.keys().isdisjoint(map(type, values)):
+            stack.extend((v, None, True) for v in reversed(values) if type(v) in WRAPPER_FIELDS)
 
 
 def _measured(structures):

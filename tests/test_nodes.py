@@ -381,6 +381,71 @@ def test_bucket_shrinking_to_one_entry_reinlines_into_the_parent():
     assert structurally_equal(shrunk, direct)
 
 
+LIFT_TABLE = {"A": 33, "B": 33, "C": 2}  # A and B share a bucket on branch 1
+
+
+@pytest.mark.parametrize("kind", ["inline", "pair", "collection", "set"])
+def test_a_bucket_left_with_each_kind_of_entry_lifts_into_the_parent(kind):
+    # the survivor's entry: one value, two (a bucket of 3 + PAIR_W items,
+    # the largest node that lifts), three, or a set's element
+    if kind == "set":
+        grown = pset("ABC", element_hash=LIFT_TABLE.__getitem__)
+        shrunk = grown.remove("B")
+        direct = pset("AC", element_hash=LIFT_TABLE.__getitem__)
+    else:
+        values = {"inline": [1], "pair": [1, 2], "collection": [1, 2, 3]}[kind]
+        pairs = [("A", v) for v in values] + [("C", 9)]
+        grown = multimap(pairs + [("B", 5)], key_hash=LIFT_TABLE.__getitem__)
+        shrunk = grown.remove("B", 5)
+        direct = multimap(pairs, key_hash=LIFT_TABLE.__getitem__)
+    bucket = grown._root[-1]
+    assert type(bucket) is CollisionNode
+    assert len(bucket) == {"inline": 7, "pair": 8, "collection": 7, "set": 5}[kind]
+    check_invariants(shrunk)
+    stats = structure_stats(shrunk)
+    assert stats["collision_nodes"] == 0
+    assert stats["trie_nodes"] == 1
+    assert shrunk._root.equals(shrunk._cfg, direct._root)
+    assert shrunk._root[0] == direct._root[0]
+
+
+def _big_bitmap_root(structure):
+    """``structure``'s root bitmap, checked to be an int object of its own
+    (small ints are cached, so identity would say nothing)."""
+    bm = structure._root[0]
+    assert bm > 256
+    return bm
+
+
+def test_an_update_that_keeps_a_nodes_patterns_keeps_its_bitmap_int():
+    ident = lambda k: k  # noqa: E731 - keys 20 and 21 land on branches 20 and 21
+    m = pmap({20: "a", 21: "b"}, key_hash=ident)
+    bm = _big_bitmap_root(m)
+    assert m.put(20, "c")._root[0] is bm  # map replace
+    mm = multimap([(20, 1), (20, 2), (20, 3), (21, 4)], key_hash=ident)
+    bm = _big_bitmap_root(mm)
+    assert mm.put(20, 5)._root[0] is bm  # nested insert into a collection entry
+    others = pset([6, 7, 8, 9])
+    assert mm.put_all(20, others)._root[0] is bm  # another 3+-value set
+    assert mm.remove(20, 1).put(20, 1)._root[0] is not bm  # demoted, then promoted
+    # a change below a sub-node path-copies the parent with its bitmap int
+    deep = multimap([(20, 1), (20 | 1 << 5, 2), (21, 4)], key_hash=ident)
+    bm = _big_bitmap_root(deep)
+    assert deep.put(20, 3)._root[0] is bm
+
+
+def test_an_update_that_changes_a_pattern_makes_a_new_bitmap_int():
+    ident = lambda k: k  # noqa: E731
+    mm = multimap([(20, 1), (21, 4)], key_hash=ident)
+    bm = _big_bitmap_root(mm)
+    for changed in (mm.put(21, 5), mm.remove(21, 4), mm.put(22, 6)):
+        assert changed._root[0] is not bm
+        assert changed._root[0] != bm
+    paired = mm.put(21, 5)
+    back = paired.remove(21, 5)
+    assert back._root[0] == bm and back._root[0] is not paired._root[0]
+
+
 def test_bucket_region_order_is_irrelevant_to_equality():
     ops = [("A", 1), ("B", 2), ("C", 3)]
     a = multimap(ops, key_hash=lambda k: 9)

@@ -1,9 +1,9 @@
 """Slot-splicing, footprint-model and real-byte tests.
 
-``nodes._splice`` / ``nodes._replaced`` are checked against an
-element-wise list oracle; footprint numbers for small structures are frozen
-from hand counts under the default model (header 2 words, bitmap 1, slot 1,
-out-of-line indirection 1); ``object_bytes`` is checked against what
+``nodes._splice`` is checked against an element-wise list oracle;
+footprint numbers for small structures are frozen from hand counts under
+the default model (header 2 words, bitmap 1, slot 1, out-of-line
+indirection 1); ``object_bytes`` is checked against what
 ``tracemalloc`` sees a build allocate, its components against a walk of
 ``gc`` referents that knows no node layout, and every bulk build against
 holding one int object per distinct bitmap, shared with no other build.
@@ -31,7 +31,7 @@ from leantrie import (
     pset,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
-from leantrie.nodes import CollisionNode, TrieNode, _replaced, _splice
+from leantrie.nodes import CollisionNode, TrieNode, _splice
 from leantrie.selftest import _bitmap_ints
 from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS, WRAPPER_FIELDS
 
@@ -74,14 +74,6 @@ def test_splice_with_nothing_to_move_is_a_copy():
     old = (1, 2, 3)
     assert _splice(old, 1, 0, 1, ()) == old
     assert _splice((), 0, 0, 0, ()) == ()
-
-
-def test_replaced_swaps_exactly_one_slot():
-    old = tuple(range(7))
-    for pos in range(7):
-        got = _replaced(old, pos, "x")
-        assert got == old[:pos] + ("x",) + old[pos + 1 :]
-    assert old == tuple(range(7))  # receiver untouched
 
 
 # --- indirection pricing rule ---------------------------------------------------

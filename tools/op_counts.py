@@ -1,0 +1,159 @@
+"""Count the bytecodes a multimap's point operations execute.
+
+Usage, from anywhere::
+
+    python3 tools/op_counts.py CHECKOUT [--keys 65536] [--mix 0.9]
+        [--ops 8000] [--seed 1] [--format table|json]
+
+Imports ``leantrie`` from ``CHECKOUT/src``, builds the multimap of
+``leantrie.bench.generate_workload`` at ``--keys`` keys, ``--mix`` of them
+with one value and the rest with two, and draws a seeded op mix of
+``--ops`` operations: half ``contains_entry`` (hit : value miss : key miss
+= 2:1:1), a quarter ``put`` (half a new key, half a new value for a stored
+key) and a quarter ``remove`` of a stored tuple.  Each operation is applied
+to the built multimap itself, so no operation depends on another's result.
+``sys.settrace`` counts the bytecodes each one executes, by function, and
+the report gives each operation kind's bytecodes per operation, split by
+the function that ran them, with the total.  The counts depend only on the
+code and the seed, not on the host's speed, so two checkouts can be
+compared by one run each where their timings cannot.
+"""
+
+import argparse
+import json
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+KINDS = ("put", "remove", "contains_entry")
+
+
+def import_leantrie(checkout):
+    """``leantrie`` imported from ``checkout``'s ``src`` directory."""
+    src = (Path(checkout) / "src").resolve()
+    sys.path.insert(0, str(src))
+    import leantrie
+
+    if src not in Path(leantrie.__file__).resolve().parents:
+        raise SystemExit(f"op_counts: leantrie came from {leantrie.__file__}, not {src}")
+    return leantrie
+
+
+def op_mix(dataset, n_ops, seed):
+    """``[(kind, key, value)]``: ``n_ops`` operations on ``dataset``'s
+    multimap, in a seeded order.  New keys and values lie outside the
+    dataset's key and value spaces, so a new key is absent and a new value
+    is not stored."""
+    from leantrie.bench import _KEY_SPACE, _VALUE_SPACE
+
+    rng = random.Random(seed)
+    entries = dataset.entries
+    n_put = n_remove = n_ops // 4
+    n_lookup = n_ops - n_put - n_remove
+    kinds = ["contains_entry"] * n_lookup + ["put"] * n_put + ["remove"] * n_remove
+    rng.shuffle(kinds)
+    cases = {
+        "contains_entry": ("stored", "stored", "new value", "new key"),
+        "put": ("new value", "new key"),
+        "remove": ("stored",),
+    }
+    ops = []
+    for kind in kinds:
+        case = rng.choice(cases[kind])
+        if case == "stored":
+            k, v = rng.choice(entries)
+        elif case == "new value":
+            k, v = rng.choice(entries)[0], _VALUE_SPACE + rng.randrange(_VALUE_SPACE)
+        else:
+            k, v = _KEY_SPACE + rng.randrange(_KEY_SPACE), rng.randrange(_VALUE_SPACE)
+        ops.append((kind, k, v))
+    return ops
+
+
+def count(mm, ops):
+    """``{kind: (n_ops, Counter(function -> bytecodes))}`` over ``ops``
+    applied to ``mm``, each traced on its own."""
+    counts = Counter()
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            counts[frame.f_code] += 1
+        return local
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    per_kind = {kind: [0, Counter()] for kind in KINDS}
+    for kind, k, v in ops:
+        method = getattr(mm, kind)
+        sys.settrace(call)
+        method(k, v)
+        sys.settrace(None)
+        entry = per_kind[kind]
+        entry[0] += 1
+        for code, n in counts.items():
+            name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+            entry[1][name] += n
+        counts.clear()
+    return per_kind
+
+
+def report(per_kind):
+    """``{kind: {"ops": n, "total": per op, "by_function": {name: per op}}}``,
+    functions by falling count."""
+    out = {}
+    for kind, (n, by_function) in per_kind.items():
+        out[kind] = {
+            "ops": n,
+            "total": round(sum(by_function.values()) / n, 1),
+            "by_function": {
+                name: round(c / n, 1)
+                for name, c in sorted(by_function.items(), key=lambda item: (-item[1], item[0]))
+            },
+        }
+    return out
+
+
+def table(result):
+    """The report as one row per function, one column per kind."""
+    names = sorted(
+        {name for r in result.values() for name in r["by_function"]},
+        key=lambda name: (-sum(r["by_function"].get(name, 0) for r in result.values()), name),
+    )
+    width = max(map(len, names), default=8)
+    lines = [f"{'bytecodes per op':<{width}}" + "".join(f"{kind:>16}" for kind in KINDS)]
+    for name in ["total", *names]:
+        cells = [
+            result[kind]["total"] if name == "total" else result[kind]["by_function"].get(name, 0)
+            for kind in KINDS
+        ]
+        lines.append(f"{name:<{width}}" + "".join(f"{c:>16.1f}" for c in cells))
+    lines.append(f"{'ops':<{width}}" + "".join(f"{result[kind]['ops']:>16}" for kind in KINDS))
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
+    p.add_argument("--keys", type=int, default=1 << 16)
+    p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
+    p.add_argument("--ops", type=int, default=8000)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--format", choices=("table", "json"), default="table")
+    args = p.parse_args(argv)
+    if args.ops < 4:
+        p.error("--ops must be at least 4, so that each kind runs once")
+    leantrie = import_leantrie(args.checkout)
+    from leantrie.bench import WorkloadSpec, generate_workload
+
+    dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
+    mm = leantrie.multimap(dataset.entries)
+    result = report(count(mm, op_mix(dataset, args.ops, args.seed)))
+    print(json.dumps(result, indent=1) if args.format == "json" else table(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
