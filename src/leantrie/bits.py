@@ -17,6 +17,11 @@ write the plane, and :func:`pattern_bits` gives one branch's bits.  The
 filter functions read the 64 pattern bits only, where a pair is a
 COLLECTION branch.
 
+The node layer uses :func:`pattern_bits` alone: it ranks on the bit
+planes in line (``nodes._pos``) and moves an entry by XOR and OR of its
+old and new pattern bits.  The other helpers are the reference algebra
+that the tests, ``leantrie selftest`` and perfbench read.
+
 The filter trick below turns "which branches carry pattern p" into four
 constant-time mask expressions over the even/odd bit planes, so ranking a
 branch within its category is two ANDs and a popcount instead of a loop.

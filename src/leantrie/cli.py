@@ -203,7 +203,7 @@ def _load_graphs(args):
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read graph file {path}: {exc}") from exc
         graphs.append(parse_edge_list(text, name=path.name))
     random_sizes = args.random

@@ -459,11 +459,12 @@ def pmap(source=(), *, key_hash=None):
 
 
 def multimap(source=(), *, key_hash=None, value_hash=None):
-    """Persistent multimap from a mapping or an iterable of (key, value)
-    pairs.  Duplicate pairs collapse; duplicate keys accumulate values.
+    """Persistent multimap from a mapping, a multimap or an iterable of
+    (key, value) pairs.  Duplicate pairs collapse; duplicate keys
+    accumulate values.
     """
     cfg = multimap_config(key_hash, value_hash)
-    pairs = source.items() if isinstance(source, Mapping) else source
+    pairs = source.items() if isinstance(source, (Mapping, PersistentMultiMap)) else source
     return PersistentMultiMap(cfg, *build_root(cfg, pairs))
 
 

@@ -28,22 +28,26 @@ them too, and ``refs(width)`` gives from one decoding a node's stored
 values, nested roots and sub-nodes, so the footprint walks outside this
 module never decode the entry layout.
 
-The hot paths keep their own arithmetic on the same layout, with the
-entry widths named as ``PAIR_W`` and ``COLL_W``.  :func:`_pos` ranks one
-branch's entry on the bitmap's bit planes; ``lookup`` and ``update``
-write its NODE and INLINE ranks in line, and ``_lifted`` works from slot
-counts.  ``update`` places the common leaf transitions with one
+Each node layout has one writer.  A trie node's hot paths keep their
+own arithmetic on it, with the entry widths named as ``PAIR_W`` and
+``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
+planes, and ``lookup`` and ``update`` write its NODE and INLINE ranks in
+line.  ``update`` places the common leaf transitions with one
 slice-and-concatenate at the position its descent ranked: an entry that
 keeps its pattern (map replace, nested insert or delete, a value set
 replaced by one of the same kind) is swapped in place and the node keeps
 its bitmap int; an entry removed is cut out, and a new key on an empty
-branch put in, on the old bitmap XOR or OR that pattern's bits.  Only
-promotions, demotions and two keys pushed one level down (``_merge``)
-go through ``_placed``, which sets the new pattern and ranks again.  At
-a sub-node, the node is copied with the new child in one concatenation,
+branch put in, on the old bitmap XOR or OR that pattern's bits.
+Promotions, demotions, a lifted child and two keys pushed one level down
+(``_merge``) move an entry: ``_placed`` cuts the old entry out and puts
+the new one in where ``_pos`` ranks it on the new bitmap.  At a
+sub-node, the node is copied with the new child in one concatenation,
 and ``_lifted`` is asked only when a key left a child of at most ``3 +
 PAIR_W`` items: the largest node that can lift is a bucket holding one
-pair.
+pair.  A bucket is small and rare, so it is never edited in place: its
+``update``, ``lookup``, ``equals`` and ``_lifted`` read its entry list,
+and every bucket, from an update, a build, ``_merge`` or ``&``, is laid
+out by :func:`_collision`.
 
 Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
 dictionary, so a node costs one CPython object rather than an object plus
@@ -130,7 +134,6 @@ from .bits import (
     PAIR,
     PAIR_PLANE,
     pattern_bits,
-    set_pattern,
 )
 
 M32 = 0xFFFFFFFF
@@ -171,18 +174,6 @@ def _eq(a, b):
     return a is b or a == b
 
 
-def _splice(old, rm_pos, rm_len, ins_pos, vals, head=()):
-    """``old`` minus ``rm_len`` items at ``rm_pos``, with ``vals`` inserted
-    at ``ins_pos`` (a position in the result, i.e. after the removal) and
-    its first ``len(head)`` items replaced by ``head``."""
-    lead = len(head)
-    rm_end = rm_pos + rm_len
-    if ins_pos <= rm_pos:
-        return head + old[lead:ins_pos] + vals + old[ins_pos:rm_pos] + old[rm_end:]
-    ins_at = rm_end + ins_pos - rm_pos
-    return head + old[lead:rm_pos] + old[rm_end:ins_at] + vals + old[ins_at:]
-
-
 def _pos(bm, w, pattern, branch, n):
     """Index of ``branch``'s entry of ``pattern`` in a trie node of length
     ``n`` with bitmap ``bm``.
@@ -218,13 +209,11 @@ def _pos(bm, w, pattern, branch, n):
     return pos + COLL_W * (both & ((1 << offset) - 1)).bit_count()
 
 
-def _payload(run, pattern, pos, w):
-    """The payload of the entry of ``pattern`` at ``pos`` in ``run``: the
+def _payload(s, pattern, w):
+    """The payload of an entry of ``pattern`` whose slots are ``s``: the
     inline value (the element itself at width 1), a pair's two values as a
     tuple, or the nested set root."""
-    if pattern == PAIR:
-        return run[pos + 1 : pos + PAIR_W]
-    return run[pos + w - 1]
+    return s[1:] if pattern == PAIR else s[w - 1]
 
 
 class ValuePair(tuple):
@@ -437,15 +426,12 @@ class TrieNode(_Node):
 
     def _placed(self, w, branch, old, pos, size, pattern, vals):
         """This node with ``branch``'s entry of pattern ``old``, the
-        ``size`` items at ``pos``, taken out and ``vals`` placed as its
-        entry, now of ``pattern`` (``update`` cuts out a removed entry
-        itself, so ``pattern`` is never EMPTY)."""
-        bm = self[0]
-        ins = pos  # an entry that keeps its pattern keeps its place
-        if old != pattern:
-            bm = set_pattern(bm, branch, pattern)
-            ins = _pos(bm, w, pattern, branch, len(self) - size + len(vals))
-        return TrieNode(_splice(self, pos, size, ins, vals, (bm,)))
+        ``size`` items at ``pos``, cut out and ``vals`` placed where an
+        entry of ``pattern``, never ``old`` or EMPTY, goes."""
+        bm = self[0] ^ pattern_bits(old, branch) | pattern_bits(pattern, branch)
+        cut = self[1:pos] + self[pos + size :]
+        ins = _pos(bm, w, pattern, branch, len(cut) + 1 + len(vals)) - 1
+        return TrieNode((bm,) + cut[:ins] + vals + cut[ins:])
 
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
@@ -581,9 +567,11 @@ class CollisionNode(_Node):
     Keeps the same three payload regions as ``TrieNode`` (inline entries,
     then pair entries, then collection entries) but no bitmap and no
     sub-nodes; ``inline_n`` counts the inline entries and ``pair_n`` the
-    pairs.  Region-internal order follows the history (the order of
-    inserts, or of first appearance in a bulk build), so structural
-    equality finds each entry's key in the other bucket.
+    pairs.  Region-internal order follows the history, so structural
+    equality finds each entry's key in the other bucket: a bulk build
+    orders each region by the first appearance of its keys, and ``update``
+    keeps an entry that keeps its pattern at its index and appends a new
+    key, or an entry whose pattern changes, to close its region.
     """
 
     __slots__ = ()
@@ -598,77 +586,61 @@ class CollisionNode(_Node):
         return self, 3, end_i, end_i + PAIR_W * self[2], len(self)
 
     def _entries(self, w):
-        """``(pattern, pos)`` of each entry, region by region."""
+        """``[(pattern, slots)]`` of this bucket's entries, region by
+        region: the list ``update`` edits and ``_collision`` lays out."""
         _, start, end_i, end_p, end = self.regions(w)
-        for pos in range(start, end_i, w):
-            yield INLINE, pos
-        for pos in range(end_i, end_p, PAIR_W):
-            yield PAIR, pos
-        for pos in range(end_p, end, COLL_W):
-            yield COLLECTION, pos
-
-    def _find(self, w, key):
-        """``(pattern, pos)`` of ``key``'s entry, or None."""
-        for found in self._entries(w):
-            k0 = self[found[1]]
-            if k0 is key or k0 == key:
-                return found
-        return None
-
-    def _placed(self, w, old, pos, size, pattern, vals):
-        """This bucket with the ``size`` slots of its ``old``-pattern entry
-        at ``pos`` taken out and ``vals`` placed as an entry of ``pattern``.
-        Regions keep insertion order, so an entry that changes its pattern
-        closes its new region."""
-        inline_n = self[1] + (pattern == INLINE) - (old == INLINE)
-        pair_n = self[2] + (pattern == PAIR) - (old == PAIR)
-        ins = pos  # an entry that keeps its pattern keeps its place
-        if pattern != old and pattern != EMPTY:
-            # in the result, the inline region ends at 3 + w * inline_n,
-            # the pair region PAIR_W * pair_n items later and the
-            # collection region with the node
-            if pattern == INLINE:
-                end = 3 + w * inline_n
-            elif pattern == PAIR:
-                end = 3 + w * inline_n + PAIR_W * pair_n
-            else:
-                end = len(self) - size + len(vals)
-            ins = end - len(vals)
-        return CollisionNode(_splice(self, pos, size, ins, vals, (self[0], inline_n, pair_n)))
+        entries = []
+        for pattern, first, last, size in (
+            (INLINE, start, end_i, w),
+            (PAIR, end_i, end_p, PAIR_W),
+            (COLLECTION, end_p, end, COLL_W),
+        ):
+            entries += [(pattern, self[pos : pos + size]) for pos in range(first, last, size)]
+        return entries
 
     def lookup(self, cfg, shift, key_hash, key):
         if key_hash != self[0]:
             return None
         w = cfg.width
-        found = self._find(w, key)
-        if found is None:
+        entries = self._entries(w)
+        i = _index(entries, key)
+        if i < 0:
             return None
-        pattern, pos = found
+        pattern, s = entries[i]
         if pattern == PAIR:
-            return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
-        return (pattern, self[pos + w - 1])
+            return (PAIR, ValuePair(s[1:]))
+        return (pattern, s[w - 1])
 
     def update(self, cfg, shift, key_hash, key, value, change):
+        """The bucket rebuilt from its edited entry list: an entry that
+        keeps its pattern keeps its index, a dropped one is deleted, and a
+        new key or an entry that changes its pattern is appended, so it
+        closes its region."""
         w = cfg.width
-        found = self._find(w, key) if key_hash == self[0] else None
-        if found is None:
+        entries = self._entries(w) if key_hash == self[0] else []
+        i = _index(entries, key)
+        if i < 0:
             added = change(cfg, EMPTY, key, None, value)
             if added is None:
                 return self, 0
-            p, vals = added
             if key_hash != self[0]:
                 # hashes differ after all: the bucket and the new entry
                 # part where their hash fragments do
-                return _merge(shift, self[0], NODE, (self,), key_hash, p, vals), 1
-            return self._placed(w, EMPTY, len(self), 0, p, vals), 1
-        pattern, pos = found
-        changed = change(cfg, pattern, self[pos], _payload(self, pattern, pos, w), value)
+                return _merge(shift, self[0], NODE, (self,), key_hash, *added), 1
+            entries.append(added)
+            return _collision(key_hash, entries), 1
+        pattern, s = entries[i]
+        changed = change(cfg, pattern, s[0], _payload(s, pattern, w), value)
         if changed is None:
             return self, 0
-        p, vals = changed
-        size = PAIR_W if pattern == PAIR else w
-        kd = -1 if p == EMPTY else 0
-        return self._placed(w, pattern, pos, size, p, vals), kd
+        p = changed[0]
+        if p == pattern:
+            entries[i] = changed
+        else:
+            del entries[i]
+            if p != EMPTY:
+                entries.append(changed)
+        return _collision(key_hash, entries), -(p == EMPTY)
 
     def equals(self, cfg, other):
         """Whether ``other`` is a bucket of the same entries: each key of
@@ -680,14 +652,24 @@ class CollisionNode(_Node):
             return False
         w = cfg.width
         vcfg = cfg.value_cfg
-        for pattern, pos in self._entries(w):
-            found = other._find(w, self[pos])
-            if found is None or found[0] != pattern:
+        theirs = other._entries(w)
+        for pattern, s in self._entries(w):
+            i = _index(theirs, s[0])
+            if i < 0 or theirs[i][0] != pattern:
                 return False
-            mine = _payload(self, pattern, pos, w)
-            if not _same_payload(vcfg, pattern, mine, _payload(other, pattern, found[1], w)):
+            t = theirs[i][1]
+            if not _same_payload(vcfg, pattern, _payload(s, pattern, w), _payload(t, pattern, w)):
                 return False
         return True
+
+
+def _index(entries, key):
+    """Index of ``key``'s entry in a bucket's ``entries``, or -1."""
+    for i, (_, s) in enumerate(entries):
+        k0 = s[0]
+        if k0 is key or k0 == key:
+            return i
+    return -1
 
 
 # -- construction helpers ------------------------------------------------------
@@ -794,9 +776,9 @@ def build_root(cfg, entries, bitmaps=None):
     so the nodes are built bottom-up, each exactly once, in two steps.
 
     One pass over ``entries`` groups them by 32-bit hash, into a table
-    that holds each key's final entry as it forms: at width 1 the element
-    itself, at width 2 the slot tuple ``(key, value)`` of an inline entry
-    (a map replaces the value on a later, unequal one), then a multimap's
+    that holds each key's final entry as it forms: an inline entry's slot
+    tuple, ``(element,)`` at width 1 and ``(key, value)`` at width 2 (a
+    map replaces the value on a later, unequal one), then a multimap's
     hash-ordered pair ``(key, v0, v1)`` once a second distinct value
     arrives, then a list ``[key, v0, v1, v2, ...]`` from the third value
     on, which a nested build dedups and sizes.  Later keys of a hash
@@ -804,7 +786,9 @@ def build_root(cfg, entries, bitmaps=None):
     region by the first appearance of its keys, and takes the hash's place
     in the table.  The partition then reads ``(hash, entry)`` straight
     from the table, splitting it by hash fragment: an entry's shape names
-    its kind, and a branch that holds one entry stores it with no sub-node.
+    its kind at every width (a bucket, a list for a collection entry, ``w``
+    slots inline, a pair otherwise), and a branch that holds one entry
+    stores it with no sub-node.
 
     Every node of the build takes its bitmap through ``bitmaps``, a table
     from each bitmap value to its first int object, so equal bitmaps share
@@ -824,11 +808,11 @@ def build_root(cfg, entries, bitmaps=None):
     if w == 1:
         for e in entries:
             h = hasher(e) & M32
-            e0 = table.setdefault(h, e)
+            (e0,) = table.setdefault(h, (e,))
             if e0 is not e and not e0 == e:
                 bucket = more.setdefault(h, [])
-                if not any(k is e or k == e for k in bucket):
-                    bucket.append(e)
+                if not any(k is e or k == e for (k,) in bucket):
+                    bucket.append((e,))
     else:
         vhasher = None if vcfg is None else vcfg.hasher
         for key, value in entries:
@@ -889,12 +873,10 @@ def build_root(cfg, entries, bitmaps=None):
     for h, bucket in more.items():
         kinds = []
         for e in (table[h], *bucket):
-            if w == 1:
-                kinds.append((INLINE, (e,)))
-            elif type(e) is list:
+            if type(e) is list:
                 kinds.append((COLLECTION, collection(e)))
             else:
-                kinds.append((INLINE if len(e) == 2 else PAIR, e))
+                kinds.append((INLINE if len(e) == w else PAIR, e))
         table[h] = _collision(h, kinds)
 
     def trie_node(shift, items):
@@ -922,18 +904,15 @@ def build_root(cfg, entries, bitmaps=None):
                 bm |= NODE << (b << 1)
                 subs.append(trie_node(shift + 5, group))
                 continue
-            h, e = group
+            e = group[1]
             kind = type(e)
-            if kind is CollisionNode and h in more:  # a bucket, not a set's element
+            if kind is CollisionNode:
                 bm |= NODE << (b << 1)
                 subs.append(e)
-            elif w == 1:
-                bm |= INLINE << (b << 1)
-                inline.append(e)
             elif kind is list:
                 bm |= COLLECTION << (b << 1)
                 colls += collection(e)
-            elif len(e) == 2:
+            elif len(e) == w:
                 bm |= INLINE << (b << 1)
                 inline += e
             else:
@@ -963,12 +942,8 @@ def _lifted(node, w):
         if n != w:  # several elements of a set
             return None
         return (COLLECTION if bm & (bm >> 1) & EVEN_BITS else INLINE), node[1:]
-    n = len(node) - 3
-    if n == w:
-        return (INLINE if node[1] else COLLECTION), node[3:]
-    if n == PAIR_W and node[2]:
-        return PAIR, node[3:]
-    return None
+    entries = node._entries(w)
+    return entries[0] if len(entries) == 1 else None
 
 
 def intersect(cfg, a, b):

@@ -1,8 +1,8 @@
-"""Quick self-checks: bitmap algebra, model equivalence, canonical shapes,
-bulk build and ``put_all`` against their update folds, bitmap sharing
-within a bulk build, footprint constants, and the dominator fixpoint,
-each against a small independent oracle.  Prints one line per check;
-returns overall success.
+"""Quick self-checks: bitmap algebra and the trie's slot ranks, model
+equivalence, canonical shapes, bulk build and ``put_all`` against their
+update folds, bitmap sharing within a bulk build, footprint constants,
+and the dominator fixpoint, each against a small independent oracle.
+Prints one line per check; returns overall success.
 """
 
 import random
@@ -12,7 +12,7 @@ from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
-from .nodes import TrieNode
+from .nodes import COLL_W, PAIR_W, TrieNode, _pos
 from .storage import FootprintModel, _reached, footprint
 
 
@@ -31,6 +31,38 @@ def _check_bitmap_algebra(rng):
             rank = sum(1 for g in groups[:branch] if g == pattern)
             if bits.index_in_category(bitmap, pattern, branch) != rank:
                 return False
+        if not _node_ranks_match(rng, groups, bitmap):
+            return False
+    return True
+
+
+def _node_ranks_match(rng, groups, bitmap):
+    """Whether ``nodes._pos`` and ``TrieNode.regions`` agree with a slot run
+    laid out branch by branch, region by region, for ``bitmap`` with a
+    random share of its COLLECTION branches marked as pairs, at widths 1
+    and 2."""
+    pairs = 0
+    for b, g in enumerate(groups):
+        if g == bits.COLLECTION and rng.random() < 0.5:
+            pairs |= 1 << b
+    bm = bitmap | pairs << bits.PAIR_PLANE
+    patterns = [bits.PAIR if pairs >> b & 1 else g for b, g in enumerate(groups)]
+    for w in (1, 2):
+        size = {bits.INLINE: w, bits.PAIR: PAIR_W, bits.COLLECTION: COLL_W, bits.NODE: 1}
+        expect = {}
+        bounds = []
+        pos = 1
+        for region in (bits.INLINE, bits.PAIR, bits.COLLECTION, bits.NODE):
+            bounds.append(pos)
+            for b, p in enumerate(patterns):
+                if p == region:
+                    expect[b] = pos
+                    pos += size[p]
+        node = TrieNode((bm,) + (None,) * (pos - 1))
+        if node.regions(w)[1:] != tuple(bounds):
+            return False
+        if any(_pos(bm, w, patterns[b], b, pos) != at for b, at in expect.items()):
+            return False
     return True
 
 
@@ -235,7 +267,7 @@ def _check_collision_torture(rng):
 
 
 CHECKS = (
-    ("bitmap algebra vs per-branch oracle", _check_bitmap_algebra),
+    ("bitmap algebra and node ranks vs per-branch oracle", _check_bitmap_algebra),
     ("multimap matches dict-of-sets model", _check_model_equivalence),
     ("canonical shapes are history-free", _check_canonical_shapes),
     ("bulk build matches the put fold", _check_bulk_build),

@@ -229,6 +229,18 @@ def test_malformed_graph_file_is_named_with_its_line(capsys, tmp_path):
     assert "broken.cfg:1" in err
 
 
+@pytest.mark.parametrize("flag", ["--graph", "--graph-dir"])
+def test_a_graph_file_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path, flag):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    bad = graphs / "latin1.cfg"
+    bad.write_bytes("entry \xe9\n\xe9 b\n".encode("latin-1"))
+    rc, out, err = run_cli(capsys, "dominators", flag, str(bad if flag == "--graph" else graphs))
+    assert rc == 2
+    assert out == ""
+    assert "latin1.cfg" in err and "Traceback" not in err
+
+
 def test_graph_dir_must_be_a_directory(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "dominators", "--graph-dir", str(tmp_path / "void"))
     assert rc == 2

@@ -1,5 +1,6 @@
 """No library or tool module imports a name it never reads, and every
-module-level name of the library is read somewhere.
+module-level name of the library, and every method and property of its
+classes, is read somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  Package ``__init__`` modules import to re-export, so they
@@ -82,18 +83,33 @@ def read_names(tree):
     return read
 
 
-def unread_names(modules, readers):
-    """``module:name`` for each top-level name of ``modules`` (``{path:
-    source}``) that no source in ``readers`` or ``modules`` reads outside
-    its own definition."""
+def defined_members(tree):
+    """``{"Class.name": definition node}`` of the methods and properties
+    of a module's top-level classes, dunder names left out."""
+    return {
+        f"{cls.name}.{node.name}": node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def unread_names(modules, readers, defined=defined_names):
+    """``module:name`` for each name that ``defined`` finds in ``modules``
+    (``{path: source}``) and that no source in ``readers`` or ``modules``
+    reads outside its own definition; a ``Class.name`` counts as read
+    wherever its last part is."""
     read = Counter()
     for source in {**readers, **modules}.values():
         read += read_names(ast.parse(source))
     unread = []
     for path, source in modules.items():
-        for name, node in defined_names(ast.parse(source)).items():
+        for qualname, node in defined(ast.parse(source)).items():
+            name = qualname.rpartition(".")[2]
             if read[name] == read_names(node)[name]:
-                unread.append(f"{Path(path).stem}:{name}")
+                unread.append(f"{Path(path).stem}:{qualname}")
     return unread
 
 
@@ -110,3 +126,28 @@ def test_every_library_name_is_read():
     modules = {str(p): p.read_text() for p in LIBRARY}
     readers = {str(p): p.read_text() for p in READERS}
     assert unread_names(modules, readers) == []
+
+
+def test_the_check_finds_an_unread_member():
+    modules = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self.kept()\n"
+            "    def kept(self):\n"
+            "        pass\n"
+            "    def loop(self):\n"
+            "        return self.loop()\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+        ),
+    }
+    readers = {"b.py": "from a import C\nC().size\n"}
+    assert unread_names(modules, readers, defined_members) == ["a:C.loop"]
+
+
+def test_every_library_member_is_read():
+    modules = {str(p): p.read_text() for p in LIBRARY}
+    readers = {str(p): p.read_text() for p in READERS}
+    assert unread_names(modules, readers, defined_members) == []

@@ -382,6 +382,18 @@ def test_multimap_from_mapping():
     assert set(mm.get("a")) == {1}
 
 
+@pytest.mark.parametrize("key", [lambda i: i, lambda i: (i, -i)], ids=["int", "2-tuple"])
+def test_multimap_from_a_multimap_copies_its_tuples(key):
+    # keys with one value (inline), two (a pair) and three (a nested set)
+    pairs = [(key(k), v) for k in range(30) for v in range(k % 3 + 1)]
+    mm = multimap(pairs)
+    copied = multimap(mm)
+    check_invariants(copied)
+    assert copied == mm
+    assert sorted(copied.items()) == sorted(pairs)
+    assert (copied.tuple_count, copied.key_count) == (mm.tuple_count, mm.key_count)
+
+
 def test_multimap_equality():
     a = multimap([("a", 1), ("a", 2), ("b", 3)])
     b = multimap([("b", 3), ("a", 2), ("a", 1)])

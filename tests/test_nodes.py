@@ -1123,6 +1123,64 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     validate_root(cfg, root)
 
 
+def _bucket_layout(structure):
+    """``(inline_n, pair_n, slots)`` of the bucket under a constant-hash
+    structure's root, each nested root read as the sorted list of its
+    values."""
+    bucket = _bucket_of(structure._root)
+    slots = tuple(
+        sorted(iter_keys(set_config(), s)) if type(s) is TrieNode else s for s in bucket.slots
+    )
+    return bucket[1], bucket[2], slots
+
+
+def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():
+    # a set: a new element closes the inline region, a removal closes the gap
+    s = pset(element_hash=_seven).add("a").add("b").add("c")
+    assert _bucket_layout(s) == (3, 0, ("a", "b", "c"))
+    assert _bucket_layout(s.add("d")) == (4, 0, ("a", "b", "c", "d"))
+    assert _bucket_layout(s.remove("b")) == (2, 0, ("a", "c"))
+    # a map: a replaced value keeps its entry's place
+    m = pmap(key_hash=_seven).put("a", 1).put("b", 2).put("c", 3)
+    assert _bucket_layout(m.put("b", 9)) == (3, 0, ("a", 1, "b", 9, "c", 3))
+    assert _bucket_layout(m.put("d", 4)) == (4, 0, ("a", 1, "b", 2, "c", 3, "d", 4))
+    assert _bucket_layout(m.remove("b")) == (2, 0, ("a", 1, "c", 3))
+    # a multimap: an entry that changes its pattern closes its new region
+    mm = multimap(key_hash=_seven)
+    for key, value in [("a", 1), ("b", 2), ("c", 3), ("x", 1), ("x", 2)]:
+        mm = mm.put(key, value)
+    assert _bucket_layout(mm) == (3, 1, ("a", 1, "b", 2, "c", 3, "x", 1, 2))
+    mm = mm.put("b", 5)  # inline -> pair, after x's pair
+    assert _bucket_layout(mm) == (2, 2, ("a", 1, "c", 3, "x", 1, 2, "b", 2, 5))
+    mm = mm.put("x", 3).put("y", 7).put("y", 8).put("y", 9)
+    assert _bucket_layout(mm) == (
+        2, 1, ("a", 1, "c", 3, "b", 2, 5, "x", [1, 2, 3], "y", [7, 8, 9])
+    )
+    mm = mm.put("b", 6)  # pair -> collection, after x's and y's
+    assert _bucket_layout(mm) == (
+        2, 0, ("a", 1, "c", 3, "x", [1, 2, 3], "y", [7, 8, 9], "b", [2, 5, 6])
+    )
+    mm = mm.put("y", 4).put("c", 3)  # a nested insert in the middle; no change
+    assert _bucket_layout(mm) == (
+        2, 0, ("a", 1, "c", 3, "x", [1, 2, 3], "y", [4, 7, 8, 9], "b", [2, 5, 6])
+    )
+    mm = mm.remove("x", 3)  # collection -> pair, into the empty pair region
+    assert _bucket_layout(mm) == (
+        2, 1, ("a", 1, "c", 3, "x", 1, 2, "y", [4, 7, 8, 9], "b", [2, 5, 6])
+    )
+    mm = mm.remove("x", 1)  # pair -> inline, after a and c
+    assert _bucket_layout(mm) == (
+        3, 0, ("a", 1, "c", 3, "x", 2, "y", [4, 7, 8, 9], "b", [2, 5, 6])
+    )
+    mm = mm.put("d", 1)  # a new key closes the inline region
+    assert _bucket_layout(mm) == (
+        4, 0, ("a", 1, "c", 3, "x", 2, "d", 1, "y", [4, 7, 8, 9], "b", [2, 5, 6])
+    )
+    mm = mm.remove_key("c").remove_key("y")  # removals from the middle
+    assert _bucket_layout(mm) == (3, 0, ("a", 1, "x", 2, "d", 1, "b", [2, 5, 6]))
+    check_invariants(mm)
+
+
 def test_a_key_on_a_buckets_path_with_another_hash_is_absent():
     # D's hash shares the bucket's first fragment, 7, and no more: the
     # descent reaches the bucket and stops at its hash

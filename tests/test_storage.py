@@ -1,7 +1,6 @@
-"""Slot-splicing, footprint-model and real-byte tests.
+"""Footprint-model and real-byte tests.
 
-``nodes._splice`` is checked against an element-wise list oracle;
-footprint numbers for small structures are frozen from hand counts under
+Footprint numbers for small structures are frozen from hand counts under
 the default model (header 2 words, bitmap 1, slot 1, out-of-line
 indirection 1); ``object_bytes`` is checked against what
 ``tracemalloc`` sees a build allocate, its components against a walk of
@@ -31,49 +30,9 @@ from leantrie import (
     pset,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
-from leantrie.nodes import CollisionNode, TrieNode, _splice
+from leantrie.nodes import CollisionNode, TrieNode
 from leantrie.selftest import _bitmap_ints
 from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS, WRAPPER_FIELDS
-
-
-def oracle_splice(old, rm_pos, rm_len, ins_pos, vals):
-    out = list(old)
-    del out[rm_pos : rm_pos + rm_len]
-    out[ins_pos:ins_pos] = vals
-    return tuple(out)
-
-
-# --- slot splicing vs oracle --------------------------------------------------
-
-
-def test_splice_matches_elementwise_oracle():
-    branches = set()
-    for size in range(10):
-        old = tuple(range(size))
-        for rm_len in range(min(size, 3) + 1):
-            for rm_pos in range(size - rm_len + 1):
-                for ins_pos in range(size - rm_len + 1):
-                    for vals in ((), (100,), (100, 101)):
-                        got = _splice(old, rm_pos, rm_len, ins_pos, vals)
-                        assert type(got) is tuple
-                        assert got == oracle_splice(old, rm_pos, rm_len, ins_pos, vals)
-                        branches.add(ins_pos <= rm_pos)
-    assert branches == {True, False}  # both the ins <= rm and ins > rm branch
-
-
-def test_splice_replaces_the_head():
-    old = tuple(range(8))
-    for rm_pos in range(1, 7):
-        for ins_pos in range(1, 7):
-            got = _splice(old, rm_pos, 2, ins_pos, ("x",), ("h",))
-            want = oracle_splice(("h",) + old[1:], rm_pos, 2, ins_pos, ("x",))
-            assert got == want
-
-
-def test_splice_with_nothing_to_move_is_a_copy():
-    old = (1, 2, 3)
-    assert _splice(old, 1, 0, 1, ()) == old
-    assert _splice((), 0, 0, 0, ()) == ()
 
 
 # --- indirection pricing rule ---------------------------------------------------
