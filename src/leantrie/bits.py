@@ -18,8 +18,9 @@ filter functions read the 64 pattern bits only, where a pair is a
 COLLECTION branch.
 
 The node layer uses :func:`pattern_bits` alone: it ranks on the bit
-planes in line (``nodes._pos``) and moves an entry by XOR and OR of its
-old and new pattern bits.  The other helpers are the reference algebra
+planes in line (``nodes._pos``), adds and removes an entry by OR and XOR
+of its pattern bits, and moves one by XOR of the bits in which its old
+and new patterns differ.  The other helpers are the reference algebra
 that the tests, ``leantrie selftest`` and perfbench read.
 
 The filter trick below turns "which branches carry pattern p" into four

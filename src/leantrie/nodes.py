@@ -37,17 +37,23 @@ slice-and-concatenate at the position its descent ranked: an entry that
 keeps its pattern (map replace, nested insert or delete, a value set
 replaced by one of the same kind) is swapped in place and the node keeps
 its bitmap int; an entry removed is cut out, and a new key on an empty
-branch put in, on the old bitmap XOR or OR that pattern's bits.
-Promotions, demotions, a lifted child and two keys pushed one level down
-(``_merge``) move an entry: ``_placed`` cuts the old entry out and puts
-the new one in where ``_pos`` ranks it on the new bitmap.  At a
-sub-node, the node is copied with the new child in one concatenation,
-and ``_lifted`` is asked only when a key left a child of at most ``3 +
-PAIR_W`` items: the largest node that can lift is a bucket holding one
-pair.  A bucket is small and rare, so it is never edited in place: its
-``update``, ``lookup``, ``equals`` and ``_lifted`` read its entry list,
-and every bucket, from an update, a build, ``_merge`` or ``&``, is laid
-out by :func:`_collision`.
+branch put in, on the old bitmap XOR or OR that pattern's bits.  An entry
+that changes its pattern moves, and every move is ranked once, on the old
+bitmap: a branch never counts towards its own rank, so the index that
+the new pattern ranks at there is where the new entry goes among the old
+node's items, before the cut or after it, and the new node is one
+concatenation around the cut.  ``update`` places the most common move,
+an inline value promoted to a pair, itself, after every inline entry and
+the pairs of lower branches; ``_placed`` places every other move: the
+other promotions and the demotions, ``put_values``' moves, a lifted child
+and two keys pushed one level down (``_merge``).  At a sub-node, the
+node is copied with the new child in one concatenation, and ``_lifted``
+is asked only when a key left a child of at most ``3 + PAIR_W`` items:
+the largest node that can lift is a bucket holding one pair.  A bucket
+is small and rare, so it is never edited in place: its ``update``,
+``equals`` and ``_lifted`` read its entry list, its ``lookup`` scans its
+key positions region by region, and every bucket, from an update, a
+build, ``_merge`` or ``&``, is laid out by :func:`_collision`.
 
 Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
 dictionary, so a node costs one CPython object rather than an object plus
@@ -259,13 +265,6 @@ def _trie_order(h0, h1):
     return (h0 >> shift) & 31 < (h1 >> shift) & 31
 
 
-def _ordered_pair(vcfg, v0, v1):
-    """``(v0, v1)`` in a pair's canonical order; ``v0`` first on equal hashes."""
-    if _trie_order(vcfg.hasher(v0) & M32, vcfg.hasher(v1) & M32):
-        return v0, v1
-    return v1, v0
-
-
 # -- payload transitions -------------------------------------------------------
 
 
@@ -288,7 +287,10 @@ def _add_value(cfg, pattern, k0, payload, value):
             return None
         if vcfg is None:
             return INLINE, (k0, value)
-        return PAIR, (k0, *_ordered_pair(vcfg, payload, value))
+        # a pair's two values in hash order; the stored one first on equal hashes
+        if _trie_order(vcfg.hasher(payload) & M32, vcfg.hasher(value) & M32):
+            return PAIR, (k0, payload, value)
+        return PAIR, (k0, value, payload)
     if pattern == PAIR:
         v0, v1 = payload
         if v0 is value or v0 == value or v1 is value or v1 == value:
@@ -427,11 +429,21 @@ class TrieNode(_Node):
     def _placed(self, w, branch, old, pos, size, pattern, vals):
         """This node with ``branch``'s entry of pattern ``old``, the
         ``size`` items at ``pos``, cut out and ``vals`` placed where an
-        entry of ``pattern``, never ``old`` or EMPTY, goes."""
-        bm = self[0] ^ pattern_bits(old, branch) | pattern_bits(pattern, branch)
-        cut = self[1:pos] + self[pos + size :]
-        ins = _pos(bm, w, pattern, branch, len(cut) + 1 + len(vals)) - 1
-        return TrieNode((bm,) + cut[:ins] + vals + cut[ins:])
+        entry of ``pattern``, never EMPTY, goes.
+
+        The new entry's index ``j`` is ranked once, on this node's bitmap:
+        a branch never counts towards its own rank, so ``j`` is where the
+        entry goes among the items around the cut, before them or after
+        (``pos`` itself for a sub-node that replaces a sub-node).
+        """
+        bm = self[0]
+        j = _pos(bm, w, pattern, branch, len(self))
+        # the two pattern bits and the pair bit that differ between old and new
+        d = old ^ pattern
+        bm ^= (d & 0b11) << (branch << 1) ^ (d >> 2) << (PAIR_PLANE + branch)
+        if j > pos:
+            return TrieNode((bm,) + self[1:pos] + self[pos + size : j] + vals + self[j:])
+        return TrieNode((bm,) + self[1:j] + vals + self[j:pos] + self[pos + size :])
 
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
@@ -497,7 +509,8 @@ class TrieNode(_Node):
         if pattern == INLINE or pattern == EMPTY:
             # _pos for INLINE, where this branch's inline entry is or goes:
             # the inline branches below this one come first
-            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
+            inline = (bm >> 1) & ~bm & EVEN_BITS
+            pos = 1 + w * (inline & ((1 << offset) - 1)).bit_count()
             size = w
         else:
             if (bm >> (PAIR_PLANE + branch)) & 1:
@@ -517,6 +530,14 @@ class TrieNode(_Node):
                 if p == EMPTY:
                     bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
                     return TrieNode((bm,) + self[1:pos] + self[pos + size :]), -1
+                if p == PAIR and pattern == INLINE:
+                    # the promotion to a pair: _pos for PAIR on this bitmap,
+                    # after every inline entry (this one too) and the pairs
+                    # of the branches below
+                    j = 1 + w * inline.bit_count()
+                    j += PAIR_W * ((bm >> PAIR_PLANE) & ((1 << branch) - 1)).bit_count()
+                    bm |= 1 << offset | 1 << (PAIR_PLANE + branch)
+                    return TrieNode((bm,) + self[1:pos] + self[pos + w : j] + vals + self[j:]), 0
                 return self._placed(w, branch, pattern, pos, size, p, vals), 0
         added = change(cfg, EMPTY, key, None, value)
         if added is None:
@@ -525,9 +546,9 @@ class TrieNode(_Node):
         if pattern == EMPTY:
             # an empty group takes the pattern by OR; nothing is removed,
             # so the entry is placed by plain insertion
-            bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
             if p != INLINE:
-                pos = _pos(bm, w, p, branch, len(self) + len(vals))
+                pos = _pos(bm, w, p, branch, len(self))
+            bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
             return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), 1
         # a different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
@@ -599,17 +620,25 @@ class CollisionNode(_Node):
         return entries
 
     def lookup(self, cfg, shift, key_hash, key):
+        """``TrieNode.lookup`` in a bucket: its key positions scanned
+        region by region."""
         if key_hash != self[0]:
             return None
         w = cfg.width
-        entries = self._entries(w)
-        i = _index(entries, key)
-        if i < 0:
-            return None
-        pattern, s = entries[i]
-        if pattern == PAIR:
-            return (PAIR, ValuePair(s[1:]))
-        return (pattern, s[w - 1])
+        _, start, end_i, end_p, end = self.regions(w)
+        for pattern, first, last, size in (
+            (INLINE, start, end_i, w),
+            (PAIR, end_i, end_p, PAIR_W),
+            (COLLECTION, end_p, end, COLL_W),
+        ):
+            for pos in range(first, last, size):
+                k0 = self[pos]
+                if k0 is key or k0 == key:
+                    if pattern == PAIR:
+                        return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
+                    # the last slot: the inline value (the element at width 1) or the root
+                    return (pattern, self[pos + size - 1])
+        return None
 
     def update(self, cfg, shift, key_hash, key, value, change):
         """The bucket rebuilt from its edited entry list: an entry that

@@ -222,3 +222,46 @@ def test_a_failing_run_stops_the_series_and_keeps_the_report(monkeypatch, tmp_pa
     assert "bench_pairs: run failed in" in capsys.readouterr().err
     runs = json.loads(out.read_text())["runs"]
     assert [(r["workload"], r["pair"]) for r in runs] == [("mixed", 0)] * 2 + [("mixed", 1)] * 2
+
+
+_CANNED_SUMMARY = [
+    {"workload": "mixed", "seed": 1, "metric": "put_us_p50", "better": "lower",
+     "parent_median": 12.91, "parent_q1": 12.8, "parent_q3": 13.02,
+     "change_median": 11.73, "change_q1": 11.6, "change_q3": 11.9,
+     "change_wins": 10, "pairs": 10, "gain_shown": True, "change_vs_parent": -0.0914,
+     "bound": 0.25, "beyond_bound": False},
+    {"workload": "dominators", "seed": 7919, "metric": "dom_vertices_per_s",
+     "better": "higher", "parent_median": 43113.4, "parent_q1": 42000.0,
+     "parent_q3": 44000.0, "change_median": 42682.0, "change_q1": 42000.0,
+     "change_q3": 43000.0, "change_wins": 2, "pairs": 5, "gain_shown": False,
+     "change_vs_parent": -0.01},
+]
+
+
+def test_summary_lines_give_each_rows_claim_fields():
+    assert bench_pairs.summary_lines(_CANNED_SUMMARY) == [
+        "mixed seed 1 put_us_p50: parent 12.91 change 11.73 (-9.1%), wins 10/10, "
+        "parent IQR 1.7%, gain_shown True, beyond_bound False",
+        "dominators seed 7919 dom_vertices_per_s: parent 43,113 change 42,682 (-1.0%), "
+        "wins 2/5, parent IQR 4.6%, gain_shown False, beyond_bound -",
+    ]
+
+
+def test_a_series_prints_its_summary_at_the_end(monkeypatch, tmp_path, capsys):
+    speeds = {"P": 10.0, "C": 12.0}
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        speed = speeds[Path(checkout).name]
+        return {"failed": 0, "attempted": 1, "metrics": {"build_tuples_per_s": speed}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH_printed.json"
+    argv = ["P", "C", "--workload", "build", "--seed", "3", "--pairs", "2", "--output", str(out)]
+    assert bench_pairs.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    summary = json.loads(out.read_text())["summary"]
+    assert printed == bench_pairs.summary_lines(summary)
+    assert printed == [
+        "build seed 3 build_tuples_per_s: parent 10 change 12 (+20.0%), wins 2/2, "
+        "parent IQR 0.0%, gain_shown True, beyond_bound False",
+    ]

@@ -1045,6 +1045,71 @@ def test_the_entry_points_are_update_with_a_named_transition(key_hash):
     validate_root(cfg, root)
 
 
+# the moving key's branches: both ends of the inline and pattern planes, and
+# the two highest pair-plane bits, which make a bitmap of four 30-bit digits
+EDGE_BRANCHES = (0, 1, 30, 31)
+# the neighbours' branches: the moving key's own is left out
+EDGE_NEIGHBOURS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 25, 26, 27, 28, 29, 30, 31)
+NEIGHBOUR_KINDS = ("inline", "pair", "collection", "sub-node")
+
+
+def _edge_content(branch, rotation):
+    """Tuples of the neighbours of a key on ``branch``, under the identity
+    key hash: a neighbour of each kind on every fourth other branch, the
+    kinds shifted by ``rotation``, so that each kind lies next to the
+    moving key on some rotation."""
+    content = []
+    others = [b for b in EDGE_NEIGHBOURS if b != branch]
+    for i, b in enumerate(others):
+        kind = NEIGHBOUR_KINDS[(i + rotation) % 4]
+        if kind == "sub-node":  # two keys of branch b a level down
+            content += [(b, 0), (b + 32, 0)]
+        else:
+            content += [(b, v) for v in range(1 + NEIGHBOUR_KINDS.index(kind))]
+    return content
+
+
+def _edge_moves(key):
+    """``(name, values before, step, tuples after)`` for each move of
+    ``key``'s entry, a step being a function from the multimap to the
+    moved one; a key ``key + 32`` shares its first-level branch."""
+    sub = key + 32
+    moves = [
+        ("1 -> 2", [0], lambda mm: mm.put(key, 1), [0, 1]),
+        ("2 -> 3", [0, 1], lambda mm: mm.put(key, 2), [0, 1, 2]),
+        ("3 -> 2", [0, 1, 2], lambda mm: mm.remove(key, 1), [0, 2]),
+        ("2 -> 1", [0, 1], lambda mm: mm.remove(key, 0), [1]),
+        ("put_all 1 -> 3", [0], lambda mm: mm.put_all(key, [4, 5, 6]), [4, 5, 6]),
+        ("put_all 3 -> 1", [0, 1, 2], lambda mm: mm.put_all(key, [7]), [7]),
+        ("put_all 1 -> 2", [0], lambda mm: mm.put_all(key, [4, 5]), [4, 5]),
+        ("put_all 2 -> 1", [0, 1], lambda mm: mm.put_all(key, [7]), [7]),
+        ("remove_key", [0, 1], lambda mm: mm.remove_key(key), []),
+    ]
+    moves = [(name, held, step, [(key, v) for v in after]) for name, held, step, after in moves]
+    for n in (1, 2, 3):
+        held = list(range(n))
+        kept = [(key, v) for v in held]
+        # a new key on the branch pushes the entry down with it, and its
+        # removal lifts the entry back
+        moves.append((f"push down {n}", held, lambda mm: mm.put(sub, 9), kept + [(sub, 9)]))
+        moves.append((f"lift {n}", held, lambda mm: mm.put(sub, 9).remove(sub, 9), kept))
+    return moves
+
+
+@pytest.mark.parametrize("rotation", range(4))
+@pytest.mark.parametrize("branch", EDGE_BRANCHES)
+def test_every_move_at_the_branch_edges_gives_the_built_trie(branch, rotation):
+    ident = lambda k: k  # noqa: E731 - key b lies on first-level branch b % 32
+    neighbours = _edge_content(branch, rotation)
+    for name, held, step, after in _edge_moves(branch):
+        before = multimap(neighbours + [(branch, v) for v in held], key_hash=ident)
+        moved = step(before)
+        check_invariants(moved)
+        built = multimap(neighbours + after, key_hash=ident)
+        assert structurally_equal(moved, built), name
+        assert moved._root[0] == built._root[0], name
+
+
 _ABSENT = {
     # (stored keys, absent key); keys hash to themselves
     "empty branch": ((1, 2 + 32), 3),

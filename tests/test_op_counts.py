@@ -12,14 +12,18 @@ TOOL = ROOT / "tools" / "op_counts.py"
 KINDS = ("put", "remove", "contains_entry")
 
 
-def _counts(*args):
+def _run(*args):
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT), "--keys", "64", "--ops", "40", "--format", "json", *args],
+        [sys.executable, str(TOOL), str(ROOT), "--keys", "64", "--ops", "40", *args],
         capture_output=True,
         text=True,
         check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _counts(*args):
+    return json.loads(_run("--format", "json", *args))
 
 
 def test_two_runs_count_the_same_bytecodes():
@@ -38,3 +42,41 @@ def test_two_runs_count_the_same_bytecodes():
 
 def test_another_seed_draws_other_operations():
     assert _counts("--seed", "2") != _counts()
+
+
+TRANSITIONS = {
+    "put": ("new key", "1 -> 2", "2 -> 3"),
+    "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
+}
+
+
+def test_puts_and_removes_split_by_the_keys_value_count():
+    result = _counts()
+    assert "transitions" not in result["contains_entry"]
+    for kind, names in TRANSITIONS.items():
+        rows = result[kind]["transitions"]
+        assert tuple(rows) == names
+        # every operation falls in one row, and the rows' bytecodes add up
+        # to the kind's (each total is rounded to 0.1 on its own)
+        assert sum(r["ops"] for r in rows.values()) == result[kind]["ops"]
+        spent = sum(r["ops"] * r["total"] for r in rows.values() if r["ops"])
+        slack = 0.05 * sum(r["ops"] for r in rows.values()) + 0.05 * result[kind]["ops"]
+        assert spent == pytest.approx(result[kind]["ops"] * result[kind]["total"], abs=slack)
+        for r in rows.values():
+            assert (r["total"] is None) == (r["ops"] == 0)
+    # the generated keys hold one or two values, so no remove demotes a set
+    assert result["remove"]["transitions"]["3 -> 2"] == {"ops": 0, "total": None, "by_function": {}}
+    assert result["put"]["transitions"]["new key"]["ops"] > 0
+
+
+def test_the_table_has_a_row_per_transition():
+    result = _counts()
+    lines = _run().splitlines()
+    header = lines.index(next(line for line in lines if line.startswith("transition")))
+    rows = [line.rsplit(None, 2) for line in lines[header + 1 :]]
+    expected = [
+        [f"{kind} {name}", str(r["ops"]), "-" if r["total"] is None else f"{r['total']:.1f}"]
+        for kind in TRANSITIONS
+        for name, r in result[kind]["transitions"].items()
+    ]
+    assert rows == expected

@@ -21,7 +21,10 @@ by more than that bound, ``gain_shown``, whether the change wins at least
 interquartile range ``q3 - q1``, both in the metric's ``better``
 direction, and each side's ``failed``/``attempted`` totals over the same
 pairs).
-A run with failed operations also gets a warning on stderr.  The report is
+A run with failed operations also gets a warning on stderr.  At the end of
+a series, one line per summary row goes to stdout: both medians,
+``change_vs_parent``, wins over pairs, the parent's interquartile range as
+a share of its median, ``gain_shown`` and ``beyond_bound``.  The report is
 rewritten after every pair, so an interrupted series keeps the pairs it
 finished; ``--append`` extends the report at ``--output``, or starts it
 when there is none yet.  A run that exits non-zero stops the series: its
@@ -172,6 +175,27 @@ def summarize(runs, better, bounds=None):
     return rows
 
 
+def _number(value):
+    """``value`` with four significant digits, or whole above 10,000."""
+    return f"{value:,.0f}" if abs(value) >= 10_000 else f"{value:.4g}"
+
+
+def summary_lines(rows):
+    """One line per summary row, the fields a claim is read from."""
+    lines = []
+    for r in rows:
+        spread = (r["parent_q3"] - r["parent_q1"]) / r["parent_median"]
+        bound = r.get("beyond_bound")
+        lines.append(
+            f"{r['workload']} seed {r['seed']} {r['metric']}: "
+            f"parent {_number(r['parent_median'])} change {_number(r['change_median'])} "
+            f"({r['change_vs_parent']:+.1%}), wins {r['change_wins']}/{r['pairs']}, "
+            f"parent IQR {spread:.1%}, gain_shown {r['gain_shown']}, "
+            f"beyond_bound {'-' if bound is None else bound}"
+        )
+    return lines
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -230,6 +254,7 @@ def main(argv=None):
                     {k: report[k] for k in ("metadata", "summary", "runs")}, indent=1
                 ) + "\n")
                 print(f"{workload} seed {seed} pair {pair} done", file=sys.stderr)
+    print("\n".join(summary_lines(report.get("summary", []))))
     return 0
 
 

@@ -14,9 +14,14 @@ key) and a quarter ``remove`` of a stored tuple.  Each operation is applied
 to the built multimap itself, so no operation depends on another's result.
 ``sys.settrace`` counts the bytecodes each one executes, by function, and
 the report gives each operation kind's bytecodes per operation, split by
-the function that ran them, with the total.  The counts depend only on the
-code and the seed, not on the host's speed, so two checkouts can be
-compared by one run each where their timings cannot.
+the function that ran them, with the total.  ``put`` and ``remove`` are
+also split by the transition of the key's value count, read before the
+traced call: a ``put`` adds a new key (``new key``) or promotes a stored
+one (``1 -> 2``, ``2 -> 3``), and a ``remove`` drops a key (``1 -> 0``)
+or demotes one (``2 -> 1``, ``3 -> 2``).  A transition the op mix never
+draws reads 0 ops.  The counts depend only on the code and the seed, not
+on the host's speed, so two checkouts can be compared by one run each
+where their timings cannot.
 """
 
 import argparse
@@ -27,6 +32,10 @@ from collections import Counter
 from pathlib import Path
 
 KINDS = ("put", "remove", "contains_entry")
+TRANSITIONS = {
+    "put": ("new key", "1 -> 2", "2 -> 3"),
+    "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
+}
 
 
 def import_leantrie(checkout):
@@ -71,9 +80,19 @@ def op_mix(dataset, n_ops, seed):
     return ops
 
 
+def transition(kind, n):
+    """The transition row of a ``put`` or ``remove`` on a key of ``n``
+    values."""
+    if kind == "put":
+        return "new key" if n == 0 else f"{n} -> {n + 1}"
+    return f"{n} -> {n - 1}"
+
+
 def count(mm, ops):
-    """``{kind: (n_ops, Counter(function -> bytecodes))}`` over ``ops``
-    applied to ``mm``, each traced on its own."""
+    """``{row: [n_ops, Counter(function -> bytecodes)]}`` over ``ops``
+    applied to ``mm``, each traced on its own.  A row is an operation kind,
+    or ``(kind, transition)`` for a ``put`` or ``remove``, its key's value
+    count read outside the traced call."""
     counts = Counter()
 
     def local(frame, event, arg):
@@ -85,34 +104,49 @@ def count(mm, ops):
         frame.f_trace_opcodes = True
         return local
 
-    per_kind = {kind: [0, Counter()] for kind in KINDS}
+    rows = {kind: [0, Counter()] for kind in KINDS}
+    rows.update(((kind, t), [0, Counter()]) for kind, ts in TRANSITIONS.items() for t in ts)
     for kind, k, v in ops:
         method = getattr(mm, kind)
+        keys = [kind]
+        if kind in TRANSITIONS:
+            keys.append((kind, transition(kind, len(mm.get(k)))))
         sys.settrace(call)
         method(k, v)
         sys.settrace(None)
-        entry = per_kind[kind]
-        entry[0] += 1
+        by_function = Counter()
         for code, n in counts.items():
             name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
-            entry[1][name] += n
+            by_function[name] += n
         counts.clear()
-    return per_kind
+        for key in keys:
+            entry = rows.setdefault(key, [0, Counter()])
+            entry[0] += 1
+            entry[1] += by_function
+    return rows
 
 
-def report(per_kind):
-    """``{kind: {"ops": n, "total": per op, "by_function": {name: per op}}}``,
-    functions by falling count."""
-    out = {}
-    for kind, (n, by_function) in per_kind.items():
-        out[kind] = {
-            "ops": n,
-            "total": round(sum(by_function.values()) / n, 1),
-            "by_function": {
-                name: round(c / n, 1)
-                for name, c in sorted(by_function.items(), key=lambda item: (-item[1], item[0]))
-            },
-        }
+def _per_op(n, by_function):
+    """``{"ops": n, "total": per op, "by_function": {name: per op}}``,
+    functions by falling count; no total for no ops."""
+    return {
+        "ops": n,
+        "total": round(sum(by_function.values()) / n, 1) if n else None,
+        "by_function": {
+            name: round(c / n, 1)
+            for name, c in sorted(by_function.items(), key=lambda item: (-item[1], item[0]))
+        },
+    }
+
+
+def report(rows):
+    """``{kind: per op}`` as :func:`_per_op` gives it, and for ``put`` and
+    ``remove`` also ``"transitions": {transition: per op}``."""
+    out = {kind: _per_op(*rows[kind]) for kind in KINDS}
+    for row, counted in rows.items():
+        if type(row) is tuple:
+            kind, t = row
+            out[kind].setdefault("transitions", {})[t] = _per_op(*counted)
     return out
 
 
@@ -131,6 +165,11 @@ def table(result):
         ]
         lines.append(f"{name:<{width}}" + "".join(f"{c:>16.1f}" for c in cells))
     lines.append(f"{'ops':<{width}}" + "".join(f"{result[kind]['ops']:>16}" for kind in KINDS))
+    lines += ["", f"{'transition':<{width}}{'ops':>16}{'bytecodes per op':>18}"]
+    for kind in TRANSITIONS:
+        for t, r in result[kind]["transitions"].items():
+            total = "-" if r["total"] is None else f"{r['total']:.1f}"
+            lines.append(f"{kind + ' ' + t:<{width}}{r['ops']:>16}{total:>18}")
     return "\n".join(lines)
 
 
