@@ -42,18 +42,18 @@ that changes its pattern moves, and every move is ranked once, on the old
 bitmap: a branch never counts towards its own rank, so the index that
 the new pattern ranks at there is where the new entry goes among the old
 node's items, before the cut or after it, and the new node is one
-concatenation around the cut.  ``update`` places the most common move,
-an inline value promoted to a pair, itself, after every inline entry and
-the pairs of lower branches; ``_placed`` places every other move: the
-other promotions and the demotions, ``put_values``' moves, a lifted child
-and two keys pushed one level down (``_merge``).  At a sub-node, the
-node is copied with the new child in one concatenation, and ``_lifted``
-is asked only when a key left a child of at most ``3 + PAIR_W`` items:
-the largest node that can lift is a bucket holding one pair.  A bucket
-is small and rare, so it is never edited in place: its ``update``,
-``equals`` and ``_lifted`` read its entry list, its ``lookup`` scans its
-key positions region by region, and every bucket, from an update, a
-build, ``_merge`` or ``&``, is laid out by :func:`_collision`.
+concatenation around the cut.  ``update`` places no move itself:
+``_placed`` places every one, the promotions (inline to pair, the most
+common) and the demotions, ``put_values``' moves, a lifted child and two
+keys pushed one level down (``_merge``).  At a sub-node, the node is
+copied with the new child in one concatenation, and ``_lifted`` is asked
+only when a key left a child of at most ``3 + PAIR_W`` items: the
+largest node that can lift is a bucket holding one pair.  A bucket is
+small and rare, so it is never edited in place: its ``lookup``,
+``update`` and ``equals`` find a key by one scan of its key positions,
+region by region (``_find``), its ``update`` and ``_lifted`` read its
+entry list, and every bucket, from an update, a build, ``_merge`` or
+``&``, is laid out by :func:`_collision`.
 
 Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
 dictionary, so a node costs one CPython object rather than an object plus
@@ -509,8 +509,7 @@ class TrieNode(_Node):
         if pattern == INLINE or pattern == EMPTY:
             # _pos for INLINE, where this branch's inline entry is or goes:
             # the inline branches below this one come first
-            inline = (bm >> 1) & ~bm & EVEN_BITS
-            pos = 1 + w * (inline & ((1 << offset) - 1)).bit_count()
+            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
             size = w
         else:
             if (bm >> (PAIR_PLANE + branch)) & 1:
@@ -530,14 +529,6 @@ class TrieNode(_Node):
                 if p == EMPTY:
                     bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
                     return TrieNode((bm,) + self[1:pos] + self[pos + size :]), -1
-                if p == PAIR and pattern == INLINE:
-                    # the promotion to a pair: _pos for PAIR on this bitmap,
-                    # after every inline entry (this one too) and the pairs
-                    # of the branches below
-                    j = 1 + w * inline.bit_count()
-                    j += PAIR_W * ((bm >> PAIR_PLANE) & ((1 << branch) - 1)).bit_count()
-                    bm |= 1 << offset | 1 << (PAIR_PLANE + branch)
-                    return TrieNode((bm,) + self[1:pos] + self[pos + w : j] + vals + self[j:]), 0
                 return self._placed(w, branch, pattern, pos, size, p, vals), 0
         added = change(cfg, EMPTY, key, None, value)
         if added is None:
@@ -619,13 +610,13 @@ class CollisionNode(_Node):
             entries += [(pattern, self[pos : pos + size]) for pos in range(first, last, size)]
         return entries
 
-    def lookup(self, cfg, shift, key_hash, key):
-        """``TrieNode.lookup`` in a bucket: its key positions scanned
-        region by region."""
-        if key_hash != self[0]:
-            return None
-        w = cfg.width
+    def _find(self, w, key):
+        """``(index, pattern, pos)`` of ``key``'s entry, or None: its
+        index in region order, as ``_entries`` lists it, its pattern and
+        its first slot.  The key positions are scanned region by region,
+        with no entry list."""
         _, start, end_i, end_p, end = self.regions(w)
+        n = 0
         for pattern, first, last, size in (
             (INLINE, start, end_i, w),
             (PAIR, end_i, end_p, PAIR_W),
@@ -634,11 +625,21 @@ class CollisionNode(_Node):
             for pos in range(first, last, size):
                 k0 = self[pos]
                 if k0 is key or k0 == key:
-                    if pattern == PAIR:
-                        return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
-                    # the last slot: the inline value (the element at width 1) or the root
-                    return (pattern, self[pos + size - 1])
+                    return n + (pos - first) // size, pattern, pos
+            n += (last - first) // size
         return None
+
+    def lookup(self, cfg, shift, key_hash, key):
+        if key_hash != self[0]:
+            return None
+        w = cfg.width
+        found = self._find(w, key)
+        if found is None:
+            return None
+        _, pattern, pos = found
+        if pattern == PAIR:
+            return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
+        return (pattern, self[pos + w - 1])
 
     def update(self, cfg, shift, key_hash, key, value, change):
         """The bucket rebuilt from its edited entry list: an entry that
@@ -646,9 +647,8 @@ class CollisionNode(_Node):
         new key or an entry that changes its pattern is appended, so it
         closes its region."""
         w = cfg.width
-        entries = self._entries(w) if key_hash == self[0] else []
-        i = _index(entries, key)
-        if i < 0:
+        found = self._find(w, key) if key_hash == self[0] else None
+        if found is None:
             added = change(cfg, EMPTY, key, None, value)
             if added is None:
                 return self, 0
@@ -656,12 +656,15 @@ class CollisionNode(_Node):
                 # hashes differ after all: the bucket and the new entry
                 # part where their hash fragments do
                 return _merge(shift, self[0], NODE, (self,), key_hash, *added), 1
+            entries = self._entries(w)
             entries.append(added)
             return _collision(key_hash, entries), 1
-        pattern, s = entries[i]
-        changed = change(cfg, pattern, s[0], _payload(s, pattern, w), value)
+        i, pattern, pos = found
+        payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
+        changed = change(cfg, pattern, self[pos], payload, value)
         if changed is None:
             return self, 0
+        entries = self._entries(w)
         p = changed[0]
         if p == pattern:
             entries[i] = changed
@@ -681,24 +684,15 @@ class CollisionNode(_Node):
             return False
         w = cfg.width
         vcfg = cfg.value_cfg
-        theirs = other._entries(w)
         for pattern, s in self._entries(w):
-            i = _index(theirs, s[0])
-            if i < 0 or theirs[i][0] != pattern:
+            found = other._find(w, s[0])
+            if found is None or found[1] != pattern:
                 return False
-            t = theirs[i][1]
+            pos = found[2]
+            t = other[pos : pos + len(s)]
             if not _same_payload(vcfg, pattern, _payload(s, pattern, w), _payload(t, pattern, w)):
                 return False
         return True
-
-
-def _index(entries, key):
-    """Index of ``key``'s entry in a bucket's ``entries``, or -1."""
-    for i, (_, s) in enumerate(entries):
-        k0 = s[0]
-        if k0 is key or k0 == key:
-            return i
-    return -1
 
 
 # -- construction helpers ------------------------------------------------------
