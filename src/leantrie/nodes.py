@@ -32,22 +32,23 @@ Each node layout has one writer.  A trie node's hot paths keep their
 own arithmetic on it, with the entry widths named as ``PAIR_W`` and
 ``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
 planes, and ``lookup`` and ``update`` write its NODE and INLINE ranks in
-line.  ``update`` places the common leaf transitions with one
-slice-and-concatenate at the position its descent ranked: an entry that
-keeps its pattern (map replace, nested insert or delete, a value set
-replaced by one of the same kind) is swapped in place and the node keeps
-its bitmap int; an entry removed is cut out, and a new key on an empty
-branch put in, on the old bitmap XOR or OR that pattern's bits.  An entry
-that changes its pattern moves, and every move is ranked once, on the old
-bitmap: a branch never counts towards its own rank, so the index that
-the new pattern ranks at there is where the new entry goes among the old
-node's items, before the cut or after it, and the new node is one
-concatenation around the cut.  ``update`` places no move itself:
+line.  Every node that ``update`` writes is one list edit: the old
+node's items copied into a list, edited in place at the position the
+descent ranked, and made the new node.  An entry that keeps its pattern
+(map replace, nested insert or delete, a value set replaced by one of the
+same kind) is overwritten by slice assignment and the node keeps its
+bitmap int; an entry removed is deleted, and a new key on an empty branch
+inserted, on the old bitmap XOR or OR that pattern's bits.  An entry that
+changes its pattern moves, and every move is ranked once, on the old
+bitmap: a branch never counts towards its own rank, so the index that the
+new pattern ranks at there is where the new entry goes among the old
+node's items, before the cut or after it, and the list takes the new
+entry and loses the old one there.  ``update`` places no move itself:
 ``_placed`` places every one, the promotions (inline to pair, the most
 common) and the demotions, ``put_values``' moves, a lifted child and two
-keys pushed one level down (``_merge``).  At a sub-node, the node is
-copied with the new child in one concatenation, and ``_lifted`` is asked
-only when a key left a child of at most ``3 + PAIR_W`` items: the
+keys pushed one level down (``_merge``).  At a sub-node, the new child is
+assigned over the old one's item, and ``_lifted`` is asked only when a
+key left a child of at most ``3 + PAIR_W`` items: the
 largest node that can lift is a bucket holding one pair.  A bucket is
 small and rare, so it is never edited in place: its ``lookup``,
 ``update`` and ``equals`` find a key by one scan of its key positions,
@@ -110,17 +111,19 @@ Updates return ``(node, key_delta)`` and return the receiver itself
 (identity, zero delta) when nothing changed.  They count keys, not
 values: a transition never sizes a nested set, so a multimap that
 replaces or drops a whole value set counts its tuples when asked.  A
-changed node is path-copied: its new tuple is spliced from the old one
-by slicing and concatenation.  Construction does not go through them:
-:func:`build_root` builds a whole trie bottom-up, each node once, into the
-shape that the inserts would give.  One pass over the input forms each
-key's final entry in a table keyed by 32-bit hash (an inline slot tuple,
-a hash-ordered pair, or the list of values a nested build turns into a
-set), and the nodes are partitioned straight from that table, an entry's
-kind read from its shape.  A CPython int costs 28-40 bytes, so a build
-hands equal bitmaps one shared int through a table that lives only as
-long as the build; a point update makes a fresh int when a node's pattern
-changes and keeps the old one when it stays.
+changed node is path-copied by one list edit: ``list(node)``, edited in
+place, then ``TrieNode(items)``, which copies the items into the list, a
+tuple (CPython makes a tuple subclass instance from a plain tuple) and
+the node, with no temporary slices.  Construction does not go through
+them: :func:`build_root` builds a whole trie bottom-up, each node once,
+into the shape that the inserts would give.  One pass over the input
+forms each key's final entry in a table keyed by 32-bit hash (an inline
+slot tuple, a hash-ordered pair, or the list of values a nested build
+turns into a set), and the nodes are partitioned straight from that
+table, an entry's kind read from its shape.  A CPython int costs 28-40
+bytes, so a build hands equal bitmaps one shared int through a table
+that lives only as long as the build; a point update makes a fresh int
+when a node's pattern changes and keeps the old one when it stays.
 
 One set operation works on nodes directly: :func:`intersect` walks two
 sets' tries in step and keeps the left operand's nodes wherever the
@@ -148,8 +151,11 @@ COLL_W = 2  # slots per collection entry: the key and its nested set root
 
 
 def fold_hash(obj):
-    """Default hasher: Python's hash folded onto 32 bits."""
-    h = hash(obj) & 0xFFFFFFFFFFFFFFFF
+    """Default hasher: Python's hash folded onto 32 bits.  A hash lies in
+    [-2**63, 2**63), so its arithmetic shift by 32 has as its low 32 bits
+    the high half of its 64-bit two's complement: the fold needs no
+    unsigned 64-bit mask first."""
+    h = hash(obj)
     return (h ^ (h >> 32)) & M32
 
 
@@ -434,16 +440,24 @@ class TrieNode(_Node):
         The new entry's index ``j`` is ranked once, on this node's bitmap:
         a branch never counts towards its own rank, so ``j`` is where the
         entry goes among the items around the cut, before them or after
-        (``pos`` itself for a sub-node that replaces a sub-node).
+        (``pos`` itself for a sub-node that replaces a sub-node).  The new
+        node is one list edit of this node's items: the new bitmap at 0,
+        then ``vals`` inserted at ``j`` and the cut deleted, in the order
+        that leaves the other's index valid.
         """
         bm = self[0]
         j = _pos(bm, w, pattern, branch, len(self))
         # the two pattern bits and the pair bit that differ between old and new
         d = old ^ pattern
-        bm ^= (d & 0b11) << (branch << 1) ^ (d >> 2) << (PAIR_PLANE + branch)
-        if j > pos:
-            return TrieNode((bm,) + self[1:pos] + self[pos + size : j] + vals + self[j:])
-        return TrieNode((bm,) + self[1:j] + vals + self[j:pos] + self[pos + size :])
+        items = list(self)
+        items[0] = bm ^ (d & 0b11) << (branch << 1) ^ (d >> 2) << (PAIR_PLANE + branch)
+        if j > pos:  # place after the cut first, so that pos still holds
+            items[j:j] = vals
+            del items[pos : pos + size]
+        else:
+            del items[pos : pos + size]
+            items[j:j] = vals
+        return TrieNode(items)
 
     def lookup(self, cfg, shift, key_hash, key):
         """``(pattern, payload)`` for ``key`` or None.
@@ -504,7 +518,9 @@ class TrieNode(_Node):
                 if lifted is not None:
                     p, vals = lifted
                     return self._placed(cfg.width, branch, NODE, pos, 1, p, vals), kd
-            return TrieNode(self[:pos] + (new_child,) + self[pos + 1 :]), kd
+            items = list(self)
+            items[pos] = new_child
+            return TrieNode(items), kd
         w = cfg.width
         if pattern == INLINE or pattern == EMPTY:
             # _pos for INLINE, where this branch's inline entry is or goes:
@@ -525,10 +541,15 @@ class TrieNode(_Node):
                     return self, 0
                 p, vals = changed
                 if p == pattern:  # same place, same bitmap int
-                    return TrieNode(self[:pos] + vals + self[pos + size :]), 0
+                    items = list(self)
+                    items[pos : pos + size] = vals
+                    return TrieNode(items), 0
                 if p == EMPTY:
                     bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
-                    return TrieNode((bm,) + self[1:pos] + self[pos + size :]), -1
+                    items = list(self)
+                    items[0] = bm
+                    del items[pos : pos + size]
+                    return TrieNode(items), -1
                 return self._placed(w, branch, pattern, pos, size, p, vals), 0
         added = change(cfg, EMPTY, key, None, value)
         if added is None:
@@ -540,7 +561,10 @@ class TrieNode(_Node):
             if p != INLINE:
                 pos = _pos(bm, w, p, branch, len(self))
             bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
-            return TrieNode((bm,) + self[1:pos] + vals + self[pos:]), 1
+            items = list(self)
+            items[0] = bm
+            items[pos:pos] = vals
+            return TrieNode(items), 1
         # a different key on the same branch: push both one level down
         h0 = cfg.hasher(k0) & M32
         child = _merge(shift + 5, h0, pattern, self[pos : pos + size], key_hash, p, vals)

@@ -58,6 +58,7 @@ from leantrie.nodes import (
     put_values,
     set_config,
     validate_root,
+    walk,
 )
 
 
@@ -446,6 +447,115 @@ def test_an_update_that_changes_a_pattern_makes_a_new_bitmap_int():
     assert back._root[0] == bm and back._root[0] is not paired._root[0]
 
 
+# -- what a point update writes --------------------------------------------------
+
+
+def _node_ids(cfg, root):
+    """The ids of every node of the trie ``root``, its nested sets' too."""
+    ids = set()
+    for _, run, _, _, end_p, end in walk(cfg.width, root):
+        ids.add(id(run))
+        for nested in run[end_p + 1 : end : COLL_W]:
+            ids.update(id(n) for _, n, *_ in walk(1, nested))
+    return ids
+
+
+def _sub_node(node, branch):
+    """``node``'s sub-node on ``branch``, or None."""
+    if type(node) is not TrieNode or get_pattern(node[0], branch) != NODE:
+        return None
+    return node[_pos(node[0], 1, NODE, branch, len(node))]
+
+
+def _check_written(cfg, old, new, shift, h, key, value, old_root, old_ids):
+    """Check that ``new``, the node at ``shift`` on the hash path ``h`` of
+    ``key`` after an update whose node there was ``old`` (None when there
+    was none), wrote nothing off that path: each of its sub-nodes on
+    another branch is a node of the old trie, the old node's own on that
+    branch where it had one, and each other key's nested root is the one
+    the old trie holds for it.  ``value`` is the value of a one-value
+    update, whose nested set is checked the same way on the value's hash
+    path, or None."""
+    if new is old or id(new) in old_ids:
+        return
+    w = cfg.width
+    run, _, _, end_p, end = new.regions(w)
+    if type(new) is CollisionNode:
+        assert new[0] == h, "a new bucket off the key's hash"
+    for pos in range(end_p, end, COLL_W):
+        k, nested = run[pos], run[pos + 1]
+        was = old_root.lookup(cfg, 0, cfg.hasher(k) & M32, k)
+        if not (k is key or k == key):
+            assert was is not None and nested is was[1], f"nested root of {k!r} copied"
+        elif value is not None and was is not None and was[0] == COLLECTION:
+            vcfg = cfg.value_cfg
+            vh = vcfg.hasher(value) & M32
+            _check_written(vcfg, was[1], nested, 0, vh, value, None, was[1], old_ids)
+    if type(new) is CollisionNode:
+        return
+    branch = (h >> shift) & 31
+    for b in range(32):
+        child = _sub_node(new, b)
+        if child is None:
+            continue
+        if b == branch:
+            was = _sub_node(old, b)
+            _check_written(cfg, was, child, shift + 5, h, key, value, old_root, old_ids)
+            continue
+        assert id(child) in old_ids, f"sub-node on branch {b} at shift {shift} is new"
+        kept = _sub_node(old, b)
+        assert kept is None or child is kept, f"sub-node on branch {b} at shift {shift} copied"
+
+
+def test_a_point_update_writes_only_its_keys_hash_path():
+    # key k hashes to k & 0xFFF: keys 0..1199 fill a trie three levels deep
+    # (k and k + 1024 part at the third), and 4096 + j shares j's hash, so
+    # buckets form; some keys hold nested sets two levels deep
+    key_hash = lambda k: k & 0xFFF  # noqa: E731
+    rng = random.Random(25)
+    keys = list(range(1200)) + list(range(4096, 4106))
+    content = []
+    for k in rng.sample(keys, 700):
+        n = rng.choice((1, 1, 2, 3, 40))
+        content += [(k, v) for v in rng.sample(range(48), n)]
+    mm = multimap(content, key_hash=key_hash)
+    assert structure_stats(mm)["max_depth"] >= 3
+    seen = set()
+    for _ in range(800):
+        k = rng.choice(keys)
+        op = rng.choice(("put", "put", "remove", "remove", "put_all", "remove_key"))
+        v = rng.randrange(48)
+        if op == "put":
+            new = mm.put(k, v)
+        elif op == "remove":
+            new = mm.remove(k, v)
+        elif op == "put_all":
+            new = mm.put_all(k, rng.sample(range(48), rng.choice((0, 1, 2, 3, 5))))
+        else:
+            new = mm.remove_key(k)
+        if new is mm:
+            continue
+        # three stands for three or more values
+        seen.add((op, min(3, len(mm.get(k))), min(3, len(new.get(k)))))
+        grown = sum(1 for _ in walk(2, new._root)) - sum(1 for _ in walk(2, mm._root))
+        if grown:  # a trie node more or fewer
+            seen.add((op, "push down" if grown > 0 else "lift"))
+        old_ids = _node_ids(mm._cfg, mm._root)
+        single = v if op in ("put", "remove") else None
+        _check_written(mm._cfg, mm._root, new._root, 0, key_hash(k), k, single, mm._root, old_ids)
+        mm = new
+    check_invariants(mm)
+    expected = {
+        ("put", 0, 1), ("put", 1, 2), ("put", 2, 3), ("put", 3, 3),
+        ("remove", 1, 0), ("remove", 2, 1), ("remove", 3, 2), ("remove", 3, 3),
+        ("put_all", 1, 2), ("put_all", 2, 1), ("put_all", 1, 3), ("put_all", 3, 1),
+        ("put_all", 3, 3), ("put_all", 0, 2), ("put_all", 3, 0),
+        ("remove_key", 1, 0), ("remove_key", 2, 0), ("remove_key", 3, 0),
+        ("put", "push down"), ("remove", "lift"), ("remove_key", "lift"),
+    }
+    assert expected <= seen, expected - seen
+
+
 def test_bucket_region_order_is_irrelevant_to_equality():
     ops = [("A", 1), ("B", 2), ("C", 3)]
     a = multimap(ops, key_hash=lambda k: 9)
@@ -816,6 +926,31 @@ def test_default_hash_folds_to_32_bits():
     for value in (0, 1, "abc", (1, 2), 2**63, -17):
         h = fold_hash(value)
         assert 0 <= h <= 0xFFFFFFFF
+
+
+class _Hashed:
+    """An object whose ``hash()`` is a given int (CPython turns -1 into
+    -2)."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def test_default_hash_is_the_unsigned_64_bit_fold():
+    def unsigned_fold(obj):
+        h = hash(obj) & 0xFFFFFFFFFFFFFFFF
+        return (h ^ (h >> 32)) & 0xFFFFFFFF
+
+    edges = (0, 1, -1, -2, 2**32 - 1, 2**32 + 1, 2**61 - 1, -(2**63), 2**63 - 1)
+    rng = random.Random(150)
+    sweep = [rng.getrandbits(64) - 2**63 for _ in range(2000)]
+    objects = [_Hashed(h) for h in chain(edges, sweep)] + [*edges, "abc", 2.5, (1, "x")]
+    assert {hash(_Hashed(h)) for h in edges} >= {-(2**63), 2**63 - 1, 2**32 + 1}
+    for obj in objects:
+        assert fold_hash(obj) == unsigned_fold(obj), hash(obj)
 
 
 def test_config_widths():

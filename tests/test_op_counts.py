@@ -45,7 +45,7 @@ def test_another_seed_draws_other_operations():
 
 
 TRANSITIONS = {
-    "put": ("new key", "1 -> 2", "2 -> 3"),
+    "put": ("new key", "1 -> 2", "2 -> 3", "3 -> 4"),
     "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
 }
 
@@ -65,6 +65,16 @@ def test_puts_and_removes_split_by_the_keys_value_count():
         for r in rows.values():
             assert (r["total"] is None) == (r["ops"] == 0)
     assert result["put"]["transitions"]["new key"]["ops"] > 0
+
+
+def test_third_values_give_the_nested_set_rows_ops():
+    plain = _counts()
+    for kind, t in (("put", "3 -> 4"), ("remove", "3 -> 2")):
+        assert plain[kind]["transitions"][t]["ops"] == 0
+    result = _counts("--mix", "0.5", "--third", "0.5")
+    for kind, t in (("put", "3 -> 4"), ("remove", "3 -> 2")):
+        row = result[kind]["transitions"][t]
+        assert row["ops"] > 0 and row["total"] > 0, (kind, t)
 
 
 def test_the_table_has_a_row_per_transition():

@@ -3,23 +3,27 @@
 Usage, from anywhere::
 
     python3 tools/op_counts.py CHECKOUT [--keys 65536] [--mix 0.9]
-        [--ops 8000] [--seed 1] [--format table|json]
+        [--third 0] [--ops 8000] [--seed 1] [--format table|json]
 
 Imports ``leantrie`` from ``CHECKOUT/src``, builds the multimap of
 ``leantrie.bench.generate_workload`` at ``--keys`` keys, ``--mix`` of them
-with one value and the rest with two, and draws a seeded op mix of
-``--ops`` operations: half ``contains_entry`` (hit : value miss : key miss
-= 2:1:1), a quarter ``put`` (half a new key, half a new value for a stored
-key) and a quarter ``remove`` of a stored tuple.  Each operation is applied
+with one value and the rest with two, of which a seeded ``--third`` share
+gets a third value that no other draw gives (so those keys hold nested
+sets), and draws a seeded op mix of ``--ops`` operations: half
+``contains_entry`` (hit : value miss : key miss = 2:1:1), a quarter ``put``
+(half a new key, half a new value for a stored key) and a quarter
+``remove`` of a stored tuple.  Each operation is applied
 to the built multimap itself, so no operation depends on another's result.
 ``sys.settrace`` counts the bytecodes each one executes, by function, and
 the report gives each operation kind's bytecodes per operation, split by
 the function that ran them, with the total.  ``put`` and ``remove`` are
 also split by the transition of the key's value count, read before the
-traced call: a ``put`` adds a new key (``new key``) or promotes a stored
-one (``1 -> 2``, ``2 -> 3``), and a ``remove`` drops a key (``1 -> 0``)
-or demotes one (``2 -> 1``, ``3 -> 2``).  A transition the op mix never
-draws reads 0 ops.  The counts depend only on the code and the seed, not
+traced call: a ``put`` adds a new key (``new key``), promotes a stored
+one (``1 -> 2``, ``2 -> 3``) or inserts into its nested set (``3 -> 4``),
+and a ``remove`` drops a key (``1 -> 0``) or demotes one (``2 -> 1``,
+``3 -> 2``).  A transition the op mix never draws reads 0 ops: without
+``--third``, no key holds three values, so ``3 -> 4`` and ``3 -> 2`` do
+not occur.  The counts depend only on the code and the seed, not
 on the host's speed, so two checkouts can be compared by one run each
 where their timings cannot.
 """
@@ -33,7 +37,7 @@ from pathlib import Path
 
 KINDS = ("put", "remove", "contains_entry")
 TRANSITIONS = {
-    "put": ("new key", "1 -> 2", "2 -> 3"),
+    "put": ("new key", "1 -> 2", "2 -> 3", "3 -> 4"),
     "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
 }
 
@@ -49,15 +53,29 @@ def import_leantrie(checkout):
     return leantrie
 
 
-def op_mix(dataset, n_ops, seed):
-    """``[(kind, key, value)]``: ``n_ops`` operations on ``dataset``'s
-    multimap, in a seeded order.  New keys and values lie outside the
+def with_third_values(dataset, share, seed):
+    """``dataset``'s entries with a third value for a seeded ``share`` of
+    its two-value keys.  Third values lie above the values that
+    :func:`op_mix` draws as new, so a ``put`` of a new value to such a key
+    grows its nested set."""
+    from leantrie.bench import _VALUE_SPACE
+
+    rng = random.Random(seed)
+    entries = list(dataset.entries)
+    for k in dataset.double_keys:
+        if rng.random() < share:
+            entries.append((k, 2 * _VALUE_SPACE + rng.randrange(_VALUE_SPACE)))
+    return entries
+
+
+def op_mix(entries, n_ops, seed):
+    """``[(kind, key, value)]``: ``n_ops`` operations on the multimap of
+    ``entries``, in a seeded order.  New keys and values lie outside the
     dataset's key and value spaces, so a new key is absent and a new value
     is not stored."""
     from leantrie.bench import _KEY_SPACE, _VALUE_SPACE
 
     rng = random.Random(seed)
-    entries = dataset.entries
     n_put = n_remove = n_ops // 4
     n_lookup = n_ops - n_put - n_remove
     kinds = ["contains_entry"] * n_lookup + ["put"] * n_put + ["remove"] * n_remove
@@ -178,6 +196,9 @@ def main(argv=None):
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
+    p.add_argument(
+        "--third", type=float, default=0.0, help="share of two-value keys given a third value"
+    )
     p.add_argument("--ops", type=int, default=8000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -188,8 +209,9 @@ def main(argv=None):
     from leantrie.bench import WorkloadSpec, generate_workload
 
     dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
-    mm = leantrie.multimap(dataset.entries)
-    result = report(count(mm, op_mix(dataset, args.ops, args.seed)))
+    entries = with_third_values(dataset, args.third, args.seed)
+    mm = leantrie.multimap(entries)
+    result = report(count(mm, op_mix(entries, args.ops, args.seed)))
     print(json.dumps(result, indent=1) if args.format == "json" else table(result))
     return 0
 
