@@ -1,135 +1,53 @@
-"""Trie node machinery shared by the map, set, and multimap.
+"""Trie node machinery shared by the set, map and multimap.
 
-Nodes are immutable.  A ``TrieNode`` consumes five hash bits per level
-(shifts 0..30 over 32-bit hashes) and is itself one tuple: element 0 is
-its pattern bitmap (see :mod:`leantrie.bits`) and elements 1.. are its
-flat slot run, laid out as::
+Layout.  A node is one immutable ``tuple`` subclass instance with no
+instance dictionary, compared and hashed by identity (``_Node``):
 
-    (bitmap, [inline entries][pair entries][collection entries][sub-nodes])
+* ``TrieNode``: ``(bitmap, *slots)``, five hash bits per level (shifts
+  0..30).  The bitmap holds a 2-bit pattern per branch and, above those,
+  a pair plane (see :mod:`leantrie.bits`).  The slot run is ``[inline
+  entries][pair entries][collection entries][sub-nodes]``, each region
+  in branch order.
+* ``CollisionNode``: ``(hash, inline_n, pair_n, *slots)``, a bucket of
+  keys of one full 32-bit hash: the same three payload regions, with
+  their entry counts in place of a bitmap and no sub-nodes.
 
-Inline entries are ``width`` slots each (1 for sets, 2 for maps and
-multimaps).  The other two payload kinds occur only in multimaps: a key
-with exactly two values is a pair entry, ``PAIR_W`` slots ``(key, v0,
-v1)``, and a key with three or more is a collection entry, ``COLL_W``
-slots ``(key, set-root)`` with the root node of a nested element trie.
-Sub-node references are one slot.  Entries within a region are ordered
-by branch index.  A pair is a COLLECTION branch whose bit is set in the
-bitmap's pair plane, so a node without pairs keeps a 64-bit bitmap, and
-which slots hold values and which a nested root is read from the bitmap
-alone, never from the stored objects.  A ``CollisionNode`` is one tuple
-too, ``(hash, inline_n, pair_n, *slots)``: the same three payload regions
-after its hash and its inline and pair entry counts, without a bitmap or
-sub-nodes.  Both node kinds answer ``regions(width)``, the one
-region-bounds rule: the node itself, where its inline region starts (1
-or 3), and where its pair region, its collection region and its
-sub-nodes start.  Iteration and node statistics read each node on the
-bounds that :func:`walk` yields; counting, equality and validation read
-them too, and ``refs(width)`` gives from one decoding a node's stored
-values, nested roots and sub-nodes, so the footprint walks outside this
-module never decode the entry layout.
+An inline entry is ``width`` slots (1 for sets, 2 for maps and
+multimaps), a pair entry ``PAIR_W`` slots ``(key, v0, v1)``, a collection
+entry ``COLL_W`` slots ``(key, nested set root)`` and a sub-node one
+slot.  Which slots hold values and which a nested root is read from the
+bitmap or the counts alone.  A ``TrieConfig`` gives a trie its
+``width``, its hasher and, for a multimap, its nested sets' config.
 
-Each node layout has one writer.  A trie node's hot paths keep their
-own arithmetic on it, with the entry widths named as ``PAIR_W`` and
-``COLL_W``: :func:`_pos` ranks one branch's entry on the bitmap's bit
-planes, and ``lookup`` and ``update`` write its NODE and INLINE ranks in
-line.  Every node that ``update`` writes is one list edit: the old
-node's items copied into a list, edited in place at the position the
-descent ranked, and made the new node.  An entry that keeps its pattern
-(map replace, nested insert or delete, a value set replaced by one of the
-same kind) is overwritten by slice assignment and the node keeps its
-bitmap int; an entry removed is deleted, and a new key on an empty branch
-inserted, on the old bitmap XOR or OR that pattern's bits.  An entry that
-changes its pattern moves, and every move is ranked once, on the old
-bitmap: a branch never counts towards its own rank, so the index that the
-new pattern ranks at there is where the new entry goes among the old
-node's items, before the cut or after it, and the list takes the new
-entry and loses the old one there.  ``update`` places no move itself:
-``_placed`` places every one, the promotions (inline to pair, the most
-common) and the demotions, ``put_values``' moves, a lifted child and two
-keys pushed one level down (``_merge``).  At a sub-node, the new child is
-assigned over the old one's item, and ``_lifted`` is asked only when a
-key left a child of at most ``3 + PAIR_W`` items: the
-largest node that can lift is a bucket holding one pair.  A bucket is
-small and rare, so it is never edited in place: its ``lookup``,
-``update`` and ``equals`` find a key by one scan of its key positions,
-region by region (``_find``), its ``update`` and ``_lifted`` read its
-entry list, and every bucket, from an update, a build, ``_merge`` or
-``&``, is laid out by :func:`_collision`.
+Invariants, checked by :func:`validate_root`:
 
-Both node kinds are ``tuple`` subclasses of ``_Node`` with no instance
-dictionary, so a node costs one CPython object rather than an object plus
-a slot tuple.  Their ``==`` and ``hash`` are identity, as for any other
-object: a content comparison would recurse into stored keys.  A node
-reports its true size: CPython allocates every instance of a heap tuple
-subtype with one item more than it holds (the generic allocator's
-sentinel), which ``tuple.__sizeof__`` leaves out, so ``_Node.__sizeof__``
-adds that item and ``sys.getsizeof`` agrees with what ``tracemalloc``
-sees.
+* canonical form: equal content gives structurally equal tries whatever
+  the history.  A child left with one payload entry is lifted into its
+  parent, and a chain left above a bucket collapses;
+* a key holds one inline value, a pair of two unequal values or a nested
+  set of three or more, by their number alone;
+* a pair holds its two values in their nested set's order: the first
+  5-bit hash fragment, from the low end, in which they differ decides;
+* a bucket holds at least two keys and sits at the shallowest depth that
+  its hash prefix forces.  Its regions keep the history's order.
 
-Sets, maps, and multimaps share this machinery through a ``TrieConfig``:
-the config's ``width`` fixes the entry layout, and ``value_cfg`` is the
-nested-set config for multimaps (``None`` selects replace-on-put map
-semantics; width-1 configs never see values at all).
+Where each rule lives:
 
-Every update is one descent, ``update(cfg, shift, key_hash, key, value,
-change)``, one per node kind, and ``change`` decides what happens to the
-key's entry: it is one of four transitions that both node kinds share,
-``change(cfg, pattern, k0, payload, value) -> (pattern, slot_values)``
-or None when nothing changes.  :func:`_add_value` covers a new key, map
-replace, the promotions inline-to-pair and pair-to-collection, and
-nested-set insert; :func:`put_values` replaces a multimap key's whole
-value set with a given nested root, stored inline when it holds one
-value and as a pair when it holds two; :func:`_drop_value` covers inline
-removal, the demotions pair-to-inline and collection-to-pair, and
-nested-set delete; :func:`_drop_key` removes a key with all its values,
-or a set's element.  A transition sees an absent key as an EMPTY entry;
-the two drops have nothing to add there, so an absent key gives back the
-receiver.  The node only places the new entry.  Only a key leaving a
-child (``key_delta < 0``) can leave it with one payload entry or as a
-chain above a collision bucket, so only then does the parent restore
-canonical form (``_lifted``).  A pair's two values are compared
-by equality only, as an inline value is; the value hasher runs when a
-pair is formed from an inline value, to order it, and when it grows a
-nested set.
-
-Structural invariants (checked by :func:`validate_root`):
-
-* canonical form — equal content implies structurally equal trees no
-  matter the operation history; deletes re-inline a child left with a
-  single payload entry and collapse chains left above a collision node;
-* a key's values are stored as one inline value, a pair of two unequal
-  values or a nested set of three or more, by their number alone;
-* a pair holds its values in the order the nested set of the two would
-  iterate them: by 32-bit value hash, fragment by fragment from the
-  lowest five bits (the first fragment in which the hashes differ
-  decides).  Values of equal hash are unordered, as a bucket's entries
-  are, and structural equality compares them so;
-* collision nodes hold >= 2 entries of one identical 32-bit hash and sit
-  at the shallowest depth their hash prefix forces.
-
-Updates return ``(node, key_delta)`` and return the receiver itself
-(identity, zero delta) when nothing changed.  They count keys, not
-values: a transition never sizes a nested set, so a multimap that
-replaces or drops a whole value set counts its tuples when asked.  A
-changed node is path-copied by one list edit: ``list(node)``, edited in
-place, then ``TrieNode(items)``, which copies the items into the list, a
-tuple (CPython makes a tuple subclass instance from a plain tuple) and
-the node, with no temporary slices.  Construction does not go through
-them: :func:`build_root` builds a whole trie bottom-up, each node once,
-into the shape that the inserts would give.  One pass over the input
-forms each key's final entry in a table keyed by 32-bit hash (an inline
-slot tuple, a hash-ordered pair, or the list of values a nested build
-turns into a set), and the nodes are partitioned straight from that
-table, an entry's kind read from its shape.  A CPython int costs 28-40
-bytes, so a build hands equal bitmaps one shared int through a table
-that lives only as long as the build; a point update makes a fresh int
-when a node's pattern changes and keeps the old one when it stays.
-
-One set operation works on nodes directly: :func:`intersect` walks two
-sets' tries in step and keeps the left operand's nodes wherever the
-right one holds all their elements, restoring canonical form with
-``_lifted`` where it drops some, so its result, too, is the trie a build
-of its elements gives.
+* region bounds: ``regions`` of each node kind.  Ranks in a trie node:
+  :func:`_pos`, whose NODE and INLINE ranks ``lookup`` and ``update``
+  write in line.  A key's entry in a bucket: ``CollisionNode._find``;
+* point updates: ``update(cfg, shift, key_hash, key, value, change)`` of
+  each node kind gives ``(node, key_delta)``, the receiver itself when
+  nothing changes.  It writes each changed node as one list edit of the
+  old node's items; ``TrieNode._placed`` moves an entry that changes its
+  pattern.  ``change`` is one of the transitions :func:`_add_value`,
+  :func:`put_values`, :func:`_drop_value` and :func:`_drop_key`;
+* canonical form after a key leaves a child: :func:`_lifted`;
+* construction: :func:`build_root` builds a whole trie bottom-up.
+  :func:`_merge` makes the node of two entries that share a branch, and
+  :func:`_collision` lays out a bucket of entries of mixed kinds;
+* set intersection on nodes: :func:`intersect`.  Traversal:
+  :func:`walk`.
 """
 
 from itertools import chain, repeat
@@ -221,11 +139,11 @@ def _pos(bm, w, pattern, branch, n):
     return pos + COLL_W * (both & ((1 << offset) - 1)).bit_count()
 
 
-def _payload(s, pattern, w):
-    """The payload of an entry of ``pattern`` whose slots are ``s``: the
+def _payload(node, pattern, pos, w):
+    """The payload of ``node``'s entry of ``pattern`` at ``pos``: the
     inline value (the element itself at width 1), a pair's two values as a
     tuple, or the nested set root."""
-    return s[1:] if pattern == PAIR else s[w - 1]
+    return node[pos + 1 : pos + PAIR_W] if pattern == PAIR else node[pos + w - 1]
 
 
 class ValuePair(tuple):
@@ -387,10 +305,6 @@ class _Node(tuple):
         # a heap tuple subtype is allocated with one item more than it
         # holds, the sentinel that tuple.__sizeof__ leaves out
         return tuple.__sizeof__(self) + tuple.__itemsize__
-
-    @property
-    def slots(self):
-        return self[self.HEAD :]
 
     def insert(self, cfg, shift, key_hash, key, value):
         return self.update(cfg, shift, key_hash, key, value, _add_value)
@@ -606,8 +520,8 @@ class CollisionNode(_Node):
     pairs.  Region-internal order follows the history, so structural
     equality finds each entry's key in the other bucket: a bulk build
     orders each region by the first appearance of its keys, and ``update``
-    keeps an entry that keeps its pattern at its index and appends a new
-    key, or an entry whose pattern changes, to close its region.
+    keeps an entry that keeps its pattern at its index and places a new
+    key, or an entry whose pattern changes, at the end of its region.
     """
 
     __slots__ = ()
@@ -621,26 +535,10 @@ class CollisionNode(_Node):
         end_i = 3 + w * self[1]
         return self, 3, end_i, end_i + PAIR_W * self[2], len(self)
 
-    def _entries(self, w):
-        """``[(pattern, slots)]`` of this bucket's entries, region by
-        region: the list ``update`` edits and ``_collision`` lays out."""
-        _, start, end_i, end_p, end = self.regions(w)
-        entries = []
-        for pattern, first, last, size in (
-            (INLINE, start, end_i, w),
-            (PAIR, end_i, end_p, PAIR_W),
-            (COLLECTION, end_p, end, COLL_W),
-        ):
-            entries += [(pattern, self[pos : pos + size]) for pos in range(first, last, size)]
-        return entries
-
     def _find(self, w, key):
-        """``(index, pattern, pos)`` of ``key``'s entry, or None: its
-        index in region order, as ``_entries`` lists it, its pattern and
-        its first slot.  The key positions are scanned region by region,
-        with no entry list."""
+        """``(pattern, pos)`` of ``key``'s entry, its pattern and first
+        slot, or None: one scan of the key positions, region by region."""
         _, start, end_i, end_p, end = self.regions(w)
-        n = 0
         for pattern, first, last, size in (
             (INLINE, start, end_i, w),
             (PAIR, end_i, end_p, PAIR_W),
@@ -649,8 +547,7 @@ class CollisionNode(_Node):
             for pos in range(first, last, size):
                 k0 = self[pos]
                 if k0 is key or k0 == key:
-                    return n + (pos - first) // size, pattern, pos
-            n += (last - first) // size
+                    return pattern, pos
         return None
 
     def lookup(self, cfg, shift, key_hash, key):
@@ -660,43 +557,49 @@ class CollisionNode(_Node):
         found = self._find(w, key)
         if found is None:
             return None
-        _, pattern, pos = found
+        pattern, pos = found
         if pattern == PAIR:
             return (PAIR, ValuePair(self[pos + 1 : pos + PAIR_W]))
         return (pattern, self[pos + w - 1])
 
     def update(self, cfg, shift, key_hash, key, value, change):
-        """The bucket rebuilt from its edited entry list: an entry that
-        keeps its pattern keeps its index, a dropped one is deleted, and a
-        new key or an entry that changes its pattern is appended, so it
-        closes its region."""
+        """``(node, key_delta)``: this bucket with ``change``'s transition
+        applied to ``key``'s entry, by one list edit of its items."""
         w = cfg.width
         found = self._find(w, key) if key_hash == self[0] else None
         if found is None:
-            added = change(cfg, EMPTY, key, None, value)
-            if added is None:
+            changed = change(cfg, EMPTY, key, None, value)
+            if changed is None:
                 return self, 0
             if key_hash != self[0]:
                 # hashes differ after all: the bucket and the new entry
                 # part where their hash fragments do
-                return _merge(shift, self[0], NODE, (self,), key_hash, *added), 1
-            entries = self._entries(w)
-            entries.append(added)
-            return _collision(key_hash, entries), 1
-        i, pattern, pos = found
-        payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
-        changed = change(cfg, pattern, self[pos], payload, value)
-        if changed is None:
-            return self, 0
-        entries = self._entries(w)
-        p = changed[0]
-        if p == pattern:
-            entries[i] = changed
+                return _merge(shift, self[0], NODE, (self,), key_hash, *changed), 1
+            pattern, pos, size = EMPTY, 0, 0
         else:
-            del entries[i]
-            if p != EMPTY:
-                entries.append(changed)
-        return _collision(key_hash, entries), -(p == EMPTY)
+            pattern, pos = found
+            payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
+            changed = change(cfg, pattern, self[pos], payload, value)
+            if changed is None:
+                return self, 0
+            size = w if pattern == INLINE else PAIR_W if pattern == PAIR else COLL_W
+        p, vals = changed
+        items = list(self)
+        if p == pattern:  # same place
+            items[pos : pos + size] = vals
+            return CollisionNode(items), 0
+        # the new entry closes its region, ranked on the old items
+        _, _, end_i, end_p, end = self.regions(w)
+        j = end_i if p == INLINE else end_p if p == PAIR else end
+        items[1] += (p == INLINE) - (pattern == INLINE)
+        items[2] += (p == PAIR) - (pattern == PAIR)
+        if j > pos:  # place after the cut first, so that pos still holds
+            items[j:j] = vals
+            del items[pos : pos + size]
+        else:
+            del items[pos : pos + size]
+            items[j:j] = vals
+        return CollisionNode(items), (pattern == EMPTY) - (p == EMPTY)
 
     def equals(self, cfg, other):
         """Whether ``other`` is a bucket of the same entries: each key of
@@ -707,14 +610,15 @@ class CollisionNode(_Node):
         if type(other) is not CollisionNode or other[:3] != self[:3] or len(other) != len(self):
             return False
         w = cfg.width
-        vcfg = cfg.value_cfg
-        for pattern, s in self._entries(w):
-            found = other._find(w, s[0])
-            if found is None or found[1] != pattern:
+        _, start, end_i, end_p, end = self.regions(w)
+        keys = chain(range(start, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
+        for pos in keys:
+            pattern = INLINE if pos < end_i else PAIR if pos < end_p else COLLECTION
+            found = other._find(w, self[pos])
+            if found is None or found[0] != pattern:
                 return False
-            pos = found[2]
-            t = other[pos : pos + len(s)]
-            if not _same_payload(vcfg, pattern, _payload(s, pattern, w), _payload(t, pattern, w)):
+            a = _payload(self, pattern, pos, w)
+            if not _same_payload(cfg.value_cfg, pattern, a, _payload(other, pattern, found[1], w)):
                 return False
         return True
 
@@ -989,8 +893,9 @@ def _lifted(node, w):
         if n != w:  # several elements of a set
             return None
         return (COLLECTION if bm & (bm >> 1) & EVEN_BITS else INLINE), node[1:]
-    entries = node._entries(w)
-    return entries[0] if len(entries) == 1 else None
+    # a bucket left with one entry: its first entry fills it
+    p, size = (INLINE, w) if node[1] else (PAIR, PAIR_W) if node[2] else (COLLECTION, COLL_W)
+    return (p, node[3:]) if len(node) == 3 + size else None
 
 
 def intersect(cfg, a, b):
@@ -1111,7 +1016,7 @@ def _bucket_intersect(cfg, shift, a, b):
         found = [hit[1] for e in b[3:] if (hit := a.lookup(cfg, shift, h, e)) is not None]
     if not found:
         return None, 0
-    return _collision(h, [(INLINE, (e,)) for e in found]), len(found)
+    return CollisionNode((h, len(found), 0, *found)), len(found)
 
 
 def _few_values(root):

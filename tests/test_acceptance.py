@@ -271,13 +271,10 @@ def _slots_all_fit_fixed_arity(root):
     stack = [root]
     while stack:
         node = stack.pop()
-        if len(node.slots) > 8:
+        if len(node) - node.HEAD > 8:
             return False
         if isinstance(node, TrieNode):
-            for i in range(len(node.slots)):
-                slot = node.slots[i]
-                if hasattr(slot, "slots"):
-                    stack.append(slot)
+            stack += [slot for slot in node[node.HEAD :] if hasattr(slot, "HEAD")]
     return True
 
 

@@ -36,7 +36,7 @@ from leantrie.bits import (
     get_pattern,
     pattern_bits,
 )
-from leantrie.maps import PersistentMap
+from leantrie.maps import PersistentMap, PersistentMultiMap, PersistentSet
 from leantrie.nodes import (
     COLL_W,
     EMPTY_ROOT,
@@ -351,7 +351,7 @@ def test_bucket_promotes_and_demotes_entries():
     # the bucket's regions: B's inline entry, then A's pair
     bucket = paired._root[1]
     assert bucket.regions(2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
-    assert bucket.slots == ("B", 2, "A", 1, 9)
+    assert bucket[bucket.HEAD :] == ("B", 2, "A", 1, 9)
     grown = paired.put("A", 5)
     check_invariants(grown)
     assert set(grown.get("A")) == {1, 5, 9}
@@ -359,7 +359,7 @@ def test_bucket_promotes_and_demotes_entries():
     # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
     assert bucket.regions(2) == (bucket, 3, 5, 5, 5 + COLL_W)
-    assert bucket.slots[:3] == ("B", 2, "A")
+    assert bucket[bucket.HEAD :][:3] == ("B", 2, "A")
     back = grown.remove("A", 5)
     check_invariants(back)
     assert structurally_equal(back, paired)
@@ -993,8 +993,8 @@ def test_nodes_compare_and_hash_by_identity():
     b = TrieNode((INLINE << 2, "k", "v"))
     assert a == a and a != b
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
-    assert (a[0], a.slots) == (INLINE << 2, ("k", "v"))
-    assert type(a.slots) is tuple
+    assert (a[0], a[a.HEAD :]) == (INLINE << 2, ("k", "v"))
+    assert type(a[a.HEAD :]) is tuple
 
 
 def _expected_pos(bm, w, pattern, branch):
@@ -1299,11 +1299,11 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     # a set and a map: one inline region, later duplicates keep their place
     s_root, n, _ = build_root(set_config(_seven), ["b", "a", "b", "c", "a"])
     s = _bucket_of(s_root)
-    assert (s[1], s[2], s.slots, n) == (3, 0, ("b", "a", "c"), 3)
+    assert (s[1], s[2], s[s.HEAD :], n) == (3, 0, ("b", "a", "c"), 3)
     pairs = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 2)]
     m_root, n, _ = build_root(map_config(_seven), pairs)
     m = _bucket_of(m_root)
-    assert (m[1], m[2], m.slots, n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
+    assert (m[1], m[2], m[m.HEAD :], n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
     # a multimap whose values hash alike too: equal-hash pairs keep their
     # input order; d gets its second value before b does, and a and e stay
     # inline although a repeats its value
@@ -1314,13 +1314,20 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     cfg = multimap_config(_seven, _seven)
     root, tuples, keys = build_root(cfg, entries)
     bucket = _bucket_of(root)
-    nested = bucket.slots[-1]
+    nested = bucket[-1]
     assert (bucket[1], bucket[2]) == (2, 2)
-    assert bucket.slots == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
+    assert bucket[bucket.HEAD :] == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
     values = _bucket_of(nested)
-    assert (values[1], values[2], values.slots) == (4, 0, (3, 1, 4, 2))
+    assert (values[1], values[2], values[values.HEAD :]) == (4, 0, (3, 1, 4, 2))
     assert (tuples, keys) == (10, 5)
     validate_root(cfg, root)
+
+
+def _shown(cfg, slots):
+    """``slots`` with each nested root read as the sorted list of its values."""
+    return tuple(
+        sorted(iter_keys(cfg.value_cfg, s)) if type(s) is TrieNode else s for s in slots
+    )
 
 
 def _bucket_layout(structure):
@@ -1328,10 +1335,7 @@ def _bucket_layout(structure):
     structure's root, each nested root read as the sorted list of its
     values."""
     bucket = _bucket_of(structure._root)
-    slots = tuple(
-        sorted(iter_keys(set_config(), s)) if type(s) is TrieNode else s for s in bucket.slots
-    )
-    return bucket[1], bucket[2], slots
+    return bucket[1], bucket[2], _shown(structure._cfg, bucket[bucket.HEAD :])
 
 
 def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():
@@ -1379,6 +1383,137 @@ def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():
     mm = mm.remove_key("c").remove_key("y")  # removals from the middle
     assert _bucket_layout(mm) == (3, 0, ("a", 1, "x", 2, "d", 1, "b", [2, 5, 6]))
     check_invariants(mm)
+
+
+def _entry_list(bucket, w):
+    """``[(pattern, slots)]`` of a bucket's entries, region by region."""
+    _, start, end_i, end_p, end = bucket.regions(w)
+    entries = []
+    for pattern, first, last, size in (
+        (INLINE, start, end_i, w),
+        (PAIR, end_i, end_p, PAIR_W),
+        (COLLECTION, end_p, end, COLL_W),
+    ):
+        entries += [(pattern, bucket[pos : pos + size]) for pos in range(first, last, size)]
+    return entries
+
+
+def _laid_out(key_hash, entries):
+    """The bucket tuple of ``entries``, each region in the order given."""
+    regions = {INLINE: [], PAIR: [], COLLECTION: []}
+    for p, slots in entries:
+        regions[p].append(slots)
+    head = (key_hash, len(regions[INLINE]), len(regions[PAIR]))
+    return head + tuple(chain(*regions[INLINE], *regions[PAIR], *regions[COLLECTION]))
+
+
+def _rebuilt(cfg, bucket, key, value, change):
+    """Reference bucket update: the entry list edited and laid out again.
+
+    An entry that keeps its pattern keeps its index, a dropped one is
+    deleted, and a new key or an entry that changes its pattern is
+    appended, so it closes its region.  Returns ``(pattern, new_pattern,
+    first_in_region, entries, laid_out)``, or None when nothing changes.
+    """
+    w = cfg.width
+    entries = _entry_list(bucket, w)
+    for i, (pattern, slots) in enumerate(entries):
+        if slots[0] is key or slots[0] == key:
+            break
+    else:
+        added = change(cfg, EMPTY, key, None, value)
+        if added is None:
+            return None
+        entries.append(added)
+        return EMPTY, added[0], False, entries, _laid_out(bucket[0], entries)
+    payload = slots[1:] if pattern == PAIR else slots[w - 1]
+    changed = change(cfg, pattern, slots[0], payload, value)
+    if changed is None:
+        return None
+    first = i == 0 or entries[i - 1][0] != pattern
+    p = changed[0]
+    if p == pattern:
+        entries[i] = changed
+    else:
+        del entries[i]
+        if p != EMPTY:
+            entries.append(changed)
+    return pattern, p, first, entries, _laid_out(bucket[0], entries)
+
+
+def _random_bucket_op(rng, structure):
+    """``(new structure, key, value, change)`` of one random update."""
+    key = rng.randrange(7)
+    value = rng.randrange(5)
+    if type(structure) is PersistentSet:
+        if rng.random() < 0.6:
+            return structure.add(key), key, None, _add_value
+        return structure.discard(key), key, None, _drop_key
+    if type(structure) is PersistentMap:
+        if rng.random() < 0.6:
+            return structure.put(key, value), key, value, _add_value
+        return structure.remove(key), key, None, _drop_key
+    r = rng.random()
+    if r < 0.45:
+        return structure.put(key, value), key, value, _add_value
+    if r < 0.75:
+        return structure.remove(key, value), key, value, _drop_value
+    if r < 0.82:
+        return structure.remove_key(key), key, None, _drop_key
+    values = rng.sample(range(5), rng.randrange(1, 5))
+    root = build_root(structure._cfg.value_cfg, values)[0]
+    return structure.put_all(key, values), key, (key, root), put_values
+
+
+_ALL_BUCKET_MOVES = {
+    (old, new)
+    for old in (EMPTY, INLINE, PAIR, COLLECTION)
+    for new in (EMPTY, INLINE, PAIR, COLLECTION)
+    if old != EMPTY or new != EMPTY
+}
+
+
+@pytest.mark.parametrize(
+    "empty, moves",
+    [
+        (pset(element_hash=_seven), {(EMPTY, INLINE), (INLINE, EMPTY)}),
+        (pmap(key_hash=_seven), {(EMPTY, INLINE), (INLINE, INLINE), (INLINE, EMPTY)}),
+        (multimap(key_hash=_seven), _ALL_BUCKET_MOVES),
+    ],
+    ids=["set", "map", "multimap"],
+)
+def test_bucket_updates_match_the_entry_list_rebuild(empty, moves):
+    # every update of a bucket gives, slot for slot, the bucket that
+    # editing its entry list and laying the regions out again gives
+    rng = random.Random(26)
+    cfg = empty._cfg
+    size = len if type(empty) is not PersistentMultiMap else lambda mm: mm.key_count
+    structure = empty
+    seen = set()
+    first_collection_demoted = False
+    for _ in range(3000):
+        new, key, value, change = _random_bucket_op(rng, structure)
+        root = structure._root
+        if len(root) == 2 and type(root[1]) is CollisionNode:
+            expected = _rebuilt(cfg, root[1], key, value, change)
+            if expected is None:
+                assert new is structure
+            else:
+                pattern, p, first, entries, laid_out = expected
+                seen.add((pattern, p))
+                if (pattern, p) == (COLLECTION, PAIR) and first:
+                    first_collection_demoted = True
+                if len(entries) == 1:  # the parent lifts the one entry left
+                    assert _shown(cfg, new._root[1:]) == _shown(cfg, laid_out[3:])
+                else:
+                    bucket = _bucket_of(new._root)
+                    assert bucket[:3] == laid_out[:3]
+                    assert _shown(cfg, bucket[3:]) == _shown(cfg, laid_out[3:])
+                assert size(new) - size(structure) == (pattern == EMPTY) - (p == EMPTY)
+        structure = new
+    check_invariants(structure)
+    assert seen == moves
+    assert first_collection_demoted or type(empty) is not PersistentMultiMap
 
 
 def test_a_key_on_a_buckets_path_with_another_hash_is_absent():

@@ -48,7 +48,7 @@ MODELS = (DEFAULT_MODEL, GENERIC)
 
 def _flat_set(n):
     s = pset(range(n), element_hash=lambda e: e)
-    assert len(s._root.slots) == n
+    assert len(s._root[s._root.HEAD :]) == n
     return s
 
 
@@ -58,7 +58,7 @@ def _nodes(structure):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(s for s in node.slots if isinstance(s, (TrieNode, CollisionNode)))
+        stack.extend(s for s in node[node.HEAD :] if isinstance(s, (TrieNode, CollisionNode)))
 
 
 def test_small_specialized_nodes_pay_no_indirection():
@@ -92,8 +92,8 @@ def test_specialize_false_always_generic():
 def test_get_set_roundtrip_all_classes():
     for n in list(range(9)) + [9, 17, 32]:
         root = _flat_set(n)._root
-        assert type(root.slots) is tuple
-        assert root.slots == tuple(range(n))
+        assert type(root[root.HEAD :]) is tuple
+        assert root[root.HEAD :] == tuple(range(n))
 
 
 def test_indirection_depends_only_on_the_slot_total():
@@ -104,13 +104,13 @@ def test_indirection_depends_only_on_the_slot_total():
     mm = multimap(entries, key_hash=lambda k: k % 97)
     nodes = list(_nodes(mm))
     assert any(type(n) is CollisionNode for n in nodes)
-    assert any(len(n.slots) > MAX_FIXED_SLOTS for n in nodes)
-    assert any(len(n.slots) <= MAX_FIXED_SLOTS for n in nodes)
+    assert any(len(n) - n.HEAD > MAX_FIXED_SLOTS for n in nodes)
+    assert any(len(n) - n.HEAD <= MAX_FIXED_SLOTS for n in nodes)
     for model in MODELS:
         report = footprint(mm, model)
         assert report.nodes == len(nodes)
         assert report.indirections == sum(
-            1 for n in nodes if len(n.slots) > MAX_FIXED_SLOTS or not model.specialize
+            1 for n in nodes if len(n) - n.HEAD > MAX_FIXED_SLOTS or not model.specialize
         )
 
 
@@ -435,7 +435,7 @@ def _layout_free_words(objects):
     words = 0
     for o in objects.values():
         if isinstance(o, (TrieNode, CollisionNode)):
-            n_slots = len(o.slots) if type(o) is CollisionNode else len(o) - 1
+            n_slots = len(o) - o.HEAD
             words += 3 + n_slots + (n_slots > MAX_FIXED_SLOTS)
     return words
 
