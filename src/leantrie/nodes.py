@@ -43,7 +43,8 @@ Where each rule lives:
   pattern.  ``change`` is one of the transitions :func:`_add_value`,
   :func:`put_values`, :func:`_drop_value` and :func:`_drop_key`;
 * canonical form after a key leaves a child: :func:`_lifted`;
-* construction: :func:`build_root` builds a whole trie bottom-up.
+* construction: :func:`build_root` groups its input into one entry per
+  key, and :func:`_partition` lays out the trie's nodes bottom-up.
   :func:`_merge` makes the node of two entries that share a branch, and
   :func:`_collision` lays out a bucket of entries of mixed kinds;
 * set intersection on nodes: :func:`intersect`.  Traversal:
@@ -732,21 +733,26 @@ def build_root(cfg, entries, bitmaps=None):
     map replaces the value on a later, unequal one), then a multimap's
     hash-ordered pair ``(key, v0, v1)`` once a second distinct value
     arrives, then a list ``[key, v0, v1, v2, ...]`` from the third value
-    on, which a nested build dedups and sizes.  Later keys of a hash
-    already taken wait in a bucket list; a collision bucket orders each
-    region by the first appearance of its keys, and takes the hash's place
-    in the table.  The partition then reads ``(hash, entry)`` straight
-    from the table, splitting it by hash fragment: an entry's shape names
-    its kind at every width (a bucket, a list for a collection entry, ``w``
-    slots inline, a pair otherwise), and a branch that holds one entry
-    stores it with no sub-node.
+    on.  A first-seen key's entry is the caller's own pair when that is a
+    plain ``tuple``; a pair of another type (a list, a namedtuple) is
+    copied into one, since an entry's type names its kind.  Later keys of
+    a hash already taken wait in a bucket list.
+
+    After the pass, a nested build dedups and sizes each list's values and
+    cuts the list in place to ``[key, nested root]``, and each bucket list
+    becomes a collision bucket, each region in the order of its keys' first
+    appearance, that takes its hash's place in the table.  :func:`_partition`
+    then splits the table's hashes by hash fragment and reads an entry only
+    where it places it.
 
     Every node of the build takes its bitmap through ``bitmaps``, a table
     from each bitmap value to its first int object, so equal bitmaps share
     one int.  A top-level call makes the table and drops it on return; a
     collection entry's nested build shares its parent's.  The table never
     outlives the build, so a fresh build allocates each distinct bitmap
-    once and two builds share none of theirs.
+    once and two builds share none of theirs.  No function object refers
+    to the build's tables, so they are freed on return, with no cycle left
+    for the garbage collector.
     """
     if bitmaps is None:
         bitmaps = {}
@@ -755,6 +761,7 @@ def build_root(cfg, entries, bitmaps=None):
     hasher = cfg.hasher
     table = {}  # hash -> the entry of the first key with that hash
     more = {}  # hash -> entries of later, different keys with that hash
+    lists = []  # the list entries, of three values or more
     grown = 0  # tuples beyond one per key: 1 per pair, then a nested set's size - 2
     if w == 1:
         for e in entries:
@@ -766,11 +773,12 @@ def build_root(cfg, entries, bitmaps=None):
                     bucket.append((e,))
     else:
         vhasher = None if vcfg is None else vcfg.hasher
-        for key, value in entries:
+        for pair in entries:
+            key, value = pair
             h = hasher(key) & M32
             e = table.get(h)
             if e is None:
-                table[h] = (key, value)
+                table[h] = pair if type(pair) is tuple else (key, value)
                 continue
             k0 = e[0]
             bucket = None
@@ -781,7 +789,7 @@ def build_root(cfg, entries, bitmaps=None):
                     if k0 is key or k0 == key:
                         break
                 else:
-                    bucket.append((key, value))
+                    bucket.append(pair if type(pair) is tuple else (key, value))
                     continue
             # a known key: the sequential fold's _add_value on its entry;
             # a nested set's values are compared by its own build
@@ -803,6 +811,7 @@ def build_root(cfg, entries, bitmaps=None):
                 if v0 is value or v0 == value or v1 is value or v1 == value:
                     continue
                 e = [k0, v0, v1, value]
+                lists.append(e)
             else:
                 e.append(value)
                 continue
@@ -813,65 +822,68 @@ def build_root(cfg, entries, bitmaps=None):
     if not table:
         return EMPTY_ROOT, 0, 0
     keys = len(table) + sum(map(len, more.values()))
-
-    def collection(e):
-        """A list entry's ``(key, nested root)``."""
-        nonlocal grown
+    for e in lists:
         root, n, _ = build_root(vcfg, e[1:], bitmaps)
         grown += n - 2
-        return e[0], root
-
+        e[1:] = (root,)
     for h, bucket in more.items():
-        kinds = []
-        for e in (table[h], *bucket):
-            if type(e) is list:
-                kinds.append((COLLECTION, collection(e)))
-            else:
-                kinds.append((INLINE if len(e) == w else PAIR, e))
+        kinds = [
+            (COLLECTION if type(e) is list else INLINE if len(e) == w else PAIR, e)
+            for e in (table[h], *bucket)
+        ]
         table[h] = _collision(h, kinds)
+    return _partition(table, bitmaps, w, 0, table), keys + grown, keys
 
-    def trie_node(shift, items):
-        """``TrieNode`` at ``shift`` over ``items``, ``(hash, entry)``
-        pairs of distinct hashes; a branch that several of them share gets
-        a sub-node one level down."""
-        by_branch = {}
-        for item in items:
-            b = (item[0] >> shift) & 31
-            group = by_branch.get(b)
-            if group is None:
-                by_branch[b] = item
-            elif type(group) is list:
-                group.append(item)
-            else:
-                by_branch[b] = [group, item]
-        bm = 0
-        inline = []
-        pairs = []
-        colls = []
-        subs = []
-        for b in sorted(by_branch):
-            group = by_branch[b]
-            if type(group) is list:
-                bm |= NODE << (b << 1)
-                subs.append(trie_node(shift + 5, group))
-                continue
-            e = group[1]
-            kind = type(e)
-            if kind is CollisionNode:
-                bm |= NODE << (b << 1)
-                subs.append(e)
-            elif kind is list:
-                bm |= COLLECTION << (b << 1)
-                colls += collection(e)
-            elif len(e) == w:
+
+def _partition(table, bitmaps, w, shift, hashes):
+    """``TrieNode`` at ``shift`` over ``hashes``, distinct hashes whose
+    entries ``table`` holds as :func:`build_root` leaves them: an entry's
+    type names its kind, a ``tuple`` of ``w`` slots inline and of
+    ``PAIR_W`` a pair, a list ``[key, nested root]`` a collection entry and
+    a ``CollisionNode`` a bucket.  A branch that several hashes share gets
+    a sub-node one level down; a branch of one hash stores its entry with
+    no sub-node."""
+    by_branch = {}
+    for h in hashes:
+        b = (h >> shift) & 31
+        group = by_branch.get(b)
+        if group is None:
+            by_branch[b] = h
+        elif type(group) is list:
+            group.append(h)
+        else:
+            by_branch[b] = [group, h]
+    bm = 0
+    plane = 0  # the pair plane: bit b for a pair on branch b
+    inline = []
+    pairs = []
+    colls = []
+    subs = []
+    for b in sorted(by_branch):
+        group = by_branch[b]
+        if type(group) is list:
+            bm |= NODE << (b << 1)
+            subs.append(_partition(table, bitmaps, w, shift + 5, group))
+            continue
+        e = table[group]
+        kind = type(e)
+        if kind is tuple:
+            if len(e) == w:
                 bm |= INLINE << (b << 1)
                 inline += e
             else:
-                bm |= pattern_bits(PAIR, b)
+                bm |= COLLECTION << (b << 1)
+                plane |= 1 << b
                 pairs += e
-        return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *colls, *subs))
-
-    return trie_node(0, table.items()), keys + grown, keys
+        elif kind is list:
+            bm |= COLLECTION << (b << 1)
+            colls += e
+        else:
+            bm |= NODE << (b << 1)
+            subs.append(e)
+    if plane:
+        bm |= plane << PAIR_PLANE
+    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *colls, *subs))
 
 
 def _lifted(node, w):

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import namedtuple
 from collections.abc import Mapping, Set
 
 import pytest
@@ -24,7 +25,7 @@ from leantrie import (
     pset,
     structure_stats,
 )
-from leantrie.nodes import InvariantError
+from leantrie.nodes import InvariantError, walk
 
 
 def _colliding_hash(key):
@@ -677,6 +678,62 @@ def test_bulk_build_keeps_the_objects_the_fold_keeps():
     assert [(type(k), v) for k, v in m.items()] == [(int, "c")]
     assert [type(e) for e in pset([1.0, True, 1])] == [float]
 
+
+
+_Pair = namedtuple("_Pair", "key value")
+
+# every kind of pair source a bulk build takes, as a factory over tuples
+_PAIR_SOURCES = {
+    "tuples": lambda pairs: pairs,
+    "lists": lambda pairs: [list(p) for p in pairs],
+    "namedtuples": lambda pairs: [_Pair(*p) for p in pairs],
+    "generator": lambda pairs: ((k, v) for k, v in pairs),
+    "dict_items": lambda pairs: dict(pairs).items(),
+}
+
+
+def _recorded(source, seen):
+    """``source``'s pairs, each appended to ``seen`` as it is drawn."""
+    for pair in source:
+        seen.append(pair)
+        yield pair
+
+
+def _node_slots(structure):
+    """Every slot of every node of ``structure``, nested sets' included."""
+    todo = [(structure._cfg, structure._root)]
+    while todo:
+        cfg, root = todo.pop()
+        for _, run, start, _, end_p, end in walk(cfg.width, root):
+            yield from run[start:]
+            todo += ((cfg.value_cfg, nested) for nested in run[end_p + 1 : end : 2])
+
+
+@pytest.mark.parametrize("source", list(_PAIR_SOURCES))
+@pytest.mark.parametrize(
+    "hasher", [None, _colliding_hash, lambda x: hash(x) % 13], ids=["default", "colliding", "mod13"]
+)
+@settings(max_examples=25, deadline=None)
+@given(pairs=st.lists(st.tuples(_mixed_objects, _mixed_objects), max_size=60))
+def test_bulk_build_takes_any_pair_type_and_keeps_no_pair_object(hasher, source, pairs):
+    # a dict keeps one pair per key: its plain-tuple input is its items
+    plain = list(dict(pairs).items()) if source == "dict_items" else pairs
+    for make in (
+        lambda ps: multimap(ps, key_hash=hasher, value_hash=hasher),
+        lambda ps: pmap(ps, key_hash=hasher),
+    ):
+        seen = []
+        built = make(_recorded(_PAIR_SOURCES[source](plain), seen))
+        want = make(list(plain))
+        check_invariants(built)
+        assert built._root.equals(built._cfg, want._root)
+        # the same key and value objects, in the same slots
+        assert [(id(k), id(v)) for k, v in built.items()] == [
+            (id(k), id(v)) for k, v in want.items()
+        ]
+        assert len(seen) == len(plain)
+        drawn = {id(pair) for pair in seen}  # ``seen`` keeps each id unique
+        assert not any(id(slot) in drawn for slot in _node_slots(built))
 
 # -- put_all ---------------------------------------------------------------------------
 

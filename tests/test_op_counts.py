@@ -88,3 +88,29 @@ def test_the_table_has_a_row_per_transition():
         for name, r in result[kind]["transitions"].items()
     ]
     assert rows == expected
+
+
+@pytest.mark.parametrize("args", [(), ("--mix", "0.5", "--third", "0.5")], ids=["plain", "nested"])
+def test_two_build_counts_repeat_exactly(args):
+    first = _counts("--layer", "build", *args)
+    assert first == _counts("--layer", "build", *args)
+    assert first["keys"] == 64 and first["tuples"] >= first["keys"]
+    assert first["nodes"] > 0 and first["transient_bytes_per_key"] > 0
+    per_key = first["bytecodes_per_key"]
+    assert per_key["ops"] == first["keys"]
+    for name in ("nodes.build_root", "nodes._partition"):
+        assert per_key["by_function"][name] > 0
+    slack = 0.05 * (len(per_key["by_function"]) + 1)
+    assert sum(per_key["by_function"].values()) == pytest.approx(per_key["total"], abs=slack)
+
+
+def test_the_build_table_shows_the_report():
+    result = _counts("--layer", "build")
+    lines = _run("--layer", "build").splitlines()
+    total = result["bytecodes_per_key"]["total"]
+    assert lines[0].split() == ["bytecodes", "per", "key", f"{total:.1f}"]
+    rows = dict(line.rsplit(None, 1) for line in lines[1:] if line)
+    for name, n in result["bytecodes_per_key"]["by_function"].items():
+        assert rows[name] == f"{n:.1f}"
+    for name in ("keys", "tuples", "nodes", "transient_bytes_per_key"):
+        assert rows[name] == str(result[name])

@@ -5,7 +5,8 @@ the default model (header 2 words, bitmap 1, slot 1, out-of-line
 indirection 1); ``object_bytes`` is checked against what
 ``tracemalloc`` sees a build allocate, its components against a walk of
 ``gc`` referents that knows no node layout, and every bulk build against
-holding one int object per distinct bitmap, shared with no other build.
+holding one int object per distinct bitmap, shared with no other build,
+and against leaving no cyclic garbage.
 """
 
 import gc
@@ -325,6 +326,20 @@ def test_bulk_build_holds_one_int_per_distinct_bitmap(name):
     again = BULK_BUILDS[name]()
     assert not {id(bm) for bm in bitmaps} & {id(bm) for bm in _bitmap_ints(again)}
 
+
+
+@pytest.mark.parametrize("name", sorted(BULK_BUILDS))
+def test_bulk_build_leaves_no_cyclic_garbage(name):
+    # what a build allocates and does not keep is freed on return, by
+    # reference counts alone: a collection right after finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        built = BULK_BUILDS[name]()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0, f"a build of {len(built)} left {found} objects in cycles"
 
 def test_object_bytes_measure_structures_stored_as_values():
     # a map of sets costs its map, with the same keys, plus its sets

@@ -1,37 +1,57 @@
-"""Count the bytecodes a multimap's point operations execute.
+"""Count the bytecodes a multimap's point operations or bulk build execute.
 
 Usage, from anywhere::
 
-    python3 tools/op_counts.py CHECKOUT [--keys 65536] [--mix 0.9]
-        [--third 0] [--ops 8000] [--seed 1] [--format table|json]
+    python3 tools/op_counts.py CHECKOUT [--layer point|build] [--keys 65536]
+        [--mix 0.9] [--third 0] [--ops 8000] [--seed 1] [--format table|json]
 
-Imports ``leantrie`` from ``CHECKOUT/src``, builds the multimap of
+Imports ``leantrie`` from ``CHECKOUT/src`` and builds the multimap of
 ``leantrie.bench.generate_workload`` at ``--keys`` keys, ``--mix`` of them
 with one value and the rest with two, of which a seeded ``--third`` share
 gets a third value that no other draw gives (so those keys hold nested
-sets), and draws a seeded op mix of ``--ops`` operations: half
-``contains_entry`` (hit : value miss : key miss = 2:1:1), a quarter ``put``
-(half a new key, half a new value for a stored key) and a quarter
-``remove`` of a stored tuple.  Each operation is applied
-to the built multimap itself, so no operation depends on another's result.
-``sys.settrace`` counts the bytecodes each one executes, by function, and
-the report gives each operation kind's bytecodes per operation, split by
-the function that ran them, with the total.  ``put`` and ``remove`` are
-also split by the transition of the key's value count, read before the
-traced call: a ``put`` adds a new key (``new key``), promotes a stored
-one (``1 -> 2``, ``2 -> 3``) or inserts into its nested set (``3 -> 4``),
-and a ``remove`` drops a key (``1 -> 0``) or demotes one (``2 -> 1``,
-``3 -> 2``).  A transition the op mix never draws reads 0 ops: without
-``--third``, no key holds three values, so ``3 -> 4`` and ``3 -> 2`` do
-not occur.  The counts depend only on the code and the seed, not
-on the host's speed, so two checkouts can be compared by one run each
-where their timings cannot.
+sets).  ``sys.settrace`` counts the bytecodes that Python functions
+execute, by function.
+
+``--layer point`` (the default) draws a seeded op mix of ``--ops``
+operations: half ``contains_entry`` (hit : value miss : key miss =
+2:1:1), a quarter ``put`` (half a new key, half a new value for a stored
+key) and a quarter ``remove`` of a stored tuple.  Each operation is
+applied to the built multimap itself, so no operation depends on
+another's result.  The report gives each operation kind's bytecodes per
+operation, split by the function that ran them, with the total.  ``put``
+and ``remove`` are also split by the transition of the key's value count,
+read before the traced call: a ``put`` adds a new key (``new key``),
+promotes a stored one (``1 -> 2``, ``2 -> 3``) or inserts into its nested
+set (``3 -> 4``), and a ``remove`` drops a key (``1 -> 0``) or demotes
+one (``2 -> 1``, ``3 -> 2``).  A transition the op mix never draws reads
+0 ops: without ``--third``, no key holds three values, so ``3 -> 4`` and
+``3 -> 2`` do not occur.
+
+``--layer build`` counts ``multimap(entries)`` of that dataset: its
+bytecodes per key by function (in ``nodes.build_root``, the grouping pass
+and the nested and bucket builds; in ``nodes._partition``, the node
+layout), the nodes it builds (trie nodes, buckets and nested set nodes),
+and its transient bytes per key: the ``tracemalloc`` peak of a build run
+with the garbage collector off, less the ``object_bytes`` of the result:
+the most scratch the build holds at once beyond what it keeps.
+
+The counts depend only on the code and the seed, not on the host's
+speed, so two checkouts can be compared by one run each where their
+timings cannot.  Bytecodes miss C-level work: ``sorted``, dict and list
+building, allocation.  On the 2^13-key 50:50 build, a grouping pass over
+a ``defaultdict(list)`` cut the bytecodes by 12% and was no faster, while
+keeping the caller's pairs and freeing the scratch on return cut them by
+1.3%, and the transient bytes by 41%, and built 8% more tuples per
+second.  So a count is a direction signal for a plan, and a speed claim
+still needs ``tools/bench_pairs.py``.
 """
 
 import argparse
+import gc
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -106,11 +126,9 @@ def transition(kind, n):
     return f"{n} -> {n - 1}"
 
 
-def count(mm, ops):
-    """``{row: [n_ops, Counter(function -> bytecodes)]}`` over ``ops``
-    applied to ``mm``, each traced on its own.  A row is an operation kind,
-    or ``(kind, transition)`` for a ``put`` or ``remove``, its key's value
-    count read outside the traced call."""
+def traced(fn, *args):
+    """``Counter(function -> bytecodes)`` that ``fn(*args)`` executes, a
+    function named ``module.qualname``."""
     counts = Counter()
 
     def local(frame, event, arg):
@@ -118,10 +136,27 @@ def count(mm, ops):
             counts[frame.f_code] += 1
         return local
 
-    def call(frame, event, arg):
+    def trace(frame, event, arg):
         frame.f_trace_opcodes = True
         return local
 
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    by_function = Counter()
+    for code, n in counts.items():
+        name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+        by_function[name] += n
+    return by_function
+
+
+def count(mm, ops):
+    """``{row: [n_ops, Counter(function -> bytecodes)]}`` over ``ops``
+    applied to ``mm``, each traced on its own.  A row is an operation kind,
+    or ``(kind, transition)`` for a ``put`` or ``remove``, its key's value
+    count read outside the traced call."""
     rows = {kind: [0, Counter()] for kind in KINDS}
     rows.update(((kind, t), [0, Counter()]) for kind, ts in TRANSITIONS.items() for t in ts)
     for kind, k, v in ops:
@@ -129,14 +164,7 @@ def count(mm, ops):
         keys = [kind]
         if kind in TRANSITIONS:
             keys.append((kind, transition(kind, len(mm.get(k)))))
-        sys.settrace(call)
-        method(k, v)
-        sys.settrace(None)
-        by_function = Counter()
-        for code, n in counts.items():
-            name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
-            by_function[name] += n
-        counts.clear()
+        by_function = traced(method, k, v)
         for key in keys:
             entry = rows.setdefault(key, [0, Counter()])
             entry[0] += 1
@@ -144,9 +172,34 @@ def count(mm, ops):
     return rows
 
 
+def count_build(leantrie, entries):
+    """``{"keys", "tuples", "nodes", "transient_bytes_per_key",
+    "bytecodes_per_key"}`` of ``leantrie.multimap(entries)``; the bytecodes
+    per key as :func:`_per_op` gives them."""
+    gc.collect()  # a full collection also empties the free lists
+    gc.disable()
+    tracemalloc.start()
+    try:
+        mm = leantrie.multimap(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    stats = leantrie.structure_stats(mm)
+    keys = mm.key_count
+    return {
+        "keys": keys,
+        "tuples": mm.tuple_count,
+        "nodes": stats["trie_nodes"] + stats["collision_nodes"] + stats["nested_set_nodes"],
+        "transient_bytes_per_key": round((peak - leantrie.object_bytes(mm)) / keys, 1),
+        "bytecodes_per_key": _per_op(keys, traced(leantrie.multimap, entries)),
+    }
+
+
 def _per_op(n, by_function):
     """``{"ops": n, "total": per op, "by_function": {name: per op}}``,
-    functions by falling count; no total for no ops."""
+    functions by falling count; no total for no ops.  For a build, ``n``
+    is its number of keys."""
     return {
         "ops": n,
         "total": round(sum(by_function.values()) / n, 1) if n else None,
@@ -191,9 +244,22 @@ def table(result):
     return "\n".join(lines)
 
 
+def build_table(result):
+    """The build report as one row per function, then its sizes."""
+    per_key = result["bytecodes_per_key"]["by_function"]
+    width = max(map(len, per_key), default=8)
+    lines = [f"{'bytecodes per key':<{width}}{result['bytecodes_per_key']['total']:>12.1f}"]
+    lines += [f"{name:<{width}}{n:>12.1f}" for name, n in per_key.items()]
+    lines.append("")
+    for name in ("keys", "tuples", "nodes", "transient_bytes_per_key"):
+        lines.append(f"{name:<{width}}{result[name]:>12}")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
+    p.add_argument("--layer", choices=("point", "build"), default="point", help="what is counted")
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
     p.add_argument(
@@ -210,9 +276,12 @@ def main(argv=None):
 
     dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
     entries = with_third_values(dataset, args.third, args.seed)
-    mm = leantrie.multimap(entries)
-    result = report(count(mm, op_mix(entries, args.ops, args.seed)))
-    print(json.dumps(result, indent=1) if args.format == "json" else table(result))
+    if args.layer == "build":
+        result, show = count_build(leantrie, entries), build_table
+    else:
+        mm = leantrie.multimap(entries)
+        result, show = report(count(mm, op_mix(entries, args.ops, args.seed))), table
+    print(json.dumps(result, indent=1) if args.format == "json" else show(result))
     return 0
 
 
