@@ -1,16 +1,25 @@
 """Trie node machinery shared by the set, map and multimap.
 
-Layout.  A node is one immutable ``tuple`` subclass instance with no
-instance dictionary, compared and hashed by identity (``_Node``):
+Layout.  A node is one immutable tuple:
 
-* ``TrieNode``: ``(bitmap, *slots)``, five hash bits per level (shifts
+* a trie node, ``(bitmap, *slots)``, five hash bits per level (shifts
   0..30).  The bitmap holds a 2-bit pattern per branch and, above those,
   a pair plane (see :mod:`leantrie.bits`).  The slot run is ``[inline
   entries][pair entries][collection entries][sub-nodes]``, each region
-  in branch order.
+  in branch order.  A trie's root, at shift 0, top-level or nested, is a
+  ``TrieNode``, a ``tuple`` subclass whose methods the structures call.
+  Every trie node below a root is a plain ``tuple``: it copies, reads
+  and allocates as fast as CPython's tuples do, with no extra slot, and
+  the garbage collector stops tracking one whose items are all untracked
+  objects, such as ints and strings;
 * ``CollisionNode``: ``(hash, inline_n, pair_n, *slots)``, a bucket of
   keys of one full 32-bit hash: the same three payload regions, with
-  their entry counts in place of a bitmap and no sub-nodes.
+  their entry counts in place of a bitmap and no sub-nodes.  A bucket's
+  type is its kind: ``type(node) is CollisionNode`` tells the two apart.
+
+A root and a bucket, the two ``_Node`` subclasses, compare and hash by
+identity; an inner trie node, a plain tuple, compares by content, and
+nothing compares nodes by ``==``.
 
 An inline entry is ``width`` slots (1 for sets, 2 for maps and
 multimaps), a pair entry ``PAIR_W`` slots ``(key, v0, v1)``, a collection
@@ -33,14 +42,16 @@ Invariants, checked by :func:`validate_root`:
 
 Where each rule lives:
 
-* region bounds: ``regions`` of each node kind.  Ranks in a trie node:
-  :func:`_pos`, whose NODE and INLINE ranks ``lookup`` and ``update``
-  write in line.  A key's entry in a bucket: ``CollisionNode._find``;
-* point updates: ``update(cfg, shift, key_hash, key, value, change)`` of
-  each node kind gives ``(node, key_delta)``, the receiver itself when
-  nothing changes.  It writes each changed node as one list edit of the
-  old node's items; ``TrieNode._placed`` moves an entry that changes its
-  pattern.  ``change`` is one of the transitions :func:`_add_value`,
+* region bounds: :func:`regions`, for either node kind.  Ranks in a trie
+  node: :func:`_pos`, whose NODE and INLINE ranks :func:`_lookup` and
+  :func:`_update` write in line.  A key's entry in a bucket:
+  ``CollisionNode._find``;
+* point updates: ``_update(node, cfg, shift, key_hash, key, value,
+  change)`` of a trie node, ``TrieNode.update`` at a root, and
+  ``CollisionNode.update`` give ``(node, key_delta)``, the receiver
+  itself when nothing changes.  They write each changed node as one list
+  edit of the old node's items; :func:`_placed` moves an entry that
+  changes its pattern.  ``change`` is one of the transitions :func:`_add_value`,
   :func:`put_values`, :func:`_drop_value` and :func:`_drop_key`;
 * canonical form after a key leaves a child: :func:`_lifted`;
 * construction: :func:`build_root` groups its input into one entry per
@@ -173,7 +184,7 @@ def _same_payload(vcfg, pattern, a, b):
     """Whether the payloads ``a`` and ``b`` of two entries of ``pattern``
     (as :func:`_payload` reads them) hold equal values."""
     if pattern == COLLECTION:
-        return a.equals(vcfg, b)
+        return _equals(a, vcfg, b)
     if pattern == PAIR:
         return _same_values(a, b)
     return _eq(a, b)
@@ -222,7 +233,7 @@ def _add_value(cfg, pattern, k0, payload, value):
             return None
         return COLLECTION, (k0, _set_of_three(vcfg, v0, v1, value))
     vh = vcfg.hasher(value) & M32
-    new_root, _ = payload.update(vcfg, 0, vh, value, None, _add_value)
+    new_root, _ = _update(payload, vcfg, 0, vh, value, None, _add_value)
     if new_root is payload:
         return None
     return COLLECTION, (k0, new_root)
@@ -254,6 +265,12 @@ def _drop_value(cfg, pattern, k0, payload, value):
     slot_values)``, or None when nothing changes.  A pair left
     with one value demotes to an inline entry, and a nested set left with
     two to a pair.
+
+    A nested set of three values on distinct first-level branches, the
+    one-node root that nine promotions in ten make (:func:`_set_of_three`),
+    demotes by reading its slots: the pair is the other two values, whose
+    branch order is their pair order.  Any other nested set removes the
+    value by ``update`` and reads what is left.
     """
     if pattern == INLINE:
         if payload is value or payload == value:
@@ -270,7 +287,17 @@ def _drop_value(cfg, pattern, k0, payload, value):
         return None
     vcfg = cfg.value_cfg
     vh = vcfg.hasher(value) & M32
-    new_root, _ = payload.update(vcfg, 0, vh, value, None, _drop_key)
+    bm = payload[0]
+    if len(payload) == 4 and not bm & ~(bm >> 1) & EVEN_BITS:  # three elements, no sub-node
+        offset = (vh & 31) << 1
+        if (bm >> offset) & 0b11 != INLINE:
+            return None
+        i = 1 + ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
+        v = payload[i]
+        if not (v is value or v == value):
+            return None
+        return PAIR, (k0, *payload[1:i], *payload[i + 1 :])
+    new_root, _ = _update(payload, vcfg, 0, vh, value, None, _drop_key)
     if new_root is payload:
         return None
     few = _few_values(new_root)
@@ -287,12 +314,245 @@ def _drop_key(cfg, pattern, k0, payload, value):
     return EMPTY, ()
 
 
+def regions(node, w):
+    """``(run, start, end_i, end_p, end)`` of a node of either kind: the
+    node itself, whose inline region spans ``[start, end_i)``, its pair
+    region ``[end_i, end_p)``, its collection region ``[end_p, end)`` and
+    its sub-nodes ``[end, len(run))``.  ``start`` is the node's head size:
+    a trie node's bitmap, or a bucket's hash and entry counts, whose
+    collection region runs to its end."""
+    if type(node) is CollisionNode:
+        end_i = 3 + w * node[1]
+        return node, 3, end_i, end_i + PAIR_W * node[2], len(node)
+    bm = node[0]
+    hi = (bm >> 1) & EVEN_BITS
+    both = bm & hi
+    end_i = 1 + w * (hi ^ both).bit_count()
+    pairs = bm >> PAIR_PLANE
+    if not pairs:
+        return node, 1, end_i, end_i, end_i + COLL_W * both.bit_count()
+    n_p = pairs.bit_count()
+    end_p = end_i + PAIR_W * n_p
+    return node, 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
+
+
+def head_size(node):
+    """The number of ``node``'s items before its slot run: a trie node's
+    bitmap, or a bucket's hash and two entry counts."""
+    return CollisionNode.HEAD if type(node) is CollisionNode else TrieNode.HEAD
+
+
+def refs(node, w):
+    """``(values, nested, children)`` from one decoding of a node of either
+    kind: the values it stores in its own slots, a set's elements at width
+    1, the roots of its collection entries' nested sets, and its
+    sub-nodes."""
+    run, start, end_i, end_p, end = regions(node, w)
+    values = run[start + w - 1 : end_i : w] + run[end_i + 1 : end_p : PAIR_W]
+    values += run[end_i + 2 : end_p : PAIR_W]
+    return values, run[end_p + 1 : end : COLL_W], run[end:]
+
+
+# -- trie node operations ---------------------------------------------------------
+#
+# A trie node below a root is a plain tuple, so these are functions that
+# take the node first; ``TrieNode`` binds them as its methods.  A function
+# that writes a node makes a ``TrieNode`` at shift 0 and a tuple below.
+
+
+def _placed(node, shift, w, branch, old, pos, size, pattern, vals):
+    """The trie node ``node`` at ``shift`` with ``branch``'s entry of
+    pattern ``old``, the ``size`` items at ``pos``, cut out and ``vals``
+    placed where an entry of ``pattern``, never EMPTY, goes.
+
+    The new entry's index ``j`` is ranked once, on this node's bitmap: a
+    branch never counts towards its own rank, so ``j`` is where the entry
+    goes among the items around the cut, before them or after (``pos``
+    itself for a sub-node that replaces a sub-node).  The new node is one
+    list edit of this node's items: the new bitmap at 0, then ``vals``
+    inserted at ``j`` and the cut deleted, in the order that leaves the
+    other's index valid.
+    """
+    bm = node[0]
+    j = _pos(bm, w, pattern, branch, len(node))
+    # the two pattern bits and the pair bit that differ between old and new
+    d = old ^ pattern
+    items = list(node)
+    items[0] = bm ^ (d & 0b11) << (branch << 1) ^ (d >> 2) << (PAIR_PLANE + branch)
+    if j > pos:  # place after the cut first, so that pos still holds
+        items[j:j] = vals
+        del items[pos : pos + size]
+    else:
+        del items[pos : pos + size]
+        items[j:j] = vals
+    return (tuple if shift else TrieNode)(items)
+
+
+def _lookup(node, cfg, shift, key_hash, key):
+    """``(pattern, payload)`` for ``key`` in the trie node ``node``, or
+    None.
+
+    ``payload`` is the inline value (the element itself at width 1), a
+    pair's two values as a :class:`ValuePair`, or the nested set root for
+    COLLECTION entries.  Descends level by level in one loop and hands a
+    collision bucket its own ``lookup``.
+    """
+    while True:
+        bm = node[0]
+        offset = ((key_hash >> shift) & 31) << 1
+        pattern = (bm >> offset) & 0b11
+        if pattern != NODE:
+            break
+        # _pos for NODE: the sub-nodes on branches >= this one close the node
+        above = (bm & ~(bm >> 1) & EVEN_BITS) >> offset
+        node = node[len(node) - above.bit_count()]
+        shift += 5
+        if type(node) is CollisionNode:
+            return node.lookup(cfg, shift, key_hash, key)
+    if pattern == EMPTY:
+        return None
+    w = cfg.width
+    if pattern == INLINE:
+        # _pos for INLINE: the inline branches below this one come first
+        below = (1 << offset) - 1
+        pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & below).bit_count()
+    else:
+        if (bm >> (PAIR_PLANE + (offset >> 1))) & 1:
+            pattern = PAIR
+        pos = _pos(bm, w, pattern, offset >> 1, len(node))
+    k0 = node[pos]
+    if k0 is key or k0 == key:
+        if pattern == PAIR:
+            return (PAIR, ValuePair(node[pos + 1 : pos + PAIR_W]))
+        return (pattern, node[pos + w - 1])
+    return None
+
+
+def _node_lookup(node, cfg, shift, key_hash, key):
+    """``lookup`` of ``key`` in a node of either kind."""
+    if type(node) is CollisionNode:
+        return node.lookup(cfg, shift, key_hash, key)
+    return _lookup(node, cfg, shift, key_hash, key)
+
+
+def _update(node, cfg, shift, key_hash, key, value, change):
+    """``(node, key_delta)``: the trie node ``node`` at ``shift`` with
+    ``change``'s transition applied to ``key``'s entry (see the module
+    docstring)."""
+    bm = node[0]
+    branch = (key_hash >> shift) & 31
+    offset = branch << 1
+    pattern = (bm >> offset) & 0b11
+    if pattern == NODE:
+        # _pos for NODE: the sub-nodes on branches >= this one close the node
+        pos = len(node) - ((bm & ~(bm >> 1) & EVEN_BITS) >> offset).bit_count()
+        child = node[pos]
+        if type(child) is CollisionNode:
+            new_child, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
+        else:
+            new_child, kd = _update(child, cfg, shift + 5, key_hash, key, value, change)
+        if new_child is child:
+            return node, 0
+        # a child that can lift is at most a bucket's head and one pair
+        if kd < 0 and len(new_child) <= 3 + PAIR_W:
+            lifted = _lifted(new_child, cfg.width)
+            if lifted is not None:
+                p, vals = lifted
+                return _placed(node, shift, cfg.width, branch, NODE, pos, 1, p, vals), kd
+        items = list(node)
+        items[pos] = new_child
+        return (tuple if shift else TrieNode)(items), kd
+    w = cfg.width
+    if pattern == INLINE or pattern == EMPTY:
+        # _pos for INLINE, where this branch's inline entry is or goes:
+        # the inline branches below this one come first
+        pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
+        size = w
+    else:
+        if (bm >> (PAIR_PLANE + branch)) & 1:
+            pattern = PAIR
+        pos = _pos(bm, w, pattern, branch, len(node))
+        size = PAIR_W if pattern == PAIR else COLL_W
+    if pattern != EMPTY:
+        k0 = node[pos]
+        if k0 is key or k0 == key:
+            payload = node[pos + 1 : pos + PAIR_W] if pattern == PAIR else node[pos + w - 1]
+            changed = change(cfg, pattern, k0, payload, value)
+            if changed is None:
+                return node, 0
+            p, vals = changed
+            if p == pattern:  # same place, same bitmap int
+                items = list(node)
+                items[pos : pos + size] = vals
+                return (tuple if shift else TrieNode)(items), 0
+            if p == EMPTY:
+                bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
+                items = list(node)
+                items[0] = bm
+                del items[pos : pos + size]
+                return (tuple if shift else TrieNode)(items), -1
+            return _placed(node, shift, w, branch, pattern, pos, size, p, vals), 0
+    added = change(cfg, EMPTY, key, None, value)
+    if added is None:
+        return node, 0
+    p, vals = added
+    if pattern == EMPTY:
+        # an empty group takes the pattern by OR; nothing is removed,
+        # so the entry is placed by plain insertion
+        if p != INLINE:
+            pos = _pos(bm, w, p, branch, len(node))
+        bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
+        items = list(node)
+        items[0] = bm
+        items[pos:pos] = vals
+        return (tuple if shift else TrieNode)(items), 1
+    # a different key on the same branch: push both one level down
+    h0 = cfg.hasher(k0) & M32
+    child = _merge(shift + 5, h0, pattern, node[pos : pos + size], key_hash, p, vals)
+    return _placed(node, shift, w, branch, pattern, pos, size, NODE, (child,)), 1
+
+
+def _equals(node, cfg, other):
+    """Whether the trie nodes ``node`` and ``other`` hold equal content:
+    canonical form makes that structural equality, stopping early on
+    shared subtrees."""
+    if node is other:
+        return True
+    if type(other) is CollisionNode or other[0] != node[0]:
+        return False
+    _, start, end_i, end_p, end = regions(node, cfg.width)
+    for pos in range(start, end_i):
+        if not _eq(node[pos], other[pos]):
+            return False
+    for pos in range(end_i, end_p, PAIR_W):
+        if not _eq(node[pos], other[pos]):
+            return False
+        if not _same_values(node[pos + 1 : pos + 3], other[pos + 1 : pos + 3]):
+            return False
+    vcfg = cfg.value_cfg
+    for pos in range(end_p, end, COLL_W):
+        if not _eq(node[pos], other[pos]):
+            return False
+        if not _equals(node[pos + 1], vcfg, other[pos + 1]):
+            return False
+    for pos in range(end, len(node)):
+        child = node[pos]
+        if type(child) is CollisionNode:
+            if not child.equals(cfg, other[pos]):
+                return False
+        elif not _equals(child, cfg, other[pos]):
+            return False
+    return True
+
+
 class _Node(tuple):
-    """What both node kinds share: one tuple per node, its ``HEAD`` items
-    (a trie node's bitmap, or a bucket's hash and entry counts) followed by
-    its slot run; identity ``==`` and ``hash``; the true size; its stored
-    values and nested roots; and the two update entry points that
-    perfbench's trace replay calls.  :func:`walk` visits a trie's nodes."""
+    """What a trie's root and a collision bucket share: one tuple per node,
+    its ``HEAD`` items (a trie node's bitmap, or a bucket's hash and entry
+    counts) followed by its slot run; identity ``==`` and ``hash``, which
+    hold for these two kinds only, since an inner trie node is a plain
+    tuple that compares by content; the true size, with the sentinel item
+    of a tuple subclass; and the two update entry points that perfbench's
+    trace replay calls on roots.  :func:`walk` visits a trie's nodes."""
 
     __slots__ = ()
 
@@ -315,200 +575,17 @@ class _Node(tuple):
             cfg, shift, key_hash, key, value, _drop_key if drop_key else _drop_value
         )
 
-    def refs(self, w):
-        """``(values, nested, children)`` from one decoding of the node:
-        the values it stores in its own slots, a set's elements at width
-        1, the roots of its collection entries' nested sets, and its
-        sub-nodes."""
-        run, start, end_i, end_p, end = self.regions(w)
-        values = run[start + w - 1 : end_i : w] + run[end_i + 1 : end_p : PAIR_W]
-        values += run[end_i + 2 : end_p : PAIR_W]
-        return values, run[end_p + 1 : end : COLL_W], run[end:]
-
 
 class TrieNode(_Node):
-    """``(bitmap, *slots)``: one tuple per node (see the module docstring)."""
+    """``(bitmap, *slots)``: a trie's root, top-level or nested (see the
+    module docstring).  The nodes below it are plain tuples of the same
+    layout; the trie node functions are its methods."""
 
     __slots__ = ()
 
-    def regions(self, w):
-        """``(run, start, end_i, end_p, end)``: the node itself, whose
-        inline region spans ``[start, end_i)``, its pair region ``[end_i,
-        end_p)``, its collection region ``[end_p, end)`` and its sub-nodes
-        ``[end, len(run))``."""
-        bm = self[0]
-        hi = (bm >> 1) & EVEN_BITS
-        both = bm & hi
-        end_i = 1 + w * (hi ^ both).bit_count()
-        pairs = bm >> PAIR_PLANE
-        if not pairs:
-            return self, 1, end_i, end_i, end_i + COLL_W * both.bit_count()
-        n_p = pairs.bit_count()
-        end_p = end_i + PAIR_W * n_p
-        return self, 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
-
-    def _placed(self, w, branch, old, pos, size, pattern, vals):
-        """This node with ``branch``'s entry of pattern ``old``, the
-        ``size`` items at ``pos``, cut out and ``vals`` placed where an
-        entry of ``pattern``, never EMPTY, goes.
-
-        The new entry's index ``j`` is ranked once, on this node's bitmap:
-        a branch never counts towards its own rank, so ``j`` is where the
-        entry goes among the items around the cut, before them or after
-        (``pos`` itself for a sub-node that replaces a sub-node).  The new
-        node is one list edit of this node's items: the new bitmap at 0,
-        then ``vals`` inserted at ``j`` and the cut deleted, in the order
-        that leaves the other's index valid.
-        """
-        bm = self[0]
-        j = _pos(bm, w, pattern, branch, len(self))
-        # the two pattern bits and the pair bit that differ between old and new
-        d = old ^ pattern
-        items = list(self)
-        items[0] = bm ^ (d & 0b11) << (branch << 1) ^ (d >> 2) << (PAIR_PLANE + branch)
-        if j > pos:  # place after the cut first, so that pos still holds
-            items[j:j] = vals
-            del items[pos : pos + size]
-        else:
-            del items[pos : pos + size]
-            items[j:j] = vals
-        return TrieNode(items)
-
-    def lookup(self, cfg, shift, key_hash, key):
-        """``(pattern, payload)`` for ``key`` or None.
-
-        ``payload`` is the inline value (the element itself at width 1),
-        a pair's two values as a :class:`ValuePair`, or the nested set root
-        for COLLECTION entries.  Descends level by level in one loop and
-        hands a collision bucket its own ``lookup``.
-        """
-        node = self
-        while True:
-            bm = node[0]
-            offset = ((key_hash >> shift) & 31) << 1
-            pattern = (bm >> offset) & 0b11
-            if pattern != NODE:
-                break
-            # _pos for NODE: the sub-nodes on branches >= this one close the node
-            above = (bm & ~(bm >> 1) & EVEN_BITS) >> offset
-            node = node[len(node) - above.bit_count()]
-            shift += 5
-            if type(node) is not TrieNode:
-                return node.lookup(cfg, shift, key_hash, key)
-        if pattern == EMPTY:
-            return None
-        w = cfg.width
-        if pattern == INLINE:
-            # _pos for INLINE: the inline branches below this one come first
-            below = (1 << offset) - 1
-            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & below).bit_count()
-        else:
-            if (bm >> (PAIR_PLANE + (offset >> 1))) & 1:
-                pattern = PAIR
-            pos = _pos(bm, w, pattern, offset >> 1, len(node))
-        k0 = node[pos]
-        if k0 is key or k0 == key:
-            if pattern == PAIR:
-                return (PAIR, ValuePair(node[pos + 1 : pos + PAIR_W]))
-            return (pattern, node[pos + w - 1])
-        return None
-
-    def update(self, cfg, shift, key_hash, key, value, change):
-        """``(node, key_delta)``: this node with ``change``'s transition
-        applied to ``key``'s entry (see the module docstring)."""
-        bm = self[0]
-        branch = (key_hash >> shift) & 31
-        offset = branch << 1
-        pattern = (bm >> offset) & 0b11
-        if pattern == NODE:
-            # _pos for NODE: the sub-nodes on branches >= this one close the node
-            pos = len(self) - ((bm & ~(bm >> 1) & EVEN_BITS) >> offset).bit_count()
-            child = self[pos]
-            new_child, kd = child.update(cfg, shift + 5, key_hash, key, value, change)
-            if new_child is child:
-                return self, 0
-            # a child that can lift is at most a bucket's head and one pair
-            if kd < 0 and len(new_child) <= 3 + PAIR_W:
-                lifted = _lifted(new_child, cfg.width)
-                if lifted is not None:
-                    p, vals = lifted
-                    return self._placed(cfg.width, branch, NODE, pos, 1, p, vals), kd
-            items = list(self)
-            items[pos] = new_child
-            return TrieNode(items), kd
-        w = cfg.width
-        if pattern == INLINE or pattern == EMPTY:
-            # _pos for INLINE, where this branch's inline entry is or goes:
-            # the inline branches below this one come first
-            pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
-            size = w
-        else:
-            if (bm >> (PAIR_PLANE + branch)) & 1:
-                pattern = PAIR
-            pos = _pos(bm, w, pattern, branch, len(self))
-            size = PAIR_W if pattern == PAIR else COLL_W
-        if pattern != EMPTY:
-            k0 = self[pos]
-            if k0 is key or k0 == key:
-                payload = self[pos + 1 : pos + PAIR_W] if pattern == PAIR else self[pos + w - 1]
-                changed = change(cfg, pattern, k0, payload, value)
-                if changed is None:
-                    return self, 0
-                p, vals = changed
-                if p == pattern:  # same place, same bitmap int
-                    items = list(self)
-                    items[pos : pos + size] = vals
-                    return TrieNode(items), 0
-                if p == EMPTY:
-                    bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
-                    items = list(self)
-                    items[0] = bm
-                    del items[pos : pos + size]
-                    return TrieNode(items), -1
-                return self._placed(w, branch, pattern, pos, size, p, vals), 0
-        added = change(cfg, EMPTY, key, None, value)
-        if added is None:
-            return self, 0
-        p, vals = added
-        if pattern == EMPTY:
-            # an empty group takes the pattern by OR; nothing is removed,
-            # so the entry is placed by plain insertion
-            if p != INLINE:
-                pos = _pos(bm, w, p, branch, len(self))
-            bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
-            items = list(self)
-            items[0] = bm
-            items[pos:pos] = vals
-            return TrieNode(items), 1
-        # a different key on the same branch: push both one level down
-        h0 = cfg.hasher(k0) & M32
-        child = _merge(shift + 5, h0, pattern, self[pos : pos + size], key_hash, p, vals)
-        return self._placed(w, branch, pattern, pos, size, NODE, (child,)), 1
-
-    def equals(self, cfg, other):
-        if self is other:
-            return True
-        if type(other) is not TrieNode or other[0] != self[0]:
-            return False
-        _, start, end_i, end_p, end = self.regions(cfg.width)
-        for pos in range(start, end_i):
-            if not _eq(self[pos], other[pos]):
-                return False
-        for pos in range(end_i, end_p, PAIR_W):
-            if not _eq(self[pos], other[pos]):
-                return False
-            if not _same_values(self[pos + 1 : pos + 3], other[pos + 1 : pos + 3]):
-                return False
-        vcfg = cfg.value_cfg
-        for pos in range(end_p, end, COLL_W):
-            if not _eq(self[pos], other[pos]):
-                return False
-            if not self[pos + 1].equals(vcfg, other[pos + 1]):
-                return False
-        for pos in range(end, len(self)):
-            if not self[pos].equals(cfg, other[pos]):
-                return False
-        return True
+    lookup = _lookup
+    update = _update
+    equals = _equals
 
 
 class CollisionNode(_Node):
@@ -529,17 +606,10 @@ class CollisionNode(_Node):
 
     HEAD = 3
 
-    def regions(self, w):
-        """``(self, 3, end_i, end_p, len(self))``: the pair region follows
-        the inline region, and the collection region runs to the end of the
-        node (see ``TrieNode``)."""
-        end_i = 3 + w * self[1]
-        return self, 3, end_i, end_i + PAIR_W * self[2], len(self)
-
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, its pattern and first
         slot, or None: one scan of the key positions, region by region."""
-        _, start, end_i, end_p, end = self.regions(w)
+        _, start, end_i, end_p, end = regions(self, w)
         for pattern, first, last, size in (
             (INLINE, start, end_i, w),
             (PAIR, end_i, end_p, PAIR_W),
@@ -590,7 +660,7 @@ class CollisionNode(_Node):
             items[pos : pos + size] = vals
             return CollisionNode(items), 0
         # the new entry closes its region, ranked on the old items
-        _, _, end_i, end_p, end = self.regions(w)
+        _, _, end_i, end_p, end = regions(self, w)
         j = end_i if p == INLINE else end_p if p == PAIR else end
         items[1] += (p == INLINE) - (pattern == INLINE)
         items[2] += (p == PAIR) - (pattern == PAIR)
@@ -611,7 +681,7 @@ class CollisionNode(_Node):
         if type(other) is not CollisionNode or other[:3] != self[:3] or len(other) != len(self):
             return False
         w = cfg.width
-        _, start, end_i, end_p, end = self.regions(w)
+        _, start, end_i, end_p, end = regions(self, w)
         keys = chain(range(start, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
         for pos in keys:
             pattern = INLINE if pos < end_i else PAIR if pos < end_p else COLLECTION
@@ -671,7 +741,7 @@ def _set_of_three(vcfg, v0, v1, v2):
         if b0 > b1:
             v0, v1 = v1, v0
         return TrieNode((bm, v0, v1, v2))
-    root, _ = _root_of_two(h0, v0, h1, v1).update(vcfg, 0, h2, v2, None, _add_value)
+    root, _ = _update(_root_of_two(h0, v0, h1, v1), vcfg, 0, h2, v2, None, _add_value)
     return root
 
 
@@ -687,8 +757,8 @@ def _merge(shift, h0, p0, s0, h1, p1, s1):
     b0 = (h0 >> shift) & 31
     b1 = (h1 >> shift) & 31
     if b0 == b1:
-        child = _merge(shift + 5, h0, p0, s0, h1, p1, s1)
-        return TrieNode((NODE << (b0 << 1), child))
+        node = (NODE << (b0 << 1), _merge(shift + 5, h0, p0, s0, h1, p1, s1))
+        return node if shift else TrieNode(node)
     bm = (p0 & 0b11) << (b0 << 1) | (p1 & 0b11) << (b1 << 1)
     if p0 == PAIR or p1 == PAIR:
         bm |= pattern_bits(p0, b0) | pattern_bits(p1, b1)
@@ -696,9 +766,8 @@ def _merge(shift, h0, p0, s0, h1, p1, s1):
     # ordered by branch
     r0 = _REGION[p0]
     r1 = _REGION[p1]
-    if r0 < r1 or (r0 == r1 and b0 < b1):
-        return TrieNode((bm,) + s0 + s1)
-    return TrieNode((bm,) + s1 + s0)
+    node = (bm,) + s0 + s1 if r0 < r1 or (r0 == r1 and b0 < b1) else (bm,) + s1 + s0
+    return node if shift else TrieNode(node)
 
 
 # each payload pattern's region, in slot-run order; sub-nodes close the run
@@ -708,10 +777,10 @@ _REGION = {INLINE: 0, PAIR: 1, COLLECTION: 2, NODE: 3}
 def _collision(key_hash, entries):
     """Bucket of ``entries``, ``(pattern, slot values)`` pairs of one hash,
     each region in the order given."""
-    regions = ([], [], [])
+    by_region = ([], [], [])
     for p, s in entries:
-        regions[_REGION[p]].append(s)
-    inline, pairs, coll = regions
+        by_region[_REGION[p]].append(s)
+    inline, pairs, coll = by_region
     head = (key_hash, len(inline), len(pairs))
     return CollisionNode(chain(head, *inline, *pairs, *coll))
 
@@ -836,7 +905,7 @@ def build_root(cfg, entries, bitmaps=None):
 
 
 def _partition(table, bitmaps, w, shift, hashes):
-    """``TrieNode`` at ``shift`` over ``hashes``, distinct hashes whose
+    """Trie node at ``shift`` over ``hashes``, distinct hashes whose
     entries ``table`` holds as :func:`build_root` leaves them: an entry's
     type names its kind, a ``tuple`` of ``w`` slots inline and of
     ``PAIR_W`` a pair, a list ``[key, nested root]`` a collection entry and
@@ -883,7 +952,8 @@ def _partition(table, bitmaps, w, shift, hashes):
             subs.append(e)
     if plane:
         bm |= plane << PAIR_PLANE
-    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *pairs, *colls, *subs))
+    node = (bitmaps.setdefault(bm, bm), *inline, *pairs, *colls, *subs)
+    return node if shift else TrieNode(node)
 
 
 def _lifted(node, w):
@@ -891,7 +961,7 @@ def _lifted(node, w):
     in its parent once a key has left it, when canonical form moves one
     up: ``node``'s only payload entry, or the collision bucket below it
     when it is a chain node; None when ``node`` stays."""
-    if type(node) is TrieNode:
+    if type(node) is not CollisionNode:
         n = len(node) - 1
         if n > PAIR_W:  # cheap rejection: one entry fills at most PAIR_W slots
             return None
@@ -938,7 +1008,7 @@ def _intersect(cfg, shift, a, b, bitmaps):
     and otherwise a new node that its parent may still need to lift."""
     if a is b:
         return a, None
-    if type(a) is not TrieNode or type(b) is not TrieNode:
+    if type(a) is CollisionNode or type(b) is CollisionNode:
         return _bucket_intersect(cfg, shift, a, b)
     bma = a[0]
     bmb = b[0]
@@ -968,7 +1038,7 @@ def _intersect(cfg, shift, a, b, bitmaps):
                 hit = e is f or e == f
             else:
                 sub = b[len_b - (subs_b & ~below).bit_count()]
-                hit = sub.lookup(cfg, sub_shift, hasher(e) & M32, e) is not None
+                hit = _node_lookup(sub, cfg, sub_shift, hasher(e) & M32, e) is not None
             if hit:
                 bm |= low << 1
                 inline.append(e)
@@ -980,7 +1050,7 @@ def _intersect(cfg, shift, a, b, bitmaps):
         if inline_b & low:  # a sub-node holds more than b's one element
             kept = False
             f = b[1 + (inline_b & below).bit_count()]
-            found = child.lookup(cfg, sub_shift, hasher(f) & M32, f)
+            found = _node_lookup(child, cfg, sub_shift, hasher(f) & M32, f)
             if found is not None:
                 bm |= low << 1
                 inline.append(found[1])
@@ -1011,7 +1081,8 @@ def _intersect(cfg, shift, a, b, bitmaps):
         return a, size
     if not bm:
         return None, 0
-    return TrieNode((bitmaps.setdefault(bm, bm), *inline, *subs)), size
+    node = (bitmaps.setdefault(bm, bm), *inline, *subs)
+    return (node if shift else TrieNode(node)), size
 
 
 def _bucket_intersect(cfg, shift, a, b):
@@ -1020,12 +1091,12 @@ def _bucket_intersect(cfg, shift, a, b):
     bucket (of one element when one is left, for the parent to lift)."""
     if type(a) is CollisionNode:
         h = a[0]
-        found = [e for e in a[3:] if b.lookup(cfg, shift, h, e) is not None]
+        found = [e for e in a[3:] if _node_lookup(b, cfg, shift, h, e) is not None]
         if len(found) == len(a) - 3:
             return a, len(found)
     else:
         h = b[0]
-        found = [hit[1] for e in b[3:] if (hit := a.lookup(cfg, shift, h, e)) is not None]
+        found = [hit[1] for e in b[3:] if (hit := _node_lookup(a, cfg, shift, h, e)) is not None]
     if not found:
         return None, 0
     return CollisionNode((h, len(found), 0, *found)), len(found)
@@ -1036,7 +1107,7 @@ def _few_values(root):
     its iteration order; None when it holds more.  Follows the chain of
     single sub-nodes that two values of a shared hash prefix hang from."""
     node = root
-    while type(node) is TrieNode:
+    while type(node) is not CollisionNode:
         n = len(node)
         if n > PAIR_W:
             return None
@@ -1051,13 +1122,13 @@ def _few_values(root):
 
 
 def walk(w, root):
-    """``(depth, *node.regions(w))`` for each node of the trie ``root`` of
+    """``(depth, *regions(node, w))`` for each node of the trie ``root`` of
     entry width ``w``, the root at depth 1: pre-order over an explicit
     stack, sub-nodes in branch order.  Nested sets are not entered."""
     stack = [(1, root)]
     while stack:
         depth, node = stack.pop()
-        run, start, end_i, end_p, end = node.regions(w)
+        run, start, end_i, end_p, end = regions(node, w)
         yield depth, run, start, end_i, end_p, end
         if end < len(run):
             stack += zip(repeat(depth + 1), run[: end - 1 : -1])
@@ -1093,7 +1164,7 @@ def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
     width-1 tries), summed from region counts without visiting them."""
     w = cfg.width
-    run, start, end_i, end_p, end = node.regions(w)
+    run, start, end_i, end_p, end = regions(node, w)
     total = (end_i - start) // w + 2 * (end_p - end_i) // PAIR_W
     for pos in range(end_p + 1, end, COLL_W):
         total += count_entries(cfg.value_cfg, run[pos])
@@ -1115,23 +1186,29 @@ def _fail(msg):
 
 def validate_root(cfg, root):
     """Recursively check every structural invariant; returns
-    ``(tuple_count, key_count)`` recounted from scratch."""
-    if type(root) is not TrieNode:
-        _fail(f"root must be a TrieNode, got {type(root).__name__}")
+    ``(tuple_count, key_count)`` recounted from scratch.  A root, top-level
+    or nested, is a ``TrieNode``, and every trie node below it a plain
+    tuple."""
     return _validate(cfg, root, 0, 0, True)
 
 
 def _validate(cfg, node, shift, prefix, is_root):
     """``(tuple_count, key_count)`` below ``node``, a trie node at ``shift``
     or a collision bucket, whose keys' hashes share the path ``prefix``,
-    after checking each of its regions."""
+    after checking its kind and each of its regions."""
+    kind = type(node)
+    if is_root:
+        if kind is not TrieNode:
+            _fail(f"root must be a TrieNode, got {kind.__name__}")
+    elif kind is not tuple and kind is not CollisionNode:
+        _fail(f"trie node below a root must be a plain tuple, got {kind.__name__}")
     w = cfg.width
-    run, start, end_i, end_p, end = node.regions(w)
+    run, start, end_i, end_p, end = regions(node, w)
     n_i = (end_i - start) // w
     n_p = (end_p - end_i) // PAIR_W
     n_c = (end - end_p) // COLL_W
     mask = ((1 << shift) - 1) & M32
-    bucket = type(node) is CollisionNode
+    bucket = kind is CollisionNode
     if bucket:
         if not end_i <= end_p <= end or (end - end_p) % COLL_W:
             _fail("collision slot run does not match its entry counts")
@@ -1240,7 +1317,7 @@ def node_stats(cfg, root):
     w = cfg.width
     for depth, run, start, end_i, end_p, end in walk(w, root):
         stats["max_depth"] = max(stats["max_depth"], depth)
-        stats["trie_nodes" if type(run) is TrieNode else "collision_nodes"] += 1
+        stats["collision_nodes" if type(run) is CollisionNode else "trie_nodes"] += 1
         stats["inline_entries"] += (end_i - start) // w
         stats["pair_entries"] += (end_p - end_i) // PAIR_W
         stats["collection_entries"] += (end - end_p) // COLL_W

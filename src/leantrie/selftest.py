@@ -12,7 +12,7 @@ from . import bits
 from .bench import run_footprint
 from .dominators import CfgGraph, compute_dominators, random_cfg
 from .maps import check_invariants, multimap, pmap
-from .nodes import COLL_W, PAIR_W, TrieNode, _pos
+from .nodes import COLL_W, PAIR_W, CollisionNode, _pos, regions
 from .storage import FootprintModel, _reached, footprint
 
 
@@ -37,7 +37,7 @@ def _check_bitmap_algebra(rng):
 
 
 def _node_ranks_match(rng, groups, bitmap):
-    """Whether ``nodes._pos`` and ``TrieNode.regions`` agree with a slot run
+    """Whether ``nodes._pos`` and ``nodes.regions`` agree with a slot run
     laid out branch by branch, region by region, for ``bitmap`` with a
     random share of its COLLECTION branches marked as pairs, at widths 1
     and 2."""
@@ -58,8 +58,8 @@ def _node_ranks_match(rng, groups, bitmap):
                 if p == region:
                     expect[b] = pos
                     pos += size[p]
-        node = TrieNode((bm,) + (None,) * (pos - 1))
-        if node.regions(w)[1:] != tuple(bounds):
+        node = (bm,) + (None,) * (pos - 1)
+        if regions(node, w)[1:] != tuple(bounds):
             return False
         if any(_pos(bm, w, patterns[b], b, pos) != at for b, at in expect.items()):
             return False
@@ -162,7 +162,11 @@ def _check_put_all(rng):
 def _bitmap_ints(structure):
     """Every trie-node bitmap above the small-int cache in ``structure``,
     nested sets and nodes under collision buckets included."""
-    return [o[0] for o, _, _ in _reached(structure) if type(o) is TrieNode and o[0] > 256]
+    return [
+        o[0]
+        for o, cfg, _ in _reached(structure)
+        if cfg is not None and type(o) is not CollisionNode and o[0] > 256
+    ]
 
 
 def _check_shared_bitmaps(rng):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .maps import PersistentMap, PersistentMultiMap, PersistentSet
+from .nodes import head_size, refs
 
 MAX_FIXED_SLOTS = 8
 
@@ -98,7 +99,7 @@ def footprint(structures, model=DEFAULT_MODEL):
             slots = WRAPPER_FIELDS[type(o)] * model.slot_words
             words = model.header_words + slots
         else:
-            n_slots = len(o) - o.HEAD
+            n_slots = len(o) - head_size(o)
             slots = n_slots * model.slot_words
             words = model.header_words + model.bitmap_words + slots
             report.bitmaps += model.bitmap_words
@@ -142,7 +143,7 @@ def _reached(structures):
         if cfg is None:
             stack.append((o._root, o._cfg, nested))
             continue
-        values, roots, children = o.refs(cfg.width)
+        values, roots, children = refs(o, cfg.width)
         stack.extend(zip(reversed(children), repeat(cfg), repeat(nested)))
         stack.extend(zip(reversed(roots), repeat(cfg.value_cfg), repeat(True)))
         # by exact type, as WRAPPER_FIELDS prices them (an ABC isinstance is
@@ -183,12 +184,15 @@ def object_bytes(structures):
     structure shares are left out too: classes, functions, ``None``,
     bools and the interpreter's cached small ints.  Every other object is
     counted once, however many nodes refer to it: a bulk build gives equal
-    bitmaps one shared int, and the walk counts that int once.  The total
-    is what ``tracemalloc`` sees a fresh build of the same content
-    allocate, up to the interpreter's own few-KiB caches and one known
-    under-count: a bitmap int made by ``<<`` or ``|`` can keep one unused
-    30-bit digit allocated, which ``int.__sizeof__`` leaves out, so the
-    walk reads 4 B low for each such int.  On a 4,096-key 90:10
+    bitmaps one shared int, and the walk counts that int once.  A trie's
+    root and a collision bucket are tuple subclass instances, which CPython
+    allocates with one 8 B sentinel item beyond their items, and their
+    ``__sizeof__`` counts it; an inner trie node is a plain tuple, with no
+    sentinel.  The total is what ``tracemalloc`` sees a fresh build of the
+    same content allocate, up to the interpreter's own few-KiB caches and
+    one known under-count: a bitmap int made by ``<<`` or ``|`` can keep
+    one unused 30-bit digit allocated, which ``int.__sizeof__`` leaves
+    out, so the walk reads 4 B low for each such int.  On a 4,096-key 90:10
     ``map_of_sets`` of ``PersistentSet`` values that is 12.7 KB, beyond
     the few-KiB agreement; 11.9 KB of it are the roots of the one-value
     sets, each a build of its own, so no two of them share an int.
@@ -238,5 +242,5 @@ def byte_components(structures):
             continue
         component = "nested" if nested else "trie"
         sizes[component] += sys.getsizeof(o)
-        add("bitmaps", *o[: o.HEAD])
+        add("bitmaps", *o[: head_size(o)])
     return sizes

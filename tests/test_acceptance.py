@@ -266,15 +266,17 @@ def test_multimap_lookup_overhead_stays_within_bound():
 
 
 def _slots_all_fit_fixed_arity(root):
-    from leantrie.nodes import TrieNode
+    from leantrie.nodes import CollisionNode
 
+    # the builds below store ints, so every tuple in a slot is a node: a
+    # bucket, or a trie node, whose plain-tuple inner nodes carry no HEAD
     stack = [root]
     while stack:
         node = stack.pop()
-        if len(node) - node.HEAD > 8:
+        head = 3 if type(node) is CollisionNode else 1
+        if len(node) - head > 8:
             return False
-        if isinstance(node, TrieNode):
-            stack += [slot for slot in node[node.HEAD :] if hasattr(slot, "HEAD")]
+        stack += [slot for slot in node[head:] if isinstance(slot, tuple)]
     return True
 
 

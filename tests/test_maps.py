@@ -25,7 +25,7 @@ from leantrie import (
     pset,
     structure_stats,
 )
-from leantrie.nodes import InvariantError, walk
+from leantrie.nodes import COLL_W, CollisionNode, InvariantError, TrieNode, walk
 
 
 def _colliding_hash(key):
@@ -894,6 +894,19 @@ class _HistoryMachine(RuleBasedStateMachine):
             return mm.put_all(key, shared)
 
         self._derive(pick, update)
+
+    @invariant()
+    def the_newest_version_keeps_the_root_rule(self):
+        # each version is the newest once: its root, top-level or nested, is
+        # a TrieNode, a trie node below it a plain tuple, a bucket a bucket
+        mm = self.versions[-1][0]
+        stack = [(mm._cfg, mm._root)]
+        while stack:
+            cfg, root = stack.pop()
+            for depth, run, _, _, end_p, end in walk(cfg.width, root):
+                kind = type(run)
+                assert kind is TrieNode if depth == 1 else kind in (tuple, CollisionNode)
+                stack += [(cfg.value_cfg, nested) for nested in run[end_p + 1 : end : COLL_W]]
 
     @invariant()
     def old_versions_are_intact(self):

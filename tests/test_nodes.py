@@ -30,6 +30,7 @@ from leantrie import (
 from leantrie.bits import (
     COLLECTION,
     EMPTY,
+    EVEN_BITS,
     INLINE,
     NODE,
     PAIR,
@@ -49,13 +50,19 @@ from leantrie.nodes import (
     _add_value,
     _drop_key,
     _drop_value,
+    _few_values,
     _pos,
+    _root_of_two,
+    _set_of_three,
+    _trie_order,
+    _update,
     build_root,
     fold_hash,
     iter_keys,
     map_config,
     multimap_config,
     put_values,
+    regions,
     set_config,
     validate_root,
     walk,
@@ -350,7 +357,7 @@ def test_bucket_promotes_and_demotes_entries():
     assert structure_stats(paired)["pair_entries"] == 1
     # the bucket's regions: B's inline entry, then A's pair
     bucket = paired._root[1]
-    assert bucket.regions(2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
+    assert regions(bucket, 2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
     assert bucket[bucket.HEAD :] == ("B", 2, "A", 1, 9)
     grown = paired.put("A", 5)
     check_invariants(grown)
@@ -358,7 +365,7 @@ def test_bucket_promotes_and_demotes_entries():
     assert structure_stats(grown)["collection_entries"] == 1
     # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
-    assert bucket.regions(2) == (bucket, 3, 5, 5, 5 + COLL_W)
+    assert regions(bucket, 2) == (bucket, 3, 5, 5, 5 + COLL_W)
     assert bucket[bucket.HEAD :][:3] == ("B", 2, "A")
     back = grown.remove("A", 5)
     check_invariants(back)
@@ -462,7 +469,7 @@ def _node_ids(cfg, root):
 
 def _sub_node(node, branch):
     """``node``'s sub-node on ``branch``, or None."""
-    if type(node) is not TrieNode or get_pattern(node[0], branch) != NODE:
+    if node is None or type(node) is CollisionNode or get_pattern(node[0], branch) != NODE:
         return None
     return node[_pos(node[0], 1, NODE, branch, len(node))]
 
@@ -479,7 +486,7 @@ def _check_written(cfg, old, new, shift, h, key, value, old_root, old_ids):
     if new is old or id(new) in old_ids:
         return
     w = cfg.width
-    run, _, _, end_p, end = new.regions(w)
+    run, _, _, end_p, end = regions(new, w)
     if type(new) is CollisionNode:
         assert new[0] == h, "a new bucket off the key's hash"
     for pos in range(end_p, end, COLL_W):
@@ -616,7 +623,7 @@ def _reference_entries(cfg, node):
     collection entries (a set's elements at width 1), then each sub-node's
     in branch order."""
     w = cfg.width
-    run, start, end_i, end_p, end = node.regions(w)
+    run, start, end_i, end_p, end = regions(node, w)
     if w == 1:
         yield from run[start:end_i]
     else:
@@ -634,7 +641,7 @@ def _reference_entries(cfg, node):
 
 def _reference_keys(cfg, node):
     w = cfg.width
-    run, start, end_i, end_p, end = node.regions(w)
+    run, start, end_i, end_p, end = regions(node, w)
     yield from run[start:end_i:w]
     yield from run[end_i:end_p:PAIR_W]
     yield from run[end_p:end:COLL_W]
@@ -755,6 +762,127 @@ def test_map_put_replaces_without_promotion():
     assert structure_stats(m)["collection_entries"] == 0
 
 
+# -- only a trie's root carries the TrieNode class ------------------------------
+
+# the node classes a trie may hold, by whether the node is a root: a root,
+# top-level or nested, is a TrieNode, and below it a trie node is a plain
+# tuple and a bucket a CollisionNode
+ROOT_RULE = {(True, "TrieNode"), (False, "tuple"), (False, "CollisionNode")}
+
+
+def _node_kinds(cfg, root):
+    """``{(is_root, class name)}`` over the nodes of the trie ``root`` and
+    of its nested sets."""
+    kinds = set()
+    stack = [(cfg, root)]
+    while stack:
+        c, r = stack.pop()
+        for depth, run, _, _, end_p, end in walk(c.width, r):
+            kinds.add((depth == 1, type(run).__name__))
+            stack += [(c.value_cfg, nested) for nested in run[end_p + 1 : end : COLL_W]]
+    return kinds
+
+
+def _keeps_the_root_rule(structure):
+    check_invariants(structure)  # validate_root checks the rule too
+    return _node_kinds(structure._cfg, structure._root) <= ROOT_RULE
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.sets(st.integers(0, 3000), max_size=80),
+    b=st.sets(st.integers(0, 3000), max_size=80),
+    values=st.lists(st.integers(0, 3000), min_size=3, max_size=3, unique=True),
+    hasher=st.sampled_from([None, _mod7, _low10]),
+)
+def test_only_roots_carry_the_trie_node_class(a, b, values, hasher):
+    sa = pset(a, element_hash=hasher)
+    sb = pset(b, element_hash=hasher)
+    for s in (sa, sb, sa & sb, sb & sa, sa.add(3001), sa.discard(min(a, default=0))):
+        assert _keeps_the_root_rule(s)
+    mm = multimap([(k, k) for k in a], key_hash=hasher, value_hash=hasher)
+    # a shared nested root, a list's build, and get's roots of each entry kind
+    for k in (0, 1):
+        mm = mm.put_all(k, sa).put_all(k + 2, list(b))
+    assert _keeps_the_root_rule(mm)
+    for k in (0, 2, *list(a)[:3]):
+        assert _keeps_the_root_rule(mm.get(k))
+    # the pair-to-set promotion, one node or the general path
+    v0, v1, v2 = values
+    vcfg = mm._cfg.value_cfg
+    if not _trie_order(vcfg.hasher(v0) & M32, vcfg.hasher(v1) & M32):
+        v0, v1 = v1, v0
+    three = PersistentSet(vcfg, _set_of_three(vcfg, v0, v1, v2), 3)
+    assert _keeps_the_root_rule(three)
+    promoted = multimap([(9, v0), (9, v1)], key_hash=hasher, value_hash=hasher).put(9, v2)
+    assert _keeps_the_root_rule(promoted) and _keeps_the_root_rule(promoted.get(9))
+
+
+@pytest.mark.parametrize(
+    "h0, h1",
+    [(1, 2), (0b00001_00011, 0b00010_00011), (0b11 << 25 | 5, 0b01 << 25 | 5), (7, 7)],
+    ids=["distinct", "shared-fragment", "shared-six-fragments", "collision"],
+)
+def test_a_two_set_root_keeps_the_root_rule(h0, h1):
+    table = {"x": h0, "y": h1}
+    cfg = set_config(table.__getitem__)
+    root = _root_of_two(h0, "x", h1, "y")
+    assert _keeps_the_root_rule(PersistentSet(cfg, root, 2))
+    kinds = _node_kinds(cfg, root)
+    if h0 & 31 != h1 & 31:
+        assert kinds == {(True, "TrieNode")}
+    elif h0 == h1:
+        assert kinds == {(True, "TrieNode"), (False, "CollisionNode")}
+    else:
+        assert kinds == {(True, "TrieNode"), (False, "tuple")}
+
+
+def _drop_by_rebuild(cfg, k0, root, value):
+    """``_drop_value`` of ``value`` from the nested set ``root``, three
+    values, as it was before the one-node read: remove the value by
+    ``update`` and read the two left."""
+    vcfg = cfg.value_cfg
+    new_root, _ = _update(root, vcfg, 0, vcfg.hasher(value) & M32, value, None, _drop_key)
+    if new_root is root:
+        return None
+    return PAIR, (k0, *_few_values(new_root))
+
+
+def _shifted(obj):
+    # every value on first-level branch 0: the three hang below a sub-node
+    return (hash(obj) << 5) & M32
+
+
+@pytest.mark.parametrize(
+    "hasher", [None, _mod7, _low10, _shifted], ids=["default", "mod7", "low10", "shifted"]
+)
+def test_a_three_value_demotion_matches_the_rebuild(hasher):
+    cfg = multimap_config(value_hash=hasher)
+    vcfg = cfg.value_cfg
+    rng = random.Random(2929)
+    one_node = 0
+    for _ in range(300):
+        values = rng.sample(range(4000), 3)
+        v0, v1, v2 = values
+        if not _trie_order(vcfg.hasher(v0) & M32, vcfg.hasher(v1) & M32):
+            v0, v1 = v1, v0
+        root = _set_of_three(vcfg, v0, v1, v2)
+        bm = root[0]
+        one_node += len(root) == 4 and not bm & ~(bm >> 1) & EVEN_BITS
+        # each stored value, and absent ones: a new one and an equal copy
+        for value in (*values, 4000 + rng.randrange(4000), float(values[0])):
+            got = _drop_value(cfg, COLLECTION, "k", root, value)
+            want = _drop_by_rebuild(cfg, "k", root, value)
+            assert got == want, (values, value)
+            if got is not None:
+                assert all(a is b for a, b in zip(got[1], want[1]))
+    # the default hash puts nine in ten on the one-node read, _shifted none
+    if hasher is None:
+        assert one_node > 240
+    if hasher is _shifted:
+        assert one_node == 0
+
+
 # -- validator rejects malformed structures --------------------------------------
 
 
@@ -764,7 +892,7 @@ def make_leaf(branch, key, value):
 
 def test_validator_rejects_single_payload_child():
     cfg = map_config(key_hash=lambda k: k)
-    child = make_leaf(1, 32, "v")  # hash 32: fragment 0 then 1
+    child = tuple(make_leaf(1, 32, "v"))  # hash 32: fragment 0 then 1
     root = TrieNode((NODE << 0, child))
     with pytest.raises(InvariantError, match="single payload"):
         validate_root(cfg, root)
@@ -773,7 +901,7 @@ def test_validator_rejects_single_payload_child():
 def test_validator_rejects_chain_over_a_bucket():
     cfg = map_config(key_hash=lambda k: 0)
     bucket = CollisionNode((0, 2, 0, "a", 1, "b", 2))
-    chain = TrieNode((NODE << 0, bucket))
+    chain = (NODE << 0, bucket)
     root = TrieNode((NODE << 0, chain))
     with pytest.raises(InvariantError, match="chain node"):
         validate_root(cfg, root)
@@ -817,14 +945,16 @@ def test_validator_rejects_slot_count_mismatch():
 
 
 def _chain(levels, bottom):
-    """``bottom`` hung ``levels`` levels down branch 0."""
-    for _ in range(levels):
-        bottom = TrieNode((NODE, bottom))
-    return bottom
+    """The root of ``bottom`` hung ``levels`` levels down branch 0, through
+    plain-tuple inner nodes."""
+    for _ in range(levels - 1):
+        bottom = (NODE, bottom)
+    return TrieNode((NODE, bottom))
 
 
-def _under_root(bucket):
-    return TrieNode((NODE, bucket))
+def _under_root(node):
+    """The root of ``node`` hung on branch 0."""
+    return TrieNode((NODE, node))
 
 
 _IDENTITY = multimap_config(key_hash=lambda k: k, value_hash=lambda v: v)
@@ -835,7 +965,7 @@ _IDENTITY = multimap_config(key_hash=lambda k: k, value_hash=lambda v: v)
 MALFORMED = {
     "below-last-level": (
         map_config(key_hash=lambda k: 0),
-        _chain(7, TrieNode((0,))),
+        _chain(7, (0,)),
         r"below the last hash level \(shift 35\)",
     ),
     "wide-bitmap": (
@@ -869,11 +999,11 @@ MALFORMED = {
         TrieNode((COLLECTION, 0, TrieNode((0,)))),
         "collection entries in a width-1 trie",
     ),
-    "empty-non-root": (map_config(), _under_root(TrieNode((0,))), "empty non-root"),
+    "empty-non-root": (map_config(), _under_root((0,)), "empty non-root"),
     "wrong-prefix": (
         # both keys' hashes end in fragment 2, but they hang off branch 1
         map_config(key_hash=lambda k: k),
-        TrieNode((NODE << 2, TrieNode((INLINE << 2 | INLINE << 4, 34, "a", 66, "b")))),
+        TrieNode((NODE << 2, (INLINE << 2 | INLINE << 4, 34, "a", 66, "b"))),
         "34 stored under the wrong hash prefix",
     ),
     "bucket-run-mismatch": (
@@ -905,6 +1035,21 @@ MALFORMED = {
         map_config(key_hash=lambda k: 0),
         CollisionNode((0, 2, 0, "a", 1, "b", 2)),
         "root must be a TrieNode, got CollisionNode",
+    ),
+    "root-a-plain-tuple": (
+        map_config(key_hash=lambda k: k),
+        (INLINE << 6, 3, "v"),
+        "root must be a TrieNode, got tuple",
+    ),
+    "nested-root-a-plain-tuple": (
+        _IDENTITY,
+        TrieNode((COLLECTION << 4, 2, (INLINE << 2 | INLINE << 4 | INLINE << 6, 1, 2, 3))),
+        "root must be a TrieNode, got tuple",
+    ),
+    "inner-node-a-trie-node": (
+        map_config(key_hash=lambda k: k),
+        _under_root(TrieNode((INLINE << 2 | INLINE << 4, 32, "a", 64, "b"))),
+        "trie node below a root must be a plain tuple, got TrieNode",
     ),
 }
 
@@ -986,15 +1131,40 @@ def test_node_size_is_what_the_allocator_gives_it():
             tracemalloc.stop()
             gc.enable()
         assert traced == len(batch) * sys.getsizeof(batch[0]), n
+        assert sys.getsizeof(batch[0]) == sys.getsizeof(items) + tuple.__itemsize__, n
+    # a plain tuple, an inner trie node, holds no sentinel.  A full collection
+    # empties the tuple free lists, so each tuple of the batch is a new block,
+    # and tracing starts right before the batch, so nothing else is counted
+    for n in range(1, 66):
+        items = [0] * n
+        for i in range(len(batch)):
+            batch[i] = None
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for i in range(len(batch)):
+                batch[i] = tuple(items)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert traced == len(batch) * sys.getsizeof(batch[0]), n
 
 
 def test_nodes_compare_and_hash_by_identity():
+    # roots and buckets; an inner trie node is a plain tuple
     a = TrieNode((INLINE << 2, "k", "v"))
     b = TrieNode((INLINE << 2, "k", "v"))
     assert a == a and a != b
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
     assert (a[0], a[a.HEAD :]) == (INLINE << 2, ("k", "v"))
     assert type(a[a.HEAD :]) is tuple
+    c = CollisionNode((0, 2, 0, "a", 1, "b", 2))
+    d = CollisionNode((0, 2, 0, "a", 1, "b", 2))
+    assert c == c and c != d
+    assert hash(c) == object.__hash__(c) and len({c, d}) == 2
+    assert c[c.HEAD :] == ("a", 1, "b", 2) and type(c[c.HEAD :]) is tuple
 
 
 def _expected_pos(bm, w, pattern, branch):
@@ -1032,7 +1202,7 @@ def test_pos_and_region_counts_agree_with_the_reference_rank():
         n_i, n_p, n_c, n_n = _reference_counts(bm)
         for w in (1, 2):
             node = TrieNode((bm,))
-            run, start, end_i, end_p, end = node.regions(w)
+            run, start, end_i, end_p, end = regions(node, w)
             assert (run, start) == (node, 1)
             assert (end_i - start, end_p - end_i, end - end_p) == (
                 w * n_i,
@@ -1387,7 +1557,7 @@ def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():
 
 def _entry_list(bucket, w):
     """``[(pattern, slots)]`` of a bucket's entries, region by region."""
-    _, start, end_i, end_p, end = bucket.regions(w)
+    _, start, end_i, end_p, end = regions(bucket, w)
     entries = []
     for pattern, first, last, size in (
         (INLINE, start, end_i, w),

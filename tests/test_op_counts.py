@@ -36,8 +36,8 @@ def test_two_runs_count_the_same_bytecodes():
         # each function's count is rounded to 0.1 on its own
         slack = 0.05 * (len(by_function) + 1)
         assert sum(by_function.values()) == pytest.approx(first[kind]["total"], abs=slack)
-    assert "nodes.TrieNode.update" in first["put"]["by_function"]
-    assert "nodes.TrieNode.lookup" in first["contains_entry"]["by_function"]
+    assert "nodes._update" in first["put"]["by_function"]
+    assert "nodes._lookup" in first["contains_entry"]["by_function"]
 
 
 def test_another_seed_draws_other_operations():

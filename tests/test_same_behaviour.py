@@ -39,6 +39,26 @@ def test_the_first_differing_row_is_named_with_both_sides():
     assert "runtime_ns" not in difference
 
 
+def test_the_first_difference_names_the_keys_that_differ():
+    parent = _report()
+    change = copy.deepcopy(parent)
+    change["rows"][0]["runtime_ns"] = 99  # ignored, so row 0 agrees
+    change["rows"][1].update(dom_iterations=4, graph_name="h1", bytes_trie=8)
+    difference = same_behaviour.first_difference(parent, change)
+    assert difference.startswith("row 1 differs: keys bytes_trie, dom_iterations, graph_name; ")
+    # a key compares as JSON text too, and the metadata names its keys
+    change = copy.deepcopy(parent)
+    change["rows"][0]["dom_iterations"] = 2.0
+    assert same_behaviour.first_difference(parent, change).startswith(
+        "row 0 differs: keys dom_iterations; parent "
+    )
+    other = _report(config={"graphs": 2})
+    other["metadata"]["git_rev"] = "bbb"
+    assert same_behaviour.first_difference(parent, other).startswith(
+        "metadata differs: keys config; parent "
+    )
+
+
 def test_values_compare_as_json_text():
     parent = _report()
     change = copy.deepcopy(parent)

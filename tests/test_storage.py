@@ -24,6 +24,7 @@ from leantrie import (
     PersistentMultiMap,
     PersistentSet,
     byte_components,
+    check_invariants,
     footprint,
     multimap,
     object_bytes,
@@ -31,7 +32,7 @@ from leantrie import (
     pset,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
-from leantrie.nodes import CollisionNode, TrieNode
+from leantrie.nodes import COLL_W, CollisionNode, TrieNode, walk
 from leantrie.selftest import _bitmap_ints
 from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS, WRAPPER_FIELDS
 
@@ -53,13 +54,21 @@ def _flat_set(n):
     return s
 
 
+def _head(node):
+    """The items before ``node``'s slot run: a bucket's hash and entry
+    counts, or a trie node's bitmap."""
+    return 3 if type(node) is CollisionNode else 1
+
+
 def _nodes(structure):
-    """Every node reachable from ``structure``'s root, nested set roots too."""
+    """Every node reachable from ``structure``'s root, nested set roots too.
+    The structures measured here store ints, so a tuple in a slot is a node:
+    a root, a bucket or a plain-tuple inner trie node."""
     stack = [structure._root]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(s for s in node[node.HEAD :] if isinstance(s, (TrieNode, CollisionNode)))
+        stack.extend(s for s in node[_head(node) :] if isinstance(s, tuple))
 
 
 def test_small_specialized_nodes_pay_no_indirection():
@@ -105,13 +114,13 @@ def test_indirection_depends_only_on_the_slot_total():
     mm = multimap(entries, key_hash=lambda k: k % 97)
     nodes = list(_nodes(mm))
     assert any(type(n) is CollisionNode for n in nodes)
-    assert any(len(n) - n.HEAD > MAX_FIXED_SLOTS for n in nodes)
-    assert any(len(n) - n.HEAD <= MAX_FIXED_SLOTS for n in nodes)
+    assert any(len(n) - _head(n) > MAX_FIXED_SLOTS for n in nodes)
+    assert any(len(n) - _head(n) <= MAX_FIXED_SLOTS for n in nodes)
     for model in MODELS:
         report = footprint(mm, model)
         assert report.nodes == len(nodes)
         assert report.indirections == sum(
-            1 for n in nodes if len(n) - n.HEAD > MAX_FIXED_SLOTS or not model.specialize
+            1 for n in nodes if len(n) - _head(n) > MAX_FIXED_SLOTS or not model.specialize
         )
 
 
@@ -329,6 +338,22 @@ def test_bulk_build_holds_one_int_per_distinct_bitmap(name):
 
 
 @pytest.mark.parametrize("name", sorted(BULK_BUILDS))
+def test_a_bulk_build_makes_only_its_roots_trie_node_objects(name):
+    # a root, top-level or nested, is a TrieNode; below it a trie node is a
+    # plain tuple and a bucket a CollisionNode (validate_root checks it too)
+    built = check_invariants(BULK_BUILDS[name]())
+    kinds = set()
+    stack = [(built._cfg, built._root)]
+    while stack:
+        cfg, root = stack.pop()
+        for depth, run, _, _, end_p, end in walk(cfg.width, root):
+            kinds.add((depth == 1, type(run)))
+            stack += [(cfg.value_cfg, nested) for nested in run[end_p + 1 : end : COLL_W]]
+    assert (False, tuple) in kinds
+    assert kinds <= {(True, TrieNode), (False, tuple), (False, CollisionNode)}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_BUILDS))
 def test_bulk_build_leaves_no_cyclic_garbage(name):
     # what a build allocates and does not keep is freed on return, by
     # reference counts alone: a collection right after finds nothing
@@ -423,12 +448,9 @@ def test_byte_components_match_a_layout_free_walk(name):
         stored = {id(o) for o in built}
         nested_roots = []
     nodes = _reached([built._root], stored)
-    # each node's head ints: a trie node's bitmap, a bucket's hash and counts
-    heads = (
-        o[:3] if type(o) is CollisionNode else o[:1]
-        for o in nodes.values()
-        if isinstance(o, (TrieNode, CollisionNode))
-    )
+    # each node's head ints: a trie node's bitmap, a bucket's hash and
+    # counts; stored keys and values are skipped, so every tuple is a node
+    heads = (o[: _head(o)] for o in nodes.values() if isinstance(o, tuple))
     bitmaps = {id(i): i for head in heads for i in head if i > 256}
     nested = _reached(nested_roots, stored.union(bitmaps))
     trie = _reached([built._root], stored.union(bitmaps, map(id, nested_roots)))
@@ -446,11 +468,13 @@ def test_byte_components_match_a_layout_free_walk(name):
 
 def _layout_free_words(objects):
     """Default-model words of the trie nodes among ``objects``: 3 per node
-    plus one per slot, and the indirection word past ``MAX_FIXED_SLOTS``."""
+    plus one per slot, and the indirection word past ``MAX_FIXED_SLOTS``.
+    Stored keys and values are left out of ``objects``, so every tuple among
+    them is a node."""
     words = 0
     for o in objects.values():
-        if isinstance(o, (TrieNode, CollisionNode)):
-            n_slots = len(o) - o.HEAD
+        if isinstance(o, tuple):
+            n_slots = len(o) - _head(o)
             words += 3 + n_slots + (n_slots > MAX_FIXED_SLOTS)
     return words
 

@@ -10,8 +10,9 @@ in each checkout, from its ``src`` directory, and compares the two
 reports of each command: every row except its measured ``runtime_ns``,
 in order, and the metadata except ``git_rev``.  Values compare as their
 JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command,
-the first difference where the reports differ, and exits 0 when every
-command agrees and 1 otherwise.  A command that exits non-zero in either
+the first difference where the reports differ, with the keys whose
+values differ in it, and exits 0 when every command agrees and 1
+otherwise.  A command that exits non-zero in either
 checkout stops the check with exit status 2, printing the checkout, the
 command, the exit code and the tail of its stderr.  A refactor that claims no behaviour
 change is checked this way; a change that moves one report is checked
@@ -54,18 +55,40 @@ def _kept(record, ignored):
     return json.dumps(kept, sort_keys=True)
 
 
+def differing_keys(a, b, ignored):
+    """The keys, in sorted order, whose values differ as JSON text between
+    the records ``a`` and ``b``, a key on one side only included."""
+    return sorted(
+        k
+        for k in (a.keys() | b.keys()) - ignored
+        if k not in a or k not in b or json.dumps(a[k]) != json.dumps(b[k])
+    )
+
+
+def _difference(what, record_a, record_b, ignored):
+    """One line naming how ``record_a`` and ``record_b`` differ, or None."""
+    a = _kept(record_a, ignored)
+    b = _kept(record_b, ignored)
+    if a == b:
+        return None
+    if record_a is None or record_b is None:
+        return f"{what} differs: parent {a}, change {b}"
+    keys = ", ".join(differing_keys(record_a, record_b, ignored))
+    return f"{what} differs: keys {keys}; parent {a}, change {b}"
+
+
 def first_difference(parent, change):
-    """The first difference between two reports as one line, or None."""
-    a = _kept(parent["metadata"], IGNORED_METADATA_KEYS)
-    b = _kept(change["metadata"], IGNORED_METADATA_KEYS)
-    if a != b:
-        return f"metadata differs: parent {a}, change {b}"
+    """The first difference between two reports as one line, or None: the
+    metadata, or the first row that differs, with the keys that differ in
+    it."""
+    found = _difference("metadata", parent["metadata"], change["metadata"], IGNORED_METADATA_KEYS)
+    if found is not None:
+        return found
     rows = zip_longest(parent["rows"], change["rows"])
     for i, (row_a, row_b) in enumerate(rows):
-        a = _kept(row_a, IGNORED_ROW_KEYS)
-        b = _kept(row_b, IGNORED_ROW_KEYS)
-        if a != b:
-            return f"row {i} differs: parent {a}, change {b}"
+        found = _difference(f"row {i}", row_a, row_b, IGNORED_ROW_KEYS)
+        if found is not None:
+            return found
     return None
 
 
