@@ -289,10 +289,10 @@ def _drop_value(cfg, pattern, k0, payload, value):
     vh = vcfg.hasher(value) & M32
     bm = payload[0]
     if len(payload) == 4 and not bm & ~(bm >> 1) & EVEN_BITS:  # three elements, no sub-node
-        offset = (vh & 31) << 1
-        if (bm >> offset) & 0b11 != INLINE:
+        branch = vh & 31
+        if (bm >> (branch << 1)) & 0b11 != INLINE:
             return None
-        i = 1 + ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
+        i = _pos(bm, 1, INLINE, branch, 4)
         v = payload[i]
         if not (v is value or v == value):
             return None
