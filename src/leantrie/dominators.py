@@ -243,7 +243,7 @@ def analyze_graph(graph):
     )
 
 
-def random_cfg(size, seed, name=None):
+def random_cfg(size, seed):
     """Seeded random control-flow graph: ``size`` vertices, entry 0,
     everything reachable, out-degree at most 2.
 
@@ -283,7 +283,7 @@ def random_cfg(size, seed, name=None):
             spare.remove(u)
         added += 1
     return CfgGraph(
-        name=name or f"random-{size}-s{seed}",
+        name=f"random-{size}-s{seed}",
         entry=0,
         vertex_names=tuple(f"n{i}" for i in range(size)),
         edges=tuple(edges),

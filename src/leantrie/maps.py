@@ -81,10 +81,11 @@ class PersistentSet(Set):
     function.  ``&`` with another set of the same hash function walks the
     two tries node by node: the result shares every node of the left
     operand whose elements the right one all holds, is the left operand
-    itself when that is a subset, and holds the left operand's element
-    objects.  The other operators, and ``&`` with any other operand,
-    build their result through ``build_root``.  Construct with
-    :func:`pset`.
+    itself when that is a subset, holds the left operand's element
+    objects, and counts its elements on its first ``len``, as a set that
+    ``get`` hands out does.  The other operators, and ``&`` with any
+    other operand, build their result through ``build_root``.  Construct
+    with :func:`pset`.
     """
 
     __slots__ = ("_cfg", "_root", "_size", "_hash_cache")
@@ -137,10 +138,10 @@ class PersistentSet(Set):
     def __and__(self, other):
         cfg = self._cfg
         if isinstance(other, PersistentSet) and other._cfg.hasher is cfg.hasher:
-            root, size = intersect(cfg, self._root, other._root)
+            root = intersect(cfg, self._root, other._root)
             if root is self._root:
                 return self
-            return PersistentSet(cfg, root, size)
+            return PersistentSet(cfg, root, None)
         return Set.__and__(self, other)
 
     def __iter__(self):
@@ -159,9 +160,7 @@ class PersistentSet(Set):
             return True
         if isinstance(other, PersistentSet) and self._cfg.hasher is other._cfg.hasher:
             return self._root.equals(self._cfg, other._root)
-        if isinstance(other, Set):
-            return len(self) == len(other) and all(e in other for e in self)
-        return NotImplemented
+        return Set.__eq__(self, other)
 
     def __hash__(self):
         if self._hash_cache is None:

@@ -42,10 +42,11 @@ Invariants, checked by :func:`validate_root`:
 
 Where each rule lives:
 
-* region bounds: :func:`regions`, for either node kind.  Ranks in a trie
-  node: :func:`_pos`, whose NODE and INLINE ranks :func:`_lookup` and
-  :func:`_update` write in line.  A key's entry in a bucket:
-  ``CollisionNode._find``;
+* region bounds: :func:`regions`, for either node kind.  A node's head,
+  the items before its slot run, ends at the ``start`` it gives.  Ranks
+  in a trie node: :func:`_pos`, whose NODE and INLINE ranks
+  :func:`_lookup` and :func:`_update` write in line.  A key's entry in a
+  bucket: ``CollisionNode._find``;
 * point updates: ``_update(node, cfg, shift, key_hash, key, value,
   change)`` of a trie node, ``TrieNode.update`` at a root, and
   ``CollisionNode.update`` give ``(node, key_delta)``, the receiver
@@ -336,12 +337,6 @@ def regions(node, w):
     return node, 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
 
 
-def head_size(node):
-    """The number of ``node``'s items before its slot run: a trie node's
-    bitmap, or a bucket's hash and two entry counts."""
-    return CollisionNode.HEAD if type(node) is CollisionNode else TrieNode.HEAD
-
-
 def refs(node, w):
     """``(values, nested, children)`` from one decoding of a node of either
     kind: the values it stores in its own slots, a set's elements at width
@@ -547,16 +542,14 @@ def _equals(node, cfg, other):
 
 class _Node(tuple):
     """What a trie's root and a collision bucket share: one tuple per node,
-    its ``HEAD`` items (a trie node's bitmap, or a bucket's hash and entry
-    counts) followed by its slot run; identity ``==`` and ``hash``, which
+    its head (a trie node's bitmap, or a bucket's hash and entry counts)
+    followed by its slot run; identity ``==`` and ``hash``, which
     hold for these two kinds only, since an inner trie node is a plain
     tuple that compares by content; the true size, with the sentinel item
     of a tuple subclass; and the two update entry points that perfbench's
     trace replay calls on roots.  :func:`walk` visits a trie's nodes."""
 
     __slots__ = ()
-
-    HEAD = 1
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -603,8 +596,6 @@ class CollisionNode(_Node):
     """
 
     __slots__ = ()
-
-    HEAD = 3
 
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, its pattern and first
@@ -981,8 +972,8 @@ def _lifted(node, w):
 
 
 def intersect(cfg, a, b):
-    """``(root, size)`` of the set of the elements of root ``a`` that root
-    ``b`` also holds, both width-1 tries of the same hasher.
+    """The root of the set of the elements of root ``a`` that root ``b``
+    also holds, both width-1 tries of the same hasher.
 
     The tries are walked in step over the branches that both bitmaps
     occupy: two inline elements are compared, an element facing a sub-node
@@ -993,21 +984,18 @@ def intersect(cfg, a, b):
     changed child passes through ``_lifted``, so the result is node for
     node the trie a build of its elements gives.  New nodes take their
     bitmaps through a table that lives for the call, as in
-    :func:`build_root`.  ``size`` is None when the result keeps a subtree
-    that nothing counted.
+    :func:`build_root`.
     """
-    node, size = _intersect(cfg, 0, a, b, {})
-    if node is None:
-        return EMPTY_ROOT, 0
-    return node, size
+    node = _intersect(cfg, 0, a, b, {})
+    return EMPTY_ROOT if node is None else node
 
 
 def _intersect(cfg, shift, a, b, bitmaps):
-    """``(node, size)`` for the nodes ``a`` and ``b`` at ``shift``: ``a``
-    itself when ``b`` holds all of its elements, None when they share none,
-    and otherwise a new node that its parent may still need to lift."""
+    """The node for the nodes ``a`` and ``b`` at ``shift``: ``a`` itself
+    when ``b`` holds all of its elements, None when they share none, and
+    otherwise a new node that its parent may still need to lift."""
     if a is b:
-        return a, None
+        return a
     if type(a) is CollisionNode or type(b) is CollisionNode:
         return _bucket_intersect(cfg, shift, a, b)
     bma = a[0]
@@ -1025,8 +1013,6 @@ def _intersect(cfg, shift, a, b, bitmaps):
     bm = 0
     inline = []
     subs = []
-    size = 0
-    counted = True
     while both:
         low = both & -both  # bit 2b of branch b
         both ^= low
@@ -1042,7 +1028,6 @@ def _intersect(cfg, shift, a, b, bitmaps):
             if hit:
                 bm |= low << 1
                 inline.append(e)
-                size += 1
             else:
                 kept = False
             continue
@@ -1054,9 +1039,8 @@ def _intersect(cfg, shift, a, b, bitmaps):
             if found is not None:
                 bm |= low << 1
                 inline.append(found[1])
-                size += 1
             continue
-        new, n = _intersect(cfg, sub_shift, child, b[len_b - (subs_b & ~below).bit_count()], bitmaps)
+        new = _intersect(cfg, sub_shift, child, b[len_b - (subs_b & ~below).bit_count()], bitmaps)
         if new is not child:
             kept = False
             if new is None:
@@ -1067,22 +1051,16 @@ def _intersect(cfg, shift, a, b, bitmaps):
                 if p == INLINE:
                     bm |= low << 1
                     inline.append(vals[0])
-                    size += 1
                     continue
                 new = vals[0]  # the bucket below a chain node
         bm |= low
         subs.append(new)
-        if n is None:
-            counted = False
-        else:
-            size += n
-    size = size if counted else None
     if kept:
-        return a, size
+        return a
     if not bm:
-        return None, 0
+        return None
     node = (bitmaps.setdefault(bm, bm), *inline, *subs)
-    return (node if shift else TrieNode(node)), size
+    return node if shift else TrieNode(node)
 
 
 def _bucket_intersect(cfg, shift, a, b):
@@ -1093,13 +1071,13 @@ def _bucket_intersect(cfg, shift, a, b):
         h = a[0]
         found = [e for e in a[3:] if _node_lookup(b, cfg, shift, h, e) is not None]
         if len(found) == len(a) - 3:
-            return a, len(found)
+            return a
     else:
         h = b[0]
         found = [hit[1] for e in b[3:] if (hit := _node_lookup(a, cfg, shift, h, e)) is not None]
     if not found:
-        return None, 0
-    return CollisionNode((h, len(found), 0, *found)), len(found)
+        return None
+    return CollisionNode((h, len(found), 0, *found))
 
 
 def _few_values(root):

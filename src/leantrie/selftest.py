@@ -285,12 +285,9 @@ CHECKS = (
 )
 
 
-def run_selftest(stream=None):
+def run_selftest():
     """Run every quick check; print one status line each, with the check's
     runtime; return success."""
-    import sys
-
-    stream = stream or sys.stdout
     rng = random.Random(0xC0FFEE)
     ok = True
     for name, check in CHECKS:
@@ -303,6 +300,6 @@ def run_selftest(stream=None):
             detail = f"{type(exc).__name__}: {exc}, "
         ms = (perf_counter() - start) * 1e3
         status = "ok - " if passed else "FAIL - "
-        print(f"{status}{name} ({detail}{ms:.0f} ms)", file=stream)
+        print(f"{status}{name} ({detail}{ms:.0f} ms)")
         ok = ok and passed
     return ok

@@ -2,12 +2,13 @@
 
 A trie node keeps its payload and sub-node references in one flat run of
 slots, held in the node's own tuple after its bitmap.  The model prices a
-structure in abstract machine words: a header per heap object, one word
-per bitmap, one per slot cell, and one indirection word for a node whose
-slots would live in a separate out-of-line block.  The model's
-``specialize`` field decides that last word: under the default, it models
-nodes of up to ``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the
-slots inline (no indirection), while larger nodes pay for the block;
+structure in abstract machine words, at fixed prices: a two-word header
+per heap object, one word per bitmap, one per slot cell, and one
+indirection word for a node whose slots would live in a separate
+out-of-line block.  The model's one field, ``specialize``, decides that
+last word: under the default, it models nodes of up to
+``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the slots inline
+(no indirection), while larger nodes pay for the block;
 ``FootprintModel(specialize=False)`` prices every node with the block.
 It is a pricing rule only: one structure can be priced either way, and
 its nodes are the same tuples under both.
@@ -29,9 +30,16 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-from .nodes import head_size, refs
+from .nodes import refs, regions
 
 MAX_FIXED_SLOTS = 8
+
+# the model's word prices: a heap object's header, a node's bitmap (or a
+# bucket's hash), one slot cell, and the out-of-line slot block's pointer
+HEADER_WORDS = 2
+BITMAP_WORDS = 1
+SLOT_WORDS = 1
+INDIRECTION_WORDS = 1
 
 # the modeled fields of each structure object: its root and its size, or
 # its root and its tuple and key counts
@@ -44,14 +52,10 @@ _WRAPPERS = tuple(WRAPPER_FIELDS)
 
 @dataclass(frozen=True)
 class FootprintModel:
-    """Word prices of a node graph's components.  With ``specialize`` a
+    """How the fixed word prices apply to nodes.  With ``specialize`` a
     node of at most ``MAX_FIXED_SLOTS`` slots pays no indirection word;
     without it every node pays one."""
 
-    header_words: int = 2
-    bitmap_words: int = 1
-    slot_words: int = 1
-    indirection_words: int = 1
     specialize: bool = True
 
 
@@ -88,7 +92,8 @@ def footprint(structures, model=DEFAULT_MODEL):
     persistent structures stored *as values* are priced in full (object
     header plus one word per field plus their node graph), because there
     they are part of the measured structure's storage overhead.
-    ``model`` sets the prices, so ``footprint(s, FootprintModel(
+    The word prices are the module's constants; ``model`` decides which
+    nodes pay the indirection word, so ``footprint(s, FootprintModel(
     specialize=False))`` prices the same nodes as generic ones.
     """
     report = FootprintReport()
@@ -96,18 +101,18 @@ def footprint(structures, model=DEFAULT_MODEL):
         if cfg is None:
             if not nested:
                 continue  # a measured structure's own object
-            slots = WRAPPER_FIELDS[type(o)] * model.slot_words
-            words = model.header_words + slots
+            slots = WRAPPER_FIELDS[type(o)] * SLOT_WORDS
+            words = HEADER_WORDS + slots
         else:
-            n_slots = len(o) - head_size(o)
-            slots = n_slots * model.slot_words
-            words = model.header_words + model.bitmap_words + slots
-            report.bitmaps += model.bitmap_words
+            n_slots = len(o) - regions(o, cfg.width)[1]
+            slots = n_slots * SLOT_WORDS
+            words = HEADER_WORDS + BITMAP_WORDS + slots
+            report.bitmaps += BITMAP_WORDS
             if not model.specialize or n_slots > MAX_FIXED_SLOTS:
-                report.indirections += model.indirection_words
-                words += model.indirection_words
+                report.indirections += INDIRECTION_WORDS
+                words += INDIRECTION_WORDS
         report.nodes += 1
-        report.headers += model.header_words
+        report.headers += HEADER_WORDS
         report.slots += slots
         if nested:
             report.nested_words += words
@@ -207,7 +212,7 @@ def byte_components(structures):
     * ``trie`` -- the nodes of the measured structures' own tries;
     * ``nested`` -- the same for the nodes below payload slots: nested
       set tries and the tries of persistent structures stored as values;
-    * ``bitmaps`` -- every node's ``HEAD`` ints, trie and nested alike: a
+    * ``bitmaps`` -- every node's head ints, trie and nested alike: a
       trie node's bitmap, and a collision bucket's hash and entry counts;
     * ``wrappers`` -- the structure objects themselves, stored ones
       included, with their configs and size fields.
@@ -216,8 +221,9 @@ def byte_components(structures):
     :func:`footprint` prices, so the two agree on what is nested and on
     which of ``structures`` owns a shared node: the first one listed that
     reaches it.  Of the other objects it sizes those a node or structure
-    object holds apart from stored keys and values: a node's ``HEAD``
-    ints, and what ``gc.get_referents`` reaches from a structure object
+    object holds apart from stored keys and values: a node's head ints
+    (the items before the ``start`` that :func:`~leantrie.nodes.regions`
+    gives), and what ``gc.get_referents`` reaches from a structure object
     other than its root.
     """
     sizes = dict.fromkeys(BYTE_COMPONENTS, 0)
@@ -242,5 +248,5 @@ def byte_components(structures):
             continue
         component = "nested" if nested else "trie"
         sizes[component] += sys.getsizeof(o)
-        add("bitmaps", *o[: head_size(o)])
+        add("bitmaps", *o[: regions(o, cfg.width)[1]])
     return sizes

@@ -83,6 +83,28 @@ def read_names(tree):
     return read
 
 
+def read_attributes(tree):
+    """How often ``tree`` reads each attribute name, as ``x.name``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def class_scope_reads(cls):
+    """How often the class ``cls`` reads each name in its own scope: in
+    its body's statements and its methods' decorators, not in the
+    methods' bodies, where a bare name is a module's name."""
+    read = Counter()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            parts = node.decorator_list
+        else:
+            parts = [node]
+        for part in parts:
+            read.update(
+                n.id for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            )
+    return read
+
+
 def defined_members(tree):
     """``{"Class.name": definition node}`` of the methods and properties
     of a module's top-level classes, dunder names left out."""
@@ -99,16 +121,34 @@ def defined_members(tree):
 def unread_names(modules, readers, defined=defined_names):
     """``module:name`` for each name that ``defined`` finds in ``modules``
     (``{path: source}``) and that no source in ``readers`` or ``modules``
-    reads outside its own definition; a ``Class.name`` counts as read
-    wherever its last part is."""
+    reads outside its own definition.
+
+    A module-level name is read as a name, an attribute or an imported
+    name.  A ``Class.member`` is read only as an attribute, ``x.member``,
+    or as a name in its own class's scope (``__contains__ =
+    contains_key``), so a module function or a local variable of the same
+    name does not mask it.  An attribute is not tied to its object's
+    class, though: an attribute of the same name of any other class, such
+    as a dataclass field, still counts as a read of the member.
+    """
     read = Counter()
+    attributes = Counter()
     for source in {**readers, **modules}.values():
-        read += read_names(ast.parse(source))
+        tree = ast.parse(source)
+        read += read_names(tree)
+        attributes += read_attributes(tree)
     unread = []
     for path, source in modules.items():
-        for qualname, node in defined(ast.parse(source)).items():
-            name = qualname.rpartition(".")[2]
-            if read[name] == read_names(node)[name]:
+        tree = ast.parse(source)
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for qualname, node in defined(tree).items():
+            owner, _, name = qualname.rpartition(".")
+            if owner:
+                times = attributes[name] - read_attributes(node)[name]
+                times += class_scope_reads(classes[owner])[name]
+            else:
+                times = read[name] - read_names(node)[name]
+            if not times:
                 unread.append(f"{Path(path).stem}:{qualname}")
     return unread
 
@@ -145,6 +185,28 @@ def test_the_check_finds_an_unread_member():
     }
     readers = {"b.py": "from a import C\nC().size\n"}
     assert unread_names(modules, readers, defined_members) == ["a:C.loop"]
+
+
+def test_a_same_named_function_or_variable_does_not_mask_an_unread_member():
+    modules = {
+        "a.py": (
+            "def size():\n"
+            "    return 0\n"
+            "class C:\n"
+            "    def size(self):\n"
+            "        return size()\n"
+            "    def kept(self):\n"
+            "        loop = 1\n"
+            "        return loop\n"
+            "    alias = kept\n"
+            "    def loop(self):\n"
+            "        pass\n"
+        ),
+    }
+    readers = {"b.py": "from a import C, size\nsize()\n"}
+    # the function ``size`` and the local ``loop`` are read as bare names;
+    # ``kept`` is read in its class's scope
+    assert unread_names(modules, readers, defined_members) == ["a:C.size", "a:C.loop"]
 
 
 def test_every_library_member_is_read():

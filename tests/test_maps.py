@@ -140,6 +140,7 @@ def test_set_intersection_matches_a_fresh_build(hasher, base, edits_a, edits_b, 
     want = pset(set(a) & set(b), element_hash=hasher)
     check_invariants(got)
     assert got._root.equals(got._cfg, want._root)
+    assert got is a or got._size is None  # a new result counts on first len
     assert len(got) == len(want)
     assert got._cfg is a._cfg
     kept_types = {e: type(e) for e in a}  # equal elements come from a

@@ -358,7 +358,7 @@ def test_bucket_promotes_and_demotes_entries():
     # the bucket's regions: B's inline entry, then A's pair
     bucket = paired._root[1]
     assert regions(bucket, 2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
-    assert bucket[bucket.HEAD :] == ("B", 2, "A", 1, 9)
+    assert bucket[regions(bucket, 2)[1] :] == ("B", 2, "A", 1, 9)
     grown = paired.put("A", 5)
     check_invariants(grown)
     assert set(grown.get("A")) == {1, 5, 9}
@@ -366,7 +366,7 @@ def test_bucket_promotes_and_demotes_entries():
     # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
     assert regions(bucket, 2) == (bucket, 3, 5, 5, 5 + COLL_W)
-    assert bucket[bucket.HEAD :][:3] == ("B", 2, "A")
+    assert bucket[regions(bucket, 2)[1] :][:3] == ("B", 2, "A")
     back = grown.remove("A", 5)
     check_invariants(back)
     assert structurally_equal(back, paired)
@@ -1158,13 +1158,15 @@ def test_nodes_compare_and_hash_by_identity():
     b = TrieNode((INLINE << 2, "k", "v"))
     assert a == a and a != b
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
-    assert (a[0], a[a.HEAD :]) == (INLINE << 2, ("k", "v"))
-    assert type(a[a.HEAD :]) is tuple
+    head = regions(a, 2)[1]
+    assert (a[0], a[head:]) == (INLINE << 2, ("k", "v"))
+    assert type(a[head:]) is tuple
     c = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     d = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     assert c == c and c != d
     assert hash(c) == object.__hash__(c) and len({c, d}) == 2
-    assert c[c.HEAD :] == ("a", 1, "b", 2) and type(c[c.HEAD :]) is tuple
+    head = regions(c, 2)[1]
+    assert c[head:] == ("a", 1, "b", 2) and type(c[head:]) is tuple
 
 
 def _expected_pos(bm, w, pattern, branch):
@@ -1469,11 +1471,11 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     # a set and a map: one inline region, later duplicates keep their place
     s_root, n, _ = build_root(set_config(_seven), ["b", "a", "b", "c", "a"])
     s = _bucket_of(s_root)
-    assert (s[1], s[2], s[s.HEAD :], n) == (3, 0, ("b", "a", "c"), 3)
+    assert (s[1], s[2], s[regions(s, 1)[1] :], n) == (3, 0, ("b", "a", "c"), 3)
     pairs = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 2)]
     m_root, n, _ = build_root(map_config(_seven), pairs)
     m = _bucket_of(m_root)
-    assert (m[1], m[2], m[m.HEAD :], n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
+    assert (m[1], m[2], m[regions(m, 2)[1] :], n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
     # a multimap whose values hash alike too: equal-hash pairs keep their
     # input order; d gets its second value before b does, and a and e stay
     # inline although a repeats its value
@@ -1486,9 +1488,9 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     bucket = _bucket_of(root)
     nested = bucket[-1]
     assert (bucket[1], bucket[2]) == (2, 2)
-    assert bucket[bucket.HEAD :] == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
+    assert bucket[regions(bucket, 2)[1] :] == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
     values = _bucket_of(nested)
-    assert (values[1], values[2], values[values.HEAD :]) == (4, 0, (3, 1, 4, 2))
+    assert (values[1], values[2], values[regions(values, 1)[1] :]) == (4, 0, (3, 1, 4, 2))
     assert (tuples, keys) == (10, 5)
     validate_root(cfg, root)
 
@@ -1505,7 +1507,8 @@ def _bucket_layout(structure):
     structure's root, each nested root read as the sorted list of its
     values."""
     bucket = _bucket_of(structure._root)
-    return bucket[1], bucket[2], _shown(structure._cfg, bucket[bucket.HEAD :])
+    slots = bucket[regions(bucket, structure._cfg.width)[1] :]
+    return bucket[1], bucket[2], _shown(structure._cfg, slots)
 
 
 def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():

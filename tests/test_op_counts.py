@@ -114,3 +114,21 @@ def test_the_build_table_shows_the_report():
         assert rows[name] == f"{n:.1f}"
     for name in ("keys", "tuples", "nodes", "transient_bytes_per_key"):
         assert rows[name] == str(result[name])
+
+
+@pytest.mark.parametrize("lines", [0, 1], ids=["before-the-first-line", "after-one-line"])
+def test_a_reader_that_closes_early_ends_the_run_quietly(lines):
+    # as ``op_counts.py ... | head -1`` does; a reader that closes before
+    # the first line makes every write fail
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), str(ROOT), "--keys", "64", "--ops", "40", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, "")

@@ -59,6 +59,23 @@ def test_the_first_difference_names_the_keys_that_differ():
     )
 
 
+def test_a_metadata_difference_does_not_hide_a_row_difference(monkeypatch, capsys):
+    parent = _report(model={"specialize": True, "slot_words": 1})
+    change = _report(model={"specialize": True})
+    change["rows"][1]["dom_iterations"] = 4
+    metadata, row = same_behaviour.first_difference(parent, change).split("\n")
+    assert metadata.startswith("metadata differs: keys model; parent ")
+    assert row.startswith("row 1 differs: keys dom_iterations; parent ")
+    # main prints each line under the command's name and exits 1
+    reports = {"parent": parent, "change": change}
+    monkeypatch.setattr(same_behaviour, "run_report", lambda checkout, command: reports[checkout])
+    assert same_behaviour.main(["parent", "change"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1) for line in lines] == [
+        [name, text] for name in same_behaviour.COMMANDS for text in (metadata, row)
+    ]
+
+
 def test_values_compare_as_json_text():
     parent = _report()
     change = copy.deepcopy(parent)

@@ -1,8 +1,8 @@
 """Footprint-model and real-byte tests.
 
 Footprint numbers for small structures are frozen from hand counts under
-the default model (header 2 words, bitmap 1, slot 1, out-of-line
-indirection 1); ``object_bytes`` is checked against what
+the default model at its fixed prices (header 2 words, bitmap 1, slot 1,
+out-of-line indirection 1); ``object_bytes`` is checked against what
 ``tracemalloc`` sees a build allocate, its components against a walk of
 ``gc`` referents that knows no node layout, and every bulk build against
 holding one int object per distinct bitmap, shared with no other build,
@@ -14,7 +14,7 @@ import random
 import sys
 import tracemalloc
 import types
-from dataclasses import replace
+from dataclasses import fields
 
 import pytest
 
@@ -32,9 +32,17 @@ from leantrie import (
     pset,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
-from leantrie.nodes import COLL_W, CollisionNode, TrieNode, walk
+from leantrie.nodes import COLL_W, CollisionNode, TrieNode, regions, walk
 from leantrie.selftest import _bitmap_ints
-from leantrie.storage import BYTE_COMPONENTS, MAX_FIXED_SLOTS, WRAPPER_FIELDS
+from leantrie.storage import (
+    BITMAP_WORDS,
+    BYTE_COMPONENTS,
+    HEADER_WORDS,
+    INDIRECTION_WORDS,
+    MAX_FIXED_SLOTS,
+    SLOT_WORDS,
+    WRAPPER_FIELDS,
+)
 
 
 # --- indirection pricing rule ---------------------------------------------------
@@ -50,7 +58,7 @@ MODELS = (DEFAULT_MODEL, GENERIC)
 
 def _flat_set(n):
     s = pset(range(n), element_hash=lambda e: e)
-    assert len(s._root[s._root.HEAD :]) == n
+    assert len(s._root[regions(s._root, 1)[1] :]) == n
     return s
 
 
@@ -102,8 +110,9 @@ def test_specialize_false_always_generic():
 def test_get_set_roundtrip_all_classes():
     for n in list(range(9)) + [9, 17, 32]:
         root = _flat_set(n)._root
-        assert type(root[root.HEAD :]) is tuple
-        assert root[root.HEAD :] == tuple(range(n))
+        slots = root[regions(root, 1)[1] :]
+        assert type(slots) is tuple
+        assert slots == tuple(range(n))
 
 
 def test_indirection_depends_only_on_the_slot_total():
@@ -128,13 +137,9 @@ def test_indirection_depends_only_on_the_slot_total():
 
 
 def test_default_model_constants():
-    assert DEFAULT_MODEL == FootprintModel(
-        header_words=2,
-        bitmap_words=1,
-        slot_words=1,
-        indirection_words=1,
-        specialize=True,
-    )
+    assert (HEADER_WORDS, BITMAP_WORDS, SLOT_WORDS, INDIRECTION_WORDS) == (2, 1, 1, 1)
+    assert [f.name for f in fields(FootprintModel)] == ["specialize"]
+    assert DEFAULT_MODEL == FootprintModel(specialize=True)
 
 
 def test_footprint_empty_multimap_is_three_words():
@@ -205,17 +210,6 @@ def test_footprint_counts_shared_subtries_once():
     joint = footprint([m1, m2]).words_total
     separate = footprint(m1).words_total + footprint(m2).words_total
     assert joint < separate
-
-
-def test_footprint_custom_model_scales_components():
-    model = FootprintModel(
-        header_words=3, bitmap_words=2, slot_words=4, indirection_words=7
-    )
-    mm = multimap([(1, 2)])
-    report = footprint(mm, model)
-    assert report.words_total == 3 + 2 + 2 * 4
-    generic = footprint(mm, replace(model, specialize=False))
-    assert generic.words_total == report.words_total + 7
 
 
 def test_specialized_saving_is_exactly_one_indirection_per_node():
@@ -382,7 +376,7 @@ def test_structures_stored_inline_in_pairs_and_in_nested_sets_are_measured():
     stored = multimap(zip(keys, sets), **collide)
     plain = multimap(zip(keys, range(len(keys))), **collide)
     assert object_bytes(stored) == object_bytes(plain) + object_bytes(sets)
-    wrapper_words = DEFAULT_MODEL.header_words + WRAPPER_FIELDS[PersistentSet]
+    wrapper_words = HEADER_WORDS + WRAPPER_FIELDS[PersistentSet]
     added = footprint(sets).words_total + len(sets) * wrapper_words
     assert footprint(stored).words_total == footprint(plain).words_total + added
     assert footprint(stored).nested_words == footprint(plain).nested_words + added

@@ -49,6 +49,7 @@ still needs ``tools/bench_pairs.py``.
 import argparse
 import gc
 import json
+import os
 import random
 import sys
 import tracemalloc
@@ -281,7 +282,15 @@ def main(argv=None):
     else:
         mm = leantrie.multimap(entries)
         result, show = report(count(mm, op_mix(entries, args.ops, args.seed))), table
-    print(json.dumps(result, indent=1) if args.format == "json" else show(result))
+    try:
+        print(json.dumps(result, indent=1) if args.format == "json" else show(result))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has all it wanted; what stdout still buffers goes to
+        # devnull, so the flush at interpreter exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -9,10 +9,11 @@ Runs ``leantrie footprint --format json`` and ``leantrie dominators
 in each checkout, from its ``src`` directory, and compares the two
 reports of each command: every row except its measured ``runtime_ns``,
 in order, and the metadata except ``git_rev``.  Values compare as their
-JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command,
-the first difference where the reports differ, with the keys whose
-values differ in it, and exits 0 when every command agrees and 1
-otherwise.  A command that exits non-zero in either
+JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command
+when its reports agree; where they differ, one line for the metadata
+difference and one for the first differing row, each with the keys whose
+values differ in it, so a metadata change does not hide a row change.
+Exits 0 when every command agrees and 1 otherwise.  A command that exits non-zero in either
 checkout stops the check with exit status 2, printing the checkout, the
 command, the exit code and the tail of its stderr.  A refactor that claims no behaviour
 change is checked this way; a change that moves one report is checked
@@ -78,18 +79,17 @@ def _difference(what, record_a, record_b, ignored):
 
 
 def first_difference(parent, change):
-    """The first difference between two reports as one line, or None: the
-    metadata, or the first row that differs, with the keys that differ in
+    """How two reports differ, or None: the metadata difference and the
+    first row that differs, one line each, with the keys that differ in
     it."""
-    found = _difference("metadata", parent["metadata"], change["metadata"], IGNORED_METADATA_KEYS)
-    if found is not None:
-        return found
+    lines = [_difference("metadata", parent["metadata"], change["metadata"], IGNORED_METADATA_KEYS)]
     rows = zip_longest(parent["rows"], change["rows"])
     for i, (row_a, row_b) in enumerate(rows):
         found = _difference(f"row {i}", row_a, row_b, IGNORED_ROW_KEYS)
         if found is not None:
-            return found
-    return None
+            lines.append(found)
+            break
+    return "\n".join(filter(None, lines)) or None
 
 
 def main(argv=None):
@@ -109,7 +109,8 @@ def main(argv=None):
         if difference is None:
             print(f"{name}: {len(parent['rows'])} rows, same")
         else:
-            print(f"{name}: {difference}")
+            for line in difference.splitlines():
+                print(f"{name}: {line}")
             status = 1
     return status
 
