@@ -140,12 +140,12 @@ def unread_names(modules, readers, defined=defined_names):
     unread = []
     for path, source in modules.items():
         tree = ast.parse(source)
-        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        scopes = {c.name: class_scope_reads(c) for c in tree.body if isinstance(c, ast.ClassDef)}
         for qualname, node in defined(tree).items():
             owner, _, name = qualname.rpartition(".")
             if owner:
                 times = attributes[name] - read_attributes(node)[name]
-                times += class_scope_reads(classes[owner])[name]
+                times += scopes[owner][name]
             else:
                 times = read[name] - read_names(node)[name]
             if not times:

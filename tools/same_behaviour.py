@@ -13,11 +13,11 @@ JSON text, so ``1`` and ``1.0`` differ.  Prints one line per command
 when its reports agree; where they differ, one line for the metadata
 difference and one for the first differing row, each with the keys whose
 values differ in it, so a metadata change does not hide a row change.
-Exits 0 when every command agrees and 1 otherwise.  A command that exits non-zero in either
-checkout stops the check with exit status 2, printing the checkout, the
-command, the exit code and the tail of its stderr.  A refactor that claims no behaviour
-change is checked this way; a change that moves one report is checked
-for the others.
+Exits 0 when every command agrees and 1 otherwise.  A command that exits
+non-zero in either checkout stops the check with exit status 2, printing
+the checkout, the command, the exit code and the tail of its stderr.  A
+refactor that claims no behaviour change is checked this way; a change
+that moves one report is checked for the others.
 """
 
 import argparse
