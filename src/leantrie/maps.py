@@ -251,6 +251,7 @@ class PersistentMap(Mapping):
         if isinstance(other, PersistentMap) and self._cfg.hasher is other._cfg.hasher:
             return self._root.equals(self._cfg, other._root)
         if isinstance(other, Mapping):
+            # not Mapping.__eq__: it hashes the keys, which a key_hash map need not allow
             if len(self) != len(other):
                 return False
             for key, value in self.items():

@@ -304,6 +304,11 @@ def test_map_equality_against_dict_and_other_maps():
     assert m != pmap({"a": 1})
     assert (m == 5) is False
     assert m != 5
+    # maps of unhashable keys under other hashers compare by lookup, where
+    # Mapping.__eq__ would build a dict of the keys and raise TypeError
+    lists = pmap([([1], 1), ([2, 3], 2)], key_hash=len)
+    assert lists == pmap([([2, 3], 2), ([1], 1)], key_hash=sum)
+    assert lists != pmap([([2, 3], 3), ([1], 1)], key_hash=sum)
 
 
 def test_map_is_unhashable():

@@ -116,6 +116,19 @@ def test_the_build_table_shows_the_report():
         assert rows[name] == str(result[name])
 
 
+def test_two_footprint_counts_repeat_exactly():
+    first = _counts("--layer", "footprint", "--mix", "0.5", "--third", "0.5")
+    assert first == _counts("--layer", "footprint", "--mix", "0.5", "--third", "0.5")
+    assert first["nodes"] > 0
+    for measure in ("footprint", "byte_components"):
+        per_node = first[measure]
+        assert per_node["ops"] == first["nodes"]
+        assert per_node["by_function"][f"storage.{measure}"] > 0
+        assert per_node["by_function"]["storage._reached"] > 0
+        slack = 0.05 * (len(per_node["by_function"]) + 1)
+        assert sum(per_node["by_function"].values()) == pytest.approx(per_node["total"], abs=slack)
+
+
 @pytest.mark.parametrize("lines", [0, 1], ids=["before-the-first-line", "after-one-line"])
 def test_a_reader_that_closes_early_ends_the_run_quietly(lines):
     # as ``op_counts.py ... | head -1`` does; a reader that closes before

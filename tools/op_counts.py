@@ -1,8 +1,9 @@
-"""Count the bytecodes a multimap's point operations or bulk build execute.
+"""Count the bytecodes a multimap's point operations, bulk build or
+footprint measures execute.
 
 Usage, from anywhere::
 
-    python3 tools/op_counts.py CHECKOUT [--layer point|build] [--keys 65536]
+    python3 tools/op_counts.py CHECKOUT [--layer point|build|footprint] [--keys 65536]
         [--mix 0.9] [--third 0] [--ops 8000] [--seed 1] [--format table|json]
 
 Imports ``leantrie`` from ``CHECKOUT/src`` and builds the multimap of
@@ -35,6 +36,11 @@ and its transient bytes per key: the ``tracemalloc`` peak of a build run
 with the garbage collector off, less the ``object_bytes`` of the result:
 the most scratch the build holds at once beyond what it keeps.
 
+``--layer footprint`` counts ``footprint(mm)`` and ``byte_components(mm)``
+of the built multimap: each one's bytecodes per node by function, over
+the nodes ``structure_stats`` counts (trie nodes, buckets and nested set
+nodes), as ``--layer build`` counts them.
+
 The counts depend only on the code and the seed, not on the host's
 speed, so two checkouts can be compared by one run each where their
 timings cannot.  Bytecodes miss C-level work: ``sorted``, dict and list
@@ -57,6 +63,7 @@ from collections import Counter
 from pathlib import Path
 
 KINDS = ("put", "remove", "contains_entry")
+MEASURES = ("footprint", "byte_components")
 TRANSITIONS = {
     "put": ("new key", "1 -> 2", "2 -> 3", "3 -> 4"),
     "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
@@ -186,15 +193,31 @@ def count_build(leantrie, entries):
     finally:
         tracemalloc.stop()
         gc.enable()
-    stats = leantrie.structure_stats(mm)
     keys = mm.key_count
     return {
         "keys": keys,
         "tuples": mm.tuple_count,
-        "nodes": stats["trie_nodes"] + stats["collision_nodes"] + stats["nested_set_nodes"],
+        "nodes": node_count(leantrie, mm),
         "transient_bytes_per_key": round((peak - leantrie.object_bytes(mm)) / keys, 1),
         "bytecodes_per_key": _per_op(keys, traced(leantrie.multimap, entries)),
     }
+
+
+def count_footprint(leantrie, mm):
+    """``{"nodes", "footprint", "byte_components"}`` of the multimap
+    ``mm``: the bytecodes per node of each measure, as :func:`_per_op`
+    gives them."""
+    nodes = node_count(leantrie, mm)
+    result = {"nodes": nodes}
+    for measure in MEASURES:
+        result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), mm))
+    return result
+
+
+def node_count(leantrie, mm):
+    """Trie nodes, buckets and nested set nodes of ``mm``."""
+    stats = leantrie.structure_stats(mm)
+    return stats["trie_nodes"] + stats["collision_nodes"] + stats["nested_set_nodes"]
 
 
 def _per_op(n, by_function):
@@ -222,20 +245,27 @@ def report(rows):
     return out
 
 
-def table(result):
-    """The report as one row per function, one column per kind."""
+def _columns(result, columns, unit):
+    """``(lines, width)``: a header of ``unit`` and ``columns``, then the
+    total and one row per function, of the reports ``result[column]``."""
     names = sorted(
-        {name for r in result.values() for name in r["by_function"]},
-        key=lambda name: (-sum(r["by_function"].get(name, 0) for r in result.values()), name),
+        {name for c in columns for name in result[c]["by_function"]},
+        key=lambda name: (-sum(result[c]["by_function"].get(name, 0) for c in columns), name),
     )
-    width = max(map(len, names), default=8)
-    lines = [f"{'bytecodes per op':<{width}}" + "".join(f"{kind:>16}" for kind in KINDS)]
+    width = max(len(unit), *map(len, names))
+    lines = [f"{unit:<{width}}" + "".join(f"{c:>16}" for c in columns)]
     for name in ["total", *names]:
         cells = [
-            result[kind]["total"] if name == "total" else result[kind]["by_function"].get(name, 0)
-            for kind in KINDS
+            result[c]["total"] if name == "total" else result[c]["by_function"].get(name, 0)
+            for c in columns
         ]
-        lines.append(f"{name:<{width}}" + "".join(f"{c:>16.1f}" for c in cells))
+        lines.append(f"{name:<{width}}" + "".join(f"{n:>16.1f}" for n in cells))
+    return lines, width
+
+
+def table(result):
+    """The report as one row per function, one column per kind."""
+    lines, width = _columns(result, KINDS, "bytecodes per op")
     lines.append(f"{'ops':<{width}}" + "".join(f"{result[kind]['ops']:>16}" for kind in KINDS))
     lines += ["", f"{'transition':<{width}}{'ops':>16}{'bytecodes per op':>18}"]
     for kind in TRANSITIONS:
@@ -257,10 +287,18 @@ def build_table(result):
     return "\n".join(lines)
 
 
+def footprint_table(result):
+    """The footprint report as one row per function, one column per
+    measure, then the node count."""
+    lines, width = _columns(result, MEASURES, "bytecodes per node")
+    lines.append(f"{'nodes':<{width}}{result['nodes']:>16}")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
-    p.add_argument("--layer", choices=("point", "build"), default="point", help="what is counted")
+    p.add_argument("--layer", choices=("point", "build", "footprint"), default="point", help="what is counted")
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
     p.add_argument(
@@ -279,6 +317,8 @@ def main(argv=None):
     entries = with_third_values(dataset, args.third, args.seed)
     if args.layer == "build":
         result, show = count_build(leantrie, entries), build_table
+    elif args.layer == "footprint":
+        result, show = count_footprint(leantrie, leantrie.multimap(entries)), footprint_table
     else:
         mm = leantrie.multimap(entries)
         result, show = report(count(mm, op_mix(entries, args.ops, args.seed))), table
