@@ -42,8 +42,10 @@ Invariants, checked by :func:`validate_root`:
 
 Where each rule lives:
 
-* region bounds: :func:`regions`, for either node kind.  A node's head,
-  the items before its slot run, ends at the ``start`` it gives.  Ranks
+* region bounds: :func:`regions`, for either node kind, the one decoder
+  of a node's regions; a traversal or footprint walk calls it once per
+  node.  A node's head, the items before its slot run, ends at the
+  ``start`` it gives.  Ranks
   in a trie node: :func:`_pos`, whose NODE and INLINE ranks
   :func:`_lookup` and :func:`_update` write in line.  A key's entry in a
   bucket: ``CollisionNode._find``;
@@ -316,36 +318,25 @@ def _drop_key(cfg, pattern, k0, payload, value):
 
 
 def regions(node, w):
-    """``(run, start, end_i, end_p, end)`` of a node of either kind: the
-    node itself, whose inline region spans ``[start, end_i)``, its pair
-    region ``[end_i, end_p)``, its collection region ``[end_p, end)`` and
-    its sub-nodes ``[end, len(run))``.  ``start`` is the node's head size:
-    a trie node's bitmap, or a bucket's hash and entry counts, whose
-    collection region runs to its end."""
+    """``(start, end_i, end_p, end)`` of a node of either kind: its inline
+    region spans ``[start, end_i)``, its pair region ``[end_i, end_p)``,
+    its collection region ``[end_p, end)`` and its sub-nodes ``[end,
+    len(node))``.  ``start`` is the node's head size: a trie node's
+    bitmap, or a bucket's hash and entry counts, whose collection region
+    runs to its end."""
     if type(node) is CollisionNode:
         end_i = 3 + w * node[1]
-        return node, 3, end_i, end_i + PAIR_W * node[2], len(node)
+        return 3, end_i, end_i + PAIR_W * node[2], len(node)
     bm = node[0]
     hi = (bm >> 1) & EVEN_BITS
     both = bm & hi
     end_i = 1 + w * (hi ^ both).bit_count()
     pairs = bm >> PAIR_PLANE
     if not pairs:
-        return node, 1, end_i, end_i, end_i + COLL_W * both.bit_count()
+        return 1, end_i, end_i, end_i + COLL_W * both.bit_count()
     n_p = pairs.bit_count()
     end_p = end_i + PAIR_W * n_p
-    return node, 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
-
-
-def refs(node, w):
-    """``(values, nested, children)`` from one decoding of a node of either
-    kind: the values it stores in its own slots, a set's elements at width
-    1, the roots of its collection entries' nested sets, and its
-    sub-nodes."""
-    run, start, end_i, end_p, end = regions(node, w)
-    values = run[start + w - 1 : end_i : w] + run[end_i + 1 : end_p : PAIR_W]
-    values += run[end_i + 2 : end_p : PAIR_W]
-    return values, run[end_p + 1 : end : COLL_W], run[end:]
+    return 1, end_i, end_p, end_p + COLL_W * (both.bit_count() - n_p)
 
 
 # -- trie node operations ---------------------------------------------------------
@@ -515,7 +506,7 @@ def _equals(node, cfg, other):
         return True
     if type(other) is CollisionNode or other[0] != node[0]:
         return False
-    _, start, end_i, end_p, end = regions(node, cfg.width)
+    start, end_i, end_p, end = regions(node, cfg.width)
     for pos in range(start, end_i):
         if not _eq(node[pos], other[pos]):
             return False
@@ -600,7 +591,7 @@ class CollisionNode(_Node):
     def _find(self, w, key):
         """``(pattern, pos)`` of ``key``'s entry, its pattern and first
         slot, or None: one scan of the key positions, region by region."""
-        _, start, end_i, end_p, end = regions(self, w)
+        start, end_i, end_p, end = regions(self, w)
         for pattern, first, last, size in (
             (INLINE, start, end_i, w),
             (PAIR, end_i, end_p, PAIR_W),
@@ -651,7 +642,7 @@ class CollisionNode(_Node):
             items[pos : pos + size] = vals
             return CollisionNode(items), 0
         # the new entry closes its region, ranked on the old items
-        _, _, end_i, end_p, end = regions(self, w)
+        _, end_i, end_p, end = regions(self, w)
         j = end_i if p == INLINE else end_p if p == PAIR else end
         items[1] += (p == INLINE) - (pattern == INLINE)
         items[2] += (p == PAIR) - (pattern == PAIR)
@@ -672,7 +663,7 @@ class CollisionNode(_Node):
         if type(other) is not CollisionNode or other[:3] != self[:3] or len(other) != len(self):
             return False
         w = cfg.width
-        _, start, end_i, end_p, end = regions(self, w)
+        start, end_i, end_p, end = regions(self, w)
         keys = chain(range(start, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
         for pos in keys:
             pattern = INLINE if pos < end_i else PAIR if pos < end_p else COLLECTION
@@ -1100,16 +1091,17 @@ def _few_values(root):
 
 
 def walk(w, root):
-    """``(depth, *regions(node, w))`` for each node of the trie ``root`` of
-    entry width ``w``, the root at depth 1: pre-order over an explicit
-    stack, sub-nodes in branch order.  Nested sets are not entered."""
+    """``(depth, node, *regions(node, w))`` for each node of the trie
+    ``root`` of entry width ``w``, the root at depth 1: pre-order over an
+    explicit stack, sub-nodes in branch order.  Nested sets are not
+    entered."""
     stack = [(1, root)]
     while stack:
         depth, node = stack.pop()
-        run, start, end_i, end_p, end = regions(node, w)
-        yield depth, run, start, end_i, end_p, end
-        if end < len(run):
-            stack += zip(repeat(depth + 1), run[: end - 1 : -1])
+        start, end_i, end_p, end = regions(node, w)
+        yield depth, node, start, end_i, end_p, end
+        if end < len(node):
+            stack += zip(repeat(depth + 1), node[: end - 1 : -1])
 
 
 def iter_keys(cfg, root):
@@ -1142,11 +1134,11 @@ def count_entries(cfg, node):
     """Number of flattened entries below ``node`` (set cardinality for
     width-1 tries), summed from region counts without visiting them."""
     w = cfg.width
-    run, start, end_i, end_p, end = regions(node, w)
+    start, end_i, end_p, end = regions(node, w)
     total = (end_i - start) // w + 2 * (end_p - end_i) // PAIR_W
     for pos in range(end_p + 1, end, COLL_W):
-        total += count_entries(cfg.value_cfg, run[pos])
-    for child in run[end:]:
+        total += count_entries(cfg.value_cfg, node[pos])
+    for child in node[end:]:
         total += count_entries(cfg, child)
     return total
 
@@ -1181,7 +1173,7 @@ def _validate(cfg, node, shift, prefix, is_root):
     elif kind is not tuple and kind is not CollisionNode:
         _fail(f"trie node below a root must be a plain tuple, got {kind.__name__}")
     w = cfg.width
-    run, start, end_i, end_p, end = regions(node, w)
+    start, end_i, end_p, end = regions(node, w)
     n_i = (end_i - start) // w
     n_p = (end_p - end_i) // PAIR_W
     n_c = (end - end_p) // COLL_W
@@ -1213,8 +1205,8 @@ def _validate(cfg, node, shift, prefix, is_root):
         subs = _branches(bm & EVEN_BITS & ~hi)
         n_n = len(subs)
         expected = end - start + n_n
-        if len(run) - start != expected:
-            _fail(f"slot run has {len(run) - start} cells, bitmap implies {expected}")
+        if len(node) - start != expected:
+            _fail(f"slot run has {len(node) - start} cells, bitmap implies {expected}")
         if expected > 32 * PAIR_W:
             _fail(f"trie node with {expected} slots (maximum is {32 * PAIR_W})")
         if not is_root:
@@ -1222,7 +1214,7 @@ def _validate(cfg, node, shift, prefix, is_root):
                 _fail("empty non-root node")
             if n_n == 0 and n_i + n_p + n_c == 1:
                 _fail("non-root node holds a single payload entry and no sub-nodes")
-            if n_i + n_p + n_c == 0 and n_n == 1 and type(run[start]) is CollisionNode:
+            if n_i + n_p + n_c == 0 and n_n == 1 and type(node[start]) is CollisionNode:
                 _fail("chain node left above a collision bucket")
         colls = [b for b in _branches(both) if not pairs >> b & 1]
         branches = _branches(hi & ~bm) + pair_branches + colls
@@ -1232,7 +1224,7 @@ def _validate(cfg, node, shift, prefix, is_root):
     vcfg = cfg.value_cfg
     entries = chain(range(start, end_i, w), range(end_i, end_p, PAIR_W), range(end_p, end, COLL_W))
     for pos, branch in zip(entries, branches):
-        key = run[pos]
+        key = node[pos]
         h = cfg.hasher(key) & M32
         if bucket:
             if h != node[0]:
@@ -1247,15 +1239,15 @@ def _validate(cfg, node, shift, prefix, is_root):
         if pos < end_i:
             tuples += 1
         elif pos < end_p:
-            _validate_pair(vcfg, key, run[pos + 1], run[pos + 2])
+            _validate_pair(vcfg, key, node[pos + 1], node[pos + 2])
             tuples += 2
         else:
-            sub_tuples, _ = _validate(vcfg, run[pos + 1], 0, 0, True)
+            sub_tuples, _ = _validate(vcfg, node[pos + 1], 0, 0, True)
             if sub_tuples < 3:
                 _fail(f"collection entry for {key!r} holds {sub_tuples} values")
             tuples += sub_tuples
     keys = n_i + n_p + n_c
-    for branch, child in zip(subs, run[end:]):
+    for branch, child in zip(subs, node[end:]):
         child_prefix = prefix | (branch << shift)
         sub_tuples, sub_keys = _validate(cfg, child, shift + 5, child_prefix, False)
         tuples += sub_tuples

@@ -59,7 +59,7 @@ def _node_ranks_match(rng, groups, bitmap):
                     expect[b] = pos
                     pos += size[p]
         node = (bm,) + (None,) * (pos - 1)
-        if regions(node, w)[1:] != tuple(bounds):
+        if regions(node, w) != tuple(bounds):
             return False
         if any(_pos(bm, w, patterns[b], b, pos) != at for b, at in expect.items()):
             return False
@@ -164,7 +164,7 @@ def _bitmap_ints(structure):
     nested sets and nodes under collision buckets included."""
     return [
         o[0]
-        for o, cfg, _ in _reached(structure)
+        for o, cfg, _, _ in _reached(structure)
         if cfg is not None and type(o) is not CollisionNode and o[0] > 256
     ]
 

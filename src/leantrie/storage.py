@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .maps import PersistentMap, PersistentMultiMap, PersistentSet
-from .nodes import refs, regions
+from .nodes import COLL_W, PAIR_W, regions
 
 MAX_FIXED_SLOTS = 8
 
@@ -97,14 +97,14 @@ def footprint(structures, model=DEFAULT_MODEL):
     specialize=False))`` prices the same nodes as generic ones.
     """
     report = FootprintReport()
-    for o, cfg, nested in _reached(structures):
+    for o, cfg, nested, start in _reached(structures):
         if cfg is None:
             if not nested:
                 continue  # a measured structure's own object
             slots = WRAPPER_FIELDS[type(o)] * SLOT_WORDS
             words = HEADER_WORDS + slots
         else:
-            n_slots = len(o) - regions(o, cfg.width)[1]
+            n_slots = len(o) - start
             slots = n_slots * SLOT_WORDS
             words = HEADER_WORDS + BITMAP_WORDS + slots
             report.bitmaps += BITMAP_WORDS
@@ -123,34 +123,42 @@ def footprint(structures, model=DEFAULT_MODEL):
 
 
 def _reached(structures):
-    """Yield ``(o, cfg, nested)`` once for each distinct structure object
-    and trie node that ``structures`` reach: the one walk of the node
-    graph that :func:`footprint`, :func:`byte_components` and the
+    """Yield ``(o, cfg, nested, start)`` once for each distinct structure
+    object and trie node that ``structures`` reach: the one walk of the
+    node graph that :func:`footprint`, :func:`byte_components` and the
     self-test's bitmap check read.
 
     ``cfg`` is the config of the trie that node ``o`` belongs to, and None
     for a structure object.  ``nested`` is true for what hangs below a
     payload slot: nested set tries, persistent structures stored as values
-    (or as set elements), and their tries.  The walk is depth first: a
-    node, then what its payload slots hold, then its sub-nodes.  It walks
-    the first structure listed first, so an object that several of them
-    reach belongs to the first one listed that reaches it.
+    (or as set elements), and their tries.  ``start`` is a node's head
+    size, from the one :func:`~leantrie.nodes.regions` call that also
+    finds what the node refers to, and None for a structure object.  The
+    walk is depth first: a node, then what its payload slots hold, then
+    its sub-nodes.  It walks the first structure listed first, so an
+    object that several of them reach belongs to the first one listed
+    that reaches it.
     """
     seen = set()
     stack = [(s, None, False) for s in reversed(_measured(structures))]
     while stack:
-        item = stack.pop()
-        o, cfg, nested = item
+        o, cfg, nested = stack.pop()
         if id(o) in seen:
             continue
         seen.add(id(o))
-        yield item
         if cfg is None:
+            yield o, cfg, nested, None
             stack.append((o._root, o._cfg, nested))
             continue
-        values, roots, children = refs(o, cfg.width)
-        stack.extend(zip(reversed(children), repeat(cfg), repeat(nested)))
+        w = cfg.width
+        start, end_i, end_p, end = regions(o, w)
+        yield o, cfg, nested, start
+        stack.extend(zip(reversed(o[end:]), repeat(cfg), repeat(nested)))
+        roots = o[end_p + 1 : end : COLL_W]
         stack.extend(zip(reversed(roots), repeat(cfg.value_cfg), repeat(True)))
+        # the values in its own slots, a set's elements at width 1
+        values = o[start + w - 1 : end_i : w] + o[end_i + 1 : end_p : PAIR_W]
+        values += o[end_i + 2 : end_p : PAIR_W]
         # by exact type, as WRAPPER_FIELDS prices them (an ABC isinstance is
         # slow), and only where one C-level scan of the types finds one
         if not WRAPPER_FIELDS.keys().isdisjoint(map(type, values)):
@@ -241,12 +249,12 @@ def byte_components(structures):
             sizes[component] += sys.getsizeof(o)
             stack.extend(gc.get_referents(o))
 
-    for o, cfg, nested in _reached(structures):
+    for o, cfg, nested, start in _reached(structures):
         if cfg is None:
             sizes["wrappers"] += sys.getsizeof(o)
             add("wrappers", *(r for r in gc.get_referents(o) if r is not o._root))
             continue
         component = "nested" if nested else "trie"
         sizes[component] += sys.getsizeof(o)
-        add("bitmaps", *o[: regions(o, cfg.width)[1]])
+        add("bitmaps", *o[:start])
     return sizes

@@ -357,16 +357,16 @@ def test_bucket_promotes_and_demotes_entries():
     assert structure_stats(paired)["pair_entries"] == 1
     # the bucket's regions: B's inline entry, then A's pair
     bucket = paired._root[1]
-    assert regions(bucket, 2) == (bucket, 3, 5, 5 + PAIR_W, 5 + PAIR_W)
-    assert bucket[regions(bucket, 2)[1] :] == ("B", 2, "A", 1, 9)
+    assert regions(bucket, 2) == (3, 5, 5 + PAIR_W, 5 + PAIR_W)
+    assert bucket[regions(bucket, 2)[0] :] == ("B", 2, "A", 1, 9)
     grown = paired.put("A", 5)
     check_invariants(grown)
     assert set(grown.get("A")) == {1, 5, 9}
     assert structure_stats(grown)["collection_entries"] == 1
     # then A's collection entry, in the region after the empty pair region
     bucket = grown._root[1]
-    assert regions(bucket, 2) == (bucket, 3, 5, 5, 5 + COLL_W)
-    assert bucket[regions(bucket, 2)[1] :][:3] == ("B", 2, "A")
+    assert regions(bucket, 2) == (3, 5, 5, 5 + COLL_W)
+    assert bucket[regions(bucket, 2)[0] :][:3] == ("B", 2, "A")
     back = grown.remove("A", 5)
     check_invariants(back)
     assert structurally_equal(back, paired)
@@ -486,11 +486,11 @@ def _check_written(cfg, old, new, shift, h, key, value, old_root, old_ids):
     if new is old or id(new) in old_ids:
         return
     w = cfg.width
-    run, _, _, end_p, end = regions(new, w)
+    _, _, end_p, end = regions(new, w)
     if type(new) is CollisionNode:
         assert new[0] == h, "a new bucket off the key's hash"
     for pos in range(end_p, end, COLL_W):
-        k, nested = run[pos], run[pos + 1]
+        k, nested = new[pos], new[pos + 1]
         was = old_root.lookup(cfg, 0, cfg.hasher(k) & M32, k)
         if not (k is key or k == key):
             assert was is not None and nested is was[1], f"nested root of {k!r} copied"
@@ -623,29 +623,29 @@ def _reference_entries(cfg, node):
     collection entries (a set's elements at width 1), then each sub-node's
     in branch order."""
     w = cfg.width
-    run, start, end_i, end_p, end = regions(node, w)
+    start, end_i, end_p, end = regions(node, w)
     if w == 1:
-        yield from run[start:end_i]
+        yield from node[start:end_i]
     else:
         for pos in range(start, end_i, w):
-            yield (run[pos], run[pos + 1])
+            yield (node[pos], node[pos + 1])
         for pos in range(end_i, end_p, PAIR_W):
-            yield (run[pos], run[pos + 1])
-            yield (run[pos], run[pos + 2])
+            yield (node[pos], node[pos + 1])
+            yield (node[pos], node[pos + 2])
         for pos in range(end_p, end, COLL_W):
-            for v in _reference_entries(cfg.value_cfg, run[pos + 1]):
-                yield (run[pos], v)
-    for child in run[end:]:
+            for v in _reference_entries(cfg.value_cfg, node[pos + 1]):
+                yield (node[pos], v)
+    for child in node[end:]:
         yield from _reference_entries(cfg, child)
 
 
 def _reference_keys(cfg, node):
     w = cfg.width
-    run, start, end_i, end_p, end = regions(node, w)
-    yield from run[start:end_i:w]
-    yield from run[end_i:end_p:PAIR_W]
-    yield from run[end_p:end:COLL_W]
-    for child in run[end:]:
+    start, end_i, end_p, end = regions(node, w)
+    yield from node[start:end_i:w]
+    yield from node[end_i:end_p:PAIR_W]
+    yield from node[end_p:end:COLL_W]
+    for child in node[end:]:
         yield from _reference_keys(cfg, child)
 
 
@@ -1158,14 +1158,14 @@ def test_nodes_compare_and_hash_by_identity():
     b = TrieNode((INLINE << 2, "k", "v"))
     assert a == a and a != b
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
-    head = regions(a, 2)[1]
+    head = regions(a, 2)[0]
     assert (a[0], a[head:]) == (INLINE << 2, ("k", "v"))
     assert type(a[head:]) is tuple
     c = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     d = CollisionNode((0, 2, 0, "a", 1, "b", 2))
     assert c == c and c != d
     assert hash(c) == object.__hash__(c) and len({c, d}) == 2
-    head = regions(c, 2)[1]
+    head = regions(c, 2)[0]
     assert c[head:] == ("a", 1, "b", 2) and type(c[head:]) is tuple
 
 
@@ -1204,8 +1204,8 @@ def test_pos_and_region_counts_agree_with_the_reference_rank():
         n_i, n_p, n_c, n_n = _reference_counts(bm)
         for w in (1, 2):
             node = TrieNode((bm,))
-            run, start, end_i, end_p, end = regions(node, w)
-            assert (run, start) == (node, 1)
+            start, end_i, end_p, end = regions(node, w)
+            assert start == 1
             assert (end_i - start, end_p - end_i, end - end_p) == (
                 w * n_i,
                 PAIR_W * n_p,
@@ -1471,11 +1471,11 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     # a set and a map: one inline region, later duplicates keep their place
     s_root, n, _ = build_root(set_config(_seven), ["b", "a", "b", "c", "a"])
     s = _bucket_of(s_root)
-    assert (s[1], s[2], s[regions(s, 1)[1] :], n) == (3, 0, ("b", "a", "c"), 3)
+    assert (s[1], s[2], s[regions(s, 1)[0] :], n) == (3, 0, ("b", "a", "c"), 3)
     pairs = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 2)]
     m_root, n, _ = build_root(map_config(_seven), pairs)
     m = _bucket_of(m_root)
-    assert (m[1], m[2], m[regions(m, 2)[1] :], n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
+    assert (m[1], m[2], m[regions(m, 2)[0] :], n) == (3, 0, ("b", 3, "a", 2, "c", 4), 3)
     # a multimap whose values hash alike too: equal-hash pairs keep their
     # input order; d gets its second value before b does, and a and e stay
     # inline although a repeats its value
@@ -1488,9 +1488,9 @@ def test_bulk_build_orders_each_bucket_region_by_first_appearance():
     bucket = _bucket_of(root)
     nested = bucket[-1]
     assert (bucket[1], bucket[2]) == (2, 2)
-    assert bucket[regions(bucket, 2)[1] :] == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
+    assert bucket[regions(bucket, 2)[0] :] == ("a", 1, "e", 9, "b", 2, 1, "d", 5, 6, "c", nested)
     values = _bucket_of(nested)
-    assert (values[1], values[2], values[regions(values, 1)[1] :]) == (4, 0, (3, 1, 4, 2))
+    assert (values[1], values[2], values[regions(values, 1)[0] :]) == (4, 0, (3, 1, 4, 2))
     assert (tuples, keys) == (10, 5)
     validate_root(cfg, root)
 
@@ -1507,7 +1507,7 @@ def _bucket_layout(structure):
     structure's root, each nested root read as the sorted list of its
     values."""
     bucket = _bucket_of(structure._root)
-    slots = bucket[regions(bucket, structure._cfg.width)[1] :]
+    slots = bucket[regions(bucket, structure._cfg.width)[0] :]
     return bucket[1], bucket[2], _shown(structure._cfg, slots)
 
 
@@ -1560,7 +1560,7 @@ def test_bucket_updates_keep_each_entry_in_place_or_close_its_region():
 
 def _entry_list(bucket, w):
     """``[(pattern, slots)]`` of a bucket's entries, region by region."""
-    _, start, end_i, end_p, end = regions(bucket, w)
+    start, end_i, end_p, end = regions(bucket, w)
     entries = []
     for pattern, first, last, size in (
         (INLINE, start, end_i, w),

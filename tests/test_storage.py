@@ -58,7 +58,7 @@ MODELS = (DEFAULT_MODEL, GENERIC)
 
 def _flat_set(n):
     s = pset(range(n), element_hash=lambda e: e)
-    assert len(s._root[regions(s._root, 1)[1] :]) == n
+    assert len(s._root[regions(s._root, 1)[0] :]) == n
     return s
 
 
@@ -110,7 +110,7 @@ def test_specialize_false_always_generic():
 def test_get_set_roundtrip_all_classes():
     for n in list(range(9)) + [9, 17, 32]:
         root = _flat_set(n)._root
-        slots = root[regions(root, 1)[1] :]
+        slots = root[regions(root, 1)[0] :]
         assert type(slots) is tuple
         assert slots == tuple(range(n))
 
