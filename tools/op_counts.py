@@ -1,5 +1,4 @@
-"""Count the bytecodes a multimap's point operations, bulk build or
-footprint measures execute.
+"""Count the bytecodes a multimap's point operations, build or footprint execute.
 
 Usage, from anywhere::
 
@@ -252,7 +251,7 @@ def _columns(result, columns, unit):
         {name for c in columns for name in result[c]["by_function"]},
         key=lambda name: (-sum(result[c]["by_function"].get(name, 0) for c in columns), name),
     )
-    width = max(len(unit), *map(len, names))
+    width = max([len(unit), *map(len, names)])
     lines = [f"{unit:<{width}}" + "".join(f"{c:>16}" for c in columns)]
     for name in ["total", *names]:
         cells = [
@@ -298,7 +297,9 @@ def footprint_table(result):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
-    p.add_argument("--layer", choices=("point", "build", "footprint"), default="point", help="what is counted")
+    p.add_argument(
+        "--layer", choices=("point", "build", "footprint"), default="point", help="what is counted"
+    )
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
     p.add_argument(
