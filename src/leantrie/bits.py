@@ -21,7 +21,7 @@ The node layer uses :func:`pattern_bits` alone: it ranks on the bit
 planes in line (``nodes._pos``), adds and removes an entry by OR and XOR
 of its pattern bits, and moves one by XOR of the bits in which its old
 and new patterns differ.  The other helpers are the reference algebra
-that the tests, ``leantrie selftest`` and perfbench read.
+that the tests and perfbench read.
 
 The filter trick below turns "which branches carry pattern p" into four
 constant-time mask expressions over the even/odd bit planes, so ranking a

@@ -1,11 +1,10 @@
-"""Command-line interface: bench, footprint, dominators, selftest.
+"""Command-line interface: bench, footprint, dominators.
 
 Sizes are given as exponent ranges (``--sizes 6..16`` means 2^6..2^16,
 comma lists also work), mixes as ``--mix 50:50``.  ``--output -``
 writes to stdout.  Exit status: 0 on success, also when the reader of
 stdout closes it early (``leantrie ... --output - | head -1``), 1 when a
-correctness gate or self-check fails, 2 on configuration, input or
-output errors.
+correctness gate fails, 2 on configuration, input or output errors.
 """
 
 import argparse
@@ -34,7 +33,6 @@ from .dominators import (
     parse_edge_list,
     random_cfg,
 )
-from .selftest import run_selftest
 
 
 def _parse_sizes(text):
@@ -116,6 +114,7 @@ def build_parser():
     bench.add_argument("--warmup", type=int, default=10, help="warmup iterations")
     bench.add_argument("--measured", type=int, default=20, help="measured iterations")
     _add_report_flags(bench)
+    bench.set_defaults(run=_cmd_bench)
 
     fp = sub.add_parser("footprint", help="modeled-word footprint comparison")
     _add_sizes_flag(fp)
@@ -125,6 +124,7 @@ def build_parser():
     )
     fp.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
     _add_report_flags(fp)
+    fp.set_defaults(run=_cmd_footprint)
 
     dom = sub.add_parser("dominators", help="dominator analysis over CFGs")
     dom.add_argument(
@@ -146,8 +146,7 @@ def build_parser():
     )
     dom.add_argument("--seed", type=int, default=0, help="generator seed base")
     _add_report_flags(dom)
-
-    sub.add_parser("selftest", help="run the quick invariant and oracle checks")
+    dom.set_defaults(run=_cmd_dominators)
     return parser
 
 
@@ -237,13 +236,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "footprint":
-            return _cmd_footprint(args)
-        if args.command == "dominators":
-            return _cmd_dominators(args)
-        return 0 if run_selftest() else 1
+        return args.run(args)
     except GateError as exc:
         print(f"leantrie: correctness gate failed: {exc}", file=sys.stderr)
         return 1

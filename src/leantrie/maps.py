@@ -477,7 +477,7 @@ def check_invariants(structure):
     """Validate ``structure``'s trie against every structural invariant
     and recount its sizes; raises ``InvariantError`` when a recount
     differs from a cached count.  A multimap's tuple count and a set's
-    size are checked when cached.  Intended for tests and self-checks."""
+    size are checked when cached.  Intended for tests and correctness gates."""
     if not isinstance(structure, (PersistentMultiMap, PersistentSet, PersistentMap)):
         raise TypeError(f"not a persistent structure: {type(structure).__name__}")
     tuples, keys = validate_root(structure._cfg, structure._root)

@@ -125,8 +125,7 @@ def footprint(structures, model=DEFAULT_MODEL):
 def _reached(structures):
     """Yield ``(o, cfg, nested, start)`` once for each distinct structure
     object and trie node that ``structures`` reach: the one walk of the
-    node graph that :func:`footprint`, :func:`byte_components` and the
-    self-test's bitmap check read.
+    node graph that :func:`footprint` and :func:`byte_components` read.
 
     ``cfg`` is the config of the trie that node ``o`` belongs to, and None
     for a structure object.  ``nested`` is true for what hangs below a

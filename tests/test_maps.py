@@ -637,8 +637,8 @@ def _kept_objects(pairs):
 
 @pytest.mark.parametrize(
     "hasher",
-    [None, _colliding_hash, _constant_hash, lambda x: hash(x) % 13],
-    ids=["default", "colliding", "constant", "mod13"],
+    [None, _colliding_hash, _constant_hash, lambda x: hash(x) % 13, lambda x: hash(x) % 7],
+    ids=["default", "colliding", "constant", "mod13", "mod7"],
 )
 @settings(max_examples=40, deadline=None)
 @given(pairs=st.lists(st.tuples(_mixed_objects, _mixed_objects), max_size=80))
@@ -765,7 +765,9 @@ _PUT_ALL_INPUTS = {
 
 
 @pytest.mark.parametrize("kind", list(_PUT_ALL_INPUTS))
-@pytest.mark.parametrize("hasher", [None, _colliding_hash], ids=["trie", "bucket"])
+@pytest.mark.parametrize(
+    "hasher", [None, _colliding_hash, lambda x: hash(x) % 7], ids=["trie", "bucket", "mod7"]
+)
 @settings(max_examples=25, deadline=None)
 @given(
     pairs=st.lists(st.tuples(_mixed_objects, _mixed_objects), max_size=40),

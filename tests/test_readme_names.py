@@ -1,4 +1,5 @@
-"""Every name that the README's Layout table puts in backticks is real.
+"""Every name that the README's Layout table puts in backticks is real,
+and its Command line section lists exactly the CLI's subcommands.
 
 A backticked identifier in a module's row (``name``, ``Class.name`` or a
 call such as ``update(…, change)``) must be an attribute of that module,
@@ -6,12 +7,15 @@ or a member of one of its classes: a method, a class attribute, a
 ``__slots__`` entry, a dataclass field or an attribute its methods set on
 ``self``.  Spans that are not identifiers (a command line, a tuple
 layout, a file name) are not checked.  Modules are read with ``ast``, so
-nothing is imported.
+nothing is imported; only the subcommands come from ``build_parser``.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from leantrie.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)(?:\(.*\))?")
@@ -123,3 +127,16 @@ def test_every_layout_name_is_defined_by_its_module():
             source = (ROOT / path).read_text()
             unknown += [f"{path}: {name}" for name in unknown_names(contents, source)]
     assert unknown == []
+
+
+def readme_subcommands(readme):
+    """The words after ``leantrie`` on the command lines of the README's
+    Command line section."""
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return {m.group(1) for m in re.finditer(r"^leantrie (\S+)", section, re.MULTILINE)}
+
+
+def test_the_command_line_section_lists_every_subcommand_and_no_other():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert readme_subcommands((ROOT / "README.md").read_text()) == set(sub.choices)

@@ -30,10 +30,10 @@ from leantrie import (
     object_bytes,
     pmap,
     pset,
+    storage,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
 from leantrie.nodes import COLL_W, CollisionNode, TrieNode, regions, walk
-from leantrie.selftest import _bitmap_ints
 from leantrie.storage import (
     BITMAP_WORDS,
     BYTE_COMPONENTS,
@@ -319,10 +319,21 @@ BULK_BUILDS = {
 }
 
 
+def _bitmap_ints(structure):
+    """Every trie-node bitmap above the small-int cache in ``structure``,
+    nested sets and nodes under collision buckets included."""
+    return [
+        o[0]
+        for o, cfg, _, _ in storage._reached(structure)
+        if cfg is not None and type(o) is not CollisionNode and o[0] > 256
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(BULK_BUILDS))
 def test_bulk_build_holds_one_int_per_distinct_bitmap(name):
     built = BULK_BUILDS[name]()
     bitmaps = _bitmap_ints(built)
+    assert bitmaps  # else the checks below pass on nothing
     assert len({id(bm) for bm in bitmaps}) == len(set(bitmaps))
     # the table lives for one build only: object_bytes then agrees with
     # tracemalloc, which sees every build allocate its own ints
