@@ -12,16 +12,16 @@ consecutive 2-bit groups, branch 0 in the lowest bits.  Pattern codes:
 
 The pair plane is a third bit plane above the 64 pattern bits, bit
 ``PAIR_PLANE + b`` for branch ``b``.  A bitmap with no pair entry is the
-plain 64-bit word; :func:`get_pattern` and :func:`set_pattern` read and
-write the plane, and :func:`pattern_bits` gives one branch's bits.  The
-filter functions read the 64 pattern bits only, where a pair is a
-COLLECTION branch.
+plain 64-bit word; :func:`pattern_bits` gives one branch's bits, pair
+bit included.  The filter functions read the 64 pattern bits only, where
+a pair is a COLLECTION branch.
 
 The node layer uses :func:`pattern_bits` alone: it ranks on the bit
 planes in line (``nodes._pos``), adds and removes an entry by OR and XOR
 of its pattern bits, and moves one by XOR of the bits in which its old
-and new patterns differ.  The other helpers are the reference algebra
-that the tests and perfbench read.
+and new patterns differ.  :func:`filter_pattern` and
+:func:`index_in_category` remain only for perfbench, whose ``bits.*``
+metrics time them as the paper's reference algebra.
 
 The filter trick below turns "which branches carry pattern p" into four
 constant-time mask expressions over the even/odd bit planes, so ranking a
@@ -38,23 +38,9 @@ EVEN_BITS = 0x5555555555555555
 PAIR_PLANE = 64  # branch b's pair bit is bit PAIR_PLANE + b
 
 
-def get_pattern(bitmap, branch):
-    pattern = (bitmap >> (branch << 1)) & 0b11
-    if pattern == COLLECTION and (bitmap >> (PAIR_PLANE + branch)) & 1:
-        return PAIR
-    return pattern
-
-
 def pattern_bits(pattern, branch):
     """The bits that mark ``branch`` as ``pattern`` in an empty bitmap."""
     return (pattern & 0b11) << (branch << 1) | (pattern >> 2) << (PAIR_PLANE + branch)
-
-
-def set_pattern(bitmap, branch, pattern):
-    offset = branch << 1
-    pair_bit = 1 << (PAIR_PLANE + branch)
-    cleared = bitmap & ~(0b11 << offset | pair_bit)
-    return cleared | (pattern & 0b11) << offset | (pair_bit if pattern == PAIR else 0)
 
 
 def filter_pattern(bitmap, pattern):

@@ -31,6 +31,7 @@ from leantrie.dominators import (
     parse_edge_list,
     random_cfg,
 )
+from leantrie.nodes import _pos, regions
 
 
 def _report(label, elapsed, budget, ok, detail=""):
@@ -45,6 +46,8 @@ def _report(label, elapsed, budget, ok, detail=""):
 
 
 def test_bit_engine_agrees_with_per_branch_loop_oracles():
+    # the filter/rank pair of the paper's algebra, and the ranks the trie
+    # runs: a width-2 node's region bounds and an entry's slot index
     start = time.perf_counter()
     rng = random.Random(0xB17)
     checked = 0
@@ -58,15 +61,20 @@ def test_bit_engine_agrees_with_per_branch_loop_oracles():
             filters[g] |= 1 << (i << 1)
         branch = bm & 31
         pattern = (bm >> 7) & 3
-        expected_set = (bm & ~(3 << (branch << 1))) | (pattern << (branch << 1))
+        rank = groups[:branch].count(pattern)
+        # inline entries (2) and collection entries (3) take two slots
+        # each, after the bitmap; sub-nodes (1) one each, at the end
+        end_i = 1 + 2 * groups.count(2)
+        end = end_i + 2 * groups.count(3)
+        pos = (None, end + rank, 1 + 2 * rank, end_i + 2 * rank)[pattern]
         if (
             bits.filter_pattern(bm, 0) != filters[0]
             or bits.filter_pattern(bm, 1) != filters[1]
             or bits.filter_pattern(bm, 2) != filters[2]
             or bits.filter_pattern(bm, 3) != filters[3]
-            or bits.get_pattern(bm, branch) != groups[branch]
-            or bits.set_pattern(bm, branch, pattern) != expected_set
-            or bits.index_in_category(bm, pattern, branch) != groups[:branch].count(pattern)
+            or bits.index_in_category(bm, pattern, branch) != rank
+            or regions((bm,), 2) != (1, end_i, end_i, end)
+            or (pattern and _pos(bm, 2, pattern, branch, end + groups.count(1)) != pos)
         ):
             ok = False
             detail = f"disagreement on bitmap {bm:#018x}"

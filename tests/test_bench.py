@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import re
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +263,17 @@ def test_footprint_on_pure_one_to_one_still_reports_both_rows():
     assert {r.structure for r in rows} == {"multimap", "map_of_sets"}
     mm = next(r for r in rows if r.structure == "multimap")
     assert mm.ratio_vs_baseline > 1.0
+
+
+def test_the_readme_footprint_table_matches_run_footprint():
+    # the words-per-tuple cells; the byte cells are the CPython build's
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tuples = len(generate_workload(WorkloadSpec(mix=0.5), 1 << 14, 0).entries)
+    assert f"{tuples:,} tuples" in readme
+    row = next(line for line in readme.splitlines() if line.startswith("| modeled words |"))
+    cells = [c.strip() for c in row.strip("|").split("|")][1:]
+    words = {r.structure: r.words_total for r in run_footprint([14], mix=0.5, seed=0)}
+    assert cells == [f"{words[s] / tuples:.3f}" for s in ("multimap", "map_of_sets")]
 
 
 # -- report writers ---------------------------------------------------------------------

@@ -15,8 +15,6 @@ from leantrie.bits import (
     INLINE,
     COLLECTION,
     EVEN_BITS,
-    get_pattern,
-    set_pattern,
     filter_pattern,
     index_in_category,
 )
@@ -24,7 +22,6 @@ from leantrie.bits import (
 PATTERNS = (EMPTY, NODE, INLINE, COLLECTION)
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
-branches = st.integers(min_value=0, max_value=31)
 patterns = st.sampled_from(PATTERNS)
 
 
@@ -48,29 +45,7 @@ def oracle_index(bm, pattern, branch):
     return sum(1 for g in oracle_groups(bm)[:branch] if g == pattern)
 
 
-def oracle_set(bm, branch, pattern):
-    groups = oracle_groups(bm)
-    groups[branch] = pattern
-    out = 0
-    for b, g in enumerate(groups):
-        out |= g << (2 * b)
-    return out
-
-
 # --- frozen examples -------------------------------------------------------
-
-
-def test_get_pattern_examples():
-    assert get_pattern(0b10_11_01, 0) == NODE
-    assert get_pattern(0b10_11_01, 2) == INLINE
-    assert get_pattern(0b10_11_01, 1) == COLLECTION
-    assert get_pattern(0b10_11_01, 3) == EMPTY
-
-
-def test_set_pattern_examples():
-    assert set_pattern(0, 0, COLLECTION) == 0b11
-    assert set_pattern(0b11, 0, EMPTY) == 0
-    assert set_pattern(0, 2, INLINE) == 0b10_00_00
 
 
 def test_filter_examples():
@@ -95,26 +70,11 @@ def test_oracle_agreement_randomized():
     rng = random.Random(0xBEEF)
     for _ in range(2000):
         bm = rng.getrandbits(64)
-        groups = oracle_groups(bm)
         for p in PATTERNS:
             assert filter_pattern(bm, p) == oracle_filter(bm, p)
         b = rng.randrange(32)
-        assert get_pattern(bm, b) == groups[b]
         for p in PATTERNS:
             assert index_in_category(bm, p, b) == oracle_index(bm, p, b)
-            assert set_pattern(bm, b, p) == oracle_set(bm, b, p)
-
-
-@given(words, branches, patterns)
-def test_set_then_get_roundtrip(bm, b, p):
-    assert get_pattern(set_pattern(bm, b, p), b) == p
-
-
-@given(words, branches, patterns)
-def test_set_pattern_touches_only_its_group(bm, b, p):
-    out = set_pattern(bm, b, p)
-    cleared = ~(0b11 << (2 * b))
-    assert out & cleared == bm & cleared
 
 
 @given(words)

@@ -34,7 +34,6 @@ from leantrie.bits import (
     INLINE,
     NODE,
     PAIR,
-    get_pattern,
     pattern_bits,
 )
 from leantrie.maps import PersistentMap, PersistentMultiMap, PersistentSet
@@ -469,7 +468,7 @@ def _node_ids(cfg, root):
 
 def _sub_node(node, branch):
     """``node``'s sub-node on ``branch``, or None."""
-    if node is None or type(node) is CollisionNode or get_pattern(node[0], branch) != NODE:
+    if node is None or type(node) is CollisionNode or (node[0] >> (branch << 1)) & 0b11 != NODE:
         return None
     return node[_pos(node[0], 1, NODE, branch, len(node))]
 
@@ -1169,9 +1168,19 @@ def test_nodes_compare_and_hash_by_identity():
     assert c[head:] == ("a", 1, "b", 2) and type(c[head:]) is tuple
 
 
+def _groups(bm):
+    """Decode a bitmap's 32 branch patterns one branch at a time, branch 0
+    first: a COLLECTION group whose pair-plane bit is set reads PAIR."""
+    groups = []
+    for b in range(32):
+        g = (bm >> (b << 1)) & 0b11
+        groups.append(PAIR if g == COLLECTION and (bm >> (64 + b)) & 1 else g)
+    return groups
+
+
 def _expected_pos(bm, w, pattern, branch):
     """Index of ``branch``'s entry of ``pattern`` from a per-branch count."""
-    groups = [get_pattern(bm, b) for b in range(32)]
+    groups = _groups(bm)
     n_i, n_p, n_c = (groups.count(p) for p in (INLINE, PAIR, COLLECTION))
     rank = groups[:branch].count(pattern)
     if pattern == INLINE:
@@ -1184,7 +1193,7 @@ def _expected_pos(bm, w, pattern, branch):
 
 
 def _reference_counts(bm):
-    groups = [get_pattern(bm, b) for b in range(32)]
+    groups = _groups(bm)
     return tuple(groups.count(p) for p in (INLINE, PAIR, COLLECTION, NODE))
 
 
@@ -1194,7 +1203,7 @@ def _random_bitmaps(rng, count):
     fixed = (0, (1 << 64) - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA)
     for bm in chain(fixed, (rng.getrandbits(64) for _ in range(count))):
         yield bm
-        colls = [b for b in range(32) if get_pattern(bm, b) == COLLECTION]
+        colls = [b for b, g in enumerate(_groups(bm)) if g == COLLECTION]
         yield bm | sum(1 << (64 + b) for b in colls if rng.random() < 0.5)
 
 
@@ -1229,8 +1238,8 @@ def test_lookup_ranks_agree_with_the_reference_rank():
     for bm in _random_bitmaps(rng, 200):
         items = [None] * (_expected_pos(bm, 2, NODE, 32))
         items[0] = bm
-        for branch in range(32):
-            pattern = get_pattern(bm, branch)
+        groups = _groups(bm)
+        for branch, pattern in enumerate(groups):
             if pattern == EMPTY:
                 continue
             pos = _expected_pos(bm, 2, pattern, branch)
@@ -1241,8 +1250,7 @@ def test_lookup_ranks_agree_with_the_reference_rank():
             else:
                 items[pos : pos + 2] = ("k", branch), ("v", branch)
         node = TrieNode(items)
-        for branch in range(32):
-            pattern = get_pattern(bm, branch)
+        for branch, pattern in enumerate(groups):
             found = node.lookup(cfg, 0, branch, ("k", branch))
             if pattern == EMPTY:
                 assert found is None
