@@ -436,13 +436,13 @@ def _time_interleaved(calls, config):
     return timed
 
 
-def _run_cell(names, dataset, config, first=0):
-    """Gate every structure of one (size, seed) cell, then time each
-    operation across the structures with their samples interleaved,
+def _run_cell(names, dataset, config, first=0, operations=OPERATIONS):
+    """Gate every structure of one (size, seed) cell, then time each of
+    ``operations`` across the structures with their samples interleaved,
     starting at ``names[first]``, so host drift lands on every side of a
     comparison.
 
-    Rows come out structure by structure, operations in ``OPERATIONS``
+    Rows come out structure by structure, operations in ``operations``
     order.
     """
     calls = {}
@@ -453,7 +453,7 @@ def _run_cell(names, dataset, config, first=0):
         calls[name] = _op_callables(adapter, base, dataset)
     timed = {}
     order = names[first:] + names[:first]
-    for operation in OPERATIONS:
+    for operation in operations:
         results = _time_interleaved([calls[n][operation] for n in order], config)
         for name, result in zip(order, results):
             timed[name, operation] = result
@@ -468,7 +468,7 @@ def _run_cell(names, dataset, config, first=0):
             mad_ns=round(timed[name, operation][1], 1),
         )
         for name in names
-        for operation in OPERATIONS
+        for operation in operations
     ]
 
 
@@ -481,16 +481,24 @@ def default_structures(dataset):
     return names
 
 
-def run_benchmarks(spec, config=None, structures=None):
-    """The full (size x seed x structure) grid of timed suites; the
-    structure timed first rotates from seed to seed."""
+def run_benchmarks(spec, config=None, structures=None, operations=OPERATIONS):
+    """The full (size x seed x structure) grid of timed suites, each
+    timing ``operations``, names from ``OPERATIONS`` (by default all of
+    them, in order); the structure timed first rotates from seed to
+    seed."""
     config = config or BenchConfig()
+    operations = tuple(operations)
+    if not operations:
+        raise ConfigurationError("need at least one operation")
+    for operation in operations:
+        if operation not in OPERATIONS:
+            raise ConfigurationError(f"unknown operation {operation!r}")
     rows = []
     for x in spec.size_exponents:
         for seed in range(spec.seeds):
             dataset = generate_workload(spec, 1 << x, seed)
             names = list(structures or default_structures(dataset))
-            rows.extend(_run_cell(names, dataset, config, seed % len(names)))
+            rows.extend(_run_cell(names, dataset, config, seed % len(names), operations))
     return rows
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from .bench import (
     BENCH_COLUMNS,
     FOOTPRINT_COLUMNS,
+    OPERATIONS,
     BenchConfig,
     ConfigurationError,
     GateError,
@@ -110,6 +111,10 @@ def build_parser():
         help="comma list among multimap,map_of_sets,map "
         "(default: all that fit the mix)",
     )
+    bench.add_argument(
+        "--operations", default=None, metavar="NAMES",
+        help=f"comma list among {','.join(OPERATIONS)} (default: all)",
+    )
     bench.add_argument("--burst", type=int, default=8, help="probes per burst (default 8)")
     bench.add_argument("--warmup", type=int, default=10, help="warmup iterations")
     bench.add_argument("--measured", type=int, default=20, help="measured iterations")
@@ -170,7 +175,8 @@ def _cmd_bench(args):
     )
     config = BenchConfig(warmup_iterations=args.warmup, measured_iterations=args.measured)
     structures = args.structures.split(",") if args.structures else None
-    rows = run_benchmarks(spec, config, structures)
+    operations = tuple(args.operations.split(",")) if args.operations else OPERATIONS
+    rows = run_benchmarks(spec, config, structures, operations)
     info = {
         "sizes": list(args.sizes),
         "seeds": args.seeds,
@@ -179,6 +185,7 @@ def _cmd_bench(args):
         "warmup": args.warmup,
         "measured": args.measured,
         "structures": structures or "auto",
+        "operations": list(operations),
     }
     _write_report(args, rows, BENCH_COLUMNS, info)
     return 0

@@ -8,14 +8,16 @@ exercise ``get`` of each predecessor's dominator set, set intersection
 over those sets, and ``put_all``, which stores a vertex's new dominator
 set as is.  A pass re-evaluates only the vertices with a predecessor
 whose set changed since they were last computed; the first pass
-computes every vertex.  A vertex with one computed predecessor grows its
-set from that predecessor's by ``add``, so the two sets share every node
-off the copied path.  The intersection of two dominator sets, which
-share one hash function, is structural: it walks both tries node by
-node, shares the left operand's subtrees that the right one holds whole
-and keeps its element objects, and is the left operand itself when that
-is a subset; only the other set operators, and ``&`` with a foreign
-operand, build their result through ``build_root``.
+computes every vertex.  A vertex with one predecessor reads that
+predecessor's set with one ``get``.  A vertex with one computed
+predecessor grows its set from that predecessor's by ``add``, so the two
+sets share every node off the copied path.  The intersection of two
+dominator sets, which share one hash function, is structural: it walks
+both tries node by node, shares the left operand's subtrees that the
+right one holds whole and keeps its element objects, and is the left
+operand itself when that is a subset; only the other set operators, and
+``&`` with a foreign operand, build their result through
+``build_root``.
 
 Graphs are ingested from an edge-list format::
 
@@ -128,7 +130,7 @@ def parse_edge_list(text, name="<edges>"):
 
 def compute_preds(graph):
     """The predecessor relation as a multimap: one (dst, src) per edge."""
-    return multimap((d, s) for s, d in graph.edges)
+    return multimap([(d, s) for s, d in graph.edges])
 
 
 def _reverse_postorder(graph):
@@ -199,19 +201,27 @@ def _dominator_fixpoint(graph):
     while changed:
         changed = False
         iterations += 1
-        for n in order:
-            if n == entry or n not in stale:
+        for n in order[1:]:  # the entry comes first
+            if n not in stale:
                 continue
             stale.discard(n)
-            # stage the big intersection as a set of predecessor Dom sets,
-            # folded pairwise; not-yet-computed Doms stand for "all" and
-            # drop out of the intersection, as do unreachable predecessors:
-            # an absent key's set is empty, and a computed Dom never is.
-            # A reachable vertex other than the entry has a predecessor
-            operands = [s for p in pred_lists[n] if (s := dom.get(p))]
-            acc = operands[0]
-            for other in operands[1:]:
-                acc = acc & other
+            ps = pred_lists[n]
+            if len(ps) == 1:
+                # a one-predecessor vertex was reached through its
+                # predecessor, which comes earlier in reverse postorder:
+                # its set is computed, and never empty
+                acc = dom.get(ps[0])
+            else:
+                # stage the big intersection as a set of predecessor Dom
+                # sets, folded pairwise; not-yet-computed Doms stand for
+                # "all" and drop out of the intersection, as do unreachable
+                # predecessors: an absent key's set is empty, and a
+                # computed Dom never is.  A reachable vertex other than the
+                # entry has a predecessor
+                operands = [s for p in ps if (s := dom.get(p))]
+                acc = operands[0]
+                for other in operands[1:]:
+                    acc = acc & other
             # stores the new set's root as is; the receiver comes back
             # when Dom(n) is unchanged
             rewritten = dom.put_all(n, acc.add(n))

@@ -39,7 +39,7 @@ receiving process rebuilds the trie with its own hashes.
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
 
-from .bits import INLINE, PAIR
+from .bits import COLLECTION, INLINE, PAIR
 from .nodes import (
     EMPTY_ROOT,
     M32,
@@ -367,13 +367,13 @@ class PersistentMultiMap:
         if found is None:
             return PersistentSet(vcfg, EMPTY_ROOT, 0)
         pattern, payload = found
+        if pattern == COLLECTION:
+            return PersistentSet(vcfg, payload, None)
         if pattern == INLINE:
             h = vcfg.hasher(payload) & M32
             root = TrieNode((INLINE << ((h & 31) << 1), payload))
             return PersistentSet(vcfg, root, 1)
-        if pattern == PAIR:
-            return PersistentSet(vcfg, set_of_two(vcfg, *payload), 2)
-        return PersistentSet(vcfg, payload, None)
+        return PersistentSet(vcfg, set_of_two(vcfg, *payload), 2)
 
     def contains_key(self, key):
         cfg = self._cfg

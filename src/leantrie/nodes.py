@@ -45,10 +45,12 @@ Where each rule lives:
 * region bounds: :func:`regions`, for either node kind, the one decoder
   of a node's regions; a traversal or footprint walk calls it once per
   node.  A node's head, the items before its slot run, ends at the
-  ``start`` it gives.  Ranks
-  in a trie node: :func:`_pos`, whose NODE and INLINE ranks
-  :func:`_lookup` and :func:`_update` write in line.  A key's entry in a
-  bucket: ``CollisionNode._find``;
+  ``start`` it gives.  Ranks in a trie node: :func:`_pos`, the reference
+  rule, which :func:`_placed` and the one-node demotion call.
+  :func:`_lookup` and :func:`_update` write its ranks of all four kinds
+  in line; ``_update`` ranks a stored entry and a new one on an EMPTY
+  branch with the same lines.  A key's entry in a bucket:
+  ``CollisionNode._find``;
 * point updates: ``_update(node, cfg, shift, key_hash, key, value,
   change)`` of a trie node, ``TrieNode.update`` at a root, and
   ``CollisionNode.update`` give ``(node, key_delta)``, the receiver
@@ -251,7 +253,8 @@ def put_values(cfg, pattern, k0, payload, values):
     ``equals`` stops early on shared subtrees.
     """
     key, root = values
-    few = _few_values(root)
+    # a root of more items holds three or more values
+    few = _few_values(root) if len(root) <= PAIR_W else None
     if few is None:
         p, new = COLLECTION, root
     elif len(few) == 1:
@@ -403,13 +406,25 @@ def _lookup(node, cfg, shift, key_hash, key):
         below = (1 << offset) - 1
         pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & below).bit_count()
     else:
-        if (bm >> (PAIR_PLANE + (offset >> 1))) & 1:
-            pattern = PAIR
-        pos = _pos(bm, w, pattern, offset >> 1, len(node))
+        # _pos for PAIR and COLLECTION: the inline region, then the pairs
+        # below this branch, or all pairs and the collections below it
+        hi = (bm >> 1) & EVEN_BITS
+        both = hi & bm
+        pos = 1 + w * (hi ^ both).bit_count()
+        pairs = bm >> PAIR_PLANE
+        if pairs:
+            branch = offset >> 1
+            pairs_below = (pairs & ((1 << branch) - 1)).bit_count()
+            if (pairs >> branch) & 1:
+                pos += PAIR_W * pairs_below
+                k0 = node[pos]
+                if k0 is key or k0 == key:
+                    return (PAIR, ValuePair(node[pos + 1 : pos + PAIR_W]))
+                return None
+            pos += PAIR_W * pairs.bit_count() - COLL_W * pairs_below
+        pos += COLL_W * (both & ((1 << offset) - 1)).bit_count()
     k0 = node[pos]
     if k0 is key or k0 == key:
-        if pattern == PAIR:
-            return (PAIR, ValuePair(node[pos + 1 : pos + PAIR_W]))
         return (pattern, node[pos + w - 1])
     return None
 
@@ -439,8 +454,9 @@ def _update(node, cfg, shift, key_hash, key, value, change):
             new_child, kd = _update(child, cfg, shift + 5, key_hash, key, value, change)
         if new_child is child:
             return node, 0
-        # a child that can lift is at most a bucket's head and one pair
-        if kd < 0 and len(new_child) <= 3 + PAIR_W:
+        # a child that can lift is at most a bucket's head and one pair,
+        # 3 + PAIR_W items, written out so that no level adds them
+        if kd < 0 and len(new_child) <= 6:
             lifted = _lifted(new_child, cfg.width)
             if lifted is not None:
                 p, vals = lifted
@@ -449,49 +465,69 @@ def _update(node, cfg, shift, key_hash, key, value, change):
         items[pos] = new_child
         return (tuple if shift else TrieNode)(items), kd
     w = cfg.width
-    if pattern == INLINE or pattern == EMPTY:
-        # _pos for INLINE, where this branch's inline entry is or goes:
-        # the inline branches below this one come first
+    if pattern == EMPTY:
+        added = change(cfg, EMPTY, key, None, value)
+        if added is None:
+            return node, 0
+        p, vals = added
+        rank = p  # where the new entry goes
+    else:
+        rank = pattern  # where the stored entry is
+    if rank == INLINE:
+        # _pos for INLINE: the inline branches below this one come first
         pos = 1 + w * ((bm >> 1) & ~bm & EVEN_BITS & ((1 << offset) - 1)).bit_count()
         size = w
     else:
-        if (bm >> (PAIR_PLANE + branch)) & 1:
-            pattern = PAIR
-        pos = _pos(bm, w, pattern, branch, len(node))
-        size = PAIR_W if pattern == PAIR else COLL_W
-    if pattern != EMPTY:
-        k0 = node[pos]
-        if k0 is key or k0 == key:
-            payload = node[pos + 1 : pos + PAIR_W] if pattern == PAIR else node[pos + w - 1]
-            changed = change(cfg, pattern, k0, payload, value)
-            if changed is None:
-                return node, 0
-            p, vals = changed
-            if p == pattern:  # same place, same bitmap int
-                items = list(node)
-                items[pos : pos + size] = vals
-                return (tuple if shift else TrieNode)(items), 0
-            if p == EMPTY:
-                bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
-                items = list(node)
-                items[0] = bm
-                del items[pos : pos + size]
-                return (tuple if shift else TrieNode)(items), -1
-            return _placed(node, shift, w, branch, pattern, pos, size, p, vals), 0
-    added = change(cfg, EMPTY, key, None, value)
-    if added is None:
-        return node, 0
-    p, vals = added
+        # _pos for PAIR and COLLECTION: the inline region, then the pairs
+        # below this branch, or all pairs and the collections below it;
+        # an EMPTY branch has no pair bit
+        hi = (bm >> 1) & EVEN_BITS
+        both = hi & bm
+        pos = 1 + w * (hi ^ both).bit_count()
+        pairs = bm >> PAIR_PLANE
+        if pairs:
+            pairs_below = (pairs & ((1 << branch) - 1)).bit_count()
+            if (pairs >> branch) & 1:
+                rank = pattern = PAIR
+            if rank == PAIR:
+                pos += PAIR_W * pairs_below
+            else:
+                pos += PAIR_W * pairs.bit_count() - COLL_W * pairs_below
+        if rank == COLLECTION:
+            pos += COLL_W * (both & ((1 << offset) - 1)).bit_count()
+            size = COLL_W
+        else:
+            size = PAIR_W
     if pattern == EMPTY:
         # an empty group takes the pattern by OR; nothing is removed,
         # so the entry is placed by plain insertion
-        if p != INLINE:
-            pos = _pos(bm, w, p, branch, len(node))
         bm |= p << offset if p != PAIR else pattern_bits(PAIR, branch)
         items = list(node)
         items[0] = bm
         items[pos:pos] = vals
         return (tuple if shift else TrieNode)(items), 1
+    k0 = node[pos]
+    if k0 is key or k0 == key:
+        payload = node[pos + 1 : pos + PAIR_W] if pattern == PAIR else node[pos + w - 1]
+        changed = change(cfg, pattern, k0, payload, value)
+        if changed is None:
+            return node, 0
+        p, vals = changed
+        if p == pattern:  # same place, same bitmap int
+            items = list(node)
+            items[pos : pos + size] = vals
+            return (tuple if shift else TrieNode)(items), 0
+        if p == EMPTY:
+            bm ^= pattern << offset if pattern != PAIR else pattern_bits(PAIR, branch)
+            items = list(node)
+            items[0] = bm
+            del items[pos : pos + size]
+            return (tuple if shift else TrieNode)(items), -1
+        return _placed(node, shift, w, branch, pattern, pos, size, p, vals), 0
+    added = change(cfg, EMPTY, key, None, value)
+    if added is None:
+        return node, 0
+    p, vals = added
     # a different key on the same branch: push both one level down
     h0 = cfg.hasher(k0) & M32
     child = _merge(shift + 5, h0, pattern, node[pos : pos + size], key_hash, p, vals)

@@ -207,6 +207,27 @@ def test_explicit_structure_selection_is_honored():
     assert len(rows) == 8
 
 
+def test_only_the_named_operations_are_timed(monkeypatch):
+    timed = []
+    original = bench._time_interleaved
+
+    def recording(calls, config):
+        timed.append(len(calls))
+        return original(calls, config)
+
+    monkeypatch.setattr(bench, "_time_interleaved", recording)
+    spec = WorkloadSpec(size_exponents=(3,), seeds=2, mix=1.0, burst_size=8)
+    rows = run_benchmarks(spec, FAST, ["multimap", "map"], ("lookup",))
+    # one timed call per cell, of both structures, and one row each
+    assert timed == [2, 2]
+    assert [(r.structure, r.operation, r.seed) for r in rows] == [
+        (name, "lookup", seed) for seed in (0, 1) for name in ("multimap", "map")
+    ]
+    for bad in ((), ("lookup", "sort")):
+        with pytest.raises(ConfigurationError):
+            run_benchmarks(spec, FAST, ["multimap"], bad)
+
+
 def test_a_cells_samples_alternate_across_its_structures(monkeypatch):
     # each structure is calibrated (one call) and warmed up (two iterations
     # of one call) on its own; then sample i of every structure is taken

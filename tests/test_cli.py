@@ -145,6 +145,23 @@ def test_bench_structure_filter(capsys):
     assert {r["structure"] for r in rows} == {"multimap"}
 
 
+def test_bench_operation_filter(capsys):
+    rc, out, _ = run_cli(
+        capsys,
+        "bench",
+        "--sizes", "2",
+        "--seeds", "1",
+        "--warmup", "0",
+        "--measured", "1",
+        "--operations", "lookup,delete",
+    )
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["operation"] for r in rows] == ["lookup", "delete"] * 3
+    rc, _, err = run_cli(capsys, "bench", "--sizes", "2", "--operations", "sort")
+    assert rc == 2 and "unknown operation 'sort'" in err
+
+
 def test_dominators_reads_edge_list_files(tmp_path, capsys):
     graph_file = tmp_path / "diamond.cfg"
     graph_file.write_text("entry a\na b\na c\nb d\nc d\n")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leantrie import PersistentMultiMap, multimap
+from leantrie import PersistentMultiMap, PersistentSet, multimap
 from leantrie.dominators import (
     DOMINATOR_COLUMNS,
     CfgGraph,
@@ -201,6 +201,31 @@ def test_acyclic_graphs_compute_each_vertex_once_over_all_passes(graph, monkeypa
     _, iterations, _ = _dominator_fixpoint(graph)
     assert iterations == 2  # the confirming pass still runs
     assert sorted(keys) == [1, 2, 3]  # every vertex but the entry, once
+
+
+def test_a_one_predecessor_vertex_reads_one_set(monkeypatch):
+    # a chain's every vertex but the entry has one predecessor, whose set
+    # it reads with one get: no other set is read, and no set is tested
+    # for emptiness
+    gets = []
+    original = PersistentMultiMap.get
+
+    def recording(self, key):
+        gets.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(PersistentMultiMap, "get", recording)
+    tests = []
+    monkeypatch.setattr(PersistentSet, "__bool__", lambda self: tests.append(self) or True)
+    keys = _recorded_put_all(monkeypatch)
+    chain = parse_edge_list("entry a\na b\nb c\nc d\nd e\n", name="chain")
+    dom, _, _ = _dominator_fixpoint(chain)
+    assert keys == [1, 2, 3, 4]
+    assert gets == [0, 1, 2, 3]  # each evaluation's one predecessor
+    assert tests == []
+    assert {v: set(original(dom, v)) for v in range(5)} == {
+        v: set(range(v + 1)) for v in range(5)
+    }
 
 
 def test_second_pass_recomputes_only_the_back_edge_target(monkeypatch):

@@ -50,6 +50,7 @@ from leantrie.nodes import (
     _drop_key,
     _drop_value,
     _few_values,
+    _lookup,
     _pos,
     _root_of_two,
     _set_of_three,
@@ -1261,6 +1262,47 @@ def test_lookup_ranks_agree_with_the_reference_rank():
                 got_pattern = INLINE if pattern == NODE else pattern
                 assert found == (got_pattern, ("v", branch)), (hex(bm), branch)
             assert node.lookup(cfg, 0, branch, ("k", -1)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.integers(0, (1 << 64) - 1), plane=st.integers(0, (1 << 32) - 1))
+def test_pair_and_collection_entries_are_ranked_where_pos_puts_them(patterns, plane):
+    # a node of marker slots over a bitmap whose COLLECTION branches are
+    # pairs where ``plane`` has their bit: _lookup and _update rank PAIR and
+    # COLLECTION entries in line, and must read, replace and insert each
+    # at the index of _pos, the reference rank
+    cfg = multimap_config()
+    groups = _groups(patterns)
+    bm = patterns | sum(
+        pattern_bits(PAIR, b) for b, g in enumerate(groups) if g == COLLECTION and plane >> b & 1
+    )
+    groups = _groups(bm)
+    n = _expected_pos(bm, 2, NODE, 32)  # the node's length
+    node = TrieNode((bm, *(object() for _ in range(n - 1))))
+    for branch, pattern in enumerate(groups):
+        if pattern in (PAIR, COLLECTION):
+            pos = _pos(bm, 2, pattern, branch, n)
+            size = PAIR_W if pattern == PAIR else COLL_W
+            key = node[pos]
+            stored = node[pos + 1 : pos + size]
+            found = _lookup(node, cfg, 0, branch, key)
+            assert found == ((PAIR, stored) if pattern == PAIR else (COLLECTION, stored[0]))
+            fresh = (key, *(object() for _ in range(size - 1)))
+
+            def replace(cfg, p, k0, payload, value):
+                assert (p, k0) == (pattern, key)
+                assert payload == (stored if p == PAIR else stored[0])
+                return p, fresh
+
+            new, kd = _update(node, cfg, 0, branch, key, None, replace)
+            assert (kd, tuple(new)) == (0, node[:pos] + fresh + node[pos + size :])
+        elif pattern == EMPTY:
+            for p, size in ((PAIR, PAIR_W), (COLLECTION, COLL_W)):
+                vals = tuple(object() for _ in range(size))
+                new, kd = _update(node, cfg, 0, branch, vals[0], None, lambda *_: (p, vals))
+                j = _pos(bm, 2, p, branch, n)
+                expected = (bm | pattern_bits(p, branch), *node[1:j], *vals, *node[j:])
+                assert (kd, tuple(new)) == (1, expected), (hex(bm), branch, p)
 
 
 # -- pair entries ---------------------------------------------------------------

@@ -141,6 +141,29 @@ def test_two_footprint_counts_repeat_exactly():
         assert sum(per_node["by_function"].values()) == pytest.approx(per_node["total"], abs=slack)
 
 
+def test_two_dominator_counts_repeat_exactly():
+    args = ("--layer", "dominators", "--vertices", "32", "--graphs", "2")
+    first = _counts(*args)
+    assert first == _counts(*args)
+    assert (first["graphs"], first["vertices"]) == (2, 32.0)
+    # the first pass evaluates every vertex but the entry, and a second
+    # pass always runs, since the first one stored every set
+    assert first["evaluations"] >= 31 and first["passes"] >= 2
+    per_eval = first["bytecodes_per_evaluation"]
+    assert per_eval["ops"] == round(2 * first["evaluations"])
+    for name in ("dominators._dominator_fixpoint", "maps.PersistentMultiMap.put_all"):
+        assert per_eval["by_function"][name] > 0
+    slack = 0.05 * (len(per_eval["by_function"]) + 1)
+    assert sum(per_eval["by_function"].values()) == pytest.approx(per_eval["total"], abs=slack)
+    # both figures divide one count, each rounded to 0.1 on its own
+    spent = per_eval["total"] * per_eval["ops"]
+    slack = 0.05 + 0.05 * per_eval["ops"] / 64
+    assert first["bytecodes_per_vertex"] == pytest.approx(spent / 64, abs=slack)
+    rows = dict(line.rsplit(None, 1) for line in _run(*args).splitlines() if line)
+    assert rows["bytecodes per evaluation"] == f"{per_eval['total']:.1f}"
+    assert rows["passes per graph"] == str(first["passes"])
+
+
 @pytest.mark.parametrize("lines", [0, 1], ids=["before-the-first-line", "after-one-line"])
 def test_a_reader_that_closes_early_ends_the_run_quietly(lines):
     # as ``op_counts.py ... | head -1`` does; a reader that closes before

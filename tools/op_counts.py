@@ -2,8 +2,9 @@
 
 Usage, from anywhere::
 
-    python3 tools/op_counts.py CHECKOUT [--layer point|build|footprint] [--keys 65536]
-        [--mix 0.9] [--third 0] [--ops 8000] [--seed 1] [--format table|json]
+    python3 tools/op_counts.py CHECKOUT [--layer point|build|footprint|dominators]
+        [--keys 65536] [--mix 0.9] [--third 0] [--ops 8000] [--vertices 512]
+        [--graphs 8] [--seed 1] [--format table|json]
 
 Imports ``leantrie`` from ``CHECKOUT/src`` and builds the multimap of
 ``leantrie.bench.generate_workload`` at ``--keys`` keys, ``--mix`` of them
@@ -32,13 +33,25 @@ bytecodes per key by function (in ``nodes.build_root``, the grouping pass
 and the nested and bucket builds; in ``nodes._partition``, the node
 layout), the nodes it builds (trie nodes, buckets and nested set nodes),
 and its transient bytes per key: the ``tracemalloc`` peak of a build run
-with the garbage collector off, less the ``object_bytes`` of the result:
-the most scratch the build holds at once beyond what it keeps.
+with the garbage collector off, after one untraced warm-up build, less the
+``object_bytes`` of the result: the most scratch the build holds at once
+beyond what it keeps.
 
 ``--layer footprint`` counts ``footprint(mm)`` and ``byte_components(mm)``
 of the built multimap: each one's bytecodes per node by function, over
 the nodes ``structure_stats`` counts (trie nodes, buckets and nested set
 nodes), as ``--layer build`` counts them.
+
+``--layer dominators`` counts ``compute_dominators`` over ``--graphs``
+seeded ``random_cfg`` graphs of ``--vertices`` vertices, graph ``i`` of
+seed ``(--seed * 1000 + 3) * 100000 + i``: at the defaults, the first
+eight graphs that perfbench's ``dominators`` workload times at that
+seed.  It reports the bytecodes per evaluated vertex by function (an
+evaluation is one vertex's intersection and ``put_all``; the first pass
+evaluates every reachable vertex but the entry, a later pass only those
+whose predecessors changed), per graph the vertices, evaluations and
+fixpoint passes, and all bytecodes over all vertices.  ``--keys``,
+``--mix``, ``--third`` and ``--ops`` do not apply.
 
 The counts depend only on the code and the seed, not on the host's
 speed, so two checkouts can be compared by one run each where their
@@ -133,10 +146,12 @@ def transition(kind, n):
     return f"{n} -> {n - 1}"
 
 
-def traced(fn, *args):
+def traced(fn, *args, calls=None):
     """``Counter(function -> bytecodes)`` that ``fn(*args)`` executes, a
-    function named ``module.qualname``."""
+    function named ``module.qualname``.  A ``calls`` Counter, when given,
+    also gets each function's calls by the same names."""
     counts = Counter()
+    entered = Counter()
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -145,6 +160,7 @@ def traced(fn, *args):
 
     def trace(frame, event, arg):
         frame.f_trace_opcodes = True
+        entered[frame.f_code] += 1
         return local
 
     sys.settrace(trace)
@@ -152,6 +168,13 @@ def traced(fn, *args):
         fn(*args)
     finally:
         sys.settrace(None)
+    if calls is not None:
+        calls.update(_by_name(entered))
+    return _by_name(counts)
+
+
+def _by_name(counts):
+    """``counts`` over code objects summed by function name."""
     by_function = Counter()
     for code, n in counts.items():
         name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
@@ -182,7 +205,10 @@ def count(mm, ops):
 def count_build(leantrie, entries):
     """``{"keys", "tuples", "nodes", "transient_bytes_per_key",
     "bytecodes_per_key"}`` of ``leantrie.multimap(entries)``; the bytecodes
-    per key as :func:`_per_op` gives them."""
+    per key as :func:`_per_op` gives them.  An untraced build runs first,
+    so that whatever the first run of the build code allocates once for
+    good is not counted as the traced build's scratch."""
+    leantrie.multimap(entries)
     gc.collect()  # a full collection also empties the free lists
     gc.disable()
     tracemalloc.start()
@@ -211,6 +237,43 @@ def count_footprint(leantrie, mm):
     for measure in MEASURES:
         result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), mm))
     return result
+
+
+def dominator_graphs(vertices, count, seed):
+    """The ``count`` seeded ``random_cfg`` graphs of ``--layer
+    dominators``."""
+    from leantrie.dominators import random_cfg
+
+    return [random_cfg(vertices, (seed * 1_000 + 3) * 100_000 + i) for i in range(count)]
+
+
+def count_dominators(graphs):
+    """``{"graphs", "vertices", "evaluations", "passes",
+    "bytecodes_per_vertex", "bytecodes_per_evaluation"}`` of
+    ``compute_dominators`` over ``graphs``: the vertices, evaluations and
+    fixpoint passes per graph, all bytecodes over all vertices, and the
+    bytecodes per evaluation as :func:`_per_op` gives them.  An
+    evaluation ends in one ``put_all``; the passes come from an untraced
+    ``analyze_graph`` of each graph."""
+    from leantrie.dominators import analyze_graph, compute_dominators
+
+    by_function = Counter()
+    calls = Counter()
+    passes = 0
+    for g in graphs:
+        by_function += traced(compute_dominators, g, calls=calls)
+        passes += analyze_graph(g).dom_iterations
+    evaluations = calls["maps.PersistentMultiMap.put_all"]
+    n = len(graphs)
+    vertices = sum(g.vertex_count for g in graphs)
+    return {
+        "graphs": n,
+        "vertices": round(vertices / n, 1),
+        "evaluations": round(evaluations / n, 1),
+        "passes": round(passes / n, 2),
+        "bytecodes_per_vertex": round(sum(by_function.values()) / vertices, 1),
+        "bytecodes_per_evaluation": _per_op(evaluations, by_function),
+    }
 
 
 def node_count(leantrie, mm):
@@ -286,6 +349,25 @@ def build_table(result):
     return "\n".join(lines)
 
 
+def dominators_table(result):
+    """The dominators report as one row per function, then its per-graph
+    figures."""
+    per_eval = result["bytecodes_per_evaluation"]
+    width = max(len("bytecodes per evaluation"), *map(len, per_eval["by_function"]))
+    lines = [f"{'bytecodes per evaluation':<{width}}{per_eval['total']:>12.1f}"]
+    lines += [f"{name:<{width}}{n:>12.1f}" for name, n in per_eval["by_function"].items()]
+    lines.append("")
+    for label, name in (
+        ("graphs", "graphs"),
+        ("vertices per graph", "vertices"),
+        ("evaluations per graph", "evaluations"),
+        ("passes per graph", "passes"),
+        ("bytecodes per vertex", "bytecodes_per_vertex"),
+    ):
+        lines.append(f"{label:<{width}}{result[name]:>12}")
+    return "\n".join(lines)
+
+
 def footprint_table(result):
     """The footprint report as one row per function, one column per
     measure, then the node count."""
@@ -298,7 +380,10 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
     p.add_argument(
-        "--layer", choices=("point", "build", "footprint"), default="point", help="what is counted"
+        "--layer",
+        choices=("point", "build", "footprint", "dominators"),
+        default="point",
+        help="what is counted",
     )
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
@@ -306,14 +391,22 @@ def main(argv=None):
         "--third", type=float, default=0.0, help="share of two-value keys given a third value"
     )
     p.add_argument("--ops", type=int, default=8000)
+    p.add_argument("--vertices", type=int, default=512, help="vertices per dominators graph")
+    p.add_argument("--graphs", type=int, default=8, help="dominators graphs")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
     args = p.parse_args(argv)
     if args.ops < 4:
         p.error("--ops must be at least 4, so that each kind runs once")
+    if args.vertices < 2 or args.graphs < 1:
+        p.error("--vertices must be at least 2 and --graphs at least 1")
     leantrie = import_leantrie(args.checkout)
     from leantrie.bench import WorkloadSpec, generate_workload
 
+    if args.layer == "dominators":
+        graphs = dominator_graphs(args.vertices, args.graphs, args.seed)
+        result, show = count_dominators(graphs), dominators_table
+        return _print(result, show, args.format)
     dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
     entries = with_third_values(dataset, args.third, args.seed)
     if args.layer == "build":
@@ -323,8 +416,13 @@ def main(argv=None):
     else:
         mm = leantrie.multimap(entries)
         result, show = report(count(mm, op_mix(entries, args.ops, args.seed))), table
+    return _print(result, show, args.format)
+
+
+def _print(result, show, fmt):
+    """Print ``result`` as JSON or as ``show`` renders it; 0."""
     try:
-        print(json.dumps(result, indent=1) if args.format == "json" else show(result))
+        print(json.dumps(result, indent=1) if fmt == "json" else show(result))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader has all it wanted; what stdout still buffers goes to
