@@ -354,6 +354,15 @@ def _correctness_gate(adapter, base, dataset):
     )
 
 
+def _gated(name, dataset):
+    """``(adapter, structure)``: the structure named ``name`` built from
+    ``dataset``, once the correctness gate has passed on it."""
+    adapter = _adapter(name)
+    base = adapter.build(dataset)
+    _correctness_gate(adapter, base, dataset)
+    return adapter, base
+
+
 # -- timing -------------------------------------------------------------------------
 
 
@@ -445,12 +454,7 @@ def _run_cell(names, dataset, config, first=0, operations=OPERATIONS):
     Rows come out structure by structure, operations in ``operations``
     order.
     """
-    calls = {}
-    for name in names:
-        adapter = _adapter(name)
-        base = adapter.build(dataset)
-        _correctness_gate(adapter, base, dataset)
-        calls[name] = _op_callables(adapter, base, dataset)
+    calls = {name: _op_callables(*_gated(name, dataset), dataset) for name in names}
     timed = {}
     order = names[first:] + names[:first]
     for operation in operations:
@@ -536,16 +540,10 @@ def run_footprint(size_exponents, mix=0.5, seed=0):
     ``bytes_total``.
     """
     spec = WorkloadSpec(size_exponents=tuple(size_exponents), mix=mix)
-    mm_adapter = _adapter("multimap")
-    base_adapter = _adapter("map_of_sets")
     rows = []
     for x in spec.size_exponents:
         dataset = generate_workload(spec, 1 << x, seed)
-        mm = mm_adapter.build(dataset)
-        baseline = base_adapter.build(dataset)
-        _correctness_gate(mm_adapter, mm, dataset)
-        _correctness_gate(base_adapter, baseline, dataset)
-        measured = {"multimap": mm, "map_of_sets": baseline}
+        measured = {name: _gated(name, dataset)[1] for name in ("multimap", "map_of_sets")}
         reports = {name: footprint(s) for name, s in measured.items()}
         parts = {name: byte_components(s) for name, s in measured.items()}
         totals = {name: sum(p.values()) for name, p in parts.items()}

@@ -67,6 +67,10 @@ def _parse_int_list(text):
     return tuple(int(part) for part in text.split(","))
 
 
+def _parse_names(text):
+    return tuple(text.split(","))
+
+
 def _add_sizes_flag(parser):
     parser.add_argument(
         "--sizes", type=_parse_sizes, default=tuple(range(6, 17)),
@@ -107,12 +111,12 @@ def build_parser():
         "on which the plain-map baseline can join the comparison)",
     )
     bench.add_argument(
-        "--structures", default=None, metavar="NAMES",
+        "--structures", type=_parse_names, default=None, metavar="NAMES",
         help="comma list among multimap,map_of_sets,map "
         "(default: all that fit the mix)",
     )
     bench.add_argument(
-        "--operations", default=None, metavar="NAMES",
+        "--operations", type=_parse_names, default=OPERATIONS, metavar="NAMES",
         help=f"comma list among {','.join(OPERATIONS)} (default: all)",
     )
     bench.add_argument("--burst", type=int, default=8, help="probes per burst (default 8)")
@@ -155,7 +159,14 @@ def build_parser():
     return parser
 
 
-def _write_report(args, rows, columns, config_info):
+# the flags that say how a report is written, not what it reports
+_NOT_CONFIG = {"command", "run", "format", "output", "timestamp"}
+
+
+def _write_report(args, rows, columns):
+    """``rows`` written as ``args`` ask; a JSON report's settings are the
+    parsed arguments but those of ``_NOT_CONFIG``."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     timestamp = args.timestamp or datetime.now(timezone.utc).isoformat()
     if args.output == "-":
         target = nullcontext(sys.stdout)
@@ -165,7 +176,7 @@ def _write_report(args, rows, columns, config_info):
         if args.format == "csv":
             write_csv(rows, columns, stream)
         else:
-            write_json(rows, columns, stream, timestamp, config_info)
+            write_json(rows, columns, stream, timestamp, config)
         stream.flush()  # a closed pipe shows here, not at interpreter exit
 
 
@@ -174,28 +185,11 @@ def _cmd_bench(args):
         size_exponents=args.sizes, seeds=args.seeds, mix=args.mix, burst_size=args.burst
     )
     config = BenchConfig(warmup_iterations=args.warmup, measured_iterations=args.measured)
-    structures = args.structures.split(",") if args.structures else None
-    operations = tuple(args.operations.split(",")) if args.operations else OPERATIONS
-    rows = run_benchmarks(spec, config, structures, operations)
-    info = {
-        "sizes": list(args.sizes),
-        "seeds": args.seeds,
-        "mix": args.mix,
-        "burst": args.burst,
-        "warmup": args.warmup,
-        "measured": args.measured,
-        "structures": structures or "auto",
-        "operations": list(operations),
-    }
-    _write_report(args, rows, BENCH_COLUMNS, info)
-    return 0
+    return run_benchmarks(spec, config, args.structures, args.operations), BENCH_COLUMNS
 
 
 def _cmd_footprint(args):
-    rows = run_footprint(args.sizes, mix=args.mix, seed=args.seed)
-    info = {"sizes": list(args.sizes), "mix": args.mix, "seed": args.seed}
-    _write_report(args, rows, FOOTPRINT_COLUMNS, info)
-    return 0
+    return run_footprint(args.sizes, mix=args.mix, seed=args.seed), FOOTPRINT_COLUMNS
 
 
 def _load_graphs(args):
@@ -208,17 +202,15 @@ def _load_graphs(args):
         paths.extend(sorted(p for p in root.iterdir() if p.is_file()))
     for path in paths:
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read graph file {path}: {exc}") from exc
         graphs.append(parse_edge_list(text, name=path.name))
-    random_sizes = args.random
-    if random_sizes is None and not graphs:
-        random_sizes = (128, 256, 512)
-    if random_sizes:
-        for size in random_sizes:
-            for i in range(args.graphs_per_size):
-                graphs.append(random_cfg(size, args.seed + i))
+    if args.random is None and not graphs:
+        args.random = (128, 256, 512)  # so the report's settings name the sizes run
+    for size in args.random or ():
+        for i in range(args.graphs_per_size):
+            graphs.append(random_cfg(size, args.seed + i))
     return graphs
 
 
@@ -226,14 +218,7 @@ def _cmd_dominators(args):
     graphs = _load_graphs(args)
     if not graphs:
         raise ConfigurationError("no graphs to analyze")
-    results = [analyze_graph(g) for g in graphs]
-    info = {
-        "graphs": len(graphs),
-        "seed": args.seed,
-        "graphs_per_size": args.graphs_per_size,
-    }
-    _write_report(args, results, DOMINATOR_COLUMNS, info)
-    return 0
+    return [analyze_graph(g) for g in graphs], DOMINATOR_COLUMNS
 
 
 def main(argv=None):
@@ -243,7 +228,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.run(args)
+        _write_report(args, *args.run(args))
+        return 0
     except GateError as exc:
         print(f"leantrie: correctness gate failed: {exc}", file=sys.stderr)
         return 1

@@ -287,14 +287,21 @@ def test_footprint_on_pure_one_to_one_still_reports_both_rows():
 
 
 def test_the_readme_footprint_table_matches_run_footprint():
-    # the words-per-tuple cells; the byte cells are the CPython build's
+    # the modeled cells, words per tuple and their bytes at 8 and 4 B per
+    # word; the real-byte cells are the CPython build's
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     tuples = len(generate_workload(WorkloadSpec(mix=0.5), 1 << 14, 0).entries)
     assert f"{tuples:,} tuples" in readme
-    row = next(line for line in readme.splitlines() if line.startswith("| modeled words |"))
-    cells = [c.strip() for c in row.strip("|").split("|")][1:]
     words = {r.structure: r.words_total for r in run_footprint([14], mix=0.5, seed=0)}
-    assert cells == [f"{words[s] / tuples:.3f}" for s in ("multimap", "map_of_sets")]
+    per_tuple = [words[s] / tuples for s in ("multimap", "map_of_sets")]
+    expected = {
+        "modeled words": [f"{w:.3f}" for w in per_tuple],
+        "modeled words at 8 B each": [f"{8 * w:.1f} B" for w in per_tuple],
+        "modeled words at 4 B each": [f"{4 * w:.1f} B" for w in per_tuple],
+    }
+    for label, cells in expected.items():
+        row = next(line for line in readme.splitlines() if line.startswith(f"| {label} |"))
+        assert [c.strip() for c in row.strip("|").split("|")][1:] == cells, label
 
 
 # -- report writers ---------------------------------------------------------------------

@@ -173,6 +173,20 @@ def test_dominators_reads_edge_list_files(tmp_path, capsys):
     assert rows[0]["preds_pct_1to1"] == "66.67"
 
 
+def test_a_graph_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    plain = tmp_path / "plain.edges"
+    plain.write_bytes(b"entry A\nA B\n")
+    bom = tmp_path / "bom.edges"
+    bom.write_bytes(b"\xef\xbb\xbfentry A\nA B\n")
+    rows = {}
+    for path in (plain, bom):
+        rc, out, err = run_cli(capsys, "dominators", "--graph", str(path), "--format", "json")
+        assert (rc, err) == (0, "")
+        (row,) = json.loads(out)["rows"]
+        rows[path.name] = {k: v for k, v in row.items() if k not in ("graph_name", "runtime_ns")}
+    assert rows["bom.edges"] == rows["plain.edges"]
+
+
 def test_dominators_scans_a_directory_in_sorted_order(tmp_path, capsys):
     (tmp_path / "b.cfg").write_text("entry x\nx y\n")
     (tmp_path / "a.cfg").write_text("entry p\np q\n")
@@ -190,6 +204,62 @@ def test_dominators_generates_random_cfgs(capsys):
     assert rc == 0
     assert len(rows) == 6
     assert [r["vertices"] for r in rows] == ["16"] * 3 + ["32"] * 3
+
+
+def test_a_dominators_report_names_its_inputs(tmp_path, capsys):
+    graph_file = tmp_path / "line.cfg"
+    graph_file.write_text("entry a\na b\n")
+    rc, out, _ = run_cli(
+        capsys, "dominators", "--graph", str(graph_file), "--random", "8",
+        "--graphs-per-size", "1", "--format", "json",
+    )
+    assert rc == 0
+    config = json.loads(out)["metadata"]["config"]
+    assert config == {
+        "graph": [str(graph_file)],
+        "graph_dir": [],
+        "random": [8],
+        "graphs_per_size": 1,
+        "seed": 0,
+    }
+
+
+def test_a_dominators_report_names_the_default_sizes_it_ran(capsys):
+    rc, out, _ = run_cli(capsys, "dominators", "--graphs-per-size", "1", "--format", "json")
+    assert rc == 0
+    document = json.loads(out)
+    assert document["metadata"]["config"]["random"] == [128, 256, 512]
+    assert [r["vertices"] for r in document["rows"]] == [128, 256, 512]
+
+
+def test_a_bench_report_records_each_flag(capsys):
+    rc, out, _ = run_cli(
+        capsys,
+        "bench",
+        "--sizes", "2,3",
+        "--seeds", "1",
+        "--mix", "3:1",
+        "--structures", "multimap,map_of_sets",
+        "--operations", "lookup,delete",
+        "--burst", "4",
+        "--warmup", "0",
+        "--measured", "1",
+        "--format", "json",
+        "--timestamp", TS,
+    )
+    assert rc == 0
+    metadata = json.loads(out)["metadata"]
+    assert metadata["generated_at"] == TS
+    assert metadata["config"] == {
+        "sizes": [2, 3],
+        "seeds": 1,
+        "mix": 0.75,
+        "structures": ["multimap", "map_of_sets"],
+        "operations": ["lookup", "delete"],
+        "burst": 4,
+        "warmup": 0,
+        "measured": 1,
+    }
 
 
 # -- exit codes ---------------------------------------------------------------------------

@@ -81,19 +81,6 @@ def test_third_values_give_the_nested_set_rows_ops():
         assert row["ops"] > 0 and row["total"] > 0, (kind, t)
 
 
-def test_the_table_has_a_row_per_transition():
-    result = _counts()
-    lines = _run().splitlines()
-    header = lines.index(next(line for line in lines if line.startswith("transition")))
-    rows = [line.rsplit(None, 2) for line in lines[header + 1 :]]
-    expected = [
-        [f"{kind} {name}", str(r["ops"]), "-" if r["total"] is None else f"{r['total']:.1f}"]
-        for kind in TRANSITIONS
-        for name, r in result[kind]["transitions"].items()
-    ]
-    assert rows == expected
-
-
 @pytest.mark.parametrize("args", [(), ("--mix", "0.5", "--third", "0.5")], ids=["plain", "nested"])
 def test_two_build_counts_repeat_exactly(args):
     first = _counts("--layer", "build", *args)
@@ -106,26 +93,6 @@ def test_two_build_counts_repeat_exactly(args):
         assert per_key["by_function"][name] > 0
     slack = 0.05 * (len(per_key["by_function"]) + 1)
     assert sum(per_key["by_function"].values()) == pytest.approx(per_key["total"], abs=slack)
-
-
-def _row_names(lines):
-    return [line.rsplit(None, 1)[0] for line in lines if line]
-
-
-def test_the_build_table_shows_the_report():
-    # the table of one run's own report: the tracemalloc peak behind
-    # transient_bytes_per_key is not asserted to repeat across processes
-    result = _counts("--layer", "build")
-    lines = op_counts.build_table(result).splitlines()
-    total = result["bytecodes_per_key"]["total"]
-    assert lines[0].split() == ["bytecodes", "per", "key", f"{total:.1f}"]
-    rows = dict(line.rsplit(None, 1) for line in lines[1:] if line)
-    for name, n in result["bytecodes_per_key"]["by_function"].items():
-        assert rows[name] == f"{n:.1f}"
-    for name in ("keys", "tuples", "nodes", "transient_bytes_per_key"):
-        assert rows[name] == str(result[name])
-    # a run in table format, the default, prints the same rows
-    assert _row_names(_run("--layer", "build").splitlines()) == _row_names(lines)
 
 
 def test_two_footprint_counts_repeat_exactly():
@@ -159,9 +126,56 @@ def test_two_dominator_counts_repeat_exactly():
     spent = per_eval["total"] * per_eval["ops"]
     slack = 0.05 + 0.05 * per_eval["ops"] / 64
     assert first["bytecodes_per_vertex"] == pytest.approx(spent / 64, abs=slack)
-    rows = dict(line.rsplit(None, 1) for line in _run(*args).splitlines() if line)
-    assert rows["bytecodes per evaluation"] == f"{per_eval['total']:.1f}"
-    assert rows["passes per graph"] == str(first["passes"])
+
+
+# each layer's arguments and the columns of its table
+LAYERS = {
+    "point": ((), list(KINDS)),
+    "build": ((), ["bytecodes_per_key"]),
+    "footprint": (("--mix", "0.5", "--third", "0.5"), ["footprint", "byte_components"]),
+    "dominators": (("--vertices", "32", "--graphs", "2"), ["bytecodes_per_evaluation"]),
+}
+
+
+def _row_names(lines):
+    # a name holds at most single spaces, and two or more end it
+    return [line.split("  ")[0] for line in lines]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_the_table_shows_the_report(layer):
+    # the table of one run's own report: the tracemalloc peak behind
+    # transient_bytes_per_key is not asserted to repeat across processes
+    args, columns = LAYERS[layer]
+    result = _counts("--layer", layer, *args)
+    unit = op_counts.LAYERS[layer][1]
+    lines = op_counts.table(result, unit).splitlines()
+    assert lines[0].rsplit(None, len(columns)) == [unit, *columns]
+    blank = lines.index("") if "" in lines else len(lines)
+    # a function's name may hold a space (``<frozen abc>.ABCMeta...``), a
+    # figure's key does not
+    split = [line.rsplit(None, len(columns)) for line in lines[1:blank]]
+    rows = {name: cells for name, *cells in split}
+    functions = {name for c in columns for name in result[c]["by_function"]}
+    expected = {
+        "total": [f"{result[c]['total']:.1f}" for c in columns],
+        "ops": [str(result[c]["ops"]) for c in columns],
+        **{
+            name: [f"{result[c]['by_function'].get(name, 0):.1f}" for c in columns]
+            for name in functions
+        },
+        **{key: [str(value)] for key, value in result.items() if key not in columns},
+    }
+    assert rows == expected
+    transitions = [line.rsplit(None, 2) for line in lines[blank + 2 :]]
+    assert transitions == [
+        [f"{kind} {t}", str(r["ops"]), "-" if r["total"] is None else f"{r['total']:.1f}"]
+        for kind in (TRANSITIONS if layer == "point" else ())
+        for t, r in result[kind]["transitions"].items()
+    ]
+    # a run in table format, the default, prints the same rows
+    run = _run("--layer", layer, *args).splitlines()
+    assert _row_names(run) == _row_names(lines)
 
 
 @pytest.mark.parametrize("lines", [0, 1], ids=["before-the-first-line", "after-one-line"])

@@ -1,4 +1,4 @@
-"""Count the bytecodes a multimap's point operations, build or footprint execute.
+"""Count the bytecodes of a multimap's point operations, build, footprint or dominators.
 
 Usage, from anywhere::
 
@@ -42,16 +42,25 @@ of the built multimap: each one's bytecodes per node by function, over
 the nodes ``structure_stats`` counts (trie nodes, buckets and nested set
 nodes), as ``--layer build`` counts them.
 
-``--layer dominators`` counts ``compute_dominators`` over ``--graphs``
-seeded ``random_cfg`` graphs of ``--vertices`` vertices, graph ``i`` of
+``--layer dominators`` counts the dominator fixpoint
+(``dominators._dominator_fixpoint``) over ``--graphs`` seeded
+``random_cfg`` graphs of ``--vertices`` vertices, graph ``i`` of
 seed ``(--seed * 1000 + 3) * 100000 + i``: at the defaults, the first
 eight graphs that perfbench's ``dominators`` workload times at that
 seed.  It reports the bytecodes per evaluated vertex by function (an
 evaluation is one vertex's intersection and ``put_all``; the first pass
 evaluates every reachable vertex but the entry, a later pass only those
 whose predecessors changed), per graph the vertices, evaluations and
-fixpoint passes, and all bytecodes over all vertices.  ``--keys``,
-``--mix``, ``--third`` and ``--ops`` do not apply.
+fixpoint passes (as the traced fixpoint returns them), and all bytecodes
+over all vertices.  ``--keys``, ``--mix``, ``--third`` and
+``--ops`` do not apply.
+
+``--format json`` prints the report as it is counted.  ``--format
+table``, the default, prints every layer's report one way (``table``):
+a header of the layer's unit and one column per by-function report, the
+reports' total, one row per function and their ops, then each other
+figure of the report under its JSON key, and for ``--layer point`` one
+row per transition.
 
 The counts depend only on the code and the seed, not on the host's
 speed, so two checkouts can be compared by one run each where their
@@ -83,27 +92,33 @@ TRANSITIONS = {
 
 
 def import_leantrie(checkout):
-    """``leantrie`` imported from ``checkout``'s ``src`` directory."""
+    """``leantrie`` imported from ``checkout``'s ``src`` directory, with
+    ``leantrie.bench`` loaded for every layer: an ``isinstance`` check
+    against an ABC walks the subclasses loaded so far, so the classes
+    loaded change what a first check counts."""
     src = (Path(checkout) / "src").resolve()
     sys.path.insert(0, str(src))
     import leantrie
+    import leantrie.bench  # noqa: F401
 
     if src not in Path(leantrie.__file__).resolve().parents:
         raise SystemExit(f"op_counts: leantrie came from {leantrie.__file__}, not {src}")
     return leantrie
 
 
-def with_third_values(dataset, share, seed):
-    """``dataset``'s entries with a third value for a seeded ``share`` of
-    its two-value keys.  Third values lie above the values that
-    :func:`op_mix` draws as new, so a ``put`` of a new value to such a key
-    grows its nested set."""
-    from leantrie.bench import _VALUE_SPACE
+def workload(args):
+    """The entries of the seeded multimap that ``args`` describe:
+    ``generate_workload``'s dataset, with a third value for a seeded
+    ``--third`` share of its two-value keys.  Third values lie above the
+    values that :func:`op_mix` draws as new, so a ``put`` of a new value to
+    such a key grows its nested set."""
+    from leantrie.bench import _VALUE_SPACE, WorkloadSpec, generate_workload
 
-    rng = random.Random(seed)
+    dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
+    rng = random.Random(args.seed)
     entries = list(dataset.entries)
     for k in dataset.double_keys:
-        if rng.random() < share:
+        if rng.random() < args.third:
             entries.append((k, 2 * _VALUE_SPACE + rng.randrange(_VALUE_SPACE)))
     return entries
 
@@ -147,9 +162,10 @@ def transition(kind, n):
 
 
 def traced(fn, *args, calls=None):
-    """``Counter(function -> bytecodes)`` that ``fn(*args)`` executes, a
-    function named ``module.qualname``.  A ``calls`` Counter, when given,
-    also gets each function's calls by the same names."""
+    """``(Counter(function -> bytecodes), result)`` of ``fn(*args)``: the
+    bytecodes it executes, a function named ``module.qualname``, and what
+    it returns.  A ``calls`` Counter, when given, also gets each function's
+    calls by the same names."""
     counts = Counter()
     entered = Counter()
 
@@ -165,12 +181,12 @@ def traced(fn, *args, calls=None):
 
     sys.settrace(trace)
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         sys.settrace(None)
     if calls is not None:
         calls.update(_by_name(entered))
-    return _by_name(counts)
+    return _by_name(counts), result
 
 
 def _by_name(counts):
@@ -194,7 +210,7 @@ def count(mm, ops):
         keys = [kind]
         if kind in TRANSITIONS:
             keys.append((kind, transition(kind, len(mm.get(k)))))
-        by_function = traced(method, k, v)
+        by_function = traced(method, k, v)[0]
         for key in keys:
             entry = rows.setdefault(key, [0, Counter()])
             entry[0] += 1
@@ -202,12 +218,28 @@ def count(mm, ops):
     return rows
 
 
-def count_build(leantrie, entries):
+def count_point(leantrie, args):
+    """``{kind: per op}`` of the op mix on the multimap of ``args``, as
+    :func:`_per_op` gives it, and for ``put`` and ``remove`` also
+    ``"transitions": {transition: per op}``."""
+    entries = workload(args)
+    rows = count(leantrie.multimap(entries), op_mix(entries, args.ops, args.seed))
+    out = {kind: _per_op(*rows[kind]) for kind in KINDS}
+    for row, counted in rows.items():
+        if type(row) is tuple:
+            kind, t = row
+            out[kind].setdefault("transitions", {})[t] = _per_op(*counted)
+    return out
+
+
+def count_build(leantrie, args):
     """``{"keys", "tuples", "nodes", "transient_bytes_per_key",
-    "bytecodes_per_key"}`` of ``leantrie.multimap(entries)``; the bytecodes
-    per key as :func:`_per_op` gives them.  An untraced build runs first,
-    so that whatever the first run of the build code allocates once for
-    good is not counted as the traced build's scratch."""
+    "bytecodes_per_key"}`` of ``leantrie.multimap`` over the entries of
+    ``args``; the bytecodes per key as :func:`_per_op` gives them.  An
+    untraced build runs first, so that whatever the first run of the build
+    code allocates once for good is not counted as the traced build's
+    scratch."""
+    entries = workload(args)
     leantrie.multimap(entries)
     gc.collect()  # a full collection also empties the free lists
     gc.disable()
@@ -224,48 +256,43 @@ def count_build(leantrie, entries):
         "tuples": mm.tuple_count,
         "nodes": node_count(leantrie, mm),
         "transient_bytes_per_key": round((peak - leantrie.object_bytes(mm)) / keys, 1),
-        "bytecodes_per_key": _per_op(keys, traced(leantrie.multimap, entries)),
+        "bytecodes_per_key": _per_op(keys, traced(leantrie.multimap, entries)[0]),
     }
 
 
-def count_footprint(leantrie, mm):
-    """``{"nodes", "footprint", "byte_components"}`` of the multimap
-    ``mm``: the bytecodes per node of each measure, as :func:`_per_op`
+def count_footprint(leantrie, args):
+    """``{"nodes", "footprint", "byte_components"}`` of the multimap of
+    ``args``: the bytecodes per node of each measure, as :func:`_per_op`
     gives them."""
+    mm = leantrie.multimap(workload(args))
     nodes = node_count(leantrie, mm)
     result = {"nodes": nodes}
     for measure in MEASURES:
-        result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), mm))
+        result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), mm)[0])
     return result
 
 
-def dominator_graphs(vertices, count, seed):
-    """The ``count`` seeded ``random_cfg`` graphs of ``--layer
-    dominators``."""
-    from leantrie.dominators import random_cfg
-
-    return [random_cfg(vertices, (seed * 1_000 + 3) * 100_000 + i) for i in range(count)]
-
-
-def count_dominators(graphs):
+def count_dominators(leantrie, args):
     """``{"graphs", "vertices", "evaluations", "passes",
-    "bytecodes_per_vertex", "bytecodes_per_evaluation"}`` of
-    ``compute_dominators`` over ``graphs``: the vertices, evaluations and
-    fixpoint passes per graph, all bytecodes over all vertices, and the
-    bytecodes per evaluation as :func:`_per_op` gives them.  An
-    evaluation ends in one ``put_all``; the passes come from an untraced
-    ``analyze_graph`` of each graph."""
-    from leantrie.dominators import analyze_graph, compute_dominators
+    "bytecodes_per_vertex", "bytecodes_per_evaluation"}`` of the dominator
+    fixpoint over ``--graphs`` seeded ``random_cfg`` graphs of
+    ``--vertices`` vertices: the vertices, evaluations and fixpoint passes
+    per graph, all bytecodes over all vertices, and the bytecodes per
+    evaluation as :func:`_per_op` gives them.  An evaluation ends in one
+    ``put_all``; the passes are those the traced fixpoint returns."""
+    from leantrie.dominators import _dominator_fixpoint, random_cfg
 
     by_function = Counter()
     calls = Counter()
-    passes = 0
-    for g in graphs:
-        by_function += traced(compute_dominators, g, calls=calls)
-        passes += analyze_graph(g).dom_iterations
+    passes = vertices = 0
+    for i in range(args.graphs):
+        g = random_cfg(args.vertices, (args.seed * 1_000 + 3) * 100_000 + i)
+        counted, (_, iterations, _) = traced(_dominator_fixpoint, g, calls=calls)
+        by_function += counted
+        passes += iterations
+        vertices += g.vertex_count
     evaluations = calls["maps.PersistentMultiMap.put_all"]
-    n = len(graphs)
-    vertices = sum(g.vertex_count for g in graphs)
+    n = args.graphs
     return {
         "graphs": n,
         "vertices": round(vertices / n, 1),
@@ -274,6 +301,14 @@ def count_dominators(graphs):
         "bytecodes_per_vertex": round(sum(by_function.values()) / vertices, 1),
         "bytecodes_per_evaluation": _per_op(evaluations, by_function),
     }
+
+
+LAYERS = {
+    "point": (count_point, "bytecodes per op"),
+    "build": (count_build, "bytecodes per key"),
+    "footprint": (count_footprint, "bytecodes per node"),
+    "dominators": (count_dominators, "bytecodes per evaluation"),
+}
 
 
 def node_count(leantrie, mm):
@@ -296,95 +331,43 @@ def _per_op(n, by_function):
     }
 
 
-def report(rows):
-    """``{kind: per op}`` as :func:`_per_op` gives it, and for ``put`` and
-    ``remove`` also ``"transitions": {transition: per op}``."""
-    out = {kind: _per_op(*rows[kind]) for kind in KINDS}
-    for row, counted in rows.items():
-        if type(row) is tuple:
-            kind, t = row
-            out[kind].setdefault("transitions", {})[t] = _per_op(*counted)
-    return out
-
-
-def _columns(result, columns, unit):
-    """``(lines, width)``: a header of ``unit`` and ``columns``, then the
-    total and one row per function, of the reports ``result[column]``."""
+def table(result, unit):
+    """A report of any layer as text: a header of ``unit`` and one column
+    per :func:`_per_op` report of ``result``; their total, one row per
+    function and their ops; each other figure of ``result`` under its key;
+    then one row per transition of the reports that have them."""
+    columns = [key for key, value in result.items() if isinstance(value, dict)]
+    figures = [key for key in result if key not in columns]
     names = sorted(
         {name for c in columns for name in result[c]["by_function"]},
         key=lambda name: (-sum(result[c]["by_function"].get(name, 0) for c in columns), name),
     )
-    width = max([len(unit), *map(len, names)])
-    lines = [f"{unit:<{width}}" + "".join(f"{c:>16}" for c in columns)]
+    transitions = [
+        (f"{c} {t}", r) for c in columns for t, r in result[c].get("transitions", {}).items()
+    ]
+    width = max(map(len, [unit, *names, *figures, *(row for row, _ in transitions)]))
+    cell = max(16, *(len(c) + 2 for c in columns))
+    lines = [f"{unit:<{width}}" + "".join(f"{c:>{cell}}" for c in columns)]
     for name in ["total", *names]:
         cells = [
             result[c]["total"] if name == "total" else result[c]["by_function"].get(name, 0)
             for c in columns
         ]
-        lines.append(f"{name:<{width}}" + "".join(f"{n:>16.1f}" for n in cells))
-    return lines, width
-
-
-def table(result):
-    """The report as one row per function, one column per kind."""
-    lines, width = _columns(result, KINDS, "bytecodes per op")
-    lines.append(f"{'ops':<{width}}" + "".join(f"{result[kind]['ops']:>16}" for kind in KINDS))
-    lines += ["", f"{'transition':<{width}}{'ops':>16}{'bytecodes per op':>18}"]
-    for kind in TRANSITIONS:
-        for t, r in result[kind]["transitions"].items():
-            total = "-" if r["total"] is None else f"{r['total']:.1f}"
-            lines.append(f"{kind + ' ' + t:<{width}}{r['ops']:>16}{total:>18}")
-    return "\n".join(lines)
-
-
-def build_table(result):
-    """The build report as one row per function, then its sizes."""
-    per_key = result["bytecodes_per_key"]["by_function"]
-    width = max(map(len, per_key), default=8)
-    lines = [f"{'bytecodes per key':<{width}}{result['bytecodes_per_key']['total']:>12.1f}"]
-    lines += [f"{name:<{width}}{n:>12.1f}" for name, n in per_key.items()]
-    lines.append("")
-    for name in ("keys", "tuples", "nodes", "transient_bytes_per_key"):
-        lines.append(f"{name:<{width}}{result[name]:>12}")
-    return "\n".join(lines)
-
-
-def dominators_table(result):
-    """The dominators report as one row per function, then its per-graph
-    figures."""
-    per_eval = result["bytecodes_per_evaluation"]
-    width = max(len("bytecodes per evaluation"), *map(len, per_eval["by_function"]))
-    lines = [f"{'bytecodes per evaluation':<{width}}{per_eval['total']:>12.1f}"]
-    lines += [f"{name:<{width}}{n:>12.1f}" for name, n in per_eval["by_function"].items()]
-    lines.append("")
-    for label, name in (
-        ("graphs", "graphs"),
-        ("vertices per graph", "vertices"),
-        ("evaluations per graph", "evaluations"),
-        ("passes per graph", "passes"),
-        ("bytecodes per vertex", "bytecodes_per_vertex"),
-    ):
-        lines.append(f"{label:<{width}}{result[name]:>12}")
-    return "\n".join(lines)
-
-
-def footprint_table(result):
-    """The footprint report as one row per function, one column per
-    measure, then the node count."""
-    lines, width = _columns(result, MEASURES, "bytecodes per node")
-    lines.append(f"{'nodes':<{width}}{result['nodes']:>16}")
+        lines.append(f"{name:<{width}}" + "".join(f"{n:>{cell}.1f}" for n in cells))
+    lines.append(f"{'ops':<{width}}" + "".join(f"{result[c]['ops']:>{cell}}" for c in columns))
+    lines += [f"{key:<{width}}{result[key]:>{cell}}" for key in figures]
+    if transitions:
+        lines += ["", f"{'transition':<{width}}{'ops':>16}{unit:>18}"]
+    for row, r in transitions:
+        total = "-" if r["total"] is None else f"{r['total']:.1f}"
+        lines.append(f"{row:<{width}}{r['ops']:>16}{total:>18}")
     return "\n".join(lines)
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
-    p.add_argument(
-        "--layer",
-        choices=("point", "build", "footprint", "dominators"),
-        default="point",
-        help="what is counted",
-    )
+    p.add_argument("--layer", choices=tuple(LAYERS), default="point", help="what is counted")
     p.add_argument("--keys", type=int, default=1 << 16)
     p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
     p.add_argument(
@@ -400,29 +383,10 @@ def main(argv=None):
         p.error("--ops must be at least 4, so that each kind runs once")
     if args.vertices < 2 or args.graphs < 1:
         p.error("--vertices must be at least 2 and --graphs at least 1")
-    leantrie = import_leantrie(args.checkout)
-    from leantrie.bench import WorkloadSpec, generate_workload
-
-    if args.layer == "dominators":
-        graphs = dominator_graphs(args.vertices, args.graphs, args.seed)
-        result, show = count_dominators(graphs), dominators_table
-        return _print(result, show, args.format)
-    dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
-    entries = with_third_values(dataset, args.third, args.seed)
-    if args.layer == "build":
-        result, show = count_build(leantrie, entries), build_table
-    elif args.layer == "footprint":
-        result, show = count_footprint(leantrie, leantrie.multimap(entries)), footprint_table
-    else:
-        mm = leantrie.multimap(entries)
-        result, show = report(count(mm, op_mix(entries, args.ops, args.seed))), table
-    return _print(result, show, args.format)
-
-
-def _print(result, show, fmt):
-    """Print ``result`` as JSON or as ``show`` renders it; 0."""
+    count_layer, unit = LAYERS[args.layer]
+    result = count_layer(import_leantrie(args.checkout), args)
     try:
-        print(json.dumps(result, indent=1) if fmt == "json" else show(result))
+        print(json.dumps(result, indent=1) if args.format == "json" else table(result, unit))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader has all it wanted; what stdout still buffers goes to
