@@ -63,15 +63,12 @@ class WorkloadSpec:
     size_exponents: tuple = tuple(range(1, 19))
     seeds: int = 5
     mix: float = 0.5  # fraction of keys with exactly one value
-    burst_size: int = 8
 
     def __post_init__(self):
         if not all(1 <= x <= 23 for x in self.size_exponents):
             raise ConfigurationError("size exponents must lie in [1, 23]")
         if not 0.0 <= self.mix <= 1.0:
             raise ConfigurationError("mix must be a fraction in [0, 1]")
-        if self.burst_size < 1:
-            raise ConfigurationError("burst size must be positive")
         if self.seeds < 1:
             raise ConfigurationError("need at least one seed")
 
@@ -83,7 +80,6 @@ class Dataset:
     size: int
     seed: int
     entries: tuple
-    single_keys: tuple
     double_keys: tuple
     full_probes: tuple
     partial_probes: tuple
@@ -96,6 +92,7 @@ class Dataset:
 
 _KEY_SPACE = 1 << 40
 _VALUE_SPACE = 1 << 32
+_BURST = 8  # probes per burst, as in the paper
 
 
 def generate_workload(spec, size, seed):
@@ -103,23 +100,21 @@ def generate_workload(spec, size, seed):
 
     Keys split into ``mix`` 1:1 and the rest 1:2 mappings; the three
     probe bursts are pairwise disjoint, padded by duplication up to
-    ``spec.burst_size``.
+    ``_BURST`` probes.
     """
     if size < 1:
         raise ConfigurationError("size must be at least 1")
     rng = random.Random((seed << 32) ^ size)
-    burst = spec.burst_size
     # spare keys beyond `size` feed the no-match burst
-    keys = rng.sample(range(_KEY_SPACE), size + burst)
+    keys = rng.sample(range(_KEY_SPACE), size + _BURST)
     absent_keys = keys[size:]
     keys = keys[:size]
     n_single = round(size * spec.mix)
-    single_keys = tuple(keys[:n_single])
     double_keys = tuple(keys[n_single:])
 
     entries = []
     values = {}
-    for k in single_keys:
+    for k in keys[:n_single]:
         v = rng.randrange(_VALUE_SPACE)
         entries.append((k, v))
         values[k] = (v,)
@@ -135,9 +130,9 @@ def generate_workload(spec, size, seed):
                 f"size {size} cannot supply disjoint probe bursts"
             )
         out = list(probes)
-        while len(out) < burst:
+        while len(out) < _BURST:
             out.append(out[len(out) % len(probes)])
-        return tuple(out[:burst])
+        return tuple(out[:_BURST])
 
     full = pad([(k, values[k][i % len(values[k])]) for i, k in enumerate(pad(keys))])
     # a value outside the 32-bit value space can never collide with a
@@ -148,7 +143,6 @@ def generate_workload(spec, size, seed):
         size=size,
         seed=seed,
         entries=tuple(entries),
-        single_keys=single_keys,
         double_keys=double_keys,
         full_probes=full,
         partial_probes=partial,

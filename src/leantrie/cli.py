@@ -119,7 +119,6 @@ def build_parser():
         "--operations", type=_parse_names, default=OPERATIONS, metavar="NAMES",
         help=f"comma list among {','.join(OPERATIONS)} (default: all)",
     )
-    bench.add_argument("--burst", type=int, default=8, help="probes per burst (default 8)")
     bench.add_argument("--warmup", type=int, default=10, help="warmup iterations")
     bench.add_argument("--measured", type=int, default=20, help="measured iterations")
     _add_report_flags(bench)
@@ -181,9 +180,7 @@ def _write_report(args, rows, columns):
 
 
 def _cmd_bench(args):
-    spec = WorkloadSpec(
-        size_exponents=args.sizes, seeds=args.seeds, mix=args.mix, burst_size=args.burst
-    )
+    spec = WorkloadSpec(size_exponents=args.sizes, seeds=args.seeds, mix=args.mix)
     config = BenchConfig(warmup_iterations=args.warmup, measured_iterations=args.measured)
     return run_benchmarks(spec, config, args.structures, args.operations), BENCH_COLUMNS
 

@@ -3,7 +3,9 @@
 One test per acceptance criterion; each prints a single PASS/FAIL line
 (visible with ``pytest -s``) carrying its measured runtime against the
 budget, then asserts.  Every expected value is computed by an
-independent oracle inside this file or pinned as an explicit constant.
+independent oracle, inside this file or, for dominator sets, the
+bit-vector oracle of ``test_dominators.py``, or pinned as an explicit
+constant.
 """
 
 import random
@@ -32,6 +34,8 @@ from leantrie.dominators import (
     random_cfg,
 )
 from leantrie.nodes import _pos, regions
+
+from test_dominators import bitmask_dominators
 
 
 def _report(label, elapsed, budget, ok, detail=""):
@@ -339,39 +343,6 @@ def test_specialized_storage_is_shape_invisible_and_strictly_leaner():
 # -- 8. dominator analysis vs a boolean-vector oracle ---------------------------------------
 
 
-def _bitmask_dominators(graph):
-    n = graph.vertex_count
-    preds = {}
-    succs = {}
-    for s, d in graph.edges:
-        preds.setdefault(d, set()).add(s)
-        succs.setdefault(s, set()).add(d)
-    seen = {graph.entry}
-    stack = [graph.entry]
-    while stack:
-        for nxt in succs.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    full = (1 << n) - 1
-    dom = [full] * n
-    dom[graph.entry] = 1 << graph.entry
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if v == graph.entry:
-                continue
-            acc = full
-            for p in preds.get(v, ()):
-                acc &= dom[p]
-            acc |= 1 << v
-            if acc != dom[v]:
-                dom[v] = acc
-                changed = True
-    return {v: frozenset(i for i in range(n) if dom[v] >> i & 1) for v in seen}
-
-
 def test_dominator_analysis_matches_the_boolean_vector_oracle():
     start = time.perf_counter()
     error = None
@@ -399,7 +370,7 @@ def test_dominator_analysis_matches_the_boolean_vector_oracle():
                     v: frozenset(result.dominators.get(v))
                     for v in result.dominators.keys()
                 }
-                if got != _bitmask_dominators(graph):
+                if got != bitmask_dominators(graph):
                     error = f"{graph.name}: dominator sets disagree with the oracle"
                     break
                 if result.preds_pct_1to1 < 80.0:

@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,17 @@ FAST = BenchConfig(warmup_iterations=0, measured_iterations=1, target_iteration_
 
 
 def small_spec(**overrides):
-    base = dict(size_exponents=(4,), seeds=1, mix=0.5, burst_size=8)
+    base = dict(size_exponents=(4,), seeds=1, mix=0.5)
     base.update(overrides)
     return WorkloadSpec(**base)
 
 
 # -- workload generation ------------------------------------------------------------
+
+
+def values_per_key(dataset):
+    """``{values per key: keys}`` of a dataset's entries."""
+    return Counter(Counter(k for k, _ in dataset.entries).values())
 
 
 def test_workloads_are_deterministic_per_seed():
@@ -56,7 +62,7 @@ def test_workloads_are_deterministic_per_seed():
 def test_mix_controls_the_single_to_double_split():
     spec = small_spec()
     d = generate_workload(spec, 256, seed=0)
-    assert len(d.single_keys) == 128
+    assert values_per_key(d) == {1: 128, 2: 128}
     assert len(d.double_keys) == 128
     assert len(d.entries) == 128 + 2 * 128
     assert d.size == 256
@@ -68,7 +74,7 @@ def test_mix_controls_the_single_to_double_split():
     assert pure.is_pure_one_to_one
 
     doubles = generate_workload(small_spec(mix=0.0), 256, seed=0)
-    assert len(doubles.single_keys) == 0
+    assert values_per_key(doubles) == {2: 256}
     assert len(doubles.entries) == 512
 
 
@@ -88,7 +94,8 @@ def test_probe_bursts_are_disjoint_and_correctly_classified():
 def test_tiny_workloads_pad_bursts_by_duplication():
     d = generate_workload(small_spec(), 2, seed=0)
     # one 1:1 key and one 1:2 key
-    assert len(d.single_keys) == 1 and len(d.double_keys) == 1
+    assert values_per_key(d) == {1: 1, 2: 1}
+    assert len(d.double_keys) == 1
     assert len(d.entries) == 3
     assert len(d.full_probes) == 8
     assert len(set(k for k, _ in d.full_probes)) == 2
@@ -103,8 +110,6 @@ def test_workload_spec_rejects_bad_parameters():
         WorkloadSpec(size_exponents=(24,))
     with pytest.raises(ConfigurationError):
         WorkloadSpec(mix=1.5)
-    with pytest.raises(ConfigurationError):
-        WorkloadSpec(burst_size=0)
     with pytest.raises(ConfigurationError):
         WorkloadSpec(seeds=0)
     with pytest.raises(ConfigurationError):
@@ -185,14 +190,14 @@ def test_one_structure_runs_emit_one_row_per_operation():
 
 
 def test_run_benchmarks_covers_the_grid():
-    spec = WorkloadSpec(size_exponents=(2, 3), seeds=2, mix=0.5, burst_size=8)
+    spec = WorkloadSpec(size_exponents=(2, 3), seeds=2, mix=0.5)
     rows = run_benchmarks(spec, FAST)
     # 2 sizes x 2 seeds x 2 structures x 8 operations
     assert len(rows) == 2 * 2 * 2 * 8
     assert {(r.size_exponent, r.seed) for r in rows} == {(x, s) for x in (2, 3) for s in (0, 1)}
     assert {r.structure for r in rows} == {"multimap", "map_of_sets"}
 
-    pure = WorkloadSpec(size_exponents=(2,), seeds=1, mix=1.0, burst_size=8)
+    pure = WorkloadSpec(size_exponents=(2,), seeds=1, mix=1.0)
     assert {r.structure for r in run_benchmarks(pure, FAST)} == {
         "multimap",
         "map_of_sets",
@@ -201,7 +206,7 @@ def test_run_benchmarks_covers_the_grid():
 
 
 def test_explicit_structure_selection_is_honored():
-    spec = WorkloadSpec(size_exponents=(3,), seeds=1, mix=0.5, burst_size=8)
+    spec = WorkloadSpec(size_exponents=(3,), seeds=1, mix=0.5)
     rows = run_benchmarks(spec, FAST, structures=["multimap"])
     assert {r.structure for r in rows} == {"multimap"}
     assert len(rows) == 8
@@ -216,7 +221,7 @@ def test_only_the_named_operations_are_timed(monkeypatch):
         return original(calls, config)
 
     monkeypatch.setattr(bench, "_time_interleaved", recording)
-    spec = WorkloadSpec(size_exponents=(3,), seeds=2, mix=1.0, burst_size=8)
+    spec = WorkloadSpec(size_exponents=(3,), seeds=2, mix=1.0)
     rows = run_benchmarks(spec, FAST, ["multimap", "map"], ("lookup",))
     # one timed call per cell, of both structures, and one row each
     assert timed == [2, 2]

@@ -241,7 +241,6 @@ def test_a_bench_report_records_each_flag(capsys):
         "--mix", "3:1",
         "--structures", "multimap,map_of_sets",
         "--operations", "lookup,delete",
-        "--burst", "4",
         "--warmup", "0",
         "--measured", "1",
         "--format", "json",
@@ -256,7 +255,6 @@ def test_a_bench_report_records_each_flag(capsys):
         "mix": 0.75,
         "structures": ["multimap", "map_of_sets"],
         "operations": ["lookup", "delete"],
-        "burst": 4,
         "warmup": 0,
         "measured": 1,
     }

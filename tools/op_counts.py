@@ -1,59 +1,57 @@
-"""Count the bytecodes of a multimap's point operations, build, footprint or dominators.
+"""Count the bytecodes of a perfbench workload's point operations, build, footprint or dominators.
 
 Usage, from anywhere::
 
-    python3 tools/op_counts.py CHECKOUT [--layer point|build|footprint|dominators]
-        [--keys 65536] [--mix 0.9] [--third 0] [--ops 8000] [--vertices 512]
-        [--graphs 8] [--seed 1] [--format table|json]
+    python3 tools/op_counts.py CHECKOUT --workload build|mixed|dominators
+        [--layer point|build|footprint|dominators] [--scale full|tiny]
+        [--ops 8000] [--seed 1] [--format table|json]
 
-Imports ``leantrie`` from ``CHECKOUT/src`` and builds the multimap of
-``leantrie.bench.generate_workload`` at ``--keys`` keys, ``--mix`` of them
-with one value and the rest with two, of which a seeded ``--third`` share
-gets a third value that no other draw gives (so those keys hold nested
-sets).  ``sys.settrace`` counts the bytecodes that Python functions
+Counts what ``perfbench/run.py --workload W --seed S --scale C`` runs, on
+its own inputs: every layer reads one set-up, ``SETUPS[W](S, SCALES[C],
+0.0)``, from ``CHECKOUT/perfbench/workloads.py``, with ``leantrie``
+imported from ``CHECKOUT/src``.  Zero seconds sizes the set-up as the
+traced run (``--trace 1``) sizes it, so the ``dominators`` workload holds
+``trace_graphs`` graphs and its point stream runs on their predecessor
+relation.  ``sys.settrace`` counts the bytecodes that Python functions
 execute, by function.
 
-``--layer point`` (the default) draws a seeded op mix of ``--ops``
-operations: half ``contains_entry`` (hit : value miss : key miss =
-2:1:1), a quarter ``put`` (half a new key, half a new value for a stored
-key) and a quarter ``remove`` of a stored tuple.  Each operation is
-applied to the built multimap itself, so no operation depends on
-another's result.  The report gives each operation kind's bytecodes per
+``--layer point`` (the default) counts the first ``--ops`` operations of
+the workload's ``stream.ops``: a closed loop of ``contains_entry``,
+``put`` and ``remove`` from its ``base`` multimap, each operation applied
+to the version the one before returned, as ``workloads.run_points``
+applies them.  The report gives each operation kind's bytecodes per
 operation, split by the function that ran them, with the total.  ``put``
 and ``remove`` are also split by the transition of the key's value count,
-read before the traced call: a ``put`` adds a new key (``new key``),
-promotes a stored one (``1 -> 2``, ``2 -> 3``) or inserts into its nested
-set (``3 -> 4``), and a ``remove`` drops a key (``1 -> 0``) or demotes
-one (``2 -> 1``, ``3 -> 2``).  A transition the op mix never draws reads
-0 ops: without ``--third``, no key holds three values, so ``3 -> 4`` and
-``3 -> 2`` do not occur.
+read before the traced call, one row per transition the stream draws: a
+``put`` adds a new key (``new key``), promotes a stored one (``1 -> 2``,
+``2 -> 3``) or inserts into its nested set (``3 -> 4`` and on), and a
+``remove`` drops a key (``1 -> 0``) or demotes one (``2 -> 1``, ``3 ->
+2``, ...).
 
-``--layer build`` counts ``multimap(entries)`` of that dataset: its
-bytecodes per key by function (in ``nodes.build_root``, the grouping pass
-and the nested and bucket builds; in ``nodes._partition``, the node
-layout), the nodes it builds (trie nodes, buckets and nested set nodes),
-and its transient bytes per key: the ``tracemalloc`` peak of a build run
-with the garbage collector off, after one untraced warm-up build, less the
-``object_bytes`` of the result: the most scratch the build holds at once
-beyond what it keeps.
+``--layer build`` counts one build of the workload's build phase:
+``multimap`` of ``datasets[0]`` for ``build``, of ``builds[0]`` for
+``mixed``, and ``compute_preds`` of the first graph for ``dominators``.
+It reports the build's bytecodes per key by function (in
+``nodes.build_root``, the grouping pass and the nested and bucket builds;
+in ``nodes._partition``, the node layout), the nodes it builds (trie
+nodes, buckets and nested set nodes), and its transient bytes per key:
+the ``tracemalloc`` peak of a build run with the garbage collector off,
+after one untraced warm-up build, less the ``object_bytes`` of the
+result: the most scratch the build holds at once beyond what it keeps.
 
-``--layer footprint`` counts ``footprint(mm)`` and ``byte_components(mm)``
-of the built multimap: each one's bytecodes per node by function, over
-the nodes ``structure_stats`` counts (trie nodes, buckets and nested set
-nodes), as ``--layer build`` counts them.
+``--layer footprint`` counts ``footprint`` and ``byte_components`` of the
+workload's ``base`` multimap: each one's bytecodes per node by function,
+over the nodes ``structure_stats`` counts, as ``--layer build`` counts
+them.
 
 ``--layer dominators`` counts the dominator fixpoint
-(``dominators._dominator_fixpoint``) over ``--graphs`` seeded
-``random_cfg`` graphs of ``--vertices`` vertices, graph ``i`` of
-seed ``(--seed * 1000 + 3) * 100000 + i``: at the defaults, the first
-eight graphs that perfbench's ``dominators`` workload times at that
-seed.  It reports the bytecodes per evaluated vertex by function (an
-evaluation is one vertex's intersection and ``put_all``; the first pass
-evaluates every reachable vertex but the entry, a later pass only those
-whose predecessors changed), per graph the vertices, evaluations and
-fixpoint passes (as the traced fixpoint returns them), and all bytecodes
-over all vertices.  ``--keys``, ``--mix``, ``--third`` and
-``--ops`` do not apply.
+(``dominators._dominator_fixpoint``) over the first ``trace_graphs`` of
+the workload's ``graphs``.  It reports the bytecodes per evaluated vertex
+by function (an evaluation is one vertex's intersection and ``put_all``;
+the first pass evaluates every reachable vertex but the entry, a later
+pass only those whose predecessors changed), per graph the vertices,
+evaluations and fixpoint passes (as the traced fixpoint returns them),
+and all bytecodes over all vertices.
 
 ``--format json`` prints the report as it is counted.  ``--format
 table``, the default, prints every layer's report one way (``table``):
@@ -62,11 +60,16 @@ reports' total, one row per function and their ops, then each other
 figure of the report under its JSON key, and for ``--layer point`` one
 row per transition.
 
-The counts depend only on the code and the seed, not on the host's
-speed, so two checkouts can be compared by one run each where their
-timings cannot.  Bytecodes miss C-level work: ``sorted``, dict and list
-building, allocation.  On the 2^13-key 50:50 build, a grouping pass over
-a ``defaultdict(list)`` cut the bytecodes by 12% and was no faster, while
+The counts depend only on the code, the interpreter's version and the
+seed, not on the host's speed, so two checkouts can be compared by one
+run each where their timings cannot.  Each counted call runs twice, each
+run under its own ``sys.settrace``, and only the second run is counted:
+CPython 3.12 turns opcode events on only at a ``settrace`` made after a
+frame asked for them, and 3.13 misses some opcode events of a code
+object's first traced call.
+Bytecodes miss C-level work: ``sorted``, dict and list building,
+allocation.  On the 2^13-key 50:50 build, a grouping pass over a
+``defaultdict(list)`` cut the bytecodes by 12% and was no faster, while
 keeping the caller's pairs and freeing the scratch on return cut them by
 1.3%, and the transient bytes by 41%, and built 8% more tuples per
 second.  So a count is a direction signal for a plan, and a speed claim
@@ -77,86 +80,36 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
-KINDS = ("put", "remove", "contains_entry")
+# by perfbench's operation kinds LOOKUP, PUT and REMOVE
+METHODS = ("contains_entry", "put", "remove")
 MEASURES = ("footprint", "byte_components")
-TRANSITIONS = {
-    "put": ("new key", "1 -> 2", "2 -> 3", "3 -> 4"),
-    "remove": ("1 -> 0", "2 -> 1", "3 -> 2"),
-}
 
 
-def import_leantrie(checkout):
-    """``leantrie`` imported from ``checkout``'s ``src`` directory, with
-    ``leantrie.bench`` loaded for every layer: an ``isinstance`` check
-    against an ABC walks the subclasses loaded so far, so the classes
-    loaded change what a first check counts."""
-    src = (Path(checkout) / "src").resolve()
-    sys.path.insert(0, str(src))
+def set_up(checkout, workload, scale, seed):
+    """``(leantrie, inputs, scale)``: ``leantrie`` imported from
+    ``checkout``'s ``src``, and the inputs and ``Scale`` of ``workload`` at
+    ``scale`` and ``seed``, from ``checkout``'s ``perfbench/workloads.py``."""
+    root = Path(checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import leantrie
-    import leantrie.bench  # noqa: F401
+    import workloads
 
-    if src not in Path(leantrie.__file__).resolve().parents:
-        raise SystemExit(f"op_counts: leantrie came from {leantrie.__file__}, not {src}")
-    return leantrie
-
-
-def workload(args):
-    """The entries of the seeded multimap that ``args`` describe:
-    ``generate_workload``'s dataset, with a third value for a seeded
-    ``--third`` share of its two-value keys.  Third values lie above the
-    values that :func:`op_mix` draws as new, so a ``put`` of a new value to
-    such a key grows its nested set."""
-    from leantrie.bench import _VALUE_SPACE, WorkloadSpec, generate_workload
-
-    dataset = generate_workload(WorkloadSpec(mix=args.mix), args.keys, args.seed)
-    rng = random.Random(args.seed)
-    entries = list(dataset.entries)
-    for k in dataset.double_keys:
-        if rng.random() < args.third:
-            entries.append((k, 2 * _VALUE_SPACE + rng.randrange(_VALUE_SPACE)))
-    return entries
+    for module in (leantrie, workloads):
+        if root not in Path(module.__file__).resolve().parents:
+            raise SystemExit(f"op_counts: {module.__name__} came from {module.__file__}")
+    sc = workloads.SCALES[scale]
+    return leantrie, workloads.SETUPS[workload](seed, sc, 0.0), sc
 
 
-def op_mix(entries, n_ops, seed):
-    """``[(kind, key, value)]``: ``n_ops`` operations on the multimap of
-    ``entries``, in a seeded order.  New keys and values lie outside the
-    dataset's key and value spaces, so a new key is absent and a new value
-    is not stored."""
-    from leantrie.bench import _KEY_SPACE, _VALUE_SPACE
-
-    rng = random.Random(seed)
-    n_put = n_remove = n_ops // 4
-    n_lookup = n_ops - n_put - n_remove
-    kinds = ["contains_entry"] * n_lookup + ["put"] * n_put + ["remove"] * n_remove
-    rng.shuffle(kinds)
-    cases = {
-        "contains_entry": ("stored", "stored", "new value", "new key"),
-        "put": ("new value", "new key"),
-        "remove": ("stored",),
-    }
-    ops = []
-    for kind in kinds:
-        case = rng.choice(cases[kind])
-        if case == "stored":
-            k, v = rng.choice(entries)
-        elif case == "new value":
-            k, v = rng.choice(entries)[0], _VALUE_SPACE + rng.randrange(_VALUE_SPACE)
-        else:
-            k, v = _KEY_SPACE + rng.randrange(_KEY_SPACE), rng.randrange(_VALUE_SPACE)
-        ops.append((kind, k, v))
-    return ops
-
-
-def transition(kind, n):
+def transition(method, n):
     """The transition row of a ``put`` or ``remove`` on a key of ``n``
     values."""
-    if kind == "put":
+    if method == "put":
         return "new key" if n == 0 else f"{n} -> {n + 1}"
     return f"{n} -> {n - 1}"
 
@@ -165,7 +118,8 @@ def traced(fn, *args, calls=None):
     """``(Counter(function -> bytecodes), result)`` of ``fn(*args)``: the
     bytecodes it executes, a function named ``module.qualname``, and what
     it returns.  A ``calls`` Counter, when given, also gets each function's
-    calls by the same names."""
+    calls by the same names.  ``fn(*args)`` runs twice, each run under its
+    own ``sys.settrace`` of one tracer, and only the second run counts."""
     counts = Counter()
     entered = Counter()
 
@@ -179,11 +133,14 @@ def traced(fn, *args, calls=None):
         entered[frame.f_code] += 1
         return local
 
-    sys.settrace(trace)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(None)
+    for _ in range(2):
+        counts.clear()
+        entered.clear()
+        sys.settrace(trace)
+        try:
+            result = fn(*args)
+        finally:
+            sys.settrace(None)
     if calls is not None:
         calls.update(_by_name(entered))
     return _by_name(counts), result
@@ -198,54 +155,52 @@ def _by_name(counts):
     return by_function
 
 
-def count(mm, ops):
-    """``{row: [n_ops, Counter(function -> bytecodes)]}`` over ``ops``
-    applied to ``mm``, each traced on its own.  A row is an operation kind,
-    or ``(kind, transition)`` for a ``put`` or ``remove``, its key's value
-    count read outside the traced call."""
-    rows = {kind: [0, Counter()] for kind in KINDS}
-    rows.update(((kind, t), [0, Counter()]) for kind, ts in TRANSITIONS.items() for t in ts)
-    for kind, k, v in ops:
-        method = getattr(mm, kind)
-        keys = [kind]
-        if kind in TRANSITIONS:
-            keys.append((kind, transition(kind, len(mm.get(k)))))
-        by_function = traced(method, k, v)[0]
+def count_point(leantrie, inp, sc, args):
+    """``{method: per op}`` of the first ``--ops`` operations of the
+    stream, for each method they call, as :func:`_per_op` gives it, and
+    for ``put`` and ``remove`` also ``"transitions": {transition: per
+    op}``."""
+    rows = {}
+    mm = inp.base
+    for kind, k, v in inp.stream.ops[: args.ops]:
+        method = METHODS[kind]
+        if method == "contains_entry":
+            keys = [method]
+            by_function = traced(mm.contains_entry, k, v)[0]
+        else:
+            keys = [method, (method, len(mm.get(k)))]
+            by_function, mm = traced(getattr(mm, method), k, v)
         for key in keys:
             entry = rows.setdefault(key, [0, Counter()])
             entry[0] += 1
             entry[1] += by_function
-    return rows
-
-
-def count_point(leantrie, args):
-    """``{kind: per op}`` of the op mix on the multimap of ``args``, as
-    :func:`_per_op` gives it, and for ``put`` and ``remove`` also
-    ``"transitions": {transition: per op}``."""
-    entries = workload(args)
-    rows = count(leantrie.multimap(entries), op_mix(entries, args.ops, args.seed))
-    out = {kind: _per_op(*rows[kind]) for kind in KINDS}
-    for row, counted in rows.items():
-        if type(row) is tuple:
-            kind, t = row
-            out[kind].setdefault("transitions", {})[t] = _per_op(*counted)
+    out = {method: _per_op(*rows[method]) for method in METHODS if method in rows}
+    for method, n in sorted(key for key in rows if type(key) is tuple):
+        out[method].setdefault("transitions", {})[transition(method, n)] = _per_op(
+            *rows[method, n]
+        )
     return out
 
 
-def count_build(leantrie, args):
+def count_build(leantrie, inp, sc, args):
     """``{"keys", "tuples", "nodes", "transient_bytes_per_key",
-    "bytecodes_per_key"}`` of ``leantrie.multimap`` over the entries of
-    ``args``; the bytecodes per key as :func:`_per_op` gives them.  An
-    untraced build runs first, so that whatever the first run of the build
-    code allocates once for good is not counted as the traced build's
-    scratch."""
-    entries = workload(args)
-    leantrie.multimap(entries)
+    "bytecodes_per_key"}`` of one build of the workload's build phase; the
+    bytecodes per key as :func:`_per_op` gives them.  An untraced build
+    runs first, so that whatever the first run of the build code allocates
+    once for good is not counted as the traced build's scratch."""
+    from leantrie.dominators import compute_preds
+
+    if args.workload == "dominators":
+        build, source = compute_preds, inp.graphs[0]
+    else:
+        dataset = inp.datasets[0] if args.workload == "build" else inp.builds[0]
+        build, source = leantrie.multimap, dataset.entries
+    build(source)
     gc.collect()  # a full collection also empties the free lists
     gc.disable()
     tracemalloc.start()
     try:
-        mm = leantrie.multimap(entries)
+        mm = build(source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,43 +211,42 @@ def count_build(leantrie, args):
         "tuples": mm.tuple_count,
         "nodes": node_count(leantrie, mm),
         "transient_bytes_per_key": round((peak - leantrie.object_bytes(mm)) / keys, 1),
-        "bytecodes_per_key": _per_op(keys, traced(leantrie.multimap, entries)[0]),
+        "bytecodes_per_key": _per_op(keys, traced(build, source)[0]),
     }
 
 
-def count_footprint(leantrie, args):
-    """``{"nodes", "footprint", "byte_components"}`` of the multimap of
-    ``args``: the bytecodes per node of each measure, as :func:`_per_op`
+def count_footprint(leantrie, inp, sc, args):
+    """``{"nodes", "footprint", "byte_components"}`` of the workload's
+    ``base``: the bytecodes per node of each measure, as :func:`_per_op`
     gives them."""
-    mm = leantrie.multimap(workload(args))
-    nodes = node_count(leantrie, mm)
+    nodes = node_count(leantrie, inp.base)
     result = {"nodes": nodes}
     for measure in MEASURES:
-        result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), mm)[0])
+        result[measure] = _per_op(nodes, traced(getattr(leantrie, measure), inp.base)[0])
     return result
 
 
-def count_dominators(leantrie, args):
+def count_dominators(leantrie, inp, sc, args):
     """``{"graphs", "vertices", "evaluations", "passes",
     "bytecodes_per_vertex", "bytecodes_per_evaluation"}`` of the dominator
-    fixpoint over ``--graphs`` seeded ``random_cfg`` graphs of
-    ``--vertices`` vertices: the vertices, evaluations and fixpoint passes
-    per graph, all bytecodes over all vertices, and the bytecodes per
-    evaluation as :func:`_per_op` gives them.  An evaluation ends in one
-    ``put_all``; the passes are those the traced fixpoint returns."""
-    from leantrie.dominators import _dominator_fixpoint, random_cfg
+    fixpoint over the first ``trace_graphs`` of the workload's graphs: the
+    vertices, evaluations and fixpoint passes per graph, all bytecodes over
+    all vertices, and the bytecodes per evaluation as :func:`_per_op` gives
+    them.  An evaluation ends in one ``put_all``; the passes are those the
+    traced fixpoint returns."""
+    from leantrie.dominators import _dominator_fixpoint
 
+    graphs = inp.graphs[: sc.trace_graphs]
     by_function = Counter()
     calls = Counter()
-    passes = vertices = 0
-    for i in range(args.graphs):
-        g = random_cfg(args.vertices, (args.seed * 1_000 + 3) * 100_000 + i)
+    passes = 0
+    for g in graphs:
         counted, (_, iterations, _) = traced(_dominator_fixpoint, g, calls=calls)
         by_function += counted
         passes += iterations
-        vertices += g.vertex_count
+    vertices = sum(g.vertex_count for g in graphs)
     evaluations = calls["maps.PersistentMultiMap.put_all"]
-    n = args.graphs
+    n = len(graphs)
     return {
         "graphs": n,
         "vertices": round(vertices / n, 1),
@@ -319,11 +273,11 @@ def node_count(leantrie, mm):
 
 def _per_op(n, by_function):
     """``{"ops": n, "total": per op, "by_function": {name: per op}}``,
-    functions by falling count; no total for no ops.  For a build, ``n``
-    is its number of keys."""
+    functions by falling count.  For a build, ``n`` is its number of
+    keys."""
     return {
         "ops": n,
-        "total": round(sum(by_function.values()) / n, 1) if n else None,
+        "total": round(sum(by_function.values()) / n, 1),
         "by_function": {
             name: round(c / n, 1)
             for name, c in sorted(by_function.items(), key=lambda item: (-item[1], item[0]))
@@ -359,8 +313,7 @@ def table(result, unit):
     if transitions:
         lines += ["", f"{'transition':<{width}}{'ops':>16}{unit:>18}"]
     for row, r in transitions:
-        total = "-" if r["total"] is None else f"{r['total']:.1f}"
-        lines.append(f"{row:<{width}}{r['ops']:>16}{total:>18}")
+        lines.append(f"{row:<{width}}{r['ops']:>16}{r['total']:>18.1f}")
     return "\n".join(lines)
 
 
@@ -368,23 +321,20 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", type=Path, help="checkout whose src/leantrie is measured")
     p.add_argument("--layer", choices=tuple(LAYERS), default="point", help="what is counted")
-    p.add_argument("--keys", type=int, default=1 << 16)
-    p.add_argument("--mix", type=float, default=0.9, help="share of keys with one value")
     p.add_argument(
-        "--third", type=float, default=0.0, help="share of two-value keys given a third value"
+        "--workload", required=True, choices=("build", "mixed", "dominators"),
+        help="perfbench workload whose inputs are counted",
     )
-    p.add_argument("--ops", type=int, default=8000)
-    p.add_argument("--vertices", type=int, default=512, help="vertices per dominators graph")
-    p.add_argument("--graphs", type=int, default=8, help="dominators graphs")
+    p.add_argument("--scale", choices=("full", "tiny"), default="full", help="perfbench scale")
+    p.add_argument("--ops", type=int, default=8000, help="point operations counted")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
     args = p.parse_args(argv)
-    if args.ops < 4:
-        p.error("--ops must be at least 4, so that each kind runs once")
-    if args.vertices < 2 or args.graphs < 1:
-        p.error("--vertices must be at least 2 and --graphs at least 1")
+    if args.ops < 1:
+        p.error("--ops must be at least 1")
     count_layer, unit = LAYERS[args.layer]
-    result = count_layer(import_leantrie(args.checkout), args)
+    leantrie, inp, sc = set_up(args.checkout, args.workload, args.scale, args.seed)
+    result = count_layer(leantrie, inp, sc, args)
     try:
         print(json.dumps(result, indent=1) if args.format == "json" else table(result, unit))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
