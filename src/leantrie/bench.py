@@ -80,14 +80,13 @@ class Dataset:
     size: int
     seed: int
     entries: tuple
-    double_keys: tuple
     full_probes: tuple
     partial_probes: tuple
     none_probes: tuple
 
     @property
     def is_pure_one_to_one(self):
-        return not self.double_keys
+        return len(self.entries) == self.size
 
 
 _KEY_SPACE = 1 << 40
@@ -110,7 +109,6 @@ def generate_workload(spec, size, seed):
     absent_keys = keys[size:]
     keys = keys[:size]
     n_single = round(size * spec.mix)
-    double_keys = tuple(keys[n_single:])
 
     entries = []
     values = {}
@@ -118,7 +116,7 @@ def generate_workload(spec, size, seed):
         v = rng.randrange(_VALUE_SPACE)
         entries.append((k, v))
         values[k] = (v,)
-    for k in double_keys:
+    for k in keys[n_single:]:
         v1, v2 = rng.sample(range(_VALUE_SPACE), 2)
         entries.append((k, v1))
         entries.append((k, v2))
@@ -143,7 +141,6 @@ def generate_workload(spec, size, seed):
         size=size,
         seed=seed,
         entries=tuple(entries),
-        double_keys=double_keys,
         full_probes=full,
         partial_probes=partial,
         none_probes=none,
@@ -153,7 +150,24 @@ def generate_workload(spec, size, seed):
 # -- structure adapters ----------------------------------------------------------
 
 
-class _MultiMapAdapter:
+class _Adapter:
+    """What the three adapters share; each overrides what differs."""
+
+    def insert(self, s, k, v):
+        return s.put(k, v)
+
+    def counts(self, s):
+        """``(tuples, keys)``."""
+        return len(s), len(s)
+
+    def iter_keys_count(self, s):
+        return sum(1 for _ in s)
+
+    def iter_entries_count(self, s):
+        return sum(1 for _ in s.items())
+
+
+class _MultiMapAdapter(_Adapter):
     name = "multimap"
 
     def build(self, dataset):
@@ -162,23 +176,14 @@ class _MultiMapAdapter:
     def lookup(self, s, k, v):
         return s.contains_entry(k, v)
 
-    def insert(self, s, k, v):
-        return s.put(k, v)
-
     def delete(self, s, k, v):
         return s.remove(k, v)
 
     def counts(self, s):
         return s.tuple_count, s.key_count
 
-    def iter_keys_count(self, s):
-        return sum(1 for _ in s.keys())
 
-    def iter_entries_count(self, s):
-        return sum(1 for _ in s.items())
-
-
-class _MapOfSetsAdapter:
+class _MapOfSetsAdapter(_Adapter):
     name = "map_of_sets"
     # the empty value set: every value set grows from it and so shares its
     # config, as a multimap's nested sets share theirs
@@ -215,14 +220,11 @@ class _MapOfSetsAdapter:
     def counts(self, s):
         return sum(len(vs) for vs in s.values()), len(s)
 
-    def iter_keys_count(self, s):
-        return sum(1 for _ in s)
-
     def iter_entries_count(self, s):
         return sum(1 for vs in s.values() for _ in vs)
 
 
-class _MapAdapter:
+class _MapAdapter(_Adapter):
     name = "map"
 
     def build(self, dataset):
@@ -236,22 +238,10 @@ class _MapAdapter:
         found = s.get(k, _MISSING)
         return found is not _MISSING and found == v
 
-    def insert(self, s, k, v):
-        return s.put(k, v)
-
     def delete(self, s, k, v):
         if self.lookup(s, k, v):
             return s.remove(k)
         return s
-
-    def counts(self, s):
-        return len(s), len(s)
-
-    def iter_keys_count(self, s):
-        return sum(1 for _ in s)
-
-    def iter_entries_count(self, s):
-        return sum(1 for _ in s.items())
 
 
 _MISSING = object()
@@ -360,11 +350,14 @@ def _gated(name, dataset):
 # -- timing -------------------------------------------------------------------------
 
 
+# each call is repeated to fill about this long a sample
+_TARGET_SAMPLE_NS = 1_000_000
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     warmup_iterations: int = 10
     measured_iterations: int = 20
-    target_iteration_ns: int = 1_000_000
 
     def __post_init__(self):
         if self.warmup_iterations < 0 or self.measured_iterations < 1:
@@ -420,7 +413,7 @@ def _time_interleaved(calls, config):
         start = perf_counter_ns()
         call()
         once = max(perf_counter_ns() - start, 1)
-        n = max(1, min(100_000, config.target_iteration_ns // once))
+        n = max(1, min(100_000, _TARGET_SAMPLE_NS // once))
         for _ in range(config.warmup_iterations):
             for _ in range(n):
                 call()

@@ -1,7 +1,8 @@
 """Command-line interface: bench, footprint, dominators.
 
-Sizes are given as exponent ranges (``--sizes 6..16`` means 2^6..2^16,
-comma lists also work), mixes as ``--mix 50:50``.  ``--output -``
+Integer lists, the size exponents (``--sizes 6..16`` means 2^6..2^16)
+and the random graphs' vertex counts (``--random``), are comma lists of
+numbers and ``A..B`` ranges; mixes are given as ``--mix 50:50``.  ``--output -``
 writes to stdout.  Exit status: 0 on success, also when the reader of
 stdout closes it early (``leantrie ... --output - | head -1``), 1 when a
 correctness gate fails, 2 on configuration, input or output errors.
@@ -61,10 +62,6 @@ def _parse_mix(text):
     if ones < 0 or twos < 0 or ones + twos == 0:
         raise ValueError("mix parts must be non-negative and not both zero")
     return ones / (ones + twos)
-
-
-def _parse_int_list(text):
-    return tuple(int(part) for part in text.split(","))
 
 
 def _parse_names(text):
@@ -136,15 +133,12 @@ def build_parser():
 
     dom = sub.add_parser("dominators", help="dominator analysis over CFGs")
     dom.add_argument(
-        "--graph", action="append", default=[], metavar="FILE",
-        help="edge-list file (repeatable)",
+        "--graph", action="append", default=[], metavar="PATH",
+        help="edge-list file, or directory whose files are read in sorted "
+        "order (repeatable)",
     )
     dom.add_argument(
-        "--graph-dir", action="append", default=[], metavar="DIR",
-        help="directory of edge-list files (repeatable)",
-    )
-    dom.add_argument(
-        "--random", type=_parse_int_list, default=None, metavar="SIZES",
+        "--random", type=_parse_sizes, default=None, metavar="SIZES",
         help="generate random CFGs of these vertex counts "
         "(default 128,256,512 when no files are given)",
     )
@@ -191,18 +185,14 @@ def _cmd_footprint(args):
 
 def _load_graphs(args):
     graphs = []
-    paths = [Path(p) for p in args.graph]
-    for directory in args.graph_dir:
-        root = Path(directory)
-        if not root.is_dir():
-            raise GraphError(f"not a directory: {directory}")
-        paths.extend(sorted(p for p in root.iterdir() if p.is_file()))
-    for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise GraphError(f"cannot read graph file {path}: {exc}") from exc
-        graphs.append(parse_edge_list(text, name=path.name))
+    for given in map(Path, args.graph):
+        paths = sorted(p for p in given.iterdir() if p.is_file()) if given.is_dir() else [given]
+        for path in paths:
+            try:
+                text = path.read_text(encoding="utf-8-sig")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise GraphError(f"cannot read graph file {path}: {exc}") from exc
+            graphs.append(parse_edge_list(text, name=path.name))
     if args.random is None and not graphs:
         args.random = (128, 256, 512)  # so the report's settings name the sizes run
     for size in args.random or ():

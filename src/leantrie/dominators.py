@@ -88,44 +88,29 @@ def parse_edge_list(text, name="<edges>"):
     Raises :class:`GraphError` with the offending line number on
     malformed input or a missing entry declaration.
     """
-    entry_name = None
-    indices = {}
-    order = []
-    edges = []
-    seen_edges = set()
-
-    def index_of(vertex):
-        if vertex not in indices:
-            indices[vertex] = len(order)
-            order.append(vertex)
-        return indices[vertex]
-
+    indices = {}  # vertex name -> dense index, in first-seen order
+    edges = {}  # (src, dst) -> None, in first-occurrence order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if entry_name is None:
+        if not indices:
             if len(tokens) != 2 or tokens[0] != "entry":
                 raise GraphError(
                     f"{name}:{lineno}: expected 'entry <vertex>', got {raw.strip()!r}"
                 )
-            entry_name = tokens[1]
-            index_of(entry_name)
+            indices[tokens[1]] = 0  # the entry is the first vertex seen
             continue
         if len(tokens) != 2:
             raise GraphError(
                 f"{name}:{lineno}: expected 'src dst', got {raw.strip()!r}"
             )
-        edge = (index_of(tokens[0]), index_of(tokens[1]))
-        if edge not in seen_edges:
-            seen_edges.add(edge)
-            edges.append(edge)
-    if entry_name is None:
+        src, dst = (indices.setdefault(vertex, len(indices)) for vertex in tokens)
+        edges[src, dst] = None
+    if not indices:
         raise GraphError(f"{name}: missing 'entry <vertex>' declaration")
-    return CfgGraph(
-        name=name, entry=indices[entry_name], vertex_names=tuple(order), edges=tuple(edges)
-    )
+    return CfgGraph(name=name, entry=0, vertex_names=tuple(indices), edges=tuple(edges))
 
 
 def compute_preds(graph):

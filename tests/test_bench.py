@@ -31,8 +31,16 @@ from leantrie.bench import (
     write_csv,
     write_json,
 )
+from leantrie.nodes import walk
 
-FAST = BenchConfig(warmup_iterations=0, measured_iterations=1, target_iteration_ns=0)
+FAST = BenchConfig(warmup_iterations=0, measured_iterations=1)
+
+
+@pytest.fixture
+def one_call_per_sample(monkeypatch):
+    """Each timed sample runs its call once: a target of 0 ns calibrates
+    every call to one repeat."""
+    monkeypatch.setattr(bench, "_TARGET_SAMPLE_NS", 0)
 
 
 def small_spec(**overrides):
@@ -63,13 +71,12 @@ def test_mix_controls_the_single_to_double_split():
     spec = small_spec()
     d = generate_workload(spec, 256, seed=0)
     assert values_per_key(d) == {1: 128, 2: 128}
-    assert len(d.double_keys) == 128
     assert len(d.entries) == 128 + 2 * 128
     assert d.size == 256
     assert not d.is_pure_one_to_one
 
     pure = generate_workload(small_spec(mix=1.0), 256, seed=0)
-    assert len(pure.double_keys) == 0
+    assert values_per_key(pure) == {1: 256}
     assert len(pure.entries) == 256
     assert pure.is_pure_one_to_one
 
@@ -95,7 +102,6 @@ def test_tiny_workloads_pad_bursts_by_duplication():
     d = generate_workload(small_spec(), 2, seed=0)
     # one 1:1 key and one 1:2 key
     assert values_per_key(d) == {1: 1, 2: 1}
-    assert len(d.double_keys) == 1
     assert len(d.entries) == 3
     assert len(d.full_probes) == 8
     assert len(set(k for k, _ in d.full_probes)) == 2
@@ -178,7 +184,7 @@ def test_unknown_structure_name_is_a_configuration_error():
 # -- timing suites -------------------------------------------------------------------
 
 
-def test_one_structure_runs_emit_one_row_per_operation():
+def test_one_structure_runs_emit_one_row_per_operation(one_call_per_sample):
     rows = run_benchmarks(small_spec(seeds=3), FAST, ["multimap"])
     assert [r.operation for r in rows] == 3 * list(OPERATIONS)
     assert [r.seed for r in rows] == [s for s in range(3) for _ in OPERATIONS]
@@ -189,7 +195,7 @@ def test_one_structure_runs_emit_one_row_per_operation():
         assert r.mad_ns >= 0
 
 
-def test_run_benchmarks_covers_the_grid():
+def test_run_benchmarks_covers_the_grid(one_call_per_sample):
     spec = WorkloadSpec(size_exponents=(2, 3), seeds=2, mix=0.5)
     rows = run_benchmarks(spec, FAST)
     # 2 sizes x 2 seeds x 2 structures x 8 operations
@@ -205,14 +211,14 @@ def test_run_benchmarks_covers_the_grid():
     }
 
 
-def test_explicit_structure_selection_is_honored():
+def test_explicit_structure_selection_is_honored(one_call_per_sample):
     spec = WorkloadSpec(size_exponents=(3,), seeds=1, mix=0.5)
     rows = run_benchmarks(spec, FAST, structures=["multimap"])
     assert {r.structure for r in rows} == {"multimap"}
     assert len(rows) == 8
 
 
-def test_only_the_named_operations_are_timed(monkeypatch):
+def test_only_the_named_operations_are_timed(monkeypatch, one_call_per_sample):
     timed = []
     original = bench._time_interleaved
 
@@ -233,7 +239,7 @@ def test_only_the_named_operations_are_timed(monkeypatch):
             run_benchmarks(spec, FAST, ["multimap"], bad)
 
 
-def test_a_cells_samples_alternate_across_its_structures(monkeypatch):
+def test_a_cells_samples_alternate_across_its_structures(monkeypatch, one_call_per_sample):
     # each structure is calibrated (one call) and warmed up (two iterations
     # of one call) on its own; then sample i of every structure is taken
     # before sample i + 1 of any, starting at names[first]
@@ -247,7 +253,7 @@ def test_a_cells_samples_alternate_across_its_structures(monkeypatch):
 
     monkeypatch.setattr(bench, "_op_callables", recording)
     d = generate_workload(small_spec(), 16, seed=0)
-    config = BenchConfig(warmup_iterations=2, measured_iterations=3, target_iteration_ns=0)
+    config = BenchConfig(warmup_iterations=2, measured_iterations=3)
     names = ["multimap", "map_of_sets"]
     for first in (0, 1):
         log.clear()
@@ -293,16 +299,29 @@ def test_footprint_on_pure_one_to_one_still_reports_both_rows():
 
 def test_the_readme_footprint_table_matches_run_footprint():
     # the modeled cells, words per tuple and their bytes at 8 and 4 B per
-    # word; the real-byte cells are the CPython build's
+    # word, and the words with one more per node that holds a pair entry;
+    # the real-byte cells are the CPython build's
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    tuples = len(generate_workload(WorkloadSpec(mix=0.5), 1 << 14, 0).entries)
+    dataset = generate_workload(WorkloadSpec(mix=0.5), 1 << 14, 0)
+    tuples = len(dataset.entries)
     assert f"{tuples:,} tuples" in readme
     words = {r.structure: r.words_total for r in run_footprint([14], mix=0.5, seed=0)}
     per_tuple = [words[s] / tuples for s in ("multimap", "map_of_sets")]
+    mm = _adapter("multimap").build(dataset)
+    nodes = list(walk(mm._cfg.width, mm._root))
+    planes = sum(1 for _, _, _, end_i, end_p, _ in nodes if end_p > end_i)
+    prose = " ".join(readme.split())
+    assert f"{planes:,} of the multimap's {len(nodes):,} nodes" in prose
+    # a map's and a set's nodes hold no pair entries, so the baseline's
+    # words do not change
+    with_planes = [(words["multimap"] + planes) / tuples, per_tuple[1]]
     expected = {
         "modeled words": [f"{w:.3f}" for w in per_tuple],
         "modeled words at 8 B each": [f"{8 * w:.1f} B" for w in per_tuple],
         "modeled words at 4 B each": [f"{4 * w:.1f} B" for w in per_tuple],
+        "modeled words, pair plane as a second bitmap word": [
+            f"{w:.3f}" for w in with_planes
+        ],
     }
     for label, cells in expected.items():
         row = next(line for line in readme.splitlines() if line.startswith(f"| {label} |"))

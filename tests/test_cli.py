@@ -188,12 +188,27 @@ def test_a_graph_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
 
 
 def test_dominators_scans_a_directory_in_sorted_order(tmp_path, capsys):
-    (tmp_path / "b.cfg").write_text("entry x\nx y\n")
-    (tmp_path / "a.cfg").write_text("entry p\np q\n")
-    rc, out, _ = run_cli(capsys, "dominators", "--graph-dir", str(tmp_path))
+    cfgs = tmp_path / "cfgs"
+    cfgs.mkdir()
+    (cfgs / "b.cfg").write_text("entry x\nx y\n")
+    (cfgs / "a.cfg").write_text("entry p\np q\np r\n")
+    rc, out, _ = run_cli(capsys, "dominators", "--graph", str(cfgs))
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rc == 0
     assert [r["graph_name"] for r in rows] == ["a.cfg", "b.cfg"]
+    # paths are read in command-line order: a file, then a directory's
+    # files in sorted order, then a file again
+    first = tmp_path / "z.cfg"
+    first.write_text("entry a\na b\na c\nb d\nc d\n")
+    rc, out, _ = run_cli(
+        capsys, "dominators", "--graph", str(first), "--graph", str(cfgs),
+        "--graph", str(cfgs / "b.cfg"),
+    )
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rc == 0
+    assert [(r["graph_name"], r["vertices"]) for r in rows] == [
+        ("z.cfg", "4"), ("a.cfg", "3"), ("b.cfg", "2"), ("b.cfg", "2"),
+    ]
 
 
 def test_dominators_generates_random_cfgs(capsys):
@@ -204,6 +219,10 @@ def test_dominators_generates_random_cfgs(capsys):
     assert rc == 0
     assert len(rows) == 6
     assert [r["vertices"] for r in rows] == ["16"] * 3 + ["32"] * 3
+    # --random reads sizes as --sizes does, ranges too
+    rc, out, _ = run_cli(capsys, "dominators", "--random", "16..17", "--graphs-per-size", "1")
+    assert rc == 0
+    assert [r["vertices"] for r in csv.DictReader(io.StringIO(out))] == ["16", "17"]
 
 
 def test_a_dominators_report_names_its_inputs(tmp_path, capsys):
@@ -217,7 +236,6 @@ def test_a_dominators_report_names_its_inputs(tmp_path, capsys):
     config = json.loads(out)["metadata"]["config"]
     assert config == {
         "graph": [str(graph_file)],
-        "graph_dir": [],
         "random": [8],
         "graphs_per_size": 1,
         "seed": 0,
@@ -305,22 +323,16 @@ def test_malformed_graph_file_is_named_with_its_line(capsys, tmp_path):
     assert "broken.cfg:1" in err
 
 
-@pytest.mark.parametrize("flag", ["--graph", "--graph-dir"])
-def test_a_graph_file_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path, flag):
+@pytest.mark.parametrize("given", ["file", "directory"])
+def test_a_graph_file_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path, given):
     graphs = tmp_path / "graphs"
     graphs.mkdir()
     bad = graphs / "latin1.cfg"
     bad.write_bytes("entry \xe9\n\xe9 b\n".encode("latin-1"))
-    rc, out, err = run_cli(capsys, "dominators", flag, str(bad if flag == "--graph" else graphs))
+    rc, out, err = run_cli(capsys, "dominators", "--graph", str(bad if given == "file" else graphs))
     assert rc == 2
     assert out == ""
     assert "latin1.cfg" in err and "Traceback" not in err
-
-
-def test_graph_dir_must_be_a_directory(capsys, tmp_path):
-    rc, _, err = run_cli(capsys, "dominators", "--graph-dir", str(tmp_path / "void"))
-    assert rc == 2
-    assert "void" in err
 
 
 def test_unwritable_output_is_an_io_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Every name that the README's Layout table puts in backticks is real,
-and its Command line section lists exactly the CLI's subcommands.
+and its Command line section lists exactly the CLI's subcommands, each
+with flags it takes.
 
 A backticked identifier in a module's row (``name``, ``Class.name`` or a
 call such as ``update(…, change)``) must be an attribute of that module,
@@ -129,14 +130,28 @@ def test_every_layout_name_is_defined_by_its_module():
     assert unknown == []
 
 
-def readme_subcommands(readme):
-    """The words after ``leantrie`` on the command lines of the README's
+def readme_commands(readme):
+    """The words after ``leantrie`` on each command line of the README's
     Command line section."""
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    return {m.group(1) for m in re.finditer(r"^leantrie (\S+)", section, re.MULTILINE)}
+    return [line.split()[1:] for line in re.findall(r"^leantrie .*$", section, re.MULTILINE)]
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def test_the_command_line_section_lists_every_subcommand_and_no_other():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert readme_subcommands((ROOT / "README.md").read_text()) == set(sub.choices)
+    commands = readme_commands((ROOT / "README.md").read_text())
+    assert {command for command, *_ in commands} == set(subcommand_parsers())
+
+
+def test_every_flag_of_the_command_line_section_is_its_subcommands():
+    parsers = subcommand_parsers()
+    unknown = []
+    for command, *words in readme_commands((ROOT / "README.md").read_text()):
+        known = parsers[command]._option_string_actions
+        unknown += [f"{command} {w}" for w in words if w.startswith("--") and w not in known]
+    assert unknown == []

@@ -33,6 +33,7 @@ from leantrie import (
     storage,
 )
 from leantrie.bench import WorkloadSpec, _adapter, generate_workload, run_footprint
+from leantrie.bits import PAIR_PLANE
 from leantrie.nodes import COLL_W, CollisionNode, TrieNode, regions, walk
 from leantrie.storage import (
     BITMAP_WORDS,
@@ -155,6 +156,21 @@ def test_footprint_one_entry_multimap_is_five_words():
     assert report.words_total == 5  # header 2 + bitmap 1 + two slots
     assert report.slots == 2
     assert report.indirections == 0
+
+
+def test_footprint_of_a_multimap_holding_a_pair():
+    # keys 0 and 1 hash to branches 0 and 1 of one root node: key 0 holds
+    # one value inline, key 1 two values as one pair entry
+    ident = lambda x: x  # noqa: E731
+    mm = multimap([(0, 10), (1, 20), (1, 21)], key_hash=ident, value_hash=ident)
+    report = footprint(mm)
+    assert report.nodes == 1
+    assert report.slots == 5  # (0, 10) inline: 2 slots; (1, 20, 21) pair: 3 slots
+    assert report.indirections == 0  # 5 slots fit a fixed-arity node
+    assert report.words_total == 8  # header 2 + bitmap 1 + 5 slots
+    # the pair is bit 1 of the bitmap's pair plane; a JVM-style layout keeps
+    # that plane in a second bitmap word, which would make it 9 words
+    assert mm._root[0] >> PAIR_PLANE == 0b10
 
 
 def test_footprint_all_generic_adds_one_indirection_per_node():
