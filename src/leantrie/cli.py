@@ -38,29 +38,33 @@ from .dominators import (
 
 
 def _parse_sizes(text):
+    if not text.strip():
+        raise argparse.ArgumentTypeError("no sizes given")
     out = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError(f"empty size range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ValueError("no sizes given")
+        lo, dots, hi = part.partition("..")
+        try:
+            lo = int(lo)
+            hi = int(hi) if dots else lo
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} is not an integer or an A..B range"
+            ) from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty size range {part!r}")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
 def _parse_mix(text):
-    left, sep, right = text.partition(":")
-    if not sep:
-        raise ValueError(f"mix must look like 50:50, got {text!r}")
-    ones, twos = int(left), int(right)
+    left, _, right = text.partition(":")
+    try:
+        ones, twos = int(left), int(right)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"mix must look like 50:50, got {text!r}") from None
     if ones < 0 or twos < 0 or ones + twos == 0:
-        raise ValueError("mix parts must be non-negative and not both zero")
+        raise argparse.ArgumentTypeError("mix parts must be non-negative and not both zero")
     return ones / (ones + twos)
 
 

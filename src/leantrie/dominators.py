@@ -8,8 +8,11 @@ exercise ``get`` of each predecessor's dominator set, set intersection
 over those sets, and ``put_all``, which stores a vertex's new dominator
 set as is.  A pass re-evaluates only the vertices with a predecessor
 whose set changed since they were last computed; the first pass
-computes every vertex.  A vertex with one predecessor reads that
-predecessor's set with one ``get``.  A vertex with one computed
+computes every vertex.  The loop keeps the last set it stored, and its
+vertex: a read of that vertex takes the kept set, and any other
+predecessor's set is read with one ``get``.  In reverse postorder a
+vertex with one predecessor most often comes right after it, so most
+such vertices read no set from the multimap.  A vertex with one computed
 predecessor grows its set from that predecessor's by ``add``, so the two
 sets share every node off the copied path.  The intersection of two
 dominator sets, which share one hash function, is structural: it walks
@@ -177,6 +180,10 @@ def _dominator_fixpoint(graph):
         pred_lists.setdefault(d, []).append(s)
 
     dom = multimap([(entry, entry)])
+    # the vertex whose set the last changing put_all stored, and that set:
+    # only a vertex's own evaluation writes its key, so dom holds last_set
+    # for last until the next change, and a read of last takes it as is
+    last = last_set = None
     # Dom(n) can only change after a predecessor's set has, so a pass
     # skips a vertex that no changed set has marked stale since it last
     # ran: recomputing it would rebuild the set it holds
@@ -194,8 +201,10 @@ def _dominator_fixpoint(graph):
             if len(ps) == 1:
                 # a one-predecessor vertex was reached through its
                 # predecessor, which comes earlier in reverse postorder:
-                # its set is computed, and never empty
-                acc = dom.get(ps[0])
+                # its set is computed, and never empty.  That predecessor
+                # is most often the vertex evaluated just before
+                p = ps[0]
+                acc = last_set if p == last else dom.get(p)
             else:
                 # stage the big intersection as a set of predecessor Dom
                 # sets, folded pairwise; not-yet-computed Doms stand for
@@ -203,16 +212,20 @@ def _dominator_fixpoint(graph):
                 # predecessors: an absent key's set is empty, and a
                 # computed Dom never is.  A reachable vertex other than the
                 # entry has a predecessor
-                operands = [s for p in ps if (s := dom.get(p))]
+                operands = [
+                    s for p in ps if (s := last_set if p == last else dom.get(p))
+                ]
                 acc = operands[0]
                 for other in operands[1:]:
                     acc = acc & other
+            acc = acc.add(n)
             # stores the new set's root as is; the receiver comes back
             # when Dom(n) is unchanged
-            rewritten = dom.put_all(n, acc.add(n))
+            rewritten = dom.put_all(n, acc)
             if rewritten is not dom:
                 changed = True
                 dom = rewritten
+                last, last_set = n, acc
                 stale.update(succs.get(n, ()))
     return dom, iterations, preds
 

@@ -248,9 +248,10 @@ def put_values(cfg, pattern, k0, payload, values):
     """Entry ``k0`` of ``pattern`` replaced by ``values``, a multimap key's
     whole new entry as ``(key, root)``: the caller's key object and a
     non-empty nested set root, stored inline when it holds one value, as a
-    pair when it holds two and as is otherwise.  Returns ``(pattern,
-    slot_values)``, or None when the key already holds equal values; node
-    ``equals`` stops early on shared subtrees.
+    pair when it holds two and as is otherwise, with ``values`` itself
+    as its slot values.  Returns ``(pattern, slot_values)``, or None when
+    the key already holds equal values; node ``equals`` stops early on
+    shared subtrees.
     """
     key, root = values
     # a root of more items holds three or more values
@@ -263,6 +264,8 @@ def put_values(cfg, pattern, k0, payload, values):
         p, new = PAIR, few
     if p == pattern and _same_payload(cfg.value_cfg, p, payload, new):
         return None
+    if p == COLLECTION:
+        return p, values
     return p, ((key, *new) if p == PAIR else (key, new))
 
 

@@ -1,5 +1,6 @@
 """The command-line entry point: outputs, defaults, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -30,9 +31,9 @@ def test_size_ranges_and_lists():
     assert _parse_sizes("6..9") == (6, 7, 8, 9)
     assert _parse_sizes("4,8,12") == (4, 8, 12)
     assert _parse_sizes("3,5..7") == (3, 5, 6, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         _parse_sizes("9..6")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         _parse_sizes("six")
 
 
@@ -40,10 +41,45 @@ def test_mix_ratios():
     assert _parse_mix("50:50") == 0.5
     assert _parse_mix("100:0") == 1.0
     assert _parse_mix("1:3") == 0.25
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         _parse_mix("0.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         _parse_mix("0:0")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("bench", "--sizes", "9..6"), "argument --sizes: empty size range '9..6'"),
+        (("bench", "--sizes", " "), "argument --sizes: no sizes given"),
+        (
+            ("footprint", "--sizes", "6,x"),
+            "argument --sizes: 'x' is not an integer or an A..B range",
+        ),
+        (
+            ("dominators", "--random", "16..y"),
+            "argument --random: '16..y' is not an integer or an A..B range",
+        ),
+        (("bench", "--mix", "0.5"), "argument --mix: mix must look like 50:50, got '0.5'"),
+        (
+            ("footprint", "--mix", "0:0"),
+            "argument --mix: mix parts must be non-negative and not both zero",
+        ),
+    ],
+    ids=[
+        "empty-range",
+        "no-sizes",
+        "not-an-integer",
+        "random-not-an-integer",
+        "mix-shape",
+        "mix-parts",
+    ],
+)
+def test_a_rejected_flag_value_gives_its_reason(capsys, argv, reason):
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert reason in err
+    assert "_parse_" not in err
 
 
 def test_default_grids_match_the_documented_runs():

@@ -204,8 +204,9 @@ def test_acyclic_graphs_compute_each_vertex_once_over_all_passes(graph, monkeypa
 
 
 def test_a_one_predecessor_vertex_reads_one_set(monkeypatch):
-    # a chain's every vertex but the entry has one predecessor, whose set
-    # it reads with one get: no other set is read, and no set is tested
+    # a chain's every vertex but the entry has one predecessor, evaluated
+    # just before it: only the entry's set is read with a get, each later
+    # vertex takes the set stored one step earlier, and no set is tested
     # for emptiness
     gets = []
     original = PersistentMultiMap.get
@@ -221,11 +222,70 @@ def test_a_one_predecessor_vertex_reads_one_set(monkeypatch):
     chain = parse_edge_list("entry a\na b\nb c\nc d\nd e\n", name="chain")
     dom, _, _ = _dominator_fixpoint(chain)
     assert keys == [1, 2, 3, 4]
-    assert gets == [0, 1, 2, 3]  # each evaluation's one predecessor
+    assert gets == [0]  # the entry's set, which no evaluation stored
     assert tests == []
     assert {v: set(original(dom, v)) for v in range(5)} == {
         v: set(range(v + 1)) for v in range(5)
     }
+
+
+def test_a_forwarded_set_is_the_root_the_multimap_holds(monkeypatch):
+    # a set of three or more values is stored as is, so the set a vertex
+    # takes from the evaluation before it wraps the very root get would
+    read = {}
+    original = PersistentSet.add
+
+    def recording(self, value):
+        read[value] = self
+        return original(self, value)
+
+    monkeypatch.setattr(PersistentSet, "add", recording)
+    gets = []
+    get = PersistentMultiMap.get
+    monkeypatch.setattr(
+        PersistentMultiMap, "get", lambda self, key: gets.append(key) or get(self, key)
+    )
+    chain = parse_edge_list("entry a\na b\nb c\nc d\nd e\n", name="chain")
+    dom, _, _ = _dominator_fixpoint(chain)
+    assert gets == [0]
+    for n in (3, 4):  # d and e, whose predecessor holds three and four values
+        assert len(read[n]) == n
+        assert read[n]._root is get(dom, n - 1)._root
+
+
+def test_a_no_op_rewrite_keeps_the_forwarded_set(monkeypatch):
+    # reverse postorder s, b, a, c, d, e.  The second pass shrinks c's
+    # set, d's rewrite then changes nothing, and e takes c's set, which
+    # is still the last one stored, without a get
+    log = []
+    get, put_all = PersistentMultiMap.get, PersistentMultiMap.put_all
+
+    def recording_get(self, key):
+        log.append(("get", key))
+        return get(self, key)
+
+    def recording_put_all(self, key, values):
+        rewritten = put_all(self, key, values)
+        log.append(("put_all", key, rewritten is not self))
+        return rewritten
+
+    monkeypatch.setattr(PersistentMultiMap, "get", recording_get)
+    monkeypatch.setattr(PersistentMultiMap, "put_all", recording_put_all)
+    graph = parse_edge_list(
+        "entry s\ns a\ns b\na c\nb d\nc e\nc d\nd c\n", name="irreducible"
+    )
+    s, a, b, c, d, e = range(6)
+    dom, iterations, _ = _dominator_fixpoint(graph)
+    assert iterations == 3
+    second_pass = log[log.index(("put_all", e, True)) + 1 :]
+    assert [event for event in second_pass if event[0] == "put_all"] == [
+        ("put_all", c, True),
+        ("put_all", d, False),
+        ("put_all", e, True),
+    ]
+    after_c = second_pass[second_pass.index(("put_all", c, True)) + 1 :]
+    assert ("get", c) not in after_c
+    assert {v: frozenset(dom.get(v)) for v in dom.keys()} == bitmask_dominators(graph)
 
 
 def test_second_pass_recomputes_only_the_back_edge_target(monkeypatch):

@@ -1505,6 +1505,18 @@ def test_a_bucket_joined_by_a_new_hash_matches_the_bulk_build(n_values):
     assert joined.equals(cfg, direct)
 
 
+def test_put_values_stores_the_callers_entry_for_a_collection():
+    # a root of three or more values is stored as is, in the caller's own
+    # (key, root) entry; fewer values are unpacked into a new one
+    cfg = multimap_config()
+    for n_values, pattern in ((1, INLINE), (2, PAIR), (3, COLLECTION)):
+        nested, _, _ = build_root(cfg.value_cfg, range(n_values))
+        entry = ("k", nested)
+        got, slot_values = put_values(cfg, EMPTY, None, None, entry)
+        assert got == pattern
+        assert (slot_values is entry) == (pattern == COLLECTION)
+
+
 def _seven(obj):
     return 7
 

@@ -146,11 +146,11 @@ def test_two_footprint_counts_repeat_exactly():
         _assert_by_function_adds_up(per_node)
 
 
-def test_two_dominator_counts_repeat_exactly():
+def test_two_dominator_counts_repeat_exactly(monkeypatch):
     args = ("--layer", "dominators", "--workload", "dominators")
     first = _counts(*args)
     assert first == _counts(*args)
-    _, inp, sc = _set_up("dominators")
+    leantrie, inp, sc = _set_up("dominators")
     graphs = inp.graphs[: sc.trace_graphs]
     n, vertices = len(graphs), graphs[0].vertex_count
     assert (first["graphs"], first["vertices"]) == (n, vertices)
@@ -166,6 +166,25 @@ def test_two_dominator_counts_repeat_exactly():
     spent = per_eval["total"] * per_eval["ops"]
     slack = 0.05 + 0.05 * per_eval["ops"] / (n * vertices)
     assert first["bytecodes_per_vertex"] == pytest.approx(spent / (n * vertices), abs=slack)
+    # the get calls per evaluation, counted again by a wrapped get
+    from leantrie.dominators import _dominator_fixpoint
+
+    calls = Counter()
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls[method.__name__] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("get", "put_all"):
+        method = getattr(leantrie.PersistentMultiMap, name)
+        monkeypatch.setattr(leantrie.PersistentMultiMap, name, counted(method))
+    for g in graphs:
+        _dominator_fixpoint(g)
+    assert calls["put_all"] == per_eval["ops"]
+    assert first["gets_per_evaluation"] == round(calls["get"] / calls["put_all"], 3)
 
 
 # each layer's arguments and the columns of its table

@@ -51,7 +51,9 @@ by function (an evaluation is one vertex's intersection and ``put_all``;
 the first pass evaluates every reachable vertex but the entry, a later
 pass only those whose predecessors changed), per graph the vertices,
 evaluations and fixpoint passes (as the traced fixpoint returns them),
-and all bytecodes over all vertices.
+the ``get`` calls per evaluation (a vertex that takes the set the
+evaluation before it stored reads it without one), and all bytecodes
+over all vertices.
 
 ``--format json`` prints the report as it is counted.  ``--format
 table``, the default, prints every layer's report one way (``table``):
@@ -228,12 +230,13 @@ def count_footprint(leantrie, inp, sc, args):
 
 def count_dominators(leantrie, inp, sc, args):
     """``{"graphs", "vertices", "evaluations", "passes",
-    "bytecodes_per_vertex", "bytecodes_per_evaluation"}`` of the dominator
-    fixpoint over the first ``trace_graphs`` of the workload's graphs: the
-    vertices, evaluations and fixpoint passes per graph, all bytecodes over
-    all vertices, and the bytecodes per evaluation as :func:`_per_op` gives
-    them.  An evaluation ends in one ``put_all``; the passes are those the
-    traced fixpoint returns."""
+    "gets_per_evaluation", "bytecodes_per_vertex",
+    "bytecodes_per_evaluation"}`` of the dominator fixpoint over the first
+    ``trace_graphs`` of the workload's graphs: the vertices, evaluations
+    and fixpoint passes per graph, the dominator sets read by ``get`` per
+    evaluation, all bytecodes over all vertices, and the bytecodes per
+    evaluation as :func:`_per_op` gives them.  An evaluation ends in one
+    ``put_all``; the passes are those the traced fixpoint returns."""
     from leantrie.dominators import _dominator_fixpoint
 
     graphs = inp.graphs[: sc.trace_graphs]
@@ -252,6 +255,7 @@ def count_dominators(leantrie, inp, sc, args):
         "vertices": round(vertices / n, 1),
         "evaluations": round(evaluations / n, 1),
         "passes": round(passes / n, 2),
+        "gets_per_evaluation": round(calls["maps.PersistentMultiMap.get"] / evaluations, 3),
         "bytecodes_per_vertex": round(sum(by_function.values()) / vertices, 1),
         "bytecodes_per_evaluation": _per_op(evaluations, by_function),
     }
