@@ -18,8 +18,6 @@ from .maps import (
     structure_stats,
 )
 from .storage import (
-    DEFAULT_MODEL,
-    FootprintModel,
     FootprintReport,
     byte_components,
     footprint,
@@ -33,9 +31,7 @@ __all__ = [
     "multimap",
     "pmap",
     "pset",
-    "FootprintModel",
     "FootprintReport",
-    "DEFAULT_MODEL",
     "footprint",
     "object_bytes",
     "byte_components",

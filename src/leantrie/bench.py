@@ -29,12 +29,12 @@ import platform
 import random
 import statistics
 import subprocess
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter_ns
 
 from .maps import multimap, pmap, pset
-from .storage import DEFAULT_MODEL, byte_components, footprint
+from .storage import byte_components, footprint
 
 OPERATIONS = (
     "lookup",
@@ -589,7 +589,6 @@ def write_json(rows, columns, stream, generated_at, config=None):
         "metadata": {
             "generated_at": generated_at,
             "config": config or {},
-            "model": asdict(DEFAULT_MODEL),
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),

@@ -144,7 +144,7 @@ def build_parser():
     dom.add_argument(
         "--random", type=_parse_sizes, default=None, metavar="SIZES",
         help="generate random CFGs of these vertex counts "
-        "(default 128,256,512 when no files are given)",
+        "(default 128,256,512 when no --graph is given)",
     )
     dom.add_argument(
         "--graphs-per-size", type=int, default=100,
@@ -188,6 +188,10 @@ def _cmd_footprint(args):
 
 
 def _load_graphs(args):
+    if args.graphs_per_size < 1:
+        raise ConfigurationError(
+            f"--graphs-per-size must be at least 1, got {args.graphs_per_size}"
+        )
     graphs = []
     for given in map(Path, args.graph):
         paths = sorted(p for p in given.iterdir() if p.is_file()) if given.is_dir() else [given]
@@ -197,19 +201,18 @@ def _load_graphs(args):
             except (OSError, UnicodeDecodeError) as exc:
                 raise GraphError(f"cannot read graph file {path}: {exc}") from exc
             graphs.append(parse_edge_list(text, name=path.name))
-    if args.random is None and not graphs:
+    if args.random is None and not args.graph:
         args.random = (128, 256, 512)  # so the report's settings name the sizes run
     for size in args.random or ():
         for i in range(args.graphs_per_size):
             graphs.append(random_cfg(size, args.seed + i))
+    if not graphs:
+        raise ConfigurationError("no graphs to analyze")
     return graphs
 
 
 def _cmd_dominators(args):
-    graphs = _load_graphs(args)
-    if not graphs:
-        raise ConfigurationError("no graphs to analyze")
-    return [analyze_graph(g) for g in graphs], DOMINATOR_COLUMNS
+    return [analyze_graph(g) for g in _load_graphs(args)], DOMINATOR_COLUMNS
 
 
 def main(argv=None):

@@ -28,13 +28,18 @@ subtrees and keeps its element objects.
 
 Hash functions are pluggable per structure (``key_hash``, ``value_hash``,
 ``element_hash``); results are folded onto 32 bits, and they are a
-structure's only options: the footprint model
-(:class:`leantrie.FootprintModel`), not the structure, decides how
-small nodes are priced.  Structures pickle and deep-copy when their
-hash functions are module-level functions: a pickle holds a structure's
-contents and hash functions, never its nodes, because node layout
-follows hashes that differ between processes (``PYTHONHASHSEED``); the
-receiving process rebuilds the trie with its own hashes.
+structure's only options: ``footprint``'s ``specialize`` flag
+(:func:`leantrie.footprint`), not the structure, decides how small nodes
+are priced.  Structures pickle and deep-copy when their hash functions
+are module-level functions: a pickle holds a structure's contents and
+hash functions, never its nodes, because node layout follows hashes
+that differ between processes (``PYTHONHASHSEED``); the receiving
+process rebuilds the trie with its own hashes.
+
+The three structures share one key test and one key walk: the module
+functions ``_contains_key`` and ``_keys``, bound as class attributes
+(``__contains__``, ``contains_key``, ``__iter__``, ``keys``), with no
+base class and no extra call frame.
 """
 
 from collections.abc import ItemsView, Mapping, Set, ValuesView
@@ -71,6 +76,17 @@ __all__ = [
     "pset",
     "check_invariants",
 ]
+
+
+def _contains_key(self, key):
+    """Whether ``key`` is a key of this structure (an element of a set)."""
+    cfg = self._cfg
+    return self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key) is not None
+
+
+def _keys(self):
+    """Iterator over distinct keys (a set's elements)."""
+    return iter_keys(self._cfg, self._root)
 
 
 class PersistentSet(Set):
@@ -131,10 +147,6 @@ class PersistentSet(Set):
             raise KeyError(element)
         return result
 
-    def __contains__(self, element):
-        cfg = self._cfg
-        return self._root.lookup(cfg, 0, cfg.hasher(element) & M32, element) is not None
-
     def __and__(self, other):
         cfg = self._cfg
         if isinstance(other, PersistentSet) and other._cfg.hasher is cfg.hasher:
@@ -144,8 +156,8 @@ class PersistentSet(Set):
             return PersistentSet(cfg, root, None)
         return Set.__and__(self, other)
 
-    def __iter__(self):
-        return iter_keys(self._cfg, self._root)
+    __contains__ = _contains_key
+    __iter__ = _keys
 
     def __len__(self):
         if self._size is None:
@@ -229,12 +241,8 @@ class PersistentMap(Mapping):
             raise KeyError(key)
         return found[1]
 
-    def __contains__(self, key):
-        cfg = self._cfg
-        return self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key) is not None
-
-    def __iter__(self):
-        return iter_keys(self._cfg, self._root)
+    __contains__ = _contains_key
+    __iter__ = _keys
 
     def __len__(self):
         return self._size
@@ -375,11 +383,7 @@ class PersistentMultiMap:
             return PersistentSet(vcfg, root, 1)
         return PersistentSet(vcfg, set_of_two(vcfg, *payload), 2)
 
-    def contains_key(self, key):
-        cfg = self._cfg
-        return self._root.lookup(cfg, 0, cfg.hasher(key) & M32, key) is not None
-
-    __contains__ = contains_key
+    contains_key = __contains__ = _contains_key
 
     def contains_entry(self, key, value):
         cfg = self._cfg
@@ -395,16 +399,11 @@ class PersistentMultiMap:
         vcfg = cfg.value_cfg
         return payload.lookup(vcfg, 0, vcfg.hasher(value) & M32, value) is not None
 
-    def keys(self):
-        """Iterator over distinct keys."""
-        return iter_keys(self._cfg, self._root)
+    keys = __iter__ = _keys
 
     def items(self):
         """Iterator over (key, value) tuples, flattened."""
         return iter_entries(self._cfg, self._root)
-
-    def __iter__(self):
-        return self.keys()
 
     def __len__(self):
         return self.tuple_count

@@ -5,13 +5,13 @@ slots, held in the node's own tuple after its bitmap.  The model prices a
 structure in abstract machine words, at fixed prices: a two-word header
 per heap object, one word per bitmap, one per slot cell, and one
 indirection word for a node whose slots would live in a separate
-out-of-line block.  The model's one field, ``specialize``, decides that
-last word: under the default, it models nodes of up to
-``MAX_FIXED_SLOTS`` slots as fixed-arity objects with the slots inline
-(no indirection), while larger nodes pay for the block;
-``FootprintModel(specialize=False)`` prices every node with the block.
-It is a pricing rule only: one structure can be priced either way, and
-its nodes are the same tuples under both.
+out-of-line block.  :func:`footprint`'s one flag, ``specialize``, decides
+that last word: by default it models nodes of up to ``MAX_FIXED_SLOTS``
+slots as fixed-arity objects with the slots inline (no indirection),
+while larger nodes pay for the block; ``footprint(s, specialize=False)``
+prices every node with the block.  It is a pricing rule only: one
+structure can be priced either way, and its nodes are the same tuples
+under both.
 
 Payload objects (keys, values) cost nothing -- they are identical across
 compared structures -- except nested leantrie structures stored as
@@ -50,18 +50,6 @@ _WRAPPERS = tuple(WRAPPER_FIELDS)
 # --- footprint model ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FootprintModel:
-    """How the fixed word prices apply to nodes.  With ``specialize`` a
-    node of at most ``MAX_FIXED_SLOTS`` slots pays no indirection word;
-    without it every node pays one."""
-
-    specialize: bool = True
-
-
-DEFAULT_MODEL = FootprintModel()
-
-
 @dataclass
 class FootprintReport:
     """Word counts per component; ``nodes`` is a heap-object count.
@@ -82,7 +70,7 @@ class FootprintReport:
     nested_words: int = 0
 
 
-def footprint(structures, model=DEFAULT_MODEL):
+def footprint(structures, *, specialize=True):
     """Measure one structure or several jointly (shared nodes counted once,
     with the first structure listed that reaches them).
 
@@ -92,9 +80,10 @@ def footprint(structures, model=DEFAULT_MODEL):
     persistent structures stored *as values* are priced in full (object
     header plus one word per field plus their node graph), because there
     they are part of the measured structure's storage overhead.
-    The word prices are the module's constants; ``model`` decides which
-    nodes pay the indirection word, so ``footprint(s, FootprintModel(
-    specialize=False))`` prices the same nodes as generic ones.
+    The word prices are the module's constants.  With ``specialize`` a
+    node of at most ``MAX_FIXED_SLOTS`` slots pays no indirection word;
+    ``footprint(s, specialize=False)`` prices the same nodes as generic
+    ones, each paying one.
     """
     report = FootprintReport()
     for o, cfg, nested, start in _reached(structures):
@@ -108,7 +97,7 @@ def footprint(structures, model=DEFAULT_MODEL):
             slots = n_slots * SLOT_WORDS
             words = HEADER_WORDS + BITMAP_WORDS + slots
             report.bitmaps += BITMAP_WORDS
-            if not model.specialize or n_slots > MAX_FIXED_SLOTS:
+            if not specialize or n_slots > MAX_FIXED_SLOTS:
                 report.indirections += INDIRECTION_WORDS
                 words += INDIRECTION_WORDS
         report.nodes += 1

@@ -362,7 +362,7 @@ def test_json_report_carries_metadata_and_rows():
     document = json.loads(text)
     assert document["metadata"]["generated_at"] == "2026-01-01T00:00:00+00:00"
     assert document["metadata"]["config"] == {"seeds": 1}
-    assert document["metadata"]["model"] == {"specialize": True}
+    assert "model" not in document["metadata"]
     assert document["rows"] == [
         {c: getattr(rows[0], c) for c in BENCH_COLUMNS}
     ]

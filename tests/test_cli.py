@@ -286,6 +286,32 @@ def test_a_dominators_report_names_the_default_sizes_it_ran(capsys):
     assert [r["vertices"] for r in document["rows"]] == [128, 256, 512]
 
 
+def test_an_empty_graph_directory_is_no_graphs_not_the_default_sizes(capsys, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rc, out, err = run_cli(capsys, "dominators", "--graph", str(empty), "--graphs-per-size", "1")
+    assert (rc, out) == (2, "")
+    assert err == "leantrie: no graphs to analyze\n"
+    # --random still adds random graphs beside an empty directory
+    rc, out, _ = run_cli(
+        capsys, "dominators", "--graph", str(empty), "--random", "16", "--graphs-per-size", "1"
+    )
+    assert rc == 0
+    assert [r["vertices"] for r in csv.DictReader(io.StringIO(out))] == ["16"]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_graphs_per_size_below_one_is_a_usage_error(capsys, tmp_path, count):
+    graph_file = tmp_path / "f.edges"
+    graph_file.write_text("entry a\na b\n")
+    rc, out, err = run_cli(
+        capsys, "dominators", "--graph", str(graph_file), "--random", "64",
+        "--graphs-per-size", count,
+    )
+    assert (rc, out) == (2, "")
+    assert "--graphs-per-size" in err and count in err
+
+
 def test_a_bench_report_records_each_flag(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -1,8 +1,8 @@
 """Footprint-model and real-byte tests.
 
 Footprint numbers for small structures are frozen from hand counts under
-the default model at its fixed prices (header 2 words, bitmap 1, slot 1,
-out-of-line indirection 1); ``object_bytes`` is checked against what
+the default pricing at the model's fixed prices (header 2 words, bitmap
+1, slot 1, out-of-line indirection 1); ``object_bytes`` is checked against what
 ``tracemalloc`` sees a build allocate, its components against a walk of
 ``gc`` referents that knows no node layout, and every bulk build against
 holding one int object per distinct bitmap, shared with no other build,
@@ -14,13 +14,11 @@ import random
 import sys
 import tracemalloc
 import types
-from dataclasses import fields
 
 import pytest
 
+import leantrie
 from leantrie import (
-    DEFAULT_MODEL,
-    FootprintModel,
     PersistentMultiMap,
     PersistentSet,
     byte_components,
@@ -48,13 +46,10 @@ from leantrie.storage import (
 
 # --- indirection pricing rule ---------------------------------------------------
 #
-# Nodes are plain tuples; the model's ``specialize`` field only decides
+# Nodes are plain tuples; ``footprint``'s ``specialize`` flag only decides
 # whether a node is charged the out-of-line indirection word, so each test
-# prices one structure under both models.  A flat identity-hashed set of n
+# prices one structure both ways.  A flat identity-hashed set of n
 # elements is one root node of exactly n slots.
-
-GENERIC = FootprintModel(specialize=False)
-MODELS = (DEFAULT_MODEL, GENERIC)
 
 
 def _flat_set(n):
@@ -89,8 +84,8 @@ def test_small_specialized_nodes_pay_no_indirection():
 def test_wide_nodes_pay_one_indirection():
     for n in range(MAX_FIXED_SLOTS + 1, 33):
         s = _flat_set(n)
-        for model in MODELS:
-            report = footprint(s, model)
+        for specialize in (True, False):
+            report = footprint(s, specialize=specialize)
             assert (report.nodes, report.indirections) == (1, 1), n
 
 
@@ -103,7 +98,7 @@ def test_fixed_capacity_is_exact():
 
 def test_specialize_false_always_generic():
     for n in (0, 1, 8, 20):
-        report = footprint(_flat_set(n), GENERIC)
+        report = footprint(_flat_set(n), specialize=False)
         assert report.indirections == report.nodes == 1
         assert report.words_total == 3 + n + 1
 
@@ -126,11 +121,11 @@ def test_indirection_depends_only_on_the_slot_total():
     assert any(type(n) is CollisionNode for n in nodes)
     assert any(len(n) - _head(n) > MAX_FIXED_SLOTS for n in nodes)
     assert any(len(n) - _head(n) <= MAX_FIXED_SLOTS for n in nodes)
-    for model in MODELS:
-        report = footprint(mm, model)
+    for specialize in (True, False):
+        report = footprint(mm, specialize=specialize)
         assert report.nodes == len(nodes)
         assert report.indirections == sum(
-            1 for n in nodes if len(n) - _head(n) > MAX_FIXED_SLOTS or not model.specialize
+            1 for n in nodes if len(n) - _head(n) > MAX_FIXED_SLOTS or not specialize
         )
 
 
@@ -139,8 +134,16 @@ def test_indirection_depends_only_on_the_slot_total():
 
 def test_default_model_constants():
     assert (HEADER_WORDS, BITMAP_WORDS, SLOT_WORDS, INDIRECTION_WORDS) == (2, 1, 1, 1)
-    assert [f.name for f in fields(FootprintModel)] == ["specialize"]
-    assert DEFAULT_MODEL == FootprintModel(specialize=True)
+
+
+def test_specialize_is_a_keyword_only_flag():
+    mm = multimap([(1, 2)])
+    with pytest.raises(TypeError):
+        footprint(mm, False)
+    assert footprint(mm, specialize=True) == footprint(mm)
+    assert not hasattr(leantrie, "FootprintModel")
+    assert not hasattr(storage, "FootprintModel")
+    assert not hasattr(leantrie, "DEFAULT_MODEL")
 
 
 def test_footprint_empty_multimap_is_three_words():
@@ -176,7 +179,7 @@ def test_footprint_of_a_multimap_holding_a_pair():
 def test_footprint_all_generic_adds_one_indirection_per_node():
     mm = multimap([(1, 2)])
     spec = footprint(mm)
-    gen = footprint(mm, GENERIC)
+    gen = footprint(mm, specialize=False)
     assert gen.words_total == spec.words_total + 1
     assert gen.indirections == 1
 
@@ -238,7 +241,7 @@ def test_specialized_saving_is_exactly_one_indirection_per_node():
             entries.append((entries[-1][0], rng.getrandbits(8)))
     mm = multimap(entries)
     spec_report = footprint(mm)
-    gen_report = footprint(mm, GENERIC)
+    gen_report = footprint(mm, specialize=False)
     assert gen_report.nodes == spec_report.nodes
     saving = gen_report.words_total - spec_report.words_total
     # nodes wider than the fixed-arity ceiling stay generic either way, so
@@ -252,7 +255,7 @@ def test_specialized_saving_is_exactly_one_indirection_per_node():
 def test_small_specialized_build_drops_every_indirection():
     mm = multimap((n, n + 1) for n in range(4))
     spec_report = footprint(mm)
-    gen_report = footprint(mm, GENERIC)
+    gen_report = footprint(mm, specialize=False)
     assert spec_report.indirections == 0
     saving = gen_report.words_total - spec_report.words_total
     assert saving == gen_report.indirections == gen_report.nodes
